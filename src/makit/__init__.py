@@ -10,10 +10,10 @@ Subpackages and modules:
   experiments  declarative experiment catalog and Monte Carlo runner
 """
 
+__version__ = "0.1.0"  # set before the submodule imports: experiments records it
+
 from . import beamforming, channel, estimate, experiments, geometry, optimize, sensing
 from .errors import ConfigError, InfeasibleError
-
-__version__ = "0.1.0"
 
 __all__ = [
     "geometry",

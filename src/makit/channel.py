@@ -340,6 +340,24 @@ def radiation_gain(pattern: RadiationPattern, aom: np.ndarray, k: np.ndarray) ->
     return math.sqrt(abs(pattern.f1(k_accs)) ** 2 + abs(pattern.f2(k_accs)) ** 2)
 
 
+def _polarization_vectors(pattern: RadiationPattern, aom: np.ndarray,
+                          k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radiation gains (L,) and LCS-frame pattern vectors (L, 2) for stacked wave vectors (L, 3).
+
+    Row l is M_l @ [F1, F2] at the antenna-frame wave vector aom^T k_l, where
+    M_l[a, b] = lcs_a . aom . accs_b maps the antenna-frame reference pair
+    (accs_basis of aom^T k_l) onto the LCS pair (accs_basis of k_l).  The
+    pattern callables run once per path.  M_l is orthogonal, so the row's norm
+    is the radiation gain and a path outside the pattern's lobe gives a zero row.
+    """
+    aom = np.asarray(aom, dtype=float)
+    k = np.asarray(k, dtype=float).reshape(-1, 3)
+    k_accs = k @ aom
+    f = np.array([(pattern.f1(ka), pattern.f2(ka)) for ka in k_accs], dtype=complex).reshape(-1, 2)
+    m = np.stack(accs_basis(k), axis=1) @ aom @ np.stack(accs_basis(k_accs), axis=2)
+    return np.sqrt(np.sum(np.abs(f) ** 2, axis=1)), np.einsum("lab,lb->la", m, f)
+
+
 def polarization_gain(tx_pattern: RadiationPattern, rx_pattern: RadiationPattern,
                       psi: np.ndarray, omega: np.ndarray,
                       k_t: np.ndarray, k_r: np.ndarray,
@@ -350,61 +368,34 @@ def polarization_gain(tx_pattern: RadiationPattern, rx_pattern: RadiationPattern
     transform) x pprm x (Tx field-direction transform) x (Tx polarization
     column).  Reference direction pairs for each path are the shared basis
     construction evaluated in the LCS; the antenna-frame pairs use the same
-    construction on the rotated wave vector.
+    construction on the rotated wave vector.  This is the single-pair case of
+    prm_6dma divided by both radiation gains.
     """
-    psi = np.asarray(psi, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    k_t = np.asarray(k_t, dtype=float).reshape(3)
-    k_r = np.asarray(k_r, dtype=float).reshape(3)
-    lam = np.asarray(pprm, dtype=complex).reshape(2, 2)
-
-    g_t = radiation_gain(tx_pattern, psi, k_t)
-    g_r = radiation_gain(rx_pattern, omega, k_r)
-    if g_t <= 0 or g_r <= 0:
+    g_t, v_t = _polarization_vectors(tx_pattern, psi, k_t)
+    g_r, v_r = _polarization_vectors(rx_pattern, omega, k_r)
+    if g_t[0] <= 0 or g_r[0] <= 0:
         raise ValueError("polarization gain is undefined at zero radiation gain")
-
-    i_t, j_t = accs_basis(k_t)
-    i_r, j_r = accs_basis(k_r)
-    kt_accs = psi.T @ k_t
-    kr_accs = omega.T @ k_r
-    ih_t, jh_t = accs_basis(kt_accs)
-    ih_r, jh_r = accs_basis(kr_accs)
-
-    row_rx = np.array([rx_pattern.f1(kr_accs), rx_pattern.f2(kr_accs)], dtype=complex) / g_r
-    m_rx = np.array([[ih_r @ omega.T @ i_r, ih_r @ omega.T @ j_r],
-                     [jh_r @ omega.T @ i_r, jh_r @ omega.T @ j_r]])
-    m_tx = np.array([[i_t @ psi @ ih_t, i_t @ psi @ jh_t],
-                     [j_t @ psi @ ih_t, j_t @ psi @ jh_t]])
-    col_tx = np.array([tx_pattern.f1(kt_accs), tx_pattern.f2(kt_accs)], dtype=complex) / g_t
-    return complex(row_rx @ m_rx @ lam @ m_tx @ col_tx)
+    lam = np.asarray(pprm, dtype=complex).reshape(2, 2)
+    return complex(v_r[0] @ lam @ v_t[0] / (g_r[0] * g_t[0]))
 
 
 def prm_6dma(pprms: np.ndarray, psi: np.ndarray, omega: np.ndarray,
              tx_pattern: RadiationPattern, rx_pattern: RadiationPattern,
              tx_paths: PathSet, rx_paths: PathSet) -> np.ndarray:
-    """Orientation-dependent PRM with entries G_r * G_p * G_t per path pair.
+    """Orientation-dependent PRM (L_r, L_t) with entries G_r * G_p * G_t per path pair.
 
-    Paths with zero radiation gain (outside a directional lobe) contribute
-    zero entries rather than an error.
+    pprms has shape (L_r, L_t, 2, 2); psi and omega are the Tx and Rx
+    orientation matrices.  The radiation gains cancel the normalization of
+    the polarization product, so every entry is (Rx pattern vector) x pprm x
+    (Tx pattern vector).  Paths with zero radiation gain (outside a
+    directional lobe) contribute zero entries rather than an error.
     """
     pprms = np.asarray(pprms, dtype=complex)
-    lr, lt = len(rx_paths), len(tx_paths)
-    if pprms.shape != (lr, lt, 2, 2):
+    if pprms.shape != (len(rx_paths), len(tx_paths), 2, 2):
         raise ValueError("pprms must have shape (L_r, L_t, 2, 2)")
-    g_t = np.array([radiation_gain(tx_pattern, psi, k) for k in tx_paths.wave_vectors])
-    g_r = np.array([radiation_gain(rx_pattern, omega, k) for k in rx_paths.wave_vectors])
-    out = np.zeros((lr, lt), dtype=complex)
-    for i in range(lr):
-        if g_r[i] <= 0:
-            continue
-        for j in range(lt):
-            if g_t[j] <= 0:
-                continue
-            gp = polarization_gain(tx_pattern, rx_pattern, psi, omega,
-                                   tx_paths.wave_vectors[j], rx_paths.wave_vectors[i],
-                                   pprms[i, j])
-            out[i, j] = g_r[i] * gp * g_t[j]
-    return out
+    _, v_t = _polarization_vectors(tx_pattern, psi, tx_paths.wave_vectors)
+    _, v_r = _polarization_vectors(rx_pattern, omega, rx_paths.wave_vectors)
+    return np.einsum("ia,ijab,jb->ij", v_r, pprms, v_t)
 
 
 def channel_6dma(t, r, psi: np.ndarray, omega: np.ndarray, scenario: Scenario) -> complex:

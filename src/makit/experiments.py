@@ -12,22 +12,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from . import beamforming as bf
 from . import estimate as est
 from . import optimize as opt
 from . import sensing as sn
-from .channel import (PathSet, RadiationPattern, Scenario, channel_mimo, channel_narrowband,
-                      gen_scenario, prm_6dma, redraw_prm_phases, sample_directions)
+from .channel import (PathSet, RadiationPattern, Scenario, _rician_diagonal, channel_mimo,
+                      channel_narrowband, gen_scenario, prm_6dma, redraw_prm_phases,
+                      sample_directions, tap_of_delay)
 from .errors import ConfigError
 from .geometry import MoveRegion, aom_from_euler
 
-__version__ = "0.1.0"
 WORKERS_ENV = "MAKIT_WORKERS"
 
 __all__ = [
@@ -88,9 +90,10 @@ class ExperimentConfig:
                 raise ConfigError("sweep values must be nonempty and finite")
             if list(vals) != sorted(vals):
                 raise ConfigError("sweep values must be sorted ascending")
-        trials = int(doc.get("trials", 1))
-        if trials < 1:
-            raise ConfigError("'trials' must be >= 1")
+        _check_ranges(exp, params, sweep)
+        trials = doc.get("trials", 1)
+        if not isinstance(trials, numbers.Integral) or trials < 1:
+            raise ConfigError(f"'trials' must be an integer >= 1, got {trials!r}")
         seeds = doc.get("seeds")
         if seeds is not None:
             seeds = tuple(int(s) for s in seeds)
@@ -99,6 +102,22 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
         return cls(experiment=exp, params=params, trials=trials, seeds=seeds,
                    sweep=sweep, out=doc.get("out"))
+
+
+# Physical ranges of parameters several catalog entries share, checked in
+# params and sweep values wherever an entry has the parameter.
+_RANGES = {"wavelength": ("> 0", lambda x: x > 0), "region_side": ("> 0", lambda x: x > 0),
+           "grid_step": ("> 0", lambda x: x > 0), "orientation_grid": (">= 1", lambda x: x >= 1)}
+
+
+def _check_ranges(exp: str, params: dict, sweep: dict | None) -> None:
+    merged = {**CATALOG[exp].defaults, **params}
+    for name, (rule, ok) in _RANGES.items():
+        if name not in merged:
+            continue
+        for v in sweep["values"] if sweep and sweep["variable"] == name else [merged[name]]:
+            if not (isinstance(v, numbers.Real) and np.isfinite(v) and ok(v)):
+                raise ConfigError(f"{name!r} must be a finite number {rule}, got {v!r}")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -174,24 +193,36 @@ def load_table_json(path) -> ResultTable:
 # ---------------------------------------------------------------------------
 # shared numeric helpers
 
-def _gain_field_minmax(k_vectors, b, side, step, wavelength):
-    """(max, min, value-at-origin) of |sum_l b_l exp(-j 2pi/lam k_l . r)|^2 on a cubic grid.
+# Grid values per block of field columns (16 MB of complex field), so memory
+# does not grow with the number of columns (orientations, subcarriers).
+_FIELD_BLOCK = 1 << 20
 
-    Each path's phase factor separates along the axes, so the field is
-    accumulated from outer products of per-axis phase vectors.
+
+def _grid_power(k_vectors, coeffs, side, step, wavelength):
+    """|sum_l c_lo exp(-j 2pi/lam k_l . r)|^2 on a cubic grid for coeffs (L, O), in column blocks.
+
+    Yields (n^3, C) arrays for consecutive blocks of C columns; row 0 is the
+    grid origin.  Each path's phase factor separates along the axes: with
+    per-axis phase matrices X, Y, Z (n, L), field column o is
+    ((X * Y) diag(c_o)) Z^T, and a whole block is one matrix product.
     """
     ax = np.arange(0.0, side + step / 2.0, step)
     n = len(ax)
-    acc = np.zeros((n, n, n), dtype=complex)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    l = len(coeffs)
     w = 2.0 * np.pi / wavelength
-    for kl, bl in zip(k_vectors, b):
-        if bl == 0:
-            continue
-        acc += bl * (np.exp(-1j * w * kl[0] * ax)[:, None, None]
-                     * np.exp(-1j * w * kl[1] * ax)[None, :, None]
-                     * np.exp(-1j * w * kl[2] * ax)[None, None, :])
-    p = np.abs(acc) ** 2
-    return float(p.max()), float(p.min()), float(p[0, 0, 0])
+    x, y, z = np.exp(np.multiply.outer(-1j * w * np.asarray(k_vectors, dtype=float).T, ax))
+    xy = (x.T[:, None, :] * y.T[None, :, :]).reshape(n * n, l)
+    cols = max(1, _FIELD_BLOCK // n ** 3)
+    for i in range(0, coeffs.shape[1], cols):
+        zc = z[:, :, None] * coeffs[:, None, i:i + cols]
+        yield np.abs(xy @ zc.reshape(l, -1)).reshape(n ** 3, -1) ** 2
+
+
+def _gain_field_minmax(k_vectors, b, side, step, wavelength):
+    """(max, min, value-at-origin) of |sum_l b_l exp(-j 2pi/lam k_l . r)|^2 on a cubic grid."""
+    (p,) = _grid_power(k_vectors, np.asarray(b)[:, None], side, step, wavelength)
+    return float(p.max()), float(p.min()), float(p[0, 0])
 
 
 def _diag_b(scenario: Scenario) -> np.ndarray:
@@ -210,17 +241,6 @@ def _upa_positions(side: float, spacing: float, n: int) -> np.ndarray:
         raise ValueError("planar baselines need a square antenna count")
     return np.asarray([(i * spacing, j * spacing, 0.0)
                        for j in range(rows) for i in range(rows)], dtype=float)
-
-
-def _rician_diag_prm(rng, n_paths, kappa):
-    var = np.empty(n_paths)
-    if n_paths == 1:
-        var[0] = 1.0
-    else:
-        var[0] = kappa / (kappa + 1.0)
-        var[1:] = 1.0 / ((kappa + 1.0) * (n_paths - 1))
-    d = np.sqrt(var / 2.0) * (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths))
-    return np.diag(d)
 
 
 # ---------------------------------------------------------------------------
@@ -246,30 +266,18 @@ def _trial_siso_bounds(params, seed, idx):
 def _wideband_gain_minmax(rng, params, k, b, side, lam):
     """Subcarrier-averaged channel power extrema over the cubic position grid.
 
-    Paths get uniform random delays, are grouped into taps, and the per-tap
-    fields are combined through the zero-padded DFT; the narrowband bounds
-    still apply per tap but not to the average, so only the field extrema are
-    reported.
+    Paths get uniform random delays and are grouped into taps; through the
+    zero-padded DFT, path l enters subcarrier m with coefficient
+    b_l exp(-j 2pi m (tap_l - 1) / M).  The narrowband bounds still apply per
+    tap but not to the average, so only the field extrema are reported.
     """
-    from .channel import tap_of_delay
-
-    bandwidth = params["bandwidth"]
     m_sub = int(params["subcarriers"])
     delays = rng.uniform(0.0, params["max_delay"], len(b))
-    taps = np.array([tap_of_delay(d, bandwidth) for d in delays])
-    n_taps = int(taps.max())
-    ax = np.arange(0.0, side + params["grid_step"] * lam / 2.0, params["grid_step"] * lam)
-    n = len(ax)
-    w = 2.0 * np.pi / lam
-    fields = np.zeros((n_taps, n, n, n), dtype=complex)
-    for kl, bl, tau in zip(k, b, taps):
-        fields[tau - 1] += bl * (np.exp(-1j * w * kl[0] * ax)[:, None, None]
-                                 * np.exp(-1j * w * kl[1] * ax)[None, :, None]
-                                 * np.exp(-1j * w * kl[2] * ax)[None, None, :])
-    dft = np.exp(-2j * np.pi * np.outer(np.arange(m_sub), np.arange(n_taps)) / m_sub)
-    cfr = np.tensordot(dft, fields, axes=(1, 0))  # (M, n, n, n)
-    p = np.mean(np.abs(cfr) ** 2, axis=0)
-    return float(p.max()), float(p.min()), float(p[0, 0, 0])
+    taps = np.array([tap_of_delay(d, params["bandwidth"]) for d in delays])
+    coeffs = b[:, None] * np.exp(-2j * np.pi * np.outer(taps - 1, np.arange(m_sub)) / m_sub)
+    blocks = _grid_power(k, coeffs, side, params["grid_step"] * lam, lam)
+    p = sum(blk.sum(axis=1) for blk in blocks) / m_sub
+    return float(p.max()), float(p.min()), float(p[0])
 
 
 def _fin_siso_bounds(params, payloads):
@@ -310,16 +318,12 @@ def _trial_dof(params, seed, idx):
             sig = prm_6dma(pprms, np.eye(3), om, tx_pat, pat, tx_paths, rx_paths)
             return np.diag(sig)
 
-        b0 = coeffs(np.eye(3))
-        g_pos, _, g_fpa = _gain_field_minmax(k, b0, side, step, lam)
-        g_orient = 0.0
-        g_joint = 0.0
-        for om in orientations:
-            bv = coeffs(om)
-            g_orient = max(g_orient, float(abs(np.sum(bv)) ** 2))
-            if params["joint"]:
-                g_joint = max(g_joint, _gain_field_minmax(k, bv, side, step, lam)[0])
-        if not params["joint"]:
+        g_pos, _, g_fpa = _gain_field_minmax(k, coeffs(np.eye(3)), side, step, lam)
+        bv = np.stack([coeffs(om) for om in orientations], axis=1)  # (L, orientations)
+        g_orient = float(np.max(np.abs(np.sum(bv, axis=0)) ** 2))
+        if params["joint"]:
+            g_joint = max(float(blk.max()) for blk in _grid_power(k, bv, side, step, lam))
+        else:
             g_joint = max(g_pos, g_orient)
         flat.extend([g_fpa, g_pos, g_orient, g_joint])
     return flat
@@ -621,7 +625,7 @@ def _grid_scenario(rng, params, lam):
         return PathSet(k)
 
     return Scenario(wavelength=lam, tx_paths=draw_side(), rx_paths=draw_side(),
-                    prm=_rician_diag_prm(rng, l, params["kappa"]))
+                    prm=_rician_diagonal(rng, l, params["kappa"], 1.0))
 
 
 def _trial_estimation_nmse(params, seed, idx):

@@ -86,23 +86,24 @@ class Pose:
 
 
 def accs_basis(k_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reference basis (i_hat, j_hat) completing a unit wave vector to an orthonormal triple.
+    """Reference basis (i_hat, j_hat) completing unit wave vectors to orthonormal triples.
 
+    k_hat is one vector (3,) or a stack (..., 3); i_hat and j_hat have its shape.
     i_hat lies in the plane spanned by the z axis and k_hat; j_hat = k_hat x i_hat
     has zero third component.  For k_hat parallel to the z axis the plane
     constraint degenerates and the fixed pair i=(1,0,0), j=(0,1,0) is returned.
     """
-    k = np.asarray(k_hat, dtype=float).reshape(3)
-    if abs(np.linalg.norm(k) - 1.0) > 1e-9:
+    k = np.asarray(k_hat, dtype=float)
+    if k.shape[-1:] != (3,):
+        raise ValueError("k_hat must have shape (..., 3)")
+    if np.any(np.abs(np.linalg.norm(k, axis=-1) - 1.0) > 1e-9):
         raise ValueError("k_hat must have unit norm")
-    z = np.array([0.0, 0.0, 1.0])
-    i = z - (k @ z) * k
-    n = np.linalg.norm(i)
-    if n < 1e-9:  # pole: k parallel to the z axis
-        return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    i = i / n
-    j = np.cross(k, i)
-    return i, j
+    i = np.array([0.0, 0.0, 1.0]) - k[..., 2:] * k
+    n = np.linalg.norm(i, axis=-1, keepdims=True)
+    pole = n < 1e-9  # k parallel to the z axis
+    n = np.where(pole, 1.0, n)
+    j = k[..., [1, 0, 2]] * [1.0, -1.0, 0.0] / n  # k x i = (k x z) / n since k x k = 0
+    return np.where(pole, [1.0, 0.0, 0.0], i / n), np.where(pole, [0.0, 1.0, 0.0], j)
 
 
 @dataclass(frozen=True)

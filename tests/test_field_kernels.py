@@ -1,0 +1,365 @@
+"""Batched field kernels against the per-path loops they replaced.
+
+The reference functions below are the earlier scalar implementations, kept
+here only as oracles: one wave vector per accs_basis call, one path pair per
+polarization product, one outer product per path on the position grid.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from makit import experiments
+from makit.channel import (PathSet, RadiationPattern, polarization_gain, prm_6dma,
+                           radiation_gain, sample_directions, tap_of_delay)
+from makit.geometry import accs_basis, aom_from_euler
+
+TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+def ref_accs_basis(k_hat):
+    k = np.asarray(k_hat, dtype=float).reshape(3)
+    if abs(np.linalg.norm(k) - 1.0) > 1e-9:
+        raise ValueError("k_hat must have unit norm")
+    z = np.array([0.0, 0.0, 1.0])
+    i = z - (k @ z) * k
+    n = np.linalg.norm(i)
+    if n < 1e-9:
+        return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    i = i / n
+    j = np.cross(k, i)
+    return i, j
+
+
+def ref_polarization_gain(tx_pattern, rx_pattern, psi, omega, k_t, k_r, pprm):
+    psi = np.asarray(psi, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    k_t = np.asarray(k_t, dtype=float).reshape(3)
+    k_r = np.asarray(k_r, dtype=float).reshape(3)
+    lam = np.asarray(pprm, dtype=complex).reshape(2, 2)
+    g_t = radiation_gain(tx_pattern, psi, k_t)
+    g_r = radiation_gain(rx_pattern, omega, k_r)
+    if g_t <= 0 or g_r <= 0:
+        raise ValueError("polarization gain is undefined at zero radiation gain")
+    i_t, j_t = ref_accs_basis(k_t)
+    i_r, j_r = ref_accs_basis(k_r)
+    kt_accs = psi.T @ k_t
+    kr_accs = omega.T @ k_r
+    ih_t, jh_t = ref_accs_basis(kt_accs)
+    ih_r, jh_r = ref_accs_basis(kr_accs)
+    row_rx = np.array([rx_pattern.f1(kr_accs), rx_pattern.f2(kr_accs)], dtype=complex) / g_r
+    m_rx = np.array([[ih_r @ omega.T @ i_r, ih_r @ omega.T @ j_r],
+                     [jh_r @ omega.T @ i_r, jh_r @ omega.T @ j_r]])
+    m_tx = np.array([[i_t @ psi @ ih_t, i_t @ psi @ jh_t],
+                     [j_t @ psi @ ih_t, j_t @ psi @ jh_t]])
+    col_tx = np.array([tx_pattern.f1(kt_accs), tx_pattern.f2(kt_accs)], dtype=complex) / g_t
+    return complex(row_rx @ m_rx @ lam @ m_tx @ col_tx)
+
+
+def ref_prm_6dma(pprms, psi, omega, tx_pattern, rx_pattern, tx_paths, rx_paths):
+    lr, lt = len(rx_paths), len(tx_paths)
+    g_t = np.array([radiation_gain(tx_pattern, psi, k) for k in tx_paths.wave_vectors])
+    g_r = np.array([radiation_gain(rx_pattern, omega, k) for k in rx_paths.wave_vectors])
+    out = np.zeros((lr, lt), dtype=complex)
+    for i in range(lr):
+        if g_r[i] <= 0:
+            continue
+        for j in range(lt):
+            if g_t[j] <= 0:
+                continue
+            gp = ref_polarization_gain(tx_pattern, rx_pattern, psi, omega,
+                                       tx_paths.wave_vectors[j], rx_paths.wave_vectors[i],
+                                       pprms[i, j])
+            out[i, j] = g_r[i] * gp * g_t[j]
+    return out
+
+
+def ref_gain_field_minmax(k_vectors, b, side, step, wavelength):
+    ax = np.arange(0.0, side + step / 2.0, step)
+    n = len(ax)
+    acc = np.zeros((n, n, n), dtype=complex)
+    w = 2.0 * np.pi / wavelength
+    for kl, bl in zip(k_vectors, b):
+        if bl == 0:
+            continue
+        acc += bl * (np.exp(-1j * w * kl[0] * ax)[:, None, None]
+                     * np.exp(-1j * w * kl[1] * ax)[None, :, None]
+                     * np.exp(-1j * w * kl[2] * ax)[None, None, :])
+    p = np.abs(acc) ** 2
+    return float(p.max()), float(p.min()), float(p[0, 0, 0])
+
+
+def ref_wideband_gain_minmax(rng, params, k, b, side, lam):
+    bandwidth = params["bandwidth"]
+    m_sub = int(params["subcarriers"])
+    delays = rng.uniform(0.0, params["max_delay"], len(b))
+    taps = np.array([tap_of_delay(d, bandwidth) for d in delays])
+    n_taps = int(taps.max())
+    ax = np.arange(0.0, side + params["grid_step"] * lam / 2.0, params["grid_step"] * lam)
+    n = len(ax)
+    w = 2.0 * np.pi / lam
+    fields = np.zeros((n_taps, n, n, n), dtype=complex)
+    for kl, bl, tau in zip(k, b, taps):
+        fields[tau - 1] += bl * (np.exp(-1j * w * kl[0] * ax)[:, None, None]
+                                 * np.exp(-1j * w * kl[1] * ax)[None, :, None]
+                                 * np.exp(-1j * w * kl[2] * ax)[None, None, :])
+    dft = np.exp(-2j * np.pi * np.outer(np.arange(m_sub), np.arange(n_taps)) / m_sub)
+    cfr = np.tensordot(dft, fields, axes=(1, 0))
+    p = np.mean(np.abs(cfr) ** 2, axis=0)
+    return float(p.max()), float(p.min()), float(p[0, 0, 0])
+
+
+def ref_trial_dof(params, seed, idx):
+    lam = params["wavelength"]
+    rng = np.random.default_rng(seed)
+    n_paths = int(params["n_paths"])
+    k = sample_directions(rng, n_paths, "sphere")
+    amp = np.sqrt(1.0 / (2.0 * n_paths)) * (rng.standard_normal(n_paths)
+                                            + 1j * rng.standard_normal(n_paths))
+    ang = rng.uniform(0.0, 2.0 * np.pi, n_paths)
+    pprms = np.zeros((n_paths, n_paths, 2, 2), dtype=complex)
+    for l in range(n_paths):
+        c, s = np.cos(ang[l]), np.sin(ang[l])
+        pprms[l, l] = amp[l] * np.array([[c, -s], [s, c]])
+    tx_paths = PathSet(sample_directions(rng, n_paths, "sphere"))
+    rx_paths = PathSet(k)
+    tx_pat = RadiationPattern.isotropic()
+    patterns = {"iso": RadiationPattern.isotropic(),
+                "dir": RadiationPattern.ideal_directional(params["gain_dbi"])}
+    side = params["region_side"] * lam
+    step = params["grid_step"] * lam
+    ng = int(params["orientation_grid"])
+    yaws = np.linspace(0.0, 2 * np.pi, ng, endpoint=False)
+    pitches = np.linspace(-np.pi / 2, np.pi / 2, max(2, ng // 2))
+    rolls = np.linspace(0.0, 2 * np.pi, ng, endpoint=False)
+    orientations = [aom_from_euler(y, p, r) for y in yaws for p in pitches for r in rolls]
+    flat = [float(idx)]
+    for name, pat in patterns.items():
+        def coeffs(om):
+            sig = ref_prm_6dma(pprms, np.eye(3), om, tx_pat, pat, tx_paths, rx_paths)
+            return np.diag(sig)
+
+        b0 = coeffs(np.eye(3))
+        g_pos, _, g_fpa = ref_gain_field_minmax(k, b0, side, step, lam)
+        g_orient = 0.0
+        g_joint = 0.0
+        for om in orientations:
+            bv = coeffs(om)
+            g_orient = max(g_orient, float(abs(np.sum(bv)) ** 2))
+            if params["joint"]:
+                g_joint = max(g_joint, ref_gain_field_minmax(k, bv, side, step, lam)[0])
+        if not params["joint"]:
+            g_joint = max(g_pos, g_orient)
+        flat.extend([g_fpa, g_pos, g_orient, g_joint])
+    return flat
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+POLES = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+
+
+def _unit(el_az):
+    el, az = el_az
+    return (math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el))
+
+
+angle = st.floats(-math.pi, math.pi, allow_nan=False)
+wave_vector = st.one_of(st.sampled_from(POLES),
+                        st.tuples(st.floats(-math.pi / 2, math.pi / 2), angle).map(_unit))
+orientation = st.tuples(angle, angle, angle).map(lambda e: aom_from_euler(*e))
+real = st.floats(-2.0, 2.0, allow_nan=False)
+coefficient = st.one_of(st.just(0j), st.builds(complex, real, real))
+
+ELLIPTICAL = RadiationPattern(lambda k: 0.8 + 0.3j * k[0], lambda k: 0.5j * k[1] - 0.2,
+                              name="elliptical")
+PATTERNS = {"iso": RadiationPattern.isotropic(),
+            "dir": RadiationPattern.ideal_directional(6.0),
+            "elliptical": ELLIPTICAL}
+pattern = st.sampled_from(sorted(PATTERNS)).map(PATTERNS.get)
+
+
+def _close(got, want):
+    return np.max(np.abs(np.asarray(got) - np.asarray(want)), initial=0.0) <= TOL * max(
+        1.0, np.max(np.abs(want), initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# accs_basis
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(wave_vector, min_size=1, max_size=8))
+def test_accs_basis_stack_matches_scalar(ks):
+    k = np.array(ks)
+    i, j = accs_basis(k)
+    assert i.shape == j.shape == k.shape
+    for row, ir, jr in zip(k, i, j):
+        want_i, want_j = ref_accs_basis(row)
+        assert _close(ir, want_i) and _close(jr, want_j)
+    i1, j1 = accs_basis(k[0])
+    assert i1.shape == j1.shape == (3,)
+    assert _close(i1, i[0]) and _close(j1, j[0])
+
+
+def test_accs_basis_stack_rejects_any_non_unit_row():
+    k = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    with pytest.raises(ValueError, match="unit norm"):
+        accs_basis(k)
+    with pytest.raises(ValueError):
+        accs_basis(np.ones((2, 2)))
+
+
+def test_accs_basis_stack_pole_fallback():
+    i, j = accs_basis(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]))
+    assert np.array_equal(i[[0, 2]], [[1.0, 0.0, 0.0]] * 2)
+    assert np.array_equal(j[[0, 2]], [[0.0, 1.0, 0.0]] * 2)
+
+
+# ---------------------------------------------------------------------------
+# polarization product and the orientation-dependent PRM
+
+@settings(max_examples=150, deadline=None)
+@given(pattern, pattern, orientation, orientation, wave_vector, wave_vector,
+       st.lists(coefficient, min_size=4, max_size=4))
+def test_polarization_gain_matches_reference(tx_pat, rx_pat, psi, omega, k_t, k_r, lam):
+    lam = np.reshape(lam, (2, 2))
+    try:
+        want = ref_polarization_gain(tx_pat, rx_pat, psi, omega, k_t, k_r, lam)
+    except ValueError:
+        with pytest.raises(ValueError, match="zero radiation gain"):
+            polarization_gain(tx_pat, rx_pat, psi, omega, k_t, k_r, lam)
+        return
+    assert _close(polarization_gain(tx_pat, rx_pat, psi, omega, k_t, k_r, lam), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern, pattern, orientation, orientation,
+       st.lists(wave_vector, min_size=1, max_size=4),
+       st.lists(wave_vector, min_size=1, max_size=4), st.data())
+def test_prm_6dma_matches_double_loop(tx_pat, rx_pat, psi, omega, kt, kr, data):
+    tx_paths, rx_paths = PathSet(np.array(kt)), PathSet(np.array(kr))
+    n = len(kr) * len(kt) * 4
+    pprms = np.reshape(data.draw(st.lists(coefficient, min_size=n, max_size=n)),
+                       (len(kr), len(kt), 2, 2))
+    got = prm_6dma(pprms, psi, omega, tx_pat, rx_pat, tx_paths, rx_paths)
+    want = ref_prm_6dma(pprms, psi, omega, tx_pat, rx_pat, tx_paths, rx_paths)
+    assert got.shape == want.shape
+    assert _close(got, want)
+    g_t = np.array([radiation_gain(tx_pat, psi, k) for k in kt])
+    g_r = np.array([radiation_gain(rx_pat, omega, k) for k in kr])
+    zero = (g_r[:, None] == 0) | (g_t[None, :] == 0) | np.all(pprms == 0, axis=(2, 3))
+    assert np.all(got[zero] == 0)  # zero-gain paths and zero pprms give exact zeros
+
+
+def test_prm_6dma_directional_miss_zeros_row_and_column():
+    psi = aom_from_euler(0.3, -0.2, 1.1)
+    k_in = psi @ np.array([0.0, 0.0, 1.0])      # Tx lobe axis in the LCS
+    k_out = psi @ np.array([1.0, 0.0, 0.0])     # outside the Tx lobe
+    tx_paths = PathSet(np.array([k_in, k_out]))
+    rx_paths = PathSet(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]))
+    pprms = np.ones((3, 2, 2, 2), dtype=complex)
+    dirpat = RadiationPattern.ideal_directional(6.0)
+    got = prm_6dma(pprms, psi, np.eye(3), dirpat, dirpat, tx_paths, rx_paths)
+    want = ref_prm_6dma(pprms, psi, np.eye(3), dirpat, dirpat, tx_paths, rx_paths)
+    assert np.all(got[:, 1] == 0) and np.all(got[1, :] == 0)
+    assert np.all(np.abs(got[[0, 2]][:, 0]) > 0)
+    assert _close(got, want)
+
+
+def test_prm_6dma_calls_patterns_once_per_path():
+    calls = []
+
+    def f1(k):
+        calls.append(1)
+        return 1.0
+
+    pat = RadiationPattern(f1, lambda k: 0.0)
+    rng = np.random.default_rng(3)
+    kt = rng.standard_normal((3, 3))
+    kr = rng.standard_normal((4, 3))
+    paths = [PathSet(k / np.linalg.norm(k, axis=1, keepdims=True)) for k in (kt, kr)]
+    prm_6dma(np.ones((4, 3, 2, 2)), np.eye(3), np.eye(3), pat, pat, *paths)
+    assert len(calls) == 3 + 4
+
+
+# ---------------------------------------------------------------------------
+# position-grid fields
+
+grid = st.tuples(st.floats(0.5, 2.0), st.sampled_from([0.1, 0.2, 0.25]), st.floats(0.5, 2.0))
+
+
+def _close_to_max(got, want):
+    """Field values agree relative to the field maximum (min_gain can sit near zero)."""
+    scale = max(want[0], 1e-300)
+    return all(abs(g - w) <= TOL * scale for g, w in zip(got, want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(wave_vector, coefficient), min_size=1, max_size=6), grid)
+def test_gain_field_matches_outer_product_loop(paths, geom):
+    side, step, lam = geom
+    k = np.array([p[0] for p in paths])
+    b = np.array([p[1] for p in paths])
+    got = experiments._gain_field_minmax(k, b, side * lam, step * lam, lam)
+    want = ref_gain_field_minmax(k, b, side * lam, step * lam, lam)
+    assert _close_to_max(got, want)
+
+
+def _blocks(side, step):
+    """Block sizes for the column-blocked grid: the default, pairs of columns, single columns."""
+    n3 = len(np.arange(0.0, side + step / 2.0, step)) ** 3
+    return (experiments._FIELD_BLOCK, 2 * n3 + 1, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(wave_vector, coefficient), min_size=1, max_size=6), grid,
+       st.sampled_from([1, 8, 64]), st.floats(1e6, 5e7), st.integers(0, 2 ** 32))
+def test_wideband_field_matches_per_tap_loop(paths, geom, m_sub, bandwidth, seed):
+    side, step, lam = geom
+    k = np.array([p[0] for p in paths])
+    b = np.array([p[1] for p in paths])
+    params = {"bandwidth": bandwidth, "subcarriers": m_sub, "max_delay": 3e-7,
+              "grid_step": step}
+    want = ref_wideband_gain_minmax(np.random.default_rng(seed), params, k, b, side * lam, lam)
+    for block in _blocks(side * lam, step * lam):
+        with mock.patch.object(experiments, "_FIELD_BLOCK", block):
+            got = experiments._wideband_gain_minmax(np.random.default_rng(seed), params, k, b,
+                                                    side * lam, lam)
+        assert _close_to_max(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(wave_vector, min_size=1, max_size=5), grid, st.integers(1, 9), st.data())
+def test_blocked_grid_columns_match_per_column_loop(ks, geom, n_cols, data):
+    side, step, lam = geom
+    k = np.array(ks)
+    coeffs = np.reshape(data.draw(st.lists(coefficient, min_size=len(ks) * n_cols,
+                                           max_size=len(ks) * n_cols)),
+                        (len(ks), n_cols))
+    want = [ref_gain_field_minmax(k, c, side * lam, step * lam, lam) for c in coeffs.T]
+    for block in _blocks(side * lam, step * lam):
+        with mock.patch.object(experiments, "_FIELD_BLOCK", block):
+            p = np.concatenate(list(experiments._grid_power(k, coeffs, side * lam, step * lam,
+                                                            lam)), axis=1)
+        assert p.shape[1] == n_cols
+        for col, w in zip(p.T, want):
+            assert _close_to_max((col.max(), col.min(), col[0]), w)
+
+
+@pytest.mark.parametrize("joint", [True, False])
+@pytest.mark.parametrize("seed", [3, 17])
+def test_dof_trial_matches_per_orientation_loop(seed, joint):
+    params = {**experiments.CATALOG["dof-gain"].defaults, "n_paths": 3, "region_side": 2.0,
+              "orientation_grid": 4, "joint": joint}
+    got = experiments._trial_dof(params, seed, 0)
+    want = ref_trial_dof(params, seed, 0)
+    assert len(got) == len(want) == 9
+    assert all(abs(g - w) <= TOL * max(want) for g, w in zip(got, want))

@@ -161,6 +161,25 @@ def test_cli_unknown_experiment_exit_2(tmp_path):
     assert main(["experiment", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"experiment": "dof-gain", "params": {"grid_step": 0}}, "grid_step"),
+    ({"experiment": "siso-gain-bounds", "params": {"wavelength": -1}}, "wavelength"),
+    ({"experiment": "dof-gain", "params": {"orientation_grid": 0}}, "orientation_grid"),
+    ({"experiment": "miso-graph", "trials": "abc"}, "trials"),
+], ids=["grid_step-0", "wavelength-negative", "orientation_grid-0", "trials-not-integer"])
+def test_cli_field_parameter_out_of_range_exit_2(tmp_path, capsys, doc, field):
+    cfg = write(tmp_path, "bad.json", doc)
+    assert main(["experiment", "--config", cfg]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_out_of_range_sweep_value_rejected():
+    with pytest.raises(ConfigError, match="region_side"):
+        ExperimentConfig.from_dict({"experiment": "mimo-capacity",
+                                    "sweep": {"variable": "region_side",
+                                              "values": [0.0, 2.0]}})
+
+
 def test_cli_infeasible_exit_3(tmp_path, capsys):
     cfg = write(tmp_path, "inf.json",
                 {"task": "sensing-1d", "n": 8, "aperture": 2.0, "d_min": 0.5})
