@@ -30,21 +30,29 @@ __all__ = [
 _MMSE_FLOOR = 1e-15
 
 
-def steering_vector(x, theta: float, wavelength: float) -> np.ndarray:
-    """Array response exp(j 2 pi / lambda * x_n cos(theta)) of a linear array."""
+def steering_vector(x, theta, wavelength: float) -> np.ndarray:
+    """Array response exp(j 2 pi / lambda * x_n cos(theta)) of a linear array.
+
+    x is one placement (N,) or a stack (..., N); a scalar theta gives
+    (..., N), a 1-D array of K angles gives (..., K, N).
+    """
     if wavelength <= 0:
         raise ValueError("wavelength must be > 0")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return np.exp(2j * np.pi / wavelength * x * np.cos(theta))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    c = np.cos(np.asarray(theta, dtype=float))
+    if c.ndim:
+        x, c = x[..., None, :], c[:, None]
+    phase = 2j * np.pi / wavelength * x * c
+    return np.exp(phase, out=phase)
 
 
-def beam_gain(x, w, theta: float, wavelength: float) -> float:
-    """Beam gain |a(x, theta)^H w|^2."""
+def beam_gain(x, w, theta, wavelength: float):
+    """Beam gain |a(x, theta)^H w|^2: a float, or (..., K) over placements and angles."""
     a = steering_vector(x, theta, wavelength)
     w = np.asarray(w, dtype=complex).reshape(-1)
-    if len(a) != len(w):
+    if a.shape[-1] != len(w):
         raise ValueError("weight vector length does not match the array")
-    return abs(a.conj() @ w) ** 2
+    return abs(np.conj(a, out=a) @ w) ** 2
 
 
 def mrt(h) -> np.ndarray:

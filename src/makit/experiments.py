@@ -104,20 +104,27 @@ class ExperimentConfig:
                    sweep=sweep, out=doc.get("out"))
 
 
-# Physical ranges of parameters several catalog entries share, checked in
-# params and sweep values wherever an entry has the parameter.
+# Physical ranges of parameters, checked in params and sweep values wherever an
+# entry has the parameter (an (experiment, name) key overrides the shared rule);
+# a parameter whose default is a list takes a nonempty list of such numbers.
 _RANGES = {"wavelength": ("> 0", lambda x: x > 0), "region_side": ("> 0", lambda x: x > 0),
-           "grid_step": ("> 0", lambda x: x > 0), "orientation_grid": (">= 1", lambda x: x >= 1)}
+           "grid_step": ("> 0", lambda x: x > 0), "orientation_grid": (">= 1", lambda x: x >= 1),
+           "n": (">= 1", lambda x: x >= 1), "subregions": (">= 1", lambda x: x >= 1),
+           "theta_deg": ("(degrees)", np.isfinite), "null_deg": ("(degrees)", np.isfinite),
+           ("beam-null", "n"): (">= 2", lambda x: x >= 2)}
 
 
 def _check_ranges(exp: str, params: dict, sweep: dict | None) -> None:
     merged = {**CATALOG[exp].defaults, **params}
-    for name, (rule, ok) in _RANGES.items():
-        if name not in merged:
-            continue
+    for name in (k for k in _RANGES if k in merged):
+        rule, ok = _RANGES.get((exp, name), _RANGES[name])
+        listed = isinstance(CATALOG[exp].defaults[name], list)
         for v in sweep["values"] if sweep and sweep["variable"] == name else [merged[name]]:
-            if not (isinstance(v, numbers.Real) and np.isfinite(v) and ok(v)):
-                raise ConfigError(f"{name!r} must be a finite number {rule}, got {v!r}")
+            items = v if listed and isinstance(v, list) else [v]
+            if not items or not all(isinstance(t, numbers.Real) and np.isfinite(t) and ok(t)
+                                    for t in items):
+                kind = "a nonempty list of finite numbers" if listed else "a finite number"
+                raise ConfigError(f"{name!r} must be {kind} {rule}, got {v!r}")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -340,28 +347,25 @@ def _trial_beam_null(params, seed, idx):
     lam = params["wavelength"]
     n = int(params["n"])
     th0 = np.deg2rad(params["theta0_deg"])
-    nulls = np.deg2rad(params["null_deg"])
+    angles = np.concatenate([[th0], np.atleast_1d(np.deg2rad(params["null_deg"]))])
     a = params["aperture"] * lam
     dmin = params["d_min"] * lam
-    built = opt.svo_null_apv(th0, nulls, n, a, dmin, lam)
+    built = opt.svo_null_apv(th0, angles[1:], n, a, dmin, lam)
     if isinstance(built, opt.NotConstructible):
-        rep = opt.multibeam_ao(np.concatenate([[th0], nulls]), n, a, dmin, lam, seed=seed)
+        rep = opt.multibeam_ao(angles, n, a, dmin, lam, seed=seed)
         x, w = rep.best_placement, rep.extra["weights"]
     else:
         x = built
         w = bf.mrt(bf.steering_vector(x, th0, lam))
-    gain0 = bf.beam_gain(x, w, th0, lam)
-    gnull = max(bf.beam_gain(x, w, t, lam) for t in nulls)
+    g = bf.beam_gain(x, w, angles, lam)  # main beam, then the nulls
 
     x_fpa = opt.fpa_ula(n, lam)
-    a0 = bf.steering_vector(x_fpa, th0, lam)
-    anull = np.stack([bf.steering_vector(x_fpa, t, lam) for t in nulls], axis=1)
+    a_fpa = bf.steering_vector(x_fpa, angles, lam)
+    anull = a_fpa[1:].T
     proj = np.eye(n) - anull @ np.linalg.pinv(anull)
-    w_fpa = proj @ a0
-    w_fpa = w_fpa / np.linalg.norm(w_fpa)
-    g_fpa = bf.beam_gain(x_fpa, w_fpa, th0, lam)
-    g_fpa_null = max(bf.beam_gain(x_fpa, w_fpa, t, lam) for t in nulls)
-    return [gain0, gnull, g_fpa, g_fpa_null]
+    w_fpa = bf.mrt(proj @ a_fpa[0])
+    g_fpa = bf.beam_gain(x_fpa, w_fpa, angles, lam)
+    return [g[0], np.max(g[1:]), g_fpa[0], np.max(g_fpa[1:])]
 
 
 def _fin_beam_null(params, payloads):
@@ -396,7 +400,7 @@ def _trial_beam_wide(params, seed, idx):
     centers = lo + (np.arange(nsub) + 0.5) * (hi - lo) / nsub
     w_fpa, _ = opt.max_min_awv(x_fpa, centers, lam, analog=True, seed=seed)
     fine = lo + (np.arange(4 * nsub) + 0.5) * (hi - lo) / (4 * nsub)
-    g_fpa = min(bf.beam_gain(x_fpa, w_fpa, t, lam) for t in fine)
+    g_fpa = np.min(bf.beam_gain(x_fpa, w_fpa, fine, lam))
     return [rep.extra["verified_min_gain"], g_fpa]
 
 

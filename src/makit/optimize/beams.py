@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..beamforming import beam_gain, mrt, steering_vector
+from ..errors import InfeasibleError
 from .report import NotConstructible, OptReport
 
 __all__ = [
@@ -169,58 +170,54 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
     """Weight vector maximizing the minimum beam gain over the given angles, ||w|| = 1.
 
     Multi-start projected ascent on the min-gain objective; with analog=True
-    the weights are constrained to constant modulus 1/sqrt(N).  Returns
-    (weights, min_gain).
+    the weights are constrained to constant modulus 1/sqrt(N).  The starts
+    ascend in lockstep, each on the path it would take alone: one product
+    scores the 20 backtracking steps step * 0.5^j of every live start, a start
+    takes its first improving step or drops out, and the first best start
+    wins.  Returns (weights, min_gain).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     n = len(x)
-    a = np.stack([steering_vector(x, t, wavelength) for t in np.atleast_1d(thetas)])  # (K, N)
+    a = steering_vector(x, np.atleast_1d(thetas), wavelength)  # (K, N)
     rng = np.random.default_rng(seed)
 
     def project(w):
         if analog:
-            ph = np.angle(w)
-            return np.exp(1j * ph) / math.sqrt(n)
-        return w / np.linalg.norm(w)
-
-    def score(w):
-        return float(np.min(np.abs(a @ w.conj()) ** 2))
+            return np.exp(1j * np.angle(w)) / math.sqrt(n)
+        return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
     k = a.shape[0]
     pick = range(k) if k <= 12 else np.linspace(0, k - 1, 12).astype(int)
     starts = [mrt(a[i]) for i in pick]
-    aligned = mrt(np.sum(a * np.exp(-1j * np.angle(a[:, :1])), axis=0))
-    starts.append(aligned)
+    starts.append(mrt(np.sum(a * np.exp(-1j * np.angle(a[:, :1])), axis=0)))
     if w0 is not None:
         starts.append(np.asarray(w0, dtype=complex).reshape(-1))
-    for _ in range(3):
-        starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    starts.extend(rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3))
 
-    best_w, best_v = None, -1.0
-    for w in starts:
-        w = project(w)
-        cur = score(w)
-        step = 0.5
-        for _ in range(n_iter):
-            g = a @ w.conj()
-            kmin = int(np.argmin(np.abs(g) ** 2))
-            grad = a[kmin] * np.conj(g[kmin])  # ascent direction of the active gain
-            improved = False
-            s = step
-            for _ in range(20):
-                cand = project(w + s * grad)
-                v = score(cand)
-                if v > cur + 1e-15:
-                    w, cur, improved = cand, v, True
-                    break
-                s *= 0.5
-            if improved:
-                step = min(1.0, s * 2.0)
-            else:
-                break
-        if cur > best_v:
-            best_w, best_v = w, cur
-    return best_w, best_v
+    w = project(np.stack(starts))  # (S, N)
+    g = w.conj() @ a.T  # complex gains a @ w^*, (S, K)
+    cur = np.min(np.abs(g), axis=1) ** 2
+    step = np.full(len(w), 0.5)
+    live = np.arange(len(w))
+    for _ in range(n_iter):
+        if not live.size:
+            break
+        gl = g[live]
+        kmin = np.argmin(np.abs(gl) ** 2, axis=1)
+        # ascent direction of each start's active gain
+        grad = a[kmin] * np.conj(gl[np.arange(len(live)), kmin])[:, None]
+        s = step[live, None] * 0.5 ** np.arange(20)  # (L, 20)
+        cand = project(w[live, None, :] + s[..., None] * grad[:, None, :])
+        gc = cand.conj() @ a.T  # (L, 20, K)
+        v = np.min(np.abs(gc), axis=2) ** 2
+        ok = v > cur[live, None] + 1e-15
+        hit = np.flatnonzero(ok.any(axis=1))
+        j = ok[hit].argmax(axis=1)
+        live = live[hit]
+        w[live], g[live], cur[live] = cand[hit, j], gc[hit, j], v[hit, j]
+        step[live] = np.minimum(1.0, s[hit, j] * 2.0)
+    best = int(np.argmax(cur))
+    return w[best], float(cur[best])
 
 
 def _uniform_spacing_starts(n, aperture, d_min, wavelength):
@@ -255,29 +252,32 @@ def _repair_spacing(x, aperture, d_min):
     return x
 
 
+def _random_starts(n, aperture, d_min, seed):
+    """Two seeded uniform placements, kept where the spacing repair makes them fit."""
+    rng = np.random.default_rng(seed)
+    guesses = [_repair_spacing(np.sort(rng.uniform(0, aperture, n)), aperture, d_min)
+               for _ in range(2)]
+    return [x for x in guesses if x is not None]
+
+
 def _position_sweep(x, thetas, w, wavelength, aperture, d_min, n_grid: int = 48):
-    """One coordinate-descent sweep of antenna positions against a fixed weight vector."""
+    """One coordinate-ascent sweep of antenna positions against a fixed weight vector.
+
+    Each antenna's n_grid positions between its neighbours are scored in one
+    (n_grid, K, N) gain evaluation, then scanned in order for strict improvements.
+    """
     x = x.copy()
-    a_all = np.atleast_1d(thetas)
-
-    def score(xx):
-        return min(beam_gain(xx, w, t, wavelength) for t in a_all)
-
-    cur = score(x)
+    cur = np.min(beam_gain(x, w, thetas, wavelength))
     for i in range(len(x)):
         lo = x[i - 1] + d_min if i > 0 else 0.0
         hi = x[i + 1] - d_min if i < len(x) - 1 else aperture
         if hi <= lo:
             continue
-        cand = np.linspace(lo, hi, n_grid)
-        best_xi, best_v = x[i], cur
-        for c in cand:
-            x[i] = c
-            v = score(x)
-            if v > best_v + 1e-15:
-                best_xi, best_v = c, v
-        x[i] = best_xi
-        cur = best_v
+        cand = np.repeat(x[None, :], n_grid, axis=0)
+        cand[:, i] = np.linspace(lo, hi, n_grid)
+        for c, v in zip(cand[:, i], np.min(beam_gain(cand, w, thetas, wavelength), axis=1)):
+            if v > cur + 1e-15:
+                x[i], cur = c, v
     return x, cur
 
 
@@ -290,19 +290,12 @@ def multibeam_ao(thetas, n: int, aperture: float, d_min: float, wavelength: floa
     never worse than those geometries under the same weight solver.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    rng = np.random.default_rng(seed)
     starts = _uniform_spacing_starts(n, aperture, d_min, wavelength)
     if len(thetas) > 1:
         built = grating_lobe_apv(thetas[0], thetas[1:], n, aperture, d_min, wavelength)
         if not isinstance(built, NotConstructible):
             starts.append(built)
-    for _ in range(2):
-        guess = _repair_spacing(np.sort(rng.uniform(0, aperture, n)), aperture, d_min)
-        if guess is not None:
-            starts.append(guess)
-    if not starts:
-        raise ValueError("no feasible starting placement fits the region")
-
+    starts += _random_starts(n, aperture, d_min, seed)
     candidates = _ao_candidates(starts, thetas, wavelength, aperture, d_min,
                                 analog, seed, max_sweeps)
     best = max(candidates, key=lambda c: c[0])
@@ -314,6 +307,8 @@ def multibeam_ao(thetas, n: int, aperture: float, d_min: float, wavelength: floa
 def _ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, seed, max_sweeps,
                    n_refine: int = 3):
     """Run the position/weight alternation from the most promising starts."""
+    if not starts:
+        raise InfeasibleError("no feasible starting placement fits the region")
     scored = []
     for x0 in starts:
         w, v = max_min_awv(x0, thetas, wavelength, analog=analog, seed=seed)
@@ -360,21 +355,14 @@ def widebeam_ao(theta_min: float, theta_max: float, n_subregions: int, n: int,
     fine = theta_min + (np.arange(4 * n_subregions) + 0.5) \
         * (theta_max - theta_min) / (4 * n_subregions)
 
-    rng = np.random.default_rng(seed)
-    starts = _uniform_spacing_starts(n, aperture, d_min, wavelength)
-    for _ in range(2):
-        guess = _repair_spacing(np.sort(rng.uniform(0, aperture, n)), aperture, d_min)
-        if guess is not None:
-            starts.append(guess)
-
+    starts = (_uniform_spacing_starts(n, aperture, d_min, wavelength)
+              + _random_starts(n, aperture, d_min, seed))
     candidates = _ao_candidates(starts, centers, wavelength, aperture, d_min,
                                 analog=True, seed=seed, max_sweeps=max_sweeps)
     # rank candidates by the finer verification grid, not the optimization grid
-    best = None
-    for cur, x, w, trace in candidates:
-        verified = min(beam_gain(x, w, t, wavelength) for t in fine)
-        if best is None or verified > best.extra["verified_min_gain"]:
-            best = OptReport(best_placement=np.asarray(x, dtype=float), best_score=cur,
-                             iterations=len(trace), trace=trace,
-                             extra={"weights": w, "verified_min_gain": verified})
-    return best
+    verified = [np.min(beam_gain(x, w, fine, wavelength)) for _, x, w, _ in candidates]
+    best = int(np.argmax(verified))
+    cur, x, w, trace = candidates[best]
+    return OptReport(best_placement=np.asarray(x, dtype=float), best_score=cur,
+                     iterations=len(trace), trace=trace,
+                     extra={"weights": w, "verified_min_gain": verified[best]})

@@ -1,0 +1,182 @@
+"""Lockstep beam-weight ascent and batched position sweep against the loops they replaced.
+
+The reference functions below are the earlier scalar implementations, kept
+here only as oracles: one start at a time and one backtracking step per
+score call in max_min_awv, one beam_gain call per angle and candidate
+position in the sweep.  Two starts can tie to within rounding, so results
+are compared by score, not by weight vector.
+
+The ascent accepts a step only if it gains more than 1e-15, so near a stall
+the last bit of a gain decides whether a start stops or goes on, and where
+it ends.  The scalar ascent itself moves by up to 0.5 % in min gain on
+random inputs when its gains are summed in another order.  The reference
+therefore takes its gain product as an argument: the min gain must match
+the ascent with today's product (one matrix-vector product per weight), or
+else the same ascent with the product the batched code takes (a row of a
+candidates-by-angles matrix product).
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from makit.beamforming import beam_gain, mrt, steering_vector
+from makit.optimize.beams import _position_sweep, max_min_awv
+
+RTOL = 1e-9
+LAM = 1.0
+D_MIN = 0.5
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+def today_gains(a, w):
+    return a @ w.conj()
+
+
+def batched_gains(a, w):
+    return (np.repeat(w.conj()[None], 20, axis=0) @ a.T)[0]
+
+
+def ref_max_min_awv(x, thetas, wavelength, analog=False, seed=0, w0=None, n_iter=300,
+                    gains=today_gains):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    n = len(x)
+    a = np.stack([steering_vector(x, t, wavelength) for t in np.atleast_1d(thetas)])
+    rng = np.random.default_rng(seed)
+
+    def project(w):
+        if analog:
+            ph = np.angle(w)
+            return np.exp(1j * ph) / math.sqrt(n)
+        return w / np.linalg.norm(w)
+
+    def score(w):
+        return float(np.min(np.abs(gains(a, w)) ** 2))
+
+    k = a.shape[0]
+    pick = range(k) if k <= 12 else np.linspace(0, k - 1, 12).astype(int)
+    starts = [mrt(a[i]) for i in pick]
+    aligned = mrt(np.sum(a * np.exp(-1j * np.angle(a[:, :1])), axis=0))
+    starts.append(aligned)
+    if w0 is not None:
+        starts.append(np.asarray(w0, dtype=complex).reshape(-1))
+    for _ in range(3):
+        starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    best_w, best_v = None, -1.0
+    for w in starts:
+        w = project(w)
+        cur = score(w)
+        step = 0.5
+        for _ in range(n_iter):
+            g = gains(a, w)
+            kmin = int(np.argmin(np.abs(g) ** 2))
+            grad = a[kmin] * np.conj(g[kmin])
+            improved = False
+            s = step
+            for _ in range(20):
+                cand = project(w + s * grad)
+                v = score(cand)
+                if v > cur + 1e-15:
+                    w, cur, improved = cand, v, True
+                    break
+                s *= 0.5
+            if improved:
+                step = min(1.0, s * 2.0)
+            else:
+                break
+        if cur > best_v:
+            best_w, best_v = w, cur
+    return best_w, best_v
+
+
+def ref_position_sweep(x, thetas, w, wavelength, aperture, d_min, n_grid=48):
+    x = x.copy()
+    a_all = np.atleast_1d(thetas)
+
+    def score(xx):
+        return min(beam_gain(xx, w, t, wavelength) for t in a_all)
+
+    cur = score(x)
+    for i in range(len(x)):
+        lo = x[i - 1] + d_min if i > 0 else 0.0
+        hi = x[i + 1] - d_min if i < len(x) - 1 else aperture
+        if hi <= lo:
+            continue
+        cand = np.linspace(lo, hi, n_grid)
+        best_xi, best_v = x[i], cur
+        for c in cand:
+            x[i] = c
+            v = score(x)
+            if v > best_v + 1e-15:
+                best_xi, best_v = c, v
+        x[i] = best_xi
+        cur = best_v
+    return x, cur
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+def draw_problem(n, k, seed, slack):
+    """Feasible placement (gaps >= D_MIN inside [0, aperture]), angles and a unit weight."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, slack, n)) + np.arange(n) * D_MIN
+    aperture = (n - 1) * D_MIN + slack
+    thetas = rng.uniform(0.0, np.pi, k)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return x, aperture, thetas, w / np.linalg.norm(w)
+
+
+def close(got, want):
+    return abs(got - want) <= RTOL * abs(want) + 1e-14
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 30), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_max_min_awv_matches_scalar_ascent(n, k, analog, with_w0, seed):
+    x, _, thetas, w0 = draw_problem(n, k, seed, slack=4.0)
+    w0 = w0 if with_w0 else None
+    w, v = max_min_awv(x, thetas, LAM, analog=analog, seed=seed, w0=w0)
+    _, v_ref = ref_max_min_awv(x, thetas, LAM, analog=analog, seed=seed, w0=w0)
+    if not close(v, v_ref):
+        _, v_ref = ref_max_min_awv(x, thetas, LAM, analog=analog, seed=seed, w0=w0,
+                                   gains=batched_gains)
+    assert close(v, v_ref), (v, v_ref)
+    if analog:
+        assert np.allclose(np.abs(w), 1.0 / math.sqrt(n), rtol=0.0, atol=1e-12)
+    else:
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+    reached = min(beam_gain(x, w, t, LAM) for t in thetas)
+    assert abs(reached - v) <= 1e-12 * max(v, 1.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 6.0))
+def test_position_sweep_matches_scalar_sweep(n, k, seed, slack):
+    x, aperture, thetas, w = draw_problem(n, k, seed, slack)
+    x_new, v = _position_sweep(x, thetas, w, LAM, aperture, D_MIN)
+    _, v_ref = ref_position_sweep(x, thetas, w, LAM, aperture, D_MIN)
+    assert close(v, v_ref), (v, v_ref)
+    assert np.all(np.diff(x_new) >= D_MIN - 1e-12)
+    assert x_new[0] >= 0.0 and x_new[-1] <= aperture
+    assert abs(min(beam_gain(x_new, w, t, LAM) for t in thetas) - v) <= 1e-12 * max(v, 1.0)
+
+
+def test_beam_gain_stacks_placements_and_angles():
+    x, _, thetas, w = draw_problem(6, 5, 3, slack=2.0)
+    stack = np.stack([x, x + 0.3, 2.0 * x])
+    got = beam_gain(stack, w, thetas, LAM)
+    assert got.shape == (3, 5)
+    want = [[beam_gain(xx, w, t, LAM) for t in thetas] for xx in stack]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert steering_vector(stack, thetas, LAM).shape == (3, 5, 6)

@@ -166,7 +166,12 @@ def test_cli_unknown_experiment_exit_2(tmp_path):
     ({"experiment": "siso-gain-bounds", "params": {"wavelength": -1}}, "wavelength"),
     ({"experiment": "dof-gain", "params": {"orientation_grid": 0}}, "orientation_grid"),
     ({"experiment": "miso-graph", "trials": "abc"}, "trials"),
-], ids=["grid_step-0", "wavelength-negative", "orientation_grid-0", "trials-not-integer"])
+    ({"experiment": "beam-null", "params": {"n": 1}}, "'n'"),
+    ({"experiment": "beam-multibeam", "params": {"n": 0}}, "'n'"),
+    ({"experiment": "beam-multibeam", "params": {"theta_deg": []}}, "theta_deg"),
+    ({"experiment": "beam-widebeam", "params": {"subregions": 0}}, "subregions"),
+], ids=["grid_step-0", "wavelength-negative", "orientation_grid-0", "trials-not-integer",
+        "beam-null-n-1", "beam-multibeam-n-0", "theta_deg-empty", "subregions-0"])
 def test_cli_field_parameter_out_of_range_exit_2(tmp_path, capsys, doc, field):
     cfg = write(tmp_path, "bad.json", doc)
     assert main(["experiment", "--config", cfg]) == 2
@@ -186,6 +191,13 @@ def test_cli_infeasible_exit_3(tmp_path, capsys):
     assert main(["optimize", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "spacing" in err and "aperture" in err  # names the violated constraint
+
+
+@pytest.mark.parametrize("exp", ["beam-multibeam", "beam-widebeam"])
+def test_cli_beam_region_too_small_exit_3(tmp_path, capsys, exp):
+    cfg = write(tmp_path, "inf.json", {"experiment": exp, "params": {"aperture": 0.1}})
+    assert main(["experiment", "--config", cfg]) == 3
+    assert "no feasible starting placement" in capsys.readouterr().err
 
 
 def test_cli_validate_config(tmp_path):
