@@ -18,8 +18,8 @@ from . import optimize as opt
 from . import sensing as sn
 from .channel import channel_mimo, channel_narrowband, gen_scenario, scenario_from_dict
 from .errors import ConfigError, InfeasibleError
-from .experiments import (ExperimentConfig, ResultTable, config_hash, emit, run_experiment,
-                          trial_seed)
+from .experiments import (ExperimentConfig, ResultTable, _miso_line_channel, config_hash, emit,
+                          run_experiment, trial_seed)
 from .geometry import MoveRegion
 
 EXIT_OK = 0
@@ -49,16 +49,15 @@ def _build_scenario(doc: dict, seed_override=None):
 
 
 def _grid_from(doc: dict) -> np.ndarray:
-    if "segment" in doc:
-        g = doc["segment"]
-        ax = np.arange(0.0, g["length"] + g["step"] / 2, g["step"])
-        out = np.zeros((len(ax), 3))
-        out[:, 0] = ax
-        return out
-    if "square" in doc:
-        g = doc["square"]
-        ax = np.arange(0.0, g["side"] + g["step"] / 2, g["step"])
-        return np.array([(x, y, 0.0) for x in ax for y in ax])
+    try:
+        if "segment" in doc:
+            g = doc["segment"]
+            return MoveRegion.segment(g["length"]).grid_points(g["step"])
+        if "square" in doc:
+            g = doc["square"]
+            return MoveRegion.box((g["side"], g["side"], 0.0)).grid_points(g["step"])
+    except ValueError as e:
+        raise ConfigError(f"bad grid: {e}") from None
     raise ConfigError("grid must specify 'segment' or 'square'")
 
 
@@ -74,59 +73,72 @@ def _cmd_simulate(doc: dict, out: str | None, seed):
     return EXIT_OK
 
 
-def _cmd_optimize(doc: dict, out: str | None, seed):
+def _task_sensing_1d(doc: dict, lam: float, seed) -> dict:
+    x = opt.sensing_1d_optimal(int(doc["n"]), doc["aperture"] * lam, doc["d_min"] * lam)
+    return {"placement": x.tolist(), "variance": float(np.var(x))}
+
+
+def _task_sensing_2d(doc: dict, lam: float, seed) -> dict:
+    rep = opt.sensing_2d_ao(int(doc["n"]), (doc["side"] * lam, doc["side"] * lam),
+                            doc["d_min"] * lam, metric=doc.get("metric", "max"))
+    return {"placement": rep.best_placement.tolist(), "metric": rep.best_score,
+            "lower_bound": rep.extra["lower_bound"]}
+
+
+def _task_null(doc: dict, lam: float, seed) -> dict:
+    built = opt.svo_null_apv(np.deg2rad(doc["theta0_deg"]), np.deg2rad(doc["null_deg"]),
+                             int(doc["n"]), doc["aperture"] * lam, doc["d_min"] * lam, lam)
+    if isinstance(built, opt.NotConstructible):
+        return {"constructible": False, "reason": built.reason}
+    w = bf.mrt(bf.steering_vector(built, np.deg2rad(doc["theta0_deg"]), lam))
+    nulls = [bf.beam_gain(built, w, np.deg2rad(t), lam) for t in doc["null_deg"]]
+    return {"constructible": True, "placement": built.tolist(),
+            "gain": bf.beam_gain(built, w, np.deg2rad(doc["theta0_deg"]), lam),
+            "null_gains": nulls}
+
+
+def _task_multibeam(doc: dict, lam: float, seed) -> dict:
+    rep = opt.multibeam_ao(np.deg2rad(doc["theta_deg"]), int(doc["n"]),
+                           doc["aperture"] * lam, doc["d_min"] * lam, lam,
+                           analog=bool(doc.get("analog", False)),
+                           seed=seed if seed is not None else 0)
+    return {"placement": rep.best_placement.tolist(), "max_min_gain": rep.best_score}
+
+
+def _task_widebeam(doc: dict, lam: float, seed) -> dict:
+    rep = opt.widebeam_ao(np.deg2rad(doc["theta_min_deg"]), np.deg2rad(doc["theta_max_deg"]),
+                          int(doc.get("subregions", 24)), int(doc["n"]),
+                          doc["aperture"] * lam, doc["d_min"] * lam, lam,
+                          seed=seed if seed is not None else 0)
+    return {"placement": rep.best_placement.tolist(),
+            "min_gain": rep.extra["verified_min_gain"]}
+
+
+def _task_miso_graph(doc: dict, lam: float, seed) -> dict:
+    sc = _build_scenario(doc["scenario"], seed)
+    line = opt.SampledLine.from_channel(_miso_line_channel(sc, lam), doc["aperture"] * lam,
+                                        int(doc["m"]), doc["d_min"] * lam)
+    rep = opt.graph_opt_miso(line, int(doc["n"]))
+    return {"placement": rep.best_placement.tolist(), "score": rep.best_score,
+            "indices": rep.extra["indices"].tolist()}
+
+
+_OPTIMIZE_TASKS = {"sensing-1d": _task_sensing_1d, "sensing-2d": _task_sensing_2d,
+                   "null": _task_null, "multibeam": _task_multibeam,
+                   "widebeam": _task_widebeam, "miso-graph": _task_miso_graph}
+
+
+def _optimize_task(doc: dict):
     task = doc.get("task")
-    lam = doc.get("wavelength", 1.0)
-    report: dict
-    if task == "sensing-1d":
-        x = opt.sensing_1d_optimal(int(doc["n"]), doc["aperture"] * lam, doc["d_min"] * lam)
-        report = {"placement": x.tolist(), "variance": float(np.var(x))}
-    elif task == "sensing-2d":
-        rep = opt.sensing_2d_ao(int(doc["n"]), (doc["side"] * lam, doc["side"] * lam),
-                                doc["d_min"] * lam, metric=doc.get("metric", "max"))
-        report = {"placement": rep.best_placement.tolist(), "metric": rep.best_score,
-                  "lower_bound": rep.extra["lower_bound"]}
-    elif task == "null":
-        built = opt.svo_null_apv(np.deg2rad(doc["theta0_deg"]), np.deg2rad(doc["null_deg"]),
-                                 int(doc["n"]), doc["aperture"] * lam, doc["d_min"] * lam, lam)
-        if isinstance(built, opt.NotConstructible):
-            report = {"constructible": False, "reason": built.reason}
-        else:
-            w = bf.mrt(bf.steering_vector(built, np.deg2rad(doc["theta0_deg"]), lam))
-            nulls = [bf.beam_gain(built, w, np.deg2rad(t), lam) for t in doc["null_deg"]]
-            report = {"constructible": True, "placement": built.tolist(),
-                      "gain": bf.beam_gain(built, w, np.deg2rad(doc["theta0_deg"]), lam),
-                      "null_gains": nulls}
-    elif task == "multibeam":
-        rep = opt.multibeam_ao(np.deg2rad(doc["theta_deg"]), int(doc["n"]),
-                               doc["aperture"] * lam, doc["d_min"] * lam, lam,
-                               analog=bool(doc.get("analog", False)),
-                               seed=seed if seed is not None else 0)
-        report = {"placement": rep.best_placement.tolist(), "max_min_gain": rep.best_score}
-    elif task == "widebeam":
-        rep = opt.widebeam_ao(np.deg2rad(doc["theta_min_deg"]), np.deg2rad(doc["theta_max_deg"]),
-                              int(doc.get("subregions", 24)), int(doc["n"]),
-                              doc["aperture"] * lam, doc["d_min"] * lam, lam,
-                              seed=seed if seed is not None else 0)
-        report = {"placement": rep.best_placement.tolist(),
-                  "min_gain": rep.extra["verified_min_gain"]}
-    elif task == "miso-graph":
-        sc = _build_scenario(doc["scenario"], seed)
-        b = sc.prm @ np.ones(len(sc.tx_paths), dtype=complex)
-
-        def h_at(x):
-            g = np.exp(2j * np.pi / lam * sc.tx_paths.wave_vectors[:, 0] * x)
-            return complex(np.conj(b) @ g)
-
-        line = opt.SampledLine.from_channel(h_at, doc["aperture"] * lam, int(doc["m"]),
-                                            doc["d_min"] * lam)
-        rep = opt.graph_opt_miso(line, int(doc["n"]))
-        report = {"placement": rep.best_placement.tolist(), "score": rep.best_score,
-                  "indices": rep.extra["indices"].tolist()}
-    elif task is None:
+    if task is None:
         raise ConfigError("optimize config is missing 'task'")
-    else:
+    if task not in _OPTIMIZE_TASKS:
         raise ConfigError(f"unknown optimize task {task!r}")
+    return _OPTIMIZE_TASKS[task]
+
+
+def _cmd_optimize(doc: dict, out: str | None, seed):
+    report = _optimize_task(doc)(doc, doc.get("wavelength", 1.0), seed)
     if out:
         with open(out, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -169,7 +181,11 @@ def _cmd_estimate(doc: dict, out: str | None, seed):
     lam = doc.get("wavelength", 1.0)
     sc = _build_scenario(doc["scenario"], seed)
     side = doc["region_side"] * lam
-    region = MoveRegion.box((side, side, 0.0))
+    try:
+        region = MoveRegion.box((side, side, 0.0))
+        grid_pts = region.grid_points(doc.get("eval_step", 0.2) * lam)
+    except ValueError as e:
+        raise ConfigError(f"bad estimation region: {e}") from None
     power = doc.get("power", 1.0)
     sigma2 = power / 10.0 ** (doc["snr_db"] / 10.0)
     m = int(doc["measurements"])
@@ -177,9 +193,6 @@ def _cmd_estimate(doc: dict, out: str | None, seed):
     l = int(doc.get("paths_to_recover", len(sc.tx_paths)))
     base = str(seed if seed is not None else doc.get("seed", 0))
     method = doc.get("method", "successive")
-    step = doc.get("eval_step", 0.2) * lam
-    ax = np.arange(0.0, side + step / 2, step)
-    grid_pts = np.array([(x, y, 0.0) for x in ax for y in ax])
     h_true = channel_mimo(grid_pts, grid_pts, sc)
     if method == "successive":
         ms_t = est.collect_measurements(sc, region, region, "tx-sweep", m // 2, power, sigma2,
@@ -226,9 +239,7 @@ def _cmd_validate(doc: dict) -> int:
         cfg = ExperimentConfig.from_dict(doc)
         print(f"ok: experiment {cfg.experiment!r}, hash {config_hash(cfg)[:12]}")
     elif "task" in doc:
-        known = {"sensing-1d", "sensing-2d", "null", "multibeam", "widebeam", "miso-graph"}
-        if doc["task"] not in known:
-            raise ConfigError(f"unknown optimize task {doc['task']!r}")
+        _optimize_task(doc)
         print(f"ok: optimize task {doc['task']!r}")
     elif "scenario" in doc:
         _build_scenario(doc["scenario"])

@@ -232,9 +232,18 @@ def _gain_field_minmax(k_vectors, b, side, step, wavelength):
     return float(p.max()), float(p.min()), float(p[0, 0])
 
 
-def _diag_b(scenario: Scenario) -> np.ndarray:
-    """Receive-side coefficient vector b = PRM @ g(origin) (all-ones transmit FRV)."""
-    return scenario.prm @ np.ones(len(scenario.tx_paths), dtype=complex)
+def _miso_line_channel(scenario: Scenario, wavelength: float):
+    """Channel h(x) of a transmit antenna at (x, 0, 0), the receive antenna at its reference point.
+
+    h(x) = b^H g(x) with receive-side coefficients b = PRM @ 1 (all-ones FRV at the origin).
+    """
+    b = scenario.prm @ np.ones(len(scenario.tx_paths), dtype=complex)
+
+    def h_at(x):
+        g = np.exp(2j * np.pi / wavelength * scenario.tx_paths.wave_vectors[:, 0] * x)
+        return complex(np.conj(b) @ g)
+
+    return h_at
 
 
 def _square_region(side: float, d_min: float) -> MoveRegion:
@@ -397,9 +406,8 @@ def _trial_beam_wide(params, seed, idx):
     nsub = int(params["subregions"])
     rep = opt.widebeam_ao(lo, hi, nsub, n, a, dmin, lam, seed=seed)
     x_fpa = opt.fpa_ula(n, lam)
-    centers = lo + (np.arange(nsub) + 0.5) * (hi - lo) / nsub
+    centers, fine = opt.beams._subregion_grids(lo, hi, nsub)
     w_fpa, _ = opt.max_min_awv(x_fpa, centers, lam, analog=True, seed=seed)
-    fine = lo + (np.arange(4 * nsub) + 0.5) * (hi - lo) / (4 * nsub)
     g_fpa = np.min(bf.beam_gain(x_fpa, w_fpa, fine, lam))
     return [rep.extra["verified_min_gain"], g_fpa]
 
@@ -416,12 +424,7 @@ def _trial_miso_graph(params, seed, idx):
     m = int(params["m"])
     sc = gen_scenario(seed, n_paths=int(params["n_paths"]), wavelength=lam,
                       kappa=params["kappa"])
-    b = _diag_b(sc)  # receive antenna fixed at its reference point
-
-    def h_at(x):
-        g = np.exp(2j * np.pi / lam * sc.tx_paths.wave_vectors[:, 0] * x)
-        return complex(np.conj(b) @ g)
-
+    h_at = _miso_line_channel(sc, lam)
     line = opt.SampledLine.from_channel(h_at, a, m, dmin)
     rep = opt.graph_opt_miso(line, n)
 
@@ -591,11 +594,6 @@ def _fin_isac(params, payloads):
     return ["crb_scale", "capacity", "crb", "threshold"], rows
 
 
-def _grid_points_2d(side, step):
-    ax = np.arange(0.0, side + step / 2, step)
-    return np.array([(x, y, 0.0) for x in ax for y in ax])
-
-
 def _separated_uv(rng, candidates, l, min_sep, max_tries=5000):
     """Draw l spatial-frequency pairs pairwise separated by min_sep in some component."""
     for _ in range(max_tries):
@@ -649,7 +647,7 @@ def _trial_estimation_nmse(params, seed, idx):
                                      sigma2, trial_seed(str(seed), 2))
     ms_joint = est.collect_measurements(sc, region, region, "paired", m_total, power,
                                         sigma2, trial_seed(str(seed), 3))
-    eval_grid = _grid_points_2d(side, params["eval_step"] * lam)
+    eval_grid = region.grid_points(params["eval_step"] * lam)
     h_true = channel_mimo(eval_grid, eval_grid, sc)
     fri_s = est.omp_successive(ms_tx, ms_rx, g, l, l, lam)
     fri_j = est.omp_joint(ms_joint, g, l * l, lam)

@@ -219,6 +219,17 @@ def _positions(poses) -> np.ndarray:
     return np.asarray(out).reshape(-1, 3)
 
 
+def _close_pairs(pos: np.ndarray, d_min: float) -> np.ndarray:
+    """(n, n) symmetric mask, True where positions i != j are under d_min·(1 − 1e-12) apart.
+
+    pos is (n, k) for any k.  The inequality is closed: a pair at exactly
+    d_min passes, and the relative margin absorbs rounding in the distance.
+    """
+    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    np.fill_diagonal(d, np.inf)
+    return ~(d >= d_min * (1 - 1e-12))
+
+
 def validate_placement(poses, region: MoveRegion) -> PlacementReport:
     """Check every antenna is inside the region and every pair is >= d_min apart.
 
@@ -226,11 +237,8 @@ def validate_placement(poses, region: MoveRegion) -> PlacementReport:
     """
     pos = _positions(poses)
     bad_region = tuple(i for i, p in enumerate(pos) if not region.contains(p))
-    bad_pairs = []
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            if np.linalg.norm(pos[i] - pos[j]) < region.d_min * (1.0 - 1e-12) - 1e-15:
-                bad_pairs.append((i, j))
+    bad_pairs = tuple((int(i), int(j))
+                      for i, j in zip(*np.nonzero(_close_pairs(pos, region.d_min))) if i < j)
     return PlacementReport(ok=not bad_region and not bad_pairs,
                            region_violations=bad_region,
-                           pair_violations=tuple(bad_pairs))
+                           pair_violations=bad_pairs)

@@ -334,6 +334,12 @@ def _ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, seed, ma
     return out
 
 
+def _subregion_grids(theta_min: float, theta_max: float, n_subregions: int):
+    """Cell midpoints of [theta_min, theta_max] cut into n_subregions cells, and into 4x as many."""
+    return tuple(theta_min + (np.arange(k) + 0.5) * (theta_max - theta_min) / k
+                 for k in (n_subregions, 4 * n_subregions))
+
+
 def widebeam_ao(theta_min: float, theta_max: float, n_subregions: int, n: int,
                 aperture: float, d_min: float, wavelength: float, seed: int = 0,
                 max_sweeps: int = 12) -> OptReport:
@@ -351,10 +357,7 @@ def widebeam_ao(theta_min: float, theta_max: float, n_subregions: int, n: int,
             return OptReport(best_placement=x, best_score=g, iterations=0, trace=[g],
                              extra={"weights": w, "verified_min_gain": g})
         raise ValueError("theta_min must not exceed theta_max")
-    centers = theta_min + (np.arange(n_subregions) + 0.5) * (theta_max - theta_min) / n_subregions
-    fine = theta_min + (np.arange(4 * n_subregions) + 0.5) \
-        * (theta_max - theta_min) / (4 * n_subregions)
-
+    centers, fine = _subregion_grids(theta_min, theta_max, n_subregions)
     starts = (_uniform_spacing_starts(n, aperture, d_min, wavelength)
               + _random_starts(n, aperture, d_min, seed))
     candidates = _ao_candidates(starts, centers, wavelength, aperture, d_min,

@@ -1,10 +1,10 @@
 """Antenna-position optimization for MIMO capacity, multiuser rates, and ISAC trade-offs.
 
-All optimizers share one primitive: alternating per-antenna moves using
-projected finite-difference gradient steps with backtracking, where a move is
-accepted only if it is feasible (region membership plus minimum spacing) and
-improves the objective.  Objective traces are therefore monotone by
-construction.  Statistical-CSI objectives average the metric over a fixed,
+All optimizers run one primitive, `search._ascend`: alternating per-antenna
+moves using projected finite-difference gradient steps with backtracking,
+where a move is accepted only if it is feasible (region membership plus
+minimum spacing) and improves the objective.  Objective traces are therefore
+monotone by construction.  Statistical-CSI objectives average the metric over a fixed,
 caller-supplied ensemble of channel draws.
 """
 
@@ -18,65 +18,17 @@ from ..channel import Scenario, channel_mimo
 from ..errors import InfeasibleError
 from ..geometry import MoveRegion
 from .report import OptReport
+from .search import _ascend
 from .sensing import crb_metric_2d, sensing_2d_ao
 
 __all__ = ["mimo_position_ao", "multiuser_position_opt", "isac_constrained_opt"]
 
 
-def _pairwise_ok(pos: np.ndarray, d_min: float) -> bool:
-    if len(pos) < 2 or d_min <= 0:
-        return True
-    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
-    np.fill_diagonal(d, np.inf)
-    return bool(d.min() >= d_min * (1 - 1e-12))
-
-
-def _sweep_antennas(positions: np.ndarray, region: MoveRegion, objective,
-                    fd_step: float, step0: float) -> tuple[np.ndarray, float, bool]:
-    """One AO sweep: projected finite-difference gradient step per antenna.
-
-    objective(positions) -> float to maximize; returns (positions, value,
-    improved_any).
-    """
-    pos = positions.copy()
-    cur = objective(pos)
-    improved_any = False
-    for i in range(len(pos)):
-        grad = np.zeros(3)
-        for d in range(3):
-            e = np.zeros(3)
-            e[d] = fd_step
-            hi = region.clip(pos[i] + e)
-            lo = region.clip(pos[i] - e)
-            denom = hi[d] - lo[d]
-            if denom <= 0:
-                continue
-            # derivative probes ignore the spacing constraint; only accepted
-            # moves are feasibility-gated
-            p_hi = pos.copy()
-            p_hi[i] = hi
-            p_lo = pos.copy()
-            p_lo[i] = lo
-            va = objective(p_hi)
-            vb = objective(p_lo)
-            if not np.isfinite(va) or not np.isfinite(vb):
-                continue
-            grad[d] = (va - vb) / denom
-        gn = np.linalg.norm(grad)
-        if gn == 0:
-            continue
-        s = step0
-        for _ in range(20):
-            cand = pos.copy()
-            cand[i] = region.clip(pos[i] + s * grad / gn)
-            if _pairwise_ok(cand, region.d_min):
-                v = objective(cand)
-                if v > cur + 1e-12:
-                    pos, cur = cand, v
-                    improved_any = True
-                    break
-            s *= 0.5
-    return pos, cur, improved_any
+def _ensemble_capacity(tx: np.ndarray, rx: np.ndarray, ensemble, power: float,
+                       sigma2: float) -> float:
+    """MIMO capacity averaged over a fixed list of channel draws."""
+    return float(np.mean([mimo_capacity(channel_mimo(tx, rx, sc), power, sigma2)
+                          for sc in ensemble]))
 
 
 def _as_ensemble(scenario) -> list[Scenario]:
@@ -100,30 +52,13 @@ def mimo_position_ao(scenario, tx_region: MoveRegion, rx_region: MoveRegion,
     elif mode != "statistical":
         raise ValueError(f"unknown mode {mode!r}")
     lam = ensemble[0].wavelength
-    tx = np.asarray(init_tx, dtype=float).reshape(-1, 3).copy()
-    rx = np.asarray(init_rx, dtype=float).reshape(-1, 3).copy()
-    for p, reg, name in ((tx, tx_region, "tx"), (rx, rx_region, "rx")):
-        if not all(reg.contains(q, tol=1e-6) for q in p) or not _pairwise_ok(p, reg.d_min):
-            raise InfeasibleError(f"initial {name} placement is infeasible")
-
-    def capacity(t, r):
-        return float(np.mean([mimo_capacity(channel_mimo(t, r, sc), power, sigma2)
-                              for sc in ensemble]))
-
-    cur = capacity(tx, rx)
-    trace = [cur]
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        tx, _, imp_t = _sweep_antennas(tx, tx_region, lambda t: capacity(t, rx),
-                                       fd_step * lam, step0 * lam)
-        rx, cur2, imp_r = _sweep_antennas(rx, rx_region, lambda r: capacity(tx, r),
-                                          fd_step * lam, step0 * lam)
-        cur = max(cur, cur2)
-        trace.append(cur)
-        if not (imp_t or imp_r):
-            break
-    return OptReport(best_placement=np.vstack([tx, rx]), best_score=cur, iterations=sweeps,
-                     trace=trace, extra={"tx_positions": tx, "rx_positions": rx})
+    (tx, rx), cur, trace = _ascend(
+        [(init_tx, tx_region), (init_rx, rx_region)],
+        lambda t, r: _ensemble_capacity(t, r, ensemble, power, sigma2),
+        max_sweeps, fd_step * lam, step0 * lam)
+    return OptReport(best_placement=np.vstack([tx, rx]), best_score=cur,
+                     iterations=len(trace) - 1, trace=trace,
+                     extra={"tx_positions": tx, "rx_positions": rx})
 
 
 def _allocate_and_rate(h: np.ndarray, combiner: str, utility: str, budget: str,
@@ -167,9 +102,6 @@ def multiuser_position_opt(user_scenarios, bs_region: MoveRegion, init_rx: np.nd
     """
     draws = ensembles if ensembles is not None else [user_scenarios]
     lam = draws[0][0].wavelength
-    rx0 = np.asarray(init_rx, dtype=float).reshape(-1, 3)
-    if not all(bs_region.contains(q, tol=1e-6) for q in rx0) or not _pairwise_ok(rx0, bs_region.d_min):
-        raise InfeasibleError("initial base-station placement is infeasible")
 
     def score_at(positions, budget_power):
         vals = []
@@ -184,20 +116,12 @@ def multiuser_position_opt(user_scenarios, bs_region: MoveRegion, init_rx: np.nd
         return float(np.mean(vals))
 
     def solve_rate(budget_power, start):
-        pos = start.copy()
-        cur = score_at(pos, budget_power)
-        trace = [cur]
-        for _ in range(max_sweeps):
-            pos, cur2, improved = _sweep_antennas(
-                pos, bs_region, lambda q: score_at(q, budget_power), fd_step * lam, step0 * lam)
-            cur = max(cur, cur2)
-            trace.append(cur)
-            if not improved:
-                break
+        (pos,), cur, trace = _ascend([(start, bs_region)], lambda q: score_at(q, budget_power),
+                                     max_sweeps, fd_step * lam, step0 * lam)
         return pos, cur, trace
 
     if mode == "rate":
-        pos, cur, trace = solve_rate(power, rx0)
+        pos, cur, trace = solve_rate(power, init_rx)
         h = multiuser_channels(pos, draws[0])
         w, p, rates = _allocate_and_rate(h, combiner, utility, budget, power, sigma2)
         return OptReport(best_placement=pos, best_score=cur, iterations=len(trace) - 1,
@@ -208,7 +132,7 @@ def multiuser_position_opt(user_scenarios, bs_region: MoveRegion, init_rx: np.nd
         raise ValueError("power-centric mode needs a rate target eta")
 
     p_hi = power
-    pos, val, _ = solve_rate(p_hi, rx0)
+    pos, val, _ = solve_rate(p_hi, init_rx)
     grow = 0
     while val < eta and grow < 12:
         p_hi *= 2.0
@@ -251,8 +175,7 @@ def isac_constrained_opt(scenario, tx_positions: np.ndarray, rx_region: MoveRegi
     tx = np.asarray(tx_positions, dtype=float).reshape(-1, 3)
 
     def capacity(rx):
-        return float(np.mean([mimo_capacity(channel_mimo(tx, rx, sc), power, sigma2)
-                              for sc in ensemble]))
+        return _ensemble_capacity(tx, rx, ensemble, power, sigma2)
 
     def crb(rx):
         return crb_metric_2d(np.asarray(rx)[:, :2], crb_metric, crb_coef)
@@ -274,11 +197,10 @@ def isac_constrained_opt(scenario, tx_positions: np.ndarray, rx_region: MoveRegi
         objective, constraint = capacity, lambda q: crb(q) <= threshold
         sense = 1.0
     elif mode == "sen":
-        unconstrained, best_cap = _best_capacity(ensemble, tx, rx_region, rx, power, sigma2,
-                                                 max_sweeps, fd_step * lam, step0 * lam)
+        (rx,), best_cap, _ = _ascend([(rx, rx_region)], capacity, max_sweeps,
+                                     fd_step * lam, step0 * lam)
         if best_cap < threshold:
             raise InfeasibleError(f"capacity target {threshold:.3g} unreachable")
-        rx = unconstrained
         objective, constraint = lambda q: -crb(q), lambda q: capacity(q) >= threshold
         sense = -1.0
     else:
@@ -287,28 +209,8 @@ def isac_constrained_opt(scenario, tx_positions: np.ndarray, rx_region: MoveRegi
     def guarded(q):
         return objective(q) if constraint(q) else -np.inf
 
-    cur = guarded(rx)
-    trace = [sense * cur]
-    for _ in range(max_sweeps):
-        rx, cur2, improved = _sweep_antennas(rx, rx_region, guarded, fd_step * lam, step0 * lam)
-        cur = max(cur, cur2)
-        trace.append(sense * cur)
-        if not improved:
-            break
+    (rx,), cur, trace = _ascend([(rx, rx_region)], guarded, max_sweeps,
+                                fd_step * lam, step0 * lam)
     return OptReport(best_placement=rx, best_score=sense * cur, iterations=len(trace) - 1,
-                     trace=trace, extra={"capacity": capacity(rx), "crb": crb(rx)})
-
-
-def _best_capacity(ensemble, tx, rx_region, rx0, power, sigma2, max_sweeps, fd, st):
-    def capacity(rx):
-        return float(np.mean([mimo_capacity(channel_mimo(tx, rx, sc), power, sigma2)
-                              for sc in ensemble]))
-
-    rx = rx0.copy()
-    cur = capacity(rx)
-    for _ in range(max_sweeps):
-        rx, cur2, improved = _sweep_antennas(rx, rx_region, capacity, fd, st)
-        cur = max(cur, cur2)
-        if not improved:
-            break
-    return rx, cur
+                     trace=[sense * v for v in trace],
+                     extra={"capacity": capacity(rx), "crb": crb(rx)})

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import MoveRegion
+from ..errors import InfeasibleError
+from ..geometry import MoveRegion, _close_pairs
 from .report import OptReport
 
 __all__ = ["siso_gain_bounds", "grid_search_position", "gradient_position_search", "pso"]
@@ -64,15 +65,7 @@ def gradient_position_search(objective, region: MoveRegion, start, step: float =
     trace = [sign * cur]
     it = 0
     for it in range(1, max_iter + 1):
-        grad = np.zeros(3)
-        for d in range(3):
-            e = np.zeros(3)
-            e[d] = fd_step
-            hi = region.clip(x + e)
-            lo = region.clip(x - e)
-            denom = hi[d] - lo[d]
-            if denom > 0:
-                grad[d] = (f(hi) - f(lo)) / denom
+        grad = _fd_gradient(f, x, region, fd_step)
         gn = np.linalg.norm(grad)
         if gn == 0:
             break
@@ -89,6 +82,88 @@ def gradient_position_search(objective, region: MoveRegion, start, step: float =
         if not improved or (len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol):
             break
     return OptReport(best_placement=x, best_score=sign * cur, iterations=it, trace=trace)
+
+
+def _fd_gradient(f, x: np.ndarray, region: MoveRegion, fd_step: float) -> np.ndarray:
+    """Central finite-difference gradient of f at x, with probes projected onto the region.
+
+    An axis whose probes coincide or give a non-finite value gets a zero component.
+    """
+    grad = np.zeros(3)
+    for d in range(3):
+        e = np.zeros(3)
+        e[d] = fd_step
+        hi = region.clip(x + e)
+        lo = region.clip(x - e)
+        denom = hi[d] - lo[d]
+        if denom <= 0:
+            continue
+        va = f(hi)
+        vb = f(lo)
+        if np.isfinite(va) and np.isfinite(vb):
+            grad[d] = (va - vb) / denom
+    return grad
+
+
+def _sweep_antennas(positions: np.ndarray, region: MoveRegion, objective, cur: float,
+                    fd_step: float, step0: float) -> tuple[np.ndarray, float, bool]:
+    """One sweep of projected gradient steps, one antenna at a time, from value cur.
+
+    Derivative probes ignore the spacing constraint; a move is accepted only
+    if it keeps the spacing and gains more than 1e-12.  Returns (positions,
+    value, improved_any).
+    """
+    pos = positions.copy()
+    improved_any = False
+    for i in range(len(pos)):
+        def probe(p):
+            q = pos.copy()
+            q[i] = p
+            return objective(q)
+
+        grad = _fd_gradient(probe, pos[i], region, fd_step)
+        gn = np.linalg.norm(grad)
+        if gn == 0:
+            continue
+        s = step0
+        for _ in range(20):
+            cand = pos.copy()
+            cand[i] = region.clip(pos[i] + s * grad / gn)
+            if not _close_pairs(cand, region.d_min).any():
+                v = objective(cand)
+                if v > cur + 1e-12:
+                    pos, cur = cand, v
+                    improved_any = True
+                    break
+            s *= 0.5
+    return pos, cur, improved_any
+
+
+def _ascend(blocks, objective, max_sweeps: int, fd: float, step0: float):
+    """Maximize objective(*positions) by sweeping each block in turn until no block improves.
+
+    blocks is a list of (positions, region) pairs; a block's sweep holds the
+    others fixed.  A start outside a region (tol 1e-6) or closer than d_min
+    raises InfeasibleError.  Returns (positions per block, best value, trace
+    of the best value at the start and after each sweep).
+    """
+    pos = [np.array(p, dtype=float).reshape(-1, 3) for p, _ in blocks]
+    regions = [region for _, region in blocks]
+    for p, region in zip(pos, regions):
+        if not all(region.contains(q, tol=1e-6) for q in p) or _close_pairs(p, region.d_min).any():
+            raise InfeasibleError("initial placement is outside the region or closer than d_min")
+    cur = objective(*pos)
+    trace = [cur]
+    for _ in range(max_sweeps):
+        improved = False
+        for b, region in enumerate(regions):
+            pos[b], cur, block_improved = _sweep_antennas(
+                pos[b], region, lambda q: objective(*pos[:b], q, *pos[b + 1:]), cur, fd, step0)
+            improved |= block_improved
+        trace.append(cur)
+        if not improved:
+            break
+    return pos, cur, trace
 
 
 def pso(objective, dim: int, bounds, n_particles: int = 30, n_iter: int = 100,

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from ..errors import InfeasibleError
+from ..geometry import _close_pairs
 from .report import OptReport
 
 __all__ = ["sensing_1d_optimal", "sensing_2d_ao", "effective_variances", "crb_metric_2d"]
@@ -93,9 +94,7 @@ def _feasible(xy: np.ndarray, ax: float, ay: float, d_min: float) -> bool:
         return False
     if np.any(xy[:, 1] < -1e-12) or np.any(xy[:, 1] > ay + 1e-12):
         return False
-    d = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=2)
-    np.fill_diagonal(d, np.inf)
-    return bool(d.min() >= d_min * (1 - 1e-12))
+    return not _close_pairs(xy, d_min).any()
 
 
 def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: float = 1.0,

@@ -142,3 +142,13 @@ def test_region_grid_points_lexicographic():
     pts = region.grid_points(0.5)
     assert pts.shape == (9, 3)
     assert np.all(np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0])) == np.arange(9))
+
+
+@pytest.mark.parametrize("side, step", [(1.0, 0.5), (2.0, 0.2), (5.0, 0.3)])
+def test_square_and_segment_grid_points_match_hand_built_grids(side, step):
+    ax = np.arange(0.0, side + step / 2, step)
+    square = np.array([(x, y, 0.0) for x in ax for y in ax])
+    segment = np.zeros((len(ax), 3))
+    segment[:, 0] = ax
+    assert np.array_equal(MoveRegion.box((side, side, 0.0)).grid_points(step), square)
+    assert np.array_equal(MoveRegion.segment(side).grid_points(step), segment)

@@ -161,20 +161,31 @@ def test_cli_unknown_experiment_exit_2(tmp_path):
     assert main(["experiment", "--config", cfg]) == 2
 
 
-@pytest.mark.parametrize("doc, field", [
-    ({"experiment": "dof-gain", "params": {"grid_step": 0}}, "grid_step"),
-    ({"experiment": "siso-gain-bounds", "params": {"wavelength": -1}}, "wavelength"),
-    ({"experiment": "dof-gain", "params": {"orientation_grid": 0}}, "orientation_grid"),
-    ({"experiment": "miso-graph", "trials": "abc"}, "trials"),
-    ({"experiment": "beam-null", "params": {"n": 1}}, "'n'"),
-    ({"experiment": "beam-multibeam", "params": {"n": 0}}, "'n'"),
-    ({"experiment": "beam-multibeam", "params": {"theta_deg": []}}, "theta_deg"),
-    ({"experiment": "beam-widebeam", "params": {"subregions": 0}}, "subregions"),
+def simulate_doc(step):
+    return {"scenario": {"generate": {"seed": 3, "n_paths": 2}},
+            "tx_grid": {"square": {"side": 1.0, "step": step}},
+            "rx_grid": {"segment": {"length": 1.0, "step": 0.5}}}
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("experiment", {"experiment": "dof-gain", "params": {"grid_step": 0}}, "grid_step"),
+    ("experiment", {"experiment": "siso-gain-bounds", "params": {"wavelength": -1}},
+     "wavelength"),
+    ("experiment", {"experiment": "dof-gain", "params": {"orientation_grid": 0}},
+     "orientation_grid"),
+    ("experiment", {"experiment": "miso-graph", "trials": "abc"}, "trials"),
+    ("experiment", {"experiment": "beam-null", "params": {"n": 1}}, "'n'"),
+    ("experiment", {"experiment": "beam-multibeam", "params": {"n": 0}}, "'n'"),
+    ("experiment", {"experiment": "beam-multibeam", "params": {"theta_deg": []}}, "theta_deg"),
+    ("experiment", {"experiment": "beam-widebeam", "params": {"subregions": 0}}, "subregions"),
+    ("simulate", simulate_doc(0), "step"),
+    ("simulate", simulate_doc(-0.5), "step"),
 ], ids=["grid_step-0", "wavelength-negative", "orientation_grid-0", "trials-not-integer",
-        "beam-null-n-1", "beam-multibeam-n-0", "theta_deg-empty", "subregions-0"])
-def test_cli_field_parameter_out_of_range_exit_2(tmp_path, capsys, doc, field):
+        "beam-null-n-1", "beam-multibeam-n-0", "theta_deg-empty", "subregions-0",
+        "simulate-grid-step-0", "simulate-grid-step-negative"])
+def test_cli_field_parameter_out_of_range_exit_2(tmp_path, capsys, command, doc, field):
     cfg = write(tmp_path, "bad.json", doc)
-    assert main(["experiment", "--config", cfg]) == 2
+    assert main([command, "--config", cfg]) == 2
     assert field in capsys.readouterr().err
 
 

@@ -200,6 +200,17 @@ def test_isac_infeasible_threshold():
                              threshold=crb_opt.best_score * 0.5)
 
 
+@pytest.mark.parametrize("mode, threshold", [("com", np.inf), ("sen", 0.0)])
+def test_isac_infeasible_start_raises(mode, threshold):
+    sc = gen_scenario(13, n_paths=3, wavelength=LAM, kappa=1.0)
+    region = square_region(3.0)
+    bad = np.array([[0, 0, 0], [0.1, 0, 0], [5, 5, 0], [1, 1, 0]], dtype=float)
+    assert not validate_placement(bad, region).ok  # antenna 2 outside, pair (0, 1) too close
+    with pytest.raises(InfeasibleError):
+        isac_constrained_opt(sc, upa(3.0, 0.5, 4), region, bad, 10.0, 1.0, mode=mode,
+                             threshold=threshold, max_sweeps=2)
+
+
 def test_isac_capacity_nondecreasing_in_threshold():
     sc = gen_scenario(12, n_paths=4, wavelength=LAM, kappa=1.0)
     region = square_region(3.0)
