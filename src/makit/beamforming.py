@@ -87,35 +87,29 @@ def mmse_combiner(h: np.ndarray, powers, sigma2: float) -> np.ndarray:
     return w / np.linalg.norm(w, axis=0, keepdims=True)
 
 
-def water_filling(singular_values, total_power: float, sigma2: float,
-                  tol: float = 1e-12) -> np.ndarray:
-    """Power allocation p_i = max(0, mu - sigma2/s_i^2) with sum(p) = total_power."""
+def water_filling(singular_values, total_power: float, sigma2: float) -> np.ndarray:
+    """Power allocation p_i = max(0, mu - sigma2/s_i^2) with sum(p) = total_power.
+
+    Exact: mu = (P + sum of the k lowest floors sigma2/s_i^2)/k for the last k
+    whose k-th lowest floor lies below that level.
+    """
     s = np.asarray(singular_values, dtype=float).reshape(-1)
     if total_power <= 0:
         raise ValueError("power budget must be > 0")
     active = s > 1e-300
-    if not np.any(active):
-        raise ValueError("all singular values are zero")
     inv = np.full_like(s, np.inf)
     inv[active] = sigma2 / s[active] ** 2
-    lo = float(np.min(inv))
-    hi = lo + total_power + float(np.max(inv[np.isfinite(inv)]))
-    for _ in range(200):
-        mu = 0.5 * (lo + hi)
-        p = np.maximum(0.0, mu - inv)
-        if abs(p.sum() - total_power) < tol:
-            break
-        if p.sum() > total_power:
-            hi = mu
-        else:
-            lo = mu
-    p = np.maximum(0.0, 0.5 * (lo + hi) - inv)
-    # exact renormalization on the active set removes bisection residue
-    on = p > 0
-    if np.any(on):
-        p[on] += (total_power - p.sum()) / on.sum()
-        p = np.maximum(p, 0.0)
-    return p
+    srt = np.sort(inv[np.isfinite(inv)])
+    if srt.size == 0:
+        raise ValueError("all singular values are zero")
+    levels = (total_power + np.cumsum(srt)) / np.arange(1, srt.size + 1)
+    below = np.flatnonzero(srt < levels)
+    k = below[-1] + 1 if below.size else 1  # a budget below one ulp of the floor still fills it
+    on = inv <= srt[k - 1]
+    p = np.where(on, levels[k - 1] - inv, 0.0)
+    # exact renormalization on the active set removes cancellation residue
+    p[on] += (total_power - p.sum()) / on.sum()
+    return np.maximum(p, 0.0)
 
 
 def mimo_capacity(h: np.ndarray, total_power: float, sigma2: float) -> float:

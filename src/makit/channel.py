@@ -226,8 +226,11 @@ frv_rx = frv_tx  # identical form on the receive side
 
 
 def frm(positions, paths: PathSet, wavelength: float) -> np.ndarray:
-    """Field response matrix (L x N): column n is the FRV of position n."""
-    pos = np.asarray([_pos3(p) for p in positions])
+    """Field response matrix (L x N): column n is the FRV of position n, given as
+    an x coordinate or an (x, y) / (x, y, z) point (missing coordinates are 0)."""
+    pos = np.asarray(positions, dtype=float).reshape(len(positions), -1)
+    if pos.shape[1] < 3:
+        pos = np.hstack([pos, np.zeros((len(pos), 3 - pos.shape[1]))])
     return np.exp(2j * np.pi / wavelength * (paths.wave_vectors @ pos.T))
 
 

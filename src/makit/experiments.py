@@ -110,6 +110,7 @@ class ExperimentConfig:
 _RANGES = {"wavelength": ("> 0", lambda x: x > 0), "region_side": ("> 0", lambda x: x > 0),
            "grid_step": ("> 0", lambda x: x > 0), "orientation_grid": (">= 1", lambda x: x >= 1),
            "n": (">= 1", lambda x: x >= 1), "subregions": (">= 1", lambda x: x >= 1),
+           "n_paths": (">= 1", lambda x: x >= 1), "eval_step": ("> 0", lambda x: x > 0),
            "theta_deg": ("(degrees)", np.isfinite), "null_deg": ("(degrees)", np.isfinite),
            ("beam-null", "n"): (">= 2", lambda x: x >= 2)}
 

@@ -166,9 +166,10 @@ def isac_constrained_opt(scenario, tx_positions: np.ndarray, rx_region: MoveRegi
 
     mode 'com': maximize (ensemble-average) capacity subject to
     crb(rx) <= threshold; mode 'sen': minimize the CRB subject to
-    capacity >= threshold.  Feasibility is established first by solving the
-    unconstrained dual objective; sweep moves violating the constraint are
-    rejected, so the constrained trace stays monotone and feasible.
+    capacity >= threshold.  A 'com' start above the CRB bound is replaced by
+    the sensing optimum; 'sen' first solves the unconstrained capacity problem.
+    Sweep moves violating the constraint are rejected, so the trace stays
+    monotone and feasible.
     """
     ensemble = _as_ensemble(scenario)
     lam = ensemble[0].wavelength
@@ -181,19 +182,17 @@ def isac_constrained_opt(scenario, tx_positions: np.ndarray, rx_region: MoveRegi
         return crb_metric_2d(np.asarray(rx)[:, :2], crb_metric, crb_coef)
 
     rx = np.asarray(init_rx, dtype=float).reshape(-1, 3).copy()
-    n_r = len(rx)
     if rx_region.kind != "box":
         raise ValueError("ISAC placement expects a box region")
-    extents2 = rx_region.extents[:2]
 
     if mode == "com":
-        crb_opt = sensing_2d_ao(n_r, extents2, rx_region.d_min, metric=crb_metric,
-                                coef=crb_coef)
-        if crb_opt.best_score > threshold:
-            raise InfeasibleError(
-                f"CRB threshold {threshold:.3g} below the best achievable {crb_opt.best_score:.3g}")
         if crb(rx) > threshold:  # fall back to the sensing-optimal placement
-            rx = np.column_stack([crb_opt.best_placement, np.zeros(n_r)])
+            crb_opt = sensing_2d_ao(len(rx), rx_region.extents[:2], rx_region.d_min,
+                                    metric=crb_metric, coef=crb_coef)
+            if crb_opt.best_score > threshold:
+                raise InfeasibleError(f"CRB threshold {threshold:.3g} below the best "
+                                      f"achievable {crb_opt.best_score:.3g}")
+            rx = np.column_stack([crb_opt.best_placement, np.zeros(len(rx))])
         objective, constraint = capacity, lambda q: crb(q) <= threshold
         sense = 1.0
     elif mode == "sen":

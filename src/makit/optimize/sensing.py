@@ -14,6 +14,7 @@ import numpy as np
 
 from ..errors import InfeasibleError
 from ..geometry import _close_pairs
+from ..sensing import effective_variances
 from .report import OptReport
 
 __all__ = ["sensing_1d_optimal", "sensing_2d_ao", "effective_variances", "crb_metric_2d"]
@@ -35,26 +36,20 @@ def sensing_1d_optimal(n: int, aperture: float, d_min: float) -> np.ndarray:
     return np.array(left + right)
 
 
-def effective_variances(xy: np.ndarray) -> tuple[float, float]:
-    """Per-axis effective variances var_x - cov^2/var_y and var_y - cov^2/var_x."""
-    x, y = xy[:, 0], xy[:, 1]
-    vx, vy = np.var(x), np.var(y)
-    cov = np.mean(x * y) - np.mean(x) * np.mean(y)
-    ex = vx - (cov ** 2 / vy if vy > 0 else (0.0 if cov == 0 else np.inf))
-    ey = vy - (cov ** 2 / vx if vx > 0 else (0.0 if cov == 0 else np.inf))
-    return float(ex), float(ey)
+def _crb_batch(xy: np.ndarray, metric: str, coef: float) -> np.ndarray:
+    """CRB metric of every layout in a (..., n, 2) stack; inf where a variance is <= 0."""
+    if metric not in ("max", "sum"):
+        raise ValueError(f"unknown CRB metric {metric!r}")
+    ex, ey = effective_variances(xy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fx, fy = 1.0 / ex, 1.0 / ey
+        val = coef * (np.maximum(fx, fy) if metric == "max" else fx + fy)
+    return np.where((ex <= 0) | (ey <= 0), np.inf, val)
 
 
 def crb_metric_2d(xy: np.ndarray, metric: str = "max", coef: float = 1.0) -> float:
     """CRB objective (max or sum over the two spatial frequencies) for a 2D layout."""
-    ex, ey = effective_variances(xy)
-    if ex <= 0 or ey <= 0:
-        return np.inf
-    if metric == "max":
-        return coef * max(1.0 / ex, 1.0 / ey)
-    if metric == "sum":
-        return coef * (1.0 / ex + 1.0 / ey)
-    raise ValueError(f"unknown CRB metric {metric!r}")
+    return float(_crb_batch(np.asarray(xy, dtype=float), metric, coef))
 
 
 def _perimeter_init(n: int, ax: float, ay: float) -> np.ndarray:
@@ -114,7 +109,7 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
         x = sensing_1d_optimal(n, aperture, d_min)
         xy = np.zeros((n, 2))
         xy[:, 0 if ax > 0 else 1] = x
-        score = crb_metric_2d(xy, "max", coef) if min(ax, ay) > 0 else coef / np.var(x)
+        score = coef / np.var(x)
         return OptReport(best_placement=xy, best_score=float(score), iterations=0,
                          trace=[float(score)], extra={"reduced_to_1d": True})
     if d_min > 0 and n > (math.floor(ax / d_min) + 1) * (math.floor(ay / d_min) + 1):
@@ -147,20 +142,20 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
             for i in range(n):
                 for axis, hi in ((0, ax), (1, ay)):
                     cand_vals = np.linspace(0.0, hi, n_grid)
-                    orig = xy[i, axis]
-                    best_v, best_c = cur, orig
-                    for c in cand_vals:
-                        xy[i, axis] = c
-                        others = np.delete(xy, i, axis=0)
-                        if d_min > 0 and np.min(np.linalg.norm(others - xy[i], axis=1)) < d_min * (1 - 1e-12):
-                            continue
-                        v = crb_metric_2d(xy, metric, coef)
+                    stack = np.repeat(xy[None], n_grid, axis=0)
+                    stack[:, i, axis] = cand_vals
+                    vals = _crb_batch(stack, metric, coef)
+                    if d_min > 0:  # a candidate too close to another antenna is never taken
+                        gaps = np.linalg.norm(np.delete(stack, i, axis=1) - stack[:, i:i + 1],
+                                              axis=-1)
+                        vals[(gaps < d_min * (1 - 1e-12)).any(axis=1)] = np.inf
+                    best_v, best_c = cur, xy[i, axis]
+                    for c, v in zip(cand_vals.tolist(), vals.tolist()):
                         if v < best_v - 1e-15:
                             best_v, best_c = v, c
                     xy[i, axis] = best_c
                     if best_v < cur - 1e-15:
-                        cur = best_v
-                        improved = True
+                        cur, improved = best_v, True
             trace.append(cur)
             if not improved:
                 break

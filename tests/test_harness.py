@@ -180,9 +180,13 @@ def simulate_doc(step):
     ("experiment", {"experiment": "beam-widebeam", "params": {"subregions": 0}}, "subregions"),
     ("simulate", simulate_doc(0), "step"),
     ("simulate", simulate_doc(-0.5), "step"),
+    ("experiment", {"experiment": "mimo-capacity", "params": {"n_paths": 0}}, "n_paths"),
+    ("experiment", {"experiment": "mimo-capacity", "params": {"n_paths": "four"}}, "n_paths"),
+    ("experiment", {"experiment": "estimation-nmse", "params": {"eval_step": 0}}, "eval_step"),
 ], ids=["grid_step-0", "wavelength-negative", "orientation_grid-0", "trials-not-integer",
         "beam-null-n-1", "beam-multibeam-n-0", "theta_deg-empty", "subregions-0",
-        "simulate-grid-step-0", "simulate-grid-step-negative"])
+        "simulate-grid-step-0", "simulate-grid-step-negative", "n_paths-0", "n_paths-string",
+        "eval_step-0"])
 def test_cli_field_parameter_out_of_range_exit_2(tmp_path, capsys, command, doc, field):
     cfg = write(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg]) == 2

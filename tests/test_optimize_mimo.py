@@ -200,6 +200,30 @@ def test_isac_infeasible_threshold():
                              threshold=crb_opt.best_score * 0.5)
 
 
+def test_isac_compliant_start_skips_sensing_optimizer(monkeypatch):
+    import makit.optimize.mimo as mimo_mod
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sensing_2d_ao(*args, **kwargs)
+
+    monkeypatch.setattr(mimo_mod, "sensing_2d_ao", counted)
+    sc = gen_scenario(10, n_paths=3, wavelength=LAM, kappa=1.0)
+    region = square_region(2.0)
+    tx = upa(2.0, 0.5, 4)
+    rx0 = upa(2.0, 1.5, 4)  # a spread start: its CRB meets the bound below
+    bound = 2.0 * sensing_2d_ao(4, (2.0, 2.0), 0.5, metric="max").best_score
+    rep = isac_constrained_opt(sc, tx, region, rx0, 10.0, 1.0, mode="com", threshold=bound,
+                               max_sweeps=1)
+    assert calls == [] and rep.extra["crb"] <= bound
+    # a start above the bound falls back to the sensing optimum
+    isac_constrained_opt(sc, tx, region, upa(2.0, 0.5, 4), 10.0, 1.0, mode="com",
+                         threshold=bound, max_sweeps=1)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("mode, threshold", [("com", np.inf), ("sen", 0.0)])
 def test_isac_infeasible_start_raises(mode, threshold):
     sc = gen_scenario(13, n_paths=3, wavelength=LAM, kappa=1.0)
