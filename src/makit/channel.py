@@ -206,41 +206,52 @@ class Scenario:
             object.__setattr__(self, "reference_rotation", rot)
 
 
-def _pos3(x) -> np.ndarray:
-    p = np.asarray(x, dtype=float).reshape(-1)
-    if p.size == 2:
-        p = np.append(p, 0.0)
-    if p.size == 1:
-        p = np.array([p[0], 0.0, 0.0])
-    return p.reshape(3)
-
-
-def frv_tx(t, paths: PathSet, wavelength: float) -> np.ndarray:
-    """Field response vector exp(j 2 pi / lambda * k_j^T t), one entry per Tx path."""
-    if wavelength <= 0:
-        raise ValueError("wavelength must be > 0")
-    return np.exp(2j * np.pi / wavelength * (paths.wave_vectors @ _pos3(t)))
-
-
-frv_rx = frv_tx  # identical form on the receive side
+def _position_rows(positions) -> np.ndarray:
+    """The positions frm takes as (N, 3) rows: missing coordinates are 0."""
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 2:
+        pos = pos.reshape(len(pos), -1)
+    if pos.shape[1] == 3:
+        return pos
+    rows = np.zeros((len(pos), 3))
+    rows[:, :pos.shape[1]] = pos
+    return rows
 
 
 def frm(positions, paths: PathSet, wavelength: float) -> np.ndarray:
     """Field response matrix (L x N): column n is the FRV of position n, given as
     an x coordinate or an (x, y) / (x, y, z) point (missing coordinates are 0)."""
-    pos = np.asarray(positions, dtype=float).reshape(len(positions), -1)
-    if pos.shape[1] < 3:
-        pos = np.hstack([pos, np.zeros((len(pos), 3 - pos.shape[1]))])
-    return np.exp(2j * np.pi / wavelength * (paths.wave_vectors @ pos.T))
+    if wavelength <= 0:
+        raise ValueError("wavelength must be > 0")
+    return np.exp(2j * np.pi / wavelength * (paths.wave_vectors @ _position_rows(positions).T))
 
 
-def channel_narrowband(t, r, scenario: Scenario) -> complex:
-    """Baseband channel h = f(r)^H Sigma g(t) between single Tx and Rx antennas."""
+def frv_tx(t, paths: PathSet, wavelength: float) -> np.ndarray:
+    """Field response vector exp(j 2 pi / lambda * k_j^T t), one entry per Tx path:
+    the one-position case of frm."""
+    return frm(np.reshape(t, (1, -1)), paths, wavelength)[:, 0]
+
+
+frv_rx = frv_tx  # identical form on the receive side
+
+
+def channel_narrowband(t, r, scenario: Scenario) -> complex | np.ndarray:
+    """Baseband channel h = f(r)^H Sigma g(t) between single Tx and Rx antennas.
+
+    Paired (M, .) stacks of Tx and Rx positions give the (M,) channels
+    h_m = f(r_m)^H Sigma g(t_m); a single pair gives a complex scalar.
+    """
     if scenario.prm is None:
         raise ValueError("scenario has no narrowband prm")
-    g = frv_tx(t, scenario.tx_paths, scenario.wavelength)
-    f = frv_rx(r, scenario.rx_paths, scenario.wavelength)
-    return complex(f.conj() @ scenario.prm @ g)
+    single = np.ndim(t) < 2 and np.ndim(r) < 2
+    if single:
+        t, r = np.reshape(t, (1, -1)), np.reshape(r, (1, -1))
+    elif np.ndim(t) != 2 or np.ndim(r) != 2 or len(t) != len(r):
+        raise ValueError("give one Tx and one Rx position, or paired (M, d) stacks")
+    g = frm(t, scenario.tx_paths, scenario.wavelength)
+    f = frm(r, scenario.rx_paths, scenario.wavelength)
+    h = np.sum((f.conj().T @ scenario.prm) * g.T, axis=1)
+    return complex(h[0]) if single else h
 
 
 def channel_mimo(tx_positions, rx_positions, scenario: Scenario) -> np.ndarray:
@@ -281,6 +292,8 @@ def cir(t, r, scenario: Scenario) -> np.ndarray:
     """Channel impulse response over delay taps: h_tau = f_tau(r)^H Sigma_tau g_tau(t)."""
     if scenario.prms is None or scenario.bandwidth is None:
         raise ValueError("scenario is not wideband (needs per-tap prms and bandwidth)")
+    g = frv_tx(t, scenario.tx_paths, scenario.wavelength)
+    f = frv_rx(r, scenario.rx_paths, scenario.wavelength)
     tx_groups = _tap_groups(scenario.tx_paths, scenario.bandwidth)
     rx_groups = _tap_groups(scenario.rx_paths, scenario.bandwidth)
     n_taps = len(scenario.prms)
@@ -294,11 +307,7 @@ def cir(t, r, scenario: Scenario) -> np.ndarray:
         if sig.shape != (len(ri), len(ti)):
             raise ValueError(f"tap {tau}: prm shape {sig.shape} does not match "
                              f"path grouping ({len(ri)}, {len(ti)})")
-        g = np.exp(2j * np.pi / scenario.wavelength
-                   * (scenario.tx_paths.wave_vectors[ti] @ _pos3(t)))
-        f = np.exp(2j * np.pi / scenario.wavelength
-                   * (scenario.rx_paths.wave_vectors[ri] @ _pos3(r)))
-        out[tau - 1] = f.conj() @ sig @ g
+        out[tau - 1] = f[ri].conj() @ sig @ g[ti]
     return out
 
 
@@ -318,8 +327,7 @@ def cfr(cir_taps, n_subcarriers: int) -> np.ndarray:
 def channel_nearfield(t, r, scenario: Scenario) -> complex:
     """Spherical-wave channel: LoS distance phase plus single-bounce scatterer terms."""
     lam = scenario.wavelength
-    t = _pos3(t)
-    r = _pos3(r)
+    t, r = _position_rows([t])[0], _position_rows([r])[0]
     h = 0.0 + 0.0j
     if scenario.los_amplitude is not None and scenario.los_amplitude != 0:
         if scenario.reference_offset is None:

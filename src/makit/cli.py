@@ -38,14 +38,22 @@ def _load_json(path) -> dict:
 
 
 def _build_scenario(doc: dict, seed_override=None):
-    if "generate" in doc:
-        kw = dict(doc["generate"])
-        seed = kw.pop("seed", 0) if seed_override is None else seed_override
-        try:
+    try:
+        if "generate" in doc:
+            kw = dict(doc["generate"])
+            seed = kw.pop("seed", 0) if seed_override is None else seed_override
             return gen_scenario(seed, **kw)
-        except TypeError as e:
-            raise ConfigError(f"bad scenario generator parameters: {e}") from None
-    return scenario_from_dict(doc)
+        return scenario_from_dict(doc)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad scenario: {e}") from None
+
+
+def _scenario_at(doc: dict, lam: float, seed):
+    """The task's scenario, refused unless it uses the task's wavelength."""
+    sc = _build_scenario(doc, seed)
+    if sc.wavelength != lam:
+        raise ConfigError(f"scenario wavelength {sc.wavelength} != task wavelength {lam}")
+    return sc
 
 
 def _grid_from(doc: dict) -> np.ndarray:
@@ -115,8 +123,8 @@ def _task_widebeam(doc: dict, lam: float, seed) -> dict:
 
 
 def _task_miso_graph(doc: dict, lam: float, seed) -> dict:
-    sc = _build_scenario(doc["scenario"], seed)
-    line = opt.SampledLine.from_channel(_miso_line_channel(sc, lam), doc["aperture"] * lam,
+    sc = _scenario_at(doc["scenario"], lam, seed)
+    line = opt.SampledLine.from_channel(_miso_line_channel(sc), doc["aperture"] * lam,
                                         int(doc["m"]), doc["d_min"] * lam)
     rep = opt.graph_opt_miso(line, int(doc["n"]))
     return {"placement": rep.best_placement.tolist(), "score": rep.best_score,
@@ -179,7 +187,7 @@ def _cmd_sense(doc: dict, out: str | None, seed):
 
 def _cmd_estimate(doc: dict, out: str | None, seed):
     lam = doc.get("wavelength", 1.0)
-    sc = _build_scenario(doc["scenario"], seed)
+    sc = _scenario_at(doc["scenario"], lam, seed)
     side = doc["region_side"] * lam
     try:
         region = MoveRegion.box((side, side, 0.0))
@@ -193,27 +201,32 @@ def _cmd_estimate(doc: dict, out: str | None, seed):
     l = int(doc.get("paths_to_recover", len(sc.tx_paths)))
     base = str(seed if seed is not None else doc.get("seed", 0))
     method = doc.get("method", "successive")
-    h_true = channel_mimo(grid_pts, grid_pts, sc)
-    if method == "successive":
-        ms_t = est.collect_measurements(sc, region, region, "tx-sweep", m // 2, power, sigma2,
-                                        trial_seed(base, 1))
-        ms_r = est.collect_measurements(sc, region, region, "rx-sweep", m // 2, power, sigma2,
-                                        trial_seed(base, 2))
-        fri = est.omp_successive(ms_t, ms_r, g, l, l, lam)
-        h_hat = est.reconstruct_mapping(fri, grid_pts, grid_pts, lam)
-    elif method == "joint":
-        ms = est.collect_measurements(sc, region, region, "paired", m, power, sigma2,
-                                      trial_seed(base, 3))
-        fri = est.omp_joint(ms, g, l * l, lam)
-        h_hat = est.reconstruct_mapping(fri, grid_pts, grid_pts, lam)
-    elif method == "nearest":
+    if method not in ("successive", "joint", "nearest"):
+        raise ConfigError(f"unknown estimation method {method!r}")
+    for name, value in (("measurements", m), ("grid", g), ("paths_to_recover", l)):
+        if value < 1:
+            raise ConfigError(f"{name!r} must be >= 1, got {value}")
+    if method == "nearest":
         ms = est.collect_measurements(sc, region, region, "rx-sweep", m, power, sigma2,
                                       trial_seed(base, 4))
-        col = est.nearest_measured_reconstruct(ms, grid_pts)
-        h_true = np.array([channel_narrowband(np.zeros(3), q, sc) for q in grid_pts])
-        h_hat = col
+        h_true = channel_narrowband(np.zeros_like(grid_pts), grid_pts, sc)
+        h_hat = est.nearest_measured_reconstruct(ms, grid_pts)
     else:
-        raise ConfigError(f"unknown estimation method {method!r}")
+        try:
+            if method == "successive":
+                ms_t = est.collect_measurements(sc, region, region, "tx-sweep", m // 2, power,
+                                                sigma2, trial_seed(base, 1))
+                ms_r = est.collect_measurements(sc, region, region, "rx-sweep", m // 2, power,
+                                                sigma2, trial_seed(base, 2))
+                fri = est.omp_successive(ms_t, ms_r, g, l, l, lam)
+            else:
+                ms = est.collect_measurements(sc, region, region, "paired", m, power, sigma2,
+                                              trial_seed(base, 3))
+                fri = est.omp_joint(ms, g, l * l, lam)
+        except ValueError as e:
+            raise ConfigError(f"cannot recover {l} paths with method {method!r}: {e}") from None
+        h_true = channel_mimo(grid_pts, grid_pts, sc)
+        h_hat = est.reconstruct_mapping(fri, grid_pts, grid_pts, lam)
     score = est.nmse(h_true, h_hat)
     table = ResultTable(columns=["nmse"], rows=[[score]],
                         metadata={"method": method, "measurements": m, "grid": g})

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 JOINT_ATOM_CAP = 2 ** 24
+_JOINT_BLOCK = 512  # Tx atoms per block of the joint correlation
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,12 @@ def uv_grid(g: int) -> np.ndarray:
     return -1.0 + 2.0 * np.arange(1, g + 1) / g
 
 
+def _uv_pairs(g: int) -> np.ndarray:
+    """(G^2, 2) grid of (u, v) pairs; flat index = u-index + G * v-index."""
+    grid = uv_grid(g)
+    return np.column_stack([np.tile(grid, g), np.repeat(grid, g)])
+
+
 def collect_measurements(scenario: Scenario, tx_region: MoveRegion, rx_region: MoveRegion,
                          schedule: str, count: int, power: float, noise_power: float,
                          seed) -> MeasurementSet:
@@ -115,8 +122,7 @@ def collect_measurements(scenario: Scenario, tx_region: MoveRegion, rx_region: M
         r = rx_region.sample(rng, count)
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
-    h = np.array([channel_narrowband(t[m], r[m], scenario) for m in range(count)])
-    y = math.sqrt(power) * h
+    y = math.sqrt(power) * channel_narrowband(t, r, scenario)
     if noise_power > 0:
         y = y + math.sqrt(noise_power / 2.0) * (rng.standard_normal(count)
                                                 + 1j * rng.standard_normal(count))
@@ -125,12 +131,44 @@ def collect_measurements(scenario: Scenario, tx_region: MoveRegion, rx_region: M
 
 def _tx_atoms(uv: np.ndarray, positions: np.ndarray, wavelength: float) -> np.ndarray:
     """(n_atoms, M) entries exp(+j 2 pi/lambda uv . t_m)."""
-    return np.exp(2j * np.pi / wavelength * uv @ positions[:, :2].T)
+    phase = 2j * np.pi / wavelength * (uv @ positions[:, :2].T)
+    return np.exp(phase, out=phase)
 
 
 def _rx_atoms(uv: np.ndarray, positions: np.ndarray, wavelength: float) -> np.ndarray:
     """(n_atoms, M) entries exp(-j 2 pi/lambda uv . r_m): the receive side is conjugated."""
-    return np.exp(-2j * np.pi / wavelength * uv @ positions[:, :2].T)
+    phase = -2j * np.pi / wavelength * (uv @ positions[:, :2].T)
+    return np.exp(phase, out=phase)
+
+
+def _pursuit(y: np.ndarray, n_atoms: int, noise_power: float, best_atom, sub_dictionary):
+    """Greedy loop of omp and omp_joint, with omp's stop rules and return values.
+
+    best_atom(res, chosen) gives (atom, |correlation|) of the atom outside
+    `chosen` most correlated with the residual (atom None when none is left);
+    sub_dictionary(chosen) gives the (M, k) columns of the chosen atoms.
+    """
+    m = len(y)
+    y_norm = np.linalg.norm(y)
+    stop = 1.1 * math.sqrt(m * noise_power)
+    res = y.copy()
+    chosen: list = []
+    converged = True
+    coef = np.zeros(0, dtype=complex)
+    for _ in range(n_atoms):
+        if np.linalg.norm(res) <= max(stop, 1e-12 * y_norm):
+            break
+        atom, val = best_atom(res, chosen)
+        if atom is None or val <= 1e-12 * y_norm * math.sqrt(m):
+            converged = False
+            break
+        chosen.append(atom)
+        sub = sub_dictionary(chosen)
+        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
+        res = y - sub @ coef
+    if len(chosen) < n_atoms and np.linalg.norm(res) > max(stop, 1e-12):
+        converged = False
+    return chosen, coef, float(np.linalg.norm(res)), converged
 
 
 def omp(dictionary: np.ndarray, y: np.ndarray, n_atoms: int, noise_power: float = 0.0):
@@ -142,35 +180,21 @@ def omp(dictionary: np.ndarray, y: np.ndarray, n_atoms: int, noise_power: float 
     atom index.  Returns (indices, coefficients, residual_norm, converged).
     """
     a = np.asarray(dictionary, dtype=complex)
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    m = len(y)
-    stop = 1.1 * math.sqrt(m * noise_power)
-    res = y.copy()
-    chosen: list[int] = []
-    converged = True
-    coef = np.zeros(0, dtype=complex)
-    for _ in range(n_atoms):
-        if np.linalg.norm(res) <= max(stop, 1e-12 * np.linalg.norm(y)):
-            break
+
+    def best_atom(res, chosen):
         corr = np.abs(a.conj().T @ res)
         corr[chosen] = -1.0
         j = int(np.argmax(corr))
-        if corr[j] <= 1e-12 * np.linalg.norm(y) * math.sqrt(m):
-            converged = False
-            break
-        chosen.append(j)
-        sub = a[:, chosen]
-        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        res = y - sub @ coef
-    if len(chosen) < n_atoms and converged and np.linalg.norm(res) > max(stop, 1e-12):
-        converged = False
-    return np.array(chosen, dtype=int), coef, float(np.linalg.norm(res)), converged
+        return j, corr[j]
+
+    chosen, coef, residual, converged = _pursuit(np.asarray(y, dtype=complex).reshape(-1),
+                                                 n_atoms, noise_power, best_atom,
+                                                 lambda chosen: a[:, chosen])
+    return np.array(chosen, dtype=int), coef, residual, converged
 
 
 def _side_recovery(ms: MeasurementSet, side: str, g: int, n_paths: int, wavelength: float):
-    grid = uv_grid(g)
-    uu, vv = np.meshgrid(grid, grid, indexing="ij")  # flat index = u-index + G * v-index
-    uv = np.column_stack([uu.ravel(order="F"), vv.ravel(order="F")])
+    uv = _uv_pairs(g)
     if side == "tx":
         atoms = _tx_atoms(uv, ms.tx_positions, wavelength)
     else:
@@ -237,59 +261,40 @@ def omp_successive(ms_tx: MeasurementSet, ms_rx: MeasurementSet, g: int,
                        converged=ok_t and ok_r, rank_deficient=rank < l, poor_fit=poor)
 
 
-def omp_joint(ms: MeasurementSet, g: int, n_paths: int, wavelength: float,
-              block: int = 512) -> FriEstimate:
+def omp_joint(ms: MeasurementSet, g: int, n_paths: int, wavelength: float) -> FriEstimate:
     """Joint recovery of Tx/Rx spatial-frequency pairs and PRM entries.
 
     The dictionary is the elementwise product of every Tx atom with every Rx
-    atom (G^4 combined atoms, generated lazily in blocks); coefficients of
-    the selected atoms are the scaled PRM entries.
+    atom (G^4 combined atoms, correlated lazily in blocks of Tx atoms);
+    coefficients of the selected atoms are the scaled PRM entries.
     """
     if g ** 4 > JOINT_ATOM_CAP:
         raise ValueError(f"G^4 = {g ** 4} atoms exceed the {JOINT_ATOM_CAP} cap; use a smaller grid")
     if len(ms) < n_paths:
         raise ValueError("need at least as many measurements as atoms to recover")
-    grid = uv_grid(g)
-    uu, vv = np.meshgrid(grid, grid, indexing="ij")
-    uv = np.column_stack([uu.ravel(order="F"), vv.ravel(order="F")])
+    uv = _uv_pairs(g)
     at = _tx_atoms(uv, ms.tx_positions, wavelength)  # (G^2, M)
     ar = _rx_atoms(uv, ms.rx_positions, wavelength)  # (G^2, M)
-    m = len(ms)
-    y = ms.pilots
-    stop = 1.1 * math.sqrt(m * ms.noise_power)
-    res = y.copy()
-    chosen: list[tuple[int, int]] = []
-    cols: list[np.ndarray] = []
-    coef = np.zeros(0, dtype=complex)
-    converged = True
-    n2 = at.shape[0]
-    for _ in range(n_paths):
-        if np.linalg.norm(res) <= max(stop, 1e-12 * np.linalg.norm(y)):
-            break
+
+    def best_pair(res, chosen):
         best_val, best_pq = -1.0, None
-        for p0 in range(0, n2, block):
-            p1 = min(p0 + block, n2)
-            corr = np.abs((at[p0:p1].conj() * res[None, :]) @ ar.conj().T)
+        for p0 in range(0, len(at), _JOINT_BLOCK):
+            corr = np.abs((at[p0:p0 + _JOINT_BLOCK].conj() * res[None, :]) @ ar.conj().T)
             for (pp, qq) in chosen:
-                if p0 <= pp < p1:
+                if p0 <= pp < p0 + len(corr):
                     corr[pp - p0, qq] = -1.0
             flat = int(np.argmax(corr))
             val = float(corr.ravel()[flat])
             if val > best_val + 1e-15:
                 best_val = val
                 best_pq = (p0 + flat // corr.shape[1], flat % corr.shape[1])
-        if best_pq is None or best_val <= 1e-12 * np.linalg.norm(y) * math.sqrt(m):
-            converged = False
-            break
-        chosen.append(best_pq)
-        cols.append(at[best_pq[0]] * ar[best_pq[1]])
-        sub = np.stack(cols, axis=1)
-        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        res = y - sub @ coef
+        return best_pq, best_val
+
+    chosen, coef, residual, converged = _pursuit(
+        ms.pilots, n_paths, ms.noise_power, best_pair,
+        lambda chosen: np.stack([at[p] * ar[q] for p, q in chosen], axis=1))
     if not chosen:
         raise ValueError("joint recovery selected no atoms")
-    if len(chosen) < n_paths and np.linalg.norm(res) > max(stop, 1e-12):
-        converged = False
 
     tx_idx = sorted({pq[0] for pq in chosen})
     rx_idx = sorted({pq[1] for pq in chosen})
@@ -297,7 +302,7 @@ def omp_joint(ms: MeasurementSet, g: int, n_paths: int, wavelength: float,
     for (pp, qq), c in zip(chosen, coef):
         prm[rx_idx.index(qq), tx_idx.index(pp)] = c / math.sqrt(ms.power)
     return FriEstimate(tx_uv=uv[tx_idx], rx_uv=uv[rx_idx], prm=prm,
-                       residual=float(np.linalg.norm(res)), converged=converged)
+                       residual=residual, converged=converged)
 
 
 def ls_prm(tx_positions, rx_positions, pilots, tx_uv, rx_uv, power: float,

@@ -25,7 +25,7 @@ from . import estimate as est
 from . import optimize as opt
 from . import sensing as sn
 from .channel import (PathSet, RadiationPattern, Scenario, _rician_diagonal, channel_mimo,
-                      channel_narrowband, gen_scenario, prm_6dma, redraw_prm_phases,
+                      channel_narrowband, frv_tx, gen_scenario, prm_6dma, redraw_prm_phases,
                       sample_directions, tap_of_delay)
 from .errors import ConfigError
 from .geometry import MoveRegion, aom_from_euler
@@ -233,7 +233,7 @@ def _gain_field_minmax(k_vectors, b, side, step, wavelength):
     return float(p.max()), float(p.min()), float(p[0, 0])
 
 
-def _miso_line_channel(scenario: Scenario, wavelength: float):
+def _miso_line_channel(scenario: Scenario):
     """Channel h(x) of a transmit antenna at (x, 0, 0), the receive antenna at its reference point.
 
     h(x) = b^H g(x) with receive-side coefficients b = PRM @ 1 (all-ones FRV at the origin).
@@ -241,8 +241,7 @@ def _miso_line_channel(scenario: Scenario, wavelength: float):
     b = scenario.prm @ np.ones(len(scenario.tx_paths), dtype=complex)
 
     def h_at(x):
-        g = np.exp(2j * np.pi / wavelength * scenario.tx_paths.wave_vectors[:, 0] * x)
-        return complex(np.conj(b) @ g)
+        return complex(np.conj(b) @ frv_tx((x, 0.0, 0.0), scenario.tx_paths, scenario.wavelength))
 
     return h_at
 
@@ -297,11 +296,6 @@ def _wideband_gain_minmax(rng, params, k, b, side, lam):
     return float(p.max()), float(p.min()), float(p[0])
 
 
-def _fin_siso_bounds(params, payloads):
-    cols = ["trial", "max_gain", "min_gain", "upper_bound", "lower_bound", "fpa_gain"]
-    return cols, payloads
-
-
 def _trial_dof(params, seed, idx):
     lam = params["wavelength"]
     rng = np.random.default_rng(seed)
@@ -346,13 +340,6 @@ def _trial_dof(params, seed, idx):
     return flat
 
 
-def _fin_dof(params, payloads):
-    cols = ["trial",
-            "iso_fpa", "iso_pos", "iso_orient", "iso_joint",
-            "dir_fpa", "dir_pos", "dir_orient", "dir_joint"]
-    return cols, payloads
-
-
 def _trial_beam_null(params, seed, idx):
     lam = params["wavelength"]
     n = int(params["n"])
@@ -378,10 +365,6 @@ def _trial_beam_null(params, seed, idx):
     return [g[0], np.max(g[1:]), g_fpa[0], np.max(g_fpa[1:])]
 
 
-def _fin_beam_null(params, payloads):
-    return ["gain_theta0", "max_null_gain", "fpa_gain_theta0", "fpa_max_null_gain"], payloads
-
-
 def _trial_beam_multi(params, seed, idx):
     lam = params["wavelength"]
     n = int(params["n"])
@@ -392,10 +375,6 @@ def _trial_beam_multi(params, seed, idx):
     x_fpa = opt.fpa_ula(n, lam)
     _, g_fpa = opt.max_min_awv(x_fpa, thetas, lam, analog=bool(params["analog"]), seed=seed)
     return [rep.best_score, g_fpa]
-
-
-def _fin_beam_multi(params, payloads):
-    return ["ma_max_min_gain", "fpa_max_min_gain"], payloads
 
 
 def _trial_beam_wide(params, seed, idx):
@@ -413,10 +392,6 @@ def _trial_beam_wide(params, seed, idx):
     return [rep.extra["verified_min_gain"], g_fpa]
 
 
-def _fin_beam_wide(params, payloads):
-    return ["ma_min_gain", "fpa_min_gain"], payloads
-
-
 def _trial_miso_graph(params, seed, idx):
     lam = params["wavelength"]
     a = params["aperture"] * lam
@@ -425,7 +400,7 @@ def _trial_miso_graph(params, seed, idx):
     m = int(params["m"])
     sc = gen_scenario(seed, n_paths=int(params["n_paths"]), wavelength=lam,
                       kappa=params["kappa"])
-    h_at = _miso_line_channel(sc, lam)
+    h_at = _miso_line_channel(sc)
     line = opt.SampledLine.from_channel(h_at, a, m, dmin)
     rep = opt.graph_opt_miso(line, n)
 
@@ -435,10 +410,6 @@ def _trial_miso_graph(params, seed, idx):
     vals = np.sort([abs(h_at(x)) ** 2 for x in cand])
     score_as = float(vals[-n:].sum())
     return [float(idx), float(m), rep.best_score, score_fpa, score_as]
-
-
-def _fin_miso_graph(params, payloads):
-    return ["trial", "m", "score_graph", "score_fpa", "score_as"], payloads
 
 
 def _trial_mimo_capacity(params, seed, idx):
@@ -461,10 +432,6 @@ def _trial_mimo_capacity(params, seed, idx):
     rep = opt.mimo_position_ao(sc, region, region, t0, r0, power, sigma2,
                                max_sweeps=int(params["max_sweeps"]))
     return [float(idx), params["snr_db"], rep.best_score, cap_dense, cap_sparse]
-
-
-def _fin_mimo_capacity(params, payloads):
-    return ["trial", "snr_db", "cap_ma", "cap_dense", "cap_sparse"], payloads
 
 
 def _trial_multiuser(params, seed, idx):
@@ -504,11 +471,6 @@ def _trial_multiuser(params, seed, idx):
     return [float(idx), params["kappa"], rep.best_score, stat_rate, r_dense, r_sparse]
 
 
-def _fin_multiuser(params, payloads):
-    return ["trial", "kappa", "rate_ma_inst", "rate_ma_stat", "rate_dense",
-            "rate_sparse"], payloads
-
-
 def _music_mse_once(placement, u_true, snr_db, snapshots, seed, lam):
     power = 1.0
     sigma2 = power / 10.0 ** (snr_db / 10.0)
@@ -544,7 +506,7 @@ def _fin_sensing_1d(params, payloads):
         mse = float(np.mean(arr[:, 1 + 2 * pid]))
         crb = float(np.mean(arr[:, 2 + 2 * pid]))
         rows.append([params["snr_db"], float(pid), mse, crb, float(len(payloads))])
-    return ["snr_db", "placement_id", "mse", "crb", "trials"], rows
+    return rows
 
 
 def _trial_sensing_2d(params, seed, idx):
@@ -558,10 +520,6 @@ def _trial_sensing_2d(params, seed, idx):
             / (8.0 * np.pi ** 2 * params["snapshots"] * power * n * abs(params["beta"]) ** 2))
     rep = opt.sensing_2d_ao(n, (side, side), dmin, metric="max", coef=coef)
     return [rep.best_score, rep.extra["lower_bound"], rep.extra["gap_db"]]
-
-
-def _fin_sensing_2d(params, payloads):
-    return ["achieved_max_crb", "lower_bound", "gap_db"], payloads
 
 
 def _trial_isac(params, seed, idx):
@@ -591,8 +549,7 @@ def _trial_isac(params, seed, idx):
 
 
 def _fin_isac(params, payloads):
-    rows = [r for trial_rows in payloads for r in trial_rows]
-    return ["crb_scale", "capacity", "crb", "threshold"], rows
+    return [r for trial_rows in payloads for r in trial_rows]
 
 
 def _separated_uv(rng, candidates, l, min_sep, max_tries=5000):
@@ -657,10 +614,6 @@ def _trial_estimation_nmse(params, seed, idx):
     return [float(idx), params["snr_db"], e_s, e_j]
 
 
-def _fin_estimation_nmse(params, payloads):
-    return ["trial", "snr_db", "nmse_successive", "nmse_joint"], payloads
-
-
 def _trial_estimation_region(params, seed, idx):
     """Model-based versus copy-nearest reconstruction on one line-segment draw.
 
@@ -690,22 +643,16 @@ def _trial_estimation_region(params, seed, idx):
     ax = np.arange(0.0, size + params["eval_step"] * lam / 2, params["eval_step"] * lam)
     queries = np.zeros((len(ax), 3))
     queries[:, 0] = ax
-    h_true = np.array([channel_narrowband(np.zeros(3), q, sc) for q in queries])
+    h_true = channel_narrowband(np.zeros_like(queries), queries, sc)
 
     # model-based: sparse recovery of receive-side frequencies and coefficients
-    grid = est.uv_grid(g)
-    atoms = np.exp(-2j * np.pi / lam * np.outer(ms.rx_positions[:, 0], grid))
-    sel, coef, _, _ = est.omp(atoms, ms.pilots, l_dom, sigma2)
-    b_hat = coef / np.sqrt(power)
-    h_model = np.exp(-2j * np.pi / lam * np.outer(ax, grid[sel])) @ b_hat
+    uv = np.column_stack([est.uv_grid(g), np.zeros(g)])
+    sel, coef, _, _ = est.omp(est._rx_atoms(uv, ms.rx_positions, lam).T, ms.pilots, l_dom, sigma2)
+    h_model = est._rx_atoms(uv[sel], queries, lam).T @ (coef / np.sqrt(power))
 
     h_free = est.nearest_measured_reconstruct(ms, queries)
     return [float(idx), params["region_size"],
             est.nmse(h_true, h_model), est.nmse(h_true, h_free)]
-
-
-def _fin_estimation_region(params, payloads):
-    return ["trial", "region_size", "nmse_model_based", "nmse_model_free"], payloads
 
 
 # ---------------------------------------------------------------------------
@@ -713,23 +660,27 @@ def _fin_estimation_region(params, payloads):
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """Catalog entry; table rows are the trial payloads unless finalize(params, payloads) is set."""
+
     trial: callable
-    finalize: callable
+    columns: tuple[str, ...]
     defaults: dict
     doc: str
     notes: str
+    finalize: callable | None = None
 
 
 CATALOG: dict[str, CatalogEntry] = {}
 
 
-def _register(name, trial, finalize, defaults, doc, notes=""):
-    CATALOG[name] = CatalogEntry(trial=trial, finalize=finalize, defaults=defaults,
-                                 doc=doc, notes=notes)
+def _register(name, trial, columns, defaults, doc, notes="", finalize=None):
+    CATALOG[name] = CatalogEntry(trial=trial, columns=columns, defaults=defaults,
+                                 doc=doc, notes=notes, finalize=finalize)
 
 
 _register(
-    "siso-gain-bounds", _trial_siso_bounds, _fin_siso_bounds,
+    "siso-gain-bounds", _trial_siso_bounds,
+    ("trial", "max_gain", "min_gain", "upper_bound", "lower_bound", "fpa_gain"),
     {"n_paths": 4, "region_side": 5.0, "grid_step": 0.05, "wavelength": 1.0,
      "angle_law": "halfspace", "min_sep_bins": 2.0, "bandwidth": 0.0,
      "subcarriers": 64, "max_delay": 3e-7},
@@ -739,7 +690,8 @@ _register(
     "apart so the bounds are attainable inside the finite region; set 0 to disable.",
 )
 _register(
-    "siso-ma-vs-fpa", _trial_siso_bounds, _fin_siso_bounds,
+    "siso-ma-vs-fpa", _trial_siso_bounds,
+    ("trial", "max_gain", "min_gain", "upper_bound", "lower_bound", "fpa_gain"),
     {"n_paths": 15, "region_side": 2.0, "grid_step": 0.05, "wavelength": 1.0,
      "angle_law": "halfspace", "min_sep_bins": 0.0, "bandwidth": 0.0,
      "subcarriers": 64, "max_delay": 3e-7},
@@ -747,7 +699,9 @@ _register(
     "Reference curves average many more trials over a range of region sizes.",
 )
 _register(
-    "dof-gain", _trial_dof, _fin_dof,
+    "dof-gain", _trial_dof,
+    ("trial", "iso_fpa", "iso_pos", "iso_orient", "iso_joint", "dir_fpa", "dir_pos",
+     "dir_orient", "dir_joint"),
     {"n_paths": 4, "region_side": 10.0, "grid_step": 0.25, "orientation_grid": 8,
      "gain_dbi": 6.0, "joint": True, "wavelength": 1.0},
     "Channel power gained by position, orientation, and joint reconfiguration "
@@ -756,33 +710,35 @@ _register(
     "defaults shrink both (documented deviation).",
 )
 _register(
-    "beam-null", _trial_beam_null, _fin_beam_null,
+    "beam-null", _trial_beam_null,
+    ("gain_theta0", "max_null_gain", "fpa_gain_theta0", "fpa_max_null_gain"),
     {"n": 8, "theta0_deg": 90.0, "null_deg": [78.0, 98.0, 170.0], "aperture": 20.0,
      "d_min": 0.5, "wavelength": 1.0},
     "Full-gain beam with exact nulls from array-geometry design, against the "
     "zero-forcing fixed array.",
 )
 _register(
-    "beam-multibeam", _trial_beam_multi, _fin_beam_multi,
+    "beam-multibeam", _trial_beam_multi, ("ma_max_min_gain", "fpa_max_min_gain"),
     {"n": 8, "theta_deg": [30.0, 120.0, 160.0], "aperture": 20.0, "d_min": 0.5,
      "analog": False, "wavelength": 1.0},
     "Max-min beam gain over several desired directions versus the fixed array.",
 )
 _register(
-    "beam-widebeam", _trial_beam_wide, _fin_beam_wide,
+    "beam-widebeam", _trial_beam_wide, ("ma_min_gain", "fpa_min_gain"),
     {"n": 8, "theta_min_deg": 0.0, "theta_max_deg": 180.0, "subregions": 24,
      "aperture": 20.0, "d_min": 0.5, "wavelength": 1.0},
     "Minimum analog beam gain over a continuous angular region versus the fixed array.",
 )
 _register(
-    "miso-graph", _trial_miso_graph, _fin_miso_graph,
+    "miso-graph", _trial_miso_graph, ("trial", "m", "score_graph", "score_fpa", "score_as"),
     {"n": 8, "m": 48, "aperture": 8.0, "d_min": 0.5, "n_paths": 7, "kappa": 0.0,
      "wavelength": 1.0},
     "Received power of the optimal sampled-line placement versus fixed arrays "
     "with and without antenna selection.",
 )
 _register(
-    "mimo-capacity", _trial_mimo_capacity, _fin_mimo_capacity,
+    "mimo-capacity", _trial_mimo_capacity,
+    ("trial", "snr_db", "cap_ma", "cap_dense", "cap_sparse"),
     {"n_t": 4, "n_r": 4, "n_paths": 6, "kappa": 1.0, "region_side": 3.0, "d_min": 0.5,
      "snr_db": 10.0, "sparse_spacing": 3.0, "max_sweeps": 12, "wavelength": 1.0},
     "Optimized movable-array MIMO capacity against dense and sparse planar baselines.",
@@ -790,7 +746,8 @@ _register(
     "instantaneous channel draw.",
 )
 _register(
-    "multiuser-rate", _trial_multiuser, _fin_multiuser,
+    "multiuser-rate", _trial_multiuser,
+    ("trial", "kappa", "rate_ma_inst", "rate_ma_stat", "rate_dense", "rate_sparse"),
     {"k": 4, "n_r": 9, "n_paths": 6, "kappa": 10.0, "region_side": 4.0, "d_min": 0.5,
      "snr_db": 10.0, "sparse_spacing": 2.0, "stat_draws": 10, "max_sweeps": 8,
      "wavelength": 1.0},
@@ -800,29 +757,32 @@ _register(
     "gains; desk-scale defaults shrink users/antennas and use unit gains.",
 )
 _register(
-    "sensing-1d-mse", _trial_sensing_1d, _fin_sensing_1d,
+    "sensing-1d-mse", _trial_sensing_1d, ("snr_db", "placement_id", "mse", "crb", "trials"),
     {"n": 16, "aperture": 10.0, "d_min": 0.5, "u": 0.71, "snapshots": 1,
      "snr_db": 20.0, "wavelength": 1.0},
     "Direction-estimation MSE (subspace estimator) and CRB for the optimal, dense, "
     "and sparse linear placements.",
+    finalize=_fin_sensing_1d,
 )
 _register(
-    "sensing-2d-crb", _trial_sensing_2d, _fin_sensing_2d,
+    "sensing-2d-crb", _trial_sensing_2d, ("achieved_max_crb", "lower_bound", "gap_db"),
     {"n": 36, "side": 5.0, "d_min": 0.5, "snapshots": 16, "snr_db": 10.0,
      "beta": 1.0, "wavelength": 1.0},
     "Optimized planar-array worst-axis CRB against the aperture lower bound.",
 )
 _register(
-    "isac-tradeoff", _trial_isac, _fin_isac,
+    "isac-tradeoff", _trial_isac, ("crb_scale", "capacity", "crb", "threshold"),
     {"n_t": 4, "n_r": 16, "n_paths": 6, "kappa": 1.0, "region_side": 5.0, "d_min": 0.5,
      "snr_db": 15.0, "snapshots": 16, "beta": 1.0,
      "crb_scale_list": [1.0, 1.5, 2.0, 4.0, 8.0], "max_sweeps": 10, "wavelength": 1.0},
     "Capacity versus sensing-CRB threshold trade-off for a shared receive array.",
     "Thresholds are swept loosest-last with warm starts so the capacity curve is "
     "nondecreasing in the threshold.",
+    finalize=_fin_isac,
 )
 _register(
-    "estimation-nmse", _trial_estimation_nmse, _fin_estimation_nmse,
+    "estimation-nmse", _trial_estimation_nmse,
+    ("trial", "snr_db", "nmse_successive", "nmse_joint"),
     {"n_paths": 2, "grid": 16, "region_side": 3.0, "measurements": 128, "snr_db": 25.0,
      "kappa": 0.5, "on_grid": True, "min_sep_cells": 3.0, "eval_step": 0.2,
      "wavelength": 1.0},
@@ -832,7 +792,8 @@ _register(
     "over the measurement region.",
 )
 _register(
-    "estimation-region", _trial_estimation_region, _fin_estimation_region,
+    "estimation-region", _trial_estimation_region,
+    ("trial", "region_size", "nmse_model_based", "nmse_model_free"),
     {"dominant_paths": 2, "diffuse_paths": 10, "diffuse_power": 0.15, "grid": 64,
      "region_size": 2.0, "measurements": 50, "snr_db": 20.0, "eval_step": 0.2,
      "wavelength": 1.0},
@@ -894,7 +855,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
                 payloads = list(pool.map(_run_one, jobs))
         else:
             payloads = [_run_one(j) for j in jobs]
-        cols, rows = entry.finalize(params, payloads)
+        cols = list(entry.columns)
+        rows = entry.finalize(params, payloads) if entry.finalize else payloads
         if var is not None and var not in cols:
             cols = [var] + cols
             rows = [[float(sv)] + list(r) for r in rows]

@@ -1,0 +1,251 @@
+"""Stacked channel evaluation and the shared pursuit loop against the code they replaced.
+
+The reference functions below are the earlier implementations, kept here
+only as oracles: a field-response vector built from a per-point coordinate
+rule, one channel_narrowband call per measurement, and the two separately
+written greedy loops of omp and omp_joint.  The stacked channel sums in
+another order, so it matches within 1e-12; the pursuit loop does the same
+arithmetic in the same order, so it matches bitwise.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from makit import estimate
+from makit.channel import PathSet, Scenario, channel_narrowband, frv_tx, sample_directions
+from makit.estimate import MeasurementSet, omp, omp_joint, uv_grid
+
+ATOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+def ref_pos3(x):
+    p = np.asarray(x, dtype=float).reshape(-1)
+    if p.size == 2:
+        p = np.append(p, 0.0)
+    if p.size == 1:
+        p = np.array([p[0], 0.0, 0.0])
+    return p.reshape(3)
+
+
+def ref_frv_tx(t, paths, wavelength):
+    return np.exp(2j * np.pi / wavelength * (paths.wave_vectors @ ref_pos3(t)))
+
+
+def ref_channel_narrowband(t, r, scenario):
+    g = ref_frv_tx(t, scenario.tx_paths, scenario.wavelength)
+    f = ref_frv_tx(r, scenario.rx_paths, scenario.wavelength)
+    return complex(f.conj() @ scenario.prm @ g)
+
+
+def ref_omp(dictionary, y, n_atoms, noise_power=0.0):
+    a = np.asarray(dictionary, dtype=complex)
+    y = np.asarray(y, dtype=complex).reshape(-1)
+    m = len(y)
+    stop = 1.1 * math.sqrt(m * noise_power)
+    res = y.copy()
+    chosen = []
+    converged = True
+    coef = np.zeros(0, dtype=complex)
+    for _ in range(n_atoms):
+        if np.linalg.norm(res) <= max(stop, 1e-12 * np.linalg.norm(y)):
+            break
+        corr = np.abs(a.conj().T @ res)
+        corr[chosen] = -1.0
+        j = int(np.argmax(corr))
+        if corr[j] <= 1e-12 * np.linalg.norm(y) * math.sqrt(m):
+            converged = False
+            break
+        chosen.append(j)
+        sub = a[:, chosen]
+        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
+        res = y - sub @ coef
+    if len(chosen) < n_atoms and converged and np.linalg.norm(res) > max(stop, 1e-12):
+        converged = False
+    return np.array(chosen, dtype=int), coef, float(np.linalg.norm(res)), converged
+
+
+def ref_omp_joint(ms, g, n_paths, wavelength, block=512):
+    grid = uv_grid(g)
+    uu, vv = np.meshgrid(grid, grid, indexing="ij")
+    uv = np.column_stack([uu.ravel(order="F"), vv.ravel(order="F")])
+    at = estimate._tx_atoms(uv, ms.tx_positions, wavelength)
+    ar = estimate._rx_atoms(uv, ms.rx_positions, wavelength)
+    m = len(ms)
+    y = ms.pilots
+    stop = 1.1 * math.sqrt(m * ms.noise_power)
+    res = y.copy()
+    chosen = []
+    cols = []
+    coef = np.zeros(0, dtype=complex)
+    converged = True
+    n2 = at.shape[0]
+    for _ in range(n_paths):
+        if np.linalg.norm(res) <= max(stop, 1e-12 * np.linalg.norm(y)):
+            break
+        best_val, best_pq = -1.0, None
+        for p0 in range(0, n2, block):
+            p1 = min(p0 + block, n2)
+            corr = np.abs((at[p0:p1].conj() * res[None, :]) @ ar.conj().T)
+            for (pp, qq) in chosen:
+                if p0 <= pp < p1:
+                    corr[pp - p0, qq] = -1.0
+            flat = int(np.argmax(corr))
+            val = float(corr.ravel()[flat])
+            if val > best_val + 1e-15:
+                best_val = val
+                best_pq = (p0 + flat // corr.shape[1], flat % corr.shape[1])
+        if best_pq is None or best_val <= 1e-12 * np.linalg.norm(y) * math.sqrt(m):
+            converged = False
+            break
+        chosen.append(best_pq)
+        cols.append(at[best_pq[0]] * ar[best_pq[1]])
+        sub = np.stack(cols, axis=1)
+        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
+        res = y - sub @ coef
+    if not chosen:
+        raise ValueError("joint recovery selected no atoms")
+    if len(chosen) < n_paths and np.linalg.norm(res) > max(stop, 1e-12):
+        converged = False
+    tx_idx = sorted({pq[0] for pq in chosen})
+    rx_idx = sorted({pq[1] for pq in chosen})
+    prm = np.zeros((len(rx_idx), len(tx_idx)), dtype=complex)
+    for (pp, qq), c in zip(chosen, coef):
+        prm[rx_idx.index(qq), tx_idx.index(pp)] = c / math.sqrt(ms.power)
+    return uv[tx_idx], uv[rx_idx], prm, float(np.linalg.norm(res)), converged
+
+
+# ---------------------------------------------------------------------------
+# field-response vectors and stacked channels
+
+def random_scenario(rng, lt, lr, wavelength):
+    prm = rng.standard_normal((lr, lt)) + 1j * rng.standard_normal((lr, lt))
+    return Scenario(wavelength=wavelength, tx_paths=PathSet(sample_directions(rng, lt)),
+                    rx_paths=PathSet(sample_directions(rng, lr)), prm=prm / math.sqrt(lt * lr))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_paths=st.integers(1, 8), dim=st.integers(1, 3),
+       bare_x=st.booleans(), wavelength=st.sampled_from([0.01, 0.5, 1.0, 3.0]))
+def test_frv_tx_matches_per_point_coordinate_rule(seed, n_paths, dim, bare_x, wavelength):
+    rng = np.random.default_rng(seed)
+    paths = PathSet(sample_directions(rng, n_paths, "sphere"))
+    t = rng.uniform(-5, 5, dim) * wavelength
+    point = float(t[0]) if bare_x else t
+    np.testing.assert_allclose(frv_tx(point, paths, wavelength),
+                               ref_frv_tx(point, paths, wavelength), rtol=0, atol=ATOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), lt=st.integers(1, 5), lr=st.integers(1, 5),
+       m=st.integers(0, 40), dim_t=st.integers(1, 3), dim_r=st.integers(1, 3),
+       wavelength=st.sampled_from([0.5, 1.0, 2.0]))
+def test_stacked_narrowband_matches_per_point_loop(seed, lt, lr, m, dim_t, dim_r, wavelength):
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng, lt, lr, wavelength)
+    t = rng.uniform(0, 4, (m, dim_t))
+    r = rng.uniform(0, 4, (m, dim_r))
+    got = channel_narrowband(t, r, sc)
+    assert got.shape == (m,)
+    want = np.array([ref_channel_narrowband(t[i], r[i], sc) for i in range(m)], dtype=complex)
+    np.testing.assert_allclose(got, want, rtol=0, atol=ATOL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), lt=st.integers(1, 5), lr=st.integers(1, 5),
+       dim_t=st.integers(0, 3), dim_r=st.integers(0, 3))
+def test_single_pair_narrowband_matches_per_point_form(seed, lt, lr, dim_t, dim_r):
+    # dimension 0 is a bare x coordinate
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng, lt, lr, 1.0)
+    t = float(rng.uniform(0, 4)) if dim_t == 0 else rng.uniform(0, 4, dim_t)
+    r = float(rng.uniform(0, 4)) if dim_r == 0 else rng.uniform(0, 4, dim_r)
+    got = channel_narrowband(t, r, sc)
+    assert isinstance(got, complex)
+    assert abs(got - ref_channel_narrowband(t, r, sc)) <= ATOL
+
+
+def test_stacked_narrowband_refuses_unpaired_positions():
+    sc = random_scenario(np.random.default_rng(0), 2, 2, 1.0)
+    with pytest.raises(ValueError, match="paired"):
+        channel_narrowband(np.zeros((3, 3)), np.zeros((4, 3)), sc)
+    with pytest.raises(ValueError, match="paired"):
+        channel_narrowband(np.zeros(3), np.zeros((3, 3)), sc)
+
+
+# ---------------------------------------------------------------------------
+# the shared pursuit loop
+
+def assert_omp_equal(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert got[3] == want[3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 24), d=st.integers(1, 40),
+       sparsity=st.integers(0, 4), n_atoms=st.integers(0, 8),
+       noise_power=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]),
+       repeat_columns=st.booleans())
+def test_omp_matches_reference_loop(seed, m, d, sparsity, n_atoms, noise_power,
+                                    repeat_columns):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    if repeat_columns:  # exact correlation ties
+        a[:, d // 2:] = a[:, :d - d // 2]
+    support = rng.choice(d, size=min(sparsity, d), replace=False)
+    y = a[:, support] @ (rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support)))
+    y = y + math.sqrt(noise_power / 2) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    assert_omp_equal(omp(a, y, n_atoms, noise_power), ref_omp(a, y, n_atoms, noise_power))
+
+
+def on_grid_measurements(rng, g, l, m, noise_power, power):
+    grid = uv_grid(g)
+    uv_t = np.column_stack([rng.choice(grid, l), rng.choice(grid, l)]) * 0.7
+    uv_r = np.column_stack([rng.choice(grid, l), rng.choice(grid, l)]) * 0.7
+    sc = Scenario(wavelength=1.0, tx_paths=PathSet.from_spatial_frequencies(uv_t),
+                  rx_paths=PathSet.from_spatial_frequencies(uv_r),
+                  prm=np.diag(rng.standard_normal(l) + 1j * rng.standard_normal(l)))
+    t = np.column_stack([rng.uniform(0, 3, (m, 2)), np.zeros(m)])
+    r = np.column_stack([rng.uniform(0, 3, (m, 2)), np.zeros(m)])
+    y = math.sqrt(power) * np.array([ref_channel_narrowband(t[i], r[i], sc) for i in range(m)])
+    y = y + math.sqrt(noise_power / 2) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    return MeasurementSet(t, r, y, power, noise_power)
+
+
+def outcome(run):
+    try:
+        return run()
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), g=st.integers(1, 6), l=st.integers(1, 3),
+       m=st.integers(4, 40), n_paths=st.integers(1, 9),
+       noise_power=st.sampled_from([0.0, 1e-4, 1e-1]), power=st.sampled_from([1.0, 4.0]),
+       block=st.sampled_from([None, 1, 3, 7]))
+def test_omp_joint_matches_reference_loop(seed, g, l, m, n_paths, noise_power, power, block):
+    rng = np.random.default_rng(seed)
+    ms = on_grid_measurements(rng, g, l, max(m, n_paths), noise_power, power)
+    size = estimate._JOINT_BLOCK if block is None else block
+
+    def joint():
+        with mock.patch.object(estimate, "_JOINT_BLOCK", size):
+            fri = omp_joint(ms, g, n_paths, 1.0)
+        return fri.tx_uv, fri.rx_uv, fri.prm, fri.residual, fri.converged
+
+    got, want = outcome(joint), outcome(lambda: ref_omp_joint(ms, g, n_paths, 1.0, block=size))
+    assert type(got) is type(want)
+    if isinstance(want, str):  # both selected no atoms
+        assert got == want
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -69,6 +69,26 @@ def test_frm_columnwise_oracle():
         assert np.allclose(m[:, n], frv_tx(pos[n], sc.tx_paths, LAM))
 
 
+@pytest.mark.parametrize("short, full", [
+    (0.37, (0.37, 0.0, 0.0)),
+    ((0.37, -0.21), (0.37, -0.21, 0.0)),
+    ((0.37, -0.21, 0.0), (0.37, -0.21, 0.0)),
+], ids=["x", "xy", "xy0"])
+def test_coordinate_rule_shared_by_every_channel(short, full):
+    """A bare x is the point (x, 0, 0) and (x, y) is (x, y, 0), on either side of every channel."""
+    narrow = random_scenario(20)
+    wide = random_scenario(21, bandwidth=1e6, max_delay=2.5e-6)
+    near = random_scenario(22, nearfield=True, scatterer_radius=3.0, los_amplitude=0.5 + 0.2j)
+    r_short, r_full = np.multiply(short, -1.3), np.multiply(full, -1.3)
+    assert np.array_equal(frv_tx(short, narrow.tx_paths, LAM), frv_tx(full, narrow.tx_paths, LAM))
+    assert np.array_equal(cir(short, r_short, wide), cir(full, r_full, wide))
+    assert channel_nearfield(short, r_short, near) == channel_nearfield(full, r_full, near)
+    stacks = [np.tile(np.atleast_1d(p), (4, 1)) for p in (short, r_short, full, r_full)]
+    stacked = channel_narrowband(stacks[0], stacks[1], narrow)
+    assert np.array_equal(stacked, channel_narrowband(stacks[2], stacks[3], narrow))
+    assert np.allclose(stacked, channel_narrowband(full, r_full, narrow), rtol=0, atol=1e-12)
+
+
 # --- narrowband channels
 
 def test_single_path_amplitude_invariance():

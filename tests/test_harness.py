@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from makit.channel import gen_scenario, scenario_to_dict
 from makit.cli import main
 from makit.errors import ConfigError
 from makit.experiments import (CATALOG, ExperimentConfig, ResultTable, config_hash, emit,
@@ -161,10 +162,24 @@ def test_cli_unknown_experiment_exit_2(tmp_path):
     assert main(["experiment", "--config", cfg]) == 2
 
 
-def simulate_doc(step):
-    return {"scenario": {"generate": {"seed": 3, "n_paths": 2}},
+def simulate_doc(step, scenario=None):
+    return {"scenario": scenario or {"generate": {"seed": 3, "n_paths": 2}},
             "tx_grid": {"square": {"side": 1.0, "step": step}},
             "rx_grid": {"segment": {"length": 1.0, "step": 0.5}}}
+
+
+def scenario_doc(**over):
+    doc = scenario_to_dict(gen_scenario(3, n_paths=2))
+    doc.update(over)
+    return doc
+
+
+def estimate_doc(**over):
+    doc = {"scenario": {"generate": {"seed": 5, "n_paths": 2, "kappa": 1.0}},
+           "method": "successive", "region_side": 2.0, "measurements": 64,
+           "grid": 16, "snr_db": 30.0}
+    doc.update(over)
+    return doc
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -183,10 +198,23 @@ def simulate_doc(step):
     ("experiment", {"experiment": "mimo-capacity", "params": {"n_paths": 0}}, "n_paths"),
     ("experiment", {"experiment": "mimo-capacity", "params": {"n_paths": "four"}}, "n_paths"),
     ("experiment", {"experiment": "estimation-nmse", "params": {"eval_step": 0}}, "eval_step"),
+    ("simulate", simulate_doc(0.5, {"generate": {"n_paths": 0}}), "n_paths"),
+    ("simulate", simulate_doc(0.5, scenario_doc(wavelength=-1.0)), "wavelength"),
+    ("simulate", simulate_doc(0.5, scenario_doc(prm=[[[1.0, 0.0]]])), "prm shape"),
+    ("estimate", estimate_doc(measurements=0), "measurements"),
+    ("estimate", estimate_doc(grid=0), "grid"),
+    ("estimate", estimate_doc(method="joint", paths_to_recover=0), "paths_to_recover"),
+    ("estimate", estimate_doc(measurements=3), "measurements"),
+    ("estimate", estimate_doc(method="joint", grid=65), "cap"),
+    ("estimate", estimate_doc(wavelength=2.0), "wavelength"),
+    ("validate-config", simulate_doc(0.5, {"generate": {"n_paths": 0}}), "n_paths"),
 ], ids=["grid_step-0", "wavelength-negative", "orientation_grid-0", "trials-not-integer",
         "beam-null-n-1", "beam-multibeam-n-0", "theta_deg-empty", "subregions-0",
         "simulate-grid-step-0", "simulate-grid-step-negative", "n_paths-0", "n_paths-string",
-        "eval_step-0"])
+        "eval_step-0", "simulate-scenario-n_paths-0", "scenario-wavelength-negative",
+        "scenario-prm-shape", "estimate-measurements-0", "estimate-grid-0",
+        "estimate-paths-0", "estimate-too-few-measurements", "estimate-joint-atom-cap",
+        "estimate-wavelength-mismatch", "validate-scenario-n_paths-0"])
 def test_cli_field_parameter_out_of_range_exit_2(tmp_path, capsys, command, doc, field):
     cfg = write(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg]) == 2
@@ -224,6 +252,16 @@ def test_cli_validate_config(tmp_path):
     assert main(["validate-config", "--config", shapeless]) == 2
 
 
+def test_cli_miso_graph_wavelength_must_match_scenario(tmp_path, capsys):
+    def task(scenario_lam):
+        return {"task": "miso-graph", "wavelength": 2.0, "n": 3, "m": 12, "aperture": 3.0,
+                "d_min": 0.5, "scenario": {"generate": {"seed": 1, "n_paths": 3,
+                                                        "wavelength": scenario_lam}}}
+    assert main(["optimize", "--config", write(tmp_path, "ok.json", task(2.0))]) == 0
+    assert main(["optimize", "--config", write(tmp_path, "bad.json", task(1.0))]) == 2
+    assert "wavelength" in capsys.readouterr().err
+
+
 def test_cli_simulate_writes_mapping(tmp_path):
     cfg = write(tmp_path, "sim.json", {
         "scenario": {"generate": {"seed": 3, "n_paths": 2, "kappa": 1.0}},
@@ -259,13 +297,17 @@ def test_cli_sense_runs(tmp_path):
 
 
 def test_cli_estimate_runs(tmp_path):
-    cfg = write(tmp_path, "est.json", {
-        "scenario": {"generate": {"seed": 5, "n_paths": 2, "kappa": 1.0}},
-        "method": "successive", "region_side": 2.0, "measurements": 64,
-        "grid": 16, "snr_db": 30.0,
-    })
+    cfg = write(tmp_path, "est.json", estimate_doc())
     out = tmp_path / "est.json.out"
     assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+
+
+def test_cli_estimate_scores_each_method_against_its_reference(tmp_path):
+    for method in ("successive", "joint", "nearest"):
+        cfg = write(tmp_path, "est.json", estimate_doc(method=method))
+        out = tmp_path / f"{method}.json"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert 0.0 < load_table_json(out).rows[0][0] < 1.0
 
 
 def test_cli_seed_override_changes_result(tmp_path):
