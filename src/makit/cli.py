@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 
 import numpy as np
@@ -15,11 +16,10 @@ import numpy as np
 from . import beamforming as bf
 from . import estimate as est
 from . import optimize as opt
-from . import sensing as sn
 from .channel import channel_mimo, channel_narrowband, gen_scenario, scenario_from_dict
 from .errors import ConfigError, InfeasibleError
-from .experiments import (ExperimentConfig, ResultTable, _miso_line_channel, config_hash, emit,
-                          run_experiment, trial_seed)
+from .experiments import (ExperimentConfig, ResultTable, _miso_line_channel, _music_mse_once,
+                          config_hash, emit, run_experiment, trial_seed)
 from .geometry import MoveRegion
 
 EXIT_OK = 0
@@ -35,6 +35,14 @@ def _load_json(path) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
+
+
+def _count(doc: dict, name: str, default: int | None = None) -> int:
+    """Integer field >= 1 of a config (`default` when absent and given)."""
+    value = doc[name] if default is None else doc.get(name, default)
+    if not (isinstance(value, numbers.Real) and value >= 1 and value % 1 == 0):  # nan, inf fail
+        raise ConfigError(f"{name!r} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _build_scenario(doc: dict, seed_override=None):
@@ -82,12 +90,12 @@ def _cmd_simulate(doc: dict, out: str | None, seed):
 
 
 def _task_sensing_1d(doc: dict, lam: float, seed) -> dict:
-    x = opt.sensing_1d_optimal(int(doc["n"]), doc["aperture"] * lam, doc["d_min"] * lam)
+    x = opt.sensing_1d_optimal(_count(doc, "n"), doc["aperture"] * lam, doc["d_min"] * lam)
     return {"placement": x.tolist(), "variance": float(np.var(x))}
 
 
 def _task_sensing_2d(doc: dict, lam: float, seed) -> dict:
-    rep = opt.sensing_2d_ao(int(doc["n"]), (doc["side"] * lam, doc["side"] * lam),
+    rep = opt.sensing_2d_ao(_count(doc, "n"), (doc["side"] * lam, doc["side"] * lam),
                             doc["d_min"] * lam, metric=doc.get("metric", "max"))
     return {"placement": rep.best_placement.tolist(), "metric": rep.best_score,
             "lower_bound": rep.extra["lower_bound"]}
@@ -95,7 +103,7 @@ def _task_sensing_2d(doc: dict, lam: float, seed) -> dict:
 
 def _task_null(doc: dict, lam: float, seed) -> dict:
     built = opt.svo_null_apv(np.deg2rad(doc["theta0_deg"]), np.deg2rad(doc["null_deg"]),
-                             int(doc["n"]), doc["aperture"] * lam, doc["d_min"] * lam, lam)
+                             _count(doc, "n"), doc["aperture"] * lam, doc["d_min"] * lam, lam)
     if isinstance(built, opt.NotConstructible):
         return {"constructible": False, "reason": built.reason}
     w = bf.mrt(bf.steering_vector(built, np.deg2rad(doc["theta0_deg"]), lam))
@@ -106,7 +114,7 @@ def _task_null(doc: dict, lam: float, seed) -> dict:
 
 
 def _task_multibeam(doc: dict, lam: float, seed) -> dict:
-    rep = opt.multibeam_ao(np.deg2rad(doc["theta_deg"]), int(doc["n"]),
+    rep = opt.multibeam_ao(np.deg2rad(doc["theta_deg"]), _count(doc, "n"),
                            doc["aperture"] * lam, doc["d_min"] * lam, lam,
                            analog=bool(doc.get("analog", False)),
                            seed=seed if seed is not None else 0)
@@ -115,7 +123,7 @@ def _task_multibeam(doc: dict, lam: float, seed) -> dict:
 
 def _task_widebeam(doc: dict, lam: float, seed) -> dict:
     rep = opt.widebeam_ao(np.deg2rad(doc["theta_min_deg"]), np.deg2rad(doc["theta_max_deg"]),
-                          int(doc.get("subregions", 24)), int(doc["n"]),
+                          _count(doc, "subregions", 24), _count(doc, "n"),
                           doc["aperture"] * lam, doc["d_min"] * lam, lam,
                           seed=seed if seed is not None else 0)
     return {"placement": rep.best_placement.tolist(),
@@ -125,8 +133,8 @@ def _task_widebeam(doc: dict, lam: float, seed) -> dict:
 def _task_miso_graph(doc: dict, lam: float, seed) -> dict:
     sc = _scenario_at(doc["scenario"], lam, seed)
     line = opt.SampledLine.from_channel(_miso_line_channel(sc), doc["aperture"] * lam,
-                                        int(doc["m"]), doc["d_min"] * lam)
-    rep = opt.graph_opt_miso(line, int(doc["n"]))
+                                        _count(doc, "m"), doc["d_min"] * lam)
+    rep = opt.graph_opt_miso(line, _count(doc, "n"))
     return {"placement": rep.best_placement.tolist(), "score": rep.best_score,
             "indices": rep.extra["indices"].tolist()}
 
@@ -156,7 +164,7 @@ def _cmd_optimize(doc: dict, out: str | None, seed):
 
 def _cmd_sense(doc: dict, out: str | None, seed):
     lam = doc.get("wavelength", 1.0)
-    n = int(doc["n"])
+    n = _count(doc, "n")
     a = doc["aperture"] * lam
     dmin = doc["d_min"] * lam
     kind = doc.get("placement", "optimal")
@@ -166,16 +174,13 @@ def _cmd_sense(doc: dict, out: str | None, seed):
         x = np.arange(n) * dmin
     else:
         raise ConfigError(f"unknown placement {kind!r}")
-    power = 1.0
-    sigma2 = power / 10.0 ** (doc["snr_db"] / 10.0)
-    setup = sn.SensingSetup(placement=x, snapshots=int(doc.get("snapshots", 1)), power=power,
-                            noise_power=sigma2, beta=1.0, u=doc["u"], wavelength=lam)
+    snapshots = _count(doc, "snapshots", 1)
     base = str(seed if seed is not None else doc.get("seed", 0))
     rows = []
-    for t in range(int(doc.get("trials", 100))):
-        y = sn.simulate_snapshots(setup, trial_seed(base, t))
-        u_hat = sn.music_1d(y, x, wavelength=lam).u
-        rows.append([float(t), u_hat, (u_hat - doc["u"]) ** 2, sn.crb_1d(setup)])
+    for t in range(_count(doc, "trials", 100)):
+        u_hat, se, crb = _music_mse_once(x, doc["u"], doc["snr_db"], snapshots,
+                                         trial_seed(base, t), lam)
+        rows.append([float(t), u_hat, se, crb])
     table = ResultTable(columns=["trial", "u_hat", "sq_error", "crb"], rows=rows,
                         metadata={"placement": kind, "snr_db": doc["snr_db"]})
     if out:
@@ -196,16 +201,13 @@ def _cmd_estimate(doc: dict, out: str | None, seed):
         raise ConfigError(f"bad estimation region: {e}") from None
     power = doc.get("power", 1.0)
     sigma2 = power / 10.0 ** (doc["snr_db"] / 10.0)
-    m = int(doc["measurements"])
-    g = int(doc.get("grid", 16))
-    l = int(doc.get("paths_to_recover", len(sc.tx_paths)))
+    m = _count(doc, "measurements")
+    g = _count(doc, "grid", 16)
+    l = _count(doc, "paths_to_recover", len(sc.tx_paths))
     base = str(seed if seed is not None else doc.get("seed", 0))
     method = doc.get("method", "successive")
     if method not in ("successive", "joint", "nearest"):
         raise ConfigError(f"unknown estimation method {method!r}")
-    for name, value in (("measurements", m), ("grid", g), ("paths_to_recover", l)):
-        if value < 1:
-            raise ConfigError(f"{name!r} must be >= 1, got {value}")
     if method == "nearest":
         ms = est.collect_measurements(sc, region, region, "rx-sweep", m, power, sigma2,
                                       trial_seed(base, 4))

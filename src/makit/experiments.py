@@ -111,6 +111,7 @@ _RANGES = {"wavelength": ("> 0", lambda x: x > 0), "region_side": ("> 0", lambda
            "grid_step": ("> 0", lambda x: x > 0), "orientation_grid": (">= 1", lambda x: x >= 1),
            "n": (">= 1", lambda x: x >= 1), "subregions": (">= 1", lambda x: x >= 1),
            "n_paths": (">= 1", lambda x: x >= 1), "eval_step": ("> 0", lambda x: x > 0),
+           "grid": (">= 1", lambda x: x >= 1), "measurements": (">= 1", lambda x: x >= 1),
            "theta_deg": ("(degrees)", np.isfinite), "null_deg": ("(degrees)", np.isfinite),
            ("beam-null", "n"): (">= 2", lambda x: x >= 2)}
 
@@ -477,8 +478,8 @@ def _music_mse_once(placement, u_true, snr_db, snapshots, seed, lam):
     setup = sn.SensingSetup(placement=placement, snapshots=snapshots, power=power,
                             noise_power=sigma2, beta=1.0 + 0.0j, u=u_true, wavelength=lam)
     y = sn.simulate_snapshots(setup, seed)
-    est_u = sn.music_1d(y, placement, wavelength=lam)
-    return (est_u.u - u_true) ** 2, sn.crb_1d(setup)
+    u_hat = sn.music_1d(y, placement, wavelength=lam).u
+    return u_hat, (u_hat - u_true) ** 2, sn.crb_1d(setup)
 
 
 def _trial_sensing_1d(params, seed, idx):
@@ -493,7 +494,7 @@ def _trial_sensing_1d(params, seed, idx):
     ]
     out = [float(idx)]
     for pid, x in enumerate(placements):
-        se, crb = _music_mse_once(x, params["u"], params["snr_db"],
+        _, se, crb = _music_mse_once(x, params["u"], params["snr_db"],
                                   int(params["snapshots"]), trial_seed(str(seed), pid), lam)
         out.extend([se, crb])
     return out
@@ -516,8 +517,7 @@ def _trial_sensing_2d(params, seed, idx):
     dmin = params["d_min"] * lam
     power = 1.0
     sigma2 = power / 10.0 ** (params["snr_db"] / 10.0)
-    coef = (sigma2 * lam ** 2
-            / (8.0 * np.pi ** 2 * params["snapshots"] * power * n * abs(params["beta"]) ** 2))
+    coef = sn._crb_prefactor(sigma2, lam, params["snapshots"], power, n, params["beta"])
     rep = opt.sensing_2d_ao(n, (side, side), dmin, metric="max", coef=coef)
     return [rep.best_score, rep.extra["lower_bound"], rep.extra["gap_db"]]
 
@@ -533,8 +533,7 @@ def _trial_isac(params, seed, idx):
                       kappa=params["kappa"])
     region = _square_region(side, dmin)
     tx = _upa_positions(side, lam / 2.0, nt)
-    coef = (sigma2 * lam ** 2 / (8.0 * np.pi ** 2 * params["snapshots"] * power
-                                 * nr * abs(params["beta"]) ** 2))
+    coef = sn._crb_prefactor(sigma2, lam, params["snapshots"], power, nr, params["beta"])
     crb_opt = opt.sensing_2d_ao(nr, (side, side), dmin, metric="max", coef=coef)
     rows = []
     rx = np.column_stack([crb_opt.best_placement, np.zeros(nr)])

@@ -23,6 +23,10 @@ from .sensing import crb_metric_2d, sensing_2d_ao
 
 __all__ = ["mimo_position_ao", "multiuser_position_opt", "isac_constrained_opt"]
 
+# finite-difference probe and first trial step, in wavelengths
+_FD_STEP = 5e-3
+_STEP0 = 0.25
+
 
 def _ensemble_capacity(tx: np.ndarray, rx: np.ndarray, ensemble, power: float,
                        sigma2: float) -> float:
@@ -37,14 +41,12 @@ def _as_ensemble(scenario) -> list[Scenario]:
 
 def mimo_position_ao(scenario, tx_region: MoveRegion, rx_region: MoveRegion,
                      init_tx: np.ndarray, init_rx: np.ndarray, power: float, sigma2: float,
-                     mode: str = "instantaneous", max_sweeps: int = 30,
-                     fd_step: float = 5e-3, step0: float = 0.25) -> OptReport:
+                     mode: str = "instantaneous", max_sweeps: int = 30) -> OptReport:
     """Alternating Tx/Rx antenna-position optimization of MIMO capacity.
 
     mode 'instantaneous' uses the single scenario; mode 'statistical'
     averages capacity over the supplied scenario ensemble (a fixed list of
-    channel draws), which keeps the objective deterministic.  fd_step and
-    step0 are in wavelength units and are scaled by the scenario wavelength.
+    channel draws), which keeps the objective deterministic.
     """
     ensemble = _as_ensemble(scenario)
     if mode == "instantaneous":
@@ -55,7 +57,7 @@ def mimo_position_ao(scenario, tx_region: MoveRegion, rx_region: MoveRegion,
     (tx, rx), cur, trace = _ascend(
         [(init_tx, tx_region), (init_rx, rx_region)],
         lambda t, r: _ensemble_capacity(t, r, ensemble, power, sigma2),
-        max_sweeps, fd_step * lam, step0 * lam)
+        max_sweeps, _FD_STEP * lam, _STEP0 * lam)
     return OptReport(best_placement=np.vstack([tx, rx]), best_score=cur,
                      iterations=len(trace) - 1, trace=trace,
                      extra={"tx_positions": tx, "rx_positions": rx})
@@ -89,7 +91,6 @@ def multiuser_position_opt(user_scenarios, bs_region: MoveRegion, init_rx: np.nd
                            power: float, sigma2: float, combiner: str = "zf",
                            utility: str = "sum", budget: str = "sum", mode: str = "rate",
                            eta: float | None = None, ensembles=None, max_sweeps: int = 20,
-                           fd_step: float = 5e-3, step0: float = 0.25,
                            bisection_iters: int = 12) -> OptReport:
     """Base-station antenna placement for multiuser uplink rate or power objectives.
 
@@ -117,7 +118,7 @@ def multiuser_position_opt(user_scenarios, bs_region: MoveRegion, init_rx: np.nd
 
     def solve_rate(budget_power, start):
         (pos,), cur, trace = _ascend([(start, bs_region)], lambda q: score_at(q, budget_power),
-                                     max_sweeps, fd_step * lam, step0 * lam)
+                                     max_sweeps, _FD_STEP * lam, _STEP0 * lam)
         return pos, cur, trace
 
     if mode == "rate":
@@ -160,8 +161,7 @@ def isac_constrained_opt(scenario, tx_positions: np.ndarray, rx_region: MoveRegi
                          init_rx: np.ndarray, power: float, sigma2: float,
                          mode: str = "com", threshold: float = np.inf,
                          crb_coef: float = 1.0, crb_metric: str = "max",
-                         max_sweeps: int = 30, fd_step: float = 5e-3,
-                         step0: float = 0.25) -> OptReport:
+                         max_sweeps: int = 30) -> OptReport:
     """Receive-array placement trading MIMO capacity against the sensing CRB.
 
     mode 'com': maximize (ensemble-average) capacity subject to
@@ -197,7 +197,7 @@ def isac_constrained_opt(scenario, tx_positions: np.ndarray, rx_region: MoveRegi
         sense = 1.0
     elif mode == "sen":
         (rx,), best_cap, _ = _ascend([(rx, rx_region)], capacity, max_sweeps,
-                                     fd_step * lam, step0 * lam)
+                                     _FD_STEP * lam, _STEP0 * lam)
         if best_cap < threshold:
             raise InfeasibleError(f"capacity target {threshold:.3g} unreachable")
         objective, constraint = lambda q: -crb(q), lambda q: capacity(q) >= threshold
@@ -209,7 +209,7 @@ def isac_constrained_opt(scenario, tx_positions: np.ndarray, rx_region: MoveRegi
         return objective(q) if constraint(q) else -np.inf
 
     (rx,), cur, trace = _ascend([(rx, rx_region)], guarded, max_sweeps,
-                                fd_step * lam, step0 * lam)
+                                _FD_STEP * lam, _STEP0 * lam)
     return OptReport(best_placement=rx, best_score=sense * cur, iterations=len(trace) - 1,
                      trace=[sense * v for v in trace],
                      extra={"capacity": capacity(rx), "crb": crb(rx)})

@@ -80,13 +80,14 @@ class SensingSetup:
         return len(self.placement)
 
 
-def array_response(placement: np.ndarray, u: float, v: float | None, wavelength: float) -> np.ndarray:
-    """Steering vector exp(j 2 pi/lambda (x u [+ y v]))."""
+def array_response(placement: np.ndarray, u, v, wavelength: float) -> np.ndarray:
+    """Steering vector exp(j 2 pi/lambda (x u [+ y v])); arrays of u (and v) give (..., N)."""
     p = np.asarray(placement, dtype=float)
+    u = np.asarray(u, dtype=float)[..., None]
     if p.ndim == 1:
         phase = p * u
     else:
-        phase = p[:, 0] * u + (p[:, 1] * v if v is not None else 0.0)
+        phase = p[:, 0] * u + (p[:, 1] * np.asarray(v)[..., None] if v is not None else 0.0)
     return np.exp(2j * np.pi / wavelength * phase)
 
 
@@ -107,10 +108,15 @@ def simulate_snapshots(setup: SensingSetup, seed) -> np.ndarray:
     return y
 
 
-def _crb_prefactor(setup: SensingSetup) -> float:
-    return (setup.noise_power * setup.wavelength ** 2
-            / (8.0 * np.pi ** 2 * setup.snapshots * setup.power
-               * setup.n_antennas * abs(setup.beta) ** 2))
+def _crb_prefactor(noise_power: float, wavelength: float, snapshots: int, power: float,
+                  n: int, beta: complex) -> float:
+    """Common factor sigma^2 lambda^2 / (8 pi^2 T_s P N |beta|^2) of the direction CRBs."""
+    return (noise_power * wavelength ** 2
+            / (8.0 * np.pi ** 2 * snapshots * power * n * abs(beta) ** 2))
+
+
+def _setup_prefactor(s: SensingSetup) -> float:
+    return _crb_prefactor(s.noise_power, s.wavelength, s.snapshots, s.power, s.n_antennas, s.beta)
 
 
 def crb_1d(setup: SensingSetup) -> float:
@@ -121,7 +127,7 @@ def crb_1d(setup: SensingSetup) -> float:
     var = float(np.var(x))
     if var <= 0:
         raise ValueError("co-located antennas give an unbounded CRB")
-    return _crb_prefactor(setup) / var
+    return _setup_prefactor(setup) / var
 
 
 def effective_variances(xy: np.ndarray):
@@ -146,7 +152,7 @@ def crb_2d(setup: SensingSetup) -> tuple[float, float]:
     ex, ey = effective_variances(p)
     if ex <= 0 or ey <= 0:
         raise ValueError("collinear geometry: the 2D information matrix is singular")
-    pref = _crb_prefactor(setup)
+    pref = _setup_prefactor(setup)
     return float(pref / ex), float(pref / ey)
 
 
@@ -154,16 +160,15 @@ def crb_2d_lower_bound(circumradius: float, setup: SensingSetup) -> float:
     """Aperture bound on the max-CRB: prefactor * 2 / circumradius^2."""
     if circumradius <= 0:
         raise ValueError("circumradius must be > 0")
-    return 2.0 * _crb_prefactor(setup) / circumradius ** 2
+    return 2.0 * _setup_prefactor(setup) / circumradius ** 2
 
 
-def _noise_projector(y: np.ndarray) -> np.ndarray:
-    """Noise-subspace projector E_n E_n^H from the sample covariance (single target)."""
-    n, t = y.shape
-    cov = (y @ y.conj().T) / t
-    _, vecs = np.linalg.eigh(cov)
-    en = vecs[:, : n - 1]  # all but the largest eigenvector
-    return en @ en.conj().T
+def _signal_vector(y) -> np.ndarray:
+    """Top eigenvector v of the sample covariance.  With one target the noise
+    projector is I - v v^H, so a unit-modulus steering vector a scores N - |a^H v|^2."""
+    y = np.asarray(y, dtype=complex)
+    cov = (y @ y.conj().T) / y.shape[1]
+    return np.linalg.eigh(cov)[1][:, -1]
 
 
 def _golden_min(f, lo: float, hi: float, tol: float) -> float:
@@ -185,62 +190,54 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> float:
 
 
 def music_1d(y: np.ndarray, placement, wavelength: float = 1.0,
-             grid: int = _GRID_1D, refine_tol: float = _REFINE_TOL) -> SpatialAoa:
+             grid: int = _GRID_1D) -> SpatialAoa:
     """Spatial-frequency estimate maximizing the MUSIC pseudo-spectrum on u in [-1, 1].
 
     Coarse grid search followed by golden-section refinement around the best
     cell.
     """
-    y = np.asarray(y, dtype=complex)
     x = np.asarray(placement, dtype=float).reshape(-1)
     if len(x) < 2:
         raise ValueError("MUSIC needs at least two antennas")
-    proj = _noise_projector(y)
+    sig = _signal_vector(y)
+
+    def denom(u):
+        return len(x) - np.abs(array_response(x, u, None, wavelength).conj() @ sig) ** 2
+
     ug = np.linspace(-1.0, 1.0, grid)
-    ag = np.exp(2j * np.pi / wavelength * np.outer(ug, x))
-    denom = np.einsum("gi,ij,gj->g", ag.conj(), proj, ag).real
-    i = int(np.argmin(denom))
-
-    def f(u):
-        a = np.exp(2j * np.pi / wavelength * x * u)
-        return float(np.real(a.conj() @ proj @ a))
-
+    i = int(np.argmin(denom(ug)))
     lo, hi = ug[max(0, i - 1)], ug[min(grid - 1, i + 1)]
-    return SpatialAoa(u=_golden_min(f, lo, hi, refine_tol))
+    return SpatialAoa(u=_golden_min(denom, lo, hi, _REFINE_TOL))
 
 
 def music_2d(y: np.ndarray, placement, wavelength: float = 1.0,
-             grid: int = _GRID_2D, refine_tol: float = _REFINE_TOL) -> SpatialAoa:
+             grid: int = _GRID_2D) -> SpatialAoa:
     """Joint (u, v) estimate from a planar array: 2D grid plus local refinement."""
-    y = np.asarray(y, dtype=complex)
     p = np.asarray(placement, dtype=float).reshape(-1, 2)
     if len(p) < 2:
         raise ValueError("MUSIC needs at least two antennas")
-    proj = _noise_projector(y)
+    sig = _signal_vector(y)
     ug = np.linspace(-1.0, 1.0, grid)
-    ex = np.exp(2j * np.pi / wavelength * np.outer(ug, p[:, 0]))  # (G, N)
-    ey = np.exp(2j * np.pi / wavelength * np.outer(ug, p[:, 1]))
-    # denom[g, h] = a^H proj a with a = ex[g] * ey[h], one x-row at a time
-    denom = np.empty((grid, grid))
-    for g in range(grid):
-        pg = (ex[g].conj()[:, None] * proj) * ex[g][None, :]
-        denom[g] = np.einsum("hi,ij,hj->h", ey.conj(), pg, ey).real
-    gi, hi_ = np.unravel_index(int(np.argmin(denom)), denom.shape)
+    # a(u, v) = ex(u) * ey(v), so a^H sig over the grid is one product of the axis tables
+    ex = array_response(p[:, 0], ug, None, wavelength)  # (G, N)
+    ey = array_response(p[:, 1], ug, None, wavelength)
+    grid_denom = len(p) - np.abs((ex.conj() * sig) @ ey.conj().T) ** 2
+    gi, hi_ = np.unravel_index(int(np.argmin(grid_denom)), grid_denom.shape)
 
-    def f(uv):
-        a = np.exp(2j * np.pi / wavelength * (p[:, 0] * uv[0] + p[:, 1] * uv[1]))
-        return float(np.real(a.conj() @ proj @ a))
+    def denom(u, v):
+        return len(p) - np.abs(array_response(p, u, v, wavelength).conj() @ sig) ** 2
 
     u, v = ug[gi], ug[hi_]
     span = 2.0 / (grid - 1)
+    tol = _REFINE_TOL
     for _ in range(40):
-        u = _golden_min(lambda uu: f((uu, v)), max(-1.0, u - span), min(1.0, u + span), refine_tol)
-        v_new = _golden_min(lambda vv: f((u, vv)), max(-1.0, v - span), min(1.0, v + span), refine_tol)
-        if abs(v_new - v) < refine_tol and span < 16 * refine_tol:
+        u = _golden_min(lambda uu: denom(uu, v), max(-1.0, u - span), min(1.0, u + span), tol)
+        v_new = _golden_min(lambda vv: denom(u, vv), max(-1.0, v - span), min(1.0, v + span), tol)
+        if abs(v_new - v) < tol and span < 16 * tol:
             v = v_new
             break
         v = v_new
-        span = max(span / 2.0, 8 * refine_tol)
+        span = max(span / 2.0, 8 * tol)
     if u ** 2 + v ** 2 > 1.0:  # clip into the visible region
         r = math.hypot(u, v)
         u, v = u / r, v / r

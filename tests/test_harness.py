@@ -208,13 +208,23 @@ def estimate_doc(**over):
     ("estimate", estimate_doc(method="joint", grid=65), "cap"),
     ("estimate", estimate_doc(wavelength=2.0), "wavelength"),
     ("validate-config", simulate_doc(0.5, {"generate": {"n_paths": 0}}), "n_paths"),
+    ("estimate", estimate_doc(measurements="many"), "measurements"),
+    ("optimize", {"task": "null", "n": "eight", "theta0_deg": 90.0, "null_deg": [78.0],
+                  "aperture": 20.0, "d_min": 0.5}, "'n'"),
+    ("sense", {"n": 8, "aperture": 4.0, "d_min": 0.5, "u": 0.5, "snr_db": 20.0,
+               "trials": 2.5}, "trials"),
+    ("experiment", {"experiment": "estimation-region", "params": {"grid": 0}}, "grid"),
+    ("experiment", {"experiment": "estimation-nmse", "params": {"measurements": 0}},
+     "measurements"),
 ], ids=["grid_step-0", "wavelength-negative", "orientation_grid-0", "trials-not-integer",
         "beam-null-n-1", "beam-multibeam-n-0", "theta_deg-empty", "subregions-0",
         "simulate-grid-step-0", "simulate-grid-step-negative", "n_paths-0", "n_paths-string",
         "eval_step-0", "simulate-scenario-n_paths-0", "scenario-wavelength-negative",
         "scenario-prm-shape", "estimate-measurements-0", "estimate-grid-0",
         "estimate-paths-0", "estimate-too-few-measurements", "estimate-joint-atom-cap",
-        "estimate-wavelength-mismatch", "validate-scenario-n_paths-0"])
+        "estimate-wavelength-mismatch", "validate-scenario-n_paths-0",
+        "estimate-measurements-string", "optimize-n-string", "sense-trials-fractional",
+        "estimation-region-grid-0", "estimation-nmse-measurements-0"])
 def test_cli_field_parameter_out_of_range_exit_2(tmp_path, capsys, command, doc, field):
     cfg = write(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg]) == 2
