@@ -495,7 +495,7 @@ def _trial_sensing_1d(params, seed, idx):
     out = [float(idx)]
     for pid, x in enumerate(placements):
         _, se, crb = _music_mse_once(x, params["u"], params["snr_db"],
-                                  int(params["snapshots"]), trial_seed(str(seed), pid), lam)
+                                     int(params["snapshots"]), trial_seed(str(seed), pid), lam)
         out.extend([se, crb])
     return out
 

@@ -8,7 +8,7 @@ N - |a^H v|^2 rounds differently from a^H E_n E_n^H a, so the estimates
 match bitwise only while every grid argmin and golden-section comparison
 is decided by more than that rounding (about N * 1e-16).  On arrays with
 half-wavelength spacing the 1D search always was (0 of 5,000 random draws
-differed).  The 2D refinement makes about a thousand comparisons, and 3 of
+differed).  The 2D refinement makes a few hundred comparisons, and 3 of
 1,400 random planar draws met one decided by less; their estimates parted
 by at most 3.2e-7, within the 1e-6 refinement tolerance.  The draws below
 are derandomized, and every one of them matches bitwise.
