@@ -10,7 +10,10 @@ Subpackages and modules:
   experiments  declarative experiment catalog and Monte Carlo runner
 """
 
+import logging
+
 __version__ = "0.1.0"  # set before the submodule imports: experiments records it
+logging.getLogger("makit").addHandler(logging.NullHandler())  # silent unless configured
 
 from . import beamforming, channel, estimate, experiments, geometry, optimize, sensing
 from .errors import ConfigError, InfeasibleError

@@ -89,54 +89,76 @@ def _cmd_simulate(doc: dict, out: str | None, seed):
     return EXIT_OK
 
 
-def _task_sensing_1d(doc: dict, lam: float, seed) -> dict:
-    x = opt.sensing_1d_optimal(_count(doc, "n"), doc["aperture"] * lam, doc["d_min"] * lam)
-    return {"placement": x.tolist(), "variance": float(np.var(x))}
+# An optimize task reads its fields, then returns the function that runs it,
+# so validate-config can read a task without running it.
+def _task_sensing_1d(doc: dict, lam: float, seed):
+    n, a, dmin = _count(doc, "n"), doc["aperture"] * lam, doc["d_min"] * lam
+
+    def run():
+        x = opt.sensing_1d_optimal(n, a, dmin)
+        return {"placement": x.tolist(), "variance": float(np.var(x))}
+    return run
 
 
-def _task_sensing_2d(doc: dict, lam: float, seed) -> dict:
-    rep = opt.sensing_2d_ao(_count(doc, "n"), (doc["side"] * lam, doc["side"] * lam),
-                            doc["d_min"] * lam, metric=doc.get("metric", "max"))
-    return {"placement": rep.best_placement.tolist(), "metric": rep.best_score,
-            "lower_bound": rep.extra["lower_bound"]}
+def _task_sensing_2d(doc: dict, lam: float, seed):
+    n, side, dmin = _count(doc, "n"), doc["side"] * lam, doc["d_min"] * lam
+
+    def run():
+        rep = opt.sensing_2d_ao(n, (side, side), dmin, metric=doc.get("metric", "max"))
+        return {"placement": rep.best_placement.tolist(), "metric": rep.best_score,
+                "lower_bound": rep.extra["lower_bound"]}
+    return run
 
 
-def _task_null(doc: dict, lam: float, seed) -> dict:
-    built = opt.svo_null_apv(np.deg2rad(doc["theta0_deg"]), np.deg2rad(doc["null_deg"]),
-                             _count(doc, "n"), doc["aperture"] * lam, doc["d_min"] * lam, lam)
-    if isinstance(built, opt.NotConstructible):
-        return {"constructible": False, "reason": built.reason}
-    w = bf.mrt(bf.steering_vector(built, np.deg2rad(doc["theta0_deg"]), lam))
-    nulls = [bf.beam_gain(built, w, np.deg2rad(t), lam) for t in doc["null_deg"]]
-    return {"constructible": True, "placement": built.tolist(),
-            "gain": bf.beam_gain(built, w, np.deg2rad(doc["theta0_deg"]), lam),
-            "null_gains": nulls}
+def _task_null(doc: dict, lam: float, seed):
+    th0, nulls = np.deg2rad(doc["theta0_deg"]), np.deg2rad(doc["null_deg"])
+    n, a, dmin = _count(doc, "n"), doc["aperture"] * lam, doc["d_min"] * lam
+
+    def run():
+        built = opt.svo_null_apv(th0, nulls, n, a, dmin, lam)
+        if isinstance(built, opt.NotConstructible):
+            return {"constructible": False, "reason": built.reason}
+        w = bf.mrt(bf.steering_vector(built, th0, lam))
+        return {"constructible": True, "placement": built.tolist(),
+                "gain": bf.beam_gain(built, w, th0, lam),
+                "null_gains": [bf.beam_gain(built, w, t, lam) for t in nulls]}
+    return run
 
 
-def _task_multibeam(doc: dict, lam: float, seed) -> dict:
-    rep = opt.multibeam_ao(np.deg2rad(doc["theta_deg"]), _count(doc, "n"),
-                           doc["aperture"] * lam, doc["d_min"] * lam, lam,
-                           analog=bool(doc.get("analog", False)),
-                           seed=seed if seed is not None else 0)
-    return {"placement": rep.best_placement.tolist(), "max_min_gain": rep.best_score}
+def _task_multibeam(doc: dict, lam: float, seed):
+    thetas, n = np.deg2rad(doc["theta_deg"]), _count(doc, "n")
+    a, dmin, analog = doc["aperture"] * lam, doc["d_min"] * lam, bool(doc.get("analog", False))
+
+    def run():
+        rep = opt.multibeam_ao(thetas, n, a, dmin, lam, analog=analog,
+                               seed=seed if seed is not None else 0)
+        return {"placement": rep.best_placement.tolist(), "max_min_gain": rep.best_score}
+    return run
 
 
-def _task_widebeam(doc: dict, lam: float, seed) -> dict:
-    rep = opt.widebeam_ao(np.deg2rad(doc["theta_min_deg"]), np.deg2rad(doc["theta_max_deg"]),
-                          _count(doc, "subregions", 24), _count(doc, "n"),
-                          doc["aperture"] * lam, doc["d_min"] * lam, lam,
-                          seed=seed if seed is not None else 0)
-    return {"placement": rep.best_placement.tolist(),
-            "min_gain": rep.extra["verified_min_gain"]}
+def _task_widebeam(doc: dict, lam: float, seed):
+    lo, hi = np.deg2rad(doc["theta_min_deg"]), np.deg2rad(doc["theta_max_deg"])
+    nsub, n = _count(doc, "subregions", 24), _count(doc, "n")
+    a, dmin = doc["aperture"] * lam, doc["d_min"] * lam
+
+    def run():
+        rep = opt.widebeam_ao(lo, hi, nsub, n, a, dmin, lam,
+                              seed=seed if seed is not None else 0)
+        return {"placement": rep.best_placement.tolist(),
+                "min_gain": rep.extra["verified_min_gain"]}
+    return run
 
 
-def _task_miso_graph(doc: dict, lam: float, seed) -> dict:
+def _task_miso_graph(doc: dict, lam: float, seed):
     sc = _scenario_at(doc["scenario"], lam, seed)
-    line = opt.SampledLine.from_channel(_miso_line_channel(sc), doc["aperture"] * lam,
-                                        _count(doc, "m"), doc["d_min"] * lam)
-    rep = opt.graph_opt_miso(line, _count(doc, "n"))
-    return {"placement": rep.best_placement.tolist(), "score": rep.best_score,
-            "indices": rep.extra["indices"].tolist()}
+    a, m, dmin, n = doc["aperture"] * lam, _count(doc, "m"), doc["d_min"] * lam, _count(doc, "n")
+
+    def run():
+        line = opt.SampledLine.from_channel(_miso_line_channel(sc), a, m, dmin)
+        rep = opt.graph_opt_miso(line, n)
+        return {"placement": rep.best_placement.tolist(), "score": rep.best_score,
+                "indices": rep.extra["indices"].tolist()}
+    return run
 
 
 _OPTIMIZE_TASKS = {"sensing-1d": _task_sensing_1d, "sensing-2d": _task_sensing_2d,
@@ -154,7 +176,7 @@ def _optimize_task(doc: dict):
 
 
 def _cmd_optimize(doc: dict, out: str | None, seed):
-    report = _optimize_task(doc)(doc, doc.get("wavelength", 1.0), seed)
+    report = _optimize_task(doc)(doc, doc.get("wavelength", 1.0), seed)()
     if out:
         with open(out, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -162,31 +184,32 @@ def _cmd_optimize(doc: dict, out: str | None, seed):
     return EXIT_OK
 
 
-def _cmd_sense(doc: dict, out: str | None, seed):
+def _sense_trials(doc: dict, seed):
+    """Read and check a sense config; return the function that runs its trials."""
     lam = doc.get("wavelength", 1.0)
-    n = _count(doc, "n")
-    a = doc["aperture"] * lam
-    dmin = doc["d_min"] * lam
+    n, a, dmin = _count(doc, "n"), doc["aperture"] * lam, doc["d_min"] * lam
     kind = doc.get("placement", "optimal")
-    if kind == "optimal":
-        x = opt.sensing_1d_optimal(n, a, dmin)
-    elif kind == "dense":
-        x = np.arange(n) * dmin
-    else:
+    if kind not in ("optimal", "dense"):
         raise ConfigError(f"unknown placement {kind!r}")
-    snapshots = _count(doc, "snapshots", 1)
+    snapshots, trials = _count(doc, "snapshots", 1), _count(doc, "trials", 100)
+    u, snr_db = doc["u"], doc["snr_db"]
     base = str(seed if seed is not None else doc.get("seed", 0))
-    rows = []
-    for t in range(_count(doc, "trials", 100)):
-        u_hat, se, crb = _music_mse_once(x, doc["u"], doc["snr_db"], snapshots,
-                                         trial_seed(base, t), lam)
-        rows.append([float(t), u_hat, se, crb])
-    table = ResultTable(columns=["trial", "u_hat", "sq_error", "crb"], rows=rows,
-                        metadata={"placement": kind, "snr_db": doc["snr_db"]})
+
+    def run():
+        x = opt.sensing_1d_optimal(n, a, dmin) if kind == "optimal" else np.arange(n) * dmin
+        rows = [[float(t), *_music_mse_once(x, u, snr_db, snapshots, trial_seed(base, t), lam)]
+                for t in range(trials)]
+        return ResultTable(columns=["trial", "u_hat", "sq_error", "crb"], rows=rows,
+                           metadata={"placement": kind, "snr_db": snr_db})
+    return run
+
+
+def _cmd_sense(doc: dict, out: str | None, seed):
+    table = _sense_trials(doc, seed)()
     if out:
         emit(table, out)
-    mse = float(np.mean([r[2] for r in rows]))
-    print(f"MSE {mse:.6g} vs CRB {rows[0][3]:.6g} over {len(rows)} trials")
+    mse = float(np.mean([r[2] for r in table.rows]))
+    print(f"MSE {mse:.6g} vs CRB {table.rows[0][3]:.6g} over {len(table.rows)} trials")
     return EXIT_OK
 
 
@@ -254,14 +277,13 @@ def _cmd_validate(doc: dict) -> int:
         cfg = ExperimentConfig.from_dict(doc)
         print(f"ok: experiment {cfg.experiment!r}, hash {config_hash(cfg)[:12]}")
     elif "task" in doc:
-        _optimize_task(doc)
+        _optimize_task(doc)(doc, doc.get("wavelength", 1.0), None)
         print(f"ok: optimize task {doc['task']!r}")
     elif "scenario" in doc:
         _build_scenario(doc["scenario"])
         print("ok: scenario config")
     elif {"n", "u", "snr_db"} <= set(doc):
-        if doc.get("placement", "optimal") not in ("optimal", "dense"):
-            raise ConfigError(f"unknown placement {doc['placement']!r}")
+        _sense_trials(doc, None)
         print("ok: sensing config")
     else:
         raise ConfigError("config matches no known subcommand shape")

@@ -114,6 +114,11 @@ _RANGES = {"wavelength": ("> 0", lambda x: x > 0), "region_side": ("> 0", lambda
            "grid": (">= 1", lambda x: x >= 1), "measurements": (">= 1", lambda x: x >= 1),
            "theta_deg": ("(degrees)", np.isfinite), "null_deg": ("(degrees)", np.isfinite),
            ("beam-null", "n"): (">= 2", lambda x: x >= 2)}
+# Rules across parameters, checked for every sweep value of either name: the
+# successive recovery takes n_paths per side, the joint one n_paths² atoms.
+_JOINT_RANGES = {"estimation-nmse": (
+    ("measurements", "n_paths"), "measurements // 2 >= n_paths and measurements >= n_paths**2",
+    lambda m, l: int(m) // 2 >= int(l) and int(m) >= int(l) ** 2)}
 
 
 def _check_ranges(exp: str, params: dict, sweep: dict | None) -> None:
@@ -127,6 +132,13 @@ def _check_ranges(exp: str, params: dict, sweep: dict | None) -> None:
                                     for t in items):
                 kind = "a nonempty list of finite numbers" if listed else "a finite number"
                 raise ConfigError(f"{name!r} must be {kind} {rule}, got {v!r}")
+    if exp in _JOINT_RANGES:
+        names, rule, ok = _JOINT_RANGES[exp]
+        swept = sweep["variable"] if sweep and sweep["variable"] in names else None
+        for v in sweep["values"] if swept else [None]:
+            vals = {k: v if k == swept else merged[k] for k in names}
+            if not ok(*vals.values()):
+                raise ConfigError(f"{exp!r} needs {rule}, got {vals}")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

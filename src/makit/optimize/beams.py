@@ -10,6 +10,7 @@ optimization of positions and weights takes over.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from fractions import Fraction
 
@@ -30,6 +31,12 @@ __all__ = [
 
 _RATIONAL_TOL = 1e-9
 _MAX_DENOMINATOR = 64
+# Backtracking steps 0.5^j, j < 20, are scored in two chunks: j < 4 for every
+# live start, the rest only for starts that accepted none of those.  On the
+# beam benchmark 98.4 % of digital and 92.5 % of analog moves accept a j < 4.
+_STEP_CHUNKS = ((0, 4), (4, 20))
+
+_log = logging.getLogger(__name__)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -166,19 +173,24 @@ def grating_lobe_apv(theta0: float, desired_angles, n: int, aperture: float, d_m
 
 
 def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 0,
-                w0: np.ndarray | None = None, n_iter: int = 300) -> tuple[np.ndarray, float]:
+                w0: np.ndarray | None = None,
+                n_iter: int = 300) -> tuple[np.ndarray, float | np.ndarray]:
     """Weight vector maximizing the minimum beam gain over the given angles, ||w|| = 1.
 
     Multi-start projected ascent on the min-gain objective; with analog=True
-    the weights are constrained to constant modulus 1/sqrt(N).  The starts
-    ascend in lockstep, each on the path it would take alone: one product
-    scores the 20 backtracking steps step * 0.5^j of every live start, a start
-    takes its first improving step or drops out, and the first best start
-    wins.  Returns (weights, min_gain).
+    the weights have constant modulus 1/sqrt(N).  x is one placement (N,),
+    giving (weights, min_gain), or a stack (P, N) with w0 None or (P, N),
+    giving (P, N) weights and (P,) min gains.  All starts of all placements
+    ascend in lockstep, each on its own path: it takes its first improving
+    step step * 0.5^j, j < 20, or drops out; each placement's first best start
+    wins.  Gains are never a one-row product: numpy's matrix-vector path
+    differs in the last bit, which the 1e-15 margin can turn into another path.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    n = len(x)
-    a = steering_vector(x, np.atleast_1d(thetas), wavelength)  # (K, N)
+    x = np.asarray(x, dtype=float)
+    stacked = x.ndim == 2
+    x = x if stacked else x.reshape(1, -1)
+    p, n = x.shape
+    a = steering_vector(x, np.atleast_1d(thetas), wavelength)  # (P, K, N)
     rng = np.random.default_rng(seed)
 
     def project(w):
@@ -186,16 +198,20 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
             return np.exp(1j * np.angle(w)) / math.sqrt(n)
         return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
-    k = a.shape[0]
+    k = a.shape[1]
     pick = range(k) if k <= 12 else np.linspace(0, k - 1, 12).astype(int)
-    starts = [mrt(a[i]) for i in pick]
-    starts.append(mrt(np.sum(a * np.exp(-1j * np.angle(a[:, :1])), axis=0)))
-    if w0 is not None:
-        starts.append(np.asarray(w0, dtype=complex).reshape(-1))
-    starts.extend(rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3))
+    w0s = [None] * p if w0 is None else np.asarray(w0, dtype=complex).reshape(p, n)
+    noise = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
+    starts = []
+    for ap, wi in zip(a, w0s):
+        starts += [mrt(ap[j]) for j in pick]
+        starts.append(mrt(np.sum(ap * np.exp(-1j * np.angle(ap[:, :1])), axis=0)))
+        starts += noise if wi is None else [wi, *noise]
 
-    w = project(np.stack(starts))  # (S, N)
-    g = w.conj() @ a.T  # complex gains a @ w^*, (S, K)
+    w = project(np.stack(starts))  # (P*S, N)
+    s_per = len(w) // p
+    owner = np.repeat(np.arange(p), s_per)
+    g = (w.reshape(p, s_per, n).conj() @ a.transpose(0, 2, 1)).reshape(len(w), k)
     cur = np.min(np.abs(g), axis=1) ** 2
     step = np.full(len(w), 0.5)
     live = np.arange(len(w))
@@ -205,19 +221,30 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
         gl = g[live]
         kmin = np.argmin(np.abs(gl) ** 2, axis=1)
         # ascent direction of each start's active gain
-        grad = a[kmin] * np.conj(gl[np.arange(len(live)), kmin])[:, None]
-        s = step[live, None] * 0.5 ** np.arange(20)  # (L, 20)
-        cand = project(w[live, None, :] + s[..., None] * grad[:, None, :])
-        gc = cand.conj() @ a.T  # (L, 20, K)
-        v = np.min(np.abs(gc), axis=2) ** 2
-        ok = v > cur[live, None] + 1e-15
-        hit = np.flatnonzero(ok.any(axis=1))
-        j = ok[hit].argmax(axis=1)
-        live = live[hit]
-        w[live], g[live], cur[live] = cand[hit, j], gc[hit, j], v[hit, j]
-        step[live] = np.minimum(1.0, s[hit, j] * 2.0)
-    best = int(np.argmax(cur))
-    return w[best], float(cur[best])
+        grad = a[owner[live], kmin] * np.conj(gl[np.arange(len(live)), kmin])[:, None]
+        pend = np.arange(len(live))  # positions in live without an accepted step yet
+        for lo, hi in _STEP_CHUNKS:
+            rows = live[pend]
+            s = step[rows, None] * 0.5 ** np.arange(lo, hi)
+            cand = project(w[rows, None, :] + s[..., None] * grad[pend, None, :])
+            gc = cand.conj() @ a[owner[rows]].transpose(0, 2, 1)  # (R, J, K)
+            v = np.min(np.abs(gc), axis=2) ** 2
+            ok = v > cur[rows, None] + 1e-15
+            hit = ok.any(axis=1)
+            j = ok[hit].argmax(axis=1)
+            r = rows[hit]
+            w[r], g[r], cur[r] = cand[hit, j], gc[hit, j], v[hit, j]
+            step[r] = np.minimum(1.0, s[hit, j] * 2.0)
+            pend = pend[~hit]
+            if not pend.size:
+                break
+        if pend.size:
+            live = np.delete(live, pend)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("max_min_awv: %d of %d starts stopped at n_iter=%d, %d stalled",
+                   live.size, len(w), n_iter, len(w) - live.size)
+    best = np.argmax(cur.reshape(p, s_per), axis=1) + np.arange(p) * s_per
+    return (w[best], cur[best]) if stacked else (w[best[0]], float(cur[best[0]]))
 
 
 def _uniform_spacing_starts(n, aperture, d_min, wavelength):
@@ -306,31 +333,34 @@ def multibeam_ao(thetas, n: int, aperture: float, d_min: float, wavelength: floa
 
 def _ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, seed, max_sweeps,
                    n_refine: int = 3):
-    """Run the position/weight alternation from the most promising starts."""
+    """Run the position/weight alternation from the most promising starts.
+
+    One stacked ascent scores all starts; the n_refine best then alternate in
+    lockstep, one stacked ascent per sweep, until a sweep gains <= 1e-12.
+    """
     if not starts:
         raise InfeasibleError("no feasible starting placement fits the region")
-    scored = []
-    for x0 in starts:
-        w, v = max_min_awv(x0, thetas, wavelength, analog=analog, seed=seed)
-        scored.append((v, x0, w))
-    order = sorted(range(len(scored)), key=lambda i: -scored[i][0])
-
-    out = []
-    for i in order[:n_refine]:
-        cur, x, w = scored[i]
-        trace = [cur]
-        for _ in range(max_sweeps):
-            x_new, _ = _position_sweep(x, thetas, w, wavelength, aperture, d_min)
-            w_new, v_new = max_min_awv(x_new, thetas, wavelength, analog=analog,
-                                       seed=seed, w0=w)
-            if v_new > cur + 1e-12:
-                x, w, cur = x_new, w_new, v_new
-                trace.append(cur)
-            else:
-                break
-        out.append((cur, x, w, trace))
-    for v, x0, w in (scored[i] for i in order[n_refine:]):
-        out.append((v, x0, w, [v]))
+    ws, vs = max_min_awv(np.stack(starts), thetas, wavelength, analog=analog, seed=seed)
+    vs = vs.tolist()
+    out = [(vs[i], starts[i], ws[i], [vs[i]])
+           for i in sorted(range(len(starts)), key=lambda i: -vs[i])]
+    n_chains = min(n_refine, len(out))
+    live = list(range(n_chains))
+    for _ in range(max_sweeps):
+        if not live:
+            break
+        xs = np.stack([_position_sweep(out[c][1], thetas, out[c][2], wavelength, aperture,
+                                       d_min)[0] for c in live])
+        w_new, v_new = max_min_awv(xs, thetas, wavelength, analog=analog, seed=seed,
+                                   w0=np.stack([out[c][2] for c in live]))
+        v_new = v_new.tolist()
+        moved = [(i, c) for i, c in enumerate(live) if v_new[i] > out[c][0] + 1e-12]
+        for i, c in moved:
+            out[c] = (v_new[i], xs[i], w_new[i], out[c][3] + [v_new[i]])
+        live = [c for _, c in moved]
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("_ao_candidates: %d of %d chains stopped at max_sweeps=%d",
+                   len(live), n_chains, max_sweeps)
     return out
 
 

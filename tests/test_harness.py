@@ -231,6 +231,67 @@ def test_cli_field_parameter_out_of_range_exit_2(tmp_path, capsys, command, doc,
     assert field in capsys.readouterr().err
 
 
+NMSE = "estimation-nmse"
+
+
+@pytest.mark.parametrize("command", ["experiment", "validate-config"])
+@pytest.mark.parametrize("doc", [
+    {"experiment": NMSE, "params": {"measurements": 2}},
+    {"experiment": NMSE, "params": {"measurements": 1, "n_paths": 1}},
+    {"experiment": NMSE, "params": {"measurements": 8, "n_paths": 3}},
+    {"experiment": NMSE, "sweep": {"variable": "measurements", "values": [2, 128]}},
+    {"experiment": NMSE, "sweep": {"variable": "n_paths", "values": [1, 2, 12]}},
+], ids=["measurements-2", "successive-short", "joint-short", "sweep-measurements",
+        "sweep-n_paths"])
+def test_cli_estimation_nmse_too_few_measurements_exit_2(tmp_path, capsys, command, doc):
+    cfg = write(tmp_path, "bad.json", doc)
+    assert main([command, "--config", cfg]) == 2
+    assert "measurements // 2 >= n_paths" in capsys.readouterr().err
+
+
+def test_estimation_nmse_measurement_rule_boundary_accepted():
+    for params in ({"measurements": 9, "n_paths": 3}, {"measurements": 2, "n_paths": 1}):
+        ExperimentConfig.from_dict({"experiment": NMSE, "params": params})
+    ExperimentConfig.from_dict({"experiment": NMSE, "params": {"measurements": 16},
+                                "sweep": {"variable": "n_paths", "values": [1, 4]}})
+
+
+SENSE = {"n": 8, "u": 0.5, "snr_db": 20.0, "aperture": 4.0, "d_min": 0.5}
+NULL = {"task": "null", "n": 8, "theta0_deg": 90.0, "null_deg": [78.0], "aperture": 20.0,
+        "d_min": 0.5}
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("sense", {**SENSE, "n": "eight"}, "'n'"),
+    ("sense", {**SENSE, "trials": 0}, "trials"),
+    ("sense", {**SENSE, "placement": "sparse"}, "placement"),
+    ("optimize", {"task": "null", "n": "eight"}, "theta0_deg"),
+    ("optimize", {**NULL, "n": "eight"}, "'n'"),
+    ("optimize", {"task": "widebeam", "n": 8, "theta_min_deg": 30.0, "theta_max_deg": 120.0,
+                  "aperture": 10.0, "d_min": 0.5, "subregions": 0}, "subregions"),
+    ("optimize", {"task": "multibeam", "n": 8, "theta_deg": [30.0, 120.0]}, "aperture"),
+    ("optimize", {"task": "miso-graph", "n": 4, "m": 0, "aperture": 4.0, "d_min": 0.5,
+                  "scenario": {"generate": {"seed": 1, "n_paths": 3}}}, "'m'"),
+], ids=["sense-n-string", "sense-trials-0", "sense-placement", "null-fields-missing",
+        "null-n-string", "widebeam-subregions-0", "multibeam-aperture-missing", "miso-m-0"])
+def test_cli_validate_config_reads_like_the_subcommand(tmp_path, capsys, command, doc, field):
+    cfg = write(tmp_path, "bad.json", doc)
+    assert main(["validate-config", "--config", cfg]) == 2
+    assert field in capsys.readouterr().err
+    assert main([command, "--config", cfg]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_cli_validate_config_does_not_run_the_task(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate-config ran the task")
+
+    monkeypatch.setattr("makit.optimize.svo_null_apv", refuse)
+    monkeypatch.setattr("makit.cli._music_mse_once", refuse)
+    for doc in (NULL, SENSE):
+        assert main(["validate-config", "--config", write(tmp_path, "ok.json", doc)]) == 0
+
+
 def test_out_of_range_sweep_value_rejected():
     with pytest.raises(ConfigError, match="region_side"):
         ExperimentConfig.from_dict({"experiment": "mimo-capacity",

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,18 @@ def test_widebeam_two_antennas_matches_exhaustive():
             g = min(beam_gain(x, w, t, LAM) for t in centers)
             best = max(best, g)
     assert rep.best_score >= 0.98 * best
+
+
+def test_beam_ascent_logs_why_it_stopped_without_changing_results(caplog):
+    thetas = np.deg2rad([30.0, 120.0, 160.0])
+    quiet = multibeam_ao(thetas, 6, 6.0, 0.5, LAM, seed=1, max_sweeps=2)
+    assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("makit").handlers)
+    with caplog.at_level(logging.DEBUG, logger="makit"):
+        loud = multibeam_ao(thetas, 6, 6.0, 0.5, LAM, seed=1, max_sweeps=2)
+    msgs = [r.getMessage() for r in caplog.records if r.name == "makit.optimize.beams"]
+    assert any(m.startswith("max_min_awv: ") and "stopped at n_iter=300" in m for m in msgs)
+    assert any(m.startswith("_ao_candidates: ") and "chains stopped at max_sweeps=2" in m
+               for m in msgs)
+    assert loud.best_score == quiet.best_score and loud.trace == quiet.trace
+    assert loud.best_placement.tobytes() == quiet.best_placement.tobytes()
+    assert loud.extra["weights"].tobytes() == quiet.extra["weights"].tobytes()
