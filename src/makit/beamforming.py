@@ -7,6 +7,8 @@ are base-2 (bits/s/Hz).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .channel import channel_mimo
@@ -65,61 +67,80 @@ def mrt(h) -> np.ndarray:
 
 
 def zf_combiner(h: np.ndarray) -> np.ndarray:
-    """Zero-forcing combiner W with W^H H = I_K for an (N x K) channel, K <= N."""
+    """Zero-forcing combiner W with W^H H = I_K for an (N x K) channel, K <= N.
+
+    A (..., N, K) stack gives (..., N, K); a rank-deficient member of a stack
+    gets NaN weights, where a single channel raises ValueError.
+    """
     h = np.asarray(h, dtype=complex)
-    n, k = h.shape
+    n, k = h.shape[-2:]
     if k > n:
         raise ValueError("zero forcing needs at least as many antennas as users")
-    if np.linalg.matrix_rank(h) < k:
+    full = (np.linalg.matrix_rank(h) == k)[..., None, None]
+    if h.ndim == 2 and not full:
         raise ValueError("channel matrix is rank deficient")
-    return h @ np.linalg.inv(h.conj().T @ h)
+    gram = np.where(full, np.conj(h).swapaxes(-1, -2) @ h, np.eye(k))
+    return np.where(full, h @ np.linalg.inv(gram), np.nan)
 
 
 def mmse_combiner(h: np.ndarray, powers, sigma2: float) -> np.ndarray:
-    """Per-user MMSE combiners w_k ~ (sum_q p_q h_q h_q^H + sigma2 I)^-1 h_k, unit norm."""
+    """Per-user MMSE combiners w_k ~ (sum_q p_q h_q h_q^H + sigma2 I)^-1 h_k, unit norm.
+
+    h may be a (..., N, K) stack, with powers (K,) or (..., K).
+    """
     if sigma2 <= 0:
         raise ValueError("noise power must be > 0")
     h = np.asarray(h, dtype=complex)
-    p = np.asarray(powers, dtype=float).reshape(-1)
-    n, k = h.shape
-    cov = (h * p) @ h.conj().T + (sigma2 + _MMSE_FLOOR) * np.eye(n)
+    p = np.atleast_1d(np.asarray(powers, dtype=float))
+    cov = (h * p[..., None, :]) @ np.conj(h).swapaxes(-1, -2)
+    cov += (sigma2 + _MMSE_FLOOR) * np.eye(h.shape[-2])
     w = np.linalg.solve(cov, h)
-    return w / np.linalg.norm(w, axis=0, keepdims=True)
+    return w / np.linalg.norm(w, axis=-2, keepdims=True)
 
 
 def water_filling(singular_values, total_power: float, sigma2: float) -> np.ndarray:
     """Power allocation p_i = max(0, mu - sigma2/s_i^2) with sum(p) = total_power.
 
     Exact: mu = (P + sum of the k lowest floors sigma2/s_i^2)/k for the last k
-    whose k-th lowest floor lies below that level.
+    whose k-th lowest floor lies below that level.  Singular values (n,) give
+    (n,); a (..., n) stack is allocated row by row, each row with its own mu.
     """
-    s = np.asarray(singular_values, dtype=float).reshape(-1)
+    s = np.asarray(singular_values, dtype=float)
+    shape = s.shape if s.ndim > 1 else (s.size,)
+    s = s.reshape(math.prod(shape[:-1]), shape[-1])  # one row per allocation
     if total_power <= 0:
         raise ValueError("power budget must be > 0")
-    active = s > 1e-300
     inv = np.full_like(s, np.inf)
-    inv[active] = sigma2 / s[active] ** 2
-    srt = np.sort(inv[np.isfinite(inv)])
-    if srt.size == 0:
+    np.divide(sigma2, s ** 2, out=inv, where=s > 1e-300)
+    srt = np.sort(inv, axis=-1)  # zero singular values sort last, as infinite floors
+    if s.size == 0 or not np.isfinite(srt[:, 0]).all():
         raise ValueError("all singular values are zero")
-    levels = (total_power + np.cumsum(srt)) / np.arange(1, srt.size + 1)
-    below = np.flatnonzero(srt < levels)
-    k = below[-1] + 1 if below.size else 1  # a budget below one ulp of the floor still fills it
-    on = inv <= srt[k - 1]
-    p = np.where(on, levels[k - 1] - inv, 0.0)
+    levels = (total_power + srt.cumsum(axis=-1)) / np.arange(1, s.shape[1] + 1)
+    below = srt < levels
+    below[:, 0] = True  # a budget below one ulp of the lowest floor still fills that mode
+    k = s.shape[1] - below[:, ::-1].argmax(axis=-1)  # the last k with its floor below its level
+    rows = np.arange(len(s))
+    on = inv <= srt[rows, k - 1][:, None]
+    p = np.where(on, levels[rows, k - 1][:, None] - inv, 0.0)
     # exact renormalization on the active set removes cancellation residue
-    p[on] += (total_power - p.sum()) / on.sum()
-    return np.maximum(p, 0.0)
+    p = np.where(on, p + ((total_power - p.sum(axis=-1)) / on.sum(axis=-1))[:, None], p)
+    return np.maximum(p, 0.0).reshape(shape)
 
 
-def mimo_capacity(h: np.ndarray, total_power: float, sigma2: float) -> float:
-    """Capacity log2 det(I + H Q H^H / sigma2) under the optimal eigenmode allocation."""
+def mimo_capacity(h: np.ndarray, total_power: float, sigma2: float) -> float | np.ndarray:
+    """Capacity log2 det(I + H Q H^H / sigma2) under the optimal eigenmode allocation.
+
+    A (..., N_r, N_t) stack of channels gives a (...) array of capacities.
+    """
     h = np.asarray(h, dtype=complex)
     s = np.linalg.svd(h, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0.0
-    p = water_filling(s, total_power, sigma2)
-    return float(np.sum(np.log2(1.0 + p * s ** 2 / sigma2)))
+    cap = np.zeros(s.shape[:-1])
+    live = s[..., 0] > 0 if s.shape[-1] else cap > 0  # a zero channel has capacity 0
+    if live.any():
+        s = s[live]  # (M, n), also for a single channel
+        p = water_filling(s, total_power, sigma2)
+        cap[live] = np.sum(np.log2(1.0 + p * s ** 2 / sigma2), axis=-1)
+    return float(cap) if h.ndim == 2 else cap
 
 
 def user_sinr_and_rates(h: np.ndarray, w: np.ndarray, powers, sigma2: float):
@@ -127,17 +148,18 @@ def user_sinr_and_rates(h: np.ndarray, w: np.ndarray, powers, sigma2: float):
 
     h, w are (N x K); user k's SINR is
     |w_k^H h_k|^2 p_k / (sum_{q != k} |w_k^H h_q|^2 p_q + ||w_k||^2 sigma2).
-    Returns (sinr, rates) arrays of length K.
+    Returns (sinr, rates) arrays of length K.  (..., N, K) stacks of h and w,
+    with powers (K,) or (..., K), give (..., K) arrays.
     """
     h = np.asarray(h, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    p = np.asarray(powers, dtype=float).reshape(-1)
-    if h.shape != w.shape or h.shape[1] != len(p):
+    p = np.atleast_1d(np.asarray(powers, dtype=float))
+    if h.shape != w.shape or h.shape[-1] != p.shape[-1]:
         raise ValueError("channel, combiner, and power dimensions do not match")
-    cross = np.abs(w.conj().T @ h) ** 2  # (K, K): |w_k^H h_q|^2 at [k, q]
-    sig = np.diag(cross) * p
-    interference = cross @ p - np.diag(cross) * p
-    noise = np.linalg.norm(w, axis=0) ** 2 * sigma2
+    cross = np.abs(np.conj(w).swapaxes(-1, -2) @ h) ** 2  # (..., K, K): |w_k^H h_q|^2 at [k, q]
+    sig = np.diagonal(cross, axis1=-2, axis2=-1) * p
+    interference = (cross @ p[..., None])[..., 0] - sig
+    noise = np.linalg.norm(w, axis=-2) ** 2 * sigma2
     sinr = sig / (interference + noise)
     return sinr, np.log2(1.0 + sinr)
 
@@ -155,13 +177,11 @@ def multiuser_channels(positions, user_scenarios) -> np.ndarray:
 
     Each user is described by a Scenario whose Tx side is the user's own
     antenna (kept at its reference point) and whose Rx side is the base
-    station; `positions` are the base-station antenna positions.
+    station; `positions` are the base-station antenna positions, (N, 3) or a
+    (..., N, 3) stack giving (..., N, K).
     """
-    cols = []
-    for sc in user_scenarios:
-        h = channel_mimo([np.zeros(3)], positions, sc).reshape(-1)
-        cols.append(h)
-    return np.stack(cols, axis=1)
+    return np.stack([channel_mimo([np.zeros(3)], positions, sc)[..., 0]
+                     for sc in user_scenarios], axis=-1)
 
 
 def gma_positions(x: float, eta: int, n_antennas: int, wavelength: float) -> np.ndarray:

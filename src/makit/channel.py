@@ -207,23 +207,25 @@ class Scenario:
 
 
 def _position_rows(positions) -> np.ndarray:
-    """The positions frm takes as (N, 3) rows: missing coordinates are 0."""
+    """The positions frm takes as (..., N, 3) rows: missing coordinates are 0."""
     pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2:
+    if pos.ndim < 2:
         pos = pos.reshape(len(pos), -1)
-    if pos.shape[1] == 3:
+    if pos.shape[-1] == 3:
         return pos
-    rows = np.zeros((len(pos), 3))
-    rows[:, :pos.shape[1]] = pos
+    rows = np.zeros(pos.shape[:-1] + (3,))
+    rows[..., :pos.shape[-1]] = pos
     return rows
 
 
 def frm(positions, paths: PathSet, wavelength: float) -> np.ndarray:
     """Field response matrix (L x N): column n is the FRV of position n, given as
-    an x coordinate or an (x, y) / (x, y, z) point (missing coordinates are 0)."""
+    an x coordinate or an (x, y) / (x, y, z) point (missing coordinates are 0).
+    A (..., N, d) stack of placements gives (..., L, N)."""
     if wavelength <= 0:
         raise ValueError("wavelength must be > 0")
-    return np.exp(2j * np.pi / wavelength * (paths.wave_vectors @ _position_rows(positions).T))
+    rows = _position_rows(positions)
+    return np.exp(2j * np.pi / wavelength * (paths.wave_vectors @ rows.swapaxes(-1, -2)))
 
 
 def frv_tx(t, paths: PathSet, wavelength: float) -> np.ndarray:
@@ -255,12 +257,16 @@ def channel_narrowband(t, r, scenario: Scenario) -> complex | np.ndarray:
 
 
 def channel_mimo(tx_positions, rx_positions, scenario: Scenario) -> np.ndarray:
-    """Channel matrix H = F(r)^H Sigma G(t), shape (N_r, N_t)."""
+    """Channel matrix H = F(r)^H Sigma G(t), shape (N_r, N_t).
+
+    Either side may be a (..., N, d) stack of placements; the result is then
+    the (..., N_r, N_t) stack of their channels.
+    """
     if scenario.prm is None:
         raise ValueError("scenario has no narrowband prm")
     g = frm(tx_positions, scenario.tx_paths, scenario.wavelength)
     f = frm(rx_positions, scenario.rx_paths, scenario.wavelength)
-    return f.conj().T @ scenario.prm @ g
+    return np.conj(f).swapaxes(-1, -2) @ scenario.prm @ g
 
 
 def apply_coupling(h: np.ndarray, coupling: CouplingPair) -> np.ndarray:

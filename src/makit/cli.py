@@ -49,8 +49,8 @@ def _build_scenario(doc: dict, seed_override=None):
     try:
         if "generate" in doc:
             kw = dict(doc["generate"])
-            seed = kw.pop("seed", 0) if seed_override is None else seed_override
-            return gen_scenario(seed, **kw)
+            seed = kw.pop("seed", 0)
+            return gen_scenario(seed if seed_override is None else seed_override, **kw)
         return scenario_from_dict(doc)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad scenario: {e}") from None

@@ -165,13 +165,16 @@ class MoveRegion:
         return bool(np.min(np.linalg.norm(self.points - p, axis=1)) <= tol)
 
     def clip(self, position) -> np.ndarray:
-        """Project a point onto the region (nearest point for grids)."""
-        p = np.asarray(position, dtype=float).reshape(3)
+        """Project a point, or each point of a (..., 3) stack, onto the region
+        (nearest point for grids)."""
+        p = np.asarray(position, dtype=float)
+        p = p.reshape(3) if p.ndim < 2 else p
         if self.kind == "segment":
-            return np.array([np.clip(p[0], 0.0, self.length), 0.0, 0.0])
+            return np.where([True, False, False], np.clip(p, 0.0, self.length), 0.0)
         if self.kind == "box":
             return np.clip(p, 0.0, np.asarray(self.extents))
-        return self.points[np.argmin(np.linalg.norm(self.points - p, axis=1))]
+        d = np.linalg.norm(self.points - p[..., None, :], axis=-1)
+        return self.points[np.argmin(d, axis=-1)]
 
     def grid_points(self, step: float) -> np.ndarray:
         """Regular sampling of the region with the given step, (n, 3), lexicographic order."""

@@ -6,9 +6,15 @@ where a move is accepted only if it is feasible (region membership plus
 minimum spacing) and improves the objective.  Objective traces are therefore
 monotone by construction.  Statistical-CSI objectives average the metric over a fixed,
 caller-supplied ensemble of channel draws.
+
+Every objective takes the moving block as a (B, N, 3) stack of candidate
+placements and returns their (B,) scores, each equal to its placement's score
+alone: an antenna's derivative probes are one call, its backtracking steps two.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,11 +34,19 @@ _FD_STEP = 5e-3
 _STEP0 = 0.25
 
 
-def _ensemble_capacity(tx: np.ndarray, rx: np.ndarray, ensemble, power: float,
-                       sigma2: float) -> float:
-    """MIMO capacity averaged over a fixed list of channel draws."""
-    return float(np.mean([mimo_capacity(channel_mimo(tx, rx, sc), power, sigma2)
-                          for sc in ensemble]))
+def _ensemble_capacity(tx: np.ndarray, rx: np.ndarray, ensemble, power: float, sigma2: float):
+    """MIMO capacity averaged over a fixed list of channel draws; a (B, N, 3)
+    stack on either side gives (B,) averages."""
+    h = np.stack([channel_mimo(tx, rx, sc) for sc in ensemble], axis=-3)
+    # draws on the last, contiguous axis: the mean sums them as it sums a list
+    return np.mean(mimo_capacity(h, power, sigma2), axis=-1)
+
+
+def _run_stats(runs) -> dict:
+    """Evaluations and stop reason of several ascents: 'max_sweeps' if any stopped at the cap."""
+    capped = any(r.stop_reason == "max_sweeps" for r in runs)
+    return {"evaluations": sum(r.evaluations for r in runs),
+            "stop_reason": "max_sweeps" if capped else "stalled"}
 
 
 def _as_ensemble(scenario) -> list[Scenario]:
@@ -54,37 +68,52 @@ def mimo_position_ao(scenario, tx_region: MoveRegion, rx_region: MoveRegion,
     elif mode != "statistical":
         raise ValueError(f"unknown mode {mode!r}")
     lam = ensemble[0].wavelength
-    (tx, rx), cur, trace = _ascend(
+    (tx, rx), rep = _ascend(
         [(init_tx, tx_region), (init_rx, rx_region)],
         lambda t, r: _ensemble_capacity(t, r, ensemble, power, sigma2),
         max_sweeps, _FD_STEP * lam, _STEP0 * lam)
-    return OptReport(best_placement=np.vstack([tx, rx]), best_score=cur,
-                     iterations=len(trace) - 1, trace=trace,
-                     extra={"tx_positions": tx, "rx_positions": rx})
+    return replace(rep, extra={"tx_positions": tx, "rx_positions": rx})
 
 
 def _allocate_and_rate(h: np.ndarray, combiner: str, utility: str, budget: str,
                        power: float, sigma2: float):
-    """Combiner weights, power allocation, and per-user rates for one placement."""
-    n, k = h.shape
+    """Combiner weights, power allocation, and per-user rates for one (N, K)
+    channel or a (..., N, K) stack; a rank-deficient member of a ZF stack gets NaN rates."""
+    k = h.shape[-1]
     if combiner == "zf":
         w = zf_combiner(h)
-        wn2 = np.linalg.norm(w, axis=0) ** 2
+        wn2 = np.linalg.norm(w, axis=-2) ** 2
         gains = 1.0 / (wn2 * sigma2)  # SINR per unit power, interference-free
         if budget == "max":
-            p = np.full(k, power)
-        elif utility == "sum":
-            p = water_filling(np.sqrt(sigma2 * gains), power, sigma2)
+            p = np.full(gains.shape, power)
+        elif utility == "sum":  # a NaN gain (rank-deficient member) is filled as 1; its rates stay NaN
+            p = water_filling(np.sqrt(sigma2 * np.where(np.isnan(gains), 1.0, gains)),
+                              power, sigma2)
         else:  # equalize SINRs under a sum budget
             inv = 1.0 / gains
-            p = power * inv / inv.sum()
+            p = power * inv / inv.sum(axis=-1, keepdims=True)
     elif combiner == "mmse":
-        p = np.full(k, power if budget == "max" else power / k)
+        p = np.full(h.shape[:-2] + (k,), power if budget == "max" else power / k)
         w = mmse_combiner(h, p, sigma2)
     else:
         raise ValueError(f"unknown combiner {combiner!r}")
     _, rates = user_sinr_and_rates(h, w, p, sigma2)
     return w, p, rates
+
+
+def _mean_utility(positions: np.ndarray, draws, combiner: str, utility: str, budget: str,
+                  power: float, sigma2: float) -> np.ndarray:
+    """Rate utility of each placement in a (B, N, 3) stack, averaged over the
+    draws (each a list of user scenarios): (B,).  A placement whose ZF
+    channel is rank deficient in any draw scores -inf."""
+    h = np.stack([multiuser_channels(positions, users) for users in draws], axis=-3)
+    try:
+        _, _, rates = _allocate_and_rate(h, combiner, utility, budget, power, sigma2)
+    except (ValueError, np.linalg.LinAlgError):
+        return np.full(len(positions), -np.inf)
+    vals = np.sum(rates, axis=-1) if utility == "sum" else np.min(rates, axis=-1)
+    score = np.mean(vals, axis=-1)  # over the draws, as _ensemble_capacity averages
+    return np.where(np.isnan(score), -np.inf, score)
 
 
 def multiuser_position_opt(user_scenarios, bs_region: MoveRegion, init_rx: np.ndarray,
@@ -103,48 +132,39 @@ def multiuser_position_opt(user_scenarios, bs_region: MoveRegion, init_rx: np.nd
     """
     draws = ensembles if ensembles is not None else [user_scenarios]
     lam = draws[0][0].wavelength
-
-    def score_at(positions, budget_power):
-        vals = []
-        for users in draws:
-            h = multiuser_channels(positions, users)
-            try:
-                _, _, rates = _allocate_and_rate(h, combiner, utility, budget,
-                                                 budget_power, sigma2)
-            except (ValueError, np.linalg.LinAlgError):
-                return -np.inf
-            vals.append(np.sum(rates) if utility == "sum" else np.min(rates))
-        return float(np.mean(vals))
+    runs = []  # the report of every ascent, in order
 
     def solve_rate(budget_power, start):
-        (pos,), cur, trace = _ascend([(start, bs_region)], lambda q: score_at(q, budget_power),
-                                     max_sweeps, _FD_STEP * lam, _STEP0 * lam)
-        return pos, cur, trace
+        (pos,), rep = _ascend(
+            [(start, bs_region)],
+            lambda q: _mean_utility(q, draws, combiner, utility, budget, budget_power, sigma2),
+            max_sweeps, _FD_STEP * lam, _STEP0 * lam)
+        runs.append(rep)
+        return pos, rep.best_score
 
     if mode == "rate":
-        pos, cur, trace = solve_rate(power, init_rx)
+        pos, _ = solve_rate(power, init_rx)
         h = multiuser_channels(pos, draws[0])
         w, p, rates = _allocate_and_rate(h, combiner, utility, budget, power, sigma2)
-        return OptReport(best_placement=pos, best_score=cur, iterations=len(trace) - 1,
-                         trace=trace, extra={"weights": w, "powers": p, "rates": rates})
+        return replace(runs[0], extra={"weights": w, "powers": p, "rates": rates})
     if mode != "power":
         raise ValueError(f"unknown mode {mode!r}")
     if eta is None:
         raise ValueError("power-centric mode needs a rate target eta")
 
     p_hi = power
-    pos, val, _ = solve_rate(p_hi, init_rx)
+    pos, val = solve_rate(p_hi, init_rx)
     grow = 0
     while val < eta and grow < 12:
         p_hi *= 2.0
-        pos, val, _ = solve_rate(p_hi, pos)
+        pos, val = solve_rate(p_hi, pos)
         grow += 1
     if val < eta:
         raise InfeasibleError(f"rate target {eta} unreachable even at power {p_hi}")
     p_lo, best_pos, best_p = 0.0, pos, p_hi
     for _ in range(bisection_iters):
         mid = 0.5 * (p_lo + p_hi)
-        pos_mid, val_mid, _ = solve_rate(mid, best_pos)
+        pos_mid, val_mid = solve_rate(mid, best_pos)
         if val_mid >= eta:
             p_hi, best_pos, best_p = mid, pos_mid, mid
         else:
@@ -154,7 +174,8 @@ def multiuser_position_opt(user_scenarios, bs_region: MoveRegion, init_rx: np.nd
     return OptReport(best_placement=best_pos, best_score=best_p, iterations=bisection_iters,
                      trace=[best_p], extra={"weights": w, "powers": p, "rates": rates,
                                             "achieved_utility": float(np.sum(rates) if utility == "sum"
-                                                                      else np.min(rates))})
+                                                                      else np.min(rates))},
+                     **_run_stats(runs))
 
 
 def isac_constrained_opt(scenario, tx_positions: np.ndarray, rx_region: MoveRegion,
@@ -179,7 +200,7 @@ def isac_constrained_opt(scenario, tx_positions: np.ndarray, rx_region: MoveRegi
         return _ensemble_capacity(tx, rx, ensemble, power, sigma2)
 
     def crb(rx):
-        return crb_metric_2d(np.asarray(rx)[:, :2], crb_metric, crb_coef)
+        return crb_metric_2d(np.asarray(rx)[..., :2], crb_metric, crb_coef)
 
     rx = np.asarray(init_rx, dtype=float).reshape(-1, 3).copy()
     if rx_region.kind != "box":
@@ -194,22 +215,20 @@ def isac_constrained_opt(scenario, tx_positions: np.ndarray, rx_region: MoveRegi
                                       f"achievable {crb_opt.best_score:.3g}")
             rx = np.column_stack([crb_opt.best_placement, np.zeros(len(rx))])
         objective, constraint = capacity, lambda q: crb(q) <= threshold
-        sense = 1.0
+        sense, runs = 1.0, []
     elif mode == "sen":
-        (rx,), best_cap, _ = _ascend([(rx, rx_region)], capacity, max_sweeps,
-                                     _FD_STEP * lam, _STEP0 * lam)
-        if best_cap < threshold:
+        (rx,), unconstrained = _ascend([(rx, rx_region)], capacity, max_sweeps,
+                                       _FD_STEP * lam, _STEP0 * lam)
+        if unconstrained.best_score < threshold:
             raise InfeasibleError(f"capacity target {threshold:.3g} unreachable")
         objective, constraint = lambda q: -crb(q), lambda q: capacity(q) >= threshold
-        sense = -1.0
+        sense, runs = -1.0, [unconstrained]
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    def guarded(q):
-        return objective(q) if constraint(q) else -np.inf
-
-    (rx,), cur, trace = _ascend([(rx, rx_region)], guarded, max_sweeps,
-                                _FD_STEP * lam, _STEP0 * lam)
-    return OptReport(best_placement=rx, best_score=sense * cur, iterations=len(trace) - 1,
-                     trace=[sense * v for v in trace],
-                     extra={"capacity": capacity(rx), "crb": crb(rx)})
+    (rx,), rep = _ascend([(rx, rx_region)],
+                         lambda q: np.where(constraint(q), objective(q), -np.inf),
+                         max_sweeps, _FD_STEP * lam, _STEP0 * lam)
+    return replace(rep, best_score=sense * rep.best_score, trace=[sense * v for v in rep.trace],
+                   extra={"capacity": float(capacity(rx)), "crb": crb(rx)},
+                   **_run_stats(runs + [rep]))

@@ -15,7 +15,9 @@ class OptReport:
 
     best_placement holds positions (shape depends on the problem: scalars for
     linear arrays, (N, 3) otherwise); trace is the best-so-far score after
-    each iteration/sweep.
+    each iteration/sweep.  The placement ascents also record how many
+    placements they scored (evaluations) and why they stopped (stop_reason:
+    'stalled' when a sweep improved nothing, 'max_sweeps' at the sweep cap).
     """
 
     best_placement: np.ndarray
@@ -24,6 +26,8 @@ class OptReport:
     trace: list[float] = field(default_factory=list)
     feasible: bool = True
     extra: dict = field(default_factory=dict)
+    evaluations: int = 0
+    stop_reason: str | None = None
 
 
 class NotConstructible:

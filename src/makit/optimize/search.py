@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 from ..errors import InfeasibleError
@@ -9,6 +11,8 @@ from ..geometry import MoveRegion, _close_pairs
 from .report import OptReport
 
 __all__ = ["siso_gain_bounds", "grid_search_position", "gradient_position_search", "pso"]
+
+_log = logging.getLogger(__name__)
 
 
 def siso_gain_bounds(b) -> tuple[float, float]:
@@ -65,7 +69,7 @@ def gradient_position_search(objective, region: MoveRegion, start, step: float =
     trace = [sign * cur]
     it = 0
     for it in range(1, max_iter + 1):
-        grad = _fd_gradient(f, x, region, fd_step)
+        grad = _fd_gradient(lambda p: np.array([f(q) for q in p]), x, region, fd_step)
         gn = np.linalg.norm(grad)
         if gn == 0:
             break
@@ -87,83 +91,102 @@ def gradient_position_search(objective, region: MoveRegion, start, step: float =
 def _fd_gradient(f, x: np.ndarray, region: MoveRegion, fd_step: float) -> np.ndarray:
     """Central finite-difference gradient of f at x, with probes projected onto the region.
 
+    f scores an (M, 3) stack of positions as (M,); all probes go in one call.
     An axis whose probes coincide or give a non-finite value gets a zero component.
     """
+    e = fd_step * np.eye(3)
+    hi, lo = region.clip(x + e), region.clip(x - e)
+    denom = np.diagonal(hi) - np.diagonal(lo)
+    axes = np.flatnonzero(denom > 0)
     grad = np.zeros(3)
-    for d in range(3):
-        e = np.zeros(3)
-        e[d] = fd_step
-        hi = region.clip(x + e)
-        lo = region.clip(x - e)
-        denom = hi[d] - lo[d]
-        if denom <= 0:
-            continue
-        va = f(hi)
-        vb = f(lo)
-        if np.isfinite(va) and np.isfinite(vb):
-            grad[d] = (va - vb) / denom
+    if axes.size:
+        va, vb = np.reshape(f(np.concatenate([hi[axes], lo[axes]])), (2, -1))
+        ok = np.isfinite(va) & np.isfinite(vb)
+        grad[axes[ok]] = (va[ok] - vb[ok]) / denom[axes[ok]]
     return grad
 
 
-def _sweep_antennas(positions: np.ndarray, region: MoveRegion, objective, cur: float,
+def _sweep_antennas(positions: np.ndarray, region: MoveRegion, score, cur: float,
                     fd_step: float, step0: float) -> tuple[np.ndarray, float, bool]:
     """One sweep of projected gradient steps, one antenna at a time, from value cur.
 
-    Derivative probes ignore the spacing constraint; a move is accepted only
-    if it keeps the spacing and gains more than 1e-12.  Returns (positions,
-    value, improved_any).
+    score maps a (B, N, 3) stack of placements to (B,) values.  Derivative
+    probes ignore the spacing constraint.  Of the steps step0·0.5^j (j < 20),
+    the first that keeps the spacing and gains more than 1e-12 is accepted;
+    steps 0-3 are scored in one call, steps 4-19 in a second only if none of
+    those is.  Returns (positions, value, improved_any).
     """
     pos = positions.copy()
     improved_any = False
+    steps = step0 * 0.5 ** np.arange(20)
     for i in range(len(pos)):
-        def probe(p):
-            q = pos.copy()
-            q[i] = p
-            return objective(q)
+        def placements(p):  # pos with antenna i at each row of p
+            q = np.repeat(pos[None], len(p), axis=0)
+            q[:, i] = p
+            return q
 
-        grad = _fd_gradient(probe, pos[i], region, fd_step)
+        grad = _fd_gradient(lambda p: score(placements(p)), pos[i], region, fd_step)
         gn = np.linalg.norm(grad)
         if gn == 0:
             continue
-        s = step0
-        for _ in range(20):
-            cand = pos.copy()
-            cand[i] = region.clip(pos[i] + s * grad / gn)
-            if not _close_pairs(cand, region.d_min).any():
-                v = objective(cand)
-                if v > cur + 1e-12:
-                    pos, cur = cand, v
-                    improved_any = True
-                    break
-            s *= 0.5
+        cand = region.clip(pos[i] + steps[:, None] * grad / gn)
+        near = np.linalg.norm(cand[:, None] - np.delete(pos, i, axis=0), axis=-1)
+        feasible = np.all(near >= region.d_min * (1 - 1e-12), axis=1)  # the _close_pairs rule
+        for lo, hi in ((0, 4), (4, 20)):  # where accepted steps mostly fall, then the rest
+            j = lo + np.flatnonzero(feasible[lo:hi])
+            if not j.size:
+                continue
+            vals = score(placements(cand[j]))
+            gain = np.flatnonzero(vals > cur + 1e-12)
+            if gain.size:
+                pos[i], cur = cand[j[gain[0]]], vals[gain[0]]
+                improved_any = True
+                break
     return pos, cur, improved_any
 
 
-def _ascend(blocks, objective, max_sweeps: int, fd: float, step0: float):
+def _ascend(blocks, objective, max_sweeps: int, fd: float, step0: float) -> tuple[list, OptReport]:
     """Maximize objective(*positions) by sweeping each block in turn until no block improves.
 
     blocks is a list of (positions, region) pairs; a block's sweep holds the
-    others fixed.  A start outside a region (tol 1e-6) or closer than d_min
-    raises InfeasibleError.  Returns (positions per block, best value, trace
-    of the best value at the start and after each sweep).
+    others fixed.  The objective takes one position array per block, where
+    the moving block is a (B, N, 3) stack of candidate placements and the
+    others are (N, 3), and returns the (B,) scores.  A start outside a region
+    (tol 1e-6) or closer than d_min raises InfeasibleError.  Returns the
+    positions per block and a report: the best value, the trace of it at the
+    start and after each sweep, the sweeps run, the placements scored and
+    why the ascent stopped ('stalled' or 'max_sweeps').
     """
     pos = [np.array(p, dtype=float).reshape(-1, 3) for p, _ in blocks]
     regions = [region for _, region in blocks]
     for p, region in zip(pos, regions):
         if not all(region.contains(q, tol=1e-6) for q in p) or _close_pairs(p, region.d_min).any():
             raise InfeasibleError("initial placement is outside the region or closer than d_min")
-    cur = objective(*pos)
-    trace = [cur]
+    evaluations = 0
+
+    def score(b, stack):  # the objective over a stack of block b's placements
+        nonlocal evaluations
+        evaluations += len(stack)
+        return objective(*pos[:b], stack, *pos[b + 1:])
+
+    cur = float(score(0, pos[0][None])[0])
+    trace, stop = [cur], "max_sweeps"
     for _ in range(max_sweeps):
         improved = False
         for b, region in enumerate(regions):
             pos[b], cur, block_improved = _sweep_antennas(
-                pos[b], region, lambda q: objective(*pos[:b], q, *pos[b + 1:]), cur, fd, step0)
+                pos[b], region, lambda q: score(b, q), cur, fd, step0)
             improved |= block_improved
-        trace.append(cur)
+        trace.append(float(cur))
         if not improved:
+            stop = "stalled"
             break
-    return pos, cur, trace
+    if stop == "max_sweeps":
+        _log.debug("_ascend: stopped at max_sweeps=%d with value %.6g after %d evaluations",
+                   max_sweeps, cur, evaluations)
+    return pos, OptReport(best_placement=np.vstack(pos), best_score=float(cur),
+                          iterations=len(trace) - 1, trace=trace, evaluations=evaluations,
+                          stop_reason=stop)
 
 
 def pso(objective, dim: int, bounds, n_particles: int = 30, n_iter: int = 100,

@@ -47,9 +47,11 @@ def _crb_batch(xy: np.ndarray, metric: str, coef: float) -> np.ndarray:
     return np.where((ex <= 0) | (ey <= 0), np.inf, val)
 
 
-def crb_metric_2d(xy: np.ndarray, metric: str = "max", coef: float = 1.0) -> float:
-    """CRB objective (max or sum over the two spatial frequencies) for a 2D layout."""
-    return float(_crb_batch(np.asarray(xy, dtype=float), metric, coef))
+def crb_metric_2d(xy: np.ndarray, metric: str = "max", coef: float = 1.0) -> float | np.ndarray:
+    """CRB objective (max or sum over the two spatial frequencies) for a 2D layout,
+    or (...) values for a (..., n, 2) stack of layouts."""
+    val = _crb_batch(np.asarray(xy, dtype=float), metric, coef)
+    return float(val) if val.ndim == 0 else val
 
 
 def _perimeter_init(n: int, ax: float, ay: float) -> np.ndarray:

@@ -394,3 +394,16 @@ def test_cli_seed_override_changes_result(tmp_path):
     a, b, c = (load_table_csv(p).rows for p in (o1, o2, o3))
     assert a == c
     assert a != b
+
+
+def test_cli_seed_override_replaces_scenario_seed(tmp_path):
+    # --seed replaces the seed a scenario's generate block names, in place of
+    # colliding with it
+    out_override, out_written = tmp_path / "a.csv", tmp_path / "b.csv"
+    doc = simulate_doc(0.5, {"generate": {"seed": 7, "n_paths": 4, "kappa": 1.0}})
+    cfg = write(tmp_path, "sim.json", doc)
+    assert main(["simulate", "--config", cfg, "--out", str(out_override), "--seed", "1"]) == 0
+    doc["scenario"]["generate"]["seed"] = 1
+    cfg = write(tmp_path, "sim1.json", doc)
+    assert main(["simulate", "--config", cfg, "--out", str(out_written)]) == 0
+    assert out_override.read_text() == out_written.read_text()

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from makit.errors import InfeasibleError
 from makit.geometry import MoveRegion, validate_placement
 from makit.optimize import (SampledLine, gma_opt, graph_opt_miso, isac_constrained_opt,
                             mimo_position_ao, multiuser_position_opt, sensing_2d_ao)
+from makit.optimize import mimo as mimo_module
 
 LAM = 1.0
 
@@ -76,6 +79,58 @@ def test_mimo_infeasible_init():
 def make_users(seed, k, l=4, kappa=1.0):
     rng = np.random.default_rng(seed)
     return [gen_scenario(rng, n_paths=l, wavelength=LAM, kappa=kappa) for _ in range(k)]
+
+
+def test_mimo_ascent_scores_each_antenna_in_at_most_three_calls(monkeypatch):
+    # per antenna per sweep: one call for the derivative probes and at most two
+    # for the backtracking steps (0-3, then 4-19)
+    sizes = []
+    capacity = mimo_module._ensemble_capacity
+
+    def counted(tx, rx, *args):
+        out = capacity(tx, rx, *args)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(mimo_module, "_ensemble_capacity", counted)
+    sc = gen_scenario(1, n_paths=4, wavelength=LAM, kappa=1.0)
+    region = square_region(3.0)
+    init = upa(3.0, 0.5, 4)
+    rep = mimo_position_ao(sc, region, region, init, init, 10.0, 1.0, max_sweeps=3)
+    assert rep.iterations == 3 and rep.stop_reason == "max_sweeps"
+    assert len(sizes) <= 1 + 3 * rep.iterations * (len(init) + len(init))
+    assert rep.evaluations == sum(sizes) > len(sizes)
+
+
+def test_placement_reports_evaluations_and_stop_reason(caplog):
+    region = square_region(3.0)
+    init = upa(3.0, 0.5, 4)
+    sc = gen_scenario(1, n_paths=4, wavelength=LAM, kappa=1.0)
+    quiet = mimo_position_ao(sc, region, region, init, init, 10.0, 1.0, max_sweeps=1)
+    with caplog.at_level(logging.DEBUG, logger="makit"):
+        capped = mimo_position_ao(sc, region, region, init, init, 10.0, 1.0, max_sweeps=1)
+    msgs = [r.getMessage() for r in caplog.records if r.name == "makit.optimize.search"]
+    assert any("stopped at max_sweeps=1" in m for m in msgs)
+    assert capped.trace == quiet.trace and capped.evaluations == quiet.evaluations
+    assert capped.stop_reason == "max_sweeps" and capped.evaluations > 1
+    stalled = mimo_position_ao(sc, region, region, init, init, 10.0, 1.0, max_sweeps=30)
+    assert stalled.stop_reason == "stalled" and stalled.iterations < 30
+    assert stalled.trace[-1] == stalled.trace[-2]
+
+    users = make_users(7, 2, l=3)
+    inner = []
+    for mode, eta in (("rate", None), ("power", 4.0)):
+        rep = multiuser_position_opt(users, square_region(2.0), upa(2.0, 0.5, 4), 50.0, 1.0,
+                                     mode=mode, eta=eta, max_sweeps=1, bisection_iters=2)
+        assert rep.stop_reason == "max_sweeps" and rep.evaluations > 0
+        inner.append(rep.evaluations)
+    assert inner[1] > inner[0]  # the power-centric search sums its inner ascents
+
+    tx = upa(3.0, 0.5, 4)
+    for mode, threshold in (("com", np.inf), ("sen", 0.0)):
+        rep = isac_constrained_opt(sc, tx, region, init, 10.0, 1.0, mode=mode,
+                                   threshold=threshold, max_sweeps=30)
+        assert rep.stop_reason in ("stalled", "max_sweeps") and rep.evaluations > 0
 
 
 def test_multiuser_single_user_matches_line_optimum():

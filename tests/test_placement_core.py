@@ -20,7 +20,8 @@ from makit.errors import InfeasibleError
 from makit.geometry import MoveRegion
 from makit.optimize import (crb_metric_2d, isac_constrained_opt, mimo_position_ao,
                             multiuser_position_opt, sensing_2d_ao)
-from makit.optimize.mimo import _allocate_and_rate
+from makit.optimize.mimo import _allocate_and_rate, _ensemble_capacity
+from makit.optimize.search import _sweep_antennas
 
 LAM = 1.0
 SIDE = 2.0
@@ -40,7 +41,8 @@ def ref_pairwise_ok(pos, d_min):
     return bool(d.min() >= d_min * (1 - 1e-12))
 
 
-def ref_sweep(positions, region, objective, fd_step, step0):
+def ref_sweep(positions, region, objective, fd_step, step0, accepted=None):
+    """accepted, when given, receives each moved antenna's accepted step (None: all rejected)."""
     pos = positions.copy()
     cur = objective(pos)
     improved_any = False
@@ -67,7 +69,7 @@ def ref_sweep(positions, region, objective, fd_step, step0):
         if gn == 0:
             continue
         s = step0
-        for _ in range(20):
+        for j in range(20):
             cand = pos.copy()
             cand[i] = region.clip(pos[i] + s * grad / gn)
             if ref_pairwise_ok(cand, region.d_min):
@@ -77,6 +79,10 @@ def ref_sweep(positions, region, objective, fd_step, step0):
                     improved_any = True
                     break
             s *= 0.5
+        else:
+            j = None
+        if accepted is not None:
+            accepted.append(j)
     return pos, cur, improved_any
 
 
@@ -249,8 +255,17 @@ draw = dict(seed=st.integers(0, 2 ** 16), n_paths=st.integers(1, 4),
 # ---------------------------------------------------------------------------
 # properties
 
+# the sweep scores backtracking steps 0-3 in one call and 4-19 in another; see
+# test_pinned_sweeps_reach_both_backtracking_chunks
+LATE_STEP = dict(statistical=False, fixed_tx=False, seed=8, n_paths=2, kappa=1.0, max_sweeps=1,
+                 sparse=False)  # a transmit antenna accepts step 6
+NO_STEP = dict(LATE_STEP, seed=1)  # every antenna rejects all 20 steps
+
+
 @settings(max_examples=20, deadline=None)
 @given(statistical=st.booleans(), fixed_tx=st.booleans(), **draw)
+@example(**LATE_STEP)
+@example(**NO_STEP)
 def test_mimo_position_ao_matches_reference(statistical, fixed_tx, seed, n_paths, kappa,
                                             max_sweeps, sparse):
     sc = gen_scenario(seed, n_paths=n_paths, wavelength=LAM, kappa=kappa)
@@ -304,3 +319,22 @@ def test_isac_constrained_opt_matches_reference(sen, slack, seed, n_paths, kappa
     rep = isac_constrained_opt(sc, tx, reg, r0, POWER, SIGMA2, mode=mode, threshold=threshold,
                                max_sweeps=max_sweeps)
     assert_same(rep, ref_isac([sc], tx, reg, r0, mode, threshold, max_sweeps))
+
+
+@pytest.mark.parametrize("case, covered", [
+    (LATE_STEP, lambda steps: any(j is not None and j >= 4 for j in steps)),
+    (NO_STEP, lambda steps: all(j is None for j in steps)),
+], ids=["accepts-step-4-19", "rejects-every-step"])
+def test_pinned_sweeps_reach_both_backtracking_chunks(case, covered):
+    sc = gen_scenario(case["seed"], n_paths=case["n_paths"], wavelength=LAM, kappa=case["kappa"])
+    reg, tx, rx = region(), upa(LAM / 2), start(case["sparse"])
+    steps = []
+    want = ref_sweep(tx, reg, lambda t: mimo_capacity(channel_mimo(t, rx, sc), POWER, SIGMA2),
+                     5e-3 * LAM, 0.25 * LAM, steps)
+    assert covered(steps)
+    got = _sweep_antennas(tx, reg, lambda q: _ensemble_capacity(q, rx, [sc], POWER, SIGMA2),
+                          mimo_capacity(channel_mimo(tx, rx, sc), POWER, SIGMA2),
+                          5e-3 * LAM, 0.25 * LAM)
+    assert np.array_equal(got[0], want[0])
+    assert float(got[1]).hex() == float(want[1]).hex()
+    assert got[2] == want[2]

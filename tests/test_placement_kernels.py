@@ -2,10 +2,11 @@
 
 The reference functions below are the earlier implementations, kept here only
 as oracles: a 200-step bisection for water-filling, a coordinate-descent CRB
-scan that scores one candidate layout per call, and a field response matrix
-that pads positions to 3D one at a time.  The exact water-filling must agree
-with the bisection to rounding; the batched CRB scan and the stacked field
-response matrix must agree bitwise.
+scan that scores one candidate layout per call, a field response matrix that
+pads positions to 3D one at a time, and the one-placement kernels under the
+placement objectives.  The exact water-filling must agree with the bisection
+to rounding; the batched CRB scan, the stacked field response matrix and
+every stacked placement kernel must agree bitwise.
 """
 
 import math
@@ -15,10 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from makit.beamforming import water_filling
-from makit.channel import PathSet, frm, sample_directions
+from makit.beamforming import (mimo_capacity, mmse_combiner, multiuser_channels,
+                               user_sinr_and_rates, water_filling, zf_combiner)
+from makit.channel import PathSet, frm, gen_scenario, redraw_prm_phases, sample_directions
 from makit.errors import InfeasibleError
 from makit.optimize import sensing_2d_ao
+from makit.optimize.mimo import _ensemble_capacity, _mean_utility
 from makit.optimize.sensing import _corner_init, _feasible, _perimeter_init, sensing_1d_optimal
 
 
@@ -230,3 +233,255 @@ def test_frm_strided_positions():
     wide = rng.uniform(-2.0, 2.0, (9, 5))
     for view in (wide[:, :3], wide[::2, 1:3], wide[:, 4], wide.T[:3].T):
         assert np.array_equal(frm(view, paths, 1.0), ref_frm(view, paths, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# stacked placement kernels against their one-placement forms
+#
+# The scalar_* functions are the one-placement kernels as they were before the
+# placement objectives took stacks.
+
+def scalar_water_filling(singular_values, total_power, sigma2):
+    s = np.asarray(singular_values, dtype=float).reshape(-1)
+    if total_power <= 0:
+        raise ValueError("power budget must be > 0")
+    active = s > 1e-300
+    inv = np.full_like(s, np.inf)
+    inv[active] = sigma2 / s[active] ** 2
+    srt = np.sort(inv[np.isfinite(inv)])
+    if srt.size == 0:
+        raise ValueError("all singular values are zero")
+    levels = (total_power + np.cumsum(srt)) / np.arange(1, srt.size + 1)
+    below = np.flatnonzero(srt < levels)
+    k = below[-1] + 1 if below.size else 1
+    on = inv <= srt[k - 1]
+    p = np.where(on, levels[k - 1] - inv, 0.0)
+    p[on] += (total_power - p.sum()) / on.sum()
+    return np.maximum(p, 0.0)
+
+
+def scalar_mimo_capacity(h, total_power, sigma2):
+    h = np.asarray(h, dtype=complex)
+    s = np.linalg.svd(h, compute_uv=False)
+    if s.size == 0 or s[0] == 0:
+        return 0.0
+    p = scalar_water_filling(s, total_power, sigma2)
+    return float(np.sum(np.log2(1.0 + p * s ** 2 / sigma2)))
+
+
+def scalar_zf_combiner(h):
+    h = np.asarray(h, dtype=complex)
+    n, k = h.shape
+    if k > n:
+        raise ValueError("zero forcing needs at least as many antennas as users")
+    if np.linalg.matrix_rank(h) < k:
+        raise ValueError("channel matrix is rank deficient")
+    return h @ np.linalg.inv(h.conj().T @ h)
+
+
+def scalar_mmse_combiner(h, powers, sigma2):
+    h = np.asarray(h, dtype=complex)
+    p = np.asarray(powers, dtype=float).reshape(-1)
+    n, k = h.shape
+    cov = (h * p) @ h.conj().T + (sigma2 + 1e-15) * np.eye(n)
+    w = np.linalg.solve(cov, h)
+    return w / np.linalg.norm(w, axis=0, keepdims=True)
+
+
+def scalar_user_sinr_and_rates(h, w, powers, sigma2):
+    h = np.asarray(h, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    p = np.asarray(powers, dtype=float).reshape(-1)
+    cross = np.abs(w.conj().T @ h) ** 2
+    sig = np.diag(cross) * p
+    interference = cross @ p - np.diag(cross) * p
+    noise = np.linalg.norm(w, axis=0) ** 2 * sigma2
+    sinr = sig / (interference + noise)
+    return sinr, np.log2(1.0 + sinr)
+
+
+def scalar_channel_mimo(tx, rx, sc):
+    g = np.exp(2j * np.pi / sc.wavelength * (sc.tx_paths.wave_vectors @ np.asarray(tx).T))
+    f = np.exp(2j * np.pi / sc.wavelength * (sc.rx_paths.wave_vectors @ np.asarray(rx).T))
+    return f.conj().T @ sc.prm @ g
+
+
+def scalar_multiuser_channels(positions, users):
+    return np.stack([scalar_channel_mimo(np.zeros((1, 3)), positions, sc).reshape(-1)
+                     for sc in users], axis=1)
+
+
+def scalar_ensemble_capacity(tx, rx, ensemble, power, sigma2):
+    return float(np.mean([scalar_mimo_capacity(scalar_channel_mimo(tx, rx, sc), power, sigma2)
+                          for sc in ensemble]))
+
+
+def scalar_allocate_and_rate(h, combiner, utility, budget, power, sigma2):
+    n, k = h.shape
+    if combiner == "zf":
+        w = scalar_zf_combiner(h)
+        gains = 1.0 / (np.linalg.norm(w, axis=0) ** 2 * sigma2)
+        if budget == "max":
+            p = np.full(k, power)
+        elif utility == "sum":
+            p = scalar_water_filling(np.sqrt(sigma2 * gains), power, sigma2)
+        else:
+            inv = 1.0 / gains
+            p = power * inv / inv.sum()
+    else:
+        p = np.full(k, power if budget == "max" else power / k)
+        w = scalar_mmse_combiner(h, p, sigma2)
+    return scalar_user_sinr_and_rates(h, w, p, sigma2)[1]
+
+
+def scalar_mean_utility(positions, draws, combiner, utility, budget, power, sigma2):
+    vals = []
+    for users in draws:
+        h = scalar_multiuser_channels(positions, users)
+        try:
+            rates = scalar_allocate_and_rate(h, combiner, utility, budget, power, sigma2)
+        except (ValueError, np.linalg.LinAlgError):
+            return -np.inf
+        vals.append(np.sum(rates) if utility == "sum" else np.min(rates))
+    return float(np.mean(vals))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def complex_draw(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def placements(rng, b, n, side=2.0):
+    """b random (n, 3) planar placements; the last one has every antenna in one
+    spot, so its multiuser channel has rank 1."""
+    pos = np.zeros((b, n, 3))
+    pos[..., :2] = rng.uniform(0.0, side, (b, n, 2))
+    pos[-1] = pos[-1, :1]
+    return pos
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(gains, min_size=4, max_size=4), min_size=1, max_size=6),
+       st.floats(1e-3, 1e4) | st.just(1e-3), st.floats(1e-3, 1e2))
+# floors 1e20 and 1e22: the budget lies below one ulp of the lowest floor
+@example([[0.0, 1e-9, 1e-9, 1e-10], [1e-3, 1e-3, 1e-3, 1e3]], 1e-3, 1e2)
+def test_stacked_water_filling_matches_each_row(rows, power, sigma2):
+    s = np.asarray(rows)
+    s[~np.any(s > 0, axis=1), 0] = 1.0  # an all-zero row is refused, stacked or not
+    p = water_filling(s, power, sigma2)
+    for row, got in zip(s, p):
+        assert same_bits(got, scalar_water_filling(row, power, sigma2))
+        assert same_bits(water_filling(row, power, sigma2), got)
+    assert same_bits(water_filling(s[None], power, sigma2)[0], p)
+
+
+def test_stacked_water_filling_refuses_a_row_without_power():
+    with pytest.raises(ValueError):
+        water_filling([[1.0, 2.0], [0.0, 0.0]], 1.0, 1.0)
+    with pytest.raises(ValueError):
+        water_filling(np.zeros((2, 0)), 1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), b=st.integers(1, 5), nr=st.integers(1, 5),
+       nt=st.integers(1, 5), power=st.floats(1e-2, 1e3))
+def test_stacked_mimo_capacity_matches_each_channel(seed, b, nr, nt, power):
+    rng = np.random.default_rng(seed)
+    h = complex_draw(rng, (b + 2, nr, nt))
+    h[-1] = 0.0  # zero channel: capacity 0
+    h[-2, :, 1:] = h[-2, :, :1]  # rank 1
+    caps = mimo_capacity(h, power, 1.0)
+    assert caps.shape == (b + 2,)
+    for hb, got in zip(h, caps):
+        want = scalar_mimo_capacity(hb, power, 1.0)
+        assert float(got).hex() == want.hex()
+        single = mimo_capacity(hb, power, 1.0)
+        assert type(single) is float and single.hex() == want.hex()
+    assert same_bits(mimo_capacity(h.reshape(1, *h.shape), power, 1.0)[0], caps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), b=st.integers(1, 5), n=st.integers(1, 6),
+       k=st.integers(1, 6), p_stacked=st.booleans())
+def test_stacked_combiners_and_rates_match_each_channel(seed, b, n, k, p_stacked):
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    h = complex_draw(rng, (b + 1, n, k))
+    h[-1, :, -1] = h[-1, :, 0] * 2.0  # a repeated user: rank deficient when k > 1
+    w = zf_combiner(h)
+    for hb, wb in zip(h, w):
+        try:
+            want = scalar_zf_combiner(hb)
+        except ValueError:
+            assert np.all(np.isnan(wb))
+            with pytest.raises(ValueError):
+                zf_combiner(hb)
+            continue
+        assert same_bits(wb, want)
+        assert same_bits(zf_combiner(hb), want)
+    w = np.where(np.isnan(w), complex_draw(rng, w.shape), w)
+    p = rng.uniform(0.1, 3.0, (b + 1, k) if p_stacked else k)
+    sinr, rates = user_sinr_and_rates(h, w, p, 0.7)
+    w_mmse = mmse_combiner(h, p, 0.7)
+    for i in range(b + 1):
+        pi = p[i] if p_stacked else p
+        want_sinr, want_rates = scalar_user_sinr_and_rates(h[i], w[i], pi, 0.7)
+        assert same_bits(sinr[i], want_sinr) and same_bits(rates[i], want_rates)
+        single = user_sinr_and_rates(h[i], w[i], pi, 0.7)
+        assert same_bits(single[0], want_sinr) and same_bits(single[1], want_rates)
+        assert same_bits(w_mmse[i], scalar_mmse_combiner(h[i], pi, 0.7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), b=st.integers(1, 4), n=st.integers(1, 9),
+       k=st.integers(1, 4), n_paths=st.integers(1, 6))
+def test_stacked_multiuser_channels_match_each_placement(seed, b, n, k, n_paths):
+    rng = np.random.default_rng(seed)
+    users = [gen_scenario(rng, n_paths=n_paths, kappa=1.0) for _ in range(k)]
+    pos = placements(rng, b, n)
+    h = multiuser_channels(pos, users)
+    assert h.shape == (b, n, k)
+    for pb, hb in zip(pos, h):
+        assert same_bits(hb, scalar_multiuser_channels(pb, users))
+        assert same_bits(multiuser_channels(pb, users), hb)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), b=st.integers(1, 4), nt=st.integers(1, 4),
+       nr=st.integers(1, 6), draws=st.integers(1, 3), stack_tx=st.booleans())
+def test_stacked_ensemble_capacity_matches_each_placement(seed, b, nt, nr, draws, stack_tx):
+    rng = np.random.default_rng(seed)
+    sc = gen_scenario(rng, n_paths=4, kappa=1.0)
+    ensemble = [sc] + [redraw_prm_phases(sc, rng) for _ in range(draws - 1)]
+    fixed = placements(rng, 1, nr if stack_tx else nt)[0]
+    stack = placements(rng, b, nt if stack_tx else nr)
+    args = (lambda q: (q, fixed)) if stack_tx else (lambda q: (fixed, q))
+    caps = _ensemble_capacity(*args(stack), ensemble, 10.0, 1.0)
+    assert caps.shape == (b,)
+    for q, got in zip(stack, caps):
+        want = scalar_ensemble_capacity(*args(q), ensemble, 10.0, 1.0)
+        assert float(got).hex() == want.hex()
+        assert float(_ensemble_capacity(*args(q), ensemble, 10.0, 1.0)).hex() == want.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), b=st.integers(1, 4), n=st.integers(3, 6),
+       k=st.integers(2, 3), draws=st.integers(1, 3), combiner=st.sampled_from(["zf", "mmse"]),
+       utility=st.sampled_from(["sum", "min"]), budget=st.sampled_from(["sum", "max"]))
+def test_stacked_multiuser_score_matches_each_placement(seed, b, n, k, draws, combiner,
+                                                        utility, budget):
+    rng = np.random.default_rng(seed)
+    users = [gen_scenario(rng, n_paths=3, kappa=1.0) for _ in range(k)]
+    ens = [users] + [[redraw_prm_phases(u, rng) for u in users] for _ in range(draws - 1)]
+    pos = placements(rng, b + 1, n)  # the last placement is rank deficient
+    score = _mean_utility(pos, ens, combiner, utility, budget, 10.0, 1.0)
+    assert score.shape == (b + 1,)
+    for q, got in zip(pos, score):
+        want = scalar_mean_utility(q, ens, combiner, utility, budget, 10.0, 1.0)
+        assert float(got).hex() == want.hex()
+    if combiner == "zf":  # -inf for the rank-deficient placement only
+        assert score[-1] == -np.inf and np.all(np.isfinite(score[:-1]))
