@@ -359,20 +359,24 @@ def radiation_gain(pattern: RadiationPattern, aom: np.ndarray, k: np.ndarray) ->
 
 def _polarization_vectors(pattern: RadiationPattern, aom: np.ndarray,
                           k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Radiation gains (L,) and LCS-frame pattern vectors (L, 2) for stacked wave vectors (L, 3).
+    """Radiation gains (..., L) and LCS-frame pattern vectors (..., L, 2) for wave vectors (L, 3).
 
-    Row l is M_l @ [F1, F2] at the antenna-frame wave vector aom^T k_l, where
+    aom is one orientation (3, 3) or a stack (..., 3, 3).  Row l is
+    M_l @ [F1, F2] at the antenna-frame wave vector aom^T k_l, where
     M_l[a, b] = lcs_a . aom . accs_b maps the antenna-frame reference pair
     (accs_basis of aom^T k_l) onto the LCS pair (accs_basis of k_l).  The
-    pattern callables run once per path.  M_l is orthogonal, so the row's norm
-    is the radiation gain and a path outside the pattern's lobe gives a zero row.
+    pattern callables run once per orientation and path.  M_l is orthogonal,
+    so the row's norm is the radiation gain and a path outside the pattern's
+    lobe gives a zero row.
     """
     aom = np.asarray(aom, dtype=float)
     k = np.asarray(k, dtype=float).reshape(-1, 3)
     k_accs = k @ aom
-    f = np.array([(pattern.f1(ka), pattern.f2(ka)) for ka in k_accs], dtype=complex).reshape(-1, 2)
-    m = np.stack(accs_basis(k), axis=1) @ aom @ np.stack(accs_basis(k_accs), axis=2)
-    return np.sqrt(np.sum(np.abs(f) ** 2, axis=1)), np.einsum("lab,lb->la", m, f)
+    f = np.array([(pattern.f1(ka), pattern.f2(ka)) for ka in k_accs.reshape(-1, 3)],
+                 dtype=complex).reshape(k_accs.shape[:-1] + (2,))
+    m = (np.stack(accs_basis(k), axis=1) @ aom[..., None, :, :]
+         @ np.stack(accs_basis(k_accs), axis=-1))
+    return np.sqrt(np.sum(np.abs(f) ** 2, axis=-1)), np.einsum("...lab,...lb->...la", m, f)
 
 
 def polarization_gain(tx_pattern: RadiationPattern, rx_pattern: RadiationPattern,
@@ -399,12 +403,15 @@ def polarization_gain(tx_pattern: RadiationPattern, rx_pattern: RadiationPattern
 def prm_6dma(pprms: np.ndarray, psi: np.ndarray, omega: np.ndarray,
              tx_pattern: RadiationPattern, rx_pattern: RadiationPattern,
              tx_paths: PathSet, rx_paths: PathSet) -> np.ndarray:
-    """Orientation-dependent PRM (L_r, L_t) with entries G_r * G_p * G_t per path pair.
+    """Orientation-dependent PRM (..., L_r, L_t) with entries G_r * G_p * G_t per path pair.
 
     pprms has shape (L_r, L_t, 2, 2); psi and omega are the Tx and Rx
-    orientation matrices.  The radiation gains cancel the normalization of
-    the polarization product, so every entry is (Rx pattern vector) x pprm x
-    (Tx pattern vector).  Paths with zero radiation gain (outside a
+    orientation matrices (3, 3) or stacks of them (..., 3, 3) that broadcast
+    against each other, giving one PRM per orientation pair.  The radiation
+    gains cancel the normalization of the polarization product, so every
+    entry is (Rx pattern vector) x pprm x (Tx pattern vector), contracted one
+    index at a time: each step sums two terms, so an entry does not depend on
+    the stack it was computed in.  Paths with zero radiation gain (outside a
     directional lobe) contribute zero entries rather than an error.
     """
     pprms = np.asarray(pprms, dtype=complex)
@@ -412,7 +419,7 @@ def prm_6dma(pprms: np.ndarray, psi: np.ndarray, omega: np.ndarray,
         raise ValueError("pprms must have shape (L_r, L_t, 2, 2)")
     _, v_t = _polarization_vectors(tx_pattern, psi, tx_paths.wave_vectors)
     _, v_r = _polarization_vectors(rx_pattern, omega, rx_paths.wave_vectors)
-    return np.einsum("ia,ijab,jb->ij", v_r, pprms, v_t)
+    return np.einsum("...ia,...ija->...ij", v_r, np.einsum("ijab,...jb->...ija", pprms, v_t))
 
 
 def channel_6dma(t, r, psi: np.ndarray, omega: np.ndarray, scenario: Scenario) -> complex:

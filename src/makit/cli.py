@@ -77,11 +77,19 @@ def _grid_from(doc: dict) -> np.ndarray:
     raise ConfigError("grid must specify 'segment' or 'square'")
 
 
-def _cmd_simulate(doc: dict, out: str | None, seed):
+def _simulate_map(doc: dict, seed):
+    """Read and check a simulate config; return the function that computes its channel map."""
     sc = _build_scenario(doc.get("scenario", {}), seed)
     tx_grid = _grid_from(doc["tx_grid"])
     rx_grid = _grid_from(doc["rx_grid"])
-    h = channel_mimo(tx_grid, rx_grid, sc)
+
+    def run():
+        return tx_grid, rx_grid, channel_mimo(tx_grid, rx_grid, sc)
+    return run
+
+
+def _cmd_simulate(doc: dict, out: str | None, seed):
+    tx_grid, rx_grid, h = _simulate_map(doc, seed)()
     if out:
         est.export_mapping_csv(out, tx_grid[:, :2], rx_grid[:, :2], h)
     print(f"simulated {h.shape[0]}x{h.shape[1]} channel map; "
@@ -213,7 +221,8 @@ def _cmd_sense(doc: dict, out: str | None, seed):
     return EXIT_OK
 
 
-def _cmd_estimate(doc: dict, out: str | None, seed):
+def _estimate_trial(doc: dict, seed):
+    """Read and check an estimate config; return the function that runs its recovery."""
     lam = doc.get("wavelength", 1.0)
     sc = _scenario_at(doc["scenario"], lam, seed)
     side = doc["region_side"] * lam
@@ -231,33 +240,40 @@ def _cmd_estimate(doc: dict, out: str | None, seed):
     method = doc.get("method", "successive")
     if method not in ("successive", "joint", "nearest"):
         raise ConfigError(f"unknown estimation method {method!r}")
-    if method == "nearest":
-        ms = est.collect_measurements(sc, region, region, "rx-sweep", m, power, sigma2,
-                                      trial_seed(base, 4))
-        h_true = channel_narrowband(np.zeros_like(grid_pts), grid_pts, sc)
-        h_hat = est.nearest_measured_reconstruct(ms, grid_pts)
-    else:
-        try:
-            if method == "successive":
-                ms_t = est.collect_measurements(sc, region, region, "tx-sweep", m // 2, power,
-                                                sigma2, trial_seed(base, 1))
-                ms_r = est.collect_measurements(sc, region, region, "rx-sweep", m // 2, power,
-                                                sigma2, trial_seed(base, 2))
-                fri = est.omp_successive(ms_t, ms_r, g, l, l, lam)
-            else:
-                ms = est.collect_measurements(sc, region, region, "paired", m, power, sigma2,
-                                              trial_seed(base, 3))
-                fri = est.omp_joint(ms, g, l * l, lam)
-        except ValueError as e:
-            raise ConfigError(f"cannot recover {l} paths with method {method!r}: {e}") from None
-        h_true = channel_mimo(grid_pts, grid_pts, sc)
-        h_hat = est.reconstruct_mapping(fri, grid_pts, grid_pts, lam)
-    score = est.nmse(h_true, h_hat)
-    table = ResultTable(columns=["nmse"], rows=[[score]],
-                        metadata={"method": method, "measurements": m, "grid": g})
+
+    def run():
+        if method == "nearest":
+            ms = est.collect_measurements(sc, region, region, "rx-sweep", m, power, sigma2,
+                                          trial_seed(base, 4))
+            h_true = channel_narrowband(np.zeros_like(grid_pts), grid_pts, sc)
+            h_hat = est.nearest_measured_reconstruct(ms, grid_pts)
+        else:
+            try:
+                if method == "successive":
+                    ms_t = est.collect_measurements(sc, region, region, "tx-sweep", m // 2,
+                                                    power, sigma2, trial_seed(base, 1))
+                    ms_r = est.collect_measurements(sc, region, region, "rx-sweep", m // 2,
+                                                    power, sigma2, trial_seed(base, 2))
+                    fri = est.omp_successive(ms_t, ms_r, g, l, l, lam)
+                else:
+                    ms = est.collect_measurements(sc, region, region, "paired", m, power, sigma2,
+                                                  trial_seed(base, 3))
+                    fri = est.omp_joint(ms, g, l * l, lam)
+            except ValueError as e:
+                msg = f"cannot recover {l} paths with method {method!r}: {e}"
+                raise ConfigError(msg) from None
+            h_true = channel_mimo(grid_pts, grid_pts, sc)
+            h_hat = est.reconstruct_mapping(fri, grid_pts, grid_pts, lam)
+        return ResultTable(columns=["nmse"], rows=[[est.nmse(h_true, h_hat)]],
+                           metadata={"method": method, "measurements": m, "grid": g})
+    return run
+
+
+def _cmd_estimate(doc: dict, out: str | None, seed):
+    table = _estimate_trial(doc, seed)()
     if out:
         emit(table, out)
-    print(f"{method} NMSE {score:.6g}")
+    print(f"{table.metadata['method']} NMSE {table.rows[0][0]:.6g}")
     return EXIT_OK
 
 
@@ -279,6 +295,12 @@ def _cmd_validate(doc: dict) -> int:
     elif "task" in doc:
         _optimize_task(doc)(doc, doc.get("wavelength", 1.0), None)
         print(f"ok: optimize task {doc['task']!r}")
+    elif "tx_grid" in doc or "rx_grid" in doc:
+        _simulate_map(doc, None)
+        print("ok: simulate config")
+    elif "region_side" in doc or "measurements" in doc:
+        _estimate_trial(doc, None)
+        print("ok: estimate config")
     elif "scenario" in doc:
         _build_scenario(doc["scenario"])
         print("ok: scenario config")

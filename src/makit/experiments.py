@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -31,6 +33,8 @@ from .errors import ConfigError
 from .geometry import MoveRegion, aom_from_euler
 
 WORKERS_ENV = "MAKIT_WORKERS"
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "ExperimentConfig",
@@ -246,6 +250,24 @@ def _gain_field_minmax(k_vectors, b, side, step, wavelength):
     return float(p.max()), float(p.min()), float(p[0, 0])
 
 
+def _joint_max(k_vectors, coeffs, side, step, wavelength):
+    """Largest grid power over all columns of coeffs (L, O), skipping columns that cannot win.
+
+    Column o never exceeds (sum_l |c_lo|)^2 anywhere on the grid.  Columns are
+    scored one at a time in descending order of that bound until the next
+    bound, widened by 1e-9 for rounding in the computed power, falls below the
+    best power found.
+    """
+    bound = np.sum(np.abs(coeffs), axis=0) ** 2
+    best = 0.0
+    for o in np.argsort(-bound, kind="stable"):
+        if bound[o] * (1.0 + 1e-9) < best:
+            break
+        (p,) = _grid_power(k_vectors, coeffs[:, o:o + 1], side, step, wavelength)
+        best = max(best, float(p.max()))
+    return best
+
+
 def _miso_line_channel(scenario: Scenario):
     """Channel h(x) of a transmit antenna at (x, 0, 0), the receive antenna at its reference point.
 
@@ -304,7 +326,9 @@ def _wideband_gain_minmax(rng, params, k, b, side, lam):
     delays = rng.uniform(0.0, params["max_delay"], len(b))
     taps = np.array([tap_of_delay(d, params["bandwidth"]) for d in delays])
     coeffs = b[:, None] * np.exp(-2j * np.pi * np.outer(taps - 1, np.arange(m_sub)) / m_sub)
-    blocks = _grid_power(k, coeffs, side, params["grid_step"] * lam, lam)
+    # sum_m |c_m^T e|^2 = |R e|^2 for coeffs^T = QR: at most min(L, M) columns reach the grid
+    r = np.linalg.qr(coeffs.T, mode="r")
+    blocks = _grid_power(k, r.T, side, params["grid_step"] * lam, lam)
     p = sum(blk.sum(axis=1) for blk in blocks) / m_sub
     return float(p.max()), float(p.min()), float(p[0])
 
@@ -334,21 +358,18 @@ def _trial_dof(params, seed, idx):
     yaws = np.linspace(0.0, 2 * np.pi, ng, endpoint=False)
     pitches = np.linspace(-np.pi / 2, np.pi / 2, max(2, ng // 2))
     rolls = np.linspace(0.0, 2 * np.pi, ng, endpoint=False)
-    orientations = [aom_from_euler(y, p, r) for y in yaws for p in pitches for r in rolls]
+    # the fixed antenna (identity) first, then the orientation grid
+    orientations = np.stack([np.eye(3)] + [aom_from_euler(y, p, r)
+                                           for y in yaws for p in pitches for r in rolls])
 
     flat = [float(idx)]
     for name, pat in patterns.items():
-        def coeffs(om):
-            sig = prm_6dma(pprms, np.eye(3), om, tx_pat, pat, tx_paths, rx_paths)
-            return np.diag(sig)
-
-        g_pos, _, g_fpa = _gain_field_minmax(k, coeffs(np.eye(3)), side, step, lam)
-        bv = np.stack([coeffs(om) for om in orientations], axis=1)  # (L, orientations)
+        sig = prm_6dma(pprms, np.eye(3), orientations, tx_pat, pat, tx_paths, rx_paths)
+        bv = np.diagonal(sig, axis1=1, axis2=2).T  # (L, 1 + orientations)
+        g_pos, _, g_fpa = _gain_field_minmax(k, bv[:, 0], side, step, lam)
+        bv = bv[:, 1:]
         g_orient = float(np.max(np.abs(np.sum(bv, axis=0)) ** 2))
-        if params["joint"]:
-            g_joint = max(float(blk.max()) for blk in _grid_power(k, bv, side, step, lam))
-        else:
-            g_joint = max(g_pos, g_orient)
+        g_joint = _joint_max(k, bv, side, step, lam) if params["joint"] else max(g_pos, g_orient)
         flat.extend([g_fpa, g_pos, g_orient, g_joint])
     return flat
 
@@ -836,7 +857,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
 
     Parallel execution (workers > 1, or the MAKIT_WORKERS environment
     variable) distributes trials over a process pool; payloads are reduced in
-    trial order so the table is identical to a serial run.
+    trial order so the table is identical to a serial run.  Rows holding a
+    NaN or an infinity are counted in metadata["non_finite_rows"] and logged
+    as a warning on the makit logger.
     """
     entry = CATALOG[cfg.experiment]
     h = config_hash(cfg)
@@ -877,6 +900,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
             raise RuntimeError("sweep produced inconsistent columns")
         all_rows.extend([list(map(float, r)) for r in rows])
 
+    non_finite = sum(not all(map(math.isfinite, r)) for r in all_rows)
+    if non_finite:
+        _log.warning("%s: %d of %d result rows hold a non-finite value",
+                     cfg.experiment, non_finite, len(all_rows))
     return ResultTable(
         columns=columns or [],
         rows=all_rows,
@@ -890,5 +917,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
             "trials": cfg.trials,
             "doc": entry.doc,
             "notes": entry.notes,
+            "non_finite_rows": non_finite,
         },
     )

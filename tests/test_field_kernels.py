@@ -275,19 +275,91 @@ def test_prm_6dma_directional_miss_zeros_row_and_column():
 
 
 def test_prm_6dma_calls_patterns_once_per_path():
-    calls = []
-
-    def f1(k):
-        calls.append(1)
-        return 1.0
-
-    pat = RadiationPattern(f1, lambda k: 0.0)
+    """L calls per side for one orientation, O * L for a stack of O orientations."""
     rng = np.random.default_rng(3)
     kt = rng.standard_normal((3, 3))
     kr = rng.standard_normal((4, 3))
     paths = [PathSet(k / np.linalg.norm(k, axis=1, keepdims=True)) for k in (kt, kr)]
-    prm_6dma(np.ones((4, 3, 2, 2)), np.eye(3), np.eye(3), pat, pat, *paths)
-    assert len(calls) == 3 + 4
+    for n_orient in (None, 1, 5):
+        calls = {"tx": 0, "rx": 0}
+
+        def counting(side):
+            def f1(k):
+                calls[side] += 1
+                return 1.0
+            return RadiationPattern(f1, lambda k: 0.0)
+
+        aom = np.eye(3) if n_orient is None else np.stack(
+            [aom_from_euler(*rng.uniform(-np.pi, np.pi, 3)) for _ in range(n_orient)])
+        out = prm_6dma(np.ones((4, 3, 2, 2)), aom, aom, counting("tx"), counting("rx"), *paths)
+        o = 1 if n_orient is None else n_orient
+        assert out.shape == aom.shape[:-2] + (4, 3)
+        assert calls == {"tx": o * 3, "rx": o * 4}
+
+
+orientations = st.lists(orientation, min_size=1, max_size=5).map(np.stack)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern, pattern, orientations, orientations,
+       st.lists(wave_vector, min_size=1, max_size=4),
+       st.lists(wave_vector, min_size=1, max_size=4), st.data())
+def test_prm_6dma_stack_matches_per_orientation_calls(tx_pat, rx_pat, psis, omegas, kt, kr,
+                                                      data):
+    tx_paths, rx_paths = PathSet(np.array(kt)), PathSet(np.array(kr))
+    n = len(kr) * len(kt) * 4
+    pprms = np.reshape(data.draw(st.lists(coefficient, min_size=n, max_size=n)),
+                       (len(kr), len(kt), 2, 2))
+    omegas = omegas[:len(psis)]
+    psis = psis[:len(omegas)]
+
+    def prm(psi, omega):
+        return prm_6dma(pprms, psi, omega, tx_pat, rx_pat, tx_paths, rx_paths)
+
+    on_psi, on_omega, on_both = prm(psis, omegas[0]), prm(psis[0], omegas), prm(psis, omegas)
+    assert on_both.shape == (len(psis), len(kr), len(kt))
+    for o in range(len(psis)):
+        assert np.array_equal(on_psi[o], prm(psis[o], omegas[0]))
+        assert np.array_equal(on_omega[o], prm(psis[0], omegas[o]))
+        assert np.array_equal(on_both[o], prm(psis[o], omegas[o]))
+    grid = prm(psis[:, None], omegas[None])  # every (psi, omega) pair
+    assert grid.shape == (len(psis), len(omegas), len(kr), len(kt))
+    assert np.array_equal(grid[:, 0], on_psi) and np.array_equal(grid[0], on_omega)
+
+
+@pytest.mark.parametrize("lr, lt", [(1, 1), (1, 3), (4, 1), (4, 4)])
+def test_prm_6dma_stack_matches_per_orientation_calls_on_random_draws(lr, lt):
+    """Full-precision draws, where the summation order of an entry shows in its last bits."""
+    rng = np.random.default_rng(lr * 10 + lt)
+    for _ in range(40):
+        tx_paths = PathSet(sample_directions(rng, lt, "sphere"))
+        rx_paths = PathSet(sample_directions(rng, lr, "sphere"))
+        pprms = rng.standard_normal((lr, lt, 2, 2)) + 1j * rng.standard_normal((lr, lt, 2, 2))
+        psis, omegas = (np.stack([aom_from_euler(*rng.uniform(-np.pi, np.pi, 3))
+                                  for _ in range(6)]) for _ in range(2))
+        got = prm_6dma(pprms, psis, omegas, ELLIPTICAL, ELLIPTICAL, tx_paths, rx_paths)
+        for o in range(6):
+            one = prm_6dma(pprms, psis[o], omegas[o], ELLIPTICAL, ELLIPTICAL, tx_paths, rx_paths)
+            assert np.array_equal(got[o], one)
+
+
+def test_prm_6dma_stack_keeps_directional_misses_exact_zeros():
+    dirpat = RadiationPattern.ideal_directional(6.0)
+    psi = aom_from_euler(0.3, -0.2, 1.1)
+    tx_paths = PathSet(np.array([psi @ [0.0, 0.0, 1.0], psi @ [1.0, 0.0, 0.0]]))
+    rx_paths = PathSet(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]))
+    omegas = np.stack([np.eye(3), aom_from_euler(0.0, np.pi / 2, 0.0),
+                       aom_from_euler(1.0, 2.0, 3.0)])
+    pprms = np.ones((3, 2, 2, 2), dtype=complex)
+    got = prm_6dma(pprms, psi, omegas, dirpat, dirpat, tx_paths, rx_paths)
+    for o, om in enumerate(omegas):
+        want = prm_6dma(pprms, psi, om, dirpat, dirpat, tx_paths, rx_paths)
+        assert np.array_equal(got[o], want)
+        assert _close(got[o], ref_prm_6dma(pprms, psi, om, dirpat, dirpat, tx_paths, rx_paths))
+        g_r = np.array([radiation_gain(dirpat, om, k) for k in rx_paths.wave_vectors])
+        assert np.all(got[o][g_r == 0] == 0)
+    assert np.all(got[:, :, 1] == 0)  # the Tx path outside the lobe, under every orientation
+    assert np.any(np.all(got == 0, axis=2))  # some orientation misses an Rx path entirely
 
 
 # ---------------------------------------------------------------------------
@@ -363,3 +435,77 @@ def test_dof_trial_matches_per_orientation_loop(seed, joint):
     want = ref_trial_dof(params, seed, 0)
     assert len(got) == len(want) == 9
     assert all(abs(g - w) <= TOL * max(want) for g, w in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# shortcuts of the dof-gain and wideband searches
+
+def _all_columns_max(k, coeffs, side, step, lam):
+    return max(float(blk.max()) for blk in experiments._grid_power(k, coeffs, side, step, lam))
+
+
+def _counting_grid_power(monkeypatch):
+    """Patch experiments._grid_power to record the number of columns of every call."""
+    seen = []
+    grid_power = experiments._grid_power
+
+    def counted(k_vectors, coeffs, *args):
+        seen.append(np.shape(coeffs)[1])
+        return grid_power(k_vectors, coeffs, *args)
+
+    monkeypatch.setattr(experiments, "_grid_power", counted)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 5, 23])
+def test_pruned_joint_max_matches_all_orientation_columns(seed, monkeypatch):
+    defaults = experiments.CATALOG["dof-gain"].defaults
+    params = {**defaults, "n_paths": 3, "region_side": 2.0}
+    assert params["orientation_grid"] == 8  # the catalog default: 256 orientation columns
+    seen = _counting_grid_power(monkeypatch)
+    got = experiments._trial_dof(params, seed, 0)
+    want = ref_trial_dof(params, seed, 0)
+    assert all(abs(g - w) <= TOL * max(want) for g, w in zip(got, want))
+    # two single-column fixed-antenna fields, then the pruned joint searches
+    assert sum(seen) - 2 < 2 * 256
+
+
+def test_pruned_joint_max_handles_zero_and_tied_columns():
+    rng = np.random.default_rng(11)
+    lam, side, step = 1.0, 2.0, 0.25
+    k = sample_directions(rng, 4, "sphere")
+    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (4, 6)))
+    tied = c[:, None] * phases                      # six columns with the same bound
+    coeffs = np.concatenate([np.zeros((4, 3)), tied, 0.5 * tied, np.zeros((4, 2))], axis=1)
+    bound = np.sum(np.abs(coeffs), axis=0) ** 2
+    assert np.ptp(bound[3:9]) <= 1e-15 * bound[3]
+    want = _all_columns_max(k, coeffs, side, step, lam)
+    assert abs(experiments._joint_max(k, coeffs, side, step, lam) - want) <= TOL * want
+    for perm in (rng.permutation(coeffs.shape[1]) for _ in range(5)):
+        got = experiments._joint_max(k, coeffs[:, perm], side, step, lam)
+        assert abs(got - want) <= TOL * want
+    assert experiments._joint_max(k, np.zeros((4, 5)), side, step, lam) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(wave_vector, min_size=1, max_size=5), st.integers(1, 12), st.data())
+def test_pruned_joint_max_matches_every_column(ks, n_cols, data):
+    k = np.array(ks)
+    coeffs = np.reshape(data.draw(st.lists(coefficient, min_size=len(ks) * n_cols,
+                                           max_size=len(ks) * n_cols)), (len(ks), n_cols))
+    want = _all_columns_max(k, coeffs, 1.5, 0.25, 1.0)
+    assert abs(experiments._joint_max(k, coeffs, 1.5, 0.25, 1.0) - want) <= TOL * max(want, 1e-300)
+
+
+@pytest.mark.parametrize("n_paths, m_sub", [(6, 2), (4, 4), (3, 64)])
+def test_wideband_passes_at_most_min_paths_subcarriers_columns(n_paths, m_sub, monkeypatch):
+    rng = np.random.default_rng(n_paths + m_sub)
+    k = sample_directions(rng, n_paths, "sphere")
+    b = rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)
+    params = {"bandwidth": 4e7, "subcarriers": m_sub, "max_delay": 3e-7, "grid_step": 0.2}
+    want = ref_wideband_gain_minmax(np.random.default_rng(1), params, k, b, 2.0, 1.0)
+    seen = _counting_grid_power(monkeypatch)
+    got = experiments._wideband_gain_minmax(np.random.default_rng(1), params, k, b, 2.0, 1.0)
+    assert seen == [min(n_paths, m_sub)]
+    assert _close_to_max(got, want)

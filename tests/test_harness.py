@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import logging
+import math
 
 import numpy as np
 import pytest
 
+from makit import experiments
 from makit.channel import gen_scenario, scenario_to_dict
 from makit.cli import main
 from makit.errors import ConfigError
@@ -272,8 +276,15 @@ NULL = {"task": "null", "n": 8, "theta0_deg": 90.0, "null_deg": [78.0], "apertur
     ("optimize", {"task": "multibeam", "n": 8, "theta_deg": [30.0, 120.0]}, "aperture"),
     ("optimize", {"task": "miso-graph", "n": 4, "m": 0, "aperture": 4.0, "d_min": 0.5,
                   "scenario": {"generate": {"seed": 1, "n_paths": 3}}}, "'m'"),
+    ("simulate", simulate_doc(0), "step"),
+    ("simulate", {**simulate_doc(0.5), "rx_grid": {"line": {}}}, "segment"),
+    ("estimate", estimate_doc(measurements="many"), "measurements"),
+    ("estimate", estimate_doc(method="lasso"), "method"),
+    ("estimate", estimate_doc(region_side=0.0), "region"),
 ], ids=["sense-n-string", "sense-trials-0", "sense-placement", "null-fields-missing",
-        "null-n-string", "widebeam-subregions-0", "multibeam-aperture-missing", "miso-m-0"])
+        "null-n-string", "widebeam-subregions-0", "multibeam-aperture-missing", "miso-m-0",
+        "simulate-grid-step-0", "simulate-grid-shape", "estimate-measurements-string",
+        "estimate-method", "estimate-region-side-0"])
 def test_cli_validate_config_reads_like_the_subcommand(tmp_path, capsys, command, doc, field):
     cfg = write(tmp_path, "bad.json", doc)
     assert main(["validate-config", "--config", cfg]) == 2
@@ -288,7 +299,9 @@ def test_cli_validate_config_does_not_run_the_task(tmp_path, monkeypatch):
 
     monkeypatch.setattr("makit.optimize.svo_null_apv", refuse)
     monkeypatch.setattr("makit.cli._music_mse_once", refuse)
-    for doc in (NULL, SENSE):
+    monkeypatch.setattr("makit.cli.channel_mimo", refuse)
+    monkeypatch.setattr("makit.estimate.collect_measurements", refuse)
+    for doc in (NULL, SENSE, simulate_doc(0.5), estimate_doc()):
         assert main(["validate-config", "--config", write(tmp_path, "ok.json", doc)]) == 0
 
 
@@ -407,3 +420,24 @@ def test_cli_seed_override_replaces_scenario_seed(tmp_path):
     cfg = write(tmp_path, "sim1.json", doc)
     assert main(["simulate", "--config", cfg, "--out", str(out_written)]) == 0
     assert out_override.read_text() == out_written.read_text()
+
+
+def test_non_finite_rows_are_counted_and_logged(monkeypatch, caplog):
+    entry = CATALOG["miso-graph"]
+
+    def trial(params, seed, idx):
+        row = list(entry.trial(params, seed, idx))
+        return row[:-1] + [math.nan] if idx == 1 else row
+
+    cfg = small_config()
+    clean = run_experiment(cfg)
+    assert clean.metadata["non_finite_rows"] == 0
+    monkeypatch.setitem(experiments.CATALOG, "miso-graph", dataclasses.replace(entry, trial=trial))
+    with caplog.at_level(logging.WARNING, logger="makit"):
+        table = run_experiment(cfg)
+    assert table.metadata["non_finite_rows"] == 1
+    assert table.metadata["config_hash"] == clean.metadata["config_hash"]
+    assert [r for r in table.rows if not all(map(math.isfinite, r))] == [table.rows[1]]
+    warned = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == 1 and warned[0].name.startswith("makit")
+    assert "1 of 3 result rows" in warned[0].getMessage()
