@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import sys
 
 import numpy as np
@@ -19,7 +18,8 @@ from . import optimize as opt
 from .channel import channel_mimo, channel_narrowband, gen_scenario, scenario_from_dict
 from .errors import ConfigError, InfeasibleError
 from .experiments import (ExperimentConfig, ResultTable, _miso_line_channel, _music_mse_once,
-                          config_hash, emit, run_experiment, trial_seed)
+                          _null_design, _recover, check_field, config_hash, emit,
+                          run_experiment, trial_seed)
 from .geometry import MoveRegion
 
 EXIT_OK = 0
@@ -37,12 +37,10 @@ def _load_json(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}") from None
 
 
-def _count(doc: dict, name: str, default: int | None = None) -> int:
-    """Integer field >= 1 of a config (`default` when absent and given)."""
+def _field(doc: dict, name: str, default=None):
+    """Numeric field of a config under its catalog rule (`default` when absent and given)."""
     value = doc[name] if default is None else doc.get(name, default)
-    if not (isinstance(value, numbers.Real) and value >= 1 and value % 1 == 0):  # nan, inf fail
-        raise ConfigError(f"{name!r} must be an integer >= 1, got {value!r}")
-    return int(value)
+    return check_field(name, value, listed=name in ("theta_deg", "null_deg"))
 
 
 def _build_scenario(doc: dict, seed_override=None):
@@ -100,7 +98,7 @@ def _cmd_simulate(doc: dict, out: str | None, seed):
 # An optimize task reads its fields, then returns the function that runs it,
 # so validate-config can read a task without running it.
 def _task_sensing_1d(doc: dict, lam: float, seed):
-    n, a, dmin = _count(doc, "n"), doc["aperture"] * lam, doc["d_min"] * lam
+    n, a, dmin = _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
 
     def run():
         x = opt.sensing_1d_optimal(n, a, dmin)
@@ -109,7 +107,7 @@ def _task_sensing_1d(doc: dict, lam: float, seed):
 
 
 def _task_sensing_2d(doc: dict, lam: float, seed):
-    n, side, dmin = _count(doc, "n"), doc["side"] * lam, doc["d_min"] * lam
+    n, side, dmin = _field(doc, "n"), _field(doc, "side") * lam, _field(doc, "d_min") * lam
 
     def run():
         rep = opt.sensing_2d_ao(n, (side, side), dmin, metric=doc.get("metric", "max"))
@@ -119,23 +117,22 @@ def _task_sensing_2d(doc: dict, lam: float, seed):
 
 
 def _task_null(doc: dict, lam: float, seed):
-    th0, nulls = np.deg2rad(doc["theta0_deg"]), np.deg2rad(doc["null_deg"])
-    n, a, dmin = _count(doc, "n"), doc["aperture"] * lam, doc["d_min"] * lam
+    angles = np.deg2rad([_field(doc, "theta0_deg"), *_field(doc, "null_deg")])
+    n, a, dmin = _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
 
     def run():
-        built = opt.svo_null_apv(th0, nulls, n, a, dmin, lam)
-        if isinstance(built, opt.NotConstructible):
-            return {"constructible": False, "reason": built.reason}
-        w = bf.mrt(bf.steering_vector(built, th0, lam))
-        return {"constructible": True, "placement": built.tolist(),
-                "gain": bf.beam_gain(built, w, th0, lam),
-                "null_gains": [bf.beam_gain(built, w, t, lam) for t in nulls]}
+        x, w = _null_design(angles, n, a, dmin, lam)
+        if w is None:
+            return {"constructible": False, "reason": x.reason}
+        gains = [bf.beam_gain(x, w, t, lam) for t in angles]
+        return {"constructible": True, "placement": x.tolist(), "gain": gains[0],
+                "null_gains": gains[1:]}
     return run
 
 
 def _task_multibeam(doc: dict, lam: float, seed):
-    thetas, n = np.deg2rad(doc["theta_deg"]), _count(doc, "n")
-    a, dmin, analog = doc["aperture"] * lam, doc["d_min"] * lam, bool(doc.get("analog", False))
+    thetas, analog = np.deg2rad(_field(doc, "theta_deg")), bool(doc.get("analog", False))
+    n, a, dmin = _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
 
     def run():
         rep = opt.multibeam_ao(thetas, n, a, dmin, lam, analog=analog,
@@ -145,9 +142,9 @@ def _task_multibeam(doc: dict, lam: float, seed):
 
 
 def _task_widebeam(doc: dict, lam: float, seed):
-    lo, hi = np.deg2rad(doc["theta_min_deg"]), np.deg2rad(doc["theta_max_deg"])
-    nsub, n = _count(doc, "subregions", 24), _count(doc, "n")
-    a, dmin = doc["aperture"] * lam, doc["d_min"] * lam
+    lo, hi = np.deg2rad([_field(doc, "theta_min_deg"), _field(doc, "theta_max_deg")])
+    nsub = _field(doc, "subregions", 24)
+    n, a, dmin = _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
 
     def run():
         rep = opt.widebeam_ao(lo, hi, nsub, n, a, dmin, lam,
@@ -159,7 +156,8 @@ def _task_widebeam(doc: dict, lam: float, seed):
 
 def _task_miso_graph(doc: dict, lam: float, seed):
     sc = _scenario_at(doc["scenario"], lam, seed)
-    a, m, dmin, n = doc["aperture"] * lam, _count(doc, "m"), doc["d_min"] * lam, _count(doc, "n")
+    m = _field(doc, "m")
+    n, a, dmin = _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
 
     def run():
         line = opt.SampledLine.from_channel(_miso_line_channel(sc), a, m, dmin)
@@ -174,17 +172,17 @@ _OPTIMIZE_TASKS = {"sensing-1d": _task_sensing_1d, "sensing-2d": _task_sensing_2
                    "widebeam": _task_widebeam, "miso-graph": _task_miso_graph}
 
 
-def _optimize_task(doc: dict):
+def _optimize_task(doc: dict, seed):
     task = doc.get("task")
     if task is None:
         raise ConfigError("optimize config is missing 'task'")
     if task not in _OPTIMIZE_TASKS:
         raise ConfigError(f"unknown optimize task {task!r}")
-    return _OPTIMIZE_TASKS[task]
+    return _OPTIMIZE_TASKS[task](doc, _field(doc, "wavelength", 1.0), seed)
 
 
 def _cmd_optimize(doc: dict, out: str | None, seed):
-    report = _optimize_task(doc)(doc, doc.get("wavelength", 1.0), seed)()
+    report = _optimize_task(doc, seed)()
     if out:
         with open(out, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -194,13 +192,13 @@ def _cmd_optimize(doc: dict, out: str | None, seed):
 
 def _sense_trials(doc: dict, seed):
     """Read and check a sense config; return the function that runs its trials."""
-    lam = doc.get("wavelength", 1.0)
-    n, a, dmin = _count(doc, "n"), doc["aperture"] * lam, doc["d_min"] * lam
+    lam = _field(doc, "wavelength", 1.0)
+    n, a, dmin = _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
     kind = doc.get("placement", "optimal")
     if kind not in ("optimal", "dense"):
         raise ConfigError(f"unknown placement {kind!r}")
-    snapshots, trials = _count(doc, "snapshots", 1), _count(doc, "trials", 100)
-    u, snr_db = doc["u"], doc["snr_db"]
+    snapshots, trials = _field(doc, "snapshots", 1), _field(doc, "trials", 100)
+    u, snr_db = _field(doc, "u"), doc["snr_db"]
     base = str(seed if seed is not None else doc.get("seed", 0))
 
     def run():
@@ -223,19 +221,19 @@ def _cmd_sense(doc: dict, out: str | None, seed):
 
 def _estimate_trial(doc: dict, seed):
     """Read and check an estimate config; return the function that runs its recovery."""
-    lam = doc.get("wavelength", 1.0)
+    lam = _field(doc, "wavelength", 1.0)
     sc = _scenario_at(doc["scenario"], lam, seed)
-    side = doc["region_side"] * lam
+    side, step = _field(doc, "region_side") * lam, _field(doc, "eval_step", 0.2) * lam
     try:
         region = MoveRegion.box((side, side, 0.0))
-        grid_pts = region.grid_points(doc.get("eval_step", 0.2) * lam)
+        grid_pts = region.grid_points(step)
     except ValueError as e:
         raise ConfigError(f"bad estimation region: {e}") from None
     power = doc.get("power", 1.0)
     sigma2 = power / 10.0 ** (doc["snr_db"] / 10.0)
-    m = _count(doc, "measurements")
-    g = _count(doc, "grid", 16)
-    l = _count(doc, "paths_to_recover", len(sc.tx_paths))
+    m = _field(doc, "measurements")
+    g = _field(doc, "grid", 16)
+    l = _field(doc, "paths_to_recover", len(sc.tx_paths))
     base = str(seed if seed is not None else doc.get("seed", 0))
     method = doc.get("method", "successive")
     if method not in ("successive", "joint", "nearest"):
@@ -249,16 +247,7 @@ def _estimate_trial(doc: dict, seed):
             h_hat = est.nearest_measured_reconstruct(ms, grid_pts)
         else:
             try:
-                if method == "successive":
-                    ms_t = est.collect_measurements(sc, region, region, "tx-sweep", m // 2,
-                                                    power, sigma2, trial_seed(base, 1))
-                    ms_r = est.collect_measurements(sc, region, region, "rx-sweep", m // 2,
-                                                    power, sigma2, trial_seed(base, 2))
-                    fri = est.omp_successive(ms_t, ms_r, g, l, l, lam)
-                else:
-                    ms = est.collect_measurements(sc, region, region, "paired", m, power, sigma2,
-                                                  trial_seed(base, 3))
-                    fri = est.omp_joint(ms, g, l * l, lam)
+                fri = _recover(sc, region, method, m, g, l, power, sigma2, base)
             except ValueError as e:
                 msg = f"cannot recover {l} paths with method {method!r}: {e}"
                 raise ConfigError(msg) from None
@@ -293,7 +282,7 @@ def _cmd_validate(doc: dict) -> int:
         cfg = ExperimentConfig.from_dict(doc)
         print(f"ok: experiment {cfg.experiment!r}, hash {config_hash(cfg)[:12]}")
     elif "task" in doc:
-        _optimize_task(doc)(doc, doc.get("wavelength", 1.0), None)
+        _optimize_task(doc, None)
         print(f"ok: optimize task {doc['task']!r}")
     elif "tx_grid" in doc or "rx_grid" in doc:
         _simulate_map(doc, None)

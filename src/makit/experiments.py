@@ -10,6 +10,7 @@ copied into the emitted metadata.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -17,7 +18,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -95,29 +96,36 @@ class ExperimentConfig:
             if list(vals) != sorted(vals):
                 raise ConfigError("sweep values must be sorted ascending")
         _check_ranges(exp, params, sweep)
-        trials = doc.get("trials", 1)
-        if not isinstance(trials, numbers.Integral) or trials < 1:
-            raise ConfigError(f"'trials' must be an integer >= 1, got {trials!r}")
+        trials = check_field("trials", doc.get("trials", 1))
         seeds = doc.get("seeds")
         if seeds is not None:
-            seeds = tuple(int(s) for s in seeds)
-        extra = set(doc) - {"experiment", "params", "trials", "seeds", "sweep", "out"}
+            if not isinstance(seeds, (list, tuple)) or not seeds:
+                raise ConfigError(f"'seeds' must be a nonempty list of integers, got {seeds!r}")
+            seeds = tuple(check_field("seeds", s) for s in seeds)
+        extra = set(doc) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
         return cls(experiment=exp, params=params, trials=trials, seeds=seeds,
                    sweep=sweep, out=doc.get("out"))
 
 
-# Physical ranges of parameters, checked in params and sweep values wherever an
-# entry has the parameter (an (experiment, name) key overrides the shared rule);
-# a parameter whose default is a list takes a nonempty list of such numbers.
-_RANGES = {"wavelength": ("> 0", lambda x: x > 0), "region_side": ("> 0", lambda x: x > 0),
-           "grid_step": ("> 0", lambda x: x > 0), "orientation_grid": (">= 1", lambda x: x >= 1),
-           "n": (">= 1", lambda x: x >= 1), "subregions": (">= 1", lambda x: x >= 1),
-           "n_paths": (">= 1", lambda x: x >= 1), "eval_step": ("> 0", lambda x: x > 0),
-           "grid": (">= 1", lambda x: x >= 1), "measurements": (">= 1", lambda x: x >= 1),
-           "theta_deg": ("(degrees)", np.isfinite), "null_deg": ("(degrees)", np.isfinite),
-           ("beam-null", "n"): (">= 2", lambda x: x >= 2)}
+# The rules of numeric fields: catalog params and sweep values (an (experiment,
+# name) key overrides the shared rule), the config's trials and seeds, and every
+# CLI reader's fields.  check_field applies them.
+_RANGES = {
+    **dict.fromkeys(("wavelength", "region_side", "region_size", "grid_step", "eval_step",
+                     "aperture", "side"), ("a finite number > 0", lambda x: x > 0)),
+    **dict.fromkeys(("n", "m", "n_t", "n_r", "k", "n_paths", "dominant_paths", "grid",
+                     "measurements", "paths_to_recover", "subregions", "orientation_grid",
+                     "snapshots", "stat_draws", "max_sweeps", "trials"),
+                    ("an integer >= 1", lambda x: x >= 1 and x % 1 == 0)),
+    **dict.fromkeys(("diffuse_paths", "seeds"),
+                    ("an integer >= 0", lambda x: x >= 0 and x % 1 == 0)),
+    **dict.fromkeys(("theta_deg", "null_deg", "theta0_deg", "theta_min_deg", "theta_max_deg"),
+                    ("a finite angle in degrees", lambda x: True)),
+    "d_min": ("a finite number >= 0", lambda x: x >= 0),
+    "u": ("a finite number in [-1, 1]", lambda x: -1 <= x <= 1),
+    ("beam-null", "n"): ("an integer >= 2", lambda x: x >= 2 and x % 1 == 0)}
 # Rules across parameters, checked for every sweep value of either name: the
 # successive recovery takes n_paths per side, the joint one n_paths² atoms.
 _JOINT_RANGES = {"estimation-nmse": (
@@ -125,17 +133,23 @@ _JOINT_RANGES = {"estimation-nmse": (
     lambda m, l: int(m) // 2 >= int(l) and int(m) >= int(l) ** 2)}
 
 
+def check_field(name: str, value, exp: str | None = None, listed: bool = False):
+    """value under its rule in _RANGES, as ints under an integer rule; bools, nan, inf break all."""
+    rule, ok = _RANGES.get((exp, name)) or _RANGES[name]
+    items = value if listed and isinstance(value, list) else [value]
+    if not items or not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
+                            and math.isfinite(t) and ok(t) for t in items):
+        each = " or a nonempty list of such" if listed else ""
+        raise ConfigError(f"{name!r} must be {rule}{each}, got {value!r}")
+    items = [int(t) for t in items] if rule.startswith("an integer") else items
+    return items if listed else items[0]
+
+
 def _check_ranges(exp: str, params: dict, sweep: dict | None) -> None:
     merged = {**CATALOG[exp].defaults, **params}
     for name in (k for k in _RANGES if k in merged):
-        rule, ok = _RANGES.get((exp, name), _RANGES[name])
-        listed = isinstance(CATALOG[exp].defaults[name], list)
         for v in sweep["values"] if sweep and sweep["variable"] == name else [merged[name]]:
-            items = v if listed and isinstance(v, list) else [v]
-            if not items or not all(isinstance(t, numbers.Real) and np.isfinite(t) and ok(t)
-                                    for t in items):
-                kind = "a nonempty list of finite numbers" if listed else "a finite number"
-                raise ConfigError(f"{name!r} must be {kind} {rule}, got {v!r}")
+            check_field(name, v, exp, listed=isinstance(CATALOG[exp].defaults[name], list))
     if exp in _JOINT_RANGES:
         names, rule, ok = _JOINT_RANGES[exp]
         swept = sweep["variable"] if sweep and sweep["variable"] in names else None
@@ -374,6 +388,14 @@ def _trial_dof(params, seed, idx):
     return flat
 
 
+def _null_design(angles, n, a, dmin, lam):
+    """SVO array nulling angles[1:] and its MRT weight toward angles[0], or (why not, None)."""
+    x = opt.svo_null_apv(angles[0], angles[1:], n, a, dmin, lam)
+    if isinstance(x, opt.NotConstructible):
+        return x, None
+    return x, bf.mrt(bf.steering_vector(x, angles[0], lam))
+
+
 def _trial_beam_null(params, seed, idx):
     lam = params["wavelength"]
     n = int(params["n"])
@@ -381,13 +403,10 @@ def _trial_beam_null(params, seed, idx):
     angles = np.concatenate([[th0], np.atleast_1d(np.deg2rad(params["null_deg"]))])
     a = params["aperture"] * lam
     dmin = params["d_min"] * lam
-    built = opt.svo_null_apv(th0, angles[1:], n, a, dmin, lam)
-    if isinstance(built, opt.NotConstructible):
+    x, w = _null_design(angles, n, a, dmin, lam)
+    if w is None:
         rep = opt.multibeam_ao(angles, n, a, dmin, lam, seed=seed)
         x, w = rep.best_placement, rep.extra["weights"]
-    else:
-        x = built
-        w = bf.mrt(bf.steering_vector(x, th0, lam))
     g = bf.beam_gain(x, w, angles, lam)  # main beam, then the nulls
 
     x_fpa = opt.fpa_ula(n, lam)
@@ -620,30 +639,33 @@ def _grid_scenario(rng, params, lam):
                     prm=_rician_diagonal(rng, l, params["kappa"], 1.0))
 
 
+def _recover(sc, region, method, m, g, l, power, sigma2, base):
+    """FRI of sc from 'successive' (m // 2 sweeps a side) or 'joint' (m paired) measurements."""
+    def sweep(kind, count, i):
+        return est.collect_measurements(sc, region, region, kind, count, power, sigma2,
+                                        trial_seed(base, i))
+    if method == "successive":
+        return est.omp_successive(sweep("tx-sweep", m // 2, 1), sweep("rx-sweep", m // 2, 2),
+                                  g, l, l, sc.wavelength)
+    return est.omp_joint(sweep("paired", m, 3), g, l * l, sc.wavelength)
+
+
 def _trial_estimation_nmse(params, seed, idx):
     lam = params["wavelength"]
     side = params["region_side"] * lam
-    g = int(params["grid"])
-    l = int(params["n_paths"])
     power = 1.0
     sigma2 = power / 10.0 ** (params["snr_db"] / 10.0) if np.isfinite(params["snr_db"]) else 0.0
     rng = np.random.default_rng(seed)
     sc = _grid_scenario(rng, params, lam)
     region = MoveRegion.box((side, side, 0.0))
-    m_total = int(params["measurements"])
-    ms_tx = est.collect_measurements(sc, region, region, "tx-sweep", m_total // 2, power,
-                                     sigma2, trial_seed(str(seed), 1))
-    ms_rx = est.collect_measurements(sc, region, region, "rx-sweep", m_total // 2, power,
-                                     sigma2, trial_seed(str(seed), 2))
-    ms_joint = est.collect_measurements(sc, region, region, "paired", m_total, power,
-                                        sigma2, trial_seed(str(seed), 3))
     eval_grid = region.grid_points(params["eval_step"] * lam)
     h_true = channel_mimo(eval_grid, eval_grid, sc)
-    fri_s = est.omp_successive(ms_tx, ms_rx, g, l, l, lam)
-    fri_j = est.omp_joint(ms_joint, g, l * l, lam)
-    e_s = est.nmse(h_true, est.reconstruct_mapping(fri_s, eval_grid, eval_grid, lam))
-    e_j = est.nmse(h_true, est.reconstruct_mapping(fri_j, eval_grid, eval_grid, lam))
-    return [float(idx), params["snr_db"], e_s, e_j]
+    m, g, l = int(params["measurements"]), int(params["grid"]), int(params["n_paths"])
+    row = [float(idx), params["snr_db"]]
+    for method in ("successive", "joint"):
+        fri = _recover(sc, region, method, m, g, l, power, sigma2, str(seed))
+        row.append(est.nmse(h_true, est.reconstruct_mapping(fri, eval_grid, eval_grid, lam)))
+    return row
 
 
 def _trial_estimation_region(params, seed, idx):
@@ -845,10 +867,11 @@ def _run_one(args):
 
 
 def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    return max(1, int(env)) if env else 1
+    env = os.environ.get(WORKERS_ENV) or "1"
+    try:
+        return max(1, int(env if workers is None else workers))
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
@@ -871,34 +894,31 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
     all_rows: list[list[float]] = []
     columns: list[str] | None = None
     seeds_used: list[int] = []
-    for si, sv in enumerate(sweep_values):
-        params = {**entry.defaults, **cfg.params}
-        if var is not None:
-            params[var] = sv
-        jobs = []
-        for ti in range(cfg.trials):
-            gi = si * cfg.trials + ti
-            if cfg.seeds is not None and seed_override is None:
-                seed = cfg.seeds[gi % len(cfg.seeds)]
-            else:
-                seed = trial_seed(base, gi)
-            seeds_used.append(seed)
-            jobs.append((cfg.experiment, params, seed, ti))
-        if nw > 1:
-            with ProcessPoolExecutor(max_workers=nw) as pool:
-                payloads = list(pool.map(_run_one, jobs))
-        else:
-            payloads = [_run_one(j) for j in jobs]
-        cols = list(entry.columns)
-        rows = entry.finalize(params, payloads) if entry.finalize else payloads
-        if var is not None and var not in cols:
-            cols = [var] + cols
-            rows = [[float(sv)] + list(r) for r in rows]
-        if columns is None:
-            columns = cols
-        elif columns != cols:
-            raise RuntimeError("sweep produced inconsistent columns")
-        all_rows.extend([list(map(float, r)) for r in rows])
+    with ProcessPoolExecutor(max_workers=nw) if nw > 1 else contextlib.nullcontext() as pool:
+        for si, sv in enumerate(sweep_values):
+            params = {**entry.defaults, **cfg.params}
+            if var is not None:
+                params[var] = sv
+            jobs = []
+            for ti in range(cfg.trials):
+                gi = si * cfg.trials + ti
+                if cfg.seeds is not None and seed_override is None:
+                    seed = cfg.seeds[gi % len(cfg.seeds)]
+                else:
+                    seed = trial_seed(base, gi)
+                seeds_used.append(seed)
+                jobs.append((cfg.experiment, params, seed, ti))
+            payloads = list((pool.map if pool else map)(_run_one, jobs))
+            cols = list(entry.columns)
+            rows = entry.finalize(params, payloads) if entry.finalize else payloads
+            if var is not None and var not in cols:
+                cols = [var] + cols
+                rows = [[float(sv)] + list(r) for r in rows]
+            if columns is None:
+                columns = cols
+            elif columns != cols:
+                raise RuntimeError("sweep produced inconsistent columns")
+            all_rows.extend([list(map(float, r)) for r in rows])
 
     non_finite = sum(not all(map(math.isfinite, r)) for r in all_rows)
     if non_finite:

@@ -8,6 +8,7 @@ by alternating coordinate descent from structured starts.
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from ..sensing import effective_variances
 from .report import OptReport
 
 __all__ = ["sensing_1d_optimal", "sensing_2d_ao", "effective_variances", "crb_metric_2d"]
+
+_log = logging.getLogger(__name__)
 
 
 def sensing_1d_optimal(n: int, aperture: float, d_min: float) -> np.ndarray:
@@ -134,7 +137,7 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
             raise InfeasibleError("could not build a feasible starting placement")
         starts.append(cand)
 
-    best = None
+    best, evaluations, stop = None, len(starts), "stalled"
     for xy0 in starts:
         xy = xy0.copy()
         cur = crb_metric_2d(xy, metric, coef)
@@ -147,6 +150,7 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
                     stack = np.repeat(xy[None], n_grid, axis=0)
                     stack[:, i, axis] = cand_vals
                     vals = _crb_batch(stack, metric, coef)
+                    evaluations += n_grid
                     if d_min > 0:  # a candidate too close to another antenna is never taken
                         gaps = np.linalg.norm(np.delete(stack, i, axis=1) - stack[:, i:i + 1],
                                               axis=-1)
@@ -161,11 +165,15 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
             trace.append(cur)
             if not improved:
                 break
+        else:
+            stop = "max_sweeps"
+            _log.debug("sensing_2d_ao: a start stopped at max_sweeps=%d at %.6g", max_sweeps, cur)
         if best is None or cur < best.best_score:
             best = OptReport(best_placement=xy, best_score=float(cur),
                              iterations=len(trace) - 1, trace=trace, extra={})
     rcirc = circumradius if circumradius is not None else 0.5 * math.hypot(ax, ay)
     lower = 2.0 * coef / rcirc ** 2
+    best.evaluations, best.stop_reason = evaluations, stop
     best.extra["lower_bound"] = lower
     best.extra["gap_db"] = 10.0 * math.log10(best.best_score / lower) if metric == "max" else None
     return best

@@ -2,11 +2,14 @@ import dataclasses
 import json
 import logging
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from makit import experiments
+from makit import cli, experiments
 from makit.channel import gen_scenario, scenario_to_dict
 from makit.cli import main
 from makit.errors import ConfigError
@@ -186,6 +189,40 @@ def estimate_doc(**over):
     return doc
 
 
+SENSE = {"n": 8, "u": 0.5, "snr_db": 20.0, "aperture": 4.0, "d_min": 0.5}
+NULL = {"task": "null", "n": 8, "theta0_deg": 90.0, "null_deg": [78.0], "aperture": 20.0,
+        "d_min": 0.5}
+WIDEBEAM = {"task": "widebeam", "n": 8, "theta_min_deg": 30.0, "theta_max_deg": 120.0,
+            "aperture": 10.0, "d_min": 0.5}
+
+# Inputs that once ended in a traceback, in "infeasible" or in a meaningless
+# result; each breaks a rule of the one field-rule table.
+REFUSED_FIELDS = [
+    ("optimize", {"task": "multibeam", "n": 8, "theta_deg": [], "aperture": 10.0,
+                  "d_min": 0.5}, "theta_deg"),
+    ("optimize", {**WIDEBEAM, "wavelength": -1}, "wavelength"),
+    ("experiment", {"experiment": "miso-graph", "params": {"m": 0}}, "'m'"),
+    ("experiment", {"experiment": "sensing-1d-mse", "params": {"snapshots": 0}}, "snapshots"),
+    ("experiment", {"experiment": "sensing-1d-mse", "params": {"n": True}}, "'n'"),
+    ("experiment", {"experiment": "beam-null", "params": {"aperture": -3}}, "aperture"),
+    ("experiment", {"experiment": "mimo-capacity", "params": {"n_t": 0}}, "n_t"),
+    ("experiment", {"experiment": "multiuser-rate", "params": {"k": 0}}, "'k'"),
+    ("experiment", {"experiment": "miso-graph", "seeds": []}, "seeds"),
+    ("experiment", {"experiment": "miso-graph", "seeds": [-1]}, "seeds"),
+    ("experiment", {"experiment": "miso-graph", "seeds": [1.7]}, "seeds"),
+    ("experiment", {"experiment": "sensing-2d-crb", "params": {"side": -3}}, "side"),
+    ("optimize", {"task": "sensing-1d", "n": 4, "aperture": 10.0, "d_min": -0.5}, "d_min"),
+    ("sense", {**SENSE, "u": 3}, "'u'"),
+    ("experiment", {"experiment": "sensing-1d-mse", "params": {"u": 3}}, "'u'"),
+    ("experiment", {"experiment": "sensing-1d-mse", "params": {"n": 2.5}}, "'n'"),
+]
+REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "miso-graph-m-0",
+               "sensing-1d-mse-snapshots-0", "sensing-1d-mse-n-bool", "beam-null-aperture-negative",
+               "mimo-capacity-n_t-0", "multiuser-rate-k-0", "seeds-empty", "seeds-negative",
+               "seeds-fractional", "sensing-2d-crb-side-negative", "sensing-1d-d_min-negative",
+               "sense-u-3", "sensing-1d-mse-u-3", "sensing-1d-mse-n-fractional"]
+
+
 @pytest.mark.parametrize("command, doc, field", [
     ("experiment", {"experiment": "dof-gain", "params": {"grid_step": 0}}, "grid_step"),
     ("experiment", {"experiment": "siso-gain-bounds", "params": {"wavelength": -1}},
@@ -220,7 +257,8 @@ def estimate_doc(**over):
     ("experiment", {"experiment": "estimation-region", "params": {"grid": 0}}, "grid"),
     ("experiment", {"experiment": "estimation-nmse", "params": {"measurements": 0}},
      "measurements"),
-], ids=["grid_step-0", "wavelength-negative", "orientation_grid-0", "trials-not-integer",
+] + REFUSED_FIELDS, ids=[
+        "grid_step-0", "wavelength-negative", "orientation_grid-0", "trials-not-integer",
         "beam-null-n-1", "beam-multibeam-n-0", "theta_deg-empty", "subregions-0",
         "simulate-grid-step-0", "simulate-grid-step-negative", "n_paths-0", "n_paths-string",
         "eval_step-0", "simulate-scenario-n_paths-0", "scenario-wavelength-negative",
@@ -228,7 +266,7 @@ def estimate_doc(**over):
         "estimate-paths-0", "estimate-too-few-measurements", "estimate-joint-atom-cap",
         "estimate-wavelength-mismatch", "validate-scenario-n_paths-0",
         "estimate-measurements-string", "optimize-n-string", "sense-trials-fractional",
-        "estimation-region-grid-0", "estimation-nmse-measurements-0"])
+        "estimation-region-grid-0", "estimation-nmse-measurements-0"] + REFUSED_IDS)
 def test_cli_field_parameter_out_of_range_exit_2(tmp_path, capsys, command, doc, field):
     cfg = write(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg]) == 2
@@ -260,19 +298,13 @@ def test_estimation_nmse_measurement_rule_boundary_accepted():
                                 "sweep": {"variable": "n_paths", "values": [1, 4]}})
 
 
-SENSE = {"n": 8, "u": 0.5, "snr_db": 20.0, "aperture": 4.0, "d_min": 0.5}
-NULL = {"task": "null", "n": 8, "theta0_deg": 90.0, "null_deg": [78.0], "aperture": 20.0,
-        "d_min": 0.5}
-
-
 @pytest.mark.parametrize("command, doc, field", [
     ("sense", {**SENSE, "n": "eight"}, "'n'"),
     ("sense", {**SENSE, "trials": 0}, "trials"),
     ("sense", {**SENSE, "placement": "sparse"}, "placement"),
     ("optimize", {"task": "null", "n": "eight"}, "theta0_deg"),
     ("optimize", {**NULL, "n": "eight"}, "'n'"),
-    ("optimize", {"task": "widebeam", "n": 8, "theta_min_deg": 30.0, "theta_max_deg": 120.0,
-                  "aperture": 10.0, "d_min": 0.5, "subregions": 0}, "subregions"),
+    ("optimize", {**WIDEBEAM, "subregions": 0}, "subregions"),
     ("optimize", {"task": "multibeam", "n": 8, "theta_deg": [30.0, 120.0]}, "aperture"),
     ("optimize", {"task": "miso-graph", "n": 4, "m": 0, "aperture": 4.0, "d_min": 0.5,
                   "scenario": {"generate": {"seed": 1, "n_paths": 3}}}, "'m'"),
@@ -281,10 +313,11 @@ NULL = {"task": "null", "n": 8, "theta0_deg": 90.0, "null_deg": [78.0], "apertur
     ("estimate", estimate_doc(measurements="many"), "measurements"),
     ("estimate", estimate_doc(method="lasso"), "method"),
     ("estimate", estimate_doc(region_side=0.0), "region"),
-], ids=["sense-n-string", "sense-trials-0", "sense-placement", "null-fields-missing",
+] + REFUSED_FIELDS, ids=[
+        "sense-n-string", "sense-trials-0", "sense-placement", "null-fields-missing",
         "null-n-string", "widebeam-subregions-0", "multibeam-aperture-missing", "miso-m-0",
         "simulate-grid-step-0", "simulate-grid-shape", "estimate-measurements-string",
-        "estimate-method", "estimate-region-side-0"])
+        "estimate-method", "estimate-region-side-0"] + REFUSED_IDS)
 def test_cli_validate_config_reads_like_the_subcommand(tmp_path, capsys, command, doc, field):
     cfg = write(tmp_path, "bad.json", doc)
     assert main(["validate-config", "--config", cfg]) == 2
@@ -441,3 +474,85 @@ def test_non_finite_rows_are_counted_and_logged(monkeypatch, caplog):
     warned = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warned) == 1 and warned[0].name.startswith("makit")
     assert "1 of 3 result rows" in warned[0].getMessage()
+
+
+def test_malformed_workers_variable_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(experiments.WORKERS_ENV, "abc")
+    cfg = write(tmp_path, "exp.json", {"experiment": "miso-graph", "trials": 1,
+                                       "params": {"m": 24, "n": 4, "n_paths": 4, "aperture": 4.0}})
+    assert main(["experiment", "--config", cfg]) == 2
+    assert experiments.WORKERS_ENV in capsys.readouterr().err
+
+
+def test_one_process_pool_per_run(monkeypatch):
+    built = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    cfg = small_config(trials=2, sweep={"variable": "m", "values": [12, 16, 24]})
+    serial = run_experiment(cfg, workers=1)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    parallel = run_experiment(cfg, workers=2)
+    assert len(built) == 1
+    assert parallel.rows == serial.rows and len(serial.rows) == 6
+
+
+# Numeric fields that both the catalog (params or top-level) and a CLI reader take.
+CLI_FIELDS = ("n", "m", "subregions", "snapshots", "trials", "measurements", "grid",
+              "paths_to_recover", "aperture", "d_min", "side", "region_side", "eval_step",
+              "wavelength", "u", "theta_deg", "null_deg", "theta0_deg", "theta_min_deg",
+              "theta_max_deg")
+SHARED_FIELDS = [f for f in CLI_FIELDS
+                 if f == "trials" or any(f in e.defaults for e in CATALOG.values())]
+
+
+def catalog_reader(name):
+    """from_dict on a config that sets only name, in an entry whose own rules leave it alone."""
+    if name == "trials":
+        return lambda v: ExperimentConfig.from_dict({"experiment": "miso-graph", "trials": v})
+    exp = next(e for e, entry in CATALOG.items() if name in entry.defaults
+               and (e, name) not in experiments._RANGES
+               and not (e in experiments._JOINT_RANGES and name in experiments._JOINT_RANGES[e][0]))
+    return lambda v: ExperimentConfig.from_dict({"experiment": exp, "params": {name: v}})
+
+
+def accepts(read, value):
+    try:
+        read(value)
+    except ConfigError:
+        return False
+    return True
+
+
+numeric = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70),
+                    st.floats(-3, 3).map(lambda x: round(x, 1)), st.floats(),
+                    st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 1.0, 2.0]))
+scalars = st.one_of(numeric, st.booleans(), st.text(max_size=3), st.none())
+
+
+def test_every_cli_field_but_one_is_a_catalog_field():
+    assert set(CLI_FIELDS) - set(SHARED_FIELDS) == {"paths_to_recover"}
+
+
+@pytest.mark.parametrize("name", SHARED_FIELDS)
+@settings(max_examples=150, deadline=None)
+@given(value=st.one_of(numeric, st.lists(numeric, max_size=3), scalars,
+                       st.lists(scalars, max_size=3)))
+def test_catalog_and_cli_readers_take_the_same_field_values(name, value):
+    cli_reader = lambda v: cli._field({name: v}, name)  # noqa: E731
+    assert accepts(catalog_reader(name), value) == accepts(cli_reader, value)
+
+
+def test_experiment_schema_lists_the_config_fields():
+    path = pathlib.Path(__file__).parent.parent / "docs" / "experiment-config.schema.json"
+    with open(path) as fh:
+        schema = json.load(fh)
+    props = schema["properties"]
+    assert set(props) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert props["trials"]["minimum"] == 1
+    assert props["seeds"]["minItems"] == 1 and props["seeds"]["items"]["minimum"] == 0
+    with pytest.raises(ConfigError, match="unknown config fields"):
+        ExperimentConfig.from_dict({"experiment": "miso-graph", "seed": [1]})

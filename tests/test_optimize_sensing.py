@@ -1,9 +1,11 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
 
 from makit.errors import InfeasibleError
+from makit.optimize import sensing as sensing_module
 from makit.optimize import (crb_metric_2d, effective_variances, sensing_1d_optimal,
                             sensing_2d_ao)
 
@@ -94,6 +96,31 @@ def test_2d_reference_instance_within_3db_of_bound():
     rep = sensing_2d_ao(36, (5.0, 5.0), 0.5, metric="max")
     assert rep.best_score <= 2.0 * rep.extra["lower_bound"]
     assert rep.extra["gap_db"] <= 3.01
+
+
+@pytest.mark.parametrize("kw", [{}, {"max_sweeps": 1}], ids=["default", "max_sweeps-1"])
+def test_2d_reports_evaluations_and_stop_reason(monkeypatch, caplog, kw):
+    scored = []
+    crb_batch = sensing_module._crb_batch
+
+    def counting(xy, metric, coef):  # every layout the ascent scores passes through here
+        scored.append(int(np.prod(np.shape(xy)[:-2])))
+        return crb_batch(xy, metric, coef)
+
+    quiet = sensing_2d_ao(9, (3.0, 3.0), 0.5, **kw)
+    monkeypatch.setattr(sensing_module, "_crb_batch", counting)
+    with caplog.at_level(logging.DEBUG, logger="makit"):
+        rep = sensing_2d_ao(9, (3.0, 3.0), 0.5, **kw)
+    capped = [r for r in caplog.records if r.name == "makit.optimize.sensing"
+              and "stopped at max_sweeps" in r.getMessage()]
+    assert rep.evaluations == sum(scored) > len(scored)
+    assert np.array_equal(rep.best_placement, quiet.best_placement)
+    assert rep.trace == quiet.trace and rep.evaluations == quiet.evaluations
+    if kw:
+        assert rep.stop_reason == "max_sweeps" and capped
+    else:
+        assert rep.stop_reason == "stalled" and not capped
+        assert rep.trace[-1] == rep.trace[-2]
 
 
 def test_2d_infeasible_antenna_count():
