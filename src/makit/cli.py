@@ -198,7 +198,7 @@ def _sense_trials(doc: dict, seed):
     if kind not in ("optimal", "dense"):
         raise ConfigError(f"unknown placement {kind!r}")
     snapshots, trials = _field(doc, "snapshots", 1), _field(doc, "trials", 100)
-    u, snr_db = _field(doc, "u"), doc["snr_db"]
+    u, snr_db = _field(doc, "u"), _field(doc, "snr_db")
     base = str(seed if seed is not None else doc.get("seed", 0))
 
     def run():
@@ -229,8 +229,8 @@ def _estimate_trial(doc: dict, seed):
         grid_pts = region.grid_points(step)
     except ValueError as e:
         raise ConfigError(f"bad estimation region: {e}") from None
-    power = doc.get("power", 1.0)
-    sigma2 = power / 10.0 ** (doc["snr_db"] / 10.0)
+    power = _field(doc, "power", 1.0)
+    sigma2 = power / 10.0 ** (_field(doc, "snr_db") / 10.0)
     m = _field(doc, "measurements")
     g = _field(doc, "grid", 16)
     l = _field(doc, "paths_to_recover", len(sc.tx_paths))

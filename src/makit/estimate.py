@@ -235,7 +235,6 @@ def omp_successive(ms_tx: MeasurementSet, ms_rx: MeasurementSet, g: int,
 
     r_fixed = ms_tx.rx_positions[0]
     t_fixed = ms_rx.tx_positions[0]
-    l = len(tx_uv)
     # coefficient of tx atom a: sqrt(P) conj(f_b(r_fixed)) sigma_ab; of rx atom b:
     # sqrt(P) sigma_ab g_a(t_fixed): consistent pairs agree on sigma
     f_at_fixed = _rx_atoms(rx_uv, r_fixed.reshape(1, 3), wavelength)[:, 0]  # conj-phased
@@ -253,12 +252,9 @@ def omp_successive(ms_tx: MeasurementSet, ms_rx: MeasurementSet, g: int,
     f_r = _rx_atoms(rx_uv, ms_rx.rx_positions, wavelength)
     design = math.sqrt(power) * np.vstack([(g_t * f_t).T, (g_r * f_r).T])
     y_all = np.concatenate([ms_tx.pilots, ms_rx.pilots])
-    diag, _, rank, _ = np.linalg.lstsq(design, y_all, rcond=None)
-    residual = float(np.linalg.norm(y_all - design @ diag))
-    dof = max(len(y_all) - l, 1)
-    poor = residual ** 2 > dof * noise + 5.0 * noise * math.sqrt(dof) + 1e-12
+    diag, residual, rank_def, poor = _fit(design, y_all, noise)
     return FriEstimate(tx_uv=tx_uv, rx_uv=rx_uv, prm=np.diag(diag), residual=residual,
-                       converged=ok_t and ok_r, rank_deficient=rank < l, poor_fit=poor)
+                       converged=ok_t and ok_r, rank_deficient=rank_def, poor_fit=poor)
 
 
 def omp_joint(ms: MeasurementSet, g: int, n_paths: int, wavelength: float) -> FriEstimate:
@@ -324,12 +320,21 @@ def ls_prm(tx_positions, rx_positions, pilots, tx_uv, rx_uv, power: float,
     fr = _rx_atoms(rx_uv, r, wavelength)  # (Lr, M), already conjugate-phased
     # row m, column (i + j*Lr) = g_j(t_m) * conj(f_i(r_m))
     design = math.sqrt(power) * (gt.T[:, :, None] * fr.T[:, None, :]).reshape(len(y), lt * lr)
+    sol, residual, rank_def, poor = _fit(design, y, noise_power)
+    return sol.reshape(lr, lt, order="F"), residual, rank_def, poor
+
+
+def _fit(design: np.ndarray, y: np.ndarray, noise_power: float):
+    """Minimum-norm least-squares solution of design @ x = y.
+
+    Returns (x, residual norm, rank_deficient, poor_fit); poor_fit flags a
+    squared residual above dof·σ² + 5σ²√dof (+1e-12), dof = rows − columns.
+    """
     sol, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     residual = float(np.linalg.norm(y - design @ sol))
-    dof = max(len(y) - lr * lt, 1)
-    floor = dof * noise_power
-    poor = residual ** 2 > floor + 5.0 * noise_power * math.sqrt(dof) + 1e-12
-    return sol.reshape(lr, lt, order="F"), residual, rank < lr * lt, poor
+    dof = max(len(y) - design.shape[1], 1)
+    poor = residual ** 2 > dof * noise_power + 5.0 * noise_power * math.sqrt(dof) + 1e-12
+    return sol, residual, rank < design.shape[1], poor
 
 
 def nearest_measured_reconstruct(ms: MeasurementSet, query_positions) -> np.ndarray:

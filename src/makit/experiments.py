@@ -114,7 +114,8 @@ class ExperimentConfig:
 # CLI reader's fields.  check_field applies them.
 _RANGES = {
     **dict.fromkeys(("wavelength", "region_side", "region_size", "grid_step", "eval_step",
-                     "aperture", "side"), ("a finite number > 0", lambda x: x > 0)),
+                     "aperture", "side", "crb_scale_list", "power"),
+                    ("a finite number > 0", lambda x: 0 < x < math.inf)),
     **dict.fromkeys(("n", "m", "n_t", "n_r", "k", "n_paths", "dominant_paths", "grid",
                      "measurements", "paths_to_recover", "subregions", "orientation_grid",
                      "snapshots", "stat_draws", "max_sweeps", "trials"),
@@ -122,8 +123,9 @@ _RANGES = {
     **dict.fromkeys(("diffuse_paths", "seeds"),
                     ("an integer >= 0", lambda x: x >= 0 and x % 1 == 0)),
     **dict.fromkeys(("theta_deg", "null_deg", "theta0_deg", "theta_min_deg", "theta_max_deg"),
-                    ("a finite angle in degrees", lambda x: True)),
-    "d_min": ("a finite number >= 0", lambda x: x >= 0),
+                    ("a finite angle in degrees", lambda x: -math.inf < x < math.inf)),
+    "d_min": ("a finite number >= 0", lambda x: 0 <= x < math.inf),
+    "snr_db": ("a number other than NaN or -inf (+inf is noiseless)", lambda x: x > -math.inf),
     "u": ("a finite number in [-1, 1]", lambda x: -1 <= x <= 1),
     ("beam-null", "n"): ("an integer >= 2", lambda x: x >= 2 and x % 1 == 0)}
 # Rules across parameters, checked for every sweep value of either name: the
@@ -134,11 +136,13 @@ _JOINT_RANGES = {"estimation-nmse": (
 
 
 def check_field(name: str, value, exp: str | None = None, listed: bool = False):
-    """value under its rule in _RANGES, as ints under an integer rule; bools, nan, inf break all."""
+    """value under its rule in _RANGES, as ints under an integer rule; bools break all.
+
+    Each rule states its own bounds, finiteness included; NaN fails every rule."""
     rule, ok = _RANGES.get((exp, name)) or _RANGES[name]
     items = value if listed and isinstance(value, list) else [value]
-    if not items or not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
-                            and math.isfinite(t) and ok(t) for t in items):
+    if not items or not all(isinstance(t, numbers.Real) and not isinstance(t, bool) and ok(t)
+                            for t in items):
         each = " or a nonempty list of such" if listed else ""
         raise ConfigError(f"{name!r} must be {rule}{each}, got {value!r}")
     items = [int(t) for t in items] if rule.startswith("an integer") else items
@@ -589,7 +593,7 @@ def _trial_isac(params, seed, idx):
     crb_opt = opt.sensing_2d_ao(nr, (side, side), dmin, metric="max", coef=coef)
     rows = []
     rx = np.column_stack([crb_opt.best_placement, np.zeros(nr)])
-    for scale in sorted(params["crb_scale_list"]):
+    for scale in sorted(np.atleast_1d(params["crb_scale_list"]).tolist()):
         eps = crb_opt.best_score * scale
         rep = opt.isac_constrained_opt(sc, tx, region, rx, power, sigma2, mode="com",
                                        threshold=eps, crb_coef=coef,

@@ -222,15 +222,22 @@ def _positions(poses) -> np.ndarray:
     return np.asarray(out).reshape(-1, 3)
 
 
-def _close_pairs(pos: np.ndarray, d_min: float) -> np.ndarray:
-    """(n, n) symmetric mask, True where positions i != j are under d_min·(1 − 1e-12) apart.
+def _too_close(a: np.ndarray, b: np.ndarray, d_min: float) -> np.ndarray:
+    """(..., m, n) mask, True where point i of a (..., m, k) and point j of b
+    (..., n, k) are under d_min·(1 − 1e-12) apart.
 
-    pos is (n, k) for any k.  The inequality is closed: a pair at exactly
-    d_min passes, and the relative margin absorbs rounding in the distance.
+    The inequality is closed: a pair at exactly d_min passes, and the
+    relative margin absorbs rounding in the distance.
     """
-    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    np.fill_diagonal(d, np.inf)
+    d = np.linalg.norm(a[..., :, None, :] - b[..., None, :, :], axis=-1)
     return ~(d >= d_min * (1 - 1e-12))
+
+
+def _close_pairs(pos: np.ndarray, d_min: float) -> np.ndarray:
+    """(n, n) symmetric mask of the positions i != j of an (n, k) stack that are _too_close."""
+    close = _too_close(pos, pos, d_min)
+    np.fill_diagonal(close, False)
+    return close
 
 
 def validate_placement(poses, region: MoveRegion) -> PlacementReport:

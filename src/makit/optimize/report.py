@@ -24,7 +24,6 @@ class OptReport:
     best_score: float
     iterations: int
     trace: list[float] = field(default_factory=list)
-    feasible: bool = True
     extra: dict = field(default_factory=dict)
     evaluations: int = 0
     stop_reason: str | None = None

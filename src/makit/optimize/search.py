@@ -7,7 +7,7 @@ import logging
 import numpy as np
 
 from ..errors import InfeasibleError
-from ..geometry import MoveRegion, _close_pairs
+from ..geometry import MoveRegion, _close_pairs, _too_close
 from .report import OptReport
 
 __all__ = ["siso_gain_bounds", "grid_search_position", "gradient_position_search", "pso"]
@@ -50,42 +50,22 @@ def grid_search_position(objective, region: MoveRegion, step: float,
                      iterations=len(pts), trace=[sign * best_val])
 
 
-def gradient_position_search(objective, region: MoveRegion, start, step: float = None,
-                             max_iter: int = 200, tol: float = 1e-9,
-                             fd_step: float = 1e-4, sense: str = "max") -> OptReport:
+def gradient_position_search(objective, region: MoveRegion, start, max_iter: int = 200,
+                             sense: str = "max") -> OptReport:
     """Projected finite-difference gradient ascent of a single antenna position.
 
-    Backtracking halves the step until the (projected) move improves the
-    score; the trace is monotone by construction.
+    The placement ascent of the MIMO, multiuser and ISAC optimizers on one
+    antenna: FD probes 1e-4 apart, a first step of 1e-2 halved until the move
+    gains, and a stop when an iteration gains nothing or after max_iter; the
+    trace is monotone.  A start outside the region raises InfeasibleError.
     """
-    if not region.contains(start, tol=1e-6):
-        raise ValueError("start position is not inside the region")
-    x = np.asarray(region.clip(start), dtype=float)
     sign = 1.0 if sense == "max" else -1.0
-    f = lambda p: sign * float(objective(p))
-    if step is None:
-        step = fd_step * 100
-    cur = f(x)
-    trace = [sign * cur]
-    it = 0
-    for it in range(1, max_iter + 1):
-        grad = _fd_gradient(lambda p: np.array([f(q) for q in p]), x, region, fd_step)
-        gn = np.linalg.norm(grad)
-        if gn == 0:
-            break
-        s = step
-        improved = False
-        for _ in range(30):
-            cand = region.clip(x + s * grad / gn)
-            val = f(cand)
-            if val > cur:
-                x, cur, improved = cand, val, True
-                break
-            s *= 0.5
-        trace.append(sign * cur)
-        if not improved or (len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol):
-            break
-    return OptReport(best_placement=x, best_score=sign * cur, iterations=it, trace=trace)
+    _, rep = _ascend([(start, region)],
+                     lambda stack: np.array([sign * float(objective(p[0])) for p in stack]),
+                     max_iter, 1e-4, 1e-2)
+    rep.best_placement, rep.best_score = rep.best_placement[0], sign * rep.best_score
+    rep.trace = [sign * v for v in rep.trace]
+    return rep
 
 
 def _fd_gradient(f, x: np.ndarray, region: MoveRegion, fd_step: float) -> np.ndarray:
@@ -130,8 +110,7 @@ def _sweep_antennas(positions: np.ndarray, region: MoveRegion, score, cur: float
         if gn == 0:
             continue
         cand = region.clip(pos[i] + steps[:, None] * grad / gn)
-        near = np.linalg.norm(cand[:, None] - np.delete(pos, i, axis=0), axis=-1)
-        feasible = np.all(near >= region.d_min * (1 - 1e-12), axis=1)  # the _close_pairs rule
+        feasible = ~_too_close(cand, np.delete(pos, i, axis=0), region.d_min).any(axis=1)
         for lo, hi in ((0, 4), (4, 20)):  # where accepted steps mostly fall, then the rest
             j = lo + np.flatnonzero(feasible[lo:hi])
             if not j.size:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..errors import InfeasibleError
-from ..geometry import _close_pairs
+from ..geometry import _close_pairs, _too_close
 from ..sensing import effective_variances
 from .report import OptReport
 
@@ -39,21 +39,16 @@ def sensing_1d_optimal(n: int, aperture: float, d_min: float) -> np.ndarray:
     return np.array(left + right)
 
 
-def _crb_batch(xy: np.ndarray, metric: str, coef: float) -> np.ndarray:
-    """CRB metric of every layout in a (..., n, 2) stack; inf where a variance is <= 0."""
+def crb_metric_2d(xy: np.ndarray, metric: str = "max", coef: float = 1.0) -> float | np.ndarray:
+    """CRB objective (max or sum over the two spatial frequencies) for a 2D layout,
+    or (...) values for a (..., n, 2) stack of layouts; inf where a variance is <= 0."""
     if metric not in ("max", "sum"):
         raise ValueError(f"unknown CRB metric {metric!r}")
-    ex, ey = effective_variances(xy)
+    ex, ey = effective_variances(np.asarray(xy, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         fx, fy = 1.0 / ex, 1.0 / ey
         val = coef * (np.maximum(fx, fy) if metric == "max" else fx + fy)
-    return np.where((ex <= 0) | (ey <= 0), np.inf, val)
-
-
-def crb_metric_2d(xy: np.ndarray, metric: str = "max", coef: float = 1.0) -> float | np.ndarray:
-    """CRB objective (max or sum over the two spatial frequencies) for a 2D layout,
-    or (...) values for a (..., n, 2) stack of layouts."""
-    val = _crb_batch(np.asarray(xy, dtype=float), metric, coef)
+    val = np.where((ex <= 0) | (ey <= 0), np.inf, val)
     return float(val) if val.ndim == 0 else val
 
 
@@ -149,12 +144,11 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
                     cand_vals = np.linspace(0.0, hi, n_grid)
                     stack = np.repeat(xy[None], n_grid, axis=0)
                     stack[:, i, axis] = cand_vals
-                    vals = _crb_batch(stack, metric, coef)
+                    vals = crb_metric_2d(stack, metric, coef)
                     evaluations += n_grid
                     if d_min > 0:  # a candidate too close to another antenna is never taken
-                        gaps = np.linalg.norm(np.delete(stack, i, axis=1) - stack[:, i:i + 1],
-                                              axis=-1)
-                        vals[(gaps < d_min * (1 - 1e-12)).any(axis=1)] = np.inf
+                        close = _too_close(stack[:, i:i + 1], np.delete(stack, i, axis=1), d_min)
+                        vals[close.any(axis=(1, 2))] = np.inf
                     best_v, best_c = cur, xy[i, axis]
                     for c, v in zip(cand_vals.tolist(), vals.tolist()):
                         if v < best_v - 1e-15:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from makit.geometry import (Direction, MoveRegion, Pose, accs_basis, aom_from_euler,
-                            validate_placement, wave_vector)
+from makit.geometry import (Direction, MoveRegion, Pose, _close_pairs, _too_close, accs_basis,
+                            aom_from_euler, validate_placement, wave_vector)
 
 
 def test_wave_vector_axis_case():
@@ -152,3 +155,56 @@ def test_square_and_segment_grid_points_match_hand_built_grids(side, step):
     segment[:, 0] = ax
     assert np.array_equal(MoveRegion.box((side, side, 0.0)).grid_points(step), square)
     assert np.array_equal(MoveRegion.segment(side).grid_points(step), segment)
+
+
+# Reference copies of the spacing comparisons that _too_close replaced: the
+# backtracking-step mask of the placement ascent, the candidate mask of the 2D
+# sensing ascent and the pairwise mask of validate_placement.
+def ref_step_feasible(cand, others, d_min):
+    near = np.linalg.norm(cand[:, None] - others, axis=-1)
+    return np.all(near >= d_min * (1 - 1e-12), axis=1)
+
+
+def ref_candidate_close(stack, i, d_min):
+    gaps = np.linalg.norm(np.delete(stack, i, axis=1) - stack[:, i:i + 1], axis=-1)
+    return gaps < d_min * (1 - 1e-12)
+
+
+def ref_close_pairs(pos, d_min):
+    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    np.fill_diagonal(d, np.inf)
+    return ~(d >= d_min * (1 - 1e-12))
+
+
+@st.composite
+def spaced_stacks(draw):
+    """(stack (B, M, k), d_min): random coordinates, or lattice multiples of d_min
+    so that many pairs sit at exactly d_min (or a relative 1e-13 or 1e-10 under
+    it, either side of the margin), or a rotated lattice where they sit within
+    rounding of it; d_min may be 0."""
+    b, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    d_min = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 0.3, 0.7]))
+    kind = draw(st.sampled_from(["random", "lattice", "rotated"]))
+    if kind == "random":
+        coords = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+        return draw(arrays(np.float64, (b, m, k), elements=coords)), d_min
+    stack = draw(arrays(np.int64, (b, m, k), elements=st.integers(-2, 2))) * (d_min or 0.5)
+    stack = stack * draw(st.sampled_from([1.0, 1 - 1e-13, 1 - 1e-10]))
+    if kind == "rotated":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        stack = stack @ np.linalg.qr(rng.standard_normal((k, k)))[0]
+    return stack, d_min
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaced_stacks())
+def test_too_close_matches_the_replaced_spacing_comparisons(case):
+    stack, d_min = case
+    for i in range(stack.shape[1]):
+        others = np.delete(stack[0], i, axis=0)
+        close = _too_close(stack[0], others, d_min)
+        assert np.array_equal(~close.any(axis=1), ref_step_feasible(stack[0], others, d_min))
+        close = _too_close(stack[:, i:i + 1], np.delete(stack, i, axis=1), d_min)
+        assert np.array_equal(close[:, 0], ref_candidate_close(stack, i, d_min))
+    for pos in stack:
+        assert np.array_equal(_close_pairs(pos, d_min), ref_close_pairs(pos, d_min))

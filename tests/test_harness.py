@@ -215,12 +215,25 @@ REFUSED_FIELDS = [
     ("sense", {**SENSE, "u": 3}, "'u'"),
     ("experiment", {"experiment": "sensing-1d-mse", "params": {"u": 3}}, "'u'"),
     ("experiment", {"experiment": "sensing-1d-mse", "params": {"n": 2.5}}, "'n'"),
+    ("experiment", {"experiment": "isac-tradeoff", "params": {"crb_scale_list": []}},
+     "crb_scale_list"),
+    ("experiment", {"experiment": "isac-tradeoff", "params": {"crb_scale_list": [-1.0]}},
+     "crb_scale_list"),
+    ("experiment", {"experiment": "mimo-capacity", "params": {"snr_db": math.nan}}, "snr_db"),
+    ("estimate", estimate_doc(snr_db=math.nan), "snr_db"),
+    ("estimate", estimate_doc(snr_db=-math.inf), "snr_db"),
+    ("estimate", estimate_doc(power=-1.0), "power"),
+    ("estimate", estimate_doc(power=math.inf), "power"),
+    ("sense", {**SENSE, "snr_db": math.nan}, "snr_db"),
 ]
 REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "miso-graph-m-0",
                "sensing-1d-mse-snapshots-0", "sensing-1d-mse-n-bool", "beam-null-aperture-negative",
                "mimo-capacity-n_t-0", "multiuser-rate-k-0", "seeds-empty", "seeds-negative",
                "seeds-fractional", "sensing-2d-crb-side-negative", "sensing-1d-d_min-negative",
-               "sense-u-3", "sensing-1d-mse-u-3", "sensing-1d-mse-n-fractional"]
+               "sense-u-3", "sensing-1d-mse-u-3", "sensing-1d-mse-n-fractional",
+               "isac-crb_scale_list-empty", "isac-crb_scale_list-negative",
+               "mimo-capacity-snr_db-nan", "estimate-snr_db-nan", "estimate-snr_db-minus-inf",
+               "estimate-power-negative", "estimate-power-inf", "sense-snr_db-nan"]
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -324,6 +337,30 @@ def test_cli_validate_config_reads_like_the_subcommand(tmp_path, capsys, command
     assert field in capsys.readouterr().err
     assert main([command, "--config", cfg]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_cli_isac_takes_a_bare_crb_scale_as_a_one_element_list(tmp_path, capsys):
+    params = {"n_r": 4, "region_side": 2.0, "max_sweeps": 1}
+    docs = [{"experiment": "isac-tradeoff", "trials": 1, "seeds": [3],
+             "params": {**params, "crb_scale_list": scale}} for scale in (2.0, [2.0])]
+    cfg = write(tmp_path, "bare.json", docs[0])
+    assert main(["validate-config", "--config", cfg]) == 0
+    assert main(["experiment", "--config", cfg]) == 0
+    assert "isac-tradeoff: 1 rows" in capsys.readouterr().out
+    bare, listed = (run_experiment(ExperimentConfig.from_dict(d)) for d in docs)
+    assert bare.rows == listed.rows
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("estimate", estimate_doc(snr_db=math.inf)),
+    ("sense", {**SENSE, "snr_db": math.inf, "trials": 2}),
+    ("experiment", {"experiment": "estimation-nmse", "trials": 1,
+                    "params": {"snr_db": math.inf, "n_paths": 1, "measurements": 16}}),
+], ids=["estimate", "sense", "estimation-nmse"])
+def test_noiseless_snr_db_is_accepted(tmp_path, command, doc):
+    cfg = write(tmp_path, "noiseless.json", doc)
+    assert main(["validate-config", "--config", cfg]) == 0
+    assert main([command, "--config", cfg]) == 0
 
 
 def test_cli_validate_config_does_not_run_the_task(tmp_path, monkeypatch):
@@ -504,7 +541,7 @@ def test_one_process_pool_per_run(monkeypatch):
 CLI_FIELDS = ("n", "m", "subregions", "snapshots", "trials", "measurements", "grid",
               "paths_to_recover", "aperture", "d_min", "side", "region_side", "eval_step",
               "wavelength", "u", "theta_deg", "null_deg", "theta0_deg", "theta_min_deg",
-              "theta_max_deg")
+              "theta_max_deg", "snr_db")
 SHARED_FIELDS = [f for f in CLI_FIELDS
                  if f == "trials" or any(f in e.defaults for e in CATALOG.values())]
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from makit.channel import PathSet, Scenario, channel_narrowband, sample_directions
+from makit.errors import InfeasibleError
 from makit.geometry import MoveRegion
 from makit.optimize import (gradient_position_search, grid_search_position, pso,
                             siso_gain_bounds)
@@ -70,7 +71,7 @@ def test_gradient_search_quadratic_converges():
     region = MoveRegion.box((2.0, 2.0, 2.0))
     target = np.array([0.7, 1.2, 0.4])
     rep = gradient_position_search(lambda p: -np.sum((p - target) ** 2), region,
-                                   start=[1.0, 1.0, 1.0], tol=1e-14, max_iter=500)
+                                   start=[1.0, 1.0, 1.0], max_iter=500)
     assert np.linalg.norm(rep.best_placement - target) < 1e-5
 
 
@@ -116,8 +117,28 @@ def test_gradient_search_beats_095_of_grid():
 
 def test_gradient_search_infeasible_start():
     region = MoveRegion.segment(1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InfeasibleError):
         gradient_position_search(lambda p: 0.0, region, start=[5.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("max_iter, stop", [(500, "stalled"), (3, "max_sweeps")])
+def test_gradient_search_reports_evaluations_and_stop_reason(max_iter, stop):
+    region = MoveRegion.box((2.0, 2.0, 2.0))
+    target = np.array([0.7, 1.2, 0.4])
+    calls = []
+
+    def objective(p):
+        calls.append(p)
+        return np.sum((p - target) ** 2)
+
+    rep = gradient_position_search(objective, region, [1.0, 1.0, 1.0], max_iter=max_iter,
+                                   sense="min")
+    assert rep.evaluations == len(calls) > rep.iterations
+    assert rep.stop_reason == stop and rep.iterations == len(rep.trace) - 1
+    assert rep.best_placement.shape == (3,) and rep.best_score == rep.trace[-1]
+    assert np.all(np.diff(rep.trace) <= 0)
+    if stop == "max_sweeps":
+        assert rep.iterations == max_iter
 
 
 def test_pso_sphere():

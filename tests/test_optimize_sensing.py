@@ -101,14 +101,14 @@ def test_2d_reference_instance_within_3db_of_bound():
 @pytest.mark.parametrize("kw", [{}, {"max_sweeps": 1}], ids=["default", "max_sweeps-1"])
 def test_2d_reports_evaluations_and_stop_reason(monkeypatch, caplog, kw):
     scored = []
-    crb_batch = sensing_module._crb_batch
+    crb_metric = sensing_module.crb_metric_2d
 
     def counting(xy, metric, coef):  # every layout the ascent scores passes through here
         scored.append(int(np.prod(np.shape(xy)[:-2])))
-        return crb_batch(xy, metric, coef)
+        return crb_metric(xy, metric, coef)
 
     quiet = sensing_2d_ao(9, (3.0, 3.0), 0.5, **kw)
-    monkeypatch.setattr(sensing_module, "_crb_batch", counting)
+    monkeypatch.setattr(sensing_module, "crb_metric_2d", counting)
     with caplog.at_level(logging.DEBUG, logger="makit"):
         rep = sensing_2d_ao(9, (3.0, 3.0), 0.5, **kw)
     capped = [r for r in caplog.records if r.name == "makit.optimize.sensing"
