@@ -203,6 +203,47 @@ def _side_recovery(ms: MeasurementSet, side: str, g: int, n_paths: int, waveleng
     return uv[idx], coef, ok
 
 
+def _min_cost_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns (rows = arange(L)) of a minimum-cost perfect matching of a
+    square cost matrix; a NaN or infinite entry raises ValueError.
+
+    The Hungarian method as shortest augmenting paths with row and column
+    potentials (Kuhn 1955; Crouse, IEEE TAES 2016), O(L^3): each row in turn
+    grows a Dijkstra tree over reduced costs until it reaches a free column,
+    then flips the matching along that path.  Column 0 is the tree's root.
+    """
+    c = np.asarray(cost, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("the cost matrix contains NaN or infinite entries")
+    n = len(c)
+    u, v = np.zeros(n + 1), np.zeros(n + 1)  # row and column potentials
+    row_of = np.zeros(n + 1, dtype=int)      # 1-based row matched to each column, 0 if free
+    way = np.zeros(n + 1, dtype=int)         # previous column on the shortest path
+    for i in range(1, n + 1):
+        row_of[0], j0 = i, 0
+        dist = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            reduced = c[i0 - 1] - u[i0] - v[1:]
+            closer = ~used[1:] & (reduced < dist[1:])
+            dist[1:][closer] = reduced[closer]
+            way[1:][closer] = j0
+            j1 = int(np.argmin(np.where(used, np.inf, dist)))
+            delta = dist[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            dist[~used] -= delta
+            j0 = j1
+        while j0:  # augment along the path back to the root
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    cols = np.empty(n, dtype=int)
+    cols[row_of[1:] - 1] = np.arange(n)
+    return np.arange(n), cols
+
+
 def omp_successive(ms_tx: MeasurementSet, ms_rx: MeasurementSet, g: int,
                    n_tx_paths: int, n_rx_paths: int, wavelength: float) -> FriEstimate:
     """Two per-side sparse recoveries followed by a least-squares PRM fit.
@@ -210,8 +251,8 @@ def omp_successive(ms_tx: MeasurementSet, ms_rx: MeasurementSet, g: int,
     ms_tx must be a Tx sweep (Rx fixed) and ms_rx an Rx sweep (Tx fixed).
     One-side sweeps only observe row/column aggregates of a general PRM, so
     with equal path counts the geometric (diagonal) model is assumed: the
-    per-side recoveries are paired by coefficient consistency (an assignment
-    problem) and the diagonal is re-fit by LS over both pilot sets.  With
+    per-side recoveries are paired by coefficient consistency (a minimum-cost
+    assignment) and the diagonal is re-fit by LS over both pilot sets.  With
     unequal counts the full-PRM minimum-norm fit is returned and flagged
     rank deficient.
     """
@@ -231,8 +272,6 @@ def omp_successive(ms_tx: MeasurementSet, ms_rx: MeasurementSet, g: int,
         return FriEstimate(tx_uv=tx_uv, rx_uv=rx_uv, prm=prm, residual=residual,
                            converged=ok_t and ok_r, rank_deficient=rank_def, poor_fit=poor)
 
-    from scipy.optimize import linear_sum_assignment
-
     r_fixed = ms_tx.rx_positions[0]
     t_fixed = ms_rx.tx_positions[0]
     # coefficient of tx atom a: sqrt(P) conj(f_b(r_fixed)) sigma_ab; of rx atom b:
@@ -241,7 +280,7 @@ def omp_successive(ms_tx: MeasurementSet, ms_rx: MeasurementSet, g: int,
     g_at_fixed = _tx_atoms(tx_uv, t_fixed.reshape(1, 3), wavelength)[:, 0]
     s_tx = c_t[:, None] / (math.sqrt(power) * f_at_fixed[None, :])  # (a, b)
     s_rx = c_r[None, :] / (math.sqrt(power) * g_at_fixed[:, None])  # (a, b)
-    row, col = linear_sum_assignment(np.abs(s_tx - s_rx) ** 2)
+    row, col = _min_cost_assignment(np.abs(s_tx - s_rx) ** 2)
     tx_uv = tx_uv[row]
     rx_uv = rx_uv[col]
 

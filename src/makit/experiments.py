@@ -127,7 +127,12 @@ _RANGES = {
     "d_min": ("a finite number >= 0", lambda x: 0 <= x < math.inf),
     "snr_db": ("a number other than NaN or -inf (+inf is noiseless)", lambda x: x > -math.inf),
     "u": ("a finite number in [-1, 1]", lambda x: -1 <= x <= 1),
-    ("beam-null", "n"): ("an integer >= 2", lambda x: x >= 2 and x % 1 == 0)}
+    ("beam-null", "n"): ("an integer >= 2", lambda x: x >= 2 and x % 1 == 0),
+    # the dense and sparse planar baselines (_upa_positions) are square arrays
+    **dict.fromkeys((("mimo-capacity", "n_t"), ("mimo-capacity", "n_r"),
+                     ("multiuser-rate", "n_r"), ("isac-tradeoff", "n_t")),
+                    ("a perfect square integer >= 1",
+                     lambda x: x >= 1 and x % 1 == 0 and math.isqrt(int(x)) ** 2 == x))}
 # Rules across parameters, checked for every sweep value of either name: the
 # successive recovery takes n_paths per side, the joint one n_paths² atoms.
 _JOINT_RANGES = {"estimation-nmse": (
@@ -145,7 +150,7 @@ def check_field(name: str, value, exp: str | None = None, listed: bool = False):
                             for t in items):
         each = " or a nonempty list of such" if listed else ""
         raise ConfigError(f"{name!r} must be {rule}{each}, got {value!r}")
-    items = [int(t) for t in items] if rule.startswith("an integer") else items
+    items = [int(t) for t in items] if "integer" in rule else items
     return items if listed else items[0]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..beamforming import (mimo_capacity, mmse_combiner, multiuser_channels, user_sinr_and_rates,
                            water_filling, zf_combiner)
-from ..channel import Scenario, channel_mimo
+from ..channel import Scenario, channel_mimo, frm
 from ..errors import InfeasibleError
 from ..geometry import MoveRegion
 from .report import OptReport
@@ -101,12 +101,48 @@ def _allocate_and_rate(h: np.ndarray, combiner: str, utility: str, budget: str,
     return w, p, rates
 
 
-def _mean_utility(positions: np.ndarray, draws, combiner: str, utility: str, budget: str,
+def _draw_channels(draws):
+    """The uplink channels of every draw (a list of user scenarios) as one function
+    of base-station positions: (..., N, 3) gives the (..., D, N, K) stack of
+    `multiuser_channels` taken draw by draw.
+
+    Each user's Tx response (its antenna sits at the origin) and the stacked
+    PRMs of the draws that share its path geometry, as `redraw_prm_phases`
+    draws do, are formed here once.  A call then forms one Rx field response
+    per geometry and applies its draws in one product (F^H PRM_d) g, the
+    association `channel_mimo` uses."""
+    users = []  # per user: (draw indices, scenario, PRM stack, Tx response) per geometry
+    for draw_users in zip(*draws, strict=True):  # every draw lists the same users
+        groups = {}  # (Rx paths, Tx paths, wavelength) -> draw indices
+        for d, sc in enumerate(draw_users):
+            if sc.prm is None:
+                raise ValueError("scenario has no narrowband prm")
+            groups.setdefault((id(sc.rx_paths), id(sc.tx_paths), sc.wavelength), []).append(d)
+        users.append([])
+        for idx in groups.values():
+            sc = draw_users[idx[0]]
+            users[-1].append((idx, sc, np.stack([draw_users[d].prm for d in idx]),
+                              frm(np.zeros((1, 3)), sc.tx_paths, sc.wavelength)))
+
+    def channels(positions):
+        positions = np.asarray(positions, dtype=float)
+        out = []
+        for groups in users:
+            h = np.empty(positions.shape[:-2] + (len(draws), positions.shape[-2]), dtype=complex)
+            for idx, sc, prms, g in groups:
+                fh = np.conj(frm(positions, sc.rx_paths, sc.wavelength)).swapaxes(-1, -2)
+                h[..., idx, :] = (fh[..., None, :, :] @ prms @ g)[..., 0]
+            out.append(h)
+        return np.stack(out, axis=-1)
+    return channels
+
+
+def _mean_utility(positions: np.ndarray, channels, combiner: str, utility: str, budget: str,
                   power: float, sigma2: float) -> np.ndarray:
     """Rate utility of each placement in a (B, N, 3) stack, averaged over the
-    draws (each a list of user scenarios): (B,).  A placement whose ZF
-    channel is rank deficient in any draw scores -inf."""
-    h = np.stack([multiuser_channels(positions, users) for users in draws], axis=-3)
+    draws whose channels `channels` (from `_draw_channels`) gives: (B,).  A
+    placement whose ZF channel is rank deficient in any draw scores -inf."""
+    h = channels(positions)
     try:
         _, _, rates = _allocate_and_rate(h, combiner, utility, budget, power, sigma2)
     except (ValueError, np.linalg.LinAlgError):
@@ -132,12 +168,13 @@ def multiuser_position_opt(user_scenarios, bs_region: MoveRegion, init_rx: np.nd
     """
     draws = ensembles if ensembles is not None else [user_scenarios]
     lam = draws[0][0].wavelength
+    channels = _draw_channels(draws)
     runs = []  # the report of every ascent, in order
 
     def solve_rate(budget_power, start):
         (pos,), rep = _ascend(
             [(start, bs_region)],
-            lambda q: _mean_utility(q, draws, combiner, utility, budget, budget_power, sigma2),
+            lambda q: _mean_utility(q, channels, combiner, utility, budget, budget_power, sigma2),
             max_sweeps, _FD_STEP * lam, _STEP0 * lam)
         runs.append(rep)
         return pos, rep.best_score

@@ -6,8 +6,14 @@ rule, one channel_narrowband call per measurement, and the two separately
 written greedy loops of omp and omp_joint.  The stacked channel sums in
 another order, so it matches within 1e-12; the pursuit loop does the same
 arithmetic in the same order, so it matches bitwise.
+
+The successive recovery pairs its Tx and Rx paths with its own minimum-cost
+assignment; scipy's linear_sum_assignment, which it used before, is the
+oracle for the total cost, and brute force over permutations decides when
+the optimum is unique and the pairing must match too.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -15,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from makit import estimate
 from makit.channel import PathSet, Scenario, channel_narrowband, frv_tx, sample_directions
@@ -249,3 +256,41 @@ def test_omp_joint_matches_reference_loop(seed, g, l, m, n_paths, noise_power, p
         assert got == want
     else:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# path pairing of the successive recovery
+
+@st.composite
+def cost_matrices(draw):
+    """Square matrices of size 0..8: small integers, which tie often, or floats."""
+    n = draw(st.integers(0, 8))
+    entries = draw(st.sampled_from([st.integers(0, 3).map(float),
+                                    st.floats(-1e3, 1e3, allow_nan=False)]))
+    return np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)),
+                    dtype=float).reshape(n, n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(c=cost_matrices())
+def test_assignment_matches_scipy_and_brute_force(c):
+    n = len(c)
+    rows, cols = estimate._min_cost_assignment(c)
+    assert np.array_equal(rows, np.arange(n)) and sorted(cols) == list(range(n))
+    ref_rows, ref_cols = linear_sum_assignment(c)
+    assert math.isclose(c[rows, cols].sum(), c[ref_rows, ref_cols].sum(),
+                        rel_tol=1e-12, abs_tol=1e-9)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=int)
+    totals = c[np.arange(n), perms].sum(axis=1)
+    best = totals.min()
+    if np.sum(totals <= best + 1e-9 * (1.0 + abs(best))) == 1:  # a unique optimum
+        assert np.array_equal(cols, perms[np.argmin(totals)])
+        assert np.array_equal(cols, ref_cols)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_assignment_refuses_non_finite_costs(bad):
+    c = np.ones((3, 3))
+    c[1, 2] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        estimate._min_cost_assignment(c)

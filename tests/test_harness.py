@@ -2,7 +2,10 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -225,6 +228,12 @@ REFUSED_FIELDS = [
     ("estimate", estimate_doc(power=-1.0), "power"),
     ("estimate", estimate_doc(power=math.inf), "power"),
     ("sense", {**SENSE, "snr_db": math.nan}, "snr_db"),
+    ("experiment", {"experiment": "mimo-capacity", "params": {"n_t": 2}}, "'n_t'"),
+    ("experiment", {"experiment": "mimo-capacity", "params": {"n_r": 8}}, "'n_r'"),
+    ("experiment", {"experiment": "multiuser-rate", "params": {"n_r": 5}}, "'n_r'"),
+    ("experiment", {"experiment": "multiuser-rate",
+                    "sweep": {"variable": "n_r", "values": [4, 6]}}, "'n_r'"),
+    ("experiment", {"experiment": "isac-tradeoff", "params": {"n_t": 2}}, "'n_t'"),
 ]
 REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "miso-graph-m-0",
                "sensing-1d-mse-snapshots-0", "sensing-1d-mse-n-bool", "beam-null-aperture-negative",
@@ -233,7 +242,10 @@ REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "mis
                "sense-u-3", "sensing-1d-mse-u-3", "sensing-1d-mse-n-fractional",
                "isac-crb_scale_list-empty", "isac-crb_scale_list-negative",
                "mimo-capacity-snr_db-nan", "estimate-snr_db-nan", "estimate-snr_db-minus-inf",
-               "estimate-power-negative", "estimate-power-inf", "sense-snr_db-nan"]
+               "estimate-power-negative", "estimate-power-inf", "sense-snr_db-nan",
+               "mimo-capacity-n_t-not-square", "mimo-capacity-n_r-not-square",
+               "multiuser-rate-n_r-not-square", "multiuser-rate-sweep-n_r-not-square",
+               "isac-n_t-not-square"]
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -304,6 +316,16 @@ def test_cli_estimation_nmse_too_few_measurements_exit_2(tmp_path, capsys, comma
     assert "measurements // 2 >= n_paths" in capsys.readouterr().err
 
 
+def test_square_count_rule_holds_only_for_planar_baselines():
+    for exp, params in (("mimo-capacity", {"n_t": 9, "n_r": 1}), ("multiuser-rate", {"n_r": 16}),
+                        ("isac-tradeoff", {"n_t": 1, "n_r": 5}), ("multiuser-rate", {"k": 3})):
+        ExperimentConfig.from_dict({"experiment": exp, "params": params})
+    n_t = experiments.check_field("n_t", 9.0, "mimo-capacity")
+    assert n_t == 9 and type(n_t) is int
+    with pytest.raises(ConfigError, match="perfect square"):
+        experiments.check_field("n_r", 2.5, "mimo-capacity")
+
+
 def test_estimation_nmse_measurement_rule_boundary_accepted():
     for params in ({"measurements": 9, "n_paths": 3}, {"measurements": 2, "n_paths": 1}):
         ExperimentConfig.from_dict({"experiment": NMSE, "params": params})
@@ -361,6 +383,25 @@ def test_noiseless_snr_db_is_accepted(tmp_path, command, doc):
     cfg = write(tmp_path, "noiseless.json", doc)
     assert main(["validate-config", "--config", cfg]) == 0
     assert main([command, "--config", cfg]) == 0
+
+
+def test_estimation_runs_import_no_scipy(tmp_path):
+    """The successive recovery pairs its paths without scipy, so neither a
+    `makit estimate` run nor an estimation catalog run loads it."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    example = str(root / "docs" / "examples" / "estimate-successive.json")
+    catalog = write(tmp_path, "nmse.json", {"experiment": "estimation-nmse", "trials": 1})
+    script = ("import sys\n"
+              "from makit.cli import main\n"
+              f"assert main(['estimate', '--config', {example!r}]) == 0\n"
+              f"assert main(['experiment', '--config', {catalog!r}]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_validate_config_does_not_run_the_task(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from makit.beamforming import (mimo_capacity, mmse_combiner, multiuser_channels,
 from makit.channel import PathSet, frm, gen_scenario, redraw_prm_phases, sample_directions
 from makit.errors import InfeasibleError
 from makit.optimize import sensing_2d_ao
-from makit.optimize.mimo import _ensemble_capacity, _mean_utility
+from makit.optimize.mimo import _draw_channels, _ensemble_capacity, _mean_utility
 from makit.optimize.sensing import _corner_init, _feasible, _perimeter_init, sensing_1d_optimal
 
 
@@ -450,6 +450,30 @@ def test_stacked_multiuser_channels_match_each_placement(seed, b, n, k, n_paths)
         assert same_bits(multiuser_channels(pb, users), hb)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), b=st.integers(0, 3), n=st.integers(1, 9),
+       k=st.integers(1, 4), draws=st.integers(1, 4), fresh=st.lists(st.booleans(), max_size=16))
+def test_shared_draw_channels_match_per_draw_stack(seed, b, n, k, draws, fresh):
+    """Phase redraws share a user's geometry, fresh scenarios do not (other path
+    sets and counts); either way every draw equals its own multiuser_channels."""
+    rng = np.random.default_rng(seed)
+    users = [gen_scenario(rng, n_paths=int(rng.integers(1, 7)), kappa=1.0) for _ in range(k)]
+    flags = iter(fresh)
+    ens = [users] + [[gen_scenario(rng, n_paths=int(rng.integers(1, 7)), kappa=1.0)
+                      if next(flags, False) else redraw_prm_phases(u, rng) for u in users]
+                     for _ in range(draws - 1)]
+    pos = placements(rng, max(b, 1), n)
+    pos = pos if b else pos[0]  # b = 0: one (N, 3) placement
+    h = _draw_channels(ens)(pos)
+    assert same_bits(h, np.stack([multiuser_channels(pos, u) for u in ens], axis=-3))
+
+
+def test_draw_channels_refuse_draws_of_other_users():
+    users = [gen_scenario(s, n_paths=2) for s in (1, 2)]
+    with pytest.raises(ValueError):
+        _draw_channels([users, users[:1]])
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), b=st.integers(1, 4), nt=st.integers(1, 4),
        nr=st.integers(1, 6), draws=st.integers(1, 3), stack_tx=st.booleans())
@@ -478,7 +502,7 @@ def test_stacked_multiuser_score_matches_each_placement(seed, b, n, k, draws, co
     users = [gen_scenario(rng, n_paths=3, kappa=1.0) for _ in range(k)]
     ens = [users] + [[redraw_prm_phases(u, rng) for u in users] for _ in range(draws - 1)]
     pos = placements(rng, b + 1, n)  # the last placement is rank deficient
-    score = _mean_utility(pos, ens, combiner, utility, budget, 10.0, 1.0)
+    score = _mean_utility(pos, _draw_channels(ens), combiner, utility, budget, 10.0, 1.0)
     assert score.shape == (b + 1,)
     for q, got in zip(pos, score):
         want = scalar_mean_utility(q, ens, combiner, utility, budget, 10.0, 1.0)
