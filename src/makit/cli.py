@@ -38,7 +38,7 @@ def _load_json(path) -> dict:
 
 
 def _field(doc: dict, name: str, default=None):
-    """Numeric field of a config under its catalog rule (`default` when absent and given)."""
+    """Field of a config under its catalog rule (`default` when absent and given)."""
     value = doc[name] if default is None else doc.get(name, default)
     return check_field(name, value, listed=name in ("theta_deg", "null_deg"))
 
@@ -108,9 +108,10 @@ def _task_sensing_1d(doc: dict, lam: float, seed):
 
 def _task_sensing_2d(doc: dict, lam: float, seed):
     n, side, dmin = _field(doc, "n"), _field(doc, "side") * lam, _field(doc, "d_min") * lam
+    metric = _field(doc, "metric", "max")
 
     def run():
-        rep = opt.sensing_2d_ao(n, (side, side), dmin, metric=doc.get("metric", "max"))
+        rep = opt.sensing_2d_ao(n, (side, side), dmin, metric=metric)
         return {"placement": rep.best_placement.tolist(), "metric": rep.best_score,
                 "lower_bound": rep.extra["lower_bound"]}
     return run
@@ -131,7 +132,7 @@ def _task_null(doc: dict, lam: float, seed):
 
 
 def _task_multibeam(doc: dict, lam: float, seed):
-    thetas, analog = np.deg2rad(_field(doc, "theta_deg")), bool(doc.get("analog", False))
+    thetas, analog = np.deg2rad(_field(doc, "theta_deg")), _field(doc, "analog", False)
     n, a, dmin = _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
 
     def run():
@@ -194,9 +195,7 @@ def _sense_trials(doc: dict, seed):
     """Read and check a sense config; return the function that runs its trials."""
     lam = _field(doc, "wavelength", 1.0)
     n, a, dmin = _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
-    kind = doc.get("placement", "optimal")
-    if kind not in ("optimal", "dense"):
-        raise ConfigError(f"unknown placement {kind!r}")
+    kind = _field(doc, "placement", "optimal")
     snapshots, trials = _field(doc, "snapshots", 1), _field(doc, "trials", 100)
     u, snr_db = _field(doc, "u"), _field(doc, "snr_db")
     base = str(seed if seed is not None else doc.get("seed", 0))
@@ -235,9 +234,7 @@ def _estimate_trial(doc: dict, seed):
     g = _field(doc, "grid", 16)
     l = _field(doc, "paths_to_recover", len(sc.tx_paths))
     base = str(seed if seed is not None else doc.get("seed", 0))
-    method = doc.get("method", "successive")
-    if method not in ("successive", "joint", "nearest"):
-        raise ConfigError(f"unknown estimation method {method!r}")
+    method = _field(doc, "method", "successive")
 
     def run():
         if method == "nearest":
@@ -319,17 +316,13 @@ def main(argv=None) -> int:
 
     try:
         doc = _load_json(args.config)
-        if args.command == "simulate":
-            return _cmd_simulate(doc, args.out, args.seed)
-        if args.command == "optimize":
-            return _cmd_optimize(doc, args.out, args.seed)
-        if args.command == "sense":
-            return _cmd_sense(doc, args.out, args.seed)
-        if args.command == "estimate":
-            return _cmd_estimate(doc, args.out, args.seed)
         if args.command == "experiment":
             return _cmd_experiment(doc, args.out, args.seed, args.workers)
-        return _cmd_validate(doc)
+        if args.command == "validate-config":
+            return _cmd_validate(doc)
+        run = {"simulate": _cmd_simulate, "optimize": _cmd_optimize, "sense": _cmd_sense,
+               "estimate": _cmd_estimate}[args.command]
+        return run(doc, args.out, args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

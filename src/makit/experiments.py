@@ -109,22 +109,33 @@ class ExperimentConfig:
                    sweep=sweep, out=doc.get("out"))
 
 
-# The rules of numeric fields: catalog params and sweep values (an (experiment,
+# The rules of config fields: catalog params and sweep values (an (experiment,
 # name) key overrides the shared rule), the config's trials and seeds, and every
-# CLI reader's fields.  check_field applies them.
+# CLI reader's fields.  A rule is a predicate on numbers or a tuple of the JSON
+# values allowed.  check_field applies them.
 _RANGES = {
     **dict.fromkeys(("wavelength", "region_side", "region_size", "grid_step", "eval_step",
-                     "aperture", "side", "crb_scale_list", "power"),
+                     "aperture", "side", "crb_scale_list", "power", "sparse_spacing", "beta"),
                     ("a finite number > 0", lambda x: 0 < x < math.inf)),
     **dict.fromkeys(("n", "m", "n_t", "n_r", "k", "n_paths", "dominant_paths", "grid",
                      "measurements", "paths_to_recover", "subregions", "orientation_grid",
-                     "snapshots", "stat_draws", "max_sweeps", "trials"),
+                     "snapshots", "stat_draws", "max_sweeps", "trials", "subcarriers"),
                     ("an integer >= 1", lambda x: x >= 1 and x % 1 == 0)),
     **dict.fromkeys(("diffuse_paths", "seeds"),
                     ("an integer >= 0", lambda x: x >= 0 and x % 1 == 0)),
     **dict.fromkeys(("theta_deg", "null_deg", "theta0_deg", "theta_min_deg", "theta_max_deg"),
                     ("a finite angle in degrees", lambda x: -math.inf < x < math.inf)),
-    "d_min": ("a finite number >= 0", lambda x: 0 <= x < math.inf),
+    **dict.fromkeys(("d_min", "bandwidth", "max_delay", "min_sep_bins", "min_sep_cells"),
+                    ("a finite number >= 0", lambda x: 0 <= x < math.inf)),
+    **dict.fromkeys(("analog", "joint", "on_grid"), ("true or false", (True, False))),
+    "kappa": ("a number >= 0 (+inf is line of sight only)", lambda x: x >= 0),
+    "gain_dbi": ("a finite number > 10*log10(2) (a cone narrower than a half-space)",
+                 lambda x: 10 * math.log10(2) < x < math.inf),
+    "diffuse_power": ("a number in [0, 1]", lambda x: 0 <= x <= 1),
+    "angle_law": ("'halfspace' or 'sphere'", ("halfspace", "sphere")),
+    "metric": ("'max' or 'sum'", ("max", "sum")),
+    "placement": ("'optimal' or 'dense'", ("optimal", "dense")),
+    "method": ("'successive', 'joint' or 'nearest'", ("successive", "joint", "nearest")),
     "snr_db": ("a number other than NaN or -inf (+inf is noiseless)", lambda x: x > -math.inf),
     "u": ("a finite number in [-1, 1]", lambda x: -1 <= x <= 1),
     ("beam-null", "n"): ("an integer >= 2", lambda x: x >= 2 and x % 1 == 0),
@@ -141,12 +152,16 @@ _JOINT_RANGES = {"estimation-nmse": (
 
 
 def check_field(name: str, value, exp: str | None = None, listed: bool = False):
-    """value under its rule in _RANGES, as ints under an integer rule; bools break all.
+    """value under its rule in _RANGES, as ints under an integer rule.
 
-    Each rule states its own bounds, finiteness included; NaN fails every rule."""
+    A numeric rule states its own bounds, finiteness included; NaN fails every
+    one, and so does a bool.  A tuple rule takes only its own values, each of
+    its own JSON type (so 1 is not true)."""
     rule, ok = _RANGES.get((exp, name)) or _RANGES[name]
     items = value if listed and isinstance(value, list) else [value]
-    if not items or not all(isinstance(t, numbers.Real) and not isinstance(t, bool) and ok(t)
+    if not items or not all(any(type(t) is type(c) and t == c for c in ok)
+                            if isinstance(ok, tuple) else
+                            isinstance(t, numbers.Real) and not isinstance(t, bool) and ok(t)
                             for t in items):
         each = " or a nonempty list of such" if listed else ""
         raise ConfigError(f"{name!r} must be {rule}{each}, got {value!r}")
@@ -405,13 +420,16 @@ def _null_design(angles, n, a, dmin, lam):
     return x, bf.mrt(bf.steering_vector(x, angles[0], lam))
 
 
-def _trial_beam_null(params, seed, idx):
+def _line_array(params):
+    """(wavelength, n, aperture, d_min) of a linear-array trial, lengths in wavelength units."""
     lam = params["wavelength"]
-    n = int(params["n"])
+    return lam, int(params["n"]), params["aperture"] * lam, params["d_min"] * lam
+
+
+def _trial_beam_null(params, seed, idx):
+    lam, n, a, dmin = _line_array(params)
     th0 = np.deg2rad(params["theta0_deg"])
     angles = np.concatenate([[th0], np.atleast_1d(np.deg2rad(params["null_deg"]))])
-    a = params["aperture"] * lam
-    dmin = params["d_min"] * lam
     x, w = _null_design(angles, n, a, dmin, lam)
     if w is None:
         rep = opt.multibeam_ao(angles, n, a, dmin, lam, seed=seed)
@@ -428,22 +446,16 @@ def _trial_beam_null(params, seed, idx):
 
 
 def _trial_beam_multi(params, seed, idx):
-    lam = params["wavelength"]
-    n = int(params["n"])
+    lam, n, a, dmin = _line_array(params)
     thetas = np.deg2rad(params["theta_deg"])
-    a = params["aperture"] * lam
-    dmin = params["d_min"] * lam
-    rep = opt.multibeam_ao(thetas, n, a, dmin, lam, analog=bool(params["analog"]), seed=seed)
+    rep = opt.multibeam_ao(thetas, n, a, dmin, lam, analog=params["analog"], seed=seed)
     x_fpa = opt.fpa_ula(n, lam)
-    _, g_fpa = opt.max_min_awv(x_fpa, thetas, lam, analog=bool(params["analog"]), seed=seed)
+    _, g_fpa = opt.max_min_awv(x_fpa, thetas, lam, analog=params["analog"], seed=seed)
     return [rep.best_score, g_fpa]
 
 
 def _trial_beam_wide(params, seed, idx):
-    lam = params["wavelength"]
-    n = int(params["n"])
-    a = params["aperture"] * lam
-    dmin = params["d_min"] * lam
+    lam, n, a, dmin = _line_array(params)
     lo, hi = np.deg2rad(params["theta_min_deg"]), np.deg2rad(params["theta_max_deg"])
     nsub = int(params["subregions"])
     rep = opt.widebeam_ao(lo, hi, nsub, n, a, dmin, lam, seed=seed)
@@ -455,10 +467,7 @@ def _trial_beam_wide(params, seed, idx):
 
 
 def _trial_miso_graph(params, seed, idx):
-    lam = params["wavelength"]
-    a = params["aperture"] * lam
-    dmin = params["d_min"] * lam
-    n = int(params["n"])
+    lam, n, a, dmin = _line_array(params)
     m = int(params["m"])
     sc = gen_scenario(seed, n_paths=int(params["n_paths"]), wavelength=lam,
                       kappa=params["kappa"])
@@ -544,10 +553,7 @@ def _music_mse_once(placement, u_true, snr_db, snapshots, seed, lam):
 
 
 def _trial_sensing_1d(params, seed, idx):
-    lam = params["wavelength"]
-    n = int(params["n"])
-    a = params["aperture"] * lam
-    dmin = params["d_min"] * lam
+    lam, n, a, dmin = _line_array(params)
     placements = [
         opt.sensing_1d_optimal(n, a, dmin),
         np.arange(n) * dmin,               # dense uniform array

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..beamforming import beam_gain, mrt, steering_vector
 from ..errors import InfeasibleError
-from .report import NotConstructible, OptReport
+from .report import NotConstructible, OptReport, improves
 
 __all__ = [
     "svo_null_apv",
@@ -181,10 +181,10 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
     the weights have constant modulus 1/sqrt(N).  x is one placement (N,),
     giving (weights, min_gain), or a stack (P, N) with w0 None or (P, N),
     giving (P, N) weights and (P,) min gains.  All starts of all placements
-    ascend in lockstep, each on its own path: it takes its first improving
-    step step * 0.5^j, j < 20, or drops out; each placement's first best start
-    wins.  Gains are never a one-row product: numpy's matrix-vector path
-    differs in the last bit, which the 1e-15 margin can turn into another path.
+    ascend in lockstep, each on its own path: it takes its first step
+    step * 0.5^j, j < 20, that `improves` on its min gain, or drops out; each
+    placement's first best start wins.  Gains are never a one-row product:
+    numpy's matrix-vector path differs in the last bit, which can decide a step.
     """
     x = np.asarray(x, dtype=float)
     stacked = x.ndim == 2
@@ -229,7 +229,7 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
             cand = project(w[rows, None, :] + s[..., None] * grad[pend, None, :])
             gc = cand.conj() @ a[owner[rows]].transpose(0, 2, 1)  # (R, J, K)
             v = np.min(np.abs(gc), axis=2) ** 2
-            ok = v > cur[rows, None] + 1e-15
+            ok = improves(v, cur[rows, None])
             hit = ok.any(axis=1)
             j = ok[hit].argmax(axis=1)
             r = rows[hit]
@@ -291,7 +291,8 @@ def _position_sweep(x, thetas, w, wavelength, aperture, d_min, n_grid: int = 48)
     """One coordinate-ascent sweep of antenna positions against a fixed weight vector.
 
     Each antenna's n_grid positions between its neighbours are scored in one
-    (n_grid, K, N) gain evaluation, then scanned in order for strict improvements.
+    (n_grid, K, N) gain evaluation; the best (the first on ties) is taken if it
+    `improves` on the current min gain.
     """
     x = x.copy()
     cur = np.min(beam_gain(x, w, thetas, wavelength))
@@ -302,9 +303,10 @@ def _position_sweep(x, thetas, w, wavelength, aperture, d_min, n_grid: int = 48)
             continue
         cand = np.repeat(x[None, :], n_grid, axis=0)
         cand[:, i] = np.linspace(lo, hi, n_grid)
-        for c, v in zip(cand[:, i], np.min(beam_gain(cand, w, thetas, wavelength), axis=1)):
-            if v > cur + 1e-15:
-                x[i], cur = c, v
+        v = np.min(beam_gain(cand, w, thetas, wavelength), axis=1)
+        j = np.argmax(v)
+        if improves(v[j], cur):
+            x[i], cur = cand[j, i], v[j]
     return x, cur
 
 
@@ -325,10 +327,7 @@ def multibeam_ao(thetas, n: int, aperture: float, d_min: float, wavelength: floa
     starts += _random_starts(n, aperture, d_min, seed)
     candidates = _ao_candidates(starts, thetas, wavelength, aperture, d_min,
                                 analog, seed, max_sweeps)
-    best = max(candidates, key=lambda c: c[0])
-    cur, x, w, trace = best
-    return OptReport(best_placement=np.asarray(x, dtype=float), best_score=cur,
-                     iterations=len(trace), trace=trace, extra={"weights": w})
+    return _ao_report(max(candidates, key=lambda c: c[0]), candidates, max_sweeps)
 
 
 def _ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, seed, max_sweeps,
@@ -336,7 +335,7 @@ def _ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, seed, ma
     """Run the position/weight alternation from the most promising starts.
 
     One stacked ascent scores all starts; the n_refine best then alternate in
-    lockstep, one stacked ascent per sweep, until a sweep gains <= 1e-12.
+    lockstep, one stacked ascent per sweep, each chain until its min gain fails `improves`.
     """
     if not starts:
         raise InfeasibleError("no feasible starting placement fits the region")
@@ -354,7 +353,7 @@ def _ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, seed, ma
         w_new, v_new = max_min_awv(xs, thetas, wavelength, analog=analog, seed=seed,
                                    w0=np.stack([out[c][2] for c in live]))
         v_new = v_new.tolist()
-        moved = [(i, c) for i, c in enumerate(live) if v_new[i] > out[c][0] + 1e-12]
+        moved = [(i, c) for i, c in enumerate(live) if improves(v_new[i], out[c][0])]
         for i, c in moved:
             out[c] = (v_new[i], xs[i], w_new[i], out[c][3] + [v_new[i]])
         live = [c for _, c in moved]
@@ -362,6 +361,16 @@ def _ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, seed, ma
         _log.debug("_ao_candidates: %d of %d chains stopped at max_sweeps=%d",
                    len(live), n_chains, max_sweeps)
     return out
+
+
+def _ao_report(best, candidates, max_sweeps, **extra):
+    """Report of one of the candidates; it stopped at 'max_sweeps' if any chain
+    ran all max_sweeps sweeps (a trace of max_sweeps + 1 values), else 'stalled'."""
+    cur, x, w, trace = best
+    stop = "max_sweeps" if any(len(c[3]) > max_sweeps for c in candidates) else "stalled"
+    return OptReport(best_placement=np.asarray(x, dtype=float), best_score=cur,
+                     iterations=len(trace), trace=trace, extra={"weights": w, **extra},
+                     stop_reason=stop)
 
 
 def _subregion_grids(theta_min: float, theta_max: float, n_subregions: int):
@@ -395,7 +404,4 @@ def widebeam_ao(theta_min: float, theta_max: float, n_subregions: int, n: int,
     # rank candidates by the finer verification grid, not the optimization grid
     verified = [np.min(beam_gain(x, w, fine, wavelength)) for _, x, w, _ in candidates]
     best = int(np.argmax(verified))
-    cur, x, w, trace = candidates[best]
-    return OptReport(best_placement=np.asarray(x, dtype=float), best_score=cur,
-                     iterations=len(trace), trace=trace,
-                     extra={"weights": w, "verified_min_gain": verified[best]})
+    return _ao_report(candidates[best], candidates, max_sweeps, verified_min_gain=verified[best])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..beamforming import gma_rate
-from .report import OptReport
+from .report import OptReport, improves
 
 __all__ = ["gma_opt"]
 
@@ -15,8 +15,10 @@ def gma_opt(user_scenarios, aperture: float, eta_max: int, n_antennas: int, powe
     """Alternate 1D line searches on the array anchor x and the sparsity level eta.
 
     eta is the integer spacing multiple of lambda/2 of the uniform sparse
-    array; only levels whose aperture fits the region are considered.  Stops
-    when neither variable improves the multiple-access rate.
+    array; only levels whose aperture fits the region are considered.  Each
+    search takes its best candidate (the first on ties) if it `improves` on
+    the multiple-access rate; a round in which neither does ends the run
+    (stop_reason 'stalled', else 'max_sweeps' after max_rounds).
     """
     if eta_max < 1:
         raise ValueError("eta_max must be >= 1")
@@ -34,25 +36,24 @@ def gma_opt(user_scenarios, aperture: float, eta_max: int, n_antennas: int, powe
     eta = feasible_etas[0]
     x = 0.0
     cur = rate(x, eta)
-    trace = [cur]
+    trace, stop = [cur], "max_sweeps"
     for _ in range(max_rounds):
         improved = False
         # sparsity search at fixed anchor (re-anchor if the array would overflow)
-        for e in feasible_etas:
-            xe = min(x, aperture - span(e))
-            v = rate(xe, e)
-            if v > cur + 1e-12:
-                eta, x, cur = e, xe, v
-                improved = True
+        xs = [min(x, aperture - span(e)) for e in feasible_etas]
+        v = [rate(xe, e) for xe, e in zip(xs, feasible_etas)]
+        j = int(np.argmax(v))
+        if improves(v[j], cur):
+            eta, x, cur, improved = feasible_etas[j], xs[j], v[j], True
         # anchor line search at fixed sparsity
-        hi = aperture - span(eta)
-        for c in np.linspace(0.0, hi, n_grid):
-            v = rate(c, eta)
-            if v > cur + 1e-12:
-                x, cur = float(c), v
-                improved = True
+        anchors = np.linspace(0.0, aperture - span(eta), n_grid)
+        v = [rate(c, eta) for c in anchors]
+        j = int(np.argmax(v))
+        if improves(v[j], cur):
+            x, cur, improved = float(anchors[j]), v[j], True
         trace.append(cur)
         if not improved:
+            stop = "stalled"
             break
     return OptReport(best_placement=np.array([x]), best_score=cur, iterations=len(trace) - 1,
-                     trace=trace, extra={"eta": eta, "anchor": x})
+                     trace=trace, extra={"eta": eta, "anchor": x}, stop_reason=stop)

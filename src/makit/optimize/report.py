@@ -1,4 +1,4 @@
-"""Common result container for placement optimizers."""
+"""The result container and the acceptance rule shared by the optimizers."""
 
 from __future__ import annotations
 
@@ -6,7 +6,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["OptReport", "NotConstructible"]
+__all__ = ["OptReport", "NotConstructible", "improves"]
+
+_RTOL = 1e-12
+
+
+def improves(new, cur):
+    """Whether new beats cur by more than 1e-12 of |cur| (elementwise): the one
+    acceptance rule of every ascent; a descent asks improves(-new, -cur).
+
+    Relative, so scaling an objective by a power of two moves no decision.  Any
+    finite value beats -inf, nothing beats +inf and NaN never wins."""
+    return new > cur * (1.0 + np.copysign(_RTOL, cur))
 
 
 @dataclass
@@ -15,8 +26,8 @@ class OptReport:
 
     best_placement holds positions (shape depends on the problem: scalars for
     linear arrays, (N, 3) otherwise); trace is the best-so-far score after
-    each iteration/sweep.  The placement ascents also record how many
-    placements they scored (evaluations) and why they stopped (stop_reason:
+    each iteration/sweep.  The placement ascents count the placements they
+    scored (evaluations); the sweeping ascents say why they stopped (stop_reason:
     'stalled' when a sweep improved nothing, 'max_sweeps' at the sweep cap).
     """
 

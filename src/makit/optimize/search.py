@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import InfeasibleError
 from ..geometry import MoveRegion, _close_pairs, _too_close
-from .report import OptReport
+from .report import OptReport, improves
 
 __all__ = ["siso_gain_bounds", "grid_search_position", "gradient_position_search", "pso"]
 
@@ -92,9 +92,9 @@ def _sweep_antennas(positions: np.ndarray, region: MoveRegion, score, cur: float
 
     score maps a (B, N, 3) stack of placements to (B,) values.  Derivative
     probes ignore the spacing constraint.  Of the steps step0·0.5^j (j < 20),
-    the first that keeps the spacing and gains more than 1e-12 is accepted;
-    steps 0-3 are scored in one call, steps 4-19 in a second only if none of
-    those is.  Returns (positions, value, improved_any).
+    the first that keeps the spacing and `improves` on cur is accepted; steps
+    0-3 are scored in one call, steps 4-19 in a second only if none of those
+    is.  Returns (positions, value, improved_any).
     """
     pos = positions.copy()
     improved_any = False
@@ -116,7 +116,7 @@ def _sweep_antennas(positions: np.ndarray, region: MoveRegion, score, cur: float
             if not j.size:
                 continue
             vals = score(placements(cand[j]))
-            gain = np.flatnonzero(vals > cur + 1e-12)
+            gain = np.flatnonzero(improves(vals, cur))
             if gain.size:
                 pos[i], cur = cand[j[gain[0]]], vals[gain[0]]
                 improved_any = True

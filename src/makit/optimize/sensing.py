@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import InfeasibleError
 from ..geometry import _close_pairs, _too_close
 from ..sensing import effective_variances
-from .report import OptReport
+from .report import OptReport, improves
 
 __all__ = ["sensing_1d_optimal", "sensing_2d_ao", "effective_variances", "crb_metric_2d"]
 
@@ -55,18 +55,10 @@ def crb_metric_2d(xy: np.ndarray, metric: str = "max", coef: float = 1.0) -> flo
 def _perimeter_init(n: int, ax: float, ay: float) -> np.ndarray:
     """n points spread at equal arc length along the rectangle boundary."""
     per = 2.0 * (ax + ay)
-    s = (np.arange(n) + 0.5) * per / n
-    pts = np.zeros((n, 2))
-    for i, t in enumerate(s):
-        if t < ax:
-            pts[i] = (t, 0.0)
-        elif t < ax + ay:
-            pts[i] = (ax, t - ax)
-        elif t < 2 * ax + ay:
-            pts[i] = (2 * ax + ay - t, ay)
-        else:
-            pts[i] = (0.0, per - t)
-    return pts
+    t = (np.arange(n) + 0.5) * per / n
+    side = [t < ax, t < ax + ay, t < 2 * ax + ay]  # bottom, right, top; else left
+    return np.column_stack([np.select(side, [t, ax, 2 * ax + ay - t], 0.0),
+                            np.select(side, [0.0, t - ax, ay], per - t)])
 
 
 def _corner_init(n: int, ax: float, ay: float, d_min: float) -> np.ndarray:
@@ -85,11 +77,8 @@ def _corner_init(n: int, ax: float, ay: float, d_min: float) -> np.ndarray:
 
 
 def _feasible(xy: np.ndarray, ax: float, ay: float, d_min: float) -> bool:
-    if np.any(xy[:, 0] < -1e-12) or np.any(xy[:, 0] > ax + 1e-12):
-        return False
-    if np.any(xy[:, 1] < -1e-12) or np.any(xy[:, 1] > ay + 1e-12):
-        return False
-    return not _close_pairs(xy, d_min).any()
+    inside = np.all((xy >= -1e-12) & (xy <= np.array([ax, ay]) + 1e-12))
+    return bool(inside) and not _close_pairs(xy, d_min).any()
 
 
 def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: float = 1.0,
@@ -99,9 +88,9 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
 
     extents is the (ax, ay) rectangle; a degenerate axis reduces the problem
     to the 1D closed form.  Coordinate descent sweeps each antenna along each
-    axis on a candidate grid, accepting only feasible improving moves, so the
-    metric trace is monotone.  extra carries the aperture lower bound
-    2*coef/circumradius^2 and the gap to it.
+    axis on a candidate grid and takes the best feasible one (the first on
+    ties) if it `improves` on the current metric, so the trace is monotone.
+    extra carries the aperture lower bound 2*coef/circumradius^2 and the gap.
     """
     ax, ay = (float(e) for e in extents[:2])
     if ax <= 0 or ay <= 0:
@@ -116,14 +105,9 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
         raise InfeasibleError("too many antennas for the region at the required spacing")
 
     rng = np.random.default_rng(seed)
-    starts = []
-    for cand in (_perimeter_init(n, ax, ay), _corner_init(n, ax, ay, d_min)):
-        if _feasible(cand, ax, ay, d_min):
-            starts.append(cand)
-    for _ in range(3):
-        cand = rng.uniform(0, 1, (n, 2)) * (ax, ay)
-        if _feasible(cand, ax, ay, d_min):
-            starts.append(cand)
+    starts = [_perimeter_init(n, ax, ay), _corner_init(n, ax, ay, d_min)]
+    starts += [rng.uniform(0, 1, (n, 2)) * (ax, ay) for _ in range(3)]
+    starts = [xy for xy in starts if _feasible(xy, ax, ay, d_min)]
     if not starts:
         # fall back to a regular lattice at minimum spacing
         cols = math.floor(ax / d_min) + 1
@@ -149,13 +133,9 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
                     if d_min > 0:  # a candidate too close to another antenna is never taken
                         close = _too_close(stack[:, i:i + 1], np.delete(stack, i, axis=1), d_min)
                         vals[close.any(axis=(1, 2))] = np.inf
-                    best_v, best_c = cur, xy[i, axis]
-                    for c, v in zip(cand_vals.tolist(), vals.tolist()):
-                        if v < best_v - 1e-15:
-                            best_v, best_c = v, c
-                    xy[i, axis] = best_c
-                    if best_v < cur - 1e-15:
-                        cur, improved = best_v, True
+                    j = np.argmin(vals)
+                    if improves(-vals[j], -cur):
+                        xy[i, axis], cur, improved = cand_vals[j], float(vals[j]), True
             trace.append(cur)
             if not improved:
                 break

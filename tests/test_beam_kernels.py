@@ -6,10 +6,11 @@ score call in max_min_awv, one beam_gain call per angle and candidate
 position in the sweep.  Two starts can tie to within rounding, so results
 are compared by score, not by weight vector.
 
-The ascent accepts a step only if it gains more than 1e-15, so near a stall
-the last bit of a gain decides whether a start stops or goes on, and where
-it ends.  The scalar ascent itself moves by up to 0.5 % in min gain on
-random inputs when its gains are summed in another order.  The reference
+The ascent, like every reference below, accepts a step only if it `improves`
+on the current min gain (by more than 1e-12 of it), so near a stall the last
+bit of a gain can decide whether a start stops or goes on, and where it ends.
+The scalar ascent itself moved by up to 0.5 % in min gain on random inputs
+when its gains were summed in another order.  The reference
 therefore takes its gain product as an argument: the min gain must match
 the ascent with today's product (one matrix-vector product per weight), or
 else the same ascent with the product the batched code takes (a row of a
@@ -32,6 +33,7 @@ from makit.beamforming import beam_gain, mrt, steering_vector
 from makit.errors import InfeasibleError
 from makit.optimize import beams
 from makit.optimize.beams import _position_sweep, max_min_awv, multibeam_ao, widebeam_ao
+from makit.optimize.report import improves
 
 RTOL = 1e-9
 LAM = 1.0
@@ -89,7 +91,7 @@ def ref_max_min_awv(x, thetas, wavelength, analog=False, seed=0, w0=None, n_iter
             for _ in range(20):
                 cand = project(w + s * grad)
                 v = score(cand)
-                if v > cur + 1e-15:
+                if improves(v, cur):
                     w, cur, improved = cand, v, True
                     break
                 s *= 0.5
@@ -116,14 +118,15 @@ def ref_position_sweep(x, thetas, w, wavelength, aperture, d_min, n_grid=48):
         if hi <= lo:
             continue
         cand = np.linspace(lo, hi, n_grid)
-        best_xi, best_v = x[i], cur
+        orig, best_xi, best_v = x[i], x[i], -np.inf
         for c in cand:
             x[i] = c
             v = score(x)
-            if v > best_v + 1e-15:
+            if v > best_v:
                 best_xi, best_v = c, v
-        x[i] = best_xi
-        cur = best_v
+        x[i] = orig
+        if improves(best_v, cur):
+            x[i], cur = best_xi, best_v
     return x, cur
 
 
@@ -161,7 +164,7 @@ def today_max_min_awv(x, thetas, wavelength, analog=False, seed=0, w0=None, n_it
         cand = project(w[live, None, :] + s[..., None] * grad[:, None, :])
         gc = cand.conj() @ a.T  # (L, 20, K)
         v = np.min(np.abs(gc), axis=2) ** 2
-        ok = v > cur[live, None] + 1e-15
+        ok = improves(v, cur[live, None])
         hit = np.flatnonzero(ok.any(axis=1))
         j = ok[hit].argmax(axis=1)
         live = live[hit]
@@ -189,7 +192,7 @@ def today_ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, see
             x_new, _ = _position_sweep(x, thetas, w, wavelength, aperture, d_min)
             w_new, v_new = today_max_min_awv(x_new, thetas, wavelength, analog=analog,
                                              seed=seed, w0=w)
-            if v_new > cur + 1e-12:
+            if improves(v_new, cur):
                 x, w, cur = x_new, w_new, v_new
                 trace.append(cur)
             else:

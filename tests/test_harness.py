@@ -234,6 +234,25 @@ REFUSED_FIELDS = [
     ("experiment", {"experiment": "multiuser-rate",
                     "sweep": {"variable": "n_r", "values": [4, 6]}}, "'n_r'"),
     ("experiment", {"experiment": "isac-tradeoff", "params": {"n_t": 2}}, "'n_t'"),
+    ("optimize", {"task": "sensing-2d", "n": 4, "side": 2.0, "d_min": 0.5, "metric": "median"},
+     "metric"),
+    ("optimize", {"task": "multibeam", "n": 4, "theta_deg": [30.0, 120.0], "aperture": 4.0,
+                  "d_min": 0.5, "analog": 1}, "analog"),
+    ("experiment", {"experiment": "mimo-capacity", "params": {"kappa": -2}}, "kappa"),
+    ("experiment", {"experiment": "dof-gain", "params": {"gain_dbi": 2.0}}, "gain_dbi"),
+    ("experiment", {"experiment": "estimation-region", "params": {"diffuse_power": 1.5}},
+     "diffuse_power"),
+    ("experiment", {"experiment": "sensing-2d-crb", "params": {"beta": 0.0}}, "beta"),
+    ("experiment", {"experiment": "siso-gain-bounds", "params": {"angle_law": "cone"}},
+     "angle_law"),
+    ("experiment", {"experiment": "mimo-capacity", "params": {"sparse_spacing": -1.0}},
+     "sparse_spacing"),
+    ("experiment", {"experiment": "siso-gain-bounds", "params": {"bandwidth": -1.0}},
+     "bandwidth"),
+    ("experiment", {"experiment": "siso-gain-bounds", "params": {"min_sep_bins": -3}},
+     "min_sep_bins"),
+    ("experiment", {"experiment": "beam-multibeam", "params": {"analog": "false"}}, "analog"),
+    ("experiment", {"experiment": "estimation-nmse", "params": {"on_grid": "no"}}, "on_grid"),
 ]
 REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "miso-graph-m-0",
                "sensing-1d-mse-snapshots-0", "sensing-1d-mse-n-bool", "beam-null-aperture-negative",
@@ -245,7 +264,11 @@ REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "mis
                "estimate-power-negative", "estimate-power-inf", "sense-snr_db-nan",
                "mimo-capacity-n_t-not-square", "mimo-capacity-n_r-not-square",
                "multiuser-rate-n_r-not-square", "multiuser-rate-sweep-n_r-not-square",
-               "isac-n_t-not-square"]
+               "isac-n_t-not-square", "sensing-2d-metric-median", "multibeam-analog-1",
+               "mimo-capacity-kappa-negative", "dof-gain-gain_dbi-2", "diffuse_power-1.5",
+               "sensing-2d-crb-beta-0", "angle_law-cone", "sparse_spacing-negative",
+               "bandwidth-negative", "min_sep_bins-negative", "beam-multibeam-analog-string",
+               "estimation-nmse-on_grid-string"]
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -324,6 +347,22 @@ def test_square_count_rule_holds_only_for_planar_baselines():
     assert n_t == 9 and type(n_t) is int
     with pytest.raises(ConfigError, match="perfect square"):
         experiments.check_field("n_r", 2.5, "mimo-capacity")
+
+
+def test_catalog_defaults_and_rule_boundaries_are_accepted():
+    for name, entry in CATALOG.items():
+        ExperimentConfig.from_dict({"experiment": name, "params": dict(entry.defaults)})
+    for name, value in (("kappa", math.inf), ("diffuse_power", 1.0), ("diffuse_power", 0),
+                        ("bandwidth", 0.0), ("min_sep_cells", 0), ("gain_dbi", 3.02),
+                        ("on_grid", False), ("joint", True), ("angle_law", "sphere"),
+                        ("metric", "sum")):
+        assert experiments.check_field(name, value) == value
+    for name, value in (("analog", 1), ("joint", 0.0), ("on_grid", None), ("kappa", math.nan),
+                        ("gain_dbi", 10 * math.log10(2)), ("subcarriers", 0),
+                        ("max_delay", math.inf), ("beta", -1.0), ("angle_law", "Sphere"),
+                        ("metric", ["max"])):
+        with pytest.raises(ConfigError, match=name):
+            experiments.check_field(name, value)
 
 
 def test_estimation_nmse_measurement_rule_boundary_accepted():
@@ -578,11 +617,11 @@ def test_one_process_pool_per_run(monkeypatch):
     assert parallel.rows == serial.rows and len(serial.rows) == 6
 
 
-# Numeric fields that both the catalog (params or top-level) and a CLI reader take.
+# Fields that both the catalog (params or top-level) and a CLI reader take.
 CLI_FIELDS = ("n", "m", "subregions", "snapshots", "trials", "measurements", "grid",
               "paths_to_recover", "aperture", "d_min", "side", "region_side", "eval_step",
               "wavelength", "u", "theta_deg", "null_deg", "theta0_deg", "theta_min_deg",
-              "theta_max_deg", "snr_db")
+              "theta_max_deg", "snr_db", "analog")
 SHARED_FIELDS = [f for f in CLI_FIELDS
                  if f == "trials" or any(f in e.defaults for e in CATALOG.values())]
 

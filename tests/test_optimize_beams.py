@@ -220,3 +220,12 @@ def test_beam_ascent_logs_why_it_stopped_without_changing_results(caplog):
     assert loud.best_score == quiet.best_score and loud.trace == quiet.trace
     assert loud.best_placement.tobytes() == quiet.best_placement.tobytes()
     assert loud.extra["weights"].tobytes() == quiet.extra["weights"].tobytes()
+
+
+@pytest.mark.parametrize("max_sweeps, stop", [(1, "max_sweeps"), (12, "stalled")])
+def test_beam_ao_reports_why_it_stopped(max_sweeps, stop):
+    # a refinement chain still gains in its first sweep, and all stall before the 12th
+    multi = multibeam_ao(np.deg2rad([30.0, 120.0, 160.0]), 6, 6.0, 0.5, LAM,
+                         max_sweeps=max_sweeps)
+    wide = widebeam_ao(1.0, 2.0, 4, 4, 4.0, 0.5, LAM, seed=0, max_sweeps=max_sweeps)
+    assert multi.stop_reason == stop and wide.stop_reason == stop

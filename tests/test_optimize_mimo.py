@@ -338,6 +338,15 @@ def test_gma_opt_single_user_los_flat_in_anchor():
     assert rep.best_score >= rates[0] - 1e-9
 
 
+@pytest.mark.parametrize("max_rounds, stop", [(2, "max_sweeps"), (10, "stalled")])
+def test_gma_opt_reports_why_it_stopped(max_rounds, stop):
+    # both rounds gain; the third gains nothing
+    rep = gma_opt(make_users(15, 5, l=4, kappa=10.0), aperture=8.0, eta_max=4, n_antennas=4,
+                  powers=np.ones(5), wavelength=LAM, max_rounds=max_rounds)
+    assert rep.stop_reason == stop and rep.iterations == min(max_rounds, 3)
+    assert np.all(np.diff(rep.trace[:3]) > 0) and rep.trace[-1] == rep.best_score
+
+
 def test_gma_opt_beats_dense_baseline():
     users = make_users(15, 5, l=4, kappa=10.0)
     powers = np.ones(5)

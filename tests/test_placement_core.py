@@ -21,6 +21,7 @@ from makit.geometry import MoveRegion
 from makit.optimize import (crb_metric_2d, isac_constrained_opt, mimo_position_ao,
                             multiuser_position_opt, sensing_2d_ao)
 from makit.optimize.mimo import _allocate_and_rate, _ensemble_capacity
+from makit.optimize.report import improves
 from makit.optimize.search import _sweep_antennas
 
 LAM = 1.0
@@ -74,7 +75,7 @@ def ref_sweep(positions, region, objective, fd_step, step0, accepted=None):
             cand[i] = region.clip(pos[i] + s * grad / gn)
             if ref_pairwise_ok(cand, region.d_min):
                 v = objective(cand)
-                if v > cur + 1e-12:
+                if improves(v, cur):
                     pos, cur = cand, v
                     improved_any = True
                     break

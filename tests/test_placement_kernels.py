@@ -22,6 +22,7 @@ from makit.channel import PathSet, frm, gen_scenario, redraw_prm_phases, sample_
 from makit.errors import InfeasibleError
 from makit.optimize import sensing_2d_ao
 from makit.optimize.mimo import _draw_channels, _ensemble_capacity, _mean_utility
+from makit.optimize.report import improves
 from makit.optimize.sensing import _corner_init, _feasible, _perimeter_init, sensing_1d_optimal
 
 
@@ -98,7 +99,7 @@ def ref_sensing_2d_ao(n, extents, d_min, metric, coef, max_sweeps, n_grid, seed)
             for i in range(n):
                 for axis, hi in ((0, ax), (1, ay)):
                     orig = xy[i, axis]
-                    best_v, best_c = cur, orig
+                    best_v, best_c = np.inf, orig
                     for c in np.linspace(0.0, hi, n_grid):
                         xy[i, axis] = c
                         others = np.delete(xy, i, axis=0)
@@ -106,12 +107,11 @@ def ref_sensing_2d_ao(n, extents, d_min, metric, coef, max_sweeps, n_grid, seed)
                                 < d_min * (1 - 1e-12):
                             continue
                         v = ref_crb_metric_2d(xy, metric, coef)
-                        if v < best_v - 1e-15:
+                        if v < best_v:
                             best_v, best_c = v, c
-                    xy[i, axis] = best_c
-                    if best_v < cur - 1e-15:
-                        cur = best_v
-                        improved = True
+                    xy[i, axis] = orig
+                    if improves(-best_v, -cur):
+                        xy[i, axis], cur, improved = best_c, best_v, True
             trace.append(cur)
             if not improved:
                 break
@@ -191,7 +191,7 @@ def test_water_filling_errors():
          seed=0)
 @example(n=4, ax=2.0, ay=0.0, d_min=0.5, metric="max", coef=1.0, max_sweeps=1, n_grid=33,
          seed=0)
-# a CRB near 1e-12, where many moves gain less than the 1e-15 acceptance margin
+# a CRB near 1e-12, where an absolute margin of 1e-15 would reject many moves
 @example(n=9, ax=2.0, ay=3.0, d_min=0.3, metric="max", coef=1e-12, max_sweeps=2, n_grid=17,
          seed=0)
 def test_sensing_2d_ao_matches_scalar_scan(n, ax, ay, d_min, metric, coef, max_sweeps, n_grid,
