@@ -35,6 +35,7 @@ _MAX_DENOMINATOR = 64
 # live start, the rest only for starts that accepted none of those.  On the
 # beam benchmark 98.4 % of digital and 92.5 % of analog moves accept a j < 4.
 _STEP_CHUNKS = ((0, 4), (4, 20))
+_HALVES = 0.5 ** np.arange(20)
 
 _log = logging.getLogger(__name__)
 
@@ -172,6 +173,14 @@ def grating_lobe_apv(theta0: float, desired_angles, n: int, aperture: float, d_m
     return np.arange(n) * d
 
 
+def _weakest(gains):
+    """Each gain row's weakest angle and its |gain|^2, which is the min gain: squaring is
+    monotone, and a gather at the argmin costs a fraction of a .min(axis=-1)."""
+    g2 = np.abs(gains) ** 2
+    k = g2.argmin(axis=-1)
+    return k, g2.reshape(-1, g2.shape[-1])[np.arange(k.size), k.ravel()].reshape(k.shape)
+
+
 def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 0,
                 w0: np.ndarray | None = None,
                 n_iter: int = 300) -> tuple[np.ndarray, float | np.ndarray]:
@@ -183,7 +192,8 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
     giving (P, N) weights and (P,) min gains.  All starts of all placements
     ascend in lockstep, each on its own path: it takes its first step
     step * 0.5^j, j < 20, that `improves` on its min gain, or drops out; each
-    placement's first best start wins.  Gains are never a one-row product:
+    placement's first best start wins.  The live starts' state is kept packed
+    and compacted only when one drops out.  Gains are never a one-row product:
     numpy's matrix-vector path differs in the last bit, which can decide a step.
     """
     x = np.asarray(x, dtype=float)
@@ -193,10 +203,10 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
     a = steering_vector(x, np.atleast_1d(thetas), wavelength)  # (P, K, N)
     rng = np.random.default_rng(seed)
 
-    def project(w):
+    def project(w):  # np.angle's and np.linalg.norm's formulas, without their call overhead
         if analog:
-            return np.exp(1j * np.angle(w)) / math.sqrt(n)
-        return w / np.linalg.norm(w, axis=-1, keepdims=True)
+            return np.exp(1j * np.arctan2(w.imag, w.real)) / math.sqrt(n)
+        return w / np.sqrt(np.add.reduce((w.conj() * w).real, axis=-1, keepdims=True))
 
     k = a.shape[1]
     pick = range(k) if k <= 12 else np.linspace(0, k - 1, 12).astype(int)
@@ -208,43 +218,57 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
         starts.append(mrt(np.sum(ap * np.exp(-1j * np.angle(ap[:, :1])), axis=0)))
         starts += noise if wi is None else [wi, *noise]
 
-    w = project(np.stack(starts))  # (P*S, N)
-    s_per = len(w) // p
-    owner = np.repeat(np.arange(p), s_per)
-    g = (w.reshape(p, s_per, n).conj() @ a.transpose(0, 2, 1)).reshape(len(w), k)
-    cur = np.min(np.abs(g), axis=1) ** 2
-    step = np.full(len(w), 0.5)
-    live = np.arange(len(w))
-    for _ in range(n_iter):
-        if not live.size:
-            break
-        gl = g[live]
-        kmin = np.argmin(np.abs(gl) ** 2, axis=1)
+    w_out = project(np.stack(starts))  # (P*S, N)
+    s_per = len(w_out) // p
+    g = (w_out.reshape(p, s_per, n).conj() @ a.transpose(0, 2, 1)).reshape(len(w_out), k)
+    kmin, cur_out = _weakest(g)
+    # packed state of the live starts: index into the outputs, weights, min gain, step,
+    # weakest angle and its gain, and placement
+    live, w, cur = np.arange(len(w_out)), w_out.copy(), cur_out.copy()
+    step, gk, owner = np.full(len(w_out), 0.5), g[live, kmin], live // s_per
+    rows = np.arange(live.size)
+    iters = scored = 0
+    for iters in range(1, n_iter + 1):
         # ascent direction of each start's active gain
-        grad = a[owner[live], kmin] * np.conj(gl[np.arange(len(live)), kmin])[:, None]
-        pend = np.arange(len(live))  # positions in live without an accepted step yet
+        grad = a[owner, kmin] * gk.conj()[:, None]
+        pend = rows  # starts without an accepted step yet
         for lo, hi in _STEP_CHUNKS:
-            rows = live[pend]
-            s = step[rows, None] * 0.5 ** np.arange(lo, hi)
-            cand = project(w[rows, None, :] + s[..., None] * grad[pend, None, :])
-            gc = cand.conj() @ a[owner[rows]].transpose(0, 2, 1)  # (R, J, K)
-            v = np.min(np.abs(gc), axis=2) ** 2
-            ok = improves(v, cur[rows, None])
-            hit = ok.any(axis=1)
-            j = ok[hit].argmax(axis=1)
-            r = rows[hit]
-            w[r], g[r], cur[r] = cand[hit, j], gc[hit, j], v[hit, j]
-            step[r] = np.minimum(1.0, s[hit, j] * 2.0)
+            full = pend.size == rows.size
+            sub = slice(None) if full else pend
+            s = step[sub, None] * _HALVES[lo:hi]
+            cand = project(w[sub, None, :] + s[..., None] * grad[sub, None, :])
+            gc = cand.conj() @ a[owner[sub]].transpose(0, 2, 1)  # (R, J, K)
+            km, v = _weakest(gc)
+            ok = improves(v, cur[sub, None])
+            scored += ok.size
+            hit, j = ok.any(axis=1), ok.argmax(axis=1)
+            if full and hit.all():  # every start stepped: replace the state, no scatter
+                w, cur, kmin = cand[rows, j], v[rows, j], km[rows, j]
+                gk, step = gc[rows, j, kmin], np.minimum(1.0, s[rows, j] * 2.0)
+            else:
+                t = hit.nonzero()[0]
+                r, jt = pend[t], j[t]
+                w[r], cur[r], kmin[r] = cand[t, jt], v[t, jt], km[t, jt]
+                gk[r], step[r] = gc[t, jt, kmin[r]], np.minimum(1.0, s[t, jt] * 2.0)
             pend = pend[~hit]
             if not pend.size:
                 break
-        if pend.size:
-            live = np.delete(live, pend)
+        if pend.size:  # retire the starts that found no step
+            w_out[live[pend]], cur_out[live[pend]] = w[pend], cur[pend]
+            keep = np.ones(live.size, dtype=bool)
+            keep[pend] = False
+            live, w, cur, step, kmin, gk, owner = (
+                arr[keep] for arr in (live, w, cur, step, kmin, gk, owner))
+            rows = np.arange(live.size)
+            if not live.size:
+                break
+    w_out[live], cur_out[live] = w, cur
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("max_min_awv: %d of %d starts stopped at n_iter=%d, %d stalled",
-                   live.size, len(w), n_iter, len(w) - live.size)
-    best = np.argmax(cur.reshape(p, s_per), axis=1) + np.arange(p) * s_per
-    return (w[best], cur[best]) if stacked else (w[best[0]], float(cur[best[0]]))
+        _log.debug("max_min_awv: %d of %d starts stopped at n_iter=%d, %d stalled; "
+                   "%d iterations, %d candidate rows scored", live.size, len(w_out), n_iter,
+                   len(w_out) - live.size, iters, scored)
+    best = np.argmax(cur_out.reshape(p, s_per), axis=1) + np.arange(p) * s_per
+    return (w_out[best], cur_out[best]) if stacked else (w_out[best[0]], float(cur_out[best[0]]))
 
 
 def _uniform_spacing_starts(n, aperture, d_min, wavelength):
@@ -292,21 +316,25 @@ def _position_sweep(x, thetas, w, wavelength, aperture, d_min, n_grid: int = 48)
 
     Each antenna's n_grid positions between its neighbours are scored in one
     (n_grid, K, N) gain evaluation; the best (the first on ties) is taken if it
-    `improves` on the current min gain.
+    `improves` on the current min gain.  The candidates' conjugated steering
+    matrix is built once; an antenna's scan rewrites only its column.
     """
     x = x.copy()
     cur = np.min(beam_gain(x, w, thetas, wavelength))
+    cand = np.repeat(steering_vector(x, thetas, wavelength).conj()[None], n_grid, axis=0)
     for i in range(len(x)):
         lo = x[i - 1] + d_min if i > 0 else 0.0
         hi = x[i + 1] - d_min if i < len(x) - 1 else aperture
         if hi <= lo:
             continue
-        cand = np.repeat(x[None, :], n_grid, axis=0)
-        cand[:, i] = np.linspace(lo, hi, n_grid)
-        v = np.min(beam_gain(cand, w, thetas, wavelength), axis=1)
+        col = cand[0, :, i].copy()
+        grid = np.linspace(lo, hi, n_grid)
+        cand[:, :, i] = steering_vector(grid, thetas, wavelength).conj().T
+        v = np.min(abs(cand @ w) ** 2, axis=1)
         j = np.argmax(v)
         if improves(v[j], cur):
-            x[i], cur = cand[j, i], v[j]
+            x[i], cur, col = grid[j], v[j], cand[j, :, i].copy()
+        cand[:, :, i] = col
     return x, cur
 
 
@@ -325,21 +353,24 @@ def multibeam_ao(thetas, n: int, aperture: float, d_min: float, wavelength: floa
         if not isinstance(built, NotConstructible):
             starts.append(built)
     starts += _random_starts(n, aperture, d_min, seed)
-    candidates = _ao_candidates(starts, thetas, wavelength, aperture, d_min,
-                                analog, seed, max_sweeps)
-    return _ao_report(max(candidates, key=lambda c: c[0]), candidates, max_sweeps)
+    candidates, fpa = _ao_candidates(starts, thetas, wavelength, aperture, d_min,
+                                     analog, seed, max_sweeps)
+    return _ao_report(max(candidates, key=lambda c: c[0]), candidates, max_sweeps, fpa)
 
 
 def _ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, seed, max_sweeps,
                    n_refine: int = 3):
     """Run the position/weight alternation from the most promising starts.
 
-    One stacked ascent scores all starts; the n_refine best then alternate in
+    One stacked ascent scores all starts and, as one more placement outside the
+    pool, the fixed half-wavelength array; the n_refine best starts then alternate in
     lockstep, one stacked ascent per sweep, each chain until its min gain fails `improves`.
+    Returns the candidates and the fixed array's (weights, min gain).
     """
     if not starts:
         raise InfeasibleError("no feasible starting placement fits the region")
-    ws, vs = max_min_awv(np.stack(starts), thetas, wavelength, analog=analog, seed=seed)
+    ws, vs = max_min_awv(np.stack([*starts, fpa_ula(len(starts[0]), wavelength)]), thetas,
+                         wavelength, analog=analog, seed=seed)
     vs = vs.tolist()
     out = [(vs[i], starts[i], ws[i], [vs[i]])
            for i in sorted(range(len(starts)), key=lambda i: -vs[i])]
@@ -360,16 +391,19 @@ def _ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, seed, ma
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("_ao_candidates: %d of %d chains stopped at max_sweeps=%d",
                    len(live), n_chains, max_sweeps)
-    return out
+    return out, (ws[-1], vs[-1])
 
 
-def _ao_report(best, candidates, max_sweeps, **extra):
-    """Report of one of the candidates; it stopped at 'max_sweeps' if any chain
-    ran all max_sweeps sweeps (a trace of max_sweeps + 1 values), else 'stalled'."""
+def _ao_report(best, candidates, max_sweeps, fpa, **extra):
+    """Report of one of the candidates, with the fixed array's weights and min gain
+    fpa; it stopped at 'max_sweeps' if any chain ran all max_sweeps sweeps (a trace of
+    max_sweeps + 1 values), else 'stalled'."""
     cur, x, w, trace = best
     stop = "max_sweeps" if any(len(c[3]) > max_sweeps for c in candidates) else "stalled"
     return OptReport(best_placement=np.asarray(x, dtype=float), best_score=cur,
-                     iterations=len(trace), trace=trace, extra={"weights": w, **extra},
+                     iterations=len(trace), trace=trace,
+                     extra={"weights": w, "fpa_weights": fpa[0], "fpa_min_gain": fpa[1],
+                            **extra},
                      stop_reason=stop)
 
 
@@ -386,22 +420,30 @@ def widebeam_ao(theta_min: float, theta_max: float, n_subregions: int, n: int,
 
     The region is discretized into subregion centers for optimization; the
     reported minimum gain is re-evaluated on a verification grid four times
-    finer.
+    finer, for the fixed half-wavelength array's weights too.
     """
-    if not theta_min < theta_max:
-        if theta_min == theta_max:
-            x = fpa_ula(n, wavelength, max(d_min, wavelength / 2.0))
-            w = mrt(steering_vector(x, theta_min, wavelength))
-            g = beam_gain(x, w, theta_min, wavelength)
-            return OptReport(best_placement=x, best_score=g, iterations=0, trace=[g],
-                             extra={"weights": w, "verified_min_gain": g})
+    if not theta_min <= theta_max:
         raise ValueError("theta_min must not exceed theta_max")
     centers, fine = _subregion_grids(theta_min, theta_max, n_subregions)
-    starts = (_uniform_spacing_starts(n, aperture, d_min, wavelength)
-              + _random_starts(n, aperture, d_min, seed))
-    candidates = _ao_candidates(starts, centers, wavelength, aperture, d_min,
-                                analog=True, seed=seed, max_sweeps=max_sweeps)
-    # rank candidates by the finer verification grid, not the optimization grid
-    verified = [np.min(beam_gain(x, w, fine, wavelength)) for _, x, w, _ in candidates]
-    best = int(np.argmax(verified))
-    return _ao_report(candidates[best], candidates, max_sweeps, verified_min_gain=verified[best])
+    x_fpa = fpa_ula(n, wavelength)
+    if theta_min == theta_max:
+        x = fpa_ula(n, wavelength, max(d_min, wavelength / 2.0))
+        w = mrt(steering_vector(x, theta_min, wavelength))
+        g = beam_gain(x, w, theta_min, wavelength)
+        w_fpa, g_fpa = max_min_awv(x_fpa, centers, wavelength, analog=True, seed=seed)
+        rep = OptReport(best_placement=x, best_score=g, iterations=0, trace=[g],
+                        extra={"weights": w, "fpa_weights": w_fpa, "fpa_min_gain": g_fpa,
+                               "verified_min_gain": g})
+    else:
+        starts = (_uniform_spacing_starts(n, aperture, d_min, wavelength)
+                  + _random_starts(n, aperture, d_min, seed))
+        candidates, fpa = _ao_candidates(starts, centers, wavelength, aperture, d_min,
+                                         analog=True, seed=seed, max_sweeps=max_sweeps)
+        # rank candidates by the finer verification grid, not the optimization grid
+        verified = [np.min(beam_gain(x, w, fine, wavelength)) for _, x, w, _ in candidates]
+        best = int(np.argmax(verified))
+        rep = _ao_report(candidates[best], candidates, max_sweeps, fpa,
+                         verified_min_gain=verified[best])
+    rep.extra["fpa_verified_min_gain"] = np.min(
+        beam_gain(x_fpa, rep.extra["fpa_weights"], fine, wavelength))
+    return rep

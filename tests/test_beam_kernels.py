@@ -19,10 +19,18 @@ candidates-by-angles matrix product).
 The stacked ascent (a stack of placements, backtracking steps scored in two
 chunks) and the lockstep refinement chains are checked bitwise against the
 single-placement lockstep ascent and the sequential chain loop they replaced,
-kept below as today_max_min_awv and today_ao_candidates.
+kept below as today_max_min_awv and today_ao_candidates.  The packed ascent
+(live starts' state compacted only when one drops out) is checked bitwise
+against the stacked ascent that gathered and scattered the full state every
+iteration, kept as stacked_max_min_awv, and the column-updated position sweep
+against the sweep that rebuilt every candidate's steering matrix, kept as
+today_position_sweep.  The fixed-array baseline the beam AO reports must equal
+a standalone ascent of the fixed array bitwise.
 """
 
+import logging
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -32,7 +40,8 @@ from hypothesis import strategies as st
 from makit.beamforming import beam_gain, mrt, steering_vector
 from makit.errors import InfeasibleError
 from makit.optimize import beams
-from makit.optimize.beams import _position_sweep, max_min_awv, multibeam_ao, widebeam_ao
+from makit.optimize.beams import (_STEP_CHUNKS, _position_sweep, _subregion_grids, fpa_ula,
+                                  max_min_awv, multibeam_ao, widebeam_ao)
 from makit.optimize.report import improves
 
 RTOL = 1e-9
@@ -174,10 +183,89 @@ def today_max_min_awv(x, thetas, wavelength, analog=False, seed=0, w0=None, n_it
     return w[best], float(cur[best])
 
 
+def stacked_max_min_awv(x, thetas, wavelength, analog=False, seed=0, w0=None, n_iter=300):
+    x = np.asarray(x, dtype=float)
+    stacked = x.ndim == 2
+    x = x if stacked else x.reshape(1, -1)
+    p, n = x.shape
+    a = steering_vector(x, np.atleast_1d(thetas), wavelength)  # (P, K, N)
+    rng = np.random.default_rng(seed)
+
+    def project(w):
+        if analog:
+            return np.exp(1j * np.angle(w)) / math.sqrt(n)
+        return w / np.linalg.norm(w, axis=-1, keepdims=True)
+
+    k = a.shape[1]
+    pick = range(k) if k <= 12 else np.linspace(0, k - 1, 12).astype(int)
+    w0s = [None] * p if w0 is None else np.asarray(w0, dtype=complex).reshape(p, n)
+    noise = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
+    starts = []
+    for ap, wi in zip(a, w0s):
+        starts += [mrt(ap[j]) for j in pick]
+        starts.append(mrt(np.sum(ap * np.exp(-1j * np.angle(ap[:, :1])), axis=0)))
+        starts += noise if wi is None else [wi, *noise]
+
+    w = project(np.stack(starts))  # (P*S, N)
+    s_per = len(w) // p
+    owner = np.repeat(np.arange(p), s_per)
+    g = (w.reshape(p, s_per, n).conj() @ a.transpose(0, 2, 1)).reshape(len(w), k)
+    cur = np.min(np.abs(g), axis=1) ** 2
+    step = np.full(len(w), 0.5)
+    live = np.arange(len(w))
+    for _ in range(n_iter):
+        if not live.size:
+            break
+        gl = g[live]
+        kmin = np.argmin(np.abs(gl) ** 2, axis=1)
+        grad = a[owner[live], kmin] * np.conj(gl[np.arange(len(live)), kmin])[:, None]
+        pend = np.arange(len(live))  # positions in live without an accepted step yet
+        for lo, hi in ((0, 4), (4, 20)):
+            rows = live[pend]
+            s = step[rows, None] * 0.5 ** np.arange(lo, hi)
+            cand = project(w[rows, None, :] + s[..., None] * grad[pend, None, :])
+            gc = cand.conj() @ a[owner[rows]].transpose(0, 2, 1)  # (R, J, K)
+            v = np.min(np.abs(gc), axis=2) ** 2
+            ok = improves(v, cur[rows, None])
+            hit = ok.any(axis=1)
+            j = ok[hit].argmax(axis=1)
+            r = rows[hit]
+            w[r], g[r], cur[r] = cand[hit, j], gc[hit, j], v[hit, j]
+            step[r] = np.minimum(1.0, s[hit, j] * 2.0)
+            pend = pend[~hit]
+            if not pend.size:
+                break
+        if pend.size:
+            live = np.delete(live, pend)
+    best = np.argmax(cur.reshape(p, s_per), axis=1) + np.arange(p) * s_per
+    return (w[best], cur[best]) if stacked else (w[best[0]], float(cur[best[0]]))
+
+
+def today_position_sweep(x, thetas, w, wavelength, aperture, d_min, n_grid=48):
+    x = x.copy()
+    cur = np.min(beam_gain(x, w, thetas, wavelength))
+    for i in range(len(x)):
+        lo = x[i - 1] + d_min if i > 0 else 0.0
+        hi = x[i + 1] - d_min if i < len(x) - 1 else aperture
+        if hi <= lo:
+            continue
+        cand = np.repeat(x[None, :], n_grid, axis=0)
+        cand[:, i] = np.linspace(lo, hi, n_grid)
+        v = np.min(beam_gain(cand, w, thetas, wavelength), axis=1)
+        j = np.argmax(v)
+        if improves(v[j], cur):
+            x[i], cur = cand[j, i], v[j]
+    return x, cur
+
+
 def today_ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, seed, max_sweeps,
                         n_refine=3):
+    """The sequential chain loop, returning the fixed array's own standalone ascent as
+    the baseline."""
     if not starts:
         raise InfeasibleError("no feasible starting placement fits the region")
+    fpa = today_max_min_awv(fpa_ula(len(starts[0]), wavelength), thetas, wavelength,
+                            analog=analog, seed=seed)
     scored = []
     for x0 in starts:
         w, v = today_max_min_awv(x0, thetas, wavelength, analog=analog, seed=seed)
@@ -200,7 +288,7 @@ def today_ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, see
         out.append((cur, x, w, trace))
     for v, x0, w in (scored[i] for i in order[n_refine:]):
         out.append((v, x0, w, [v]))
-    return out
+    return out, fpa
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +316,11 @@ def same_report(got, want):
     assert got.best_score == want.best_score and type(got.best_score) is type(want.best_score)
     assert got.trace == want.trace and got.iterations == want.iterations
     assert got.extra.keys() == want.extra.keys()
-    assert got.extra["weights"].tobytes() == want.extra["weights"].tobytes()
-    if "verified_min_gain" in want.extra:
-        assert got.extra["verified_min_gain"] == want.extra["verified_min_gain"]
+    for key in ("weights", "fpa_weights"):
+        assert got.extra[key].tobytes() == want.extra[key].tobytes()
+    for key in ("fpa_min_gain", "verified_min_gain", "fpa_verified_min_gain"):
+        if key in want.extra:
+            assert got.extra[key] == want.extra[key]
 
 
 def close(got, want):
@@ -323,3 +413,101 @@ def test_lockstep_chains_match_sequential_chains_bitwise(n, k, analog, slack, sw
                             max_sweeps=sweeps)]
     for g, w in zip(got, want):
         same_report(g, w)
+
+
+def spy_improves(log):
+    """An `improves` that records the (rows, steps) shape of every call it answers."""
+    def spy(new, cur):
+        ok = improves(new, cur)
+        log.append((ok.shape, int(ok.any(axis=-1).sum()) if ok.ndim == 2 else None))
+        return ok
+    return spy
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 10), st.integers(1, 30), st.booleans(),
+       st.booleans(), st.sampled_from([1, 5, 300]), st.integers(0, 2**32 - 1))
+@example(3, 6, 4, False, False, 300, 11)  # starts accept and retire in the second chunk
+@example(2, 8, 24, True, True, 300, 5)  # analog with w0, more angles than the 12-start pick
+def test_packed_max_min_awv_matches_stacked_ascent_bitwise(p, n, k, analog, with_w0, n_iter,
+                                                           seed):
+    xs, thetas, w0s = draw_stack(p, n, k, seed)
+    w0 = w0s if with_w0 else None
+    w, v = max_min_awv(xs, thetas, LAM, analog=analog, seed=seed, w0=w0, n_iter=n_iter)
+    w_ref, v_ref = stacked_max_min_awv(xs, thetas, LAM, analog=analog, seed=seed, w0=w0,
+                                       n_iter=n_iter)
+    assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+    w1, v1 = max_min_awv(xs[0], thetas, LAM, analog=analog, seed=seed,
+                         w0=None if w0 is None else w0[0], n_iter=n_iter)
+    w1_ref, v1_ref = stacked_max_min_awv(xs[0], thetas, LAM, analog=analog, seed=seed,
+                                         w0=None if w0 is None else w0[0], n_iter=n_iter)
+    assert w1.tobytes() == w1_ref.tobytes() and v1 == v1_ref and type(v1) is float
+
+
+def test_packed_ascent_example_reaches_the_second_chunk():
+    # the first @example above: in one second-chunk call some starts accept a step and
+    # others find none and retire while the rest go on
+    xs, thetas, _ = draw_stack(3, 6, 4, 11)
+    calls = []
+    with mock.patch.object(beams, "improves", spy_improves(calls)):
+        max_min_awv(xs, thetas, LAM, seed=11)
+    second = [(shape, hits) for shape, hits in calls if shape[1:] == (16,)]
+    assert _STEP_CHUNKS[1] == (4, 20)
+    assert any(0 < hits < shape[0] for shape, hits in second)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 6.0), st.booleans())
+def test_column_updated_sweep_matches_rebuilt_sweep_bitwise(n, k, seed, slack, analog):
+    x, aperture, thetas, w = draw_problem(n, k, seed, slack)
+    if analog:
+        w = np.exp(1j * np.angle(w)) / math.sqrt(n)
+    x_new, v = _position_sweep(x, thetas, w, LAM, aperture, D_MIN)
+    x_ref, v_ref = today_position_sweep(x, thetas, w, LAM, aperture, D_MIN)
+    assert x_new.tobytes() == x_ref.tobytes() and v == v_ref
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 4), st.floats(0.0, 3.0), st.floats(0.25, 1.0),
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+@example(6, 3, 1.0, 0.8, False, False, 7)  # d_min > lambda/2: the fixed array is no AO start
+@example(4, 2, 0.5, 0.5, True, True, 3)  # widebeam's single-angle region
+def test_beam_ao_baseline_is_the_standalone_fixed_array_ascent(n, k, slack, d_min, analog,
+                                                               point_region, seed):
+    rng = np.random.default_rng(seed)
+    aperture = (n - 1) * max(d_min, LAM / 2) + slack
+    thetas = rng.uniform(0.0, np.pi, k)
+    x_fpa = fpa_ula(n, LAM)
+    rep = multibeam_ao(thetas, n, aperture, d_min, LAM, analog=analog, seed=seed,
+                       max_sweeps=2)
+    w, g = max_min_awv(x_fpa, thetas, LAM, analog=analog, seed=seed)
+    assert rep.extra["fpa_weights"].tobytes() == w.tobytes() and rep.extra["fpa_min_gain"] == g
+
+    lo, hi = np.sort(rng.uniform(0.0, np.pi, 2))
+    hi = lo if point_region else hi
+    nsub = 2 * k
+    rep = widebeam_ao(lo, hi, nsub, n, aperture, d_min, LAM, seed=seed, max_sweeps=2)
+    centers, fine = _subregion_grids(lo, hi, nsub)
+    w, g = max_min_awv(x_fpa, centers, LAM, analog=True, seed=seed)
+    assert rep.extra["fpa_weights"].tobytes() == w.tobytes() and rep.extra["fpa_min_gain"] == g
+    assert rep.extra["fpa_verified_min_gain"] == np.min(beam_gain(x_fpa, w, fine, LAM))
+
+
+def test_max_min_awv_logs_iterations_and_candidate_rows(caplog):
+    xs, thetas, _ = draw_stack(2, 6, 3, 4)
+    pattern = re.compile(r"max_min_awv: (\d+) of (\d+) starts stopped at n_iter=(\d+), "
+                         r"(\d+) stalled; (\d+) iterations, (\d+) candidate rows scored")
+    for n_iter in (1, 300):
+        calls = []
+        caplog.clear()
+        with mock.patch.object(beams, "improves", spy_improves(calls)), \
+                caplog.at_level(logging.DEBUG, logger="makit"):
+            max_min_awv(xs, thetas, LAM, n_iter=n_iter)
+        (m,) = [pattern.fullmatch(r.getMessage()) for r in caplog.records
+                if r.getMessage().startswith("max_min_awv: ")]
+        at_cap, starts, cap, stalled, iters, rows = map(int, m.groups())
+        assert starts == 2 * 7 and cap == n_iter and at_cap + stalled == starts
+        assert iters == n_iter if at_cap else 1 <= iters <= n_iter
+        assert rows == sum(math.prod(shape) for shape, _ in calls)
+        assert rows >= 4 * starts
