@@ -320,7 +320,7 @@ def omp_joint(ms: MeasurementSet, g: int, n_paths: int, wavelength: float) -> Fr
                     corr[pp - p0, qq] = -1.0
             flat = int(np.argmax(corr))
             val = float(corr.ravel()[flat])
-            if val > best_val + 1e-15:
+            if val > best_val:  # the first max, as one argmax over all blocks would take
                 best_val = val
                 best_pq = (p0 + flat // corr.shape[1], flat % corr.shape[1])
         return best_pq, best_val

@@ -30,7 +30,7 @@ from . import sensing as sn
 from .channel import (PathSet, RadiationPattern, Scenario, _rician_diagonal, channel_mimo,
                       channel_narrowband, frv_tx, gen_scenario, prm_6dma, redraw_prm_phases,
                       sample_directions, tap_of_delay)
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleError
 from .geometry import MoveRegion, aom_from_euler
 
 WORKERS_ENV = "MAKIT_WORKERS"
@@ -430,18 +430,18 @@ def _trial_beam_null(params, seed, idx):
     lam, n, a, dmin = _line_array(params)
     th0 = np.deg2rad(params["theta0_deg"])
     angles = np.concatenate([[th0], np.atleast_1d(np.deg2rad(params["null_deg"]))])
-    x, w = _null_design(angles, n, a, dmin, lam)
-    if w is None:
-        rep = opt.multibeam_ao(angles, n, a, dmin, lam, seed=seed)
-        x, w = rep.best_placement, rep.extra["weights"]
-    g = bf.beam_gain(x, w, angles, lam)  # main beam, then the nulls
-
     x_fpa = opt.fpa_ula(n, lam)
     a_fpa = bf.steering_vector(x_fpa, angles, lam)
     anull = a_fpa[1:].T
     proj = np.eye(n) - anull @ np.linalg.pinv(anull)
     w_fpa = bf.mrt(proj @ a_fpa[0])
-    g_fpa = bf.beam_gain(x_fpa, w_fpa, angles, lam)
+    g_fpa = bf.beam_gain(x_fpa, w_fpa, angles, lam)  # main beam, then the nulls
+    x, w = _null_design(angles, n, a, dmin, lam)
+    if w is None:  # the movable array takes the fixed positions and their ZF weight, if they fit
+        if x_fpa[-1] > a or dmin > lam / 2:
+            raise InfeasibleError(f"{x.reason}, and the fixed array breaks the region or d_min")
+        x, w = x_fpa, w_fpa
+    g = bf.beam_gain(x, w, angles, lam)
     return [g[0], np.max(g[1:]), g_fpa[0], np.max(g_fpa[1:])]
 
 
@@ -779,6 +779,10 @@ _register(
      "d_min": 0.5, "wavelength": 1.0},
     "Full-gain beam with exact nulls from array-geometry design, against the "
     "zero-forcing fixed array.",
+    "Where no null-steering geometry exists (more nulls than prime factors of n, or "
+    "a region too small for it), the movable-array columns repeat the fixed array's "
+    "zero-forcing design, since a movable array can take the fixed positions; where "
+    "those break the region or d_min, the trial is infeasible.",
 )
 _register(
     "beam-multibeam", _trial_beam_multi, ("ma_max_min_gain", "fpa_max_min_gain"),
@@ -791,6 +795,8 @@ _register(
     {"n": 8, "theta_min_deg": 0.0, "theta_max_deg": 180.0, "subregions": 24,
      "aperture": 20.0, "d_min": 0.5, "wavelength": 1.0},
     "Minimum analog beam gain over a continuous angular region versus the fixed array.",
+    "A degenerate region (theta_min_deg == theta_max_deg) runs the same alternating "
+    "optimization and honours the aperture.",
 )
 _register(
     "miso-graph", _trial_miso_graph, ("trial", "m", "score_graph", "score_fpa", "score_as"),

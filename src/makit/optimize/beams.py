@@ -18,7 +18,7 @@ import numpy as np
 
 from ..beamforming import beam_gain, mrt, steering_vector
 from ..errors import InfeasibleError
-from .report import NotConstructible, OptReport, improves
+from .report import _HALVES, _STEP_CHUNKS, NotConstructible, OptReport, improves
 
 __all__ = [
     "svo_null_apv",
@@ -31,11 +31,6 @@ __all__ = [
 
 _RATIONAL_TOL = 1e-9
 _MAX_DENOMINATOR = 64
-# Backtracking steps 0.5^j, j < 20, are scored in two chunks: j < 4 for every
-# live start, the rest only for starts that accepted none of those.  On the
-# beam benchmark 98.4 % of digital and 92.5 % of analog moves accept a j < 4.
-_STEP_CHUNKS = ((0, 4), (4, 20))
-_HALVES = 0.5 ** np.arange(20)
 
 _log = logging.getLogger(__name__)
 
@@ -272,22 +267,19 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
 
 
 def _uniform_spacing_starts(n, aperture, d_min, wavelength):
-    """Uniform-array starting placements over a swept spacing family.
+    """Uniform-array starting placements over a swept spacing family, the tightest
+    array (spacing max(d_min, lambda/2)) first, each placement once.
 
     Collective geometry changes (scaling the common spacing) are moves the
     per-antenna coordinate sweep cannot make, so they enter as starts.
     """
-    starts = []
-    ula = fpa_ula(n, wavelength, max(d_min, wavelength / 2.0))
-    if ula[-1] <= aperture:
-        starts.append(ula)
     d_lo = max(d_min, wavelength / 2.0)
     d_hi = aperture / max(n - 1, 1)
-    if d_hi > d_lo:
-        step = max(wavelength / 10.0, (d_hi - d_lo) / 32.0)
-        for d in np.arange(d_lo, d_hi + step / 2, step):
-            starts.append(np.arange(n) * min(d, d_hi))
-    return starts
+    if n == 1 or d_hi <= d_lo:  # no spacing to sweep: the tightest array, if it fits
+        ula = fpa_ula(n, wavelength, d_lo)
+        return [ula] if ula[-1] <= aperture else []
+    step = max(wavelength / 10.0, (d_hi - d_lo) / 32.0)
+    return [np.arange(n) * min(d, d_hi) for d in np.arange(d_lo, d_hi + step / 2, step)]
 
 
 def _repair_spacing(x, aperture, d_min):
@@ -425,25 +417,15 @@ def widebeam_ao(theta_min: float, theta_max: float, n_subregions: int, n: int,
     if not theta_min <= theta_max:
         raise ValueError("theta_min must not exceed theta_max")
     centers, fine = _subregion_grids(theta_min, theta_max, n_subregions)
-    x_fpa = fpa_ula(n, wavelength)
-    if theta_min == theta_max:
-        x = fpa_ula(n, wavelength, max(d_min, wavelength / 2.0))
-        w = mrt(steering_vector(x, theta_min, wavelength))
-        g = beam_gain(x, w, theta_min, wavelength)
-        w_fpa, g_fpa = max_min_awv(x_fpa, centers, wavelength, analog=True, seed=seed)
-        rep = OptReport(best_placement=x, best_score=g, iterations=0, trace=[g],
-                        extra={"weights": w, "fpa_weights": w_fpa, "fpa_min_gain": g_fpa,
-                               "verified_min_gain": g})
-    else:
-        starts = (_uniform_spacing_starts(n, aperture, d_min, wavelength)
-                  + _random_starts(n, aperture, d_min, seed))
-        candidates, fpa = _ao_candidates(starts, centers, wavelength, aperture, d_min,
-                                         analog=True, seed=seed, max_sweeps=max_sweeps)
-        # rank candidates by the finer verification grid, not the optimization grid
-        verified = [np.min(beam_gain(x, w, fine, wavelength)) for _, x, w, _ in candidates]
-        best = int(np.argmax(verified))
-        rep = _ao_report(candidates[best], candidates, max_sweeps, fpa,
-                         verified_min_gain=verified[best])
+    starts = (_uniform_spacing_starts(n, aperture, d_min, wavelength)
+              + _random_starts(n, aperture, d_min, seed))
+    candidates, fpa = _ao_candidates(starts, centers, wavelength, aperture, d_min,
+                                     analog=True, seed=seed, max_sweeps=max_sweeps)
+    # rank candidates by the finer verification grid, not the optimization grid
+    verified = [np.min(beam_gain(x, w, fine, wavelength)) for _, x, w, _ in candidates]
+    best = int(np.argmax(verified))
+    rep = _ao_report(candidates[best], candidates, max_sweeps, fpa,
+                     verified_min_gain=verified[best])
     rep.extra["fpa_verified_min_gain"] = np.min(
-        beam_gain(x_fpa, rep.extra["fpa_weights"], fine, wavelength))
+        beam_gain(fpa_ula(n, wavelength), fpa[0], fine, wavelength))
     return rep

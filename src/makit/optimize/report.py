@@ -1,4 +1,4 @@
-"""The result container and the acceptance rule shared by the optimizers."""
+"""The result container, acceptance rule and backtracking schedule shared by the optimizers."""
 
 from __future__ import annotations
 
@@ -9,6 +9,11 @@ import numpy as np
 __all__ = ["OptReport", "NotConstructible", "improves"]
 
 _RTOL = 1e-12
+# The one backtracking schedule: a first step scaled by 0.5^j, j < 20, scored in two
+# chunks, j < 4 for every candidate and the rest only where none of those is taken.  On
+# the beam benchmark 98.4 % of digital and 92.5 % of analog weight moves take a j < 4.
+_HALVES = 0.5 ** np.arange(20)
+_STEP_CHUNKS = ((0, 4), (4, 20))
 
 
 def improves(new, cur):

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import InfeasibleError
 from ..geometry import MoveRegion, _close_pairs, _too_close
-from .report import OptReport, improves
+from .report import _HALVES, _STEP_CHUNKS, OptReport, improves
 
 __all__ = ["siso_gain_bounds", "grid_search_position", "gradient_position_search", "pso"]
 
@@ -98,7 +98,7 @@ def _sweep_antennas(positions: np.ndarray, region: MoveRegion, score, cur: float
     """
     pos = positions.copy()
     improved_any = False
-    steps = step0 * 0.5 ** np.arange(20)
+    steps = step0 * _HALVES
     for i in range(len(pos)):
         def placements(p):  # pos with antenna i at each row of p
             q = np.repeat(pos[None], len(p), axis=0)
@@ -111,7 +111,7 @@ def _sweep_antennas(positions: np.ndarray, region: MoveRegion, score, cur: float
             continue
         cand = region.clip(pos[i] + steps[:, None] * grad / gn)
         feasible = ~_too_close(cand, np.delete(pos, i, axis=0), region.d_min).any(axis=1)
-        for lo, hi in ((0, 4), (4, 20)):  # where accepted steps mostly fall, then the rest
+        for lo, hi in _STEP_CHUNKS:
             j = lo + np.flatnonzero(feasible[lo:hi])
             if not j.size:
                 continue

@@ -26,21 +26,13 @@ from scipy.optimize import linear_sum_assignment
 from makit import estimate
 from makit.channel import PathSet, Scenario, channel_narrowband, frv_tx, sample_directions
 from makit.estimate import MeasurementSet, omp, omp_joint, uv_grid
+from oracles import ref_pos3
 
 ATOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
 # reference implementations
-
-def ref_pos3(x):
-    p = np.asarray(x, dtype=float).reshape(-1)
-    if p.size == 2:
-        p = np.append(p, 0.0)
-    if p.size == 1:
-        p = np.array([p[0], 0.0, 0.0])
-    return p.reshape(3)
-
 
 def ref_frv_tx(t, paths, wavelength):
     return np.exp(2j * np.pi / wavelength * (paths.wave_vectors @ ref_pos3(t)))

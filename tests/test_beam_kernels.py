@@ -40,9 +40,9 @@ from hypothesis import strategies as st
 from makit.beamforming import beam_gain, mrt, steering_vector
 from makit.errors import InfeasibleError
 from makit.optimize import beams
-from makit.optimize.beams import (_STEP_CHUNKS, _position_sweep, _subregion_grids, fpa_ula,
-                                  max_min_awv, multibeam_ao, widebeam_ao)
-from makit.optimize.report import improves
+from makit.optimize.beams import (_position_sweep, _subregion_grids, fpa_ula, max_min_awv,
+                                  multibeam_ao, widebeam_ao)
+from makit.optimize.report import _STEP_CHUNKS, improves
 
 RTOL = 1e-9
 LAM = 1.0

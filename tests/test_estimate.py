@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from makit.channel import PathSet, Scenario, channel_mimo, channel_narrowband
+from makit.channel import PathSet, Scenario, channel_mimo, channel_narrowband, gen_scenario
 from makit.estimate import (MeasurementSet, collect_measurements, export_mapping_csv,
                             load_mapping_csv, load_measurements, ls_prm,
                             nearest_measured_reconstruct, nmse, omp, omp_joint,
@@ -161,6 +161,20 @@ def test_omp_off_grid_within_one_cell():
     fri = omp_successive(ms_t, ms_r, g, 1, 1, LAM)
     assert np.max(np.abs(fri.tx_uv[0] - uv_t[0])) <= cell
     assert np.max(np.abs(fri.rx_uv[0] - uv_r[0])) <= cell
+
+
+def test_omp_joint_support_does_not_depend_on_the_pilot_scale():
+    # G = 32 correlates the Tx atoms in two blocks; scaling the pilots by a power of two
+    # scales every correlation exactly, so no block comparison may change its decision
+    for seed in range(12):
+        ms = collect_measurements(gen_scenario(seed, n_paths=4), region(), region(), "paired",
+                                  64, 1.0, 0.0, seed)
+        supports = []
+        for scale in (2.0 ** -60, 1.0, 2.0 ** 40):
+            fri = omp_joint(MeasurementSet(ms.tx_positions, ms.rx_positions, ms.pilots * scale,
+                                           1.0, 0.0), 32, 4, LAM)
+            supports.append((fri.tx_uv.tobytes(), fri.rx_uv.tobytes(), (fri.prm != 0).tobytes()))
+        assert supports[0] == supports[1] == supports[2], f"gen_scenario seed {seed}"
 
 
 def test_omp_joint_measurement_precondition():

@@ -139,6 +139,17 @@ def test_estimation_nmse_nonincreasing_in_snr():
         assert lo <= hi * 1.05  # nonincreasing up to 5% noise slack
 
 
+@pytest.mark.parametrize("n", [6, 7, 9])
+def test_beam_null_without_svo_geometry_keeps_the_zero_forcing_array(n):
+    # three nulls exceed the prime factors of 6, 7 and 9, so no null-steering geometry
+    # exists and the movable array takes the fixed positions and their ZF weight
+    table = run_experiment(ExperimentConfig.from_dict({"experiment": "beam-null",
+                                                       "params": {"n": n}}))
+    row = dict(zip(table.columns, table.rows[0]))
+    assert row["max_null_gain"] <= 1e-8
+    assert row["gain_theta0"] >= row["fpa_gain_theta0"]
+
+
 def test_workers_env_variable(monkeypatch):
     cfg = ExperimentConfig.from_dict(
         {"experiment": "miso-graph", "trials": 2,

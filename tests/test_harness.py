@@ -477,6 +477,20 @@ def test_cli_beam_region_too_small_exit_3(tmp_path, capsys, exp):
     assert "no feasible starting placement" in capsys.readouterr().err
 
 
+def test_cli_single_angle_widebeam_region_too_small_exit_3(tmp_path, capsys):
+    cfg = write(tmp_path, "inf.json", {**WIDEBEAM, "theta_max_deg": 30.0, "aperture": 0.1})
+    assert main(["optimize", "--config", cfg]) == 3
+    assert "no feasible starting placement" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [{"aperture": 2.0}, {"n": 6, "d_min": 0.8}])
+def test_cli_beam_null_without_a_fitting_array_exit_3(tmp_path, capsys, params):
+    # no null-steering geometry, and the fixed array is 3.5 lambda long or closer than d_min
+    cfg = write(tmp_path, "inf.json", {"experiment": "beam-null", "params": params})
+    assert main(["experiment", "--config", cfg]) == 3
+    assert "the fixed array breaks the region or d_min" in capsys.readouterr().err
+
+
 def test_cli_validate_config(tmp_path):
     good = write(tmp_path, "good.json", {"experiment": "beam-null"})
     assert main(["validate-config", "--config", good]) == 0

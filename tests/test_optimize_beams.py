@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from makit.beamforming import beam_gain, mrt, steering_vector
+from makit.errors import InfeasibleError
 from makit.optimize import (NotConstructible, fpa_ula, grating_lobe_apv, max_min_awv,
                             multibeam_ao, svo_null_apv, widebeam_ao)
+from makit.optimize.beams import _uniform_spacing_starts
 
 LAM = 1.0
 
@@ -178,6 +180,32 @@ def test_multibeam_reference_instance_beats_fixed_array():
 def test_widebeam_degenerate_region_is_matched_beam():
     rep = widebeam_ao(1.0, 1.0, 4, 8, 20.0, 0.5, LAM)
     assert abs(rep.best_score - 8.0) < 1e-9
+
+
+def test_widebeam_single_angle_runs_the_ao():
+    rep = widebeam_ao(1.0, 1.0, 4, 8, 20.0, 0.5, LAM)
+    assert rep.stop_reason in ("stalled", "max_sweeps")
+    assert abs(rep.extra["verified_min_gain"] - 8.0) < 1e-9
+
+
+def test_widebeam_single_angle_honours_the_aperture():
+    # the lambda/2 array spans 3.5 lambda and no start fits a 0.1 lambda region
+    with pytest.raises(InfeasibleError):
+        widebeam_ao(1.0, 1.0, 4, 8, 0.1, 0.5, LAM)
+
+
+@pytest.mark.parametrize("n, aperture, d_min", [(8, 10.0, 0.5), (8, 20.0, 0.3), (2, 0.6, 0.5),
+                                                (4, 1.5, 0.5), (4, 1.0, 0.5), (6, 7.3, 0.8),
+                                                (1, 20.0, 0.5)])
+def test_uniform_spacing_starts_are_pairwise_distinct(n, aperture, d_min):
+    starts = _uniform_spacing_starts(n, aperture, d_min, LAM)
+    d_lo = max(d_min, LAM / 2)
+    if (n - 1) * d_lo <= aperture:  # the tightest array fits, and comes first
+        assert starts[0].tobytes() == fpa_ula(n, LAM, d_lo).tobytes()
+    else:
+        assert starts == []
+    assert all(x[-1] <= aperture for x in starts)
+    assert len({x.tobytes() for x in starts}) == len(starts)
 
 
 def test_widebeam_full_region_beats_fixed_array():

@@ -24,6 +24,7 @@ from makit.optimize import sensing_2d_ao
 from makit.optimize.mimo import _draw_channels, _ensemble_capacity, _mean_utility
 from makit.optimize.report import improves
 from makit.optimize.sensing import _corner_init, _feasible, _perimeter_init, sensing_1d_optimal
+from oracles import ref_pos3
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +119,6 @@ def ref_sensing_2d_ao(n, extents, d_min, metric, coef, max_sweeps, n_grid, seed)
         if best is None or cur < best[1]:
             best = (xy, float(cur), trace, len(trace) - 1)
     return best
-
-
-def ref_pos3(x):
-    p = np.asarray(x, dtype=float).reshape(-1)
-    if p.size == 2:
-        p = np.append(p, 0.0)
-    if p.size == 1:
-        p = np.array([p[0], 0.0, 0.0])
-    return p.reshape(3)
 
 
 def ref_frm(positions, paths, wavelength):
