@@ -17,9 +17,9 @@ from . import estimate as est
 from . import optimize as opt
 from .channel import channel_mimo, channel_narrowband, gen_scenario, scenario_from_dict
 from .errors import ConfigError, InfeasibleError
-from .experiments import (ExperimentConfig, ResultTable, _miso_line_channel, _music_mse_once,
-                          _null_design, _recover, check_field, config_hash, emit,
-                          run_experiment, trial_seed)
+from .experiments import (_RANGES, ExperimentConfig, ResultTable, _miso_line_channel,
+                          _music_mse_once, _null_design, _recover, check_field, config_hash,
+                          emit, run_experiment, trial_seed)
 from .geometry import MoveRegion
 
 EXIT_OK = 0
@@ -43,10 +43,16 @@ def _field(doc: dict, name: str, default=None):
     return check_field(name, value, listed=name in ("theta_deg", "null_deg"))
 
 
+def _line_fields(doc: dict, lam: float):
+    """(n, aperture, d_min) of a linear-array config, as experiments._line_array reads them."""
+    return _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
+
+
 def _build_scenario(doc: dict, seed_override=None):
     try:
         if "generate" in doc:
             kw = dict(doc["generate"])
+            kw = {k: check_field(k, v) if k in _RANGES else v for k, v in kw.items()}
             seed = kw.pop("seed", 0)
             return gen_scenario(seed if seed_override is None else seed_override, **kw)
         return scenario_from_dict(doc)
@@ -78,8 +84,7 @@ def _grid_from(doc: dict) -> np.ndarray:
 def _simulate_map(doc: dict, seed):
     """Read and check a simulate config; return the function that computes its channel map."""
     sc = _build_scenario(doc.get("scenario", {}), seed)
-    tx_grid = _grid_from(doc["tx_grid"])
-    rx_grid = _grid_from(doc["rx_grid"])
+    tx_grid, rx_grid = _grid_from(doc["tx_grid"]), _grid_from(doc["rx_grid"])
 
     def run():
         return tx_grid, rx_grid, channel_mimo(tx_grid, rx_grid, sc)
@@ -98,7 +103,7 @@ def _cmd_simulate(doc: dict, out: str | None, seed):
 # An optimize task reads its fields, then returns the function that runs it,
 # so validate-config can read a task without running it.
 def _task_sensing_1d(doc: dict, lam: float, seed):
-    n, a, dmin = _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
+    n, a, dmin = _line_fields(doc, lam)
 
     def run():
         x = opt.sensing_1d_optimal(n, a, dmin)
@@ -119,7 +124,7 @@ def _task_sensing_2d(doc: dict, lam: float, seed):
 
 def _task_null(doc: dict, lam: float, seed):
     angles = np.deg2rad([_field(doc, "theta0_deg"), *_field(doc, "null_deg")])
-    n, a, dmin = _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
+    n, a, dmin = _line_fields(doc, lam)
 
     def run():
         x, w = _null_design(angles, n, a, dmin, lam)
@@ -133,11 +138,10 @@ def _task_null(doc: dict, lam: float, seed):
 
 def _task_multibeam(doc: dict, lam: float, seed):
     thetas, analog = np.deg2rad(_field(doc, "theta_deg")), _field(doc, "analog", False)
-    n, a, dmin = _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
+    n, a, dmin = _line_fields(doc, lam)
 
     def run():
-        rep = opt.multibeam_ao(thetas, n, a, dmin, lam, analog=analog,
-                               seed=seed if seed is not None else 0)
+        rep = opt.multibeam_ao(thetas, n, a, dmin, lam, analog=analog, seed=seed or 0)
         return {"placement": rep.best_placement.tolist(), "max_min_gain": rep.best_score}
     return run
 
@@ -145,11 +149,10 @@ def _task_multibeam(doc: dict, lam: float, seed):
 def _task_widebeam(doc: dict, lam: float, seed):
     lo, hi = np.deg2rad([_field(doc, "theta_min_deg"), _field(doc, "theta_max_deg")])
     nsub = _field(doc, "subregions", 24)
-    n, a, dmin = _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
+    n, a, dmin = _line_fields(doc, lam)
 
     def run():
-        rep = opt.widebeam_ao(lo, hi, nsub, n, a, dmin, lam,
-                              seed=seed if seed is not None else 0)
+        rep = opt.widebeam_ao(lo, hi, nsub, n, a, dmin, lam, seed=seed or 0)
         return {"placement": rep.best_placement.tolist(),
                 "min_gain": rep.extra["verified_min_gain"]}
     return run
@@ -157,8 +160,7 @@ def _task_widebeam(doc: dict, lam: float, seed):
 
 def _task_miso_graph(doc: dict, lam: float, seed):
     sc = _scenario_at(doc["scenario"], lam, seed)
-    m = _field(doc, "m")
-    n, a, dmin = _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
+    m, (n, a, dmin) = _field(doc, "m"), _line_fields(doc, lam)
 
     def run():
         line = opt.SampledLine.from_channel(_miso_line_channel(sc), a, m, dmin)
@@ -194,7 +196,7 @@ def _cmd_optimize(doc: dict, out: str | None, seed):
 def _sense_trials(doc: dict, seed):
     """Read and check a sense config; return the function that runs its trials."""
     lam = _field(doc, "wavelength", 1.0)
-    n, a, dmin = _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
+    n, a, dmin = _line_fields(doc, lam)
     kind = _field(doc, "placement", "optimal")
     snapshots, trials = _field(doc, "snapshots", 1), _field(doc, "trials", 100)
     u, snr_db = _field(doc, "u"), _field(doc, "snr_db")
@@ -230,8 +232,7 @@ def _estimate_trial(doc: dict, seed):
         raise ConfigError(f"bad estimation region: {e}") from None
     power = _field(doc, "power", 1.0)
     sigma2 = power / 10.0 ** (_field(doc, "snr_db") / 10.0)
-    m = _field(doc, "measurements")
-    g = _field(doc, "grid", 16)
+    m, g = _field(doc, "measurements"), _field(doc, "grid", 16)
     l = _field(doc, "paths_to_recover", len(sc.tx_paths))
     base = str(seed if seed is not None else doc.get("seed", 0))
     method = _field(doc, "method", "successive")
@@ -304,8 +305,7 @@ def main(argv=None) -> int:
         description="Movable-antenna channel simulation, placement optimization, "
                     "sensing, and channel acquisition.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "optimize", "sense", "estimate", "experiment",
-                 "validate-config"):
+    for name in ("simulate", "optimize", "sense", "estimate", "experiment", "validate-config"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help="output file (csv or json)")

@@ -166,7 +166,7 @@ def _pursuit(y: np.ndarray, n_atoms: int, noise_power: float, best_atom, sub_dic
         sub = sub_dictionary(chosen)
         coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
         res = y - sub @ coef
-    if len(chosen) < n_atoms and np.linalg.norm(res) > max(stop, 1e-12):
+    if len(chosen) < n_atoms and np.linalg.norm(res) > max(stop, 1e-12 * y_norm):
         converged = False
     return chosen, coef, float(np.linalg.norm(res)), converged
 

@@ -1,11 +1,12 @@
 """Stacked channel evaluation and the shared pursuit loop against the code they replaced.
 
-The reference functions below are the earlier implementations, kept here
-only as oracles: a field-response vector built from a per-point coordinate
-rule, one channel_narrowband call per measurement, and the two separately
-written greedy loops of omp and omp_joint.  The stacked channel sums in
-another order, so it matches within 1e-12; the pursuit loop does the same
-arithmetic in the same order, so it matches bitwise.
+The oracles (in oracles.py) are the earlier implementations: a field-response
+matrix built with a per-point coordinate rule (a column of it is the one-point
+field-response vector), one channel_narrowband call per measurement built on
+it, and the greedy loop omp and omp_joint wrote out before they shared one,
+with their two atom pickers.  The stacked channel sums in another order, so
+it matches within 1e-12; the pursuit loop does the same arithmetic in the
+same order, so it matches bitwise.
 
 The successive recovery pairs its Tx and Rx paths with its own minimum-cost
 assignment; scipy's linear_sum_assignment, which it used before, is the
@@ -26,99 +27,9 @@ from scipy.optimize import linear_sum_assignment
 from makit import estimate
 from makit.channel import PathSet, Scenario, channel_narrowband, frv_tx, sample_directions
 from makit.estimate import MeasurementSet, omp, omp_joint, uv_grid
-from oracles import ref_pos3
+from oracles import ref_channel_narrowband, ref_frm, ref_omp, ref_omp_joint
 
 ATOL = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# reference implementations
-
-def ref_frv_tx(t, paths, wavelength):
-    return np.exp(2j * np.pi / wavelength * (paths.wave_vectors @ ref_pos3(t)))
-
-
-def ref_channel_narrowband(t, r, scenario):
-    g = ref_frv_tx(t, scenario.tx_paths, scenario.wavelength)
-    f = ref_frv_tx(r, scenario.rx_paths, scenario.wavelength)
-    return complex(f.conj() @ scenario.prm @ g)
-
-
-def ref_omp(dictionary, y, n_atoms, noise_power=0.0):
-    a = np.asarray(dictionary, dtype=complex)
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    m = len(y)
-    stop = 1.1 * math.sqrt(m * noise_power)
-    res = y.copy()
-    chosen = []
-    converged = True
-    coef = np.zeros(0, dtype=complex)
-    for _ in range(n_atoms):
-        if np.linalg.norm(res) <= max(stop, 1e-12 * np.linalg.norm(y)):
-            break
-        corr = np.abs(a.conj().T @ res)
-        corr[chosen] = -1.0
-        j = int(np.argmax(corr))
-        if corr[j] <= 1e-12 * np.linalg.norm(y) * math.sqrt(m):
-            converged = False
-            break
-        chosen.append(j)
-        sub = a[:, chosen]
-        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        res = y - sub @ coef
-    if len(chosen) < n_atoms and converged and np.linalg.norm(res) > max(stop, 1e-12):
-        converged = False
-    return np.array(chosen, dtype=int), coef, float(np.linalg.norm(res)), converged
-
-
-def ref_omp_joint(ms, g, n_paths, wavelength, block=512):
-    grid = uv_grid(g)
-    uu, vv = np.meshgrid(grid, grid, indexing="ij")
-    uv = np.column_stack([uu.ravel(order="F"), vv.ravel(order="F")])
-    at = estimate._tx_atoms(uv, ms.tx_positions, wavelength)
-    ar = estimate._rx_atoms(uv, ms.rx_positions, wavelength)
-    m = len(ms)
-    y = ms.pilots
-    stop = 1.1 * math.sqrt(m * ms.noise_power)
-    res = y.copy()
-    chosen = []
-    cols = []
-    coef = np.zeros(0, dtype=complex)
-    converged = True
-    n2 = at.shape[0]
-    for _ in range(n_paths):
-        if np.linalg.norm(res) <= max(stop, 1e-12 * np.linalg.norm(y)):
-            break
-        best_val, best_pq = -1.0, None
-        for p0 in range(0, n2, block):
-            p1 = min(p0 + block, n2)
-            corr = np.abs((at[p0:p1].conj() * res[None, :]) @ ar.conj().T)
-            for (pp, qq) in chosen:
-                if p0 <= pp < p1:
-                    corr[pp - p0, qq] = -1.0
-            flat = int(np.argmax(corr))
-            val = float(corr.ravel()[flat])
-            if val > best_val + 1e-15:
-                best_val = val
-                best_pq = (p0 + flat // corr.shape[1], flat % corr.shape[1])
-        if best_pq is None or best_val <= 1e-12 * np.linalg.norm(y) * math.sqrt(m):
-            converged = False
-            break
-        chosen.append(best_pq)
-        cols.append(at[best_pq[0]] * ar[best_pq[1]])
-        sub = np.stack(cols, axis=1)
-        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        res = y - sub @ coef
-    if not chosen:
-        raise ValueError("joint recovery selected no atoms")
-    if len(chosen) < n_paths and np.linalg.norm(res) > max(stop, 1e-12):
-        converged = False
-    tx_idx = sorted({pq[0] for pq in chosen})
-    rx_idx = sorted({pq[1] for pq in chosen})
-    prm = np.zeros((len(rx_idx), len(tx_idx)), dtype=complex)
-    for (pp, qq), c in zip(chosen, coef):
-        prm[rx_idx.index(qq), tx_idx.index(pp)] = c / math.sqrt(ms.power)
-    return uv[tx_idx], uv[rx_idx], prm, float(np.linalg.norm(res)), converged
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +50,7 @@ def test_frv_tx_matches_per_point_coordinate_rule(seed, n_paths, dim, bare_x, wa
     t = rng.uniform(-5, 5, dim) * wavelength
     point = float(t[0]) if bare_x else t
     np.testing.assert_allclose(frv_tx(point, paths, wavelength),
-                               ref_frv_tx(point, paths, wavelength), rtol=0, atol=ATOL)
+                               ref_frm([point], paths, wavelength)[:, 0], rtol=0, atol=ATOL)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,12 +1,12 @@
 """Lockstep beam-weight ascent and batched position sweep against the loops they replaced.
 
-The reference functions below are the earlier scalar implementations, kept
-here only as oracles: one start at a time and one backtracking step per
-score call in max_min_awv, one beam_gain call per angle and candidate
-position in the sweep.  Two starts can tie to within rounding, so results
-are compared by score, not by weight vector.
+The oracles (in oracles.py) are the earlier scalar implementations: one
+start at a time and one backtracking step per score call in max_min_awv, one
+beam_gain call per angle and candidate position in the sweep.  Two starts can
+tie to within rounding, so results are compared by score, not by weight
+vector.
 
-The ascent, like every reference below, accepts a step only if it `improves`
+The ascent, like every oracle of it, accepts a step only if it `improves`
 on the current min gain (by more than 1e-12 of it), so near a stall the last
 bit of a gain can decide whether a start stops or goes on, and where it ends.
 The scalar ascent itself moved by up to 0.5 % in min gain on random inputs
@@ -19,13 +19,13 @@ candidates-by-angles matrix product).
 The stacked ascent (a stack of placements, backtracking steps scored in two
 chunks) and the lockstep refinement chains are checked bitwise against the
 single-placement lockstep ascent and the sequential chain loop they replaced,
-kept below as today_max_min_awv and today_ao_candidates.  The packed ascent
-(live starts' state compacted only when one drops out) is checked bitwise
-against the stacked ascent that gathered and scattered the full state every
-iteration, kept as stacked_max_min_awv, and the column-updated position sweep
-against the sweep that rebuilt every candidate's steering matrix, kept as
-today_position_sweep.  The fixed-array baseline the beam AO reports must equal
-a standalone ascent of the fixed array bitwise.
+today_max_min_awv and today_ao_candidates.  The packed ascent (live starts'
+state compacted only when one drops out) is checked bitwise against
+today_max_min_awv applied to each placement, to which the stacked ascent it
+replaced was bitwise equal.  The column-updated position sweep is checked against the sweep that
+rebuilt every candidate's steering matrix, today_position_sweep.  The
+fixed-array baseline the beam AO reports must equal a standalone ascent of
+the fixed array bitwise.
 """
 
 import logging
@@ -37,258 +37,17 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from makit.beamforming import beam_gain, mrt, steering_vector
-from makit.errors import InfeasibleError
+from makit.beamforming import beam_gain, steering_vector
 from makit.optimize import beams
 from makit.optimize.beams import (_position_sweep, _subregion_grids, fpa_ula, max_min_awv,
                                   multibeam_ao, widebeam_ao)
 from makit.optimize.report import _STEP_CHUNKS, improves
+from oracles import (batched_gains, ref_max_min_awv, ref_position_sweep, today_ao_candidates,
+                     today_max_min_awv, today_position_sweep)
 
 RTOL = 1e-9
 LAM = 1.0
 D_MIN = 0.5
-
-
-# ---------------------------------------------------------------------------
-# reference implementations
-
-def today_gains(a, w):
-    return a @ w.conj()
-
-
-def batched_gains(a, w):
-    return (np.repeat(w.conj()[None], 20, axis=0) @ a.T)[0]
-
-
-def ref_max_min_awv(x, thetas, wavelength, analog=False, seed=0, w0=None, n_iter=300,
-                    gains=today_gains):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    n = len(x)
-    a = np.stack([steering_vector(x, t, wavelength) for t in np.atleast_1d(thetas)])
-    rng = np.random.default_rng(seed)
-
-    def project(w):
-        if analog:
-            ph = np.angle(w)
-            return np.exp(1j * ph) / math.sqrt(n)
-        return w / np.linalg.norm(w)
-
-    def score(w):
-        return float(np.min(np.abs(gains(a, w)) ** 2))
-
-    k = a.shape[0]
-    pick = range(k) if k <= 12 else np.linspace(0, k - 1, 12).astype(int)
-    starts = [mrt(a[i]) for i in pick]
-    aligned = mrt(np.sum(a * np.exp(-1j * np.angle(a[:, :1])), axis=0))
-    starts.append(aligned)
-    if w0 is not None:
-        starts.append(np.asarray(w0, dtype=complex).reshape(-1))
-    for _ in range(3):
-        starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-
-    best_w, best_v = None, -1.0
-    for w in starts:
-        w = project(w)
-        cur = score(w)
-        step = 0.5
-        for _ in range(n_iter):
-            g = gains(a, w)
-            kmin = int(np.argmin(np.abs(g) ** 2))
-            grad = a[kmin] * np.conj(g[kmin])
-            improved = False
-            s = step
-            for _ in range(20):
-                cand = project(w + s * grad)
-                v = score(cand)
-                if improves(v, cur):
-                    w, cur, improved = cand, v, True
-                    break
-                s *= 0.5
-            if improved:
-                step = min(1.0, s * 2.0)
-            else:
-                break
-        if cur > best_v:
-            best_w, best_v = w, cur
-    return best_w, best_v
-
-
-def ref_position_sweep(x, thetas, w, wavelength, aperture, d_min, n_grid=48):
-    x = x.copy()
-    a_all = np.atleast_1d(thetas)
-
-    def score(xx):
-        return min(beam_gain(xx, w, t, wavelength) for t in a_all)
-
-    cur = score(x)
-    for i in range(len(x)):
-        lo = x[i - 1] + d_min if i > 0 else 0.0
-        hi = x[i + 1] - d_min if i < len(x) - 1 else aperture
-        if hi <= lo:
-            continue
-        cand = np.linspace(lo, hi, n_grid)
-        orig, best_xi, best_v = x[i], x[i], -np.inf
-        for c in cand:
-            x[i] = c
-            v = score(x)
-            if v > best_v:
-                best_xi, best_v = c, v
-        x[i] = orig
-        if improves(best_v, cur):
-            x[i], cur = best_xi, best_v
-    return x, cur
-
-
-def today_max_min_awv(x, thetas, wavelength, analog=False, seed=0, w0=None, n_iter=300):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    n = len(x)
-    a = steering_vector(x, np.atleast_1d(thetas), wavelength)  # (K, N)
-    rng = np.random.default_rng(seed)
-
-    def project(w):
-        if analog:
-            return np.exp(1j * np.angle(w)) / math.sqrt(n)
-        return w / np.linalg.norm(w, axis=-1, keepdims=True)
-
-    k = a.shape[0]
-    pick = range(k) if k <= 12 else np.linspace(0, k - 1, 12).astype(int)
-    starts = [mrt(a[i]) for i in pick]
-    starts.append(mrt(np.sum(a * np.exp(-1j * np.angle(a[:, :1])), axis=0)))
-    if w0 is not None:
-        starts.append(np.asarray(w0, dtype=complex).reshape(-1))
-    starts.extend(rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3))
-
-    w = project(np.stack(starts))  # (S, N)
-    g = w.conj() @ a.T  # complex gains a @ w^*, (S, K)
-    cur = np.min(np.abs(g), axis=1) ** 2
-    step = np.full(len(w), 0.5)
-    live = np.arange(len(w))
-    for _ in range(n_iter):
-        if not live.size:
-            break
-        gl = g[live]
-        kmin = np.argmin(np.abs(gl) ** 2, axis=1)
-        grad = a[kmin] * np.conj(gl[np.arange(len(live)), kmin])[:, None]
-        s = step[live, None] * 0.5 ** np.arange(20)  # (L, 20)
-        cand = project(w[live, None, :] + s[..., None] * grad[:, None, :])
-        gc = cand.conj() @ a.T  # (L, 20, K)
-        v = np.min(np.abs(gc), axis=2) ** 2
-        ok = improves(v, cur[live, None])
-        hit = np.flatnonzero(ok.any(axis=1))
-        j = ok[hit].argmax(axis=1)
-        live = live[hit]
-        w[live], g[live], cur[live] = cand[hit, j], gc[hit, j], v[hit, j]
-        step[live] = np.minimum(1.0, s[hit, j] * 2.0)
-    best = int(np.argmax(cur))
-    return w[best], float(cur[best])
-
-
-def stacked_max_min_awv(x, thetas, wavelength, analog=False, seed=0, w0=None, n_iter=300):
-    x = np.asarray(x, dtype=float)
-    stacked = x.ndim == 2
-    x = x if stacked else x.reshape(1, -1)
-    p, n = x.shape
-    a = steering_vector(x, np.atleast_1d(thetas), wavelength)  # (P, K, N)
-    rng = np.random.default_rng(seed)
-
-    def project(w):
-        if analog:
-            return np.exp(1j * np.angle(w)) / math.sqrt(n)
-        return w / np.linalg.norm(w, axis=-1, keepdims=True)
-
-    k = a.shape[1]
-    pick = range(k) if k <= 12 else np.linspace(0, k - 1, 12).astype(int)
-    w0s = [None] * p if w0 is None else np.asarray(w0, dtype=complex).reshape(p, n)
-    noise = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
-    starts = []
-    for ap, wi in zip(a, w0s):
-        starts += [mrt(ap[j]) for j in pick]
-        starts.append(mrt(np.sum(ap * np.exp(-1j * np.angle(ap[:, :1])), axis=0)))
-        starts += noise if wi is None else [wi, *noise]
-
-    w = project(np.stack(starts))  # (P*S, N)
-    s_per = len(w) // p
-    owner = np.repeat(np.arange(p), s_per)
-    g = (w.reshape(p, s_per, n).conj() @ a.transpose(0, 2, 1)).reshape(len(w), k)
-    cur = np.min(np.abs(g), axis=1) ** 2
-    step = np.full(len(w), 0.5)
-    live = np.arange(len(w))
-    for _ in range(n_iter):
-        if not live.size:
-            break
-        gl = g[live]
-        kmin = np.argmin(np.abs(gl) ** 2, axis=1)
-        grad = a[owner[live], kmin] * np.conj(gl[np.arange(len(live)), kmin])[:, None]
-        pend = np.arange(len(live))  # positions in live without an accepted step yet
-        for lo, hi in ((0, 4), (4, 20)):
-            rows = live[pend]
-            s = step[rows, None] * 0.5 ** np.arange(lo, hi)
-            cand = project(w[rows, None, :] + s[..., None] * grad[pend, None, :])
-            gc = cand.conj() @ a[owner[rows]].transpose(0, 2, 1)  # (R, J, K)
-            v = np.min(np.abs(gc), axis=2) ** 2
-            ok = improves(v, cur[rows, None])
-            hit = ok.any(axis=1)
-            j = ok[hit].argmax(axis=1)
-            r = rows[hit]
-            w[r], g[r], cur[r] = cand[hit, j], gc[hit, j], v[hit, j]
-            step[r] = np.minimum(1.0, s[hit, j] * 2.0)
-            pend = pend[~hit]
-            if not pend.size:
-                break
-        if pend.size:
-            live = np.delete(live, pend)
-    best = np.argmax(cur.reshape(p, s_per), axis=1) + np.arange(p) * s_per
-    return (w[best], cur[best]) if stacked else (w[best[0]], float(cur[best[0]]))
-
-
-def today_position_sweep(x, thetas, w, wavelength, aperture, d_min, n_grid=48):
-    x = x.copy()
-    cur = np.min(beam_gain(x, w, thetas, wavelength))
-    for i in range(len(x)):
-        lo = x[i - 1] + d_min if i > 0 else 0.0
-        hi = x[i + 1] - d_min if i < len(x) - 1 else aperture
-        if hi <= lo:
-            continue
-        cand = np.repeat(x[None, :], n_grid, axis=0)
-        cand[:, i] = np.linspace(lo, hi, n_grid)
-        v = np.min(beam_gain(cand, w, thetas, wavelength), axis=1)
-        j = np.argmax(v)
-        if improves(v[j], cur):
-            x[i], cur = cand[j, i], v[j]
-    return x, cur
-
-
-def today_ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, seed, max_sweeps,
-                        n_refine=3):
-    """The sequential chain loop, returning the fixed array's own standalone ascent as
-    the baseline."""
-    if not starts:
-        raise InfeasibleError("no feasible starting placement fits the region")
-    fpa = today_max_min_awv(fpa_ula(len(starts[0]), wavelength), thetas, wavelength,
-                            analog=analog, seed=seed)
-    scored = []
-    for x0 in starts:
-        w, v = today_max_min_awv(x0, thetas, wavelength, analog=analog, seed=seed)
-        scored.append((v, x0, w))
-    order = sorted(range(len(scored)), key=lambda i: -scored[i][0])
-
-    out = []
-    for i in order[:n_refine]:
-        cur, x, w = scored[i]
-        trace = [cur]
-        for _ in range(max_sweeps):
-            x_new, _ = _position_sweep(x, thetas, w, wavelength, aperture, d_min)
-            w_new, v_new = today_max_min_awv(x_new, thetas, wavelength, analog=analog,
-                                             seed=seed, w0=w)
-            if improves(v_new, cur):
-                x, w, cur = x_new, w_new, v_new
-                trace.append(cur)
-            else:
-                break
-        out.append((cur, x, w, trace))
-    for v, x0, w in (scored[i] for i in order[n_refine:]):
-        out.append((v, x0, w, [v]))
-    return out, fpa
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +191,16 @@ def spy_improves(log):
 def test_packed_max_min_awv_matches_stacked_ascent_bitwise(p, n, k, analog, with_w0, n_iter,
                                                            seed):
     xs, thetas, w0s = draw_stack(p, n, k, seed)
-    w0 = w0s if with_w0 else None
-    w, v = max_min_awv(xs, thetas, LAM, analog=analog, seed=seed, w0=w0, n_iter=n_iter)
-    w_ref, v_ref = stacked_max_min_awv(xs, thetas, LAM, analog=analog, seed=seed, w0=w0,
-                                       n_iter=n_iter)
-    assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+    w, v = max_min_awv(xs, thetas, LAM, analog=analog, seed=seed,
+                       w0=w0s if with_w0 else None, n_iter=n_iter)
+    assert w.shape == (p, n) and v.shape == (p,)
+    refs = [today_max_min_awv(xs[i], thetas, LAM, analog=analog, seed=seed,
+                              w0=w0s[i] if with_w0 else None, n_iter=n_iter) for i in range(p)]
+    for wi, vi, (w_ref, v_ref) in zip(w, v, refs):
+        assert wi.tobytes() == w_ref.tobytes() and float(vi).hex() == v_ref.hex()
     w1, v1 = max_min_awv(xs[0], thetas, LAM, analog=analog, seed=seed,
-                         w0=None if w0 is None else w0[0], n_iter=n_iter)
-    w1_ref, v1_ref = stacked_max_min_awv(xs[0], thetas, LAM, analog=analog, seed=seed,
-                                         w0=None if w0 is None else w0[0], n_iter=n_iter)
-    assert w1.tobytes() == w1_ref.tobytes() and v1 == v1_ref and type(v1) is float
+                         w0=w0s[0] if with_w0 else None, n_iter=n_iter)
+    assert w1.tobytes() == refs[0][0].tobytes() and v1 == refs[0][1] and type(v1) is float
 
 
 def test_packed_ascent_example_reaches_the_second_chunk():

@@ -175,6 +175,14 @@ def test_omp_joint_support_does_not_depend_on_the_pilot_scale():
                                            1.0, 0.0), 32, 4, LAM)
             supports.append((fri.tx_uv.tobytes(), fri.rx_uv.tobytes(), (fri.prm != 0).tobytes()))
         assert supports[0] == supports[1] == supports[2], f"gen_scenario seed {seed}"
+    # 2 paths in 4 atoms: the loop stops on the residual, and the convergence flag
+    # must weigh that residual against the pilots' scale too
+    ms = collect_measurements(on_grid_scenario(6), region(), region(), "paired", 128, 1.0, 0.0, 6)
+    fris = [omp_joint(MeasurementSet(ms.tx_positions, ms.rx_positions, ms.pilots * scale,
+                                     1.0, 0.0), 16, 4, LAM)
+            for scale in (2.0 ** -60, 1.0, 2.0 ** 40)]
+    assert all(len(fri.tx_uv) == 2 for fri in fris)
+    assert fris[0].converged == fris[1].converged == fris[2].converged
 
 
 def test_omp_joint_measurement_precondition():

@@ -1,8 +1,8 @@
 """Batched field kernels against the per-path loops they replaced.
 
-The reference functions below are the earlier scalar implementations, kept
-here only as oracles: one wave vector per accs_basis call, one path pair per
-polarization product, one outer product per path on the position grid.
+The oracles (in oracles.py) are the earlier scalar implementations: one wave
+vector per accs_basis call, one path pair per polarization product, one outer
+product per path on the position grid.
 """
 
 import math
@@ -15,150 +15,12 @@ from hypothesis import strategies as st
 
 from makit import experiments
 from makit.channel import (PathSet, RadiationPattern, polarization_gain, prm_6dma,
-                           radiation_gain, sample_directions, tap_of_delay)
+                           radiation_gain, sample_directions)
 from makit.geometry import accs_basis, aom_from_euler
+from oracles import (ref_accs_basis, ref_gain_field_minmax, ref_polarization_gain, ref_prm_6dma,
+                     ref_trial_dof, ref_wideband_gain_minmax)
 
 TOL = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# reference implementations
-
-def ref_accs_basis(k_hat):
-    k = np.asarray(k_hat, dtype=float).reshape(3)
-    if abs(np.linalg.norm(k) - 1.0) > 1e-9:
-        raise ValueError("k_hat must have unit norm")
-    z = np.array([0.0, 0.0, 1.0])
-    i = z - (k @ z) * k
-    n = np.linalg.norm(i)
-    if n < 1e-9:
-        return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    i = i / n
-    j = np.cross(k, i)
-    return i, j
-
-
-def ref_polarization_gain(tx_pattern, rx_pattern, psi, omega, k_t, k_r, pprm):
-    psi = np.asarray(psi, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    k_t = np.asarray(k_t, dtype=float).reshape(3)
-    k_r = np.asarray(k_r, dtype=float).reshape(3)
-    lam = np.asarray(pprm, dtype=complex).reshape(2, 2)
-    g_t = radiation_gain(tx_pattern, psi, k_t)
-    g_r = radiation_gain(rx_pattern, omega, k_r)
-    if g_t <= 0 or g_r <= 0:
-        raise ValueError("polarization gain is undefined at zero radiation gain")
-    i_t, j_t = ref_accs_basis(k_t)
-    i_r, j_r = ref_accs_basis(k_r)
-    kt_accs = psi.T @ k_t
-    kr_accs = omega.T @ k_r
-    ih_t, jh_t = ref_accs_basis(kt_accs)
-    ih_r, jh_r = ref_accs_basis(kr_accs)
-    row_rx = np.array([rx_pattern.f1(kr_accs), rx_pattern.f2(kr_accs)], dtype=complex) / g_r
-    m_rx = np.array([[ih_r @ omega.T @ i_r, ih_r @ omega.T @ j_r],
-                     [jh_r @ omega.T @ i_r, jh_r @ omega.T @ j_r]])
-    m_tx = np.array([[i_t @ psi @ ih_t, i_t @ psi @ jh_t],
-                     [j_t @ psi @ ih_t, j_t @ psi @ jh_t]])
-    col_tx = np.array([tx_pattern.f1(kt_accs), tx_pattern.f2(kt_accs)], dtype=complex) / g_t
-    return complex(row_rx @ m_rx @ lam @ m_tx @ col_tx)
-
-
-def ref_prm_6dma(pprms, psi, omega, tx_pattern, rx_pattern, tx_paths, rx_paths):
-    lr, lt = len(rx_paths), len(tx_paths)
-    g_t = np.array([radiation_gain(tx_pattern, psi, k) for k in tx_paths.wave_vectors])
-    g_r = np.array([radiation_gain(rx_pattern, omega, k) for k in rx_paths.wave_vectors])
-    out = np.zeros((lr, lt), dtype=complex)
-    for i in range(lr):
-        if g_r[i] <= 0:
-            continue
-        for j in range(lt):
-            if g_t[j] <= 0:
-                continue
-            gp = ref_polarization_gain(tx_pattern, rx_pattern, psi, omega,
-                                       tx_paths.wave_vectors[j], rx_paths.wave_vectors[i],
-                                       pprms[i, j])
-            out[i, j] = g_r[i] * gp * g_t[j]
-    return out
-
-
-def ref_gain_field_minmax(k_vectors, b, side, step, wavelength):
-    ax = np.arange(0.0, side + step / 2.0, step)
-    n = len(ax)
-    acc = np.zeros((n, n, n), dtype=complex)
-    w = 2.0 * np.pi / wavelength
-    for kl, bl in zip(k_vectors, b):
-        if bl == 0:
-            continue
-        acc += bl * (np.exp(-1j * w * kl[0] * ax)[:, None, None]
-                     * np.exp(-1j * w * kl[1] * ax)[None, :, None]
-                     * np.exp(-1j * w * kl[2] * ax)[None, None, :])
-    p = np.abs(acc) ** 2
-    return float(p.max()), float(p.min()), float(p[0, 0, 0])
-
-
-def ref_wideband_gain_minmax(rng, params, k, b, side, lam):
-    bandwidth = params["bandwidth"]
-    m_sub = int(params["subcarriers"])
-    delays = rng.uniform(0.0, params["max_delay"], len(b))
-    taps = np.array([tap_of_delay(d, bandwidth) for d in delays])
-    n_taps = int(taps.max())
-    ax = np.arange(0.0, side + params["grid_step"] * lam / 2.0, params["grid_step"] * lam)
-    n = len(ax)
-    w = 2.0 * np.pi / lam
-    fields = np.zeros((n_taps, n, n, n), dtype=complex)
-    for kl, bl, tau in zip(k, b, taps):
-        fields[tau - 1] += bl * (np.exp(-1j * w * kl[0] * ax)[:, None, None]
-                                 * np.exp(-1j * w * kl[1] * ax)[None, :, None]
-                                 * np.exp(-1j * w * kl[2] * ax)[None, None, :])
-    dft = np.exp(-2j * np.pi * np.outer(np.arange(m_sub), np.arange(n_taps)) / m_sub)
-    cfr = np.tensordot(dft, fields, axes=(1, 0))
-    p = np.mean(np.abs(cfr) ** 2, axis=0)
-    return float(p.max()), float(p.min()), float(p[0, 0, 0])
-
-
-def ref_trial_dof(params, seed, idx):
-    lam = params["wavelength"]
-    rng = np.random.default_rng(seed)
-    n_paths = int(params["n_paths"])
-    k = sample_directions(rng, n_paths, "sphere")
-    amp = np.sqrt(1.0 / (2.0 * n_paths)) * (rng.standard_normal(n_paths)
-                                            + 1j * rng.standard_normal(n_paths))
-    ang = rng.uniform(0.0, 2.0 * np.pi, n_paths)
-    pprms = np.zeros((n_paths, n_paths, 2, 2), dtype=complex)
-    for l in range(n_paths):
-        c, s = np.cos(ang[l]), np.sin(ang[l])
-        pprms[l, l] = amp[l] * np.array([[c, -s], [s, c]])
-    tx_paths = PathSet(sample_directions(rng, n_paths, "sphere"))
-    rx_paths = PathSet(k)
-    tx_pat = RadiationPattern.isotropic()
-    patterns = {"iso": RadiationPattern.isotropic(),
-                "dir": RadiationPattern.ideal_directional(params["gain_dbi"])}
-    side = params["region_side"] * lam
-    step = params["grid_step"] * lam
-    ng = int(params["orientation_grid"])
-    yaws = np.linspace(0.0, 2 * np.pi, ng, endpoint=False)
-    pitches = np.linspace(-np.pi / 2, np.pi / 2, max(2, ng // 2))
-    rolls = np.linspace(0.0, 2 * np.pi, ng, endpoint=False)
-    orientations = [aom_from_euler(y, p, r) for y in yaws for p in pitches for r in rolls]
-    flat = [float(idx)]
-    for name, pat in patterns.items():
-        def coeffs(om):
-            sig = ref_prm_6dma(pprms, np.eye(3), om, tx_pat, pat, tx_paths, rx_paths)
-            return np.diag(sig)
-
-        b0 = coeffs(np.eye(3))
-        g_pos, _, g_fpa = ref_gain_field_minmax(k, b0, side, step, lam)
-        g_orient = 0.0
-        g_joint = 0.0
-        for om in orientations:
-            bv = coeffs(om)
-            g_orient = max(g_orient, float(abs(np.sum(bv)) ** 2))
-            if params["joint"]:
-                g_joint = max(g_joint, ref_gain_field_minmax(k, bv, side, step, lam)[0])
-        if not params["joint"]:
-            g_joint = max(g_pos, g_orient)
-        flat.extend([g_fpa, g_pos, g_orient, g_joint])
-    return flat
 
 
 # ---------------------------------------------------------------------------

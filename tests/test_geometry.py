@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from makit.geometry import (Direction, MoveRegion, Pose, _close_pairs, _too_close, accs_basis,
                             aom_from_euler, validate_placement, wave_vector)
+from oracles import ref_too_close
 
 
 def test_wave_vector_axis_case():
@@ -157,25 +158,6 @@ def test_square_and_segment_grid_points_match_hand_built_grids(side, step):
     assert np.array_equal(MoveRegion.segment(side).grid_points(step), segment)
 
 
-# Reference copies of the spacing comparisons that _too_close replaced: the
-# backtracking-step mask of the placement ascent, the candidate mask of the 2D
-# sensing ascent and the pairwise mask of validate_placement.
-def ref_step_feasible(cand, others, d_min):
-    near = np.linalg.norm(cand[:, None] - others, axis=-1)
-    return np.all(near >= d_min * (1 - 1e-12), axis=1)
-
-
-def ref_candidate_close(stack, i, d_min):
-    gaps = np.linalg.norm(np.delete(stack, i, axis=1) - stack[:, i:i + 1], axis=-1)
-    return gaps < d_min * (1 - 1e-12)
-
-
-def ref_close_pairs(pos, d_min):
-    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    np.fill_diagonal(d, np.inf)
-    return ~(d >= d_min * (1 - 1e-12))
-
-
 @st.composite
 def spaced_stacks(draw):
     """(stack (B, M, k), d_min): random coordinates, or lattice multiples of d_min
@@ -203,8 +185,13 @@ def test_too_close_matches_the_replaced_spacing_comparisons(case):
     for i in range(stack.shape[1]):
         others = np.delete(stack[0], i, axis=0)
         close = _too_close(stack[0], others, d_min)
-        assert np.array_equal(~close.any(axis=1), ref_step_feasible(stack[0], others, d_min))
+        assert np.array_equal(~close.any(axis=1),
+                              ~ref_too_close(stack[0], others, d_min).any(axis=1))
         close = _too_close(stack[:, i:i + 1], np.delete(stack, i, axis=1), d_min)
-        assert np.array_equal(close[:, 0], ref_candidate_close(stack, i, d_min))
+        # the sensing ascent's candidate mask took the differences the other way round
+        want = ref_too_close(np.delete(stack, i, axis=1), stack[:, i:i + 1], d_min)
+        assert np.array_equal(close[:, 0], want[..., 0])
     for pos in stack:
-        assert np.array_equal(_close_pairs(pos, d_min), ref_close_pairs(pos, d_min))
+        want = ref_too_close(pos, pos, d_min)
+        np.fill_diagonal(want, False)
+        assert np.array_equal(_close_pairs(pos, d_min), want)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import logging
@@ -253,6 +254,11 @@ REFUSED_FIELDS = [
      "min_sep_bins"),
     ("experiment", {"experiment": "beam-multibeam", "params": {"analog": "false"}}, "analog"),
     ("experiment", {"experiment": "estimation-nmse", "params": {"on_grid": "no"}}, "on_grid"),
+    ("optimize", {"task": "miso-graph", "n": 4, "m": 24, "aperture": 4.0, "d_min": 0.5,
+                  "scenario": {"generate": {"seed": 1, "n_paths": 3, "kappa": math.nan}}},
+     "kappa"),
+    ("estimate", estimate_doc(scenario={"generate": {"seed": 5, "n_paths": 2, "kappa": math.nan}}),
+     "kappa"),
 ]
 REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "miso-graph-m-0",
                "sensing-1d-mse-snapshots-0", "sensing-1d-mse-n-bool", "beam-null-aperture-negative",
@@ -268,7 +274,8 @@ REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "mis
                "mimo-capacity-kappa-negative", "dof-gain-gain_dbi-2", "diffuse_power-1.5",
                "sensing-2d-crb-beta-0", "angle_law-cone", "sparse_spacing-negative",
                "bandwidth-negative", "min_sep_bins-negative", "beam-multibeam-analog-string",
-               "estimation-nmse-on_grid-string"]
+               "estimation-nmse-on_grid-string", "miso-graph-generate-kappa-nan",
+               "estimate-generate-kappa-nan"]
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -687,3 +694,14 @@ def test_experiment_schema_lists_the_config_fields():
     assert props["seeds"]["minItems"] == 1 and props["seeds"]["items"]["minimum"] == 0
     with pytest.raises(ConfigError, match="unknown config fields"):
         ExperimentConfig.from_dict({"experiment": "miso-graph", "seed": [1]})
+
+
+def test_oracles_live_in_the_oracle_module():
+    """A test module defines no reference implementation: each one is in oracles.py."""
+    prefixes = ("ref_", "today_", "stacked_", "scalar_", "batched_")
+    found = [f"{path.name}:{node.lineno} {node.name}"
+             for path in sorted(pathlib.Path(__file__).parent.glob("test_*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name.startswith(prefixes)]
+    assert not found, found

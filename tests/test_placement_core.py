@@ -1,12 +1,12 @@
 """The shared placement ascent against the per-optimizer loops it replaced.
 
-The reference functions below are the earlier implementations, kept here only
-as oracles.  Each optimizer ran its own sweep-until-stall loop around a
-per-antenna sweep, the sweep evaluated the objective again at its start, and
-each loop kept its own copy of the capacity objective and spacing check.  The
-shared core carries the current value from one sweep to the next instead.
-The objectives are pure functions of the placement, so placements, scores,
-traces and iteration counts must match bitwise.
+The oracles (in oracles.py) are the earlier implementations.  Each optimizer
+ran its own sweep-until-stall loop around a per-antenna sweep, the sweep
+evaluated the objective again at its start, and each loop kept its own copy
+of the capacity objective and spacing check.  The shared core carries the
+current value from one sweep to the next instead.  The objectives are pure
+functions of the placement, so placements, scores, traces and iteration
+counts must match bitwise.
 """
 
 import numpy as np
@@ -14,212 +14,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from makit.beamforming import mimo_capacity, multiuser_channels
+from makit.beamforming import mimo_capacity
 from makit.channel import channel_mimo, gen_scenario, redraw_prm_phases
 from makit.errors import InfeasibleError
 from makit.geometry import MoveRegion
-from makit.optimize import (crb_metric_2d, isac_constrained_opt, mimo_position_ao,
-                            multiuser_position_opt, sensing_2d_ao)
-from makit.optimize.mimo import _allocate_and_rate, _ensemble_capacity
-from makit.optimize.report import improves
+from makit.optimize import (isac_constrained_opt, mimo_position_ao, multiuser_position_opt,
+                            sensing_2d_ao)
+from makit.optimize.mimo import _ensemble_capacity
 from makit.optimize.search import _sweep_antennas
+from oracles import ref_isac, ref_mimo, ref_multiuser, ref_sweep
 
 LAM = 1.0
 SIDE = 2.0
 D_MIN = 0.5
 POWER = 10.0
 SIGMA2 = 1.0
-
-
-# ---------------------------------------------------------------------------
-# reference implementations
-
-def ref_pairwise_ok(pos, d_min):
-    if len(pos) < 2 or d_min <= 0:
-        return True
-    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
-    np.fill_diagonal(d, np.inf)
-    return bool(d.min() >= d_min * (1 - 1e-12))
-
-
-def ref_sweep(positions, region, objective, fd_step, step0, accepted=None):
-    """accepted, when given, receives each moved antenna's accepted step (None: all rejected)."""
-    pos = positions.copy()
-    cur = objective(pos)
-    improved_any = False
-    for i in range(len(pos)):
-        grad = np.zeros(3)
-        for d in range(3):
-            e = np.zeros(3)
-            e[d] = fd_step
-            hi = region.clip(pos[i] + e)
-            lo = region.clip(pos[i] - e)
-            denom = hi[d] - lo[d]
-            if denom <= 0:
-                continue
-            p_hi = pos.copy()
-            p_hi[i] = hi
-            p_lo = pos.copy()
-            p_lo[i] = lo
-            va = objective(p_hi)
-            vb = objective(p_lo)
-            if not np.isfinite(va) or not np.isfinite(vb):
-                continue
-            grad[d] = (va - vb) / denom
-        gn = np.linalg.norm(grad)
-        if gn == 0:
-            continue
-        s = step0
-        for j in range(20):
-            cand = pos.copy()
-            cand[i] = region.clip(pos[i] + s * grad / gn)
-            if ref_pairwise_ok(cand, region.d_min):
-                v = objective(cand)
-                if improves(v, cur):
-                    pos, cur = cand, v
-                    improved_any = True
-                    break
-            s *= 0.5
-        else:
-            j = None
-        if accepted is not None:
-            accepted.append(j)
-    return pos, cur, improved_any
-
-
-def ref_feasible(pos, region):
-    return all(region.contains(q, tol=1e-6) for q in pos) and ref_pairwise_ok(pos, region.d_min)
-
-
-def ref_mimo(ensemble, tx_region, rx_region, init_tx, init_rx, max_sweeps,
-             fd_step=5e-3, step0=0.25):
-    lam = ensemble[0].wavelength
-    tx = np.asarray(init_tx, dtype=float).reshape(-1, 3).copy()
-    rx = np.asarray(init_rx, dtype=float).reshape(-1, 3).copy()
-    if not ref_feasible(tx, tx_region) or not ref_feasible(rx, rx_region):
-        raise InfeasibleError("initial placement is infeasible")
-
-    def capacity(t, r):
-        return float(np.mean([mimo_capacity(channel_mimo(t, r, sc), POWER, SIGMA2)
-                              for sc in ensemble]))
-
-    cur = capacity(tx, rx)
-    trace = [cur]
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        tx, _, imp_t = ref_sweep(tx, tx_region, lambda t: capacity(t, rx),
-                                 fd_step * lam, step0 * lam)
-        rx, cur2, imp_r = ref_sweep(rx, rx_region, lambda r: capacity(tx, r),
-                                    fd_step * lam, step0 * lam)
-        cur = max(cur, cur2)
-        trace.append(cur)
-        if not (imp_t or imp_r):
-            break
-    return np.vstack([tx, rx]), cur, trace, sweeps
-
-
-def ref_multiuser(draws, region, init_rx, utility, mode, eta, max_sweeps,
-                  bisection_iters=3, fd_step=5e-3, step0=0.25):
-    lam = draws[0][0].wavelength
-    rx0 = np.asarray(init_rx, dtype=float).reshape(-1, 3)
-    if not ref_feasible(rx0, region):
-        raise InfeasibleError("initial base-station placement is infeasible")
-
-    def score_at(positions, budget_power):
-        vals = []
-        for users in draws:
-            h = multiuser_channels(positions, users)
-            try:
-                _, _, rates = _allocate_and_rate(h, "zf", utility, "sum", budget_power, SIGMA2)
-            except (ValueError, np.linalg.LinAlgError):
-                return -np.inf
-            vals.append(np.sum(rates) if utility == "sum" else np.min(rates))
-        return float(np.mean(vals))
-
-    def solve_rate(budget_power, start):
-        pos = start.copy()
-        cur = score_at(pos, budget_power)
-        trace = [cur]
-        for _ in range(max_sweeps):
-            pos, cur2, improved = ref_sweep(
-                pos, region, lambda q: score_at(q, budget_power), fd_step * lam, step0 * lam)
-            cur = max(cur, cur2)
-            trace.append(cur)
-            if not improved:
-                break
-        return pos, cur, trace
-
-    if mode == "rate":
-        pos, cur, trace = solve_rate(POWER, rx0)
-        return pos, cur, trace, len(trace) - 1
-    p_hi = POWER
-    pos, val, _ = solve_rate(p_hi, rx0)
-    grow = 0
-    while val < eta and grow < 12:
-        p_hi *= 2.0
-        pos, val, _ = solve_rate(p_hi, pos)
-        grow += 1
-    if val < eta:
-        raise InfeasibleError("rate target unreachable")
-    p_lo, best_pos, best_p = 0.0, pos, p_hi
-    for _ in range(bisection_iters):
-        mid = 0.5 * (p_lo + p_hi)
-        pos_mid, val_mid, _ = solve_rate(mid, best_pos)
-        if val_mid >= eta:
-            p_hi, best_pos, best_p = mid, pos_mid, mid
-        else:
-            p_lo = mid
-    return best_pos, best_p, [best_p], bisection_iters
-
-
-def ref_isac(ensemble, tx, region, init_rx, mode, threshold, max_sweeps,
-             fd_step=5e-3, step0=0.25):
-    lam = ensemble[0].wavelength
-    tx = np.asarray(tx, dtype=float).reshape(-1, 3)
-
-    def capacity(rx):
-        return float(np.mean([mimo_capacity(channel_mimo(tx, rx, sc), POWER, SIGMA2)
-                              for sc in ensemble]))
-
-    def crb(rx):
-        return crb_metric_2d(np.asarray(rx)[:, :2], "max", 1.0)
-
-    rx = np.asarray(init_rx, dtype=float).reshape(-1, 3).copy()
-    n_r = len(rx)
-    if mode == "com":
-        crb_opt = sensing_2d_ao(n_r, region.extents[:2], region.d_min, metric="max", coef=1.0)
-        if crb_opt.best_score > threshold:
-            raise InfeasibleError("CRB threshold below the best achievable")
-        if crb(rx) > threshold:
-            rx = np.column_stack([crb_opt.best_placement, np.zeros(n_r)])
-        objective, constraint = capacity, lambda q: crb(q) <= threshold
-        sense = 1.0
-    else:
-        unc = rx.copy()
-        best_cap = capacity(unc)
-        for _ in range(max_sweeps):
-            unc, cap2, improved = ref_sweep(unc, region, capacity, fd_step * lam, step0 * lam)
-            best_cap = max(best_cap, cap2)
-            if not improved:
-                break
-        if best_cap < threshold:
-            raise InfeasibleError("capacity target unreachable")
-        rx = unc
-        objective, constraint = lambda q: -crb(q), lambda q: capacity(q) >= threshold
-        sense = -1.0
-
-    def guarded(q):
-        return objective(q) if constraint(q) else -np.inf
-
-    cur = guarded(rx)
-    trace = [sense * cur]
-    for _ in range(max_sweeps):
-        rx, cur2, improved = ref_sweep(rx, region, guarded, fd_step * lam, step0 * lam)
-        cur = max(cur, cur2)
-        trace.append(sense * cur)
-        if not improved:
-            break
-    return rx, sense * cur, trace, len(trace) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +87,7 @@ def test_mimo_position_ao_matches_reference(statistical, fixed_tx, seed, n_paths
     rep = mimo_position_ao(ensemble if statistical else sc, tx_reg, reg, t0, r0, POWER, SIGMA2,
                            mode="statistical" if statistical else "instantaneous",
                            max_sweeps=max_sweeps)
-    assert_same(rep, ref_mimo(ensemble, tx_reg, reg, t0, r0, max_sweeps))
+    assert_same(rep, ref_mimo(ensemble, tx_reg, reg, t0, r0, max_sweeps, POWER, SIGMA2))
 
 
 @settings(max_examples=20, deadline=None)
@@ -291,7 +100,7 @@ def test_multiuser_position_opt_matches_reference(power_mode, utility, seed, n_p
     r0 = start(sparse)
     mode, eta = ("power", 1.0) if power_mode else ("rate", None)
     try:
-        ref = ref_multiuser([users], reg, r0, utility, mode, eta, max_sweeps)
+        ref = ref_multiuser([users], reg, r0, utility, mode, eta, max_sweeps, POWER, SIGMA2)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
             multiuser_position_opt(users, reg, r0, POWER, SIGMA2, utility=utility, mode=mode,
@@ -319,7 +128,7 @@ def test_isac_constrained_opt_matches_reference(sen, slack, seed, n_paths, kappa
         threshold = sensing_2d_ao(4, (SIDE, SIDE), D_MIN, metric="max").best_score * slack
     rep = isac_constrained_opt(sc, tx, reg, r0, POWER, SIGMA2, mode=mode, threshold=threshold,
                                max_sweeps=max_sweeps)
-    assert_same(rep, ref_isac([sc], tx, reg, r0, mode, threshold, max_sweeps))
+    assert_same(rep, ref_isac([sc], tx, reg, r0, mode, threshold, max_sweeps, POWER, SIGMA2))
 
 
 @pytest.mark.parametrize("case, covered", [

@@ -1,15 +1,14 @@
 """The placement kernels against the loops they replaced.
 
-The reference functions below are the earlier implementations, kept here only
-as oracles: a 200-step bisection for water-filling, a coordinate-descent CRB
-scan that scores one candidate layout per call, a field response matrix that
-pads positions to 3D one at a time, and the one-placement kernels under the
-placement objectives.  The exact water-filling must agree with the bisection
-to rounding; the batched CRB scan, the stacked field response matrix and
-every stacked placement kernel must agree bitwise.
+The oracles (in oracles.py) are the earlier implementations: a 200-step
+bisection for water-filling, a coordinate-descent CRB scan that scores one
+candidate layout per call, a field response matrix that pads positions to 3D
+one at a time, and the one-placement kernels under the placement objectives
+(the scalar_* oracles, as they were before the objectives took stacks).  The
+exact water-filling must agree with the bisection to rounding; the batched CRB
+scan, the stacked field response matrix and every stacked placement kernel
+must agree bitwise.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -22,108 +21,10 @@ from makit.channel import PathSet, frm, gen_scenario, redraw_prm_phases, sample_
 from makit.errors import InfeasibleError
 from makit.optimize import sensing_2d_ao
 from makit.optimize.mimo import _draw_channels, _ensemble_capacity, _mean_utility
-from makit.optimize.report import improves
-from makit.optimize.sensing import _corner_init, _feasible, _perimeter_init, sensing_1d_optimal
-from oracles import ref_pos3
-
-
-# ---------------------------------------------------------------------------
-# reference implementations
-
-def ref_water_filling(singular_values, total_power, sigma2, tol=1e-12):
-    s = np.asarray(singular_values, dtype=float).reshape(-1)
-    active = s > 1e-300
-    inv = np.full_like(s, np.inf)
-    inv[active] = sigma2 / s[active] ** 2
-    lo = float(np.min(inv))
-    hi = lo + total_power + float(np.max(inv[np.isfinite(inv)]))
-    for _ in range(200):
-        mu = 0.5 * (lo + hi)
-        p = np.maximum(0.0, mu - inv)
-        if abs(p.sum() - total_power) < tol:
-            break
-        if p.sum() > total_power:
-            hi = mu
-        else:
-            lo = mu
-    p = np.maximum(0.0, 0.5 * (lo + hi) - inv)
-    on = p > 0
-    if np.any(on):
-        p[on] += (total_power - p.sum()) / on.sum()
-        p = np.maximum(p, 0.0)
-    return p
-
-
-def ref_crb_metric_2d(xy, metric, coef):
-    x, y = xy[:, 0], xy[:, 1]
-    vx, vy = np.var(x), np.var(y)
-    cov = np.mean(x * y) - np.mean(x) * np.mean(y)
-    ex = vx - (cov ** 2 / vy if vy > 0 else (0.0 if cov == 0 else np.inf))
-    ey = vy - (cov ** 2 / vx if vx > 0 else (0.0 if cov == 0 else np.inf))
-    if ex <= 0 or ey <= 0:
-        return np.inf
-    if metric == "max":
-        return coef * max(1.0 / ex, 1.0 / ey)
-    return coef * (1.0 / ex + 1.0 / ey)
-
-
-def ref_sensing_2d_ao(n, extents, d_min, metric, coef, max_sweeps, n_grid, seed):
-    ax, ay = (float(e) for e in extents[:2])
-    if ax <= 0 or ay <= 0:
-        x = sensing_1d_optimal(n, max(ax, ay), d_min)
-        xy = np.zeros((n, 2))
-        xy[:, 0 if ax > 0 else 1] = x
-        score = coef / np.var(x)
-        return xy, float(score), [float(score)], 0
-    if d_min > 0 and n > (math.floor(ax / d_min) + 1) * (math.floor(ay / d_min) + 1):
-        raise InfeasibleError("too many antennas for the region at the required spacing")
-    rng = np.random.default_rng(seed)
-    starts = [c for c in (_perimeter_init(n, ax, ay), _corner_init(n, ax, ay, d_min))
-              if _feasible(c, ax, ay, d_min)]
-    for _ in range(3):
-        cand = rng.uniform(0, 1, (n, 2)) * (ax, ay)
-        if _feasible(cand, ax, ay, d_min):
-            starts.append(cand)
-    if not starts:
-        cols = math.floor(ax / d_min) + 1
-        cand = np.array([(d_min * (i % cols), d_min * (i // cols)) for i in range(n)], dtype=float)
-        if not _feasible(cand, ax, ay, d_min):
-            raise InfeasibleError("could not build a feasible starting placement")
-        starts.append(cand)
-    best = None
-    for xy0 in starts:
-        xy = xy0.copy()
-        cur = ref_crb_metric_2d(xy, metric, coef)
-        trace = [cur]
-        for _ in range(max_sweeps):
-            improved = False
-            for i in range(n):
-                for axis, hi in ((0, ax), (1, ay)):
-                    orig = xy[i, axis]
-                    best_v, best_c = np.inf, orig
-                    for c in np.linspace(0.0, hi, n_grid):
-                        xy[i, axis] = c
-                        others = np.delete(xy, i, axis=0)
-                        if d_min > 0 and np.min(np.linalg.norm(others - xy[i], axis=1)) \
-                                < d_min * (1 - 1e-12):
-                            continue
-                        v = ref_crb_metric_2d(xy, metric, coef)
-                        if v < best_v:
-                            best_v, best_c = v, c
-                    xy[i, axis] = orig
-                    if improves(-best_v, -cur):
-                        xy[i, axis], cur, improved = best_c, best_v, True
-            trace.append(cur)
-            if not improved:
-                break
-        if best is None or cur < best[1]:
-            best = (xy, float(cur), trace, len(trace) - 1)
-    return best
-
-
-def ref_frm(positions, paths, wavelength):
-    pos = np.asarray([ref_pos3(p) for p in positions])
-    return np.exp(2j * np.pi / wavelength * (paths.wave_vectors @ pos.T))
+from oracles import (ref_frm, ref_sensing_2d_ao, ref_water_filling, scalar_ensemble_capacity,
+                     scalar_mean_utility, scalar_mimo_capacity, scalar_mmse_combiner,
+                     scalar_multiuser_channels, scalar_user_sinr_and_rates, scalar_water_filling,
+                     scalar_zf_combiner)
 
 
 # ---------------------------------------------------------------------------
@@ -229,113 +130,6 @@ def test_frm_strided_positions():
 
 # ---------------------------------------------------------------------------
 # stacked placement kernels against their one-placement forms
-#
-# The scalar_* functions are the one-placement kernels as they were before the
-# placement objectives took stacks.
-
-def scalar_water_filling(singular_values, total_power, sigma2):
-    s = np.asarray(singular_values, dtype=float).reshape(-1)
-    if total_power <= 0:
-        raise ValueError("power budget must be > 0")
-    active = s > 1e-300
-    inv = np.full_like(s, np.inf)
-    inv[active] = sigma2 / s[active] ** 2
-    srt = np.sort(inv[np.isfinite(inv)])
-    if srt.size == 0:
-        raise ValueError("all singular values are zero")
-    levels = (total_power + np.cumsum(srt)) / np.arange(1, srt.size + 1)
-    below = np.flatnonzero(srt < levels)
-    k = below[-1] + 1 if below.size else 1
-    on = inv <= srt[k - 1]
-    p = np.where(on, levels[k - 1] - inv, 0.0)
-    p[on] += (total_power - p.sum()) / on.sum()
-    return np.maximum(p, 0.0)
-
-
-def scalar_mimo_capacity(h, total_power, sigma2):
-    h = np.asarray(h, dtype=complex)
-    s = np.linalg.svd(h, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0.0
-    p = scalar_water_filling(s, total_power, sigma2)
-    return float(np.sum(np.log2(1.0 + p * s ** 2 / sigma2)))
-
-
-def scalar_zf_combiner(h):
-    h = np.asarray(h, dtype=complex)
-    n, k = h.shape
-    if k > n:
-        raise ValueError("zero forcing needs at least as many antennas as users")
-    if np.linalg.matrix_rank(h) < k:
-        raise ValueError("channel matrix is rank deficient")
-    return h @ np.linalg.inv(h.conj().T @ h)
-
-
-def scalar_mmse_combiner(h, powers, sigma2):
-    h = np.asarray(h, dtype=complex)
-    p = np.asarray(powers, dtype=float).reshape(-1)
-    n, k = h.shape
-    cov = (h * p) @ h.conj().T + (sigma2 + 1e-15) * np.eye(n)
-    w = np.linalg.solve(cov, h)
-    return w / np.linalg.norm(w, axis=0, keepdims=True)
-
-
-def scalar_user_sinr_and_rates(h, w, powers, sigma2):
-    h = np.asarray(h, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    p = np.asarray(powers, dtype=float).reshape(-1)
-    cross = np.abs(w.conj().T @ h) ** 2
-    sig = np.diag(cross) * p
-    interference = cross @ p - np.diag(cross) * p
-    noise = np.linalg.norm(w, axis=0) ** 2 * sigma2
-    sinr = sig / (interference + noise)
-    return sinr, np.log2(1.0 + sinr)
-
-
-def scalar_channel_mimo(tx, rx, sc):
-    g = np.exp(2j * np.pi / sc.wavelength * (sc.tx_paths.wave_vectors @ np.asarray(tx).T))
-    f = np.exp(2j * np.pi / sc.wavelength * (sc.rx_paths.wave_vectors @ np.asarray(rx).T))
-    return f.conj().T @ sc.prm @ g
-
-
-def scalar_multiuser_channels(positions, users):
-    return np.stack([scalar_channel_mimo(np.zeros((1, 3)), positions, sc).reshape(-1)
-                     for sc in users], axis=1)
-
-
-def scalar_ensemble_capacity(tx, rx, ensemble, power, sigma2):
-    return float(np.mean([scalar_mimo_capacity(scalar_channel_mimo(tx, rx, sc), power, sigma2)
-                          for sc in ensemble]))
-
-
-def scalar_allocate_and_rate(h, combiner, utility, budget, power, sigma2):
-    n, k = h.shape
-    if combiner == "zf":
-        w = scalar_zf_combiner(h)
-        gains = 1.0 / (np.linalg.norm(w, axis=0) ** 2 * sigma2)
-        if budget == "max":
-            p = np.full(k, power)
-        elif utility == "sum":
-            p = scalar_water_filling(np.sqrt(sigma2 * gains), power, sigma2)
-        else:
-            inv = 1.0 / gains
-            p = power * inv / inv.sum()
-    else:
-        p = np.full(k, power if budget == "max" else power / k)
-        w = scalar_mmse_combiner(h, p, sigma2)
-    return scalar_user_sinr_and_rates(h, w, p, sigma2)[1]
-
-
-def scalar_mean_utility(positions, draws, combiner, utility, budget, power, sigma2):
-    vals = []
-    for users in draws:
-        h = scalar_multiuser_channels(positions, users)
-        try:
-            rates = scalar_allocate_and_rate(h, combiner, utility, budget, power, sigma2)
-        except (ValueError, np.linalg.LinAlgError):
-            return -np.inf
-        vals.append(np.sum(rates) if utility == "sum" else np.min(rates))
-    return float(np.mean(vals))
 
 
 def same_bits(a, b):

@@ -1,17 +1,17 @@
 """Signal-vector MUSIC against the projector-based estimator it replaced.
 
-The reference functions below are the earlier implementations, kept here
-only as oracles: the steering vector written out per call, the noise
-projector E_n E_n^H from all but the top eigenvector, a three-operand
-einsum over the 1D grid and a per-row loop over the 2D grid.  The new score
-N - |a^H v|^2 rounds differently from a^H E_n E_n^H a, so the estimates
-match bitwise only while every grid argmin and golden-section comparison
-is decided by more than that rounding (about N * 1e-16).  On arrays with
-half-wavelength spacing the 1D search always was (0 of 5,000 random draws
-differed).  The 2D refinement makes a few hundred comparisons, and 3 of
-1,400 random planar draws met one decided by less; their estimates parted
-by at most 3.2e-7, within the 1e-6 refinement tolerance.  The draws below
-are derandomized, and every one of them matches bitwise.
+The oracles (in oracles.py) are the earlier implementations: the steering
+vector written out per call, the noise projector E_n E_n^H from all but the
+top eigenvector, a three-operand einsum over the 1D grid and a per-row loop
+over the 2D grid.  The new score N - |a^H v|^2 rounds differently from
+a^H E_n E_n^H a, so the estimates match bitwise only while every grid argmin
+and golden-section comparison is decided by more than that rounding (about
+N * 1e-16).  On arrays with half-wavelength spacing the 1D search always was
+(0 of 5,000 random draws differed).  The 2D refinement makes a few hundred
+comparisons, and 3 of 1,400 random planar draws met one decided by less;
+their estimates parted by at most 3.2e-7, within the 1e-6 refinement
+tolerance.  The draws below are derandomized, and every one of them matches
+bitwise.
 """
 
 import math
@@ -20,92 +20,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from makit.sensing import (SensingSetup, _golden_min, array_response, music_1d, music_2d,
-                           simulate_snapshots)
-
-REFINE_TOL = 1e-6
-
-
-# ---------------------------------------------------------------------------
-# reference implementations
-
-def ref_array_response(placement, u, v, wavelength):
-    p = np.asarray(placement, dtype=float)
-    if p.ndim == 1:
-        phase = p * u
-    else:
-        phase = p[:, 0] * u + (p[:, 1] * v if v is not None else 0.0)
-    return np.exp(2j * np.pi / wavelength * phase)
-
-
-def ref_noise_projector(y):
-    n, t = y.shape
-    cov = (y @ y.conj().T) / t
-    _, vecs = np.linalg.eigh(cov)
-    en = vecs[:, : n - 1]
-    return en @ en.conj().T
-
-
-def ref_music_1d(y, placement, wavelength, grid=2048):
-    y = np.asarray(y, dtype=complex)
-    x = np.asarray(placement, dtype=float).reshape(-1)
-    proj = ref_noise_projector(y)
-    ug = np.linspace(-1.0, 1.0, grid)
-    ag = np.exp(2j * np.pi / wavelength * np.outer(ug, x))
-    denom = np.einsum("gi,ij,gj->g", ag.conj(), proj, ag).real
-    i = int(np.argmin(denom))
-
-    def f(u):
-        a = np.exp(2j * np.pi / wavelength * x * u)
-        return float(np.real(a.conj() @ proj @ a))
-
-    lo, hi = ug[max(0, i - 1)], ug[min(grid - 1, i + 1)]
-    return _golden_min(f, lo, hi, REFINE_TOL)
-
-
-def ref_music_2d(y, placement, wavelength, grid=181):
-    y = np.asarray(y, dtype=complex)
-    p = np.asarray(placement, dtype=float).reshape(-1, 2)
-    proj = ref_noise_projector(y)
-    ug = np.linspace(-1.0, 1.0, grid)
-    ex = np.exp(2j * np.pi / wavelength * np.outer(ug, p[:, 0]))
-    ey = np.exp(2j * np.pi / wavelength * np.outer(ug, p[:, 1]))
-    denom = np.empty((grid, grid))
-    for g in range(grid):
-        pg = (ex[g].conj()[:, None] * proj) * ex[g][None, :]
-        denom[g] = np.einsum("hi,ij,hj->h", ey.conj(), pg, ey).real
-    gi, hi_ = np.unravel_index(int(np.argmin(denom)), denom.shape)
-
-    def f(uv):
-        a = np.exp(2j * np.pi / wavelength * (p[:, 0] * uv[0] + p[:, 1] * uv[1]))
-        return float(np.real(a.conj() @ proj @ a))
-
-    tol = REFINE_TOL
-    u, v = ug[gi], ug[hi_]
-    span = 2.0 / (grid - 1)
-    for _ in range(40):
-        u = _golden_min(lambda uu: f((uu, v)), max(-1.0, u - span), min(1.0, u + span), tol)
-        v_new = _golden_min(lambda vv: f((u, vv)), max(-1.0, v - span), min(1.0, v + span), tol)
-        if abs(v_new - v) < tol and span < 16 * tol:
-            v = v_new
-            break
-        v = v_new
-        span = max(span / 2.0, 8 * tol)
-    if u ** 2 + v ** 2 > 1.0:
-        r = math.hypot(u, v)
-        u, v = u / r, v / r
-    return u, v
-
-
-def ref_simulate_snapshots(setup, seed):
-    rng = np.random.default_rng(seed)
-    s = math.sqrt(setup.power) * np.exp(2j * np.pi * rng.random(setup.snapshots))
-    alpha = ref_array_response(setup.placement, setup.u, setup.v, setup.wavelength)
-    y = setup.beta * np.outer(alpha, s)
-    if setup.noise_power > 0:
-        scale = math.sqrt(setup.noise_power / 2.0)
-        y = y + scale * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-    return y
+from makit.sensing import SensingSetup, array_response, music_1d, music_2d, simulate_snapshots
+from oracles import ref_array_response, ref_music_1d, ref_music_2d, ref_simulate_snapshots
 
 
 # ---------------------------------------------------------------------------
