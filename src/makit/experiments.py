@@ -17,7 +17,6 @@ import logging
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -256,36 +255,38 @@ def load_table_json(path) -> ResultTable:
 # ---------------------------------------------------------------------------
 # shared numeric helpers
 
-# Grid values per block of field columns (16 MB of complex field), so memory
-# does not grow with the number of columns (orientations, subcarriers).
-_FIELD_BLOCK = 1 << 20
+# Field values per block of (x, y) grid rows: 1 MB of complex field, which stays in cache.
+_FIELD_BLOCK = 1 << 16
 
 
-def _grid_power(k_vectors, coeffs, side, step, wavelength):
-    """|sum_l c_lo exp(-j 2pi/lam k_l . r)|^2 on a cubic grid for coeffs (L, O), in column blocks.
+def _gain_field_minmax(k_vectors, coeffs, side, step, wavelength):
+    """Max, min and origin value of sum_c |sum_l c_lc exp(-j 2pi/lam k_l . r)|^2 on a cubic grid.
 
-    Yields (n^3, C) arrays for consecutive blocks of C columns; row 0 is the
-    grid origin.  Each path's phase factor separates along the axes: with
-    per-axis phase matrices X, Y, Z (n, L), field column o is
-    ((X * Y) diag(c_o)) Z^T, and a whole block is one matrix product.
+    coeffs is (L,), or (L, C) to sum over columns.  With per-axis phase matrices X, Y, Z (n, L),
+    field column c is ((X * Y) diag(c)) Z^T: a block of (x, y) rows is one matrix product into
+    one buffer per call (which glibc keeps between calls), its power reduced in place.
     """
     ax = np.arange(0.0, side + step / 2.0, step)
     n = len(ax)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    l = len(coeffs)
-    w = 2.0 * np.pi / wavelength
-    x, y, z = np.exp(np.multiply.outer(-1j * w * np.asarray(k_vectors, dtype=float).T, ax))
+    coeffs = np.asarray(coeffs, dtype=complex).reshape(len(k_vectors), -1)
+    l, cols = coeffs.shape
+    x, y, z = np.exp(np.multiply.outer(-2j * np.pi / wavelength * np.asarray(k_vectors).T, ax))
     xy = (x.T[:, None, :] * y.T[None, :, :]).reshape(n * n, l)
-    cols = max(1, _FIELD_BLOCK // n ** 3)
-    for i in range(0, coeffs.shape[1], cols):
-        zc = z[:, :, None] * coeffs[:, None, i:i + cols]
-        yield np.abs(xy @ zc.reshape(l, -1)).reshape(n ** 3, -1) ** 2
-
-
-def _gain_field_minmax(k_vectors, b, side, step, wavelength):
-    """(max, min, value-at-origin) of |sum_l b_l exp(-j 2pi/lam k_l . r)|^2 on a cubic grid."""
-    (p,) = _grid_power(k_vectors, np.asarray(b)[:, None], side, step, wavelength)
-    return float(p.max()), float(p.min()), float(p[0, 0])
+    zc = (z[:, :, None] * coeffs[:, None, :]).reshape(l, n * cols)
+    blocks = max(1, round(n ** 3 * cols / _FIELD_BLOCK))  # of about _FIELD_BLOCK values each
+    rows = max(2, -(-n * n // blocks))
+    field = np.empty((rows + (rows + 1) // 2, n * cols), dtype=complex)
+    power = field[rows:].view(float).reshape(-1, n * cols)
+    hi, lo = -np.inf, np.inf
+    for i in reversed(range(0, n * n, rows)):  # the origin's block last
+        i = min(i, max(n * n - 2, 0))  # numpy takes one row to gemv, which rounds unlike gemm
+        m = min(rows, n * n - i)
+        p = np.square(np.abs(np.matmul(xy[i:i + m], zc, out=field[:m]), out=power[:m]),
+                      out=power[:m])
+        if cols > 1:  # the column sum overwrites the spent field block
+            p = np.add.reduce(p.reshape(m, n, -1), axis=2, out=field.view(float).reshape(-1, n)[:m])
+        hi, lo = np.maximum(hi, p.max()), np.minimum(lo, p.min())
+    return float(hi), float(lo), float(p[0, 0])
 
 
 def _joint_max(k_vectors, coeffs, side, step, wavelength):
@@ -301,8 +302,7 @@ def _joint_max(k_vectors, coeffs, side, step, wavelength):
     for o in np.argsort(-bound, kind="stable"):
         if bound[o] * (1.0 + 1e-9) < best:
             break
-        (p,) = _grid_power(k_vectors, coeffs[:, o:o + 1], side, step, wavelength)
-        best = max(best, float(p.max()))
+        best = max(best, _gain_field_minmax(k_vectors, coeffs[:, o], side, step, wavelength)[0])
     return best
 
 
@@ -366,9 +366,8 @@ def _wideband_gain_minmax(rng, params, k, b, side, lam):
     coeffs = b[:, None] * np.exp(-2j * np.pi * np.outer(taps - 1, np.arange(m_sub)) / m_sub)
     # sum_m |c_m^T e|^2 = |R e|^2 for coeffs^T = QR: at most min(L, M) columns reach the grid
     r = np.linalg.qr(coeffs.T, mode="r")
-    blocks = _grid_power(k, r.T, side, params["grid_step"] * lam, lam)
-    p = sum(blk.sum(axis=1) for blk in blocks) / m_sub
-    return float(p.max()), float(p.min()), float(p[0])
+    hi, lo, origin = _gain_field_minmax(k, r.T, side, params["grid_step"] * lam, lam)
+    return hi / m_sub, lo / m_sub, origin / m_sub  # x -> fl(x / M) is monotone
 
 
 def _trial_dof(params, seed, idx):
@@ -380,10 +379,9 @@ def _trial_dof(params, seed, idx):
                                             + 1j * rng.standard_normal(n_paths))
     # per-path polarization response: amplitude times a random 2x2 rotation
     ang = rng.uniform(0.0, 2.0 * np.pi, n_paths)
+    c, s = np.cos(ang), np.sin(ang)
     pprms = np.zeros((n_paths, n_paths, 2, 2), dtype=complex)
-    for l in range(n_paths):
-        c, s = np.cos(ang[l]), np.sin(ang[l])
-        pprms[l, l] = amp[l] * np.array([[c, -s], [s, c]])
+    pprms[np.diag_indices(n_paths)] = amp[:, None, None] * np.moveaxis([[c, -s], [s, c]], -1, 0)
     tx_paths = PathSet(sample_directions(rng, n_paths, "sphere"))
     rx_paths = PathSet(k)
     tx_pat = RadiationPattern.isotropic()
@@ -909,6 +907,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
     all_rows: list[list[float]] = []
     columns: list[str] | None = None
     seeds_used: list[int] = []
+    if nw > 1:  # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=nw) if nw > 1 else contextlib.nullcontext() as pool:
         for si, sv in enumerate(sweep_values):
             params = {**entry.defaults, **cfg.params}

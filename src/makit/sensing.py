@@ -133,11 +133,11 @@ def crb_1d(setup: SensingSetup) -> float:
 def effective_variances(xy: np.ndarray):
     """Per-axis effective variances var_x - cov^2/var_y and var_y - cov^2/var_x
     of one (n, 2) layout, or of each layout in a (..., n, 2) stack."""
-    x, y = xy[..., 0], xy[..., 1]
-    vx, vy = np.var(x, axis=-1), np.var(y, axis=-1)
-    cov = np.mean(x * y, axis=-1) - np.mean(x, axis=-1) * np.mean(y, axis=-1)
-    # libm pow, as a scalar ``cov ** 2`` computes it; numpy's array square differs
-    # from it in the last bit for about 0.1 % of inputs
+    x, y, n = xy[..., 0], xy[..., 1], xy.shape[-2]
+    # np.mean/np.var's ufunc calls, and libm pow for cov ** 2 (numpy's square differs on 0.1 %)
+    mx, my = (np.add.reduce(v, axis=-1, keepdims=True) / n for v in (x, y))
+    vx, vy = (np.add.reduce(np.multiply(d, d, out=d), axis=-1) / n for d in (x - mx, y - my))
+    cov = np.add.reduce(x * y, axis=-1) / n - mx[..., 0] * my[..., 0]
     cov2 = np.reshape([c ** 2 for c in np.ravel(cov).tolist()], np.shape(cov))
     lone = np.where(cov == 0, 0.0, np.inf)  # cov^2/var over a zero variance
     return (vx - np.divide(cov2, vy, out=lone.copy(), where=vy > 0),

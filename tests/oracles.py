@@ -350,6 +350,16 @@ def scalar_mean_utility(positions, draws, combiner, utility, budget, power, sigm
 # the 2D sensing placement: a coordinate-descent CRB scan that scores one
 # candidate layout per call
 
+def ref_effective_variances(xy):
+    x, y = xy[..., 0], xy[..., 1]
+    vx, vy = np.var(x, axis=-1), np.var(y, axis=-1)
+    cov = np.mean(x * y, axis=-1) - np.mean(x, axis=-1) * np.mean(y, axis=-1)
+    cov2 = np.reshape([c ** 2 for c in np.ravel(cov).tolist()], np.shape(cov))
+    lone = np.where(cov == 0, 0.0, np.inf)
+    return (vx - np.divide(cov2, vy, out=lone.copy(), where=vy > 0),
+            vy - np.divide(cov2, vx, out=lone, where=vx > 0))
+
+
 def ref_crb_metric_2d(xy, metric, coef):
     x, y = xy[:, 0], xy[:, 1]
     vx, vy = np.var(x), np.var(y)

@@ -16,14 +16,13 @@ the ascent with today's product (one matrix-vector product per weight), or
 else the same ascent with the product the batched code takes (a row of a
 candidates-by-angles matrix product).
 
-The stacked ascent (a stack of placements, backtracking steps scored in two
-chunks) and the lockstep refinement chains are checked bitwise against the
-single-placement lockstep ascent and the sequential chain loop they replaced,
-today_max_min_awv and today_ao_candidates.  The packed ascent (live starts'
-state compacted only when one drops out) is checked bitwise against
-today_max_min_awv applied to each placement, to which the stacked ascent it
-replaced was bitwise equal.  The column-updated position sweep is checked against the sweep that
-rebuilt every candidate's steering matrix, today_position_sweep.  The
+The packed ascent (a stack of placements, backtracking steps scored in two
+chunks, live starts' state compacted only when one drops out) is checked
+bitwise against the single-placement lockstep ascent, today_max_min_awv,
+applied to each placement, and the lockstep refinement chains against the
+sequential chain loop they replaced, today_ao_candidates.  The
+column-updated position sweep is checked against the sweep that rebuilt
+every candidate's steering matrix, today_position_sweep.  The
 fixed-array baseline the beam AO reports must equal a standalone ascent of
 the fixed array bitwise.
 """
@@ -34,6 +33,7 @@ import re
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -132,25 +132,6 @@ def test_beam_gain_stacks_placements_and_angles():
     assert steering_vector(stack, thetas, LAM).shape == (3, 5, 6)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 12), st.integers(1, 30), st.booleans(),
-       st.booleans(), st.integers(1, 300), st.integers(0, 2**32 - 1))
-def test_stacked_max_min_awv_matches_each_placement_bitwise(p, n, k, analog, with_w0, n_iter,
-                                                            seed):
-    xs, thetas, w0s = draw_stack(p, n, k, seed)
-    w, v = max_min_awv(xs, thetas, LAM, analog=analog, seed=seed,
-                       w0=w0s if with_w0 else None, n_iter=n_iter)
-    assert w.shape == (p, n) and v.shape == (p,)
-    for i in range(p):
-        w_ref, v_ref = today_max_min_awv(xs[i], thetas, LAM, analog=analog, seed=seed,
-                                         w0=w0s[i] if with_w0 else None, n_iter=n_iter)
-        assert w[i].tobytes() == w_ref.tobytes()
-        assert v[i] == v_ref
-    w1, v1 = max_min_awv(xs[0], thetas, LAM, analog=analog, seed=seed,
-                         w0=w0s[0] if with_w0 else None, n_iter=n_iter)
-    assert type(v1) is float and w1.tobytes() == w[0].tobytes() and v1 == v[0]
-
-
 @settings(max_examples=6, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 5), st.booleans(), st.floats(0.5, 2.0),
        st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -183,13 +164,7 @@ def spy_improves(log):
     return spy
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 5), st.integers(2, 10), st.integers(1, 30), st.booleans(),
-       st.booleans(), st.sampled_from([1, 5, 300]), st.integers(0, 2**32 - 1))
-@example(3, 6, 4, False, False, 300, 11)  # starts accept and retire in the second chunk
-@example(2, 8, 24, True, True, 300, 5)  # analog with w0, more angles than the 12-start pick
-def test_packed_max_min_awv_matches_stacked_ascent_bitwise(p, n, k, analog, with_w0, n_iter,
-                                                           seed):
+def check_ascent_per_placement(p, n, k, analog, with_w0, n_iter, seed):
     xs, thetas, w0s = draw_stack(p, n, k, seed)
     w, v = max_min_awv(xs, thetas, LAM, analog=analog, seed=seed,
                        w0=w0s if with_w0 else None, n_iter=n_iter)
@@ -203,8 +178,30 @@ def test_packed_max_min_awv_matches_stacked_ascent_bitwise(p, n, k, analog, with
     assert w1.tobytes() == refs[0][0].tobytes() and v1 == refs[0][1] and type(v1) is float
 
 
+# Two draws of one property, each with its example count: "wide" spans more
+# placements, antennas and iteration counts; "chunked" takes n_iter from
+# {1, 5, 300} and carries the examples whose starts reach the second step chunk.
+ASCENT_DRAWS = {
+    "wide": (25, (st.integers(1, 6), st.integers(1, 12), st.integers(1, 30), st.booleans(),
+                  st.booleans(), st.integers(1, 300), st.integers(0, 2**32 - 1)), []),
+    "chunked": (40, (st.integers(1, 5), st.integers(2, 10), st.integers(1, 30), st.booleans(),
+                     st.booleans(), st.sampled_from([1, 5, 300]), st.integers(0, 2**32 - 1)),
+                [(3, 6, 4, False, False, 300, 11),  # starts accept and retire in the second chunk
+                 (2, 8, 24, True, True, 300, 5)]),  # analog with w0, more angles than 12 starts
+}
+
+
+@pytest.mark.parametrize("draws", sorted(ASCENT_DRAWS))
+def test_max_min_awv_matches_per_placement_ascent_bitwise(draws):
+    n_examples, strategies, examples = ASCENT_DRAWS[draws]
+    check = given(*strategies)(check_ascent_per_placement)
+    for ex in examples:
+        check = example(*ex)(check)
+    settings(max_examples=n_examples, deadline=None)(check)()
+
+
 def test_packed_ascent_example_reaches_the_second_chunk():
-    # the first @example above: in one second-chunk call some starts accept a step and
+    # the first "chunked" example above: in one second-chunk call some starts accept a step and
     # others find none and retire while the rest go on
     xs, thetas, _ = draw_stack(3, 6, 4, 11)
     calls = []

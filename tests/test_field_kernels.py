@@ -6,6 +6,7 @@ product per path on the position grid.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -247,10 +248,14 @@ def test_gain_field_matches_outer_product_loop(paths, geom):
     assert _close_to_max(got, want)
 
 
-def _blocks(side, step):
-    """Block sizes for the column-blocked grid: the default, pairs of columns, single columns."""
-    n3 = len(np.arange(0.0, side + step / 2.0, step)) ** 3
-    return (experiments._FIELD_BLOCK, 2 * n3 + 1, 1)
+def _row_blocks(side, step, cols):
+    """_FIELD_BLOCK values that walk the grid 2 (x, y) rows (the least), about 3 or all at once."""
+    n = len(np.arange(0.0, side + step / 2.0, step))
+    return (1, 3 * n * cols, n ** 3 * cols)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,29 +268,64 @@ def test_wideband_field_matches_per_tap_loop(paths, geom, m_sub, bandwidth, seed
     params = {"bandwidth": bandwidth, "subcarriers": m_sub, "max_delay": 3e-7,
               "grid_step": step}
     want = ref_wideband_gain_minmax(np.random.default_rng(seed), params, k, b, side * lam, lam)
-    for block in _blocks(side * lam, step * lam):
+    runs = []
+    for block in _row_blocks(side * lam, step * lam, min(len(b), m_sub)):
         with mock.patch.object(experiments, "_FIELD_BLOCK", block):
             got = experiments._wideband_gain_minmax(np.random.default_rng(seed), params, k, b,
                                                     side * lam, lam)
         assert _close_to_max(got, want)
+        runs.append(_hex(got))
+    assert runs[1:] == runs[:-1]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(wave_vector, min_size=1, max_size=5), grid, st.integers(1, 9), st.data())
 def test_blocked_grid_columns_match_per_column_loop(ks, geom, n_cols, data):
-    side, step, lam = geom
+    side, step, lam = geom[0] * geom[2], geom[1] * geom[2], geom[2]
     k = np.array(ks)
     coeffs = np.reshape(data.draw(st.lists(coefficient, min_size=len(ks) * n_cols,
                                            max_size=len(ks) * n_cols)),
                         (len(ks), n_cols))
-    want = [ref_gain_field_minmax(k, c, side * lam, step * lam, lam) for c in coeffs.T]
-    for block in _blocks(side * lam, step * lam):
+    want = [ref_gain_field_minmax(k, c, side, step, lam) for c in coeffs.T]
+    scale = sum(w[0] for w in want)
+    runs = []
+    for block in _row_blocks(side, step, n_cols):
         with mock.patch.object(experiments, "_FIELD_BLOCK", block):
-            p = np.concatenate(list(experiments._grid_power(k, coeffs, side * lam, step * lam,
-                                                            lam)), axis=1)
-        assert p.shape[1] == n_cols
-        for col, w in zip(p.T, want):
-            assert _close_to_max((col.max(), col.min(), col[0]), w)
+            per_col = [experiments._gain_field_minmax(k, c, side, step, lam) for c in coeffs.T]
+            hi, lo, origin = experiments._gain_field_minmax(k, coeffs, side, step, lam)
+        for got, w in zip(per_col, want):
+            assert _close_to_max(got, w)
+        # the column-summed power: its origin is the sum of the columns' origins, and
+        # its extrema lie between the columns' largest maximum and sums of extrema
+        assert abs(origin - sum(w[2] for w in want)) <= TOL * max(scale, 1e-300)
+        assert max(w[0] for w in want) - TOL * scale <= hi <= scale * (1.0 + TOL)
+        assert sum(w[1] for w in want) - TOL * scale <= lo <= hi
+        runs.append([_hex(v) for v in per_col + [(hi, lo, origin)]])
+    assert runs[1:] == runs[:-1]
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, 2e7])
+def test_grid_search_memory_does_not_grow_with_the_grid(bandwidth):
+    # catalog defaults: a 101^3 grid (5 wavelengths, step 0.05); wideband, min(4 paths,
+    # 64 subcarriers) = 4 columns.  The whole field would take 16.5 MB per column.
+    params = {**experiments.CATALOG["siso-gain-bounds"].defaults, "bandwidth": bandwidth}
+    lam = params["wavelength"]
+    rng = np.random.default_rng(7)
+    k = sample_directions(rng, params["n_paths"], params["angle_law"])
+    b = rng.standard_normal(params["n_paths"]) + 1j * rng.standard_normal(params["n_paths"])
+    side = params["region_side"] * lam
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        if bandwidth:
+            experiments._wideband_gain_minmax(rng, params, k, b, side, lam)
+        else:
+            experiments._gain_field_minmax(k, b, side, params["grid_step"] * lam, lam)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("joint", [True, False])
@@ -303,19 +343,19 @@ def test_dof_trial_matches_per_orientation_loop(seed, joint):
 # shortcuts of the dof-gain and wideband searches
 
 def _all_columns_max(k, coeffs, side, step, lam):
-    return max(float(blk.max()) for blk in experiments._grid_power(k, coeffs, side, step, lam))
+    return max(experiments._gain_field_minmax(k, c, side, step, lam)[0] for c in coeffs.T)
 
 
-def _counting_grid_power(monkeypatch):
-    """Patch experiments._grid_power to record the number of columns of every call."""
+def _counting_kernel(monkeypatch):
+    """Patch experiments._gain_field_minmax to record the number of columns of every call."""
     seen = []
-    grid_power = experiments._grid_power
+    kernel = experiments._gain_field_minmax
 
     def counted(k_vectors, coeffs, *args):
-        seen.append(np.shape(coeffs)[1])
-        return grid_power(k_vectors, coeffs, *args)
+        seen.append(1 if np.ndim(coeffs) == 1 else np.shape(coeffs)[1])
+        return kernel(k_vectors, coeffs, *args)
 
-    monkeypatch.setattr(experiments, "_grid_power", counted)
+    monkeypatch.setattr(experiments, "_gain_field_minmax", counted)
     return seen
 
 
@@ -324,7 +364,7 @@ def test_pruned_joint_max_matches_all_orientation_columns(seed, monkeypatch):
     defaults = experiments.CATALOG["dof-gain"].defaults
     params = {**defaults, "n_paths": 3, "region_side": 2.0}
     assert params["orientation_grid"] == 8  # the catalog default: 256 orientation columns
-    seen = _counting_grid_power(monkeypatch)
+    seen = _counting_kernel(monkeypatch)
     got = experiments._trial_dof(params, seed, 0)
     want = ref_trial_dof(params, seed, 0)
     assert all(abs(g - w) <= TOL * max(want) for g, w in zip(got, want))
@@ -367,7 +407,7 @@ def test_wideband_passes_at_most_min_paths_subcarriers_columns(n_paths, m_sub, m
     b = rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)
     params = {"bandwidth": 4e7, "subcarriers": m_sub, "max_delay": 3e-7, "grid_step": 0.2}
     want = ref_wideband_gain_minmax(np.random.default_rng(1), params, k, b, 2.0, 1.0)
-    seen = _counting_grid_power(monkeypatch)
+    seen = _counting_kernel(monkeypatch)
     got = experiments._wideband_gain_minmax(np.random.default_rng(1), params, k, b, 2.0, 1.0)
     assert seen == [min(n_paths, m_sub)]
     assert _close_to_max(got, want)

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import dataclasses
 import json
 import logging
@@ -431,6 +432,18 @@ def test_noiseless_snr_db_is_accepted(tmp_path, command, doc):
     assert main([command, "--config", cfg]) == 0
 
 
+def run_fresh(script):
+    """stdout of script run in a fresh serial interpreter that imports makit from this checkout."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != experiments.WORKERS_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 def test_estimation_runs_import_no_scipy(tmp_path):
     """The successive recovery pairs its paths without scipy, so neither a
     `makit estimate` run nor an estimation catalog run loads it."""
@@ -442,12 +455,20 @@ def test_estimation_runs_import_no_scipy(tmp_path):
               f"assert main(['estimate', '--config', {example!r}]) == 0\n"
               f"assert main(['experiment', '--config', {catalog!r}]) == 0\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    assert run_fresh(script).splitlines()[-1] == "[]"
+
+
+def test_serial_run_does_not_load_the_process_pool(tmp_path):
+    """The process pool (and multiprocessing with it) is imported only where workers > 1."""
+    cfg = write(tmp_path, "exp.json", {"experiment": "miso-graph", "trials": 1,
+                                       "params": {"m": 12, "n": 4, "n_paths": 4,
+                                                  "aperture": 4.0}})
+    script = ("import sys\n"
+              "import makit.cli, makit.experiments\n"
+              "imported = 'concurrent.futures.process' in sys.modules\n"
+              f"assert makit.cli.main(['experiment', '--config', {cfg!r}]) == 0\n"
+              "print(imported, 'concurrent.futures.process' in sys.modules)\n")
+    assert run_fresh(script).splitlines()[-1] == "False False"
 
 
 def test_cli_validate_config_does_not_run_the_task(tmp_path, monkeypatch):
@@ -625,14 +646,14 @@ def test_malformed_workers_variable_exit_2(tmp_path, monkeypatch, capsys):
 def test_one_process_pool_per_run(monkeypatch):
     built = []
 
-    class CountingPool(experiments.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             built.append(kwargs)
             super().__init__(*args, **kwargs)
 
     cfg = small_config(trials=2, sweep={"variable": "m", "values": [12, 16, 24]})
     serial = run_experiment(cfg, workers=1)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     parallel = run_experiment(cfg, workers=2)
     assert len(built) == 1
     assert parallel.rows == serial.rows and len(serial.rows) == 6

@@ -3,11 +3,14 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from makit.errors import InfeasibleError
 from makit.optimize import sensing as sensing_module
 from makit.optimize import (crb_metric_2d, effective_variances, sensing_1d_optimal,
                             sensing_2d_ao)
+from oracles import ref_effective_variances
 
 LAM = 1.0
 
@@ -133,3 +136,19 @@ def test_effective_variance_zero_cov_reduces_per_axis():
     ex, ey = effective_variances(xy)
     assert abs(ex - np.var(xy[:, 0])) < 1e-12
     assert abs(ey - np.var(xy[:, 1])) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from([(), (5,), (3, 4)]), n=st.integers(1, 40),
+       flat=st.sampled_from([None, 0, 1]), decimals=st.sampled_from([None, 0, 1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_effective_variances_match_np_var_reference_bitwise(shape, n, flat, decimals, seed):
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(-5.0, 5.0, shape + (n, 2)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if flat is not None:  # a zero variance on one axis
+        xy[..., flat] = rng.uniform()
+    if decimals is not None:  # repeated coordinates
+        xy = np.round(xy, decimals)
+    for got, want in zip(effective_variances(xy), ref_effective_variances(xy)):
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
