@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .channel import channel_mimo
+from .errors import InfeasibleError
 
 __all__ = [
     "steering_vector",
@@ -202,7 +203,7 @@ def gma_rate(x: float, eta: int, user_scenarios, powers, n_antennas: int,
     """
     pos = gma_positions(x, eta, n_antennas, wavelength)
     if x < 0 or pos[-1, 0] > aperture + 1e-12:
-        raise ValueError("sparse array does not fit in the movement region")
+        raise InfeasibleError("sparse array does not fit in the movement region")
     h = multiuser_channels(pos, user_scenarios)
     p = np.asarray(powers, dtype=float).reshape(-1)
     n, k = h.shape

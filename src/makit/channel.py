@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .geometry import Direction, accs_basis, wave_vector
+from .errors import InfeasibleError
+from .geometry import accs_basis
 
 __all__ = [
     "PathSet",
@@ -80,15 +81,6 @@ class PathSet:
 
     def __len__(self) -> int:
         return len(self.wave_vectors)
-
-    @classmethod
-    def from_directions(cls, directions: Sequence[Direction], **kw) -> "PathSet":
-        return cls(np.array([wave_vector(d) for d in directions]), **kw)
-
-    @classmethod
-    def from_angles(cls, elevations, azimuths, **kw) -> "PathSet":
-        dirs = [Direction(e, a) for e, a in zip(np.atleast_1d(elevations), np.atleast_1d(azimuths))]
-        return cls.from_directions(dirs, **kw)
 
     @classmethod
     def from_spatial_frequencies(cls, uv, **kw) -> "PathSet":
@@ -444,7 +436,7 @@ def sample_directions(rng: np.random.Generator, n: int, law: str = "halfspace",
 
     min_component_sep > 0 rejection-samples until every pair of wave vectors
     differs by at least that amount in some component, i.e. the paths fall in
-    distinct angular resolution bins.
+    distinct angular resolution bins; InfeasibleError after max_tries draws.
     """
     if law == "halfspace":
         az_lim = np.pi / 2
@@ -462,7 +454,7 @@ def sample_directions(rng: np.random.Generator, n: int, law: str = "halfspace",
         np.fill_diagonal(d, np.inf)
         if d.min() >= min_component_sep:
             return k
-    raise RuntimeError("could not sample sufficiently separated paths")
+    raise InfeasibleError("could not sample sufficiently separated paths")
 
 
 def _rician_diagonal(rng: np.random.Generator, n_paths: int, kappa: float, gain: float) -> np.ndarray:
@@ -488,10 +480,11 @@ def gen_scenario(seed, n_paths: int, wavelength: float = 1.0, kappa: float = 0.0
                  los_amplitude: complex | None = None) -> Scenario:
     """Random geometric scenario: diagonal PRM, paired Tx/Rx paths, seeded RNG.
 
-    kappa is the Rician factor splitting the total power `gain` between the
-    first path and the rest; kappa=0 gives equal-power paths.  When
-    `distance` is given the total gain becomes
-    wavelength^2 * kappa / (16 pi^2 distance^path_loss_exp).  With
+    kappa is the Rician factor: the first (line-of-sight) path gets
+    gain*kappa/(kappa+1) and the other n_paths - 1 share the rest equally, so
+    kappa=0 gives no line-of-sight path and n_paths - 1 equal-power paths (a
+    single path takes all of `gain`).  When `distance` is given the total
+    gain becomes wavelength^2 * kappa / (16 pi^2 distance^path_loss_exp).  With
     `bandwidth` set, per-path delays are drawn uniformly on [0, max_delay]
     and the PRM is split into per-tap diagonal blocks.
     """

@@ -18,8 +18,8 @@ from . import optimize as opt
 from .channel import channel_mimo, channel_narrowband, gen_scenario, scenario_from_dict
 from .errors import ConfigError, InfeasibleError
 from .experiments import (_RANGES, ExperimentConfig, ResultTable, _miso_line_channel,
-                          _music_mse_once, _null_design, _recover, check_field, config_hash,
-                          emit, run_experiment, trial_seed)
+                          _music_mse_once, _null_design, _recover, check_field, check_joint,
+                          config_hash, emit, run_experiment, trial_seed)
 from .geometry import MoveRegion
 
 EXIT_OK = 0
@@ -37,15 +37,15 @@ def _load_json(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}") from None
 
 
-def _field(doc: dict, name: str, default=None):
-    """Field of a config under its catalog rule (`default` when absent and given)."""
+def _field(doc: dict, name: str, default=None, exp: str | None = None):
+    """Field of a config under its catalog rule, exp's if any (`default` when absent and given)."""
     value = doc[name] if default is None else doc.get(name, default)
-    return check_field(name, value, listed=name in ("theta_deg", "null_deg"))
+    return check_field(name, value, exp, listed=name in ("theta_deg", "null_deg"))
 
 
-def _line_fields(doc: dict, lam: float):
+def _line_fields(doc: dict, lam: float, exp: str | None = None):
     """(n, aperture, d_min) of a linear-array config, as experiments._line_array reads them."""
-    return _field(doc, "n"), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
+    return _field(doc, "n", exp=exp), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
 
 
 def _build_scenario(doc: dict, seed_override=None):
@@ -56,6 +56,8 @@ def _build_scenario(doc: dict, seed_override=None):
             seed = kw.pop("seed", 0)
             return gen_scenario(seed if seed_override is None else seed_override, **kw)
         return scenario_from_dict(doc)
+    except InfeasibleError:
+        raise
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad scenario: {e}") from None
 
@@ -112,7 +114,8 @@ def _task_sensing_1d(doc: dict, lam: float, seed):
 
 
 def _task_sensing_2d(doc: dict, lam: float, seed):
-    n, side, dmin = _field(doc, "n"), _field(doc, "side") * lam, _field(doc, "d_min") * lam
+    n = _field(doc, "n", exp="sensing-2d-crb")
+    side, dmin = _field(doc, "side") * lam, _field(doc, "d_min") * lam
     metric = _field(doc, "metric", "max")
 
     def run():
@@ -127,9 +130,10 @@ def _task_null(doc: dict, lam: float, seed):
     n, a, dmin = _line_fields(doc, lam)
 
     def run():
-        x, w = _null_design(angles, n, a, dmin, lam)
-        if w is None:
-            return {"constructible": False, "reason": x.reason}
+        try:
+            x, w = _null_design(angles, n, a, dmin, lam)
+        except InfeasibleError as e:
+            return {"constructible": False, "reason": str(e)}
         gains = [bf.beam_gain(x, w, t, lam) for t in angles]
         return {"constructible": True, "placement": x.tolist(), "gain": gains[0],
                 "null_gains": gains[1:]}
@@ -147,12 +151,13 @@ def _task_multibeam(doc: dict, lam: float, seed):
 
 
 def _task_widebeam(doc: dict, lam: float, seed):
-    lo, hi = np.deg2rad([_field(doc, "theta_min_deg"), _field(doc, "theta_max_deg")])
+    lo, hi = _field(doc, "theta_min_deg"), _field(doc, "theta_max_deg")
+    check_joint("beam-widebeam", doc)
     nsub = _field(doc, "subregions", 24)
     n, a, dmin = _line_fields(doc, lam)
 
     def run():
-        rep = opt.widebeam_ao(lo, hi, nsub, n, a, dmin, lam, seed=seed or 0)
+        rep = opt.widebeam_ao(*np.deg2rad([lo, hi]), nsub, n, a, dmin, lam, seed=seed or 0)
         return {"placement": rep.best_placement.tolist(),
                 "min_gain": rep.extra["verified_min_gain"]}
     return run
@@ -196,7 +201,7 @@ def _cmd_optimize(doc: dict, out: str | None, seed):
 def _sense_trials(doc: dict, seed):
     """Read and check a sense config; return the function that runs its trials."""
     lam = _field(doc, "wavelength", 1.0)
-    n, a, dmin = _line_fields(doc, lam)
+    n, a, dmin = _line_fields(doc, lam, "sensing-1d-mse")
     kind = _field(doc, "placement", "optimal")
     snapshots, trials = _field(doc, "snapshots", 1), _field(doc, "trials", 100)
     u, snr_db = _field(doc, "u"), _field(doc, "snr_db")

@@ -301,7 +301,9 @@ def omp_joint(ms: MeasurementSet, g: int, n_paths: int, wavelength: float) -> Fr
 
     The dictionary is the elementwise product of every Tx atom with every Rx
     atom (G^4 combined atoms, correlated lazily in blocks of Tx atoms);
-    coefficients of the selected atoms are the scaled PRM entries.
+    coefficients of the selected atoms are the scaled PRM entries.  Pilots
+    below the noise floor select no atom: the estimate is then empty, and
+    reconstruct_mapping maps it to the zero map.
     """
     if g ** 4 > JOINT_ATOM_CAP:
         raise ValueError(f"G^4 = {g ** 4} atoms exceed the {JOINT_ATOM_CAP} cap; use a smaller grid")
@@ -328,9 +330,6 @@ def omp_joint(ms: MeasurementSet, g: int, n_paths: int, wavelength: float) -> Fr
     chosen, coef, residual, converged = _pursuit(
         ms.pilots, n_paths, ms.noise_power, best_pair,
         lambda chosen: np.stack([at[p] * ar[q] for p, q in chosen], axis=1))
-    if not chosen:
-        raise ValueError("joint recovery selected no atoms")
-
     tx_idx = sorted({pq[0] for pq in chosen})
     rx_idx = sorted({pq[1] for pq in chosen})
     prm = np.zeros((len(rx_idx), len(tx_idx)), dtype=complex)

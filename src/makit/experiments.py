@@ -137,17 +137,26 @@ _RANGES = {
     "method": ("'successive', 'joint' or 'nearest'", ("successive", "joint", "nearest")),
     "snr_db": ("a number other than NaN or -inf (+inf is noiseless)", lambda x: x > -math.inf),
     "u": ("a finite number in [-1, 1]", lambda x: -1 <= x <= 1),
-    ("beam-null", "n"): ("an integer >= 2", lambda x: x >= 2 and x % 1 == 0),
+    # a null or a MUSIC spectrum needs two antennas, a planar CRB three off one line
+    **dict.fromkeys((("beam-null", "n"), ("sensing-1d-mse", "n")),
+                    ("an integer >= 2", lambda x: x >= 2 and x % 1 == 0)),
+    **dict.fromkeys((("sensing-2d-crb", "n"), ("isac-tradeoff", "n_r")),
+                    ("an integer >= 3", lambda x: x >= 3 and x % 1 == 0)),
     # the dense and sparse planar baselines (_upa_positions) are square arrays
     **dict.fromkeys((("mimo-capacity", "n_t"), ("mimo-capacity", "n_r"),
                      ("multiuser-rate", "n_r"), ("isac-tradeoff", "n_t")),
                     ("a perfect square integer >= 1",
                      lambda x: x >= 1 and x % 1 == 0 and math.isqrt(int(x)) ** 2 == x))}
 # Rules across parameters, checked for every sweep value of either name: the
-# successive recovery takes n_paths per side, the joint one n_paths² atoms.
-_JOINT_RANGES = {"estimation-nmse": (
-    ("measurements", "n_paths"), "measurements // 2 >= n_paths and measurements >= n_paths**2",
-    lambda m, l: int(m) // 2 >= int(l) and int(m) >= int(l) ** 2)}
+# successive recovery takes n_paths per side, the joint one n_paths² atoms; an
+# angular region runs from its lower end up; zero forcing needs an antenna per user.
+_JOINT_RANGES = {
+    "estimation-nmse": (
+        ("measurements", "n_paths"), "measurements // 2 >= n_paths and measurements >= n_paths**2",
+        lambda m, l: int(m) // 2 >= int(l) and int(m) >= int(l) ** 2),
+    "beam-widebeam": (("theta_min_deg", "theta_max_deg"), "theta_min_deg <= theta_max_deg",
+                      lambda lo, hi: lo <= hi),
+    "multiuser-rate": (("k", "n_r"), "k <= n_r", lambda k, n_r: k <= n_r)}
 
 
 def check_field(name: str, value, exp: str | None = None, listed: bool = False):
@@ -174,12 +183,16 @@ def _check_ranges(exp: str, params: dict, sweep: dict | None) -> None:
         for v in sweep["values"] if sweep and sweep["variable"] == name else [merged[name]]:
             check_field(name, v, exp, listed=isinstance(CATALOG[exp].defaults[name], list))
     if exp in _JOINT_RANGES:
-        names, rule, ok = _JOINT_RANGES[exp]
-        swept = sweep["variable"] if sweep and sweep["variable"] in names else None
-        for v in sweep["values"] if swept else [None]:
-            vals = {k: v if k == swept else merged[k] for k in names}
-            if not ok(*vals.values()):
-                raise ConfigError(f"{exp!r} needs {rule}, got {vals}")
+        for v in sweep["values"] if sweep else [None]:
+            check_joint(exp, {**merged, sweep["variable"]: v} if sweep else merged)
+
+
+def check_joint(exp: str, params: dict) -> None:
+    """params under exp's rule across parameters in _JOINT_RANGES."""
+    names, rule, ok = _JOINT_RANGES[exp]
+    vals = {k: params[k] for k in names}
+    if not ok(*vals.values()):
+        raise ConfigError(f"{exp!r} needs {rule}, got {vals}")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -411,10 +424,8 @@ def _trial_dof(params, seed, idx):
 
 
 def _null_design(angles, n, a, dmin, lam):
-    """SVO array nulling angles[1:] and its MRT weight toward angles[0], or (why not, None)."""
+    """SVO array nulling angles[1:], MRT-weighted toward angles[0]; InfeasibleError if none."""
     x = opt.svo_null_apv(angles[0], angles[1:], n, a, dmin, lam)
-    if isinstance(x, opt.NotConstructible):
-        return x, None
     return x, bf.mrt(bf.steering_vector(x, angles[0], lam))
 
 
@@ -434,10 +445,11 @@ def _trial_beam_null(params, seed, idx):
     proj = np.eye(n) - anull @ np.linalg.pinv(anull)
     w_fpa = bf.mrt(proj @ a_fpa[0])
     g_fpa = bf.beam_gain(x_fpa, w_fpa, angles, lam)  # main beam, then the nulls
-    x, w = _null_design(angles, n, a, dmin, lam)
-    if w is None:  # the movable array takes the fixed positions and their ZF weight, if they fit
+    try:
+        x, w = _null_design(angles, n, a, dmin, lam)
+    except InfeasibleError as e:  # the movable array takes the fixed array, if it fits
         if x_fpa[-1] > a or dmin > lam / 2:
-            raise InfeasibleError(f"{x.reason}, and the fixed array breaks the region or d_min")
+            raise InfeasibleError(f"{e}, and the fixed array breaks the region or d_min") from None
         x, w = x_fpa, w_fpa
     g = bf.beam_gain(x, w, angles, lam)
     return [g[0], np.max(g[1:]), g_fpa[0], np.max(g_fpa[1:])]
@@ -621,7 +633,7 @@ def _separated_uv(rng, candidates, l, min_sep, max_tries=5000):
         np.fill_diagonal(d, np.inf)
         if d.min() >= min_sep - 1e-12:
             return pts
-    raise RuntimeError("could not draw separated spatial frequencies")
+    raise InfeasibleError("could not draw separated spatial frequencies")
 
 
 def _grid_scenario(rng, params, lam):

@@ -5,13 +5,12 @@ from .beams import (fpa_ula, grating_lobe_apv, max_min_awv, multibeam_ao, svo_nu
 from .gma import gma_opt
 from .mimo import isac_constrained_opt, mimo_position_ao, multiuser_position_opt
 from .miso import SampledLine, graph_opt_miso
-from .report import NotConstructible, OptReport
+from .report import OptReport
 from .search import grid_search_position, gradient_position_search, pso, siso_gain_bounds
 from .sensing import crb_metric_2d, effective_variances, sensing_1d_optimal, sensing_2d_ao
 
 __all__ = [
     "OptReport",
-    "NotConstructible",
     "siso_gain_bounds",
     "grid_search_position",
     "gradient_position_search",

@@ -9,6 +9,7 @@ optimization of positions and weights takes over.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import math
@@ -18,7 +19,7 @@ import numpy as np
 
 from ..beamforming import beam_gain, mrt, steering_vector
 from ..errors import InfeasibleError
-from .report import _HALVES, _STEP_CHUNKS, NotConstructible, OptReport, improves
+from .report import _HALVES, _STEP_CHUNKS, OptReport, improves
 
 __all__ = [
     "svo_null_apv",
@@ -85,20 +86,20 @@ def svo_null_apv(theta0: float, null_angles, n: int, aperture: float, d_min: flo
     Sequentially builds nested blocks: the array is the sum set of K scaled
     lattices, one per null, each contributing a vanishing geometric sum at
     its null angle.  Requires the null count not to exceed the number of
-    prime factors of N (with multiplicity); returns NotConstructible when no
-    feasible geometry exists.
+    prime factors of N (with multiplicity); raises InfeasibleError, with the
+    reason, when no feasible geometry exists.
     """
     nulls = np.atleast_1d(np.asarray(null_angles, dtype=float))
     if n < 2:
-        return NotConstructible("need at least two antennas")
+        raise InfeasibleError("need at least two antennas")
     deltas = np.cos(nulls) - math.cos(theta0)
     deltas = np.array(sorted(set(np.round(deltas, 15))))
     if np.any(np.abs(deltas) < 1e-12):
-        return NotConstructible("a null direction coincides with the main-beam direction")
+        raise InfeasibleError("a null direction coincides with the main-beam direction")
     k = len(deltas)
     primes = _prime_factors(n)
     if k > len(primes):
-        return NotConstructible(
+        raise InfeasibleError(
             f"{k} nulls exceed the prime-factorization threshold of N={n} ({len(primes)} factors)")
 
     best = None
@@ -108,7 +109,7 @@ def svo_null_apv(theta0: float, null_angles, n: int, aperture: float, d_min: flo
             if pos is not None and (best is None or pos[-1] < best[-1]):
                 best = pos
     if best is None:
-        return NotConstructible("no feasible geometry fits the region at the required spacing")
+        raise InfeasibleError("no feasible geometry fits the region at the required spacing")
     return best
 
 
@@ -139,7 +140,8 @@ def grating_lobe_apv(theta0: float, desired_angles, n: int, aperture: float, d_m
 
     Exists when every cos(theta_k) - cos(theta0) is rational (detected by
     continued fractions with denominators up to 64, tolerance 1e-9): the
-    spacing is a common period of all the difference frequencies.
+    spacing is a common period of all the difference frequencies.  Raises
+    InfeasibleError, with the reason, where it does not exist or does not fit.
     """
     desired = np.atleast_1d(np.asarray(desired_angles, dtype=float))
     deltas = [float(math.cos(t) - math.cos(theta0)) for t in desired]
@@ -148,14 +150,14 @@ def grating_lobe_apv(theta0: float, desired_angles, n: int, aperture: float, d_m
         # only the main direction requested: any valid uniform array works
         d = max(d_min, wavelength / 2.0)
         if (n - 1) * d > aperture + 1e-9:
-            return NotConstructible("region too small for the array at minimum spacing")
+            raise InfeasibleError("region too small for the array at minimum spacing")
         return np.arange(n) * d
 
     fracs = []
     for dl in deltas:
         fr = Fraction(dl).limit_denominator(_MAX_DENOMINATOR)
         if fr == 0 or abs(float(fr) - dl) > _RATIONAL_TOL:
-            return NotConstructible(
+            raise InfeasibleError(
                 f"difference frequency {dl:.6g} is not rational within tolerance")
         fracs.append(fr)
     num_gcd = math.gcd(*[abs(f.numerator) for f in fracs])
@@ -164,7 +166,7 @@ def grating_lobe_apv(theta0: float, desired_angles, n: int, aperture: float, d_m
     mult = max(1, math.ceil(d_min / base - 1e-12))
     d = base * mult
     if (n - 1) * d > aperture + 1e-9:
-        return NotConstructible("region too small for the grating spacing")
+        raise InfeasibleError("region too small for the grating spacing")
     return np.arange(n) * d
 
 
@@ -341,9 +343,8 @@ def multibeam_ao(thetas, n: int, aperture: float, d_min: float, wavelength: floa
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     starts = _uniform_spacing_starts(n, aperture, d_min, wavelength)
     if len(thetas) > 1:
-        built = grating_lobe_apv(thetas[0], thetas[1:], n, aperture, d_min, wavelength)
-        if not isinstance(built, NotConstructible):
-            starts.append(built)
+        with contextlib.suppress(InfeasibleError):
+            starts.append(grating_lobe_apv(thetas[0], thetas[1:], n, aperture, d_min, wavelength))
     starts += _random_starts(n, aperture, d_min, seed)
     candidates, fpa = _ao_candidates(starts, thetas, wavelength, aperture, d_min,
                                      analog, seed, max_sweeps)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..beamforming import gma_rate
+from ..errors import InfeasibleError
 from .report import OptReport, improves
 
 __all__ = ["gma_opt"]
@@ -28,7 +29,7 @@ def gma_opt(user_scenarios, aperture: float, eta_max: int, n_antennas: int, powe
 
     feasible_etas = [e for e in range(1, eta_max + 1) if span(e) <= aperture + 1e-12]
     if not feasible_etas:
-        raise ValueError("even the dense array does not fit in the region")
+        raise InfeasibleError("even the dense array does not fit in the region")
 
     def rate(x, eta):
         return gma_rate(x, eta, user_scenarios, powers, n_antennas, wavelength, aperture)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import InfeasibleError
 from .report import OptReport
 
 __all__ = ["SampledLine", "graph_opt_miso"]
@@ -65,15 +66,15 @@ class SampledLine:
 def graph_opt_miso(line: SampledLine, n_antennas: int) -> OptReport:
     """Optimal selection of n sample indices maximizing sum |h(s_m)|^2 with index gaps >= a_min.
 
-    Ties break toward the lexicographically smallest index tuple.  Raises if
-    the spacing constraint makes the selection infeasible.
+    Ties break toward the lexicographically smallest index tuple.  Raises
+    InfeasibleError if the spacing constraint leaves no selection.
     """
     m, a = line.m, line.a_min
     n = n_antennas
     if n < 1:
         raise ValueError("need at least one antenna")
     if m - (a - 1) * (n - 1) < n:
-        raise ValueError(f"infeasible: {n} antennas with index gap {a} do not fit in {m} samples")
+        raise InfeasibleError(f"{n} antennas with index gap {a} do not fit in {m} samples")
     v = line.amplitudes ** 2
 
     # suffix[n][j] = best total using n antennas restricted to indices >= j

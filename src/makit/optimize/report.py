@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["OptReport", "NotConstructible", "improves"]
+__all__ = ["OptReport", "improves"]
 
 _RTOL = 1e-12
 # The one backtracking schedule: a first step scaled by 0.5^j, j < 20, scored in two
@@ -43,16 +43,3 @@ class OptReport:
     extra: dict = field(default_factory=dict)
     evaluations: int = 0
     stop_reason: str | None = None
-
-
-class NotConstructible:
-    """Returned when a closed-form array construction does not exist; carries the reason."""
-
-    def __init__(self, reason: str):
-        self.reason = reason
-
-    def __repr__(self):
-        return f"NotConstructible({self.reason!r})"
-
-    def __bool__(self):
-        return False

@@ -260,6 +260,19 @@ REFUSED_FIELDS = [
      "kappa"),
     ("estimate", estimate_doc(scenario={"generate": {"seed": 5, "n_paths": 2, "kappa": math.nan}}),
      "kappa"),
+    ("experiment", {"experiment": "beam-widebeam",
+                    "params": {"theta_min_deg": 120.0, "theta_max_deg": 30.0}},
+     "theta_min_deg <= theta_max_deg"),
+    ("optimize", {**WIDEBEAM, "theta_min_deg": 150.0}, "theta_min_deg <= theta_max_deg"),
+    ("experiment", {"experiment": "multiuser-rate", "params": {"k": 10}}, "k <= n_r"),
+    ("experiment", {"experiment": "multiuser-rate", "sweep": {"variable": "k", "values": [4, 16]}},
+     "k <= n_r"),
+    ("experiment", {"experiment": "sensing-1d-mse", "params": {"n": 1}}, "'n'"),
+    ("sense", {**SENSE, "n": 1}, "'n'"),
+    ("experiment", {"experiment": "sensing-2d-crb", "params": {"n": 2}}, "'n'"),
+    ("experiment", {"experiment": "sensing-2d-crb", "params": {"n": 1}}, "'n'"),
+    ("experiment", {"experiment": "isac-tradeoff", "params": {"n_r": 2}}, "n_r"),
+    ("optimize", {"task": "sensing-2d", "n": 2, "side": 2.0, "d_min": 0.5}, "'n'"),
 ]
 REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "miso-graph-m-0",
                "sensing-1d-mse-snapshots-0", "sensing-1d-mse-n-bool", "beam-null-aperture-negative",
@@ -276,7 +289,10 @@ REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "mis
                "sensing-2d-crb-beta-0", "angle_law-cone", "sparse_spacing-negative",
                "bandwidth-negative", "min_sep_bins-negative", "beam-multibeam-analog-string",
                "estimation-nmse-on_grid-string", "miso-graph-generate-kappa-nan",
-               "estimate-generate-kappa-nan"]
+               "estimate-generate-kappa-nan", "beam-widebeam-angles-reversed",
+               "widebeam-angles-reversed", "multiuser-rate-k-above-n_r",
+               "multiuser-rate-sweep-k-above-n_r", "sensing-1d-mse-n-1", "sense-n-1",
+               "sensing-2d-crb-n-2", "sensing-2d-crb-n-1", "isac-n_r-2", "sensing-2d-n-2"]
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -380,6 +396,26 @@ def test_estimation_nmse_measurement_rule_boundary_accepted():
                                 "sweep": {"variable": "n_paths", "values": [1, 4]}})
 
 
+def test_angle_order_user_count_and_array_size_boundaries_are_accepted():
+    for exp, params in (("beam-widebeam", {"theta_min_deg": 60.0, "theta_max_deg": 60.0}),
+                        ("multiuser-rate", {"k": 9, "n_r": 9}), ("sensing-1d-mse", {"n": 2}),
+                        ("sensing-2d-crb", {"n": 3}), ("isac-tradeoff", {"n_r": 3})):
+        ExperimentConfig.from_dict({"experiment": exp, "params": params})
+    ExperimentConfig.from_dict({"experiment": "multiuser-rate", "params": {"n_r": 16},
+                                "sweep": {"variable": "k", "values": [1, 16]}})
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("optimize", {**WIDEBEAM, "n": 4, "theta_min_deg": 60.0, "theta_max_deg": 60.0}),
+    ("sense", {**SENSE, "n": 2, "trials": 2}),
+    ("optimize", {"task": "sensing-2d", "n": 3, "side": 2.0, "d_min": 0.5}),
+], ids=["widebeam-equal-angles", "sense-n-2", "sensing-2d-n-3"])
+def test_cli_angle_order_and_array_size_boundaries_run(tmp_path, command, doc):
+    cfg = write(tmp_path, "ok.json", doc)
+    assert main(["validate-config", "--config", cfg]) == 0
+    assert main([command, "--config", cfg]) == 0
+
+
 @pytest.mark.parametrize("command, doc, field", [
     ("sense", {**SENSE, "n": "eight"}, "'n'"),
     ("sense", {**SENSE, "trials": 0}, "trials"),
@@ -432,16 +468,53 @@ def test_noiseless_snr_db_is_accepted(tmp_path, command, doc):
     assert main([command, "--config", cfg]) == 0
 
 
-def run_fresh(script):
-    """stdout of script run in a fresh serial interpreter that imports makit from this checkout."""
+def fresh(*args):
+    """A fresh serial interpreter that imports makit from this checkout, run with args."""
     root = pathlib.Path(__file__).resolve().parent.parent
     env = {k: v for k, v in os.environ.items() if k != experiments.WORKERS_ENV}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def run_fresh(script):
+    """stdout of script run in a fresh serial interpreter that imports makit from this checkout."""
+    run = fresh("-c", script)
     assert run.returncode == 0, run.stderr
     return run.stdout
+
+
+MISO_GRAPH_TIGHT = {"m": 8, "d_min": 2.0}  # 8 antennas 2 samples apart need 15 samples
+
+
+@pytest.mark.parametrize("command, doc, code", [
+    ("experiment", {"experiment": "siso-gain-bounds", "params": {"min_sep_bins": 40,
+                                                                 "n_paths": 6}}, 3),
+    ("experiment", {"experiment": NMSE, "params": {"min_sep_cells": 12, "n_paths": 3}}, 3),
+    ("experiment", {"experiment": "miso-graph", "params": MISO_GRAPH_TIGHT}, 3),
+    ("optimize", {"task": "miso-graph", "n": 8, "aperture": 8.0, **MISO_GRAPH_TIGHT,
+                  "scenario": {"generate": {"seed": 1, "n_paths": 7}}}, 3),
+    ("simulate", simulate_doc(0.5, {"generate": {"seed": 3, "n_paths": 2,
+                                                 "min_component_sep": 3}}), 3),
+    ("experiment", {"experiment": "beam-widebeam",
+                    "params": {"theta_min_deg": 120.0, "theta_max_deg": 30.0}}, 2),
+    ("optimize", {**WIDEBEAM, "theta_min_deg": 150.0}, 2),
+    ("experiment", {"experiment": "multiuser-rate", "params": {"k": 10}}, 2),
+    ("experiment", {"experiment": "sensing-1d-mse", "params": {"n": 1}}, 2),
+    ("sense", {**SENSE, "n": 1}, 2),
+    ("experiment", {"experiment": "sensing-2d-crb", "params": {"n": 2}}, 2),
+    ("experiment", {"experiment": NMSE, "params": {"snr_db": -30.0}}, 0),
+], ids=["siso-gain-bounds-min_sep_bins-40", "estimation-nmse-min_sep_cells-12",
+        "miso-graph-experiment-too-tight", "miso-graph-task-too-tight",
+        "simulate-min_component_sep-3", "beam-widebeam-angles-reversed",
+        "widebeam-angles-reversed", "multiuser-rate-k-10", "sensing-1d-mse-n-1", "sense-n-1",
+        "sensing-2d-crb-n-2", "estimation-nmse-below-noise-floor"])
+def test_cli_exit_code_without_traceback(tmp_path, command, doc, code):
+    """Infeasible problems exit 3 and malformed configs 2, each with a one-line message."""
+    run = fresh("-m", "makit.cli", command, "--config", write(tmp_path, "cfg.json", doc))
+    assert "Traceback" not in run.stderr
+    assert run.returncode == code, run.stderr
 
 
 def test_estimation_runs_import_no_scipy(tmp_path):
@@ -669,9 +742,15 @@ SHARED_FIELDS = [f for f in CLI_FIELDS
 
 
 def catalog_reader(name):
-    """from_dict on a config that sets only name, in an entry whose own rules leave it alone."""
+    """from_dict on a config that sets only name, in an entry whose own rules leave it alone.
+
+    Only beam-widebeam takes the ends of an angular region, which must be in order, so
+    both ends take the value: they meet the order rule wherever each meets its own."""
     if name == "trials":
         return lambda v: ExperimentConfig.from_dict({"experiment": "miso-graph", "trials": v})
+    if name in ("theta_min_deg", "theta_max_deg"):
+        return lambda v: ExperimentConfig.from_dict(
+            {"experiment": "beam-widebeam", "params": {"theta_min_deg": v, "theta_max_deg": v}})
     exp = next(e for e, entry in CATALOG.items() if name in entry.defaults
                and (e, name) not in experiments._RANGES
                and not (e in experiments._JOINT_RANGES and name in experiments._JOINT_RANGES[e][0]))
