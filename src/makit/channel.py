@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -528,12 +528,7 @@ def redraw_prm_phases(scenario: Scenario, seed) -> Scenario:
     if scenario.prm is None:
         raise ValueError("phase redraw needs a narrowband prm")
     phases = np.exp(2j * np.pi * rng.random(scenario.prm.shape))
-    return Scenario(wavelength=scenario.wavelength, tx_paths=scenario.tx_paths,
-                    rx_paths=scenario.rx_paths, prm=np.abs(scenario.prm) * phases,
-                    tx_pattern=scenario.tx_pattern, rx_pattern=scenario.rx_pattern,
-                    pprms=scenario.pprms, reference_offset=scenario.reference_offset,
-                    reference_rotation=scenario.reference_rotation,
-                    los_amplitude=scenario.los_amplitude)
+    return replace(scenario, prm=np.abs(scenario.prm) * phases)
 
 
 # ---------------------------------------------------------------------------

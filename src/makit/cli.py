@@ -17,9 +17,9 @@ from . import estimate as est
 from . import optimize as opt
 from .channel import channel_mimo, channel_narrowband, gen_scenario, scenario_from_dict
 from .errors import ConfigError, InfeasibleError
-from .experiments import (_RANGES, ExperimentConfig, ResultTable, _miso_line_channel,
-                          _music_mse_once, _null_design, _recover, check_field, check_joint,
-                          config_hash, emit, run_experiment, trial_seed)
+from .experiments import (ExperimentConfig, ResultTable, _line_array, _miso_line_channel,
+                          _music_mse_once, _null_design, _recover, config_hash, emit,
+                          read_fields, run_experiment, trial_seed)
 from .geometry import MoveRegion
 
 EXIT_OK = 0
@@ -37,22 +37,15 @@ def _load_json(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}") from None
 
 
-def _field(doc: dict, name: str, default=None, exp: str | None = None):
-    """Field of a config under its catalog rule, exp's if any (`default` when absent and given)."""
-    value = doc[name] if default is None else doc.get(name, default)
-    return check_field(name, value, exp, listed=name in ("theta_deg", "null_deg"))
-
-
-def _line_fields(doc: dict, lam: float, exp: str | None = None):
-    """(n, aperture, d_min) of a linear-array config, as experiments._line_array reads them."""
-    return _field(doc, "n", exp=exp), _field(doc, "aperture") * lam, _field(doc, "d_min") * lam
+# The fields every linear-array reader needs; each reader names the experiment
+# whose rules its fields follow (experiments.read_fields).
+_LINE = ("n", "aperture", "d_min")
 
 
 def _build_scenario(doc: dict, seed_override=None):
     try:
         if "generate" in doc:
-            kw = dict(doc["generate"])
-            kw = {k: check_field(k, v) if k in _RANGES else v for k, v in kw.items()}
+            kw = read_fields(doc["generate"])
             seed = kw.pop("seed", 0)
             return gen_scenario(seed if seed_override is None else seed_override, **kw)
         return scenario_from_dict(doc)
@@ -62,9 +55,8 @@ def _build_scenario(doc: dict, seed_override=None):
         raise ConfigError(f"bad scenario: {e}") from None
 
 
-def _scenario_at(doc: dict, lam: float, seed):
-    """The task's scenario, refused unless it uses the task's wavelength."""
-    sc = _build_scenario(doc, seed)
+def _at_wavelength(sc, lam: float):
+    """sc, refused unless it uses the task's wavelength."""
     if sc.wavelength != lam:
         raise ConfigError(f"scenario wavelength {sc.wavelength} != task wavelength {lam}")
     return sc
@@ -104,8 +96,8 @@ def _cmd_simulate(doc: dict, out: str | None, seed):
 
 # An optimize task reads its fields, then returns the function that runs it,
 # so validate-config can read a task without running it.
-def _task_sensing_1d(doc: dict, lam: float, seed):
-    n, a, dmin = _line_fields(doc, lam)
+def _task_sensing_1d(doc: dict, seed):
+    lam, n, a, dmin = _line_array(read_fields(doc, None, _LINE, wavelength=1.0))
 
     def run():
         x = opt.sensing_1d_optimal(n, a, dmin)
@@ -113,21 +105,21 @@ def _task_sensing_1d(doc: dict, lam: float, seed):
     return run
 
 
-def _task_sensing_2d(doc: dict, lam: float, seed):
-    n = _field(doc, "n", exp="sensing-2d-crb")
-    side, dmin = _field(doc, "side") * lam, _field(doc, "d_min") * lam
-    metric = _field(doc, "metric", "max")
+def _task_sensing_2d(doc: dict, seed):
+    f = read_fields(doc, "sensing-2d-crb", ("n", "side", "d_min"), wavelength=1.0, metric="max")
+    n, side, dmin = f["n"], f["side"] * f["wavelength"], f["d_min"] * f["wavelength"]
 
     def run():
-        rep = opt.sensing_2d_ao(n, (side, side), dmin, metric=metric)
+        rep = opt.sensing_2d_ao(n, (side, side), dmin, metric=f["metric"])
         return {"placement": rep.best_placement.tolist(), "metric": rep.best_score,
                 "lower_bound": rep.extra["lower_bound"]}
     return run
 
 
-def _task_null(doc: dict, lam: float, seed):
-    angles = np.deg2rad([_field(doc, "theta0_deg"), *_field(doc, "null_deg")])
-    n, a, dmin = _line_fields(doc, lam)
+def _task_null(doc: dict, seed):
+    f = read_fields(doc, "beam-null", ("theta0_deg", "null_deg", *_LINE), wavelength=1.0)
+    lam, n, a, dmin = _line_array(f)
+    angles = np.deg2rad([f["theta0_deg"], *f["null_deg"]])
 
     def run():
         try:
@@ -140,35 +132,37 @@ def _task_null(doc: dict, lam: float, seed):
     return run
 
 
-def _task_multibeam(doc: dict, lam: float, seed):
-    thetas, analog = np.deg2rad(_field(doc, "theta_deg")), _field(doc, "analog", False)
-    n, a, dmin = _line_fields(doc, lam)
+def _task_multibeam(doc: dict, seed):
+    f = read_fields(doc, "beam-multibeam", ("theta_deg", *_LINE), wavelength=1.0, analog=False)
+    lam, n, a, dmin = _line_array(f)
+    thetas = np.deg2rad(f["theta_deg"])
 
     def run():
-        rep = opt.multibeam_ao(thetas, n, a, dmin, lam, analog=analog, seed=seed or 0)
+        rep = opt.multibeam_ao(thetas, n, a, dmin, lam, analog=f["analog"], seed=seed or 0)
         return {"placement": rep.best_placement.tolist(), "max_min_gain": rep.best_score}
     return run
 
 
-def _task_widebeam(doc: dict, lam: float, seed):
-    lo, hi = _field(doc, "theta_min_deg"), _field(doc, "theta_max_deg")
-    check_joint("beam-widebeam", doc)
-    nsub = _field(doc, "subregions", 24)
-    n, a, dmin = _line_fields(doc, lam)
+def _task_widebeam(doc: dict, seed):
+    f = read_fields(doc, "beam-widebeam", ("theta_min_deg", "theta_max_deg", *_LINE),
+                    wavelength=1.0, subregions=24)
+    lam, n, a, dmin = _line_array(f)
+    angles = np.deg2rad([f["theta_min_deg"], f["theta_max_deg"]])
 
     def run():
-        rep = opt.widebeam_ao(*np.deg2rad([lo, hi]), nsub, n, a, dmin, lam, seed=seed or 0)
+        rep = opt.widebeam_ao(*angles, f["subregions"], n, a, dmin, lam, seed=seed or 0)
         return {"placement": rep.best_placement.tolist(),
                 "min_gain": rep.extra["verified_min_gain"]}
     return run
 
 
-def _task_miso_graph(doc: dict, lam: float, seed):
-    sc = _scenario_at(doc["scenario"], lam, seed)
-    m, (n, a, dmin) = _field(doc, "m"), _line_fields(doc, lam)
+def _task_miso_graph(doc: dict, seed):
+    f = read_fields(doc, "miso-graph", ("m", *_LINE), wavelength=1.0)
+    lam, n, a, dmin = _line_array(f)
+    sc = _at_wavelength(_build_scenario(doc["scenario"], seed), lam)
 
     def run():
-        line = opt.SampledLine.from_channel(_miso_line_channel(sc), a, m, dmin)
+        line = opt.SampledLine.from_channel(_miso_line_channel(sc), a, f["m"], dmin)
         rep = opt.graph_opt_miso(line, n)
         return {"placement": rep.best_placement.tolist(), "score": rep.best_score,
                 "indices": rep.extra["indices"].tolist()}
@@ -186,7 +180,7 @@ def _optimize_task(doc: dict, seed):
         raise ConfigError("optimize config is missing 'task'")
     if task not in _OPTIMIZE_TASKS:
         raise ConfigError(f"unknown optimize task {task!r}")
-    return _OPTIMIZE_TASKS[task](doc, _field(doc, "wavelength", 1.0), seed)
+    return _OPTIMIZE_TASKS[task](doc, seed)
 
 
 def _cmd_optimize(doc: dict, out: str | None, seed):
@@ -200,17 +194,16 @@ def _cmd_optimize(doc: dict, out: str | None, seed):
 
 def _sense_trials(doc: dict, seed):
     """Read and check a sense config; return the function that runs its trials."""
-    lam = _field(doc, "wavelength", 1.0)
-    n, a, dmin = _line_fields(doc, lam, "sensing-1d-mse")
-    kind = _field(doc, "placement", "optimal")
-    snapshots, trials = _field(doc, "snapshots", 1), _field(doc, "trials", 100)
-    u, snr_db = _field(doc, "u"), _field(doc, "snr_db")
+    f = read_fields(doc, "sensing-1d-mse", ("u", "snr_db", *_LINE), wavelength=1.0,
+                    placement="optimal", snapshots=1, trials=100)
+    lam, n, a, dmin = _line_array(f)
+    kind, u, snr_db = f["placement"], f["u"], f["snr_db"]
     base = str(seed if seed is not None else doc.get("seed", 0))
 
     def run():
         x = opt.sensing_1d_optimal(n, a, dmin) if kind == "optimal" else np.arange(n) * dmin
-        rows = [[float(t), *_music_mse_once(x, u, snr_db, snapshots, trial_seed(base, t), lam)]
-                for t in range(trials)]
+        rows = [[float(t), *_music_mse_once(x, u, snr_db, f["snapshots"], trial_seed(base, t), lam)]
+                for t in range(f["trials"])]
         return ResultTable(columns=["trial", "u_hat", "sq_error", "crb"], rows=rows,
                            metadata={"placement": kind, "snr_db": snr_db})
     return run
@@ -227,20 +220,17 @@ def _cmd_sense(doc: dict, out: str | None, seed):
 
 def _estimate_trial(doc: dict, seed):
     """Read and check an estimate config; return the function that runs its recovery."""
-    lam = _field(doc, "wavelength", 1.0)
-    sc = _scenario_at(doc["scenario"], lam, seed)
-    side, step = _field(doc, "region_side") * lam, _field(doc, "eval_step", 0.2) * lam
-    try:
-        region = MoveRegion.box((side, side, 0.0))
-        grid_pts = region.grid_points(step)
-    except ValueError as e:
-        raise ConfigError(f"bad estimation region: {e}") from None
-    power = _field(doc, "power", 1.0)
-    sigma2 = power / 10.0 ** (_field(doc, "snr_db") / 10.0)
-    m, g = _field(doc, "measurements"), _field(doc, "grid", 16)
-    l = _field(doc, "paths_to_recover", len(sc.tx_paths))
+    sc = _build_scenario(doc["scenario"], seed)
+    f = read_fields(doc, "estimate", ("region_side", "snr_db", "measurements"), wavelength=1.0,
+                    eval_step=0.2, power=1.0, grid=16, paths_to_recover=len(sc.tx_paths),
+                    method="successive")
+    lam, power, method = f["wavelength"], f["power"], f["method"]
+    _at_wavelength(sc, lam)
+    region = MoveRegion.box((f["region_side"] * lam, f["region_side"] * lam, 0.0))
+    grid_pts = region.grid_points(f["eval_step"] * lam)
+    sigma2 = power / 10.0 ** (f["snr_db"] / 10.0)
+    m, g, l = f["measurements"], f["grid"], f["paths_to_recover"]
     base = str(seed if seed is not None else doc.get("seed", 0))
-    method = _field(doc, "method", "successive")
 
     def run():
         if method == "nearest":
@@ -249,11 +239,7 @@ def _estimate_trial(doc: dict, seed):
             h_true = channel_narrowband(np.zeros_like(grid_pts), grid_pts, sc)
             h_hat = est.nearest_measured_reconstruct(ms, grid_pts)
         else:
-            try:
-                fri = _recover(sc, region, method, m, g, l, power, sigma2, base)
-            except ValueError as e:
-                msg = f"cannot recover {l} paths with method {method!r}: {e}"
-                raise ConfigError(msg) from None
+            fri = _recover(sc, region, method, m, g, l, power, sigma2, base)
             h_true = channel_mimo(grid_pts, grid_pts, sc)
             h_hat = est.reconstruct_mapping(fri, grid_pts, grid_pts, lam)
         return ResultTable(columns=["nmse"], rows=[[est.nmse(h_true, h_hat)]],

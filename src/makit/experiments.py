@@ -94,7 +94,9 @@ class ExperimentConfig:
                 raise ConfigError("sweep values must be nonempty and finite")
             if list(vals) != sorted(vals):
                 raise ConfigError("sweep values must be sorted ascending")
-        _check_ranges(exp, params, sweep)
+        merged = {**CATALOG[exp].defaults, **params}
+        for v in sweep["values"] if sweep else [None]:  # the params at each sweep value
+            read_fields({**merged, sweep["variable"]: v} if sweep else merged, exp)
         trials = check_field("trials", doc.get("trials", 1))
         seeds = doc.get("seeds")
         if seeds is not None:
@@ -111,19 +113,24 @@ class ExperimentConfig:
 # The rules of config fields: catalog params and sweep values (an (experiment,
 # name) key overrides the shared rule), the config's trials and seeds, and every
 # CLI reader's fields.  A rule is a predicate on numbers or a tuple of the JSON
-# values allowed.  check_field applies them.
+# values allowed; a field whose rule ends in _EACH takes one value or a list of
+# them.  check_field applies a rule, read_fields a config's rules.
+_EACH = " or a nonempty list of such"
 _RANGES = {
     **dict.fromkeys(("wavelength", "region_side", "region_size", "grid_step", "eval_step",
-                     "aperture", "side", "crb_scale_list", "power", "sparse_spacing", "beta"),
+                     "aperture", "side", "power", "sparse_spacing", "beta"),
                     ("a finite number > 0", lambda x: 0 < x < math.inf)),
+    "crb_scale_list": ("a finite number > 0" + _EACH, lambda x: 0 < x < math.inf),
     **dict.fromkeys(("n", "m", "n_t", "n_r", "k", "n_paths", "dominant_paths", "grid",
                      "measurements", "paths_to_recover", "subregions", "orientation_grid",
                      "snapshots", "stat_draws", "max_sweeps", "trials", "subcarriers"),
                     ("an integer >= 1", lambda x: x >= 1 and x % 1 == 0)),
     **dict.fromkeys(("diffuse_paths", "seeds"),
                     ("an integer >= 0", lambda x: x >= 0 and x % 1 == 0)),
-    **dict.fromkeys(("theta_deg", "null_deg", "theta0_deg", "theta_min_deg", "theta_max_deg"),
+    **dict.fromkeys(("theta0_deg", "theta_min_deg", "theta_max_deg"),
                     ("a finite angle in degrees", lambda x: -math.inf < x < math.inf)),
+    **dict.fromkeys(("theta_deg", "null_deg"),
+                    ("a finite angle in degrees" + _EACH, lambda x: -math.inf < x < math.inf)),
     **dict.fromkeys(("d_min", "bandwidth", "max_delay", "min_sep_bins", "min_sep_cells"),
                     ("a finite number >= 0", lambda x: 0 <= x < math.inf)),
     **dict.fromkeys(("analog", "joint", "on_grid"), ("true or false", (True, False))),
@@ -142,57 +149,66 @@ _RANGES = {
                     ("an integer >= 2", lambda x: x >= 2 and x % 1 == 0)),
     **dict.fromkeys((("sensing-2d-crb", "n"), ("isac-tradeoff", "n_r")),
                     ("an integer >= 3", lambda x: x >= 3 and x % 1 == 0)),
+    # the dense baseline of a 1-D sensing array is spaced d_min apart
+    ("sensing-1d-mse", "d_min"): ("a finite number > 0", lambda x: 0 < x < math.inf),
+    # the joint recovery takes grid**4 atoms
+    ("estimation-nmse", "grid"): (
+        f"an integer >= 1 with grid**4 <= {est.JOINT_ATOM_CAP}, the joint atom cap",
+        lambda x: 1 <= x <= est.JOINT_ATOM_CAP and x % 1 == 0 and x ** 4 <= est.JOINT_ATOM_CAP),
     # the dense and sparse planar baselines (_upa_positions) are square arrays
     **dict.fromkeys((("mimo-capacity", "n_t"), ("mimo-capacity", "n_r"),
                      ("multiuser-rate", "n_r"), ("isac-tradeoff", "n_t")),
                     ("a perfect square integer >= 1",
                      lambda x: x >= 1 and x % 1 == 0 and math.isqrt(int(x)) ** 2 == x))}
-# Rules across parameters, checked for every sweep value of either name: the
-# successive recovery takes n_paths per side, the joint one n_paths² atoms; an
-# angular region runs from its lower end up; zero forcing needs an antenna per user.
+# Rules across fields, checked on the checked values (at every sweep value):
+# the successive recovery takes paths per side, the joint one paths² atoms; an
+# angular region runs from its lower end up; zero forcing needs an antenna per
+# user.  "estimate" is the CLI subcommand's recovery setup.
 _JOINT_RANGES = {
     "estimation-nmse": (
         ("measurements", "n_paths"), "measurements // 2 >= n_paths and measurements >= n_paths**2",
-        lambda m, l: int(m) // 2 >= int(l) and int(m) >= int(l) ** 2),
+        lambda m, l: m // 2 >= l and m >= l ** 2),
+    "estimate": (
+        ("method", "measurements", "paths_to_recover", "grid"),
+        "measurements // 2 >= paths_to_recover with method 'successive', and measurements >= "
+        f"paths_to_recover**2 and grid**4 <= {est.JOINT_ATOM_CAP} (the atom cap) with 'joint'",
+        lambda method, m, l, g: (method != "successive" or m // 2 >= l)
+        and (method != "joint" or m >= l ** 2 and g ** 4 <= est.JOINT_ATOM_CAP)),
     "beam-widebeam": (("theta_min_deg", "theta_max_deg"), "theta_min_deg <= theta_max_deg",
                       lambda lo, hi: lo <= hi),
     "multiuser-rate": (("k", "n_r"), "k <= n_r", lambda k, n_r: k <= n_r)}
 
 
-def check_field(name: str, value, exp: str | None = None, listed: bool = False):
-    """value under its rule in _RANGES, as ints under an integer rule.
+def check_field(name: str, value, exp: str | None = None):
+    """value under its rule in _RANGES, as ints under an integer rule, as a list under a listed one.
 
     A numeric rule states its own bounds, finiteness included; NaN fails every
     one, and so does a bool.  A tuple rule takes only its own values, each of
     its own JSON type (so 1 is not true)."""
     rule, ok = _RANGES.get((exp, name)) or _RANGES[name]
+    listed = rule.endswith(_EACH)
     items = value if listed and isinstance(value, list) else [value]
     if not items or not all(any(type(t) is type(c) and t == c for c in ok)
                             if isinstance(ok, tuple) else
                             isinstance(t, numbers.Real) and not isinstance(t, bool) and ok(t)
                             for t in items):
-        each = " or a nonempty list of such" if listed else ""
-        raise ConfigError(f"{name!r} must be {rule}{each}, got {value!r}")
+        raise ConfigError(f"{name!r} must be {rule}, got {value!r}")
     items = [int(t) for t in items] if "integer" in rule else items
     return items if listed else items[0]
 
 
-def _check_ranges(exp: str, params: dict, sweep: dict | None) -> None:
-    merged = {**CATALOG[exp].defaults, **params}
-    for name in (k for k in _RANGES if k in merged):
-        for v in sweep["values"] if sweep and sweep["variable"] == name else [merged[name]]:
-            check_field(name, v, exp, listed=isinstance(CATALOG[exp].defaults[name], list))
+def read_fields(doc: dict, exp: str | None = None, need=(), **defaults) -> dict:
+    """doc over defaults with every ruled field under exp's rule (check_field's value), then
+    exp's rule across fields; a KeyError names the first field of need missing from doc."""
+    for name in need:
+        doc[name]
+    out = {k: check_field(k, v, exp) if k in _RANGES else v for k, v in {**defaults, **doc}.items()}
     if exp in _JOINT_RANGES:
-        for v in sweep["values"] if sweep else [None]:
-            check_joint(exp, {**merged, sweep["variable"]: v} if sweep else merged)
-
-
-def check_joint(exp: str, params: dict) -> None:
-    """params under exp's rule across parameters in _JOINT_RANGES."""
-    names, rule, ok = _JOINT_RANGES[exp]
-    vals = {k: params[k] for k in names}
-    if not ok(*vals.values()):
-        raise ConfigError(f"{exp!r} needs {rule}, got {vals}")
+        names, rule, ok = _JOINT_RANGES[exp]
+        vals = {k: out[k] for k in names}
+        if not ok(*vals.values()):
+            raise ConfigError(f"{exp!r} needs {rule}, got {vals}")
+    return out
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -513,6 +515,16 @@ def test_redraw_prm_phases_keeps_magnitudes():
     assert np.allclose(np.abs(sc2.prm), np.abs(sc.prm))
     assert not np.allclose(sc2.prm, sc.prm)
     assert np.allclose(sc2.tx_paths.wave_vectors, sc.tx_paths.wave_vectors)
+
+
+def test_redraw_prm_phases_keeps_every_other_field():
+    wide = random_scenario(47, l=4, bandwidth=2e6, max_delay=1.5e-6)
+    sc = dataclasses.replace(wide, prm=np.diag([1.0, 0.5j, -0.3, 0.2 + 0.1j]))
+    sc2 = redraw_prm_phases(sc, 7)
+    assert sc2.bandwidth == sc.bandwidth and len(sc2.prms) == len(sc.prms)
+    assert all(a is b for a, b in zip(sc2.prms, sc.prms))
+    assert sc2.tx_paths is sc.tx_paths and sc2.rx_paths is sc.rx_paths
+    assert np.allclose(np.abs(sc2.prm), np.abs(sc.prm))
 
 
 # --- serialization

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from makit import cli, experiments
+from makit import experiments
 from makit.channel import gen_scenario, scenario_to_dict
 from makit.cli import main
 from makit.errors import ConfigError
@@ -273,6 +273,17 @@ REFUSED_FIELDS = [
     ("experiment", {"experiment": "sensing-2d-crb", "params": {"n": 1}}, "'n'"),
     ("experiment", {"experiment": "isac-tradeoff", "params": {"n_r": 2}}, "n_r"),
     ("optimize", {"task": "sensing-2d", "n": 2, "side": 2.0, "d_min": 0.5}, "'n'"),
+    ("optimize", {**NULL, "n": 1}, "'n'"),
+    ("estimate", estimate_doc(measurements=3), "measurements"),
+    ("estimate", estimate_doc(method="joint", grid=65), "cap"),
+    ("estimate", estimate_doc(method="joint", measurements=3), "measurements"),
+    ("experiment", {"experiment": "estimation-nmse", "params": {"grid": 65}}, "'grid'"),
+    ("experiment", {"experiment": "estimation-nmse",
+                    "sweep": {"variable": "grid", "values": [16, 65]}}, "'grid'"),
+    ("experiment", {"experiment": "sensing-1d-mse", "params": {"d_min": 0}}, "d_min"),
+    ("sense", {**SENSE, "d_min": 0.0, "placement": "dense"}, "d_min"),
+    ("sense", {**SENSE, "d_min": 0.0}, "d_min"),
+    ("sense", {**SENSE, "kappa": -1.0}, "kappa"),
 ]
 REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "miso-graph-m-0",
                "sensing-1d-mse-snapshots-0", "sensing-1d-mse-n-bool", "beam-null-aperture-negative",
@@ -292,7 +303,11 @@ REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "mis
                "estimate-generate-kappa-nan", "beam-widebeam-angles-reversed",
                "widebeam-angles-reversed", "multiuser-rate-k-above-n_r",
                "multiuser-rate-sweep-k-above-n_r", "sensing-1d-mse-n-1", "sense-n-1",
-               "sensing-2d-crb-n-2", "sensing-2d-crb-n-1", "isac-n_r-2", "sensing-2d-n-2"]
+               "sensing-2d-crb-n-2", "sensing-2d-crb-n-1", "isac-n_r-2", "sensing-2d-n-2",
+               "null-n-1", "estimate-too-few-measurements", "estimate-joint-atom-cap",
+               "estimate-joint-too-few-measurements", "estimation-nmse-grid-65",
+               "estimation-nmse-sweep-grid-65", "sensing-1d-mse-d_min-0", "sense-dense-d_min-0",
+               "sense-optimal-d_min-0", "sense-unread-kappa-negative"]
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -317,8 +332,6 @@ REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "mis
     ("estimate", estimate_doc(measurements=0), "measurements"),
     ("estimate", estimate_doc(grid=0), "grid"),
     ("estimate", estimate_doc(method="joint", paths_to_recover=0), "paths_to_recover"),
-    ("estimate", estimate_doc(measurements=3), "measurements"),
-    ("estimate", estimate_doc(method="joint", grid=65), "cap"),
     ("estimate", estimate_doc(wavelength=2.0), "wavelength"),
     ("validate-config", simulate_doc(0.5, {"generate": {"n_paths": 0}}), "n_paths"),
     ("estimate", estimate_doc(measurements="many"), "measurements"),
@@ -335,8 +348,7 @@ REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "mis
         "simulate-grid-step-0", "simulate-grid-step-negative", "n_paths-0", "n_paths-string",
         "eval_step-0", "simulate-scenario-n_paths-0", "scenario-wavelength-negative",
         "scenario-prm-shape", "estimate-measurements-0", "estimate-grid-0",
-        "estimate-paths-0", "estimate-too-few-measurements", "estimate-joint-atom-cap",
-        "estimate-wavelength-mismatch", "validate-scenario-n_paths-0",
+        "estimate-paths-0", "estimate-wavelength-mismatch", "validate-scenario-n_paths-0",
         "estimate-measurements-string", "optimize-n-string", "sense-trials-fractional",
         "estimation-region-grid-0", "estimation-nmse-measurements-0"] + REFUSED_IDS)
 def test_cli_field_parameter_out_of_range_exit_2(tmp_path, capsys, command, doc, field):
@@ -390,8 +402,13 @@ def test_catalog_defaults_and_rule_boundaries_are_accepted():
 
 
 def test_estimation_nmse_measurement_rule_boundary_accepted():
-    for params in ({"measurements": 9, "n_paths": 3}, {"measurements": 2, "n_paths": 1}):
+    for params in ({"measurements": 9, "n_paths": 3}, {"measurements": 2, "n_paths": 1},
+                   {"grid": 64}, {"grid": 64.0}):
         ExperimentConfig.from_dict({"experiment": NMSE, "params": params})
+    for grid in (65, 2 ** 70, 1e300, math.inf):  # the atom cap is estimation-nmse's alone
+        with pytest.raises(ConfigError, match="'grid'"):
+            ExperimentConfig.from_dict({"experiment": NMSE, "params": {"grid": grid}})
+    ExperimentConfig.from_dict({"experiment": "estimation-region", "params": {"grid": 65}})
     ExperimentConfig.from_dict({"experiment": NMSE, "params": {"measurements": 16},
                                 "sweep": {"variable": "n_paths", "values": [1, 4]}})
 
@@ -780,8 +797,15 @@ def test_every_cli_field_but_one_is_a_catalog_field():
 @given(value=st.one_of(numeric, st.lists(numeric, max_size=3), scalars,
                        st.lists(scalars, max_size=3)))
 def test_catalog_and_cli_readers_take_the_same_field_values(name, value):
-    cli_reader = lambda v: cli._field({name: v}, name)  # noqa: E731
+    cli_reader = lambda v: experiments.read_fields({name: v})  # noqa: E731
     assert accepts(catalog_reader(name), value) == accepts(cli_reader, value)
+
+
+@pytest.mark.parametrize("path", sorted((pathlib.Path(__file__).parent.parent / "docs"
+                                         / "examples").glob("*.json")), ids=lambda p: p.stem)
+def test_example_configs_pass_validate_config(path, capsys):
+    assert main(["validate-config", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("ok: ")
 
 
 def test_experiment_schema_lists_the_config_fields():
