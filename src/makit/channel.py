@@ -32,6 +32,7 @@ __all__ = [
     "channel_mimo",
     "apply_coupling",
     "tap_of_delay",
+    "db_to_linear",
     "cir",
     "cfr",
     "channel_nearfield",
@@ -47,6 +48,14 @@ __all__ = [
     "save_scenario",
     "load_scenario",
 ]
+
+
+def db_to_linear(db: float) -> float:
+    """Power ratio 10 ** (db / 10) of a level in dB; inf where it overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -117,9 +126,9 @@ class RadiationPattern:
         isotropic pattern: gain * solid_angle = 4*pi, giving
         cos(half_angle) = 1 - 2/gain.
         """
-        g = 10.0 ** (gain_dbi / 10.0)
-        if g <= 2.0:
-            raise ValueError("gain must exceed 3 dBi for a proper cone")
+        g = db_to_linear(gain_dbi)
+        if not 2.0 < g < math.inf:
+            raise ValueError("gain must exceed 3 dBi for a proper cone and be a finite float")
         cos_half = 1.0 - 2.0 / g
         amp = math.sqrt(g)
 

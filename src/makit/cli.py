@@ -15,7 +15,8 @@ import numpy as np
 from . import beamforming as bf
 from . import estimate as est
 from . import optimize as opt
-from .channel import channel_mimo, channel_narrowband, gen_scenario, scenario_from_dict
+from .channel import (channel_mimo, channel_narrowband, db_to_linear, gen_scenario,
+                      scenario_from_dict)
 from .errors import ConfigError, InfeasibleError
 from .experiments import (ExperimentConfig, ResultTable, _line_array, _miso_line_channel,
                           _music_mse_once, _null_design, _recover, config_hash, emit,
@@ -97,7 +98,7 @@ def _cmd_simulate(doc: dict, out: str | None, seed):
 # An optimize task reads its fields, then returns the function that runs it,
 # so validate-config can read a task without running it.
 def _task_sensing_1d(doc: dict, seed):
-    lam, n, a, dmin = _line_array(read_fields(doc, None, _LINE, wavelength=1.0))
+    lam, n, a, dmin = _line_array(read_fields(doc, "sensing-1d-mse", _LINE, wavelength=1.0))
 
     def run():
         x = opt.sensing_1d_optimal(n, a, dmin)
@@ -228,7 +229,7 @@ def _estimate_trial(doc: dict, seed):
     _at_wavelength(sc, lam)
     region = MoveRegion.box((f["region_side"] * lam, f["region_side"] * lam, 0.0))
     grid_pts = region.grid_points(f["eval_step"] * lam)
-    sigma2 = power / 10.0 ** (f["snr_db"] / 10.0)
+    sigma2 = power / db_to_linear(f["snr_db"])
     m, g, l = f["measurements"], f["grid"], f["paths_to_recover"]
     base = str(seed if seed is not None else doc.get("seed", 0))
 

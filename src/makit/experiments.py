@@ -27,8 +27,8 @@ from . import estimate as est
 from . import optimize as opt
 from . import sensing as sn
 from .channel import (PathSet, RadiationPattern, Scenario, _rician_diagonal, channel_mimo,
-                      channel_narrowband, frv_tx, gen_scenario, prm_6dma, redraw_prm_phases,
-                      sample_directions, tap_of_delay)
+                      channel_narrowband, db_to_linear, frv_tx, gen_scenario, prm_6dma,
+                      redraw_prm_phases, sample_directions, tap_of_delay)
 from .errors import ConfigError, InfeasibleError
 from .geometry import MoveRegion, aom_from_euler
 
@@ -135,14 +135,15 @@ _RANGES = {
                     ("a finite number >= 0", lambda x: 0 <= x < math.inf)),
     **dict.fromkeys(("analog", "joint", "on_grid"), ("true or false", (True, False))),
     "kappa": ("a number >= 0 (+inf is line of sight only)", lambda x: x >= 0),
-    "gain_dbi": ("a finite number > 10*log10(2) (a cone narrower than a half-space)",
-                 lambda x: 10 * math.log10(2) < x < math.inf),
+    "gain_dbi": ("a number > 10*log10(2) (a cone narrower than a half-space), finite as a ratio",
+                 lambda x: 10 * math.log10(2) < x and db_to_linear(x) < math.inf),
     "diffuse_power": ("a number in [0, 1]", lambda x: 0 <= x <= 1),
     "angle_law": ("'halfspace' or 'sphere'", ("halfspace", "sphere")),
     "metric": ("'max' or 'sum'", ("max", "sum")),
     "placement": ("'optimal' or 'dense'", ("optimal", "dense")),
     "method": ("'successive', 'joint' or 'nearest'", ("successive", "joint", "nearest")),
-    "snr_db": ("a number other than NaN or -inf (+inf is noiseless)", lambda x: x > -math.inf),
+    "snr_db": ("+inf (noiseless) or a number whose power ratio and its inverse are finite",
+               lambda x: x == math.inf or max(db_to_linear(x), db_to_linear(-x)) < math.inf),
     "u": ("a finite number in [-1, 1]", lambda x: -1 <= x <= 1),
     # a null or a MUSIC spectrum needs two antennas, a planar CRB three off one line
     **dict.fromkeys((("beam-null", "n"), ("sensing-1d-mse", "n")),
@@ -284,41 +285,49 @@ def load_table_json(path) -> ResultTable:
 # ---------------------------------------------------------------------------
 # shared numeric helpers
 
-# Field values per block of (x, y) grid rows: 1 MB of complex field, which stays in cache.
+# Field values per block of (x, y) grid points: 1 MB of real and imaginary parts, kept in cache.
 _FIELD_BLOCK = 1 << 16
 
 
-def _gain_field_minmax(k_vectors, coeffs, side, step, wavelength):
-    """Max, min and origin value of sum_c |sum_l c_lc exp(-j 2pi/lam k_l . r)|^2 on a cubic grid.
-
-    coeffs is (L,), or (L, C) to sum over columns.  With per-axis phase matrices X, Y, Z (n, L),
-    field column c is ((X * Y) diag(c)) Z^T: a block of (x, y) rows is one matrix product into
-    one buffer per call (which glibc keeps between calls), its power reduced in place.
-    """
+def _field_tables(k_vectors, side, step, wavelength):
+    """Z (L, n) and [Re XY; Im XY] (2L, n^2) of a cubic grid, XY[l, n i + j] = X[l, i] Y[l, j],
+    from per-axis phases X[l, i] = exp(-j 2pi/lam k_l,x x_i) (so Y and Z)."""
     ax = np.arange(0.0, side + step / 2.0, step)
-    n = len(ax)
-    coeffs = np.asarray(coeffs, dtype=complex).reshape(len(k_vectors), -1)
-    l, cols = coeffs.shape
     x, y, z = np.exp(np.multiply.outer(-2j * np.pi / wavelength * np.asarray(k_vectors).T, ax))
-    xy = (x.T[:, None, :] * y.T[None, :, :]).reshape(n * n, l)
-    zc = (z[:, :, None] * coeffs[:, None, :]).reshape(l, n * cols)
-    blocks = max(1, round(n ** 3 * cols / _FIELD_BLOCK))  # of about _FIELD_BLOCK values each
-    rows = max(2, -(-n * n // blocks))
-    field = np.empty((rows + (rows + 1) // 2, n * cols), dtype=complex)
-    power = field[rows:].view(float).reshape(-1, n * cols)
+    xy = (x[:, :, None] * y[:, None, :]).reshape(len(z), -1)
+    return z, np.concatenate([xy.real, xy.imag])
+
+
+def _gain_field_minmax(tables, coeffs):
+    """Max, min and origin value of sum_c |sum_l c_lc exp(-j 2pi/lam k_l . r)|^2 on a grid.
+
+    tables is the grid's _field_tables; coeffs is (L,), or (L, C) to sum over columns.  With
+    Zc[l, C k + c] = c_lc Z[l, k], a block of (x, y) points is one real product [[Re Zc^T,
+    -Im Zc^T], [Im Zc^T, Re Zc^T]] [Re XY; Im XY] = [Re f; Im f], squared and added in place
+    (no complex abs) in one buffer per call, which glibc keeps between calls."""
+    z, xy = tables
+    l, n = z.shape
+    coeffs = np.asarray(coeffs, dtype=complex).reshape(l, -1)
+    zc = (z[:, :, None] * coeffs[:, None, :]).reshape(l, -1).T
+    zr = np.block([[zc.real, -zc.imag], [zc.imag, zc.real]])
+    rows, points = len(zc), xy.shape[1]
+    blocks = max(1, round(points * rows / _FIELD_BLOCK))  # of about _FIELD_BLOCK values each
+    width = max(2, -(-points // blocks))
+    buf = np.empty(2 * rows * width)
     hi, lo = -np.inf, np.inf
-    for i in reversed(range(0, n * n, rows)):  # the origin's block last
-        i = min(i, max(n * n - 2, 0))  # numpy takes one row to gemv, which rounds unlike gemm
-        m = min(rows, n * n - i)
-        p = np.square(np.abs(np.matmul(xy[i:i + m], zc, out=field[:m]), out=power[:m]),
-                      out=power[:m])
-        if cols > 1:  # the column sum overwrites the spent field block
-            p = np.add.reduce(p.reshape(m, n, -1), axis=2, out=field.view(float).reshape(-1, n)[:m])
+    for i in reversed(range(0, points, width)):  # the origin's block last
+        i = min(i, max(points - 2, 0))  # numpy takes one column to gemv, which rounds unlike gemm
+        m = min(width, points - i)
+        f = np.matmul(zr, xy[:, i:i + m], out=buf[:2 * rows * m].reshape(-1, m))
+        np.square(f, out=f)
+        p = np.add(f[:rows], f[rows:], out=f[:rows])
+        if coeffs.shape[1] > 1:  # the column sum overwrites the spent imaginary half
+            p = np.add.reduce(p.reshape(n, -1, m), axis=1, out=f[rows:rows + n])
         hi, lo = np.maximum(hi, p.max()), np.minimum(lo, p.min())
     return float(hi), float(lo), float(p[0, 0])
 
 
-def _joint_max(k_vectors, coeffs, side, step, wavelength):
+def _joint_max(tables, coeffs):
     """Largest grid power over all columns of coeffs (L, O), skipping columns that cannot win.
 
     Column o never exceeds (sum_l |c_lo|)^2 anywhere on the grid.  Columns are
@@ -331,7 +340,7 @@ def _joint_max(k_vectors, coeffs, side, step, wavelength):
     for o in np.argsort(-bound, kind="stable"):
         if bound[o] * (1.0 + 1e-9) < best:
             break
-        best = max(best, _gain_field_minmax(k_vectors, coeffs[:, o], side, step, wavelength)[0])
+        best = max(best, _gain_field_minmax(tables, coeffs[:, o])[0])
     return best
 
 
@@ -376,7 +385,8 @@ def _trial_siso_bounds(params, seed, idx):
     if params["bandwidth"] > 0:
         gmax, gmin, gfpa = _wideband_gain_minmax(rng, params, k, b, side, lam)
     else:
-        gmax, gmin, gfpa = _gain_field_minmax(k, b, side, params["grid_step"] * lam, lam)
+        gmax, gmin, gfpa = _gain_field_minmax(
+            _field_tables(k, side, params["grid_step"] * lam, lam), b)
     upper, lower = opt.siso_gain_bounds(b)
     return [float(idx), gmax, gmin, upper, lower, gfpa]
 
@@ -395,7 +405,7 @@ def _wideband_gain_minmax(rng, params, k, b, side, lam):
     coeffs = b[:, None] * np.exp(-2j * np.pi * np.outer(taps - 1, np.arange(m_sub)) / m_sub)
     # sum_m |c_m^T e|^2 = |R e|^2 for coeffs^T = QR: at most min(L, M) columns reach the grid
     r = np.linalg.qr(coeffs.T, mode="r")
-    hi, lo, origin = _gain_field_minmax(k, r.T, side, params["grid_step"] * lam, lam)
+    hi, lo, origin = _gain_field_minmax(_field_tables(k, side, params["grid_step"] * lam, lam), r.T)
     return hi / m_sub, lo / m_sub, origin / m_sub  # x -> fl(x / M) is monotone
 
 
@@ -423,18 +433,19 @@ def _trial_dof(params, seed, idx):
     yaws = np.linspace(0.0, 2 * np.pi, ng, endpoint=False)
     pitches = np.linspace(-np.pi / 2, np.pi / 2, max(2, ng // 2))
     rolls = np.linspace(0.0, 2 * np.pi, ng, endpoint=False)
-    # the fixed antenna (identity) first, then the orientation grid
-    orientations = np.stack([np.eye(3)] + [aom_from_euler(y, p, r)
-                                           for y in yaws for p in pitches for r in rolls])
+    # the fixed antenna (identity) first, then the orientation grid (yaw-major, roll-minor)
+    orientations = np.concatenate([np.eye(3)[None], aom_from_euler(
+        yaws[:, None, None], pitches[:, None], rolls).reshape(-1, 3, 3)])
+    tables = _field_tables(k, side, step, lam)
 
     flat = [float(idx)]
     for name, pat in patterns.items():
         sig = prm_6dma(pprms, np.eye(3), orientations, tx_pat, pat, tx_paths, rx_paths)
         bv = np.diagonal(sig, axis1=1, axis2=2).T  # (L, 1 + orientations)
-        g_pos, _, g_fpa = _gain_field_minmax(k, bv[:, 0], side, step, lam)
+        g_pos, _, g_fpa = _gain_field_minmax(tables, bv[:, 0])
         bv = bv[:, 1:]
         g_orient = float(np.max(np.abs(np.sum(bv, axis=0)) ** 2))
-        g_joint = _joint_max(k, bv, side, step, lam) if params["joint"] else max(g_pos, g_orient)
+        g_joint = _joint_max(tables, bv) if params["joint"] else max(g_pos, g_orient)
         flat.extend([g_fpa, g_pos, g_orient, g_joint])
     return flat
 
@@ -508,7 +519,7 @@ def _trial_mimo_capacity(params, seed, idx):
     side = params["region_side"] * lam
     dmin = params["d_min"] * lam
     nt, nr = int(params["n_t"]), int(params["n_r"])
-    power = 10.0 ** (params["snr_db"] / 10.0)
+    power = db_to_linear(params["snr_db"])
     sigma2 = 1.0
     sc = gen_scenario(seed, n_paths=int(params["n_paths"]), wavelength=lam,
                       kappa=params["kappa"])
@@ -530,7 +541,7 @@ def _trial_multiuser(params, seed, idx):
     side = params["region_side"] * lam
     dmin = params["d_min"] * lam
     nr = int(params["n_r"])
-    power = 10.0 ** (params["snr_db"] / 10.0)
+    power = db_to_linear(params["snr_db"])
     sigma2 = 1.0
     rng = np.random.default_rng(seed)
     users = [gen_scenario(rng, n_paths=int(params["n_paths"]), wavelength=lam,
@@ -564,7 +575,7 @@ def _trial_multiuser(params, seed, idx):
 
 def _music_mse_once(placement, u_true, snr_db, snapshots, seed, lam):
     power = 1.0
-    sigma2 = power / 10.0 ** (snr_db / 10.0)
+    sigma2 = power / db_to_linear(snr_db)
     setup = sn.SensingSetup(placement=placement, snapshots=snapshots, power=power,
                             noise_power=sigma2, beta=1.0 + 0.0j, u=u_true, wavelength=lam)
     y = sn.simulate_snapshots(setup, seed)
@@ -603,7 +614,7 @@ def _trial_sensing_2d(params, seed, idx):
     side = params["side"] * lam
     dmin = params["d_min"] * lam
     power = 1.0
-    sigma2 = power / 10.0 ** (params["snr_db"] / 10.0)
+    sigma2 = power / db_to_linear(params["snr_db"])
     coef = sn._crb_prefactor(sigma2, lam, params["snapshots"], power, n, params["beta"])
     rep = opt.sensing_2d_ao(n, (side, side), dmin, metric="max", coef=coef)
     return [rep.best_score, rep.extra["lower_bound"], rep.extra["gap_db"]]
@@ -614,7 +625,7 @@ def _trial_isac(params, seed, idx):
     side = params["region_side"] * lam
     dmin = params["d_min"] * lam
     nt, nr = int(params["n_t"]), int(params["n_r"])
-    power = 10.0 ** (params["snr_db"] / 10.0)
+    power = db_to_linear(params["snr_db"])
     sigma2 = 1.0
     sc = gen_scenario(seed, n_paths=int(params["n_paths"]), wavelength=lam,
                       kappa=params["kappa"])
@@ -689,7 +700,7 @@ def _trial_estimation_nmse(params, seed, idx):
     lam = params["wavelength"]
     side = params["region_side"] * lam
     power = 1.0
-    sigma2 = power / 10.0 ** (params["snr_db"] / 10.0) if np.isfinite(params["snr_db"]) else 0.0
+    sigma2 = power / db_to_linear(params["snr_db"])
     rng = np.random.default_rng(seed)
     sc = _grid_scenario(rng, params, lam)
     region = MoveRegion.box((side, side, 0.0))
@@ -716,7 +727,7 @@ def _trial_estimation_region(params, seed, idx):
     l_dif = int(params["diffuse_paths"])
     g = int(params["grid"])
     power = 1.0
-    sigma2 = power / 10.0 ** (params["snr_db"] / 10.0)
+    sigma2 = power / db_to_linear(params["snr_db"])
     rng = np.random.default_rng(seed)
     n_paths = l_dom + l_dif
     k = sample_directions(rng, n_paths, "halfspace")

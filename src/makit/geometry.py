@@ -59,14 +59,16 @@ def _check_orientation(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def aom_from_euler(yaw: float, pitch: float, roll: float) -> np.ndarray:
-    """Orientation matrix from intrinsic Z(yaw) * Y(pitch) * X(roll) rotations."""
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cr, sr = math.cos(roll), math.sin(roll)
-    rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
+def aom_from_euler(yaw, pitch, roll) -> np.ndarray:
+    """Orientation matrix from intrinsic Z(yaw) * Y(pitch) * X(roll) rotations; angles that
+    broadcast to shape S give the stack of matrices, shape S + (3, 3)."""
+    a = np.array(np.broadcast_arrays(yaw, pitch, roll), dtype=float)
+    (cy, cp, cr), (sy, sp, sr) = np.cos(a), np.sin(a)
+    zero, one = np.zeros_like(cy), np.ones_like(cy)
+    rz, ry, rx = (np.stack(m, axis=-1).reshape(cy.shape + (3, 3)) for m in (
+        (cy, -sy, zero, sy, cy, zero, zero, zero, one),
+        (cp, zero, sp, zero, one, zero, -sp, zero, cp),
+        (one, zero, zero, zero, cr, -sr, zero, sr, cr)))
     return rz @ ry @ rx
 
 

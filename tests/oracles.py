@@ -56,8 +56,19 @@ def ref_channel_narrowband(t, r, scenario):
 
 
 # ---------------------------------------------------------------------------
-# polarization and grid-field kernels: one wave vector per accs_basis call, one
-# path pair per polarization product, one outer product per path on the grid
+# polarization and grid-field kernels: one orientation per Euler product, one
+# wave vector per accs_basis call, one path pair per polarization product, one
+# outer product per path on the grid
+
+def ref_aom_from_euler(yaw, pitch, roll):
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cr, sr = math.cos(roll), math.sin(roll)
+    rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
+    return rz @ ry @ rx
+
 
 def ref_accs_basis(k_hat):
     k = np.asarray(k_hat, dtype=float).reshape(3)

@@ -231,6 +231,11 @@ def test_prm_6dma_stack_keeps_directional_misses_exact_zeros():
 grid = st.tuples(st.floats(0.5, 2.0), st.sampled_from([0.1, 0.2, 0.25]), st.floats(0.5, 2.0))
 
 
+def _field(k, coeffs, side, step, lam):
+    """The grid kernel on the tables of its own grid."""
+    return experiments._gain_field_minmax(experiments._field_tables(k, side, step, lam), coeffs)
+
+
 def _close_to_max(got, want):
     """Field values agree relative to the field maximum (min_gain can sit near zero)."""
     scale = max(want[0], 1e-300)
@@ -243,7 +248,7 @@ def test_gain_field_matches_outer_product_loop(paths, geom):
     side, step, lam = geom
     k = np.array([p[0] for p in paths])
     b = np.array([p[1] for p in paths])
-    got = experiments._gain_field_minmax(k, b, side * lam, step * lam, lam)
+    got = _field(k, b, side * lam, step * lam, lam)
     want = ref_gain_field_minmax(k, b, side * lam, step * lam, lam)
     assert _close_to_max(got, want)
 
@@ -291,8 +296,8 @@ def test_blocked_grid_columns_match_per_column_loop(ks, geom, n_cols, data):
     runs = []
     for block in _row_blocks(side, step, n_cols):
         with mock.patch.object(experiments, "_FIELD_BLOCK", block):
-            per_col = [experiments._gain_field_minmax(k, c, side, step, lam) for c in coeffs.T]
-            hi, lo, origin = experiments._gain_field_minmax(k, coeffs, side, step, lam)
+            per_col = [_field(k, c, side, step, lam) for c in coeffs.T]
+            hi, lo, origin = _field(k, coeffs, side, step, lam)
         for got, w in zip(per_col, want):
             assert _close_to_max(got, w)
         # the column-summed power: its origin is the sum of the columns' origins, and
@@ -301,6 +306,34 @@ def test_blocked_grid_columns_match_per_column_loop(ks, geom, n_cols, data):
         assert max(w[0] for w in want) - TOL * scale <= hi <= scale * (1.0 + TOL)
         assert sum(w[1] for w in want) - TOL * scale <= lo <= hi
         runs.append([_hex(v) for v in per_col + [(hi, lo, origin)]])
+    assert runs[1:] == runs[:-1]
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, 2e7])
+def test_catalog_size_grid_matches_reference_for_every_block_size(bandwidth):
+    # siso-gain-bounds defaults: a 101^3 grid, which the default _FIELD_BLOCK walks in 16
+    # blocks.  Wideband, 4 subcarriers give the same min(4 paths, M) = 4 columns (62 blocks) as
+    # the catalog's 64, and keep the reference's subcarrier x grid response at 66 MB, not 1 GB.
+    params = {**experiments.CATALOG["siso-gain-bounds"].defaults, "bandwidth": bandwidth,
+              "subcarriers": 4}
+    lam = params["wavelength"]
+    side, step = params["region_side"] * lam, params["grid_step"] * lam
+    rng = np.random.default_rng(3)
+    k = sample_directions(rng, params["n_paths"], params["angle_law"])
+    b = rng.standard_normal(params["n_paths"]) + 1j * rng.standard_normal(params["n_paths"])
+    if bandwidth:
+        want = ref_wideband_gain_minmax(np.random.default_rng(4), params, k, b, side, lam)
+    else:
+        want = ref_gain_field_minmax(k, b, side, step, lam)
+    cols = 4 if bandwidth else 1
+    runs = []
+    for block in (1, experiments._FIELD_BLOCK, 101 ** 3 * cols):  # 2 points, default, all
+        with mock.patch.object(experiments, "_FIELD_BLOCK", block):
+            got = (experiments._wideband_gain_minmax(np.random.default_rng(4), params, k, b,
+                                                     side, lam)
+                   if bandwidth else _field(k, b, side, step, lam))
+        assert _close_to_max(got, want)
+        runs.append(_hex(got))
     assert runs[1:] == runs[:-1]
 
 
@@ -321,7 +354,7 @@ def test_grid_search_memory_does_not_grow_with_the_grid(bandwidth):
         if bandwidth:
             experiments._wideband_gain_minmax(rng, params, k, b, side, lam)
         else:
-            experiments._gain_field_minmax(k, b, side, params["grid_step"] * lam, lam)
+            _field(k, b, side, params["grid_step"] * lam, lam)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -343,7 +376,7 @@ def test_dof_trial_matches_per_orientation_loop(seed, joint):
 # shortcuts of the dof-gain and wideband searches
 
 def _all_columns_max(k, coeffs, side, step, lam):
-    return max(experiments._gain_field_minmax(k, c, side, step, lam)[0] for c in coeffs.T)
+    return max(_field(k, c, side, step, lam)[0] for c in coeffs.T)
 
 
 def _counting_kernel(monkeypatch):
@@ -351,9 +384,9 @@ def _counting_kernel(monkeypatch):
     seen = []
     kernel = experiments._gain_field_minmax
 
-    def counted(k_vectors, coeffs, *args):
+    def counted(tables, coeffs):
         seen.append(1 if np.ndim(coeffs) == 1 else np.shape(coeffs)[1])
-        return kernel(k_vectors, coeffs, *args)
+        return kernel(tables, coeffs)
 
     monkeypatch.setattr(experiments, "_gain_field_minmax", counted)
     return seen
@@ -365,11 +398,14 @@ def test_pruned_joint_max_matches_all_orientation_columns(seed, monkeypatch):
     params = {**defaults, "n_paths": 3, "region_side": 2.0}
     assert params["orientation_grid"] == 8  # the catalog default: 256 orientation columns
     seen = _counting_kernel(monkeypatch)
+    built, tables = [], experiments._field_tables
+    monkeypatch.setattr(experiments, "_field_tables", lambda *a: built.append(a) or tables(*a))
     got = experiments._trial_dof(params, seed, 0)
     want = ref_trial_dof(params, seed, 0)
     assert all(abs(g - w) <= TOL * max(want) for g, w in zip(got, want))
-    # two single-column fixed-antenna fields, then the pruned joint searches
-    assert sum(seen) - 2 < 2 * 256
+    # two single-column fixed-antenna fields, then the pruned joint searches, all on one table
+    assert sum(seen) - 2 < 2 * 256 and len(seen) > 2
+    assert len(built) == 1
 
 
 def test_pruned_joint_max_handles_zero_and_tied_columns():
@@ -383,11 +419,12 @@ def test_pruned_joint_max_handles_zero_and_tied_columns():
     bound = np.sum(np.abs(coeffs), axis=0) ** 2
     assert np.ptp(bound[3:9]) <= 1e-15 * bound[3]
     want = _all_columns_max(k, coeffs, side, step, lam)
-    assert abs(experiments._joint_max(k, coeffs, side, step, lam) - want) <= TOL * want
+    tables = experiments._field_tables(k, side, step, lam)
+    assert abs(experiments._joint_max(tables, coeffs) - want) <= TOL * want
     for perm in (rng.permutation(coeffs.shape[1]) for _ in range(5)):
-        got = experiments._joint_max(k, coeffs[:, perm], side, step, lam)
+        got = experiments._joint_max(tables, coeffs[:, perm])
         assert abs(got - want) <= TOL * want
-    assert experiments._joint_max(k, np.zeros((4, 5)), side, step, lam) == 0.0
+    assert experiments._joint_max(tables, np.zeros((4, 5))) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,7 +434,8 @@ def test_pruned_joint_max_matches_every_column(ks, n_cols, data):
     coeffs = np.reshape(data.draw(st.lists(coefficient, min_size=len(ks) * n_cols,
                                            max_size=len(ks) * n_cols)), (len(ks), n_cols))
     want = _all_columns_max(k, coeffs, 1.5, 0.25, 1.0)
-    assert abs(experiments._joint_max(k, coeffs, 1.5, 0.25, 1.0) - want) <= TOL * max(want, 1e-300)
+    got = experiments._joint_max(experiments._field_tables(k, 1.5, 0.25, 1.0), coeffs)
+    assert abs(got - want) <= TOL * max(want, 1e-300)
 
 
 @pytest.mark.parametrize("n_paths, m_sub", [(6, 2), (4, 4), (3, 64)])

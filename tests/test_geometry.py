@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from makit.geometry import (Direction, MoveRegion, Pose, _close_pairs, _too_close, accs_basis,
                             aom_from_euler, validate_placement, wave_vector)
-from oracles import ref_too_close
+from oracles import ref_aom_from_euler, ref_too_close
 
 
 def test_wave_vector_axis_case():
@@ -59,6 +61,18 @@ def test_aom_orthonormal_randoms():
         m = aom_from_euler(*rng.uniform(-np.pi, np.pi, 3))
         assert np.allclose(m.T @ m, np.eye(3), atol=1e-10)
         assert np.linalg.det(m) > 0.999999
+
+
+@settings(max_examples=60, deadline=None)
+@given(*(arrays(float, st.integers(1, 4), elements=st.floats(-10.0, 10.0)) for _ in range(3)))
+def test_stacked_aom_from_euler_equals_per_angle_calls_bitwise(yaws, pitches, rolls):
+    stack = aom_from_euler(yaws[:, None, None], pitches[:, None], rolls)
+    assert stack.shape == (len(yaws), len(pitches), len(rolls), 3, 3)
+    for (i, y), (j, p), (k, r) in itertools.product(*map(enumerate, (yaws, pitches, rolls))):
+        one = aom_from_euler(y, p, r)
+        assert one.shape == (3, 3)
+        assert stack[i, j, k].tobytes() == one.tobytes()
+        assert one.tobytes() == ref_aom_from_euler(y, p, r).tobytes()
 
 
 def test_accs_basis_x_axis():

@@ -284,6 +284,13 @@ REFUSED_FIELDS = [
     ("sense", {**SENSE, "d_min": 0.0, "placement": "dense"}, "d_min"),
     ("sense", {**SENSE, "d_min": 0.0}, "d_min"),
     ("sense", {**SENSE, "kappa": -1.0}, "kappa"),
+    ("optimize", {"task": "sensing-1d", "n": 4, "aperture": 4.0, "d_min": 0}, "d_min"),
+    ("optimize", {"task": "sensing-1d", "n": 1, "aperture": 4.0, "d_min": 0.5}, "'n'"),
+    ("estimate", estimate_doc(snr_db=1e308), "snr_db"),
+    ("estimate", estimate_doc(snr_db=-1e308), "snr_db"),
+    ("sense", {**SENSE, "snr_db": 4000}, "snr_db"),
+    ("experiment", {"experiment": "mimo-capacity", "params": {"snr_db": -4000}}, "snr_db"),
+    ("experiment", {"experiment": "dof-gain", "params": {"gain_dbi": 1e308}}, "gain_dbi"),
 ]
 REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "miso-graph-m-0",
                "sensing-1d-mse-snapshots-0", "sensing-1d-mse-n-bool", "beam-null-aperture-negative",
@@ -307,7 +314,10 @@ REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "mis
                "null-n-1", "estimate-too-few-measurements", "estimate-joint-atom-cap",
                "estimate-joint-too-few-measurements", "estimation-nmse-grid-65",
                "estimation-nmse-sweep-grid-65", "sensing-1d-mse-d_min-0", "sense-dense-d_min-0",
-               "sense-optimal-d_min-0", "sense-unread-kappa-negative"]
+               "sense-optimal-d_min-0", "sense-unread-kappa-negative", "sensing-1d-d_min-0",
+               "sensing-1d-n-1", "estimate-snr_db-overflow", "estimate-snr_db-underflow",
+               "sense-snr_db-overflow", "mimo-capacity-snr_db-underflow",
+               "dof-gain-gain_dbi-overflow"]
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -390,13 +400,15 @@ def test_catalog_defaults_and_rule_boundaries_are_accepted():
         ExperimentConfig.from_dict({"experiment": name, "params": dict(entry.defaults)})
     for name, value in (("kappa", math.inf), ("diffuse_power", 1.0), ("diffuse_power", 0),
                         ("bandwidth", 0.0), ("min_sep_cells", 0), ("gain_dbi", 3.02),
+                        ("snr_db", math.inf), ("snr_db", 3000.0), ("snr_db", -3000),
                         ("on_grid", False), ("joint", True), ("angle_law", "sphere"),
                         ("metric", "sum")):
         assert experiments.check_field(name, value) == value
     for name, value in (("analog", 1), ("joint", 0.0), ("on_grid", None), ("kappa", math.nan),
                         ("gain_dbi", 10 * math.log10(2)), ("subcarriers", 0),
                         ("max_delay", math.inf), ("beta", -1.0), ("angle_law", "Sphere"),
-                        ("metric", ["max"])):
+                        ("metric", ["max"]), ("snr_db", 10 ** 400), ("snr_db", -math.inf),
+                        ("gain_dbi", math.inf)):
         with pytest.raises(ConfigError, match=name):
             experiments.check_field(name, value)
 
