@@ -19,8 +19,8 @@ from .channel import (channel_mimo, channel_narrowband, db_to_linear, gen_scenar
                       scenario_from_dict)
 from .errors import ConfigError, InfeasibleError
 from .experiments import (ExperimentConfig, ResultTable, _line_array, _miso_line_channel,
-                          _music_mse_once, _null_design, _recover, config_hash, emit,
-                          read_fields, run_experiment, trial_seed)
+                          _music_mse_once, _null_design, _recover, emit, read_fields,
+                          run_experiment, trial_seed)
 from .geometry import MoveRegion
 
 EXIT_OK = 0
@@ -76,27 +76,25 @@ def _grid_from(doc: dict) -> np.ndarray:
     raise ConfigError("grid must specify 'segment' or 'square'")
 
 
-def _simulate_map(doc: dict, seed):
-    """Read and check a simulate config; return the function that computes its channel map."""
-    sc = _build_scenario(doc.get("scenario", {}), seed)
+# A subcommand's reader reads and checks its config against the command line's
+# --seed and --workers, then returns run(out), which runs the subcommand, writes
+# out if given, and returns the line to print; so validate-config can read a
+# config without running it.
+def _simulate_map(doc: dict, args):
+    sc = _build_scenario(doc.get("scenario", {}), args.seed)
     tx_grid, rx_grid = _grid_from(doc["tx_grid"]), _grid_from(doc["rx_grid"])
 
-    def run():
-        return tx_grid, rx_grid, channel_mimo(tx_grid, rx_grid, sc)
+    def run(out):
+        h = channel_mimo(tx_grid, rx_grid, sc)
+        if out:
+            est.export_mapping_csv(out, tx_grid[:, :2], rx_grid[:, :2], h)
+        return (f"simulated {h.shape[0]}x{h.shape[1]} channel map; "
+                f"mean power {np.mean(np.abs(h) ** 2):.6g}")
     return run
 
 
-def _cmd_simulate(doc: dict, out: str | None, seed):
-    tx_grid, rx_grid, h = _simulate_map(doc, seed)()
-    if out:
-        est.export_mapping_csv(out, tx_grid[:, :2], rx_grid[:, :2], h)
-    print(f"simulated {h.shape[0]}x{h.shape[1]} channel map; "
-          f"mean power {np.mean(np.abs(h) ** 2):.6g}")
-    return EXIT_OK
-
-
-# An optimize task reads its fields, then returns the function that runs it,
-# so validate-config can read a task without running it.
+# An optimize task reads its fields, then returns the function that runs it and
+# returns its report.
 def _task_sensing_1d(doc: dict, seed):
     lam, n, a, dmin = _line_array(read_fields(doc, "sensing-1d-mse", _LINE, wavelength=1.0))
 
@@ -127,7 +125,7 @@ def _task_null(doc: dict, seed):
             x, w = _null_design(angles, n, a, dmin, lam)
         except InfeasibleError as e:
             return {"constructible": False, "reason": str(e)}
-        gains = [bf.beam_gain(x, w, t, lam) for t in angles]
+        gains = bf.beam_gain(x, w, angles, lam).tolist()
         return {"constructible": True, "placement": x.tolist(), "gain": gains[0],
                 "null_gains": gains[1:]}
     return run
@@ -175,53 +173,45 @@ _OPTIMIZE_TASKS = {"sensing-1d": _task_sensing_1d, "sensing-2d": _task_sensing_2
                    "widebeam": _task_widebeam, "miso-graph": _task_miso_graph}
 
 
-def _optimize_task(doc: dict, seed):
+def _optimize_task(doc: dict, args):
     task = doc.get("task")
     if task is None:
         raise ConfigError("optimize config is missing 'task'")
     if task not in _OPTIMIZE_TASKS:
         raise ConfigError(f"unknown optimize task {task!r}")
-    return _OPTIMIZE_TASKS[task](doc, seed)
+    report = _OPTIMIZE_TASKS[task](doc, args.seed)
+
+    def run(out):
+        rep = report()
+        if out:
+            with open(out, "w") as fh:
+                json.dump(rep, fh, indent=2)
+        return json.dumps(rep)[:400]
+    return run
 
 
-def _cmd_optimize(doc: dict, out: str | None, seed):
-    report = _optimize_task(doc, seed)()
-    if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2)
-    print(json.dumps(report)[:400])
-    return EXIT_OK
-
-
-def _sense_trials(doc: dict, seed):
-    """Read and check a sense config; return the function that runs its trials."""
+def _sense_trials(doc: dict, args):
     f = read_fields(doc, "sensing-1d-mse", ("u", "snr_db", *_LINE), wavelength=1.0,
                     placement="optimal", snapshots=1, trials=100)
     lam, n, a, dmin = _line_array(f)
     kind, u, snr_db = f["placement"], f["u"], f["snr_db"]
-    base = str(seed if seed is not None else doc.get("seed", 0))
+    base = str(args.seed if args.seed is not None else doc.get("seed", 0))
 
-    def run():
+    def run(out):
         x = opt.sensing_1d_optimal(n, a, dmin) if kind == "optimal" else np.arange(n) * dmin
         rows = [[float(t), *_music_mse_once(x, u, snr_db, f["snapshots"], trial_seed(base, t), lam)]
                 for t in range(f["trials"])]
-        return ResultTable(columns=["trial", "u_hat", "sq_error", "crb"], rows=rows,
-                           metadata={"placement": kind, "snr_db": snr_db})
+        table = ResultTable(columns=["trial", "u_hat", "sq_error", "crb"], rows=rows,
+                            metadata={"placement": kind, "snr_db": snr_db})
+        if out:
+            emit(table, out)
+        mse = float(np.mean([r[2] for r in rows]))
+        return f"MSE {mse:.6g} vs CRB {rows[0][3]:.6g} over {len(rows)} trials"
     return run
 
 
-def _cmd_sense(doc: dict, out: str | None, seed):
-    table = _sense_trials(doc, seed)()
-    if out:
-        emit(table, out)
-    mse = float(np.mean([r[2] for r in table.rows]))
-    print(f"MSE {mse:.6g} vs CRB {table.rows[0][3]:.6g} over {len(table.rows)} trials")
-    return EXIT_OK
-
-
-def _estimate_trial(doc: dict, seed):
-    """Read and check an estimate config; return the function that runs its recovery."""
-    sc = _build_scenario(doc["scenario"], seed)
+def _estimate_trial(doc: dict, args):
+    sc = _build_scenario(doc["scenario"], args.seed)
     f = read_fields(doc, "estimate", ("region_side", "snr_db", "measurements"), wavelength=1.0,
                     eval_step=0.2, power=1.0, grid=16, paths_to_recover=len(sc.tx_paths),
                     method="successive")
@@ -231,9 +221,9 @@ def _estimate_trial(doc: dict, seed):
     grid_pts = region.grid_points(f["eval_step"] * lam)
     sigma2 = power / db_to_linear(f["snr_db"])
     m, g, l = f["measurements"], f["grid"], f["paths_to_recover"]
-    base = str(seed if seed is not None else doc.get("seed", 0))
+    base = str(args.seed if args.seed is not None else doc.get("seed", 0))
 
-    def run():
+    def run(out):
         if method == "nearest":
             ms = est.collect_measurements(sc, region, region, "rx-sweep", m, power, sigma2,
                                           trial_seed(base, 4))
@@ -243,52 +233,38 @@ def _estimate_trial(doc: dict, seed):
             fri = _recover(sc, region, method, m, g, l, power, sigma2, base)
             h_true = channel_mimo(grid_pts, grid_pts, sc)
             h_hat = est.reconstruct_mapping(fri, grid_pts, grid_pts, lam)
-        return ResultTable(columns=["nmse"], rows=[[est.nmse(h_true, h_hat)]],
-                           metadata={"method": method, "measurements": m, "grid": g})
+        nmse = est.nmse(h_true, h_hat)
+        if out:
+            emit(ResultTable(columns=["nmse"], rows=[[nmse]],
+                             metadata={"method": method, "measurements": m, "grid": g}), out)
+        return f"{method} NMSE {nmse:.6g}"
     return run
 
 
-def _cmd_estimate(doc: dict, out: str | None, seed):
-    table = _estimate_trial(doc, seed)()
-    if out:
-        emit(table, out)
-    print(f"{table.metadata['method']} NMSE {table.rows[0][0]:.6g}")
-    return EXIT_OK
-
-
-def _cmd_experiment(doc: dict, out: str | None, seed, workers):
+def _experiment(doc: dict, args):
     cfg = ExperimentConfig.from_dict(doc)
-    table = run_experiment(cfg, workers=workers, seed_override=seed)
-    dest = out or cfg.out
-    if dest:
-        emit(table, dest)
-    print(f"{cfg.experiment}: {len(table.rows)} rows, config {config_hash(cfg)[:12]}"
-          + (f" -> {dest}" if dest else ""))
-    return EXIT_OK
+
+    def run(out):
+        table = run_experiment(cfg, workers=args.workers, seed_override=args.seed)
+        dest = out or cfg.out
+        if dest:
+            emit(table, dest)
+        return (f"{cfg.experiment}: {len(table.rows)} rows, "
+                f"config {table.metadata['config_hash'][:12]}" + (f" -> {dest}" if dest else ""))
+    return run
 
 
-def _cmd_validate(doc: dict) -> int:
-    if "experiment" in doc:
-        cfg = ExperimentConfig.from_dict(doc)
-        print(f"ok: experiment {cfg.experiment!r}, hash {config_hash(cfg)[:12]}")
-    elif "task" in doc:
-        _optimize_task(doc, None)
-        print(f"ok: optimize task {doc['task']!r}")
-    elif "tx_grid" in doc or "rx_grid" in doc:
-        _simulate_map(doc, None)
-        print("ok: simulate config")
-    elif "region_side" in doc or "measurements" in doc:
-        _estimate_trial(doc, None)
-        print("ok: estimate config")
-    elif "scenario" in doc:
-        _build_scenario(doc["scenario"])
-        print("ok: scenario config")
-    elif {"n", "u", "snr_db"} <= set(doc):
-        _sense_trials(doc, None)
-        print("ok: sensing config")
-    else:
-        raise ConfigError("config matches no known subcommand shape")
-    return EXIT_OK
+_COMMANDS = {"simulate": _simulate_map, "optimize": _optimize_task, "sense": _sense_trials,
+             "estimate": _estimate_trial, "experiment": _experiment}
+
+# validate-config reads a config with the reader of the first subcommand whose
+# shape its keys have.  A scenario with no grid, region or measurement count
+# reads as an estimate config, the one subcommand that needs a scenario.
+_SHAPES = (("experiment", lambda keys: "experiment" in keys),
+           ("optimize", lambda keys: "task" in keys),
+           ("simulate", lambda keys: bool(keys & {"tx_grid", "rx_grid"})),
+           ("estimate", lambda keys: bool(keys & {"region_side", "measurements", "scenario"})),
+           ("sense", lambda keys: keys >= {"n", "u", "snr_db"}))
 
 
 def main(argv=None) -> int:
@@ -296,25 +272,26 @@ def main(argv=None) -> int:
         prog="makit",
         description="Movable-antenna channel simulation, placement optimization, "
                     "sensing, and channel acquisition.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "optimize", "sense", "estimate", "experiment", "validate-config"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default=None, help="output file (csv or json)")
-        p.add_argument("--seed", type=int, default=None, help="override config seeds")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel trial workers (default: MAKIT_WORKERS or 1)")
+    parser.add_argument("command", choices=[*_COMMANDS, "validate-config"])
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", default=None, help="output file (csv or json)")
+    parser.add_argument("--seed", type=int, default=None, help="override config seeds")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="parallel trial workers (default: MAKIT_WORKERS or 1)")
     args = parser.parse_args(argv)
 
     try:
         doc = _load_json(args.config)
-        if args.command == "experiment":
-            return _cmd_experiment(doc, args.out, args.seed, args.workers)
-        if args.command == "validate-config":
-            return _cmd_validate(doc)
-        run = {"simulate": _cmd_simulate, "optimize": _cmd_optimize, "sense": _cmd_sense,
-               "estimate": _cmd_estimate}[args.command]
-        return run(doc, args.out, args.seed)
+        if args.command != "validate-config":
+            print(_COMMANDS[args.command](doc, args)(args.out))
+            return EXIT_OK
+        keys = set(doc)
+        command = next((c for c, fits in _SHAPES if fits(keys)), None)
+        if command is None:
+            raise ConfigError("config matches no known subcommand shape")
+        _COMMANDS[command](doc, args)
+        print(f"ok: {command} config")
+        return EXIT_OK
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -110,6 +110,11 @@ class ExperimentConfig:
                    sweep=sweep, out=doc.get("out"))
 
 
+def _finite_db(x) -> bool:
+    """Whether level x (dB) has a power ratio and an inverse that are finite floats."""
+    return max(db_to_linear(x), db_to_linear(-x)) < math.inf
+
+
 # The rules of config fields: catalog params and sweep values (an (experiment,
 # name) key overrides the shared rule), the config's trials and seeds, and every
 # CLI reader's fields.  A rule is a predicate on numbers or a tuple of the JSON
@@ -143,13 +148,17 @@ _RANGES = {
     "placement": ("'optimal' or 'dense'", ("optimal", "dense")),
     "method": ("'successive', 'joint' or 'nearest'", ("successive", "joint", "nearest")),
     "snr_db": ("+inf (noiseless) or a number whose power ratio and its inverse are finite",
-               lambda x: x == math.inf or max(db_to_linear(x), db_to_linear(-x)) < math.inf),
+               lambda x: x == math.inf or _finite_db(x)),
     "u": ("a finite number in [-1, 1]", lambda x: -1 <= x <= 1),
     # a null or a MUSIC spectrum needs two antennas, a planar CRB three off one line
     **dict.fromkeys((("beam-null", "n"), ("sensing-1d-mse", "n")),
                     ("an integer >= 2", lambda x: x >= 2 and x % 1 == 0)),
     **dict.fromkeys((("sensing-2d-crb", "n"), ("isac-tradeoff", "n_r")),
                     ("an integer >= 3", lambda x: x >= 3 and x % 1 == 0)),
+    # a noiseless capacity, rate or CRB is infinite or zero, which no row can hold
+    **dict.fromkeys(((e, "snr_db") for e in ("mimo-capacity", "multiuser-rate", "sensing-2d-crb",
+                                             "isac-tradeoff")),
+                    ("a number whose power ratio and its inverse are finite", _finite_db)),
     # the dense baseline of a 1-D sensing array is spaced d_min apart
     ("sensing-1d-mse", "d_min"): ("a finite number > 0", lambda x: 0 < x < math.inf),
     # the joint recovery takes grid**4 atoms
@@ -249,22 +258,18 @@ class ResultTable:
         return np.array([r[i] for r in self.rows], dtype=float)
 
 
-def emit(table: ResultTable, path, fmt: str | None = None) -> None:
-    """Write a table as CSV (header plus numeric rows) or JSON (with metadata)."""
+def emit(table: ResultTable, path) -> None:
+    """Write a table as JSON (with metadata) to a .json path, else as CSV (header, numeric rows)."""
     path = str(path)
-    if fmt is None:
-        fmt = "json" if path.endswith(".json") else "csv"
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(table.columns) + "\n")
-            for row in table.rows:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    elif fmt == "json":
+    if path.endswith(".json"):
         doc = {"columns": table.columns, "rows": table.rows, "metadata": table.metadata}
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(table.columns) + "\n")
+            for row in table.rows:
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_table_csv(path) -> ResultTable:
@@ -943,8 +948,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
     var = cfg.sweep["variable"] if cfg.sweep else None
     nw = _resolve_workers(workers)
 
+    lead = [var] if var is not None and var not in entry.columns else []
+    columns = lead + list(entry.columns)
     all_rows: list[list[float]] = []
-    columns: list[str] | None = None
     seeds_used: list[int] = []
     if nw > 1:  # imported here: a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -963,15 +969,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
                 seeds_used.append(seed)
                 jobs.append((cfg.experiment, params, seed, ti))
             payloads = list((pool.map if pool else map)(_run_one, jobs))
-            cols = list(entry.columns)
             rows = entry.finalize(params, payloads) if entry.finalize else payloads
-            if var is not None and var not in cols:
-                cols = [var] + cols
+            if lead:
                 rows = [[float(sv)] + list(r) for r in rows]
-            if columns is None:
-                columns = cols
-            elif columns != cols:
-                raise RuntimeError("sweep produced inconsistent columns")
             all_rows.extend([list(map(float, r)) for r in rows])
 
     non_finite = sum(not all(map(math.isfinite, r)) for r in all_rows)
@@ -979,7 +979,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
         _log.warning("%s: %d of %d result rows hold a non-finite value",
                      cfg.experiment, non_finite, len(all_rows))
     return ResultTable(
-        columns=columns or [],
+        columns=columns,
         rows=all_rows,
         metadata={
             "experiment": cfg.experiment,

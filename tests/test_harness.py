@@ -291,6 +291,12 @@ REFUSED_FIELDS = [
     ("sense", {**SENSE, "snr_db": 4000}, "snr_db"),
     ("experiment", {"experiment": "mimo-capacity", "params": {"snr_db": -4000}}, "snr_db"),
     ("experiment", {"experiment": "dof-gain", "params": {"gain_dbi": 1e308}}, "gain_dbi"),
+    ("experiment", {"experiment": "mimo-capacity", "params": {"snr_db": math.inf}}, "snr_db"),
+    ("experiment", {"experiment": "multiuser-rate", "params": {"snr_db": math.inf}}, "snr_db"),
+    ("experiment", {"experiment": "sensing-2d-crb", "params": {"snr_db": math.inf}}, "snr_db"),
+    ("experiment", {"experiment": "isac-tradeoff", "params": {"snr_db": math.inf}}, "snr_db"),
+    ("optimize", {"task": "sensing-2d", "n": 3, "side": 2.0, "d_min": 0.5, "snr_db": math.inf},
+     "snr_db"),
 ]
 REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "miso-graph-m-0",
                "sensing-1d-mse-snapshots-0", "sensing-1d-mse-n-bool", "beam-null-aperture-negative",
@@ -317,7 +323,9 @@ REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "mis
                "sense-optimal-d_min-0", "sense-unread-kappa-negative", "sensing-1d-d_min-0",
                "sensing-1d-n-1", "estimate-snr_db-overflow", "estimate-snr_db-underflow",
                "sense-snr_db-overflow", "mimo-capacity-snr_db-underflow",
-               "dof-gain-gain_dbi-overflow"]
+               "dof-gain-gain_dbi-overflow", "mimo-capacity-snr_db-inf",
+               "multiuser-rate-snr_db-inf", "sensing-2d-crb-snr_db-inf", "isac-snr_db-inf",
+               "sensing-2d-unread-snr_db-inf"]
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -630,6 +638,22 @@ def test_cli_validate_config(tmp_path):
     assert main(["validate-config", "--config", shapeless]) == 2
 
 
+def test_cli_unknown_command_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "ok.json", {"experiment": "beam-null"})
+    with pytest.raises(SystemExit) as exit_:
+        main(["nope", "--config", cfg])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_cli_experiment_prints_the_run_config_hash(tmp_path, capsys):
+    doc = {"experiment": "miso-graph", "trials": 1,
+           "params": {"m": 12, "n": 4, "n_paths": 4, "aperture": 4.0}}
+    assert main(["experiment", "--config", write(tmp_path, "exp.json", doc)]) == 0
+    h = config_hash(ExperimentConfig.from_dict(doc))
+    assert capsys.readouterr().out == f"miso-graph: 1 rows, config {h[:12]}\n"
+
+
 def test_cli_miso_graph_wavelength_must_match_scenario(tmp_path, capsys):
     def task(scenario_lam):
         return {"task": "miso-graph", "wavelength": 2.0, "n": 3, "m": 12, "aperture": 3.0,
@@ -817,7 +841,7 @@ def test_catalog_and_cli_readers_take_the_same_field_values(name, value):
                                          / "examples").glob("*.json")), ids=lambda p: p.stem)
 def test_example_configs_pass_validate_config(path, capsys):
     assert main(["validate-config", "--config", str(path)]) == 0
-    assert capsys.readouterr().out.startswith("ok: ")
+    assert capsys.readouterr().out == f"ok: {path.stem.split('-')[0]} config\n"
 
 
 def test_experiment_schema_lists_the_config_fields():
