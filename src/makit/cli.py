@@ -31,11 +31,14 @@ EXIT_INFEASIBLE = 3
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    return doc
 
 
 # The fields every linear-array reader needs; each reader names the experiment

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathSet, Scenario, channel_mimo, channel_narrowband
+from .channel import PathSet, Scenario, channel_mimo, channel_narrowband, frm
 from .geometry import MoveRegion
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "nearest_measured_reconstruct",
     "reconstruct_mapping",
     "nmse",
+    "path_nmse",
     "export_mapping_csv",
     "load_mapping_csv",
     "save_measurements",
@@ -129,16 +130,19 @@ def collect_measurements(scenario: Scenario, tx_region: MoveRegion, rx_region: M
     return MeasurementSet(t, r, y, power, noise_power)
 
 
-def _tx_atoms(uv: np.ndarray, positions: np.ndarray, wavelength: float) -> np.ndarray:
-    """(n_atoms, M) entries exp(+j 2 pi/lambda uv . t_m)."""
-    phase = 2j * np.pi / wavelength * (uv @ positions[:, :2].T)
+def _atoms(uv: np.ndarray, positions: np.ndarray, wavelength: float, sign: int = 1) -> np.ndarray:
+    """(n_atoms, M) entries exp(sign j 2 pi/lambda uv . p_m): sign +1 for Tx atoms, -1 for Rx
+    atoms, since the receive side is conjugated."""
+    phase = sign * 2j * np.pi / wavelength * (uv @ positions[:, :2].T)
     return np.exp(phase, out=phase)
 
 
-def _rx_atoms(uv: np.ndarray, positions: np.ndarray, wavelength: float) -> np.ndarray:
-    """(n_atoms, M) entries exp(-j 2 pi/lambda uv . r_m): the receive side is conjugated."""
-    phase = -2j * np.pi / wavelength * (uv @ positions[:, :2].T)
-    return np.exp(phase, out=phase)
+def _grid_atoms(g: int, positions: np.ndarray, wavelength: float, sign: int = 1) -> np.ndarray:
+    """_atoms of the _uv_pairs(g) grid, as products of per-axis tables: row u + G v is
+    ex[u] * ey[v], equal to the direct table within a few ulps."""
+    k = sign * 2j * np.pi / wavelength * uv_grid(g)[:, None]
+    ex, ey = np.exp(k * positions[:, 0]), np.exp(k * positions[:, 1])
+    return (ey[:, None, :] * ex[None, :, :]).reshape(g * g, -1)
 
 
 def _pursuit(y: np.ndarray, n_atoms: int, noise_power: float, best_atom, sub_dictionary):
@@ -180,9 +184,10 @@ def omp(dictionary: np.ndarray, y: np.ndarray, n_atoms: int, noise_power: float 
     atom index.  Returns (indices, coefficients, residual_norm, converged).
     """
     a = np.asarray(dictionary, dtype=complex)
+    a_h = a.conj().T
 
     def best_atom(res, chosen):
-        corr = np.abs(a.conj().T @ res)
+        corr = np.abs(a_h @ res)
         corr[chosen] = -1.0
         j = int(np.argmax(corr))
         return j, corr[j]
@@ -194,13 +199,10 @@ def omp(dictionary: np.ndarray, y: np.ndarray, n_atoms: int, noise_power: float 
 
 
 def _side_recovery(ms: MeasurementSet, side: str, g: int, n_paths: int, wavelength: float):
-    uv = _uv_pairs(g)
-    if side == "tx":
-        atoms = _tx_atoms(uv, ms.tx_positions, wavelength)
-    else:
-        atoms = _rx_atoms(uv, ms.rx_positions, wavelength)
+    positions, sign = (ms.tx_positions, 1) if side == "tx" else (ms.rx_positions, -1)
+    atoms = _grid_atoms(g, positions, wavelength, sign)
     idx, coef, _, ok = omp(atoms.T, ms.pilots, n_paths, ms.noise_power)
-    return uv[idx], coef, ok
+    return _uv_pairs(g)[idx], coef, ok
 
 
 def _min_cost_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
@@ -276,8 +278,8 @@ def omp_successive(ms_tx: MeasurementSet, ms_rx: MeasurementSet, g: int,
     t_fixed = ms_rx.tx_positions[0]
     # coefficient of tx atom a: sqrt(P) conj(f_b(r_fixed)) sigma_ab; of rx atom b:
     # sqrt(P) sigma_ab g_a(t_fixed): consistent pairs agree on sigma
-    f_at_fixed = _rx_atoms(rx_uv, r_fixed.reshape(1, 3), wavelength)[:, 0]  # conj-phased
-    g_at_fixed = _tx_atoms(tx_uv, t_fixed.reshape(1, 3), wavelength)[:, 0]
+    f_at_fixed = _atoms(rx_uv, r_fixed.reshape(1, 3), wavelength, -1)[:, 0]  # conj-phased
+    g_at_fixed = _atoms(tx_uv, t_fixed.reshape(1, 3), wavelength)[:, 0]
     s_tx = c_t[:, None] / (math.sqrt(power) * f_at_fixed[None, :])  # (a, b)
     s_rx = c_r[None, :] / (math.sqrt(power) * g_at_fixed[:, None])  # (a, b)
     row, col = _min_cost_assignment(np.abs(s_tx - s_rx) ** 2)
@@ -285,10 +287,10 @@ def omp_successive(ms_tx: MeasurementSet, ms_rx: MeasurementSet, g: int,
     rx_uv = rx_uv[col]
 
     # joint diagonal LS over both sweeps
-    g_t = _tx_atoms(tx_uv, ms_tx.tx_positions, wavelength)          # (L, Mt)
-    f_t = _rx_atoms(rx_uv, ms_tx.rx_positions, wavelength)          # (L, Mt)
-    g_r = _tx_atoms(tx_uv, ms_rx.tx_positions, wavelength)
-    f_r = _rx_atoms(rx_uv, ms_rx.rx_positions, wavelength)
+    g_t = _atoms(tx_uv, ms_tx.tx_positions, wavelength)          # (L, Mt)
+    f_t = _atoms(rx_uv, ms_tx.rx_positions, wavelength, -1)      # (L, Mt)
+    g_r = _atoms(tx_uv, ms_rx.tx_positions, wavelength)
+    f_r = _atoms(rx_uv, ms_rx.rx_positions, wavelength, -1)
     design = math.sqrt(power) * np.vstack([(g_t * f_t).T, (g_r * f_r).T])
     y_all = np.concatenate([ms_tx.pilots, ms_rx.pilots])
     diag, residual, rank_def, poor = _fit(design, y_all, noise)
@@ -310,13 +312,20 @@ def omp_joint(ms: MeasurementSet, g: int, n_paths: int, wavelength: float) -> Fr
     if len(ms) < n_paths:
         raise ValueError("need at least as many measurements as atoms to recover")
     uv = _uv_pairs(g)
-    at = _tx_atoms(uv, ms.tx_positions, wavelength)  # (G^2, M)
-    ar = _rx_atoms(uv, ms.rx_positions, wavelength)  # (G^2, M)
+    at_c = _grid_atoms(g, ms.tx_positions, wavelength, -1)  # conjugated Tx atoms, (G^2, M)
+    ar_c = _grid_atoms(g, ms.rx_positions, wavelength)      # conjugated Rx atoms, (G^2, M)
+    # block buffers shared by every step: fresh (block, G^2) temporaries on each step are
+    # returned to the OS and page-faulted back in
+    rows = min(_JOINT_BLOCK, len(at_c))
+    prod, corr_c = np.empty((rows, len(ms)), complex), np.empty((rows, len(ar_c)), complex)
+    corr_abs = np.empty((rows, len(ar_c)))
 
     def best_pair(res, chosen):
         best_val, best_pq = -1.0, None
-        for p0 in range(0, len(at), _JOINT_BLOCK):
-            corr = np.abs((at[p0:p0 + _JOINT_BLOCK].conj() * res[None, :]) @ ar.conj().T)
+        for p0 in range(0, len(at_c), _JOINT_BLOCK):
+            n = min(_JOINT_BLOCK, len(at_c) - p0)
+            np.multiply(at_c[p0:p0 + n], res[None, :], out=prod[:n])
+            corr = np.abs(np.matmul(prod[:n], ar_c.T, out=corr_c[:n]), out=corr_abs[:n])
             for (pp, qq) in chosen:
                 if p0 <= pp < p0 + len(corr):
                     corr[pp - p0, qq] = -1.0
@@ -329,7 +338,7 @@ def omp_joint(ms: MeasurementSet, g: int, n_paths: int, wavelength: float) -> Fr
 
     chosen, coef, residual, converged = _pursuit(
         ms.pilots, n_paths, ms.noise_power, best_pair,
-        lambda chosen: np.stack([at[p] * ar[q] for p, q in chosen], axis=1))
+        lambda chosen: np.stack([(at_c[p] * ar_c[q]).conj() for p, q in chosen], axis=1))
     tx_idx = sorted({pq[0] for pq in chosen})
     rx_idx = sorted({pq[1] for pq in chosen})
     prm = np.zeros((len(rx_idx), len(tx_idx)), dtype=complex)
@@ -354,8 +363,8 @@ def ls_prm(tx_positions, rx_positions, pilots, tx_uv, rx_uv, power: float,
     tx_uv = np.asarray(tx_uv, dtype=float).reshape(-1, 2)
     rx_uv = np.asarray(rx_uv, dtype=float).reshape(-1, 2)
     lt, lr = len(tx_uv), len(rx_uv)
-    gt = _tx_atoms(tx_uv, t, wavelength)  # (Lt, M)
-    fr = _rx_atoms(rx_uv, r, wavelength)  # (Lr, M), already conjugate-phased
+    gt = _atoms(tx_uv, t, wavelength)      # (Lt, M)
+    fr = _atoms(rx_uv, r, wavelength, -1)  # (Lr, M), already conjugate-phased
     # row m, column (i + j*Lr) = g_j(t_m) * conj(f_i(r_m))
     design = math.sqrt(power) * (gt.T[:, :, None] * fr.T[:, None, :]).reshape(len(y), lt * lr)
     sol, residual, rank_def, poor = _fit(design, y, noise_power)
@@ -414,6 +423,32 @@ def nmse(h: np.ndarray, h_hat: np.ndarray) -> float:
     if denom == 0:
         raise ValueError("reference channel is zero")
     return float(np.linalg.norm(h - h_hat) ** 2 / denom)
+
+
+def path_nmse(scenario: Scenario, fri: FriEstimate, tx_grid, rx_grid) -> float:
+    """nmse of reconstruct_mapping(fri, tx_grid, rx_grid) against the scenario's channel_mimo,
+    without building either map; an estimate with no recovered paths scores 1.0.
+
+    Both maps are F^H Sigma G, so ||H - Hhat||_F^2 = tr(D^H P D Q): P and Q are the Gram
+    matrices of the Rx and Tx grids' field responses over the union of true and recovered
+    wave vectors (equal ones merged exactly), D the difference of the PRMs on that union.
+    """
+    if len(fri.tx_uv) == 0 or len(fri.rx_uv) == 0:
+        return 1.0
+    grams, rows = [], []
+    for paths, uv, grid in ((scenario.rx_paths, fri.rx_uv, rx_grid),
+                            (scenario.tx_paths, fri.tx_uv, tx_grid)):
+        k = np.vstack([paths.wave_vectors, PathSet.from_spatial_frequencies(uv).wave_vectors])
+        union, at = np.unique(k, axis=0, return_inverse=True)
+        f = frm(grid, PathSet(union), scenario.wavelength)
+        grams.append(f @ f.conj().T)
+        rows.append(np.split(at.reshape(-1), [len(paths.wave_vectors)]))
+    (p, q), ((r_true, r_hat), (t_true, t_hat)) = grams, rows
+    sigma = np.zeros((len(p), len(q)), dtype=complex)
+    np.add.at(sigma, np.ix_(r_true, t_true), scenario.prm)
+    diff = sigma.copy()
+    np.subtract.at(diff, np.ix_(r_hat, t_hat), fri.prm)
+    return float(np.vdot(diff, p @ diff @ q).real / np.vdot(sigma, p @ sigma @ q).real)
 
 
 def export_mapping_csv(path, tx_grid, rx_grid, h: np.ndarray) -> None:

@@ -7,6 +7,7 @@ in 2D.  The sample covariance uses 1/T_s scaling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ __all__ = [
 _GRID_1D = 2048
 _GRID_2D = 181
 _REFINE_TOL = 1e-6
+_GRID_TABLES = 4  # placements whose music_1d grid table stays cached
 
 
 @dataclass(frozen=True)
@@ -189,12 +191,23 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+@functools.lru_cache(maxsize=_GRID_TABLES)
+def _music_grid_table(x_bytes: bytes, wavelength: float, grid: int) -> np.ndarray:
+    """Read-only (grid, N) conjugated steering vectors of a linear placement on u in [-1, 1]."""
+    table = array_response(np.frombuffer(x_bytes), np.linspace(-1.0, 1.0, grid), None,
+                           wavelength).conj()
+    table.flags.writeable = False
+    return table
+
+
 def music_1d(y: np.ndarray, placement, wavelength: float = 1.0,
              grid: int = _GRID_1D) -> SpatialAoa:
     """Spatial-frequency estimate maximizing the MUSIC pseudo-spectrum on u in [-1, 1].
 
     Coarse grid search followed by golden-section refinement around the best
-    cell.
+    cell.  The grid's steering table is built once per (placement, wavelength,
+    grid) and kept in a least-recently-used cache of _GRID_TABLES (4) tables,
+    so repeated calls on the same arrays skip it.
     """
     x = np.asarray(placement, dtype=float).reshape(-1)
     if len(x) < 2:
@@ -205,7 +218,8 @@ def music_1d(y: np.ndarray, placement, wavelength: float = 1.0,
         return len(x) - np.abs(array_response(x, u, None, wavelength).conj() @ sig) ** 2
 
     ug = np.linspace(-1.0, 1.0, grid)
-    i = int(np.argmin(denom(ug)))
+    table = _music_grid_table(x.tobytes(), wavelength, grid)
+    i = int(np.argmin(len(x) - np.abs(table @ sig) ** 2))
     lo, hi = ug[max(0, i - 1)], ug[min(grid - 1, i + 1)]
     return SpatialAoa(u=_golden_min(denom, lo, hi, _REFINE_TOL))
 

@@ -939,32 +939,42 @@ def ref_omp(dictionary, y, n_atoms, noise_power=0.0):
     return np.array(chosen, dtype=int), coef, residual, converged
 
 
-def ref_omp_joint(ms, g, n_paths, wavelength, block=512):
+def ref_omp_joint(ms, g, n_paths, wavelength, block=512, picks=None):
+    """omp_joint with its atom tables written out as one complex exp per entry.
+
+    When picks is a list, it receives per chosen atom (its pair, |correlation| of
+    every (Tx, Rx) pair at that step, earlier picks set to -1).
+    """
     grid = estimate.uv_grid(g)
     uu, vv = np.meshgrid(grid, grid, indexing="ij")
     uv = np.column_stack([uu.ravel(order="F"), vv.ravel(order="F")])
-    at = estimate._tx_atoms(uv, ms.tx_positions, wavelength)
-    ar = estimate._rx_atoms(uv, ms.rx_positions, wavelength)
+    at = np.exp(2j * np.pi / wavelength * (uv @ ms.tx_positions[:, :2].T))
+    ar = np.exp(-2j * np.pi / wavelength * (uv @ ms.rx_positions[:, :2].T))
     n2 = at.shape[0]
 
     def pick(res, chosen):
-        best_val, best_pq = -1.0, None
+        best_val, best_pq, blocks = -1.0, None, []
         for p0 in range(0, n2, block):
             p1 = min(p0 + block, n2)
             corr = np.abs((at[p0:p1].conj() * res[None, :]) @ ar.conj().T)
             for (pp, qq) in chosen:
                 if p0 <= pp < p1:
                     corr[pp - p0, qq] = -1.0
+            blocks.append(corr)
             flat = int(np.argmax(corr))
             val = float(corr.ravel()[flat])
             if val > best_val:
                 best_val = val
                 best_pq = (p0 + flat // corr.shape[1], flat % corr.shape[1])
+        if picks is not None:
+            picks.append((best_pq, np.vstack(blocks)))
         return best_pq, best_val
 
     chosen, coef, residual, converged = ref_pursuit(
         ms.pilots, n_paths, ms.noise_power, pick,
         lambda chosen: np.stack([at[p] * ar[q] for p, q in chosen], axis=1))
+    if picks is not None:
+        del picks[len(chosen):]  # a last pick the stop rules refused
     if not chosen:
         raise ValueError("joint recovery selected no atoms")
     tx_idx = sorted({pq[0] for pq in chosen})

@@ -165,6 +165,15 @@ def test_cli_malformed_json_exit_2(tmp_path):
     assert main(["experiment", "--config", str(p)]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "optimize", "sense", "estimate", "experiment",
+                                     "validate-config"])
+def test_cli_config_that_is_not_an_object_exit_2(tmp_path, capsys, command):
+    cfg = write(tmp_path, "list.json", [{"experiment": "miso-graph"}])
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: config must be a JSON object\n"
+
+
 def test_cli_missing_config_exit_2(tmp_path):
     assert main(["experiment", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -842,6 +851,15 @@ def test_catalog_and_cli_readers_take_the_same_field_values(name, value):
 def test_example_configs_pass_validate_config(path, capsys):
     assert main(["validate-config", "--config", str(path)]) == 0
     assert capsys.readouterr().out == f"ok: {path.stem.split('-')[0]} config\n"
+
+
+@pytest.mark.parametrize("path", sorted((pathlib.Path(__file__).parent.parent / "docs"
+                                         / "examples").glob("*.json")), ids=lambda p: p.stem)
+def test_example_configs_run(path, tmp_path):
+    command = path.stem.split("-")[0]
+    out = tmp_path / ("out.json" if command == "optimize" else "out.csv")
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
 
 
 def test_experiment_schema_lists_the_config_fields():

@@ -20,6 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from makit import sensing
 from makit.sensing import SensingSetup, array_response, music_1d, music_2d, simulate_snapshots
 from oracles import ref_array_response, ref_music_1d, ref_music_2d, ref_simulate_snapshots
 
@@ -54,6 +55,38 @@ def test_music_1d_matches_projector_reference(n, snapshots, snr_db, wavelength, 
     y = simulate_snapshots(setup, seed)
     assert np.array_equal(y, ref_simulate_snapshots(setup, seed))
     assert float(music_1d(y, x, wavelength).u).hex() == float(ref_music_1d(y, x, wavelength)).hex()
+
+
+# The draws of the test above (its strategies; a derandomized test draws from a
+# seed of its own source, so the examples differ).  Between the cold and the warm
+# call, a call on another placement and one at another wavelength fill other
+# cache entries, which must not collide with the first.
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 20), snapshots=st.integers(1, 8), snr_db=SNR_DB, wavelength=WAVELENGTH,
+       max_gap=st.floats(0.5, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_music_1d_warm_call_matches_cold_call(n, snapshots, snr_db, wavelength, max_gap, seed):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.5, max_gap, n)) * wavelength
+    setup = draw_setup(rng, x, snapshots, snr_db, wavelength, planar=False)
+    y = simulate_snapshots(setup, seed)
+    sensing._music_grid_table.cache_clear()
+    cold = music_1d(y, x, wavelength).u
+    music_1d(y, x[::-1], wavelength)
+    music_1d(y, x, 2 * wavelength)
+    assert sensing._music_grid_table.cache_info().currsize == 3
+    assert float(music_1d(y, x, wavelength).u).hex() == float(cold).hex()
+
+
+def test_music_1d_grid_tables_are_read_only_and_bounded():
+    sensing._music_grid_table.cache_clear()
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    for k in range(sensing._GRID_TABLES + 3):
+        x = np.arange(6) * (0.5 + 0.1 * k)
+        music_1d(y, x)
+        table = sensing._music_grid_table(x.tobytes(), 1.0, sensing._GRID_1D)
+        assert table.shape == (sensing._GRID_1D, 6) and not table.flags.writeable
+        assert sensing._music_grid_table.cache_info().currsize == min(k + 1, sensing._GRID_TABLES)
 
 
 @settings(max_examples=40, deadline=None)
