@@ -621,7 +621,7 @@ def _trial_sensing_2d(params, seed, idx):
     power = 1.0
     sigma2 = power / db_to_linear(params["snr_db"])
     coef = sn._crb_prefactor(sigma2, lam, params["snapshots"], power, n, params["beta"])
-    rep = opt.sensing_2d_ao(n, (side, side), dmin, metric="max", coef=coef)
+    rep = opt.sensing_2d_ao(n, (side, side), dmin, metric="max", coef=coef, seed=seed)
     return [rep.best_score, rep.extra["lower_bound"], rep.extra["gap_db"]]
 
 

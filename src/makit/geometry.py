@@ -229,10 +229,13 @@ def _too_close(a: np.ndarray, b: np.ndarray, d_min: float) -> np.ndarray:
     (..., n, k) are under d_min·(1 − 1e-12) apart.
 
     The inequality is closed: a pair at exactly d_min passes, and the
-    relative margin absorbs rounding in the distance.
+    relative margin absorbs rounding in the distance, which is summed over the axes
+    in order, as np.linalg.norm does.
     """
-    d = np.linalg.norm(a[..., :, None, :] - b[..., None, :, :], axis=-1)
-    return ~(d >= d_min * (1 - 1e-12))
+    d2 = np.square(a[..., :, None, 0] - b[..., None, :, 0])
+    for k in range(1, a.shape[-1]):
+        d2 += np.square(a[..., :, None, k] - b[..., None, :, k])
+    return ~(np.sqrt(d2) >= d_min * (1 - 1e-12))
 
 
 def _close_pairs(pos: np.ndarray, d_min: float) -> np.ndarray:

@@ -22,6 +22,13 @@ __all__ = ["sensing_1d_optimal", "sensing_2d_ao", "effective_variances", "crb_me
 
 _log = logging.getLogger(__name__)
 
+# A sweep scores its scans in windows from one placement: _WINDOW0 scans after a start or an
+# accepted move, doubling while none is accepted, up to a (scans, n_grid, n, 2) candidate stack
+# of _STACK_FLOATS (512 KB).  So it scores at most _WINDOW0 times the layouts of one scan at a
+# time, and a stalled sweep of 72 scans at n 36 takes 5 calls.
+_WINDOW0 = 4
+_STACK_FLOATS = 1 << 16
+
 
 def sensing_1d_optimal(n: int, aperture: float, d_min: float) -> np.ndarray:
     """Variance-maximizing positions on [0, aperture] with spacing >= d_min.
@@ -90,6 +97,9 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
     to the 1D closed form.  Coordinate descent sweeps each antenna along each
     axis on a candidate grid and takes the best feasible one (the first on
     ties) if it `improves` on the current metric, so the trace is monotone.
+    A sweep scores a window of these scans from one placement in one call and
+    takes the first that improves, so it moves exactly as one scan at a time
+    would; evaluations counts every layout scored, those past that scan too.
     extra carries the aperture lower bound 2*coef/circumradius^2 and the gap.
     """
     ax, ay = (float(e) for e in extents[:2])
@@ -116,26 +126,36 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
             raise InfeasibleError("could not build a feasible starting placement")
         starts.append(cand)
 
-    best, evaluations, stop = None, len(starts), "stalled"
+    grid = np.stack([np.linspace(0.0, ax, n_grid), np.linspace(0.0, ay, n_grid)])
+    scans = np.array(np.divmod(np.arange(2 * n), 2))  # scan s moves antenna s // 2 along s % 2
+    cap = max(1, _STACK_FLOATS // (n_grid * n * 2))
+    best, evaluations, sweeps, stop = None, len(starts), 0, "stalled"
     for xy0 in starts:
         xy = xy0.copy()
         cur = crb_metric_2d(xy, metric, coef)
         trace = [cur]
         for _ in range(max_sweeps):
-            improved = False
-            for i in range(n):
-                for axis, hi in ((0, ax), (1, ay)):
-                    cand_vals = np.linspace(0.0, hi, n_grid)
-                    stack = np.repeat(xy[None], n_grid, axis=0)
-                    stack[:, i, axis] = cand_vals
-                    vals = crb_metric_2d(stack, metric, coef)
-                    evaluations += n_grid
-                    if d_min > 0:  # a candidate too close to another antenna is never taken
-                        close = _too_close(stack[:, i:i + 1], np.delete(stack, i, axis=1), d_min)
-                        vals[close.any(axis=(1, 2))] = np.inf
-                    j = np.argmin(vals)
-                    if improves(-vals[j], -cur):
-                        xy[i, axis], cur, improved = cand_vals[j], float(vals[j]), True
+            sweeps += 1
+            improved, s, width = False, 0, _WINDOW0
+            while s < 2 * n:
+                i, axis = scans[:, s:s + min(width, cap)]
+                t = np.arange(len(i))
+                stack = np.broadcast_to(xy, (len(t), n_grid, n, 2)).copy()
+                stack[t, :, i, axis] = grid[axis]
+                vals = crb_metric_2d(stack, metric, coef)
+                evaluations += vals.size
+                if d_min > 0:  # a candidate too close to another antenna is never taken
+                    close = _too_close(stack[t, :, i][:, :, None], xy, d_min)
+                    close[t, :, 0, i] = False
+                    vals[close.any(axis=(2, 3))] = np.inf
+                j = np.argmin(vals, axis=1)
+                hit = np.flatnonzero(improves(-vals[t, j], -cur))
+                if hit.size:  # the first scan that improves, as one scan at a time would take it
+                    h, g = hit[0], j[hit[0]]
+                    xy[i[h], axis[h]], cur, improved = grid[axis[h], g], float(vals[h, g]), True
+                    s, width = s + h + 1, _WINDOW0
+                else:
+                    s, width = s + len(t), 2 * width
             trace.append(cur)
             if not improved:
                 break
@@ -145,6 +165,9 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
         if best is None or cur < best.best_score:
             best = OptReport(best_placement=xy, best_score=float(cur),
                              iterations=len(trace) - 1, trace=trace, extra={})
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("sensing_2d_ao: %d sweeps scored %d layouts; one scan at a time: %d",
+                   sweeps, evaluations, len(starts) + sweeps * 2 * n * n_grid)
     rcirc = circumradius if circumradius is not None else 0.5 * math.hypot(ax, ay)
     lower = 2.0 * coef / rcirc ** 2
     best.evaluations, best.stop_reason = evaluations, stop

@@ -391,7 +391,7 @@ def ref_sensing_2d_ao(n, extents, d_min, metric, coef, max_sweeps, n_grid, seed)
         xy = np.zeros((n, 2))
         xy[:, 0 if ax > 0 else 1] = x
         score = coef / np.var(x)
-        return xy, float(score), [float(score)], 0
+        return xy, float(score), [float(score)], 0, 0
     if d_min > 0 and n > (math.floor(ax / d_min) + 1) * (math.floor(ay / d_min) + 1):
         raise InfeasibleError("too many antennas for the region at the required spacing")
     rng = np.random.default_rng(seed)
@@ -407,13 +407,13 @@ def ref_sensing_2d_ao(n, extents, d_min, metric, coef, max_sweeps, n_grid, seed)
         if not _feasible(cand, ax, ay, d_min):
             raise InfeasibleError("could not build a feasible starting placement")
         starts.append(cand)
-    best = None
+    best, sweeps = None, 0
     for xy0 in starts:
         xy = xy0.copy()
         cur = ref_crb_metric_2d(xy, metric, coef)
         trace = [cur]
         for _ in range(max_sweeps):
-            improved = False
+            improved, sweeps = False, sweeps + 1
             for i in range(n):
                 for axis, hi in ((0, ax), (1, ay)):
                     orig = xy[i, axis]
@@ -434,7 +434,8 @@ def ref_sensing_2d_ao(n, extents, d_min, metric, coef, max_sweeps, n_grid, seed)
                 break
         if best is None or cur < best[1]:
             best = (xy, float(cur), trace, len(trace) - 1)
-    return best
+    # the layouts a scan of n_grid candidates per (antenna, axis) scores, after one per start
+    return best + (len(starts) + sweeps * 2 * n * n_grid,)
 
 
 # ---------------------------------------------------------------------------

@@ -209,3 +209,6 @@ def test_too_close_matches_the_replaced_spacing_comparisons(case):
         want = ref_too_close(pos, pos, d_min)
         np.fill_diagonal(want, False)
         assert np.array_equal(_close_pairs(pos, d_min), want)
+    # the stacked sensing sweep: (B, M, 1, k) candidate points against one (M, k) placement
+    assert np.array_equal(_too_close(stack[:, :, None], stack[0], d_min),
+                          ref_too_close(stack[:, :, None], stack[0], d_min))

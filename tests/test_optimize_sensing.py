@@ -10,7 +10,7 @@ from makit.errors import InfeasibleError
 from makit.optimize import sensing as sensing_module
 from makit.optimize import (crb_metric_2d, effective_variances, sensing_1d_optimal,
                             sensing_2d_ao)
-from oracles import ref_effective_variances
+from oracles import ref_effective_variances, ref_sensing_2d_ao
 
 LAM = 1.0
 
@@ -124,6 +124,37 @@ def test_2d_reports_evaluations_and_stop_reason(monkeypatch, caplog, kw):
     else:
         assert rep.stop_reason == "stalled" and not capped
         assert rep.trace[-1] == rep.trace[-2]
+
+
+@pytest.mark.parametrize("n, side, kw", [
+    (36, 5.0, {"max_sweeps": 1}),  # the catalog geometry: one corner start, a stalled sweep
+    (9, 3.0, {"metric": "sum", "seed": 1}),  # starts that move in many scans
+], ids=["stalled", "moving"])
+def test_2d_debug_line_counts_speculative_layouts(monkeypatch, caplog, n, side, kw):
+    scored = []
+    crb_metric = sensing_module.crb_metric_2d
+
+    def counting(xy, metric, coef):
+        scored.append(np.shape(xy)[:-2])
+        return crb_metric(xy, metric, coef)
+
+    monkeypatch.setattr(sensing_module, "crb_metric_2d", counting)
+    with caplog.at_level(logging.DEBUG, logger="makit"):
+        rep = sensing_2d_ao(n, (side, side), 0.5, **kw)
+    lines = [r for r in caplog.records if r.name == "makit.optimize.sensing"
+             and "sweeps scored" in r.getMessage()]
+    assert len(lines) == 1
+    sweeps, layouts, one_at_a_time = lines[0].args
+    starts = scored.count(())  # each start is scored once on its own
+    ref = ref_sensing_2d_ao(n, (side, side), 0.5, kw.get("metric", "max"), 1.0,
+                            kw.get("max_sweeps", 40), 33, kw.get("seed", 0))
+    assert layouts == rep.evaluations == sum(int(np.prod(s)) for s in scored)
+    assert one_at_a_time == ref[-1] == starts + sweeps * 2 * n * 33
+    assert one_at_a_time <= layouts <= 4 * one_at_a_time
+    if n == 36:  # a stalled sweep wastes no layout, and scores its 72 scans in 5 calls
+        assert layouts == one_at_a_time and len(scored) == 1 + 5
+    else:
+        assert layouts > one_at_a_time
 
 
 def test_2d_infeasible_antenna_count():

@@ -2,12 +2,12 @@
 
 The oracles (in oracles.py) are the earlier implementations: a 200-step
 bisection for water-filling, a coordinate-descent CRB scan that scores one
-candidate layout per call, a field response matrix that pads positions to 3D
-one at a time, and the one-placement kernels under the placement objectives
-(the scalar_* oracles, as they were before the objectives took stacks).  The
-exact water-filling must agree with the bisection to rounding; the batched CRB
-scan, the stacked field response matrix and every stacked placement kernel
-must agree bitwise.
+candidate layout per call (the optimizer scores windows of whole scans), a
+field response matrix that pads positions to 3D one at a time, and the
+one-placement kernels under the placement objectives (the scalar_* oracles,
+as they were before the objectives took stacks).  The exact water-filling
+must agree with the bisection to rounding; the batched CRB scan, the stacked
+field response matrix and every stacked placement kernel must agree bitwise.
 """
 
 import numpy as np
@@ -87,11 +87,23 @@ def test_water_filling_errors():
 # a CRB near 1e-12, where an absolute margin of 1e-15 would reject many moves
 @example(n=9, ax=2.0, ay=3.0, d_min=0.3, metric="max", coef=1e-12, max_sweeps=2, n_grid=17,
          seed=0)
+# the catalog's sensing-2d-crb geometry: only the corner start is feasible, and its sweep stalls
+@example(n=36, ax=5.0, ay=5.0, d_min=0.5, metric="max", coef=1.0, max_sweeps=1, n_grid=33,
+         seed=0)
+# the perimeter start's first sweep accepts moves in consecutive scans and at its last scan
+@example(n=8, ax=2.0, ay=3.5, d_min=0.3, metric="max", coef=1.0, max_sweeps=2, n_grid=17,
+         seed=0)
+@example(n=10, ax=3.0, ay=3.0, d_min=0.5, metric="max", coef=1.0, max_sweeps=1, n_grid=17,
+         seed=0)
+# no spacing rule: moves in most scans, so a window kept wide after a move scores > 4x
+@example(n=8, ax=2.0, ay=3.0, d_min=0.0, metric="max", coef=1.0, max_sweeps=1, n_grid=17,
+         seed=0)
 def test_sensing_2d_ao_matches_scalar_scan(n, ax, ay, d_min, metric, coef, max_sweeps, n_grid,
                                            seed):
     args = (n, (ax, ay), d_min, metric, coef)
     try:
-        placement, score, trace, iterations = ref_sensing_2d_ao(*args, max_sweeps, n_grid, seed)
+        placement, score, trace, iterations, layouts = ref_sensing_2d_ao(*args, max_sweeps,
+                                                                         n_grid, seed)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
             sensing_2d_ao(*args, max_sweeps=max_sweeps, n_grid=n_grid, seed=seed)
@@ -101,6 +113,8 @@ def test_sensing_2d_ao_matches_scalar_scan(n, ax, ay, d_min, metric, coef, max_s
     assert float(rep.best_score).hex() == float(score).hex()
     assert [float(v).hex() for v in rep.trace] == [float(v).hex() for v in trace]
     assert rep.iterations == iterations
+    # the stacked sweep scores every scan the scalar one does, and at most 4x its layouts
+    assert layouts <= rep.evaluations <= 4 * layouts
 
 
 # ---------------------------------------------------------------------------
