@@ -13,6 +13,7 @@ import contextlib
 import itertools
 import logging
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,8 @@ __all__ = [
 
 _RATIONAL_TOL = 1e-9
 _MAX_DENOMINATOR = 64
+_SEED_FREE_CACHE = 64  # placements whose best seed-free start stays cached
+_seed_free_best: OrderedDict = OrderedDict()  # max_min_awv's key -> (weights, min gain)
 
 _log = logging.getLogger(__name__)
 
@@ -192,12 +195,21 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
     placement's first best start wins.  The live starts' state is kept packed
     and compacted only when one drops out.  Gains are never a one-row product:
     numpy's matrix-vector path differs in the last bit, which can decide a step.
+
+    The seed-free starts (an MRT start per picked angle and the aligned start)
+    come first.  The first best of them is kept in a least-recently-used cache
+    of _SEED_FREE_CACHE (64) placements, keyed by the placement's and the
+    angles' bytes, wavelength, analog, n_iter and whether w0 is given (it sets
+    the first gain product's shape); a known placement ascends only its seeded
+    starts.  Every row's path is its own, and the first gain product keeps its
+    shape, so the result is bitwise the same.
     """
     x = np.asarray(x, dtype=float)
     stacked = x.ndim == 2
     x = x if stacked else x.reshape(1, -1)
     p, n = x.shape
-    a = steering_vector(x, np.atleast_1d(thetas), wavelength)  # (P, K, N)
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    a = steering_vector(x, thetas, wavelength)  # (P, K, N)
     rng = np.random.default_rng(seed)
 
     def project(w):  # np.angle's and np.linalg.norm's formulas, without their call overhead
@@ -217,12 +229,26 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
 
     w_out = project(np.stack(starts))  # (P*S, N)
     s_per = len(w_out) // p
-    g = (w_out.reshape(p, s_per, n).conj() @ a.transpose(0, 2, 1)).reshape(len(w_out), k)
+    w_by = w_out.reshape(p, s_per, n)  # per-placement views of the outputs
+    g = (w_by.conj() @ a.transpose(0, 2, 1)).reshape(len(w_out), k)
     kmin, cur_out = _weakest(g)
+    cur_by = cur_out.reshape(p, s_per)
+    # a known placement's cached best takes its first seed-free slot, the others drop out
+    m = len(pick) + 1
+    tail = (thetas.tobytes(), wavelength, analog, n_iter, w0 is None)
+    keys = [(xi.tobytes(), *tail) for xi in x]
+    cached = np.zeros((p, s_per), dtype=bool)
+    for i, key in enumerate(keys):
+        if key in _seed_free_best:
+            _seed_free_best.move_to_end(key)
+            w_by[i, 0], cur_by[i, 0] = _seed_free_best[key]
+            cur_by[i, 1:m] = -np.inf
+            cached[i, :m] = True
     # packed state of the live starts: index into the outputs, weights, min gain, step,
     # weakest angle and its gain, and placement
-    live, w, cur = np.arange(len(w_out)), w_out.copy(), cur_out.copy()
-    step, gk, owner = np.full(len(w_out), 0.5), g[live, kmin], live // s_per
+    live = np.flatnonzero(~cached)
+    w, cur, kmin = w_out[live], cur_out[live], kmin[live]
+    step, gk, owner = np.full(live.size, 0.5), g[live, kmin], live // s_per
     rows = np.arange(live.size)
     iters = scored = 0
     for iters in range(1, n_iter + 1):
@@ -260,11 +286,19 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
             if not live.size:
                 break
     w_out[live], cur_out[live] = w, cur
+    for i, key in enumerate(keys):
+        if key not in _seed_free_best:
+            j = np.argmax(cur_by[i, :m])
+            _seed_free_best[key] = (w_by[i, j].copy(), cur_by[i, j])
+            if len(_seed_free_best) > _SEED_FREE_CACHE:
+                _seed_free_best.popitem(last=False)
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("max_min_awv: %d of %d starts stopped at n_iter=%d, %d stalled; "
-                   "%d iterations, %d candidate rows scored", live.size, len(w_out), n_iter,
-                   len(w_out) - live.size, iters, scored)
-    best = np.argmax(cur_out.reshape(p, s_per), axis=1) + np.arange(p) * s_per
+        n_cached = int(cached.sum())
+        _log.debug("max_min_awv: %d of %d starts stopped at n_iter=%d, %d stalled, "
+                   "%d from the cache; %d iterations, %d candidate rows scored", live.size,
+                   len(w_out), n_iter, len(w_out) - live.size - n_cached, n_cached, iters,
+                   scored)
+    best = np.argmax(cur_by, axis=1) + np.arange(p) * s_per
     return (w_out[best], cur_out[best]) if stacked else (w_out[best[0]], float(cur_out[best[0]]))
 
 
@@ -356,13 +390,16 @@ def _ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, seed, ma
     """Run the position/weight alternation from the most promising starts.
 
     One stacked ascent scores all starts and, as one more placement outside the
-    pool, the fixed half-wavelength array; the n_refine best starts then alternate in
-    lockstep, one stacked ascent per sweep, each chain until its min gain fails `improves`.
-    Returns the candidates and the fixed array's (weights, min gain).
+    pool unless it is the first start byte for byte, the fixed half-wavelength array;
+    the n_refine best starts then alternate in lockstep, one stacked ascent per sweep,
+    each chain until its min gain fails `improves`.  Returns the candidates and the
+    fixed array's (weights, min gain).
     """
     if not starts:
         raise InfeasibleError("no feasible starting placement fits the region")
-    ws, vs = max_min_awv(np.stack([*starts, fpa_ula(len(starts[0]), wavelength)]), thetas,
+    fpa = fpa_ula(len(starts[0]), wavelength)
+    i_fpa = 0 if fpa.tobytes() == starts[0].tobytes() else -1  # d_min <= lambda/2: first
+    ws, vs = max_min_awv(np.stack(starts if i_fpa == 0 else [*starts, fpa]), thetas,
                          wavelength, analog=analog, seed=seed)
     vs = vs.tolist()
     out = [(vs[i], starts[i], ws[i], [vs[i]])
@@ -384,7 +421,7 @@ def _ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, seed, ma
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("_ao_candidates: %d of %d chains stopped at max_sweeps=%d",
                    len(live), n_chains, max_sweeps)
-    return out, (ws[-1], vs[-1])
+    return out, (ws[i_fpa].copy(), vs[i_fpa])
 
 
 def _ao_report(best, candidates, max_sweeps, fpa, **extra):

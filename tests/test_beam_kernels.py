@@ -204,6 +204,7 @@ def test_packed_ascent_example_reaches_the_second_chunk():
     # the first "chunked" example above: in one second-chunk call some starts accept a step and
     # others find none and retire while the rest go on
     xs, thetas, _ = draw_stack(3, 6, 4, 11)
+    beams._seed_free_best.clear()
     calls = []
     with mock.patch.object(beams, "improves", spy_improves(calls)):
         max_min_awv(xs, thetas, LAM, seed=11)
@@ -250,20 +251,101 @@ def test_beam_ao_baseline_is_the_standalone_fixed_array_ascent(n, k, slack, d_mi
     assert rep.extra["fpa_verified_min_gain"] == np.min(beam_gain(x_fpa, w, fine, LAM))
 
 
+DEBUG_LINE = re.compile(r"max_min_awv: (\d+) of (\d+) starts stopped at n_iter=(\d+), "
+                        r"(\d+) stalled, (\d+) from the cache; (\d+) iterations, "
+                        r"(\d+) candidate rows scored")
+
+
+def logged_ascent(caplog, *args, **kwargs):
+    """Run max_min_awv under an `improves` spy; its DEBUG counts and the spy's (rows, steps)
+    shapes."""
+    calls = []
+    caplog.clear()
+    with mock.patch.object(beams, "improves", spy_improves(calls)), \
+            caplog.at_level(logging.DEBUG, logger="makit"):
+        max_min_awv(*args, **kwargs)
+    (m,) = [DEBUG_LINE.fullmatch(r.getMessage()) for r in caplog.records
+            if r.getMessage().startswith("max_min_awv: ")]
+    return tuple(map(int, m.groups())), calls
+
+
 def test_max_min_awv_logs_iterations_and_candidate_rows(caplog):
     xs, thetas, _ = draw_stack(2, 6, 3, 4)
-    pattern = re.compile(r"max_min_awv: (\d+) of (\d+) starts stopped at n_iter=(\d+), "
-                         r"(\d+) stalled; (\d+) iterations, (\d+) candidate rows scored")
+    beams._seed_free_best.clear()
     for n_iter in (1, 300):
-        calls = []
-        caplog.clear()
-        with mock.patch.object(beams, "improves", spy_improves(calls)), \
-                caplog.at_level(logging.DEBUG, logger="makit"):
-            max_min_awv(xs, thetas, LAM, n_iter=n_iter)
-        (m,) = [pattern.fullmatch(r.getMessage()) for r in caplog.records
-                if r.getMessage().startswith("max_min_awv: ")]
-        at_cap, starts, cap, stalled, iters, rows = map(int, m.groups())
+        counts, calls = logged_ascent(caplog, xs, thetas, LAM, n_iter=n_iter)
+        at_cap, starts, cap, stalled, cached, iters, rows = counts
         assert starts == 2 * 7 and cap == n_iter and at_cap + stalled == starts
+        assert cached == 0
         assert iters == n_iter if at_cap else 1 <= iters <= n_iter
         assert rows == sum(math.prod(shape) for shape, _ in calls)
         assert rows >= 4 * starts
+
+
+def test_max_min_awv_logs_the_starts_taken_from_the_cache(caplog):
+    # a warm call ascends only the seeded starts; a new placement in the stack ascends all seven
+    xs, thetas, _ = draw_stack(3, 6, 3, 4)
+    beams._seed_free_best.clear()
+    max_min_awv(xs[:2], thetas, LAM)
+    for stack, n_cached in ((xs[:2], 2 * 4), (xs, 2 * 4)):
+        counts, calls = logged_ascent(caplog, stack, thetas, LAM)
+        at_cap, starts, _, stalled, cached, _, rows = counts
+        assert starts == 7 * len(stack) and cached == n_cached
+        assert at_cap + stalled + cached == starts
+        assert rows == sum(math.prod(shape) for shape, _ in calls)
+        assert calls[0][0][0] == starts - cached  # the first step scores every ascended start
+        assert rows >= 4 * (starts - cached)
+
+
+def check_cached_ascent(p, n, k, analog, with_w0, seed):
+    xs, thetas, w0s = draw_stack(2 * p, n, k, seed)
+
+    def ascend(idx, **kw):
+        kw = {"analog": analog, "n_iter": 300, **kw}
+        return max_min_awv(xs[idx], thetas, LAM, seed=seed, w0=w0s[idx] if with_w0 else None,
+                           **kw), kw
+
+    def same_as_today(run, idx):
+        (w, v), kw = run
+        for wi, vi, i in zip(w, v, idx):
+            w_ref, v_ref = today_max_min_awv(xs[i], thetas, LAM, seed=seed,
+                                             w0=w0s[i] if with_w0 else None, **kw)
+            assert wi.tobytes() == w_ref.tobytes() and float(vi).hex() == v_ref.hex()
+
+    known = np.arange(p)
+    mixed = np.random.default_rng(seed).permutation(2 * p)
+    beams._seed_free_best.clear()
+    cold = ascend(known)
+    same_as_today(cold, known)
+    (w, v), _ = ascend(known)
+    assert w.tobytes() == cold[0][0].tobytes() and v.tobytes() == cold[0][1].tobytes()
+    same_as_today(ascend(mixed), mixed)  # known and new placements shuffled in one stack
+    # the same placements under the other weight kind and under a shorter ascent
+    same_as_today(ascend(known, analog=not analog), known)
+    same_as_today(ascend(known, n_iter=3), known)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 30), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_cached_seed_free_starts_give_the_cold_ascent_bitwise(p, n, k, analog, with_w0, seed):
+    check_cached_ascent(p, n, k, analog, with_w0, seed)
+
+
+def test_seed_free_cache_stays_bounded_and_unaliased():
+    cap = beams._SEED_FREE_CACHE
+    xs, thetas, _ = draw_stack(cap + 9, 4, 1, 2)
+    cycled, x_new = xs[:-1], xs[-1]
+    beams._seed_free_best.clear()
+    for lo in range(0, len(cycled), 10):
+        max_min_awv(cycled[lo:lo + 10], thetas, LAM)
+        assert len(beams._seed_free_best) <= cap
+    assert len(beams._seed_free_best) == cap
+    # a new placement whose seed-free start wins (one angle: an MRT start reaches the gain N);
+    # changing the returned weights in place changes no later result
+    w, v = max_min_awv(x_new, thetas, LAM)
+    assert any(wc.tobytes() == w.tobytes() for wc, _ in beams._seed_free_best.values())
+    want = w.tobytes()
+    w[:] = 0.0
+    w2, v2 = max_min_awv(x_new, thetas, LAM)
+    assert w2.tobytes() == want and v2 == v

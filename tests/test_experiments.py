@@ -158,3 +158,14 @@ def test_workers_env_variable(monkeypatch):
     monkeypatch.setenv("MAKIT_WORKERS", "2")
     pooled = run_experiment(cfg)
     assert serial.rows == pooled.rows
+
+
+@pytest.mark.parametrize("experiment", ["beam-multibeam", "beam-widebeam"])
+def test_beam_workers_match_serial_rows_with_a_warm_parent(monkeypatch, experiment):
+    # forked workers inherit the parent's cache of seed-free beam starts, warmed by a trial
+    run_experiment(ExperimentConfig.from_dict({"experiment": experiment, "trials": 1}))
+    cfg = ExperimentConfig.from_dict({"experiment": experiment, "trials": 3})
+    serial = run_experiment(cfg)
+    monkeypatch.setenv("MAKIT_WORKERS", "2")
+    pooled = run_experiment(cfg)
+    assert serial.rows == pooled.rows
