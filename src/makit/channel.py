@@ -112,11 +112,14 @@ class RadiationPattern:
         self.f2 = f2
         self.name = name
         self.params = params or {}
+        self._stacked = None  # a built-in (f1, f2, F1 of a stack of k[2]), where F2 = 0
 
     @classmethod
     def isotropic(cls) -> "RadiationPattern":
         """Unit power gain in every direction, linearly polarized (F1=1, F2=0)."""
-        return cls(lambda k: 1.0, lambda k: 0.0, name="isotropic")
+        pattern = cls(lambda k: 1.0, lambda k: 0.0, name="isotropic")
+        pattern._stacked = (pattern.f1, pattern.f2, lambda kz: 1.0)
+        return pattern
 
     @classmethod
     def ideal_directional(cls, gain_dbi: float = 6.0) -> "RadiationPattern":
@@ -132,10 +135,10 @@ class RadiationPattern:
         cos_half = 1.0 - 2.0 / g
         amp = math.sqrt(g)
 
-        def f1(k):
-            return amp if k[2] >= cos_half else 0.0
-
-        return cls(f1, lambda k: 0.0, name="directional", params={"gain_dbi": gain_dbi})
+        pattern = cls(lambda k: amp if k[2] >= cos_half else 0.0, lambda k: 0.0,
+                      name="directional", params={"gain_dbi": gain_dbi})
+        pattern._stacked = (pattern.f1, pattern.f2, lambda kz: np.where(kz >= cos_half, amp, 0.0))
+        return pattern
 
 
 @dataclass(frozen=True)
@@ -365,16 +368,20 @@ def _polarization_vectors(pattern: RadiationPattern, aom: np.ndarray,
     aom is one orientation (3, 3) or a stack (..., 3, 3).  Row l is
     M_l @ [F1, F2] at the antenna-frame wave vector aom^T k_l, where
     M_l[a, b] = lcs_a . aom . accs_b maps the antenna-frame reference pair
-    (accs_basis of aom^T k_l) onto the LCS pair (accs_basis of k_l).  The
-    pattern callables run once per orientation and path.  M_l is orthogonal,
+    (accs_basis of aom^T k_l) onto the LCS pair (accs_basis of k_l).  A
+    built-in pattern is evaluated on the whole stack at once; the callables of
+    any other run once per orientation and path.  M_l is orthogonal,
     so the row's norm is the radiation gain and a path outside the pattern's
     lobe gives a zero row.
     """
     aom = np.asarray(aom, dtype=float)
     k = np.asarray(k, dtype=float).reshape(-1, 3)
     k_accs = k @ aom
-    f = np.array([(pattern.f1(ka), pattern.f2(ka)) for ka in k_accs.reshape(-1, 3)],
-                 dtype=complex).reshape(k_accs.shape[:-1] + (2,))
+    f = np.zeros(k_accs.shape[:-1] + (2,), dtype=complex)
+    if pattern._stacked is not None and pattern._stacked[:2] == (pattern.f1, pattern.f2):
+        f[..., 0] = pattern._stacked[2](k_accs[..., 2])
+    else:
+        f.reshape(-1, 2)[:] = [(pattern.f1(ka), pattern.f2(ka)) for ka in k_accs.reshape(-1, 3)]
     m = (np.stack(accs_basis(k), axis=1) @ aom[..., None, :, :]
          @ np.stack(accs_basis(k_accs), axis=-1))
     return np.sqrt(np.sum(np.abs(f) ** 2, axis=-1)), np.einsum("...lab,...lb->...la", m, f)

@@ -290,46 +290,51 @@ def load_table_json(path) -> ResultTable:
 # ---------------------------------------------------------------------------
 # shared numeric helpers
 
-# Field values per block of (x, y) grid points: 1 MB of real and imaginary parts, kept in cache.
+# Powers per block of (x, y) grid points: 512 KB, kept in cache.
 _FIELD_BLOCK = 1 << 16
 
 
 def _field_tables(k_vectors, side, step, wavelength):
-    """Z (L, n) and [Re XY; Im XY] (2L, n^2) of a cubic grid, XY[l, n i + j] = X[l, i] Y[l, j],
-    from per-axis phases X[l, i] = exp(-j 2pi/lam k_l,x x_i) (so Y and Z)."""
+    """Path pairs a < b, Z_a conj(Z_b) (P, n) and T = [1; Re E; Im E] (1 + 2P, n^2) of a cubic
+    grid, E[p, n i + j] = X_a conj(X_b)[i] Y_a conj(Y_b)[j], from per-axis phases
+    X[l, i] = exp(-j 2pi/lam k_l,x x_i) (so Y and Z); E is written into T per axis pair."""
     ax = np.arange(0.0, side + step / 2.0, step)
     x, y, z = np.exp(np.multiply.outer(-2j * np.pi / wavelength * np.asarray(k_vectors).T, ax))
-    xy = (x[:, :, None] * y[:, None, :]).reshape(len(z), -1)
-    return z, np.concatenate([xy.real, xy.imag])
+    a, b = np.triu_indices(len(z), 1)
+    px, py = x[a] * x[b].conj(), y[a] * y[b].conj()
+    t = np.empty((1 + 2 * len(a), len(ax) ** 2))
+    t[0] = 1.0
+    # [Re E; Im E] = [[Re px, -Im px], [Re px, Im px]] [[Re py, Im py], [Im py, Re py]]
+    np.matmul(np.moveaxis(np.array([[px.real, -px.imag], [px.real, px.imag]]), 1, -1),
+              np.moveaxis(np.array([[py.real, py.imag], [py.imag, py.real]]), 1, 2),
+              out=t[1:].reshape(2, len(a), len(ax), len(ax)))
+    return a, b, z[a] * z[b].conj(), t
 
 
 def _gain_field_minmax(tables, coeffs):
     """Max, min and origin value of sum_c |sum_l c_lc exp(-j 2pi/lam k_l . r)|^2 on a grid.
 
     tables is the grid's _field_tables; coeffs is (L,), or (L, C) to sum over columns.  With
-    Zc[l, C k + c] = c_lc Z[l, k], a block of (x, y) points is one real product [[Re Zc^T,
-    -Im Zc^T], [Im Zc^T, Re Zc^T]] [Re XY; Im XY] = [Re f; Im f], squared and added in place
-    (no complex abs) in one buffer per call, which glibc keeps between calls."""
-    z, xy = tables
-    l, n = z.shape
-    coeffs = np.asarray(coeffs, dtype=complex).reshape(l, -1)
-    zc = (z[:, :, None] * coeffs[:, None, :]).reshape(l, -1).T
-    zr = np.block([[zc.real, -zc.imag], [zc.imag, zc.real]])
-    rows, points = len(zc), xy.shape[1]
+    G = C C^H and e_l the unit-modulus (x, y) phase, the power at height k is tr G + 2 Re
+    sum_{a<b} G_ab Z_a(k) conj(Z_b(k)) e_a conj(e_b): real weights W (n, 1 + 2P) times T give a
+    block of (x, y) points in one product, whatever C is.  Rounding can put destructive
+    interference just below 0, so values are clamped at 0."""
+    a, b, zz, t = tables
+    c = np.asarray(coeffs, dtype=complex).reshape(len(coeffs), -1)
+    g = c @ c.conj().T
+    u = 2.0 * g[a, b][:, None] * zz
+    w = np.concatenate([np.full((1, zz.shape[1]), np.trace(g).real), u.real, -u.imag]).T
+    rows, points = len(w), t.shape[1]
     blocks = max(1, round(points * rows / _FIELD_BLOCK))  # of about _FIELD_BLOCK values each
     width = max(2, -(-points // blocks))
-    buf = np.empty(2 * rows * width)
+    buf = np.empty(rows * width)
     hi, lo = -np.inf, np.inf
     for i in reversed(range(0, points, width)):  # the origin's block last
         i = min(i, max(points - 2, 0))  # numpy takes one column to gemv, which rounds unlike gemm
         m = min(width, points - i)
-        f = np.matmul(zr, xy[:, i:i + m], out=buf[:2 * rows * m].reshape(-1, m))
-        np.square(f, out=f)
-        p = np.add(f[:rows], f[rows:], out=f[:rows])
-        if coeffs.shape[1] > 1:  # the column sum overwrites the spent imaginary half
-            p = np.add.reduce(p.reshape(n, -1, m), axis=1, out=f[rows:rows + n])
+        p = np.matmul(w, t[:, i:i + m], out=buf[:rows * m].reshape(rows, m))
         hi, lo = np.maximum(hi, p.max()), np.minimum(lo, p.min())
-    return float(hi), float(lo), float(p[0, 0])
+    return max(float(hi), 0.0), max(float(lo), 0.0), max(float(p[0, 0]), 0.0)
 
 
 def _joint_max(tables, coeffs):
@@ -362,17 +367,13 @@ def _miso_line_channel(scenario: Scenario):
     return h_at
 
 
-def _square_region(side: float, d_min: float) -> MoveRegion:
-    return MoveRegion.box((side, side, 0.0), d_min=d_min)
-
-
 def _upa_positions(side: float, spacing: float, n: int) -> np.ndarray:
     """Square planar array with the given spacing anchored at the region origin."""
     rows = int(round(np.sqrt(n)))
     if rows * rows != n:
         raise ValueError("planar baselines need a square antenna count")
-    return np.asarray([(i * spacing, j * spacing, 0.0)
-                       for j in range(rows) for i in range(rows)], dtype=float)
+    g = np.arange(rows) * spacing
+    return np.column_stack([np.tile(g, rows), np.repeat(g, rows), np.zeros(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +402,16 @@ def _wideband_gain_minmax(rng, params, k, b, side, lam):
 
     Paths get uniform random delays and are grouped into taps; through the
     zero-padded DFT, path l enters subcarrier m with coefficient
-    b_l exp(-j 2pi m (tap_l - 1) / M).  The narrowband bounds still apply per
+    b_l exp(-j 2pi m (tap_l - 1) / M), and the grid kernel sums the M columns
+    through their (L, L) Gram matrix.  The narrowband bounds still apply per
     tap but not to the average, so only the field extrema are reported.
     """
     m_sub = int(params["subcarriers"])
     delays = rng.uniform(0.0, params["max_delay"], len(b))
     taps = np.array([tap_of_delay(d, params["bandwidth"]) for d in delays])
     coeffs = b[:, None] * np.exp(-2j * np.pi * np.outer(taps - 1, np.arange(m_sub)) / m_sub)
-    # sum_m |c_m^T e|^2 = |R e|^2 for coeffs^T = QR: at most min(L, M) columns reach the grid
-    r = np.linalg.qr(coeffs.T, mode="r")
-    hi, lo, origin = _gain_field_minmax(_field_tables(k, side, params["grid_step"] * lam, lam), r.T)
+    tables = _field_tables(k, side, params["grid_step"] * lam, lam)
+    hi, lo, origin = _gain_field_minmax(tables, coeffs)
     return hi / m_sub, lo / m_sub, origin / m_sub  # x -> fl(x / M) is monotone
 
 
@@ -432,8 +433,6 @@ def _trial_dof(params, seed, idx):
     patterns = {"iso": RadiationPattern.isotropic(),
                 "dir": RadiationPattern.ideal_directional(params["gain_dbi"])}
 
-    side = params["region_side"] * lam
-    step = params["grid_step"] * lam
     ng = int(params["orientation_grid"])
     yaws = np.linspace(0.0, 2 * np.pi, ng, endpoint=False)
     pitches = np.linspace(-np.pi / 2, np.pi / 2, max(2, ng // 2))
@@ -441,7 +440,7 @@ def _trial_dof(params, seed, idx):
     # the fixed antenna (identity) first, then the orientation grid (yaw-major, roll-minor)
     orientations = np.concatenate([np.eye(3)[None], aom_from_euler(
         yaws[:, None, None], pitches[:, None], rolls).reshape(-1, 3, 3)])
-    tables = _field_tables(k, side, step, lam)
+    tables = _field_tables(k, params["region_side"] * lam, params["grid_step"] * lam, lam)
 
     flat = [float(idx)]
     for name, pat in patterns.items():
@@ -465,6 +464,15 @@ def _line_array(params):
     """(wavelength, n, aperture, d_min) of a linear-array trial, lengths in wavelength units."""
     lam = params["wavelength"]
     return lam, int(params["n"]), params["aperture"] * lam, params["d_min"] * lam
+
+
+def _planar_array(params):
+    """(wavelength, side, d_min, power, sigma2 = 1, square region) of a planar-array trial,
+    lengths in wavelength units and power from snr_db."""
+    lam = params["wavelength"]
+    side, dmin = params["region_side"] * lam, params["d_min"] * lam
+    return (lam, side, dmin, db_to_linear(params["snr_db"]), 1.0,
+            MoveRegion.box((side, side, 0.0), d_min=dmin))
 
 
 def _trial_beam_null(params, seed, idx):
@@ -520,15 +528,10 @@ def _trial_miso_graph(params, seed, idx):
 
 
 def _trial_mimo_capacity(params, seed, idx):
-    lam = params["wavelength"]
-    side = params["region_side"] * lam
-    dmin = params["d_min"] * lam
+    lam, side, _, power, sigma2, region = _planar_array(params)
     nt, nr = int(params["n_t"]), int(params["n_r"])
-    power = db_to_linear(params["snr_db"])
-    sigma2 = 1.0
     sc = gen_scenario(seed, n_paths=int(params["n_paths"]), wavelength=lam,
                       kappa=params["kappa"])
-    region = _square_region(side, dmin)
     dense_t = _upa_positions(side, lam / 2.0, nt)
     dense_r = _upa_positions(side, lam / 2.0, nr)
     sparse_t = _upa_positions(side, params["sparse_spacing"] * lam, nt)
@@ -542,16 +545,11 @@ def _trial_mimo_capacity(params, seed, idx):
 
 
 def _trial_multiuser(params, seed, idx):
-    lam = params["wavelength"]
-    side = params["region_side"] * lam
-    dmin = params["d_min"] * lam
+    lam, side, _, power, sigma2, region = _planar_array(params)
     nr = int(params["n_r"])
-    power = db_to_linear(params["snr_db"])
-    sigma2 = 1.0
     rng = np.random.default_rng(seed)
     users = [gen_scenario(rng, n_paths=int(params["n_paths"]), wavelength=lam,
                           kappa=params["kappa"]) for _ in range(int(params["k"]))]
-    region = _square_region(side, dmin)
     dense = _upa_positions(side, lam / 2.0, nr)
     sparse = _upa_positions(side, params["sparse_spacing"] * lam, nr)
 
@@ -626,15 +624,10 @@ def _trial_sensing_2d(params, seed, idx):
 
 
 def _trial_isac(params, seed, idx):
-    lam = params["wavelength"]
-    side = params["region_side"] * lam
-    dmin = params["d_min"] * lam
+    lam, side, dmin, power, sigma2, region = _planar_array(params)
     nt, nr = int(params["n_t"]), int(params["n_r"])
-    power = db_to_linear(params["snr_db"])
-    sigma2 = 1.0
     sc = gen_scenario(seed, n_paths=int(params["n_paths"]), wavelength=lam,
                       kappa=params["kappa"])
-    region = _square_region(side, dmin)
     tx = _upa_positions(side, lam / 2.0, nt)
     coef = sn._crb_prefactor(sigma2, lam, params["snapshots"], power, nr, params["beta"])
     crb_opt = opt.sensing_2d_ao(nr, (side, side), dmin, metric="max", coef=coef)

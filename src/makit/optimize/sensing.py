@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import InfeasibleError
 from ..geometry import _close_pairs, _too_close
-from ..sensing import effective_variances
+from ..sensing import crb_2d_lower_bound, effective_variances
 from .report import OptReport, improves
 
 __all__ = ["sensing_1d_optimal", "sensing_2d_ao", "effective_variances", "crb_metric_2d"]
@@ -120,8 +120,7 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
     starts = [xy for xy in starts if _feasible(xy, ax, ay, d_min)]
     if not starts:
         # fall back to a regular lattice at minimum spacing
-        cols = math.floor(ax / d_min) + 1
-        cand = np.array([(d_min * (i % cols), d_min * (i // cols)) for i in range(n)], dtype=float)
+        cand = d_min * np.column_stack(np.divmod(np.arange(n), math.floor(ax / d_min) + 1)[::-1])
         if not _feasible(cand, ax, ay, d_min):
             raise InfeasibleError("could not build a feasible starting placement")
         starts.append(cand)
@@ -168,9 +167,8 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("sensing_2d_ao: %d sweeps scored %d layouts; one scan at a time: %d",
                    sweeps, evaluations, len(starts) + sweeps * 2 * n * n_grid)
-    rcirc = circumradius if circumradius is not None else 0.5 * math.hypot(ax, ay)
-    lower = 2.0 * coef / rcirc ** 2
     best.evaluations, best.stop_reason = evaluations, stop
-    best.extra["lower_bound"] = lower
+    best.extra["lower_bound"] = lower = crb_2d_lower_bound(
+        circumradius if circumradius is not None else 0.5 * math.hypot(ax, ay), coef)
     best.extra["gap_db"] = 10.0 * math.log10(best.best_score / lower) if metric == "max" else None
     return best

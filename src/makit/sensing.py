@@ -158,11 +158,12 @@ def crb_2d(setup: SensingSetup) -> tuple[float, float]:
     return float(pref / ex), float(pref / ey)
 
 
-def crb_2d_lower_bound(circumradius: float, setup: SensingSetup) -> float:
-    """Aperture bound on the max-CRB: prefactor * 2 / circumradius^2."""
+def crb_2d_lower_bound(circumradius: float, setup: SensingSetup | float) -> float:
+    """Aperture bound 2 * prefactor / circumradius^2 on the max-CRB, of a setup or its prefactor."""
     if circumradius <= 0:
         raise ValueError("circumradius must be > 0")
-    return 2.0 * _setup_prefactor(setup) / circumradius ** 2
+    coef = _setup_prefactor(setup) if isinstance(setup, SensingSetup) else setup
+    return 2.0 * coef / circumradius ** 2
 
 
 def _signal_vector(y) -> np.ndarray:

@@ -142,6 +142,30 @@ def ref_gain_field_minmax(k_vectors, b, side, step, wavelength):
     return float(p.max()), float(p.min()), float(p[0, 0, 0])
 
 
+def today_gain_field_minmax(k_vectors, coeffs, side, step, wavelength, block=1 << 16):
+    """The blocked-GEMM grid kernel the path-pair form replaced: per-axis tables Z and
+    [Re XY; Im XY], then per block of (x, y) points one real product [[Re Zc^T, -Im Zc^T],
+    [Im Zc^T, Re Zc^T]] [Re XY; Im XY] = [Re f; Im f], squared, added and summed over columns."""
+    ax = np.arange(0.0, side + step / 2.0, step)
+    x, y, z = np.exp(np.multiply.outer(-2j * np.pi / wavelength * np.asarray(k_vectors).T, ax))
+    xy = (x[:, :, None] * y[:, None, :]).reshape(len(z), -1)
+    xy = np.concatenate([xy.real, xy.imag])
+    l, n = z.shape
+    coeffs = np.asarray(coeffs, dtype=complex).reshape(l, -1)
+    zc = (z[:, :, None] * coeffs[:, None, :]).reshape(l, -1).T
+    zr = np.block([[zc.real, -zc.imag], [zc.imag, zc.real]])
+    rows, points = len(zc), xy.shape[1]
+    width = max(2, -(-points // max(1, round(points * rows / block))))
+    hi, lo = -np.inf, np.inf
+    for i in reversed(range(0, points, width)):
+        i = min(i, max(points - 2, 0))
+        f = zr @ xy[:, i:i + min(width, points - i)]
+        f = f[:rows] ** 2 + f[rows:] ** 2
+        p = f.reshape(n, -1, f.shape[1]).sum(axis=1)
+        hi, lo = max(hi, p.max()), min(lo, p.min())
+    return float(hi), float(lo), float(p[0, 0])
+
+
 def ref_wideband_gain_minmax(rng, params, k, b, side, lam):
     bandwidth = params["bandwidth"]
     m_sub = int(params["subcarriers"])

@@ -19,7 +19,7 @@ from makit.channel import (PathSet, RadiationPattern, polarization_gain, prm_6dm
                            radiation_gain, sample_directions)
 from makit.geometry import accs_basis, aom_from_euler
 from oracles import (ref_accs_basis, ref_gain_field_minmax, ref_polarization_gain, ref_prm_6dma,
-                     ref_trial_dof, ref_wideband_gain_minmax)
+                     ref_trial_dof, ref_wideband_gain_minmax, today_gain_field_minmax)
 
 TOL = 1e-12
 
@@ -163,6 +163,24 @@ def test_prm_6dma_calls_patterns_once_per_path():
 orientations = st.lists(orientation, min_size=1, max_size=5).map(np.stack)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["iso", "dir"]), st.floats(3.1, 30.0), orientations,
+       st.lists(wave_vector, min_size=1, max_size=6))
+def test_built_in_patterns_on_a_stack_match_per_row_calls_bitwise(name, gain_dbi, aoms, ks):
+    pat = (RadiationPattern.isotropic() if name == "iso"
+           else RadiationPattern.ideal_directional(gain_dbi))
+    paths = PathSet(np.array(ks))
+    pprms = np.ones((len(ks), len(ks), 2, 2), dtype=complex)
+
+    def prm(p, aom=aoms):
+        return prm_6dma(pprms, aom, aom[..., ::-1, :], p, p, paths, paths).tobytes()
+
+    per_row = RadiationPattern(pat.f1, pat.f2)  # the same callables, called once per row
+    assert prm(pat) == prm(per_row) and prm(pat, aoms[0]) == prm(per_row, aoms[0])
+    pat.f1 = lambda k: 2.0  # a replaced callable is called, not the built-in stack
+    assert prm(pat) == prm(RadiationPattern(pat.f1, pat.f2))
+
+
 @settings(max_examples=150, deadline=None)
 @given(pattern, pattern, orientations, orientations,
        st.lists(wave_vector, min_size=1, max_size=4),
@@ -253,10 +271,41 @@ def test_gain_field_matches_outer_product_loop(paths, geom):
     assert _close_to_max(got, want)
 
 
-def _row_blocks(side, step, cols):
-    """_FIELD_BLOCK values that walk the grid 2 (x, y) rows (the least), about 3 or all at once."""
+@settings(max_examples=100, deadline=None)
+@given(st.lists(wave_vector, min_size=1, max_size=6), grid, st.integers(1, 4), st.data())
+def test_pair_form_matches_todays_blocked_kernel(ks, geom, n_cols, data):
+    side, step, lam = geom[0] * geom[2], geom[1] * geom[2], geom[2]
+    k = np.array(ks)
+    n = len(ks) * n_cols
+    coeffs = np.reshape(data.draw(st.lists(coefficient, min_size=n, max_size=n)),
+                        (len(ks), n_cols))
+    want = today_gain_field_minmax(k, coeffs, side, step, lam)
+    got = _field(k, coeffs, side, step, lam)
+    assert _close_to_max(got, want)
+    assert min(got) >= 0.0
+
+
+@pytest.mark.parametrize("k, coeffs", [
+    ([(0.6, 0.0, 0.8)], [0.3 - 1.2j]),                                # one path: no pairs
+    ([(0.6, 0.0, 0.8)], [[0.3 - 1.2j, 2.0, 0.0]]),                    # and three columns
+    ([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)], [0j] * 3),  # zero coefficients
+    # equal amplitudes that cancel wherever x = y, z = 0: the pair form rounds below 0 there
+    ([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], [1j, -1j])])
+def test_pair_form_on_single_zero_and_cancelling_paths(k, coeffs):
+    k = np.array(k)
+    want = today_gain_field_minmax(k, coeffs, 2.0, 0.1, 1.0)
+    got = _field(k, coeffs, 2.0, 0.1, 1.0)
+    assert _close_to_max(got, want)
+    assert got[1] >= 0.0 and got[2] >= 0.0
+    if len(k) == 1:  # |c|^2 on every grid point
+        assert got[0] == got[1] == got[2] == pytest.approx(np.sum(np.abs(coeffs) ** 2))
+
+
+def _row_blocks(side, step):
+    """_FIELD_BLOCK values that walk the grid 2 (x, y) points (the least), about 3 (x, y) rows
+    or all at once: a block holds one power per height and (x, y) point."""
     n = len(np.arange(0.0, side + step / 2.0, step))
-    return (1, 3 * n * cols, n ** 3 * cols)
+    return (1, 3 * n * n, n ** 3)
 
 
 def _hex(values):
@@ -274,7 +323,7 @@ def test_wideband_field_matches_per_tap_loop(paths, geom, m_sub, bandwidth, seed
               "grid_step": step}
     want = ref_wideband_gain_minmax(np.random.default_rng(seed), params, k, b, side * lam, lam)
     runs = []
-    for block in _row_blocks(side * lam, step * lam, min(len(b), m_sub)):
+    for block in _row_blocks(side * lam, step * lam):
         with mock.patch.object(experiments, "_FIELD_BLOCK", block):
             got = experiments._wideband_gain_minmax(np.random.default_rng(seed), params, k, b,
                                                     side * lam, lam)
@@ -294,7 +343,7 @@ def test_blocked_grid_columns_match_per_column_loop(ks, geom, n_cols, data):
     want = [ref_gain_field_minmax(k, c, side, step, lam) for c in coeffs.T]
     scale = sum(w[0] for w in want)
     runs = []
-    for block in _row_blocks(side, step, n_cols):
+    for block in _row_blocks(side, step):
         with mock.patch.object(experiments, "_FIELD_BLOCK", block):
             per_col = [_field(k, c, side, step, lam) for c in coeffs.T]
             hi, lo, origin = _field(k, coeffs, side, step, lam)
@@ -312,8 +361,8 @@ def test_blocked_grid_columns_match_per_column_loop(ks, geom, n_cols, data):
 @pytest.mark.parametrize("bandwidth", [0.0, 2e7])
 def test_catalog_size_grid_matches_reference_for_every_block_size(bandwidth):
     # siso-gain-bounds defaults: a 101^3 grid, which the default _FIELD_BLOCK walks in 16
-    # blocks.  Wideband, 4 subcarriers give the same min(4 paths, M) = 4 columns (62 blocks) as
-    # the catalog's 64, and keep the reference's subcarrier x grid response at 66 MB, not 1 GB.
+    # blocks, wideband too: its subcarrier columns reach the grid only through their Gram
+    # matrix.  4 subcarriers keep the reference's subcarrier x grid response at 66 MB, not 1 GB.
     params = {**experiments.CATALOG["siso-gain-bounds"].defaults, "bandwidth": bandwidth,
               "subcarriers": 4}
     lam = params["wavelength"]
@@ -325,9 +374,8 @@ def test_catalog_size_grid_matches_reference_for_every_block_size(bandwidth):
         want = ref_wideband_gain_minmax(np.random.default_rng(4), params, k, b, side, lam)
     else:
         want = ref_gain_field_minmax(k, b, side, step, lam)
-    cols = 4 if bandwidth else 1
     runs = []
-    for block in (1, experiments._FIELD_BLOCK, 101 ** 3 * cols):  # 2 points, default, all
+    for block in (1, experiments._FIELD_BLOCK, 101 ** 3):  # 2 points, default, all
         with mock.patch.object(experiments, "_FIELD_BLOCK", block):
             got = (experiments._wideband_gain_minmax(np.random.default_rng(4), params, k, b,
                                                      side, lam)
@@ -339,8 +387,8 @@ def test_catalog_size_grid_matches_reference_for_every_block_size(bandwidth):
 
 @pytest.mark.parametrize("bandwidth", [0.0, 2e7])
 def test_grid_search_memory_does_not_grow_with_the_grid(bandwidth):
-    # catalog defaults: a 101^3 grid (5 wavelengths, step 0.05); wideband, min(4 paths,
-    # 64 subcarriers) = 4 columns.  The whole field would take 16.5 MB per column.
+    # catalog defaults: a 101^3 grid (5 wavelengths, step 0.05), wideband with 64 subcarriers.
+    # The whole field would take 8.2 MB, and 16.5 MB per column as complex values.
     params = {**experiments.CATALOG["siso-gain-bounds"].defaults, "bandwidth": bandwidth}
     lam = params["wavelength"]
     rng = np.random.default_rng(7)
@@ -439,13 +487,16 @@ def test_pruned_joint_max_matches_every_column(ks, n_cols, data):
 
 
 @pytest.mark.parametrize("n_paths, m_sub", [(6, 2), (4, 4), (3, 64)])
-def test_wideband_passes_at_most_min_paths_subcarriers_columns(n_paths, m_sub, monkeypatch):
+def test_wideband_product_inner_size_is_one_plus_path_pairs(n_paths, m_sub, monkeypatch):
     rng = np.random.default_rng(n_paths + m_sub)
     k = sample_directions(rng, n_paths, "sphere")
     b = rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)
     params = {"bandwidth": 4e7, "subcarriers": m_sub, "max_delay": 3e-7, "grid_step": 0.2}
     want = ref_wideband_gain_minmax(np.random.default_rng(1), params, k, b, 2.0, 1.0)
-    seen = _counting_kernel(monkeypatch)
+    seen, kernel = [], experiments._gain_field_minmax
+    monkeypatch.setattr(experiments, "_gain_field_minmax", lambda tables, coeffs: seen.append(
+        (len(tables[-1]), np.shape(coeffs))) or kernel(tables, coeffs))
     got = experiments._wideband_gain_minmax(np.random.default_rng(1), params, k, b, 2.0, 1.0)
-    assert seen == [min(n_paths, m_sub)]
+    # all M subcarrier columns go in; the table's rows, the product's inner size, do not grow
+    assert seen == [(1 + n_paths * (n_paths - 1), (n_paths, m_sub))]
     assert _close_to_max(got, want)

@@ -6,18 +6,19 @@ top eigenvector, a three-operand einsum over the 1D grid and a per-row loop
 over the 2D grid.  The new score N - |a^H v|^2 rounds differently from
 a^H E_n E_n^H a, so the estimates match bitwise only while every grid argmin
 and golden-section comparison is decided by more than that rounding (about
-N * 1e-16).  On arrays with half-wavelength spacing the 1D search always was
-(0 of 5,000 random draws differed).  The 2D refinement makes a few hundred
-comparisons, and 3 of 1,400 random planar draws met one decided by less;
-their estimates parted by at most 3.2e-7, within the 1e-6 refinement
-tolerance.  The draws below are derandomized, and every one of them matches
-bitwise.
+N * 1e-16).  On arrays with half-wavelength spacing the 1D search nearly
+always was (0 of 5,000 random draws differed; the draw pinned in the 1D test
+does, by 5.5e-7), so the 1D test claims the 1e-6 refinement tolerance.  The 2D
+refinement makes a few hundred comparisons, and 3 of 1,400 random planar draws
+met one decided by less; their estimates parted by at most 3.2e-7, within that
+tolerance.  The draws of the 2D test are derandomized, and every one of them
+matches bitwise.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from makit import sensing
@@ -45,16 +46,19 @@ WAVELENGTH = st.sampled_from([1.0, 0.1, 0.01])
 # package does.  Closer arrays flatten the pseudo-spectrum until its last
 # refinement steps compare rounding: with spacings drawn from [0, 0.1]
 # wavelengths, 18 of 1,500 linear draws differed (by at most 8.9e-7).
+# Claimed to the refinement tolerance: a golden-section comparison decided by
+# less than the rounding parts the estimates on the draw pinned below.
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(2, 20), snapshots=st.integers(1, 8), snr_db=SNR_DB, wavelength=WAVELENGTH,
        max_gap=st.floats(0.5, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=5, snapshots=1, snr_db=None, wavelength=1.0, max_gap=0.875, seed=22550)
 def test_music_1d_matches_projector_reference(n, snapshots, snr_db, wavelength, max_gap, seed):
     rng = np.random.default_rng(seed)
     x = np.cumsum(rng.uniform(0.5, max_gap, n)) * wavelength
     setup = draw_setup(rng, x, snapshots, snr_db, wavelength, planar=False)
     y = simulate_snapshots(setup, seed)
     assert np.array_equal(y, ref_simulate_snapshots(setup, seed))
-    assert float(music_1d(y, x, wavelength).u).hex() == float(ref_music_1d(y, x, wavelength)).hex()
+    assert abs(music_1d(y, x, wavelength).u - ref_music_1d(y, x, wavelength)) <= sensing._REFINE_TOL
 
 
 # The draws of the test above (its strategies; a derandomized test draws from a
