@@ -124,13 +124,9 @@ def _task_null(doc: dict, seed):
     angles = np.deg2rad([f["theta0_deg"], *f["null_deg"]])
 
     def run():
-        try:
-            x, w = _null_design(angles, n, a, dmin, lam)
-        except InfeasibleError as e:
-            return {"constructible": False, "reason": str(e)}
+        x, w = _null_design(angles, n, a, dmin, lam)
         gains = bf.beam_gain(x, w, angles, lam).tolist()
-        return {"constructible": True, "placement": x.tolist(), "gain": gains[0],
-                "null_gains": gains[1:]}
+        return {"placement": x.tolist(), "gain": gains[0], "null_gains": gains[1:]}
     return run
 
 
@@ -230,13 +226,11 @@ def _estimate_trial(doc: dict, args):
         if method == "nearest":
             ms = est.collect_measurements(sc, region, region, "rx-sweep", m, power, sigma2,
                                           trial_seed(base, 4))
-            h_true = channel_narrowband(np.zeros_like(grid_pts), grid_pts, sc)
-            h_hat = est.nearest_measured_reconstruct(ms, grid_pts)
+            nmse = est.nmse(channel_narrowband(np.zeros_like(grid_pts), grid_pts, sc),
+                            est.nearest_measured_reconstruct(ms, grid_pts))
         else:
             fri = _recover(sc, region, method, m, g, l, power, sigma2, base)
-            h_true = channel_mimo(grid_pts, grid_pts, sc)
-            h_hat = est.reconstruct_mapping(fri, grid_pts, grid_pts, lam)
-        nmse = est.nmse(h_true, h_hat)
+            nmse = est.path_nmse(sc, fri, grid_pts, grid_pts)
         if out:
             emit(ResultTable(columns=["nmse"], rows=[[nmse]],
                              metadata={"method": method, "measurements": m, "grid": g}), out)

@@ -27,7 +27,7 @@ from . import estimate as est
 from . import optimize as opt
 from . import sensing as sn
 from .channel import (PathSet, RadiationPattern, Scenario, _rician_diagonal, channel_mimo,
-                      channel_narrowband, db_to_linear, frv_tx, gen_scenario, prm_6dma,
+                      channel_narrowband, db_to_linear, frm, gen_scenario, prm_6dma,
                       redraw_prm_phases, sample_directions, tap_of_delay)
 from .errors import ConfigError, InfeasibleError
 from .geometry import MoveRegion, aom_from_euler
@@ -355,16 +355,11 @@ def _joint_max(tables, coeffs):
 
 
 def _miso_line_channel(scenario: Scenario):
-    """Channel h(x) of a transmit antenna at (x, 0, 0), the receive antenna at its reference point.
-
-    h(x) = b^H g(x) with receive-side coefficients b = PRM @ 1 (all-ones FRV at the origin).
+    """Channel h(xs) of a transmit antenna at each (x, 0, 0) of an (M,) stack xs, the receive
+    antenna at its reference point: h = b^H g(x) with b = PRM @ 1 (all-ones FRV at the origin).
     """
     b = scenario.prm @ np.ones(len(scenario.tx_paths), dtype=complex)
-
-    def h_at(x):
-        return complex(np.conj(b) @ frv_tx((x, 0.0, 0.0), scenario.tx_paths, scenario.wavelength))
-
-    return h_at
+    return lambda xs: np.conj(b) @ frm(xs, scenario.tx_paths, scenario.wavelength)
 
 
 def _upa_positions(side: float, spacing: float, n: int) -> np.ndarray:
@@ -515,14 +510,10 @@ def _trial_miso_graph(params, seed, idx):
     m = int(params["m"])
     sc = gen_scenario(seed, n_paths=int(params["n_paths"]), wavelength=lam,
                       kappa=params["kappa"])
-    h_at = _miso_line_channel(sc)
-    line = opt.SampledLine.from_channel(h_at, a, m, dmin)
-    rep = opt.graph_opt_miso(line, n)
-
-    x_fpa = opt.fpa_ula(n, lam)
-    score_fpa = float(sum(abs(h_at(x)) ** 2 for x in x_fpa))
-    cand = np.arange(0.0, a + 1e-9, lam / 2.0)
-    vals = np.sort([abs(h_at(x)) ** 2 for x in cand])
+    h = _miso_line_channel(sc)
+    rep = opt.graph_opt_miso(opt.SampledLine.from_channel(h, a, m, dmin), n)
+    score_fpa = float(np.sum(np.abs(h(opt.fpa_ula(n, lam))) ** 2))
+    vals = np.sort(np.abs(h(np.arange(0.0, a + 1e-9, lam / 2.0))) ** 2)
     score_as = float(vals[-n:].sum())
     return [float(idx), float(m), rep.best_score, score_fpa, score_as]
 
@@ -872,6 +863,8 @@ _register(
     {"n": 36, "side": 5.0, "d_min": 0.5, "snapshots": 16, "snr_db": 10.0,
      "beta": 1.0, "wavelength": 1.0},
     "Optimized planar-array worst-axis CRB against the aperture lower bound.",
+    "At the defaults the rows do not depend on the seed: of the five starts only the "
+    "seed-free corner start keeps d_min, so every seed runs the same descent.",
 )
 _register(
     "isac-tradeoff", _trial_isac, ("crb_scale", "capacity", "crb", "threshold"),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InfeasibleError
-from .report import OptReport
+from .report import OptReport, _scores
 
 __all__ = ["SampledLine", "graph_opt_miso"]
 
@@ -57,17 +57,18 @@ class SampledLine:
 
     @classmethod
     def from_channel(cls, channel_fn, length: float, m: int, d_min: float) -> "SampledLine":
-        """Sample |h| from a callable position -> complex channel value."""
+        """Sample |h| from channel_fn, which maps the (M,) stack of sample positions to
+        their (M,) complex channels; a NaN channel gets amplitude -inf, never picked."""
         pos = (np.arange(1, m + 1)) * (length / m)
-        amps = np.array([abs(channel_fn(x)) for x in pos])
-        return cls(length=length, amplitudes=amps, d_min=d_min)
+        return cls(length, _scores(lambda x: np.abs(channel_fn(x)), pos), d_min)
 
 
 def graph_opt_miso(line: SampledLine, n_antennas: int) -> OptReport:
     """Optimal selection of n sample indices maximizing sum |h(s_m)|^2 with index gaps >= a_min.
 
     Ties break toward the lexicographically smallest index tuple.  Raises
-    InfeasibleError if the spacing constraint leaves no selection.
+    InfeasibleError if the spacing constraint leaves no selection.  A sample of
+    amplitude -inf scores -inf, so it is picked only where no selection avoids it.
     """
     m, a = line.m, line.a_min
     n = n_antennas
@@ -75,7 +76,7 @@ def graph_opt_miso(line: SampledLine, n_antennas: int) -> OptReport:
         raise ValueError("need at least one antenna")
     if m - (a - 1) * (n - 1) < n:
         raise InfeasibleError(f"{n} antennas with index gap {a} do not fit in {m} samples")
-    v = line.amplitudes ** 2
+    v = line.amplitudes * np.abs(line.amplitudes)
 
     # suffix[n][j] = best total using n antennas restricted to indices >= j
     neg = -np.inf

@@ -25,6 +25,17 @@ def improves(new, cur):
     return new > cur * (1.0 + np.copysign(_RTOL, cur))
 
 
+def _scores(objective, stack, sign: float = 1.0) -> np.ndarray:
+    """sign * objective(stack) as (len(stack),) floats, NaN as -inf so it never wins; the
+    one reader of a searcher's objective.  Another shape, as from a scalar objective
+    such as lambda p: p[0], raises ValueError instead of being misread."""
+    v = np.asarray(objective(stack))
+    if v.shape != (len(stack),):
+        raise ValueError(f"objective must return shape ({len(stack)},), got {v.shape}")
+    v = sign * v.astype(float)
+    return np.where(np.isnan(v), -np.inf, v)
+
+
 @dataclass
 class OptReport:
     """Outcome of an optimization run.

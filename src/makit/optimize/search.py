@@ -8,11 +8,13 @@ import numpy as np
 
 from ..errors import InfeasibleError
 from ..geometry import MoveRegion, _close_pairs, _too_close
-from .report import _HALVES, _STEP_CHUNKS, OptReport, improves
+from .report import _HALVES, _STEP_CHUNKS, OptReport, _scores, improves
 
 __all__ = ["siso_gain_bounds", "grid_search_position", "gradient_position_search", "pso"]
 
 _log = logging.getLogger(__name__)
+
+_GRID_BLOCK = 1 << 14  # points per objective call of the grid search
 
 
 def siso_gain_bounds(b) -> tuple[float, float]:
@@ -32,20 +34,21 @@ def grid_search_position(objective, region: MoveRegion, step: float,
                          sense: str = "max") -> OptReport:
     """Exhaustive search of a single antenna position over a regular grid.
 
-    Ties break toward the lexicographically smallest grid point (the grid is
-    generated in lexicographic order and only strict improvements replace the
-    incumbent).
+    objective scores an (M, 3) stack of positions as (M,), one block of the grid
+    per call.  Ties break toward the lexicographically smallest grid point (the
+    grid is generated in lexicographic order and only strict improvements
+    replace the incumbent).
     """
     pts = region.grid_points(step)
     if len(pts) == 0:
         raise ValueError("empty search grid")
     sign = 1.0 if sense == "max" else -1.0
-    best_val = -np.inf
-    best_idx = 0
-    for i, p in enumerate(pts):
-        v = sign * float(objective(p))
-        if v > best_val:
-            best_val, best_idx = v, i
+    best_val, best_idx = -np.inf, 0
+    for lo in range(0, len(pts), _GRID_BLOCK):
+        v = _scores(objective, pts[lo:lo + _GRID_BLOCK], sign)
+        i = int(np.argmax(v))
+        if v[i] > best_val:
+            best_val, best_idx = float(v[i]), lo + i
     return OptReport(best_placement=pts[best_idx], best_score=sign * best_val,
                      iterations=len(pts), trace=[sign * best_val])
 
@@ -55,13 +58,13 @@ def gradient_position_search(objective, region: MoveRegion, start, max_iter: int
     """Projected finite-difference gradient ascent of a single antenna position.
 
     The placement ascent of the MIMO, multiuser and ISAC optimizers on one
-    antenna: FD probes 1e-4 apart, a first step of 1e-2 halved until the move
-    gains, and a stop when an iteration gains nothing or after max_iter; the
-    trace is monotone.  A start outside the region raises InfeasibleError.
+    antenna, with objective scoring an (M, 3) stack of positions as (M,): FD
+    probes 1e-4 apart, a first step of 1e-2 halved until the move gains, and
+    a stop when an iteration gains nothing or after max_iter; the trace is
+    monotone.  A start outside the region raises InfeasibleError.
     """
     sign = 1.0 if sense == "max" else -1.0
-    _, rep = _ascend([(start, region)],
-                     lambda stack: np.array([sign * float(objective(p[0])) for p in stack]),
+    _, rep = _ascend([(start, region)], lambda stack: _scores(objective, stack[:, 0], sign),
                      max_iter, 1e-4, 1e-2)
     rep.best_placement, rep.best_score = rep.best_placement[0], sign * rep.best_score
     rep.trace = [sign * v for v in rep.trace]
@@ -171,27 +174,25 @@ def _ascend(blocks, objective, max_sweeps: int, fd: float, step0: float) -> tupl
 def pso(objective, dim: int, bounds, n_particles: int = 30, n_iter: int = 100,
         seed: int = 0, inertia: float = 0.7, cognitive: float = 1.5,
         social: float = 1.5, sense: str = "min") -> OptReport:
-    """Global particle-swarm search, bitwise reproducible for a fixed seed."""
+    """Global particle-swarm search, bitwise reproducible for a fixed seed; objective
+    scores the (n_particles, dim) swarm as (n_particles,), one call per step."""
     lo, hi = (np.asarray(b, dtype=float).reshape(-1) for b in bounds)
     if len(lo) != dim or len(hi) != dim or np.any(hi < lo):
         raise ValueError("bounds must be (lower, upper) arrays of length dim")
     sign = -1.0 if sense == "min" else 1.0
-    f = lambda p: sign * float(objective(p))
     rng = np.random.default_rng(seed)
     span = hi - lo
     pos = lo + rng.random((n_particles, dim)) * span
     vel = (rng.random((n_particles, dim)) - 0.5) * span
-    pbest = pos.copy()
-    pval = np.array([f(p) for p in pos])
+    pbest, pval = pos.copy(), _scores(objective, pos, sign)
     gi = int(np.argmax(pval))
-    gbest, gval = pbest[gi].copy(), pval[gi]
-    trace = [sign * gval]
+    gbest, gval, trace = pbest[gi].copy(), pval[gi], [sign * pval[gi]]
     for _ in range(n_iter):
         r1 = rng.random((n_particles, dim))
         r2 = rng.random((n_particles, dim))
         vel = inertia * vel + cognitive * r1 * (pbest - pos) + social * r2 * (gbest - pos)
         pos = np.clip(pos + vel, lo, hi)
-        vals = np.array([f(p) for p in pos])
+        vals = _scores(objective, pos, sign)
         better = vals > pval
         pbest[better] = pos[better]
         pval[better] = vals[better]

@@ -19,14 +19,15 @@ import numpy as np
 
 from makit import estimate
 from makit.beamforming import beam_gain, mimo_capacity, mrt, multiuser_channels, steering_vector
-from makit.channel import (PathSet, RadiationPattern, channel_mimo, radiation_gain,
+from makit.channel import (PathSet, RadiationPattern, channel_mimo, frv_tx, radiation_gain,
                            sample_directions, tap_of_delay)
 from makit.errors import InfeasibleError
 from makit.geometry import aom_from_euler
-from makit.optimize import crb_metric_2d, sensing_2d_ao
+from makit.optimize import OptReport, SampledLine, crb_metric_2d, sensing_2d_ao
 from makit.optimize.beams import _position_sweep, fpa_ula
 from makit.optimize.mimo import _allocate_and_rate
 from makit.optimize.report import improves
+from makit.optimize.search import _ascend
 from makit.optimize.sensing import _corner_init, _feasible, _perimeter_init, sensing_1d_optimal
 from makit.sensing import _golden_min
 
@@ -644,6 +645,81 @@ def ref_isac(ensemble, tx, region, init_rx, mode, threshold, max_sweeps, power, 
         if not improved:
             break
     return rx, sense * cur, trace, len(trace) - 1
+
+
+# ---------------------------------------------------------------------------
+# the public searchers and the line sampler: a scalar objective or channel,
+# called once per grid point, ascent candidate, particle or line sample
+
+def scalar_grid_search_position(objective, region, step, sense="max"):
+    pts = region.grid_points(step)
+    if len(pts) == 0:
+        raise ValueError("empty search grid")
+    sign = 1.0 if sense == "max" else -1.0
+    best_val = -np.inf
+    best_idx = 0
+    for i, p in enumerate(pts):
+        v = sign * float(objective(p))
+        if v > best_val:
+            best_val, best_idx = v, i
+    return OptReport(best_placement=pts[best_idx], best_score=sign * best_val,
+                     iterations=len(pts), trace=[sign * best_val])
+
+
+def scalar_gradient_position_search(objective, region, start, max_iter=200, sense="max"):
+    sign = 1.0 if sense == "max" else -1.0
+    _, rep = _ascend([(start, region)],
+                     lambda stack: np.array([sign * float(objective(p[0])) for p in stack]),
+                     max_iter, 1e-4, 1e-2)
+    rep.best_placement, rep.best_score = rep.best_placement[0], sign * rep.best_score
+    rep.trace = [sign * v for v in rep.trace]
+    return rep
+
+
+def scalar_pso(objective, dim, bounds, n_particles=30, n_iter=100, seed=0, inertia=0.7,
+               cognitive=1.5, social=1.5, sense="min"):
+    lo, hi = (np.asarray(b, dtype=float).reshape(-1) for b in bounds)
+    sign = -1.0 if sense == "min" else 1.0
+    f = lambda p: sign * float(objective(p))
+    rng = np.random.default_rng(seed)
+    span = hi - lo
+    pos = lo + rng.random((n_particles, dim)) * span
+    vel = (rng.random((n_particles, dim)) - 0.5) * span
+    pbest = pos.copy()
+    pval = np.array([f(p) for p in pos])
+    gi = int(np.argmax(pval))
+    gbest, gval = pbest[gi].copy(), pval[gi]
+    trace = [sign * gval]
+    for _ in range(n_iter):
+        r1 = rng.random((n_particles, dim))
+        r2 = rng.random((n_particles, dim))
+        vel = inertia * vel + cognitive * r1 * (pbest - pos) + social * r2 * (gbest - pos)
+        pos = np.clip(pos + vel, lo, hi)
+        vals = np.array([f(p) for p in pos])
+        better = vals > pval
+        pbest[better] = pos[better]
+        pval[better] = vals[better]
+        gi = int(np.argmax(pval))
+        if pval[gi] > gval:
+            gbest, gval = pbest[gi].copy(), pval[gi]
+        trace.append(sign * gval)
+    return OptReport(best_placement=gbest, best_score=sign * gval, iterations=n_iter,
+                     trace=trace)
+
+
+def scalar_from_channel(channel_fn, length, m, d_min):
+    pos = (np.arange(1, m + 1)) * (length / m)
+    amps = np.array([abs(channel_fn(x)) for x in pos])
+    return SampledLine(length=length, amplitudes=amps, d_min=d_min)
+
+
+def scalar_miso_line_channel(scenario):
+    b = scenario.prm @ np.ones(len(scenario.tx_paths), dtype=complex)
+
+    def h_at(x):
+        return complex(np.conj(b) @ frv_tx((x, 0.0, 0.0), scenario.tx_paths, scenario.wavelength))
+
+    return h_at
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from makit import estimate as est
 from makit import experiments
-from makit.channel import gen_scenario, scenario_to_dict
+from makit.channel import channel_mimo, db_to_linear, gen_scenario, scenario_to_dict
 from makit.cli import main
 from makit.errors import ConfigError
 from makit.experiments import (CATALOG, ExperimentConfig, ResultTable, config_hash, emit,
                                load_table_csv, load_table_json, run_experiment, trial_seed)
+from makit.geometry import MoveRegion
 
 
 def small_config(**over):
@@ -693,8 +695,24 @@ def test_cli_optimize_null_task(tmp_path):
     out = tmp_path / "null_report.json"
     assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
     report = json.load(open(out))
-    assert report["constructible"]
-    assert report["gain"] > 7.9
+    assert report["gain"] > 7.9 and max(report["null_gains"]) < 1e-8
+
+
+def test_cli_optimize_null_task_without_an_array_exit_3(tmp_path, capsys):
+    # three nulls need three prime factors of n; 4 = 2 * 2 has two
+    cfg = write(tmp_path, "null.json", {**NULL, "n": 4, "null_deg": [78.0, 98.0, 170.0]})
+    out = tmp_path / "null_report.json"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("infeasible: ") and not out.exists()
+
+
+def test_readme_library_tour_runs():
+    """The README's first python block runs as written, so its calls keep to the signatures."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    tour = readme.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(tour, "README.md", "exec"), scope)
+    assert 0.0 < scope["report"].best_score <= scope["upper"] * (1.0 + 1e-12)
 
 
 def test_cli_sense_runs(tmp_path):
@@ -713,12 +731,25 @@ def test_cli_estimate_runs(tmp_path):
     assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
 
 
-def test_cli_estimate_scores_each_method_against_its_reference(tmp_path):
+def test_cli_estimate_scores_each_method_against_its_reference(tmp_path, capsys):
+    doc = estimate_doc()
+    sc = gen_scenario(**doc["scenario"]["generate"])
+    region = MoveRegion.box((2.0, 2.0, 0.0))
+    grid = region.grid_points(0.2)
+    sigma2 = 1.0 / db_to_linear(doc["snr_db"])
     for method in ("successive", "joint", "nearest"):
         cfg = write(tmp_path, "est.json", estimate_doc(method=method))
         out = tmp_path / f"{method}.json"
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
-        assert 0.0 < load_table_json(out).rows[0][0] < 1.0
+        nmse = load_table_json(out).rows[0][0]
+        assert 0.0 < nmse < 1.0
+        assert capsys.readouterr().out == f"{method} NMSE {nmse:.6g}\n"
+        if method != "nearest":  # scored from path Gram matrices; the map gives the same
+            fri = experiments._recover(sc, region, method, doc["measurements"], doc["grid"],
+                                       len(sc.tx_paths), 1.0, sigma2, "0")
+            want = est.nmse(channel_mimo(grid, grid, sc),
+                            est.reconstruct_mapping(fri, grid, grid, 1.0))
+            assert abs(nmse - want) <= 1e-9 * want
 
 
 def test_cli_seed_override_changes_result(tmp_path):

@@ -80,7 +80,7 @@ def test_gradient_position_search_is_scale_free(scale, sense, seed):
 
     def run(s):
         return gradient_position_search(
-            lambda p: s * abs(channel_narrowband(np.zeros(3), p, sc)) ** 2, region, start,
+            lambda p: s * np.abs(channel_narrowband(np.zeros_like(p), p, sc)) ** 2, region, start,
             max_iter=60, sense=sense)
 
     base, got = run(1.0), run(scale)

@@ -139,8 +139,8 @@ def test_multiuser_single_user_matches_line_optimum():
     aperture = 6.0
     region = MoveRegion.box((aperture, 0.0, 0.0), d_min=0.5)
 
-    def h_at(x):
-        return complex(multiuser_channels(np.array([[x, 0.0, 0.0]]), users)[0, 0])
+    def h_at(xs):  # user 0's channel at each base-station position (x, 0, 0)
+        return multiuser_channels(np.column_stack([xs, np.zeros((len(xs), 2))]), users)[:, 0]
 
     line = SampledLine.from_channel(h_at, aperture, m, 0.5)
     graph = graph_opt_miso(line, n)

@@ -3,7 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from makit.channel import gen_scenario
+from makit.experiments import _miso_line_channel
 from makit.optimize import SampledLine, graph_opt_miso
+from oracles import scalar_from_channel, scalar_miso_line_channel
 
 
 def brute_force_best(values, n, a_min):
@@ -74,3 +77,37 @@ def test_positions_respect_spacing():
     rep = graph_opt_miso(line, 4)
     gaps = np.diff(rep.best_placement)
     assert np.all(gaps >= 1.1 - 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_from_channel_matches_its_scalar_oracle(seed):
+    c = np.random.default_rng(seed).standard_normal(4)
+    channel = lambda x: (c[0] + 1j * c[1]) * x ** 2 + (c[2] - 1j * c[3]) * x  # elementwise
+    got = SampledLine.from_channel(channel, 5.0, 40, 0.5)
+    want = scalar_from_channel(channel, 5.0, 40, 0.5)
+    # the channels are equal bitwise; np.abs of an array and Python's abs of one complex
+    # value round differently, by up to 2 ulp
+    np.testing.assert_array_max_ulp(got.amplitudes, want.amplitudes, maxulp=2)
+    assert np.array_equal(graph_opt_miso(got, 3).extra["indices"],
+                          graph_opt_miso(want, 3).extra["indices"])
+
+
+def test_from_channel_nan_is_never_picked():
+    line = SampledLine.from_channel(lambda x: np.where(x > 2.0, np.nan, x), 4.0, 8, 0.0)
+    rep = graph_opt_miso(line, 2)
+    assert rep.extra["indices"].tolist() == [2, 3] and rep.best_score == 1.5 ** 2 + 2.0 ** 2
+    assert graph_opt_miso(line, 5).best_score == -np.inf  # only 4 samples are finite
+
+
+def test_from_channel_refuses_a_scalar_channel():
+    with pytest.raises(ValueError, match="must return shape"):
+        SampledLine.from_channel(lambda x: x[0], 4.0, 8, 0.5)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_miso_line_channel_keeps_its_formula(seed):
+    sc = gen_scenario(seed, n_paths=2 + seed % 4, kappa=1.0)
+    xs = np.linspace(0.0, 6.0, 50)
+    got = _miso_line_channel(sc)(xs)
+    want = np.array([scalar_miso_line_channel(sc)(x) for x in xs])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
