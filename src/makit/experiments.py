@@ -258,13 +258,30 @@ class ResultTable:
         return np.array([r[i] for r in self.rows], dtype=float)
 
 
+_NONFINITE = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
+
+
+def _map_json(v, leaf):
+    """v with leaf applied to every value that is not a dict or a list."""
+    if isinstance(v, dict):
+        return {k: _map_json(x, leaf) for k, x in v.items()}
+    return [_map_json(x, leaf) for x in v] if isinstance(v, (list, tuple)) else leaf(v)
+
+
 def emit(table: ResultTable, path) -> None:
-    """Write a table as JSON (with metadata) to a .json path, else as CSV (header, numeric rows)."""
+    """Write a table as JSON (with metadata) to a .json path, else as CSV (header, numeric rows).
+    JSON is strict: a table with ±inf or NaN is written again with them as the strings
+    "Infinity", "-Infinity" and "NaN", which load_table_json reads back."""
     path = str(path)
     if path.endswith(".json"):
         doc = {"columns": table.columns, "rows": table.rows, "metadata": table.metadata}
+        try:
+            text = json.dumps(doc, indent=2, allow_nan=False)
+        except ValueError:
+            text = json.dumps(_map_json(doc, lambda v: json.dumps(v) if isinstance(v, float)
+                                        and not math.isfinite(v) else v), indent=2)
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            fh.write(text)
     else:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(table.columns) + "\n")
@@ -282,7 +299,10 @@ def load_table_csv(path) -> ResultTable:
 
 def load_table_json(path) -> ResultTable:
     with open(path) as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    doc = json.loads(text)
+    if any(f'"{name}"' in text for name in _NONFINITE):
+        doc = _map_json(doc, lambda v: _NONFINITE.get(v, v) if isinstance(v, str) else v)
     return ResultTable(columns=doc["columns"], rows=doc["rows"],
                        metadata=doc.get("metadata", {}))
 

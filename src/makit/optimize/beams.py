@@ -33,8 +33,9 @@ __all__ = [
 
 _RATIONAL_TOL = 1e-9
 _MAX_DENOMINATOR = 64
-_SEED_FREE_CACHE = 64  # placements whose best seed-free start stays cached
-_seed_free_best: OrderedDict = OrderedDict()  # max_min_awv's key -> (weights, min gain)
+_SEED_FREE_CACHE = 64  # placements whose best seed-free and seeded starts stay cached
+# max_min_awv's key -> ((weights, min gain), (seed, slot, weights, min gain))
+_seed_free_best: OrderedDict = OrderedDict()
 
 _log = logging.getLogger(__name__)
 
@@ -197,12 +198,14 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
     numpy's matrix-vector path differs in the last bit, which can decide a step.
 
     The seed-free starts (an MRT start per picked angle and the aligned start)
-    come first.  The first best of them is kept in a least-recently-used cache
-    of _SEED_FREE_CACHE (64) placements, keyed by the placement's and the
-    angles' bytes, wavelength, analog, n_iter and whether w0 is given (it sets
-    the first gain product's shape); a known placement ascends only its seeded
-    starts.  Every row's path is its own, and the first gain product keeps its
-    shape, so the result is bitwise the same.
+    come first, then w0 and three noise starts drawn from seed.  A
+    least-recently-used cache of _SEED_FREE_CACHE (64) placements, keyed by the
+    placement's and the angles' bytes, wavelength, analog, n_iter and whether w0
+    is given (it sets the first gain product's shape), keeps the first best
+    seed-free start and, for the last seed the placement was ascended with, the
+    first best noise start in its own slot.  A known placement ascends only w0
+    and, under another seed, the noise starts.  Every row's path is its own, and
+    the first gain product keeps its shape, so the result is bitwise the same.
     """
     x = np.asarray(x, dtype=float)
     stacked = x.ndim == 2
@@ -233,17 +236,23 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
     g = (w_by.conj() @ a.transpose(0, 2, 1)).reshape(len(w_out), k)
     kmin, cur_out = _weakest(g)
     cur_by = cur_out.reshape(p, s_per)
-    # a known placement's cached best takes its first seed-free slot, the others drop out
-    m = len(pick) + 1
+    # a known placement's cached best takes its first seed-free slot, and its best noise
+    # start under this seed its own noise slot; the others drop out
+    m, q = len(pick) + 1, s_per - 3  # seed-free slots [0, m), noise slots [q, s_per)
     tail = (thetas.tobytes(), wavelength, analog, n_iter, w0 is None)
     keys = [(xi.tobytes(), *tail) for xi in x]
     cached = np.zeros((p, s_per), dtype=bool)
     for i, key in enumerate(keys):
         if key in _seed_free_best:
             _seed_free_best.move_to_end(key)
-            w_by[i, 0], cur_by[i, 0] = _seed_free_best[key]
+            (w_by[i, 0], cur_by[i, 0]), seeded = _seed_free_best[key]
             cur_by[i, 1:m] = -np.inf
             cached[i, :m] = True
+            if seeded[0] == seed:
+                j = seeded[1]
+                cur_by[i, q:] = -np.inf
+                w_by[i, j], cur_by[i, j] = seeded[2:]
+                cached[i, q:] = True
     # packed state of the live starts: index into the outputs, weights, min gain, step,
     # weakest angle and its gain, and placement
     live = np.flatnonzero(~cached)
@@ -251,7 +260,8 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
     step, gk, owner = np.full(live.size, 0.5), g[live, kmin], live // s_per
     rows = np.arange(live.size)
     iters = scored = 0
-    for iters in range(1, n_iter + 1):
+    while live.size and iters < n_iter:
+        iters += 1
         # ascent direction of each start's active gain
         grad = a[owner, kmin] * gk.conj()[:, None]
         pend = rows  # starts without an accepted step yet
@@ -283,21 +293,22 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
             live, w, cur, step, kmin, gk, owner = (
                 arr[keep] for arr in (live, w, cur, step, kmin, gk, owner))
             rows = np.arange(live.size)
-            if not live.size:
-                break
     w_out[live], cur_out[live] = w, cur
+    # keep each placement's first best seed-free and noise starts (a known placement's
+    # seed-free best is in slot 0 again), unless its noise starts came from the cache
     for i, key in enumerate(keys):
-        if key not in _seed_free_best:
-            j = np.argmax(cur_by[i, :m])
-            _seed_free_best[key] = (w_by[i, j].copy(), cur_by[i, j])
+        if not cached[i, q]:
+            f, j = np.argmax(cur_by[i, :m]), q + np.argmax(cur_by[i, q:])
+            _seed_free_best[key] = ((w_by[i, f].copy(), cur_by[i, f]),
+                                    (seed, j, w_by[i, j].copy(), cur_by[i, j]))
             if len(_seed_free_best) > _SEED_FREE_CACHE:
                 _seed_free_best.popitem(last=False)
     if _log.isEnabledFor(logging.DEBUG):
-        n_cached = int(cached.sum())
+        n_free, n_seeded = int(cached[:, :m].sum()), int(cached[:, q:].sum())
         _log.debug("max_min_awv: %d of %d starts stopped at n_iter=%d, %d stalled, "
-                   "%d from the cache; %d iterations, %d candidate rows scored", live.size,
-                   len(w_out), n_iter, len(w_out) - live.size - n_cached, n_cached, iters,
-                   scored)
+                   "%d seed-free and %d seeded from the cache; %d iterations, "
+                   "%d candidate rows scored", live.size, len(w_out), n_iter,
+                   len(w_out) - live.size - n_free - n_seeded, n_free, n_seeded, iters, scored)
     best = np.argmax(cur_by, axis=1) + np.arange(p) * s_per
     return (w_out[best], cur_out[best]) if stacked else (w_out[best[0]], float(cur_out[best[0]]))
 
@@ -406,11 +417,14 @@ def _ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, seed, ma
            for i in sorted(range(len(starts)), key=lambda i: -vs[i])]
     n_chains = min(n_refine, len(out))
     live = list(range(n_chains))
+    n_sweeps = still = 0  # chain sweeps, and those whose position sweep moved no antenna
     for _ in range(max_sweeps):
         if not live:
             break
         xs = np.stack([_position_sweep(out[c][1], thetas, out[c][2], wavelength, aperture,
                                        d_min)[0] for c in live])
+        n_sweeps += len(live)
+        still += sum(xi.tobytes() == out[c][1].tobytes() for xi, c in zip(xs, live))
         w_new, v_new = max_min_awv(xs, thetas, wavelength, analog=analog, seed=seed,
                                    w0=np.stack([out[c][2] for c in live]))
         v_new = v_new.tolist()
@@ -419,8 +433,9 @@ def _ao_candidates(starts, thetas, wavelength, aperture, d_min, analog, seed, ma
             out[c] = (v_new[i], xs[i], w_new[i], out[c][3] + [v_new[i]])
         live = [c for _, c in moved]
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("_ao_candidates: %d of %d chains stopped at max_sweeps=%d",
-                   len(live), n_chains, max_sweeps)
+        _log.debug("_ao_candidates: %d of %d chains stopped at max_sweeps=%d; %d of %d "
+                   "chain sweeps moved no antenna", len(live), n_chains, max_sweeps, still,
+                   n_sweeps)
     return out, (ws[i_fpa].copy(), vs[i_fpa])
 
 

@@ -28,10 +28,15 @@ def improves(new, cur):
 def _scores(objective, stack, sign: float = 1.0) -> np.ndarray:
     """sign * objective(stack) as (len(stack),) floats, NaN as -inf so it never wins; the
     one reader of a searcher's objective.  Another shape, as from a scalar objective
-    such as lambda p: p[0], raises ValueError instead of being misread."""
+    such as lambda p: p[0], raises ValueError instead of being misread; where an (M, d)
+    stack has M == d rows, such an objective returns (M,) too, so there stack[:1] is
+    scored as well and must give (1,)."""
     v = np.asarray(objective(stack))
-    if v.shape != (len(stack),):
-        raise ValueError(f"objective must return shape ({len(stack)},), got {v.shape}")
+    got, want = v.shape, (len(stack),)
+    if got == want and np.ndim(stack) == 2 and len(stack) == np.shape(stack)[1] > 1:
+        got, want = np.shape(objective(stack[:1])), (1,)
+    if got != want:
+        raise ValueError(f"objective must return shape {want}, got {got}")
     v = sign * v.astype(float)
     return np.where(np.isnan(v), -np.inf, v)
 

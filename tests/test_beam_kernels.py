@@ -24,12 +24,14 @@ sequential chain loop they replaced, today_ao_candidates.  The
 column-updated position sweep is checked against the sweep that rebuilt
 every candidate's steering matrix, today_position_sweep.  The
 fixed-array baseline the beam AO reports must equal a standalone ascent of
-the fixed array bitwise.
+the fixed array bitwise.  Ascents that take starts from the cache of solved
+starts must equal today's ascent, or an ascent with an empty cache, bitwise.
 """
 
 import logging
 import math
 import re
+from collections import OrderedDict
 from unittest import mock
 
 import numpy as np
@@ -204,7 +206,6 @@ def test_packed_ascent_example_reaches_the_second_chunk():
     # the first "chunked" example above: in one second-chunk call some starts accept a step and
     # others find none and retire while the rest go on
     xs, thetas, _ = draw_stack(3, 6, 4, 11)
-    beams._seed_free_best.clear()
     calls = []
     with mock.patch.object(beams, "improves", spy_improves(calls)):
         max_min_awv(xs, thetas, LAM, seed=11)
@@ -252,8 +253,8 @@ def test_beam_ao_baseline_is_the_standalone_fixed_array_ascent(n, k, slack, d_mi
 
 
 DEBUG_LINE = re.compile(r"max_min_awv: (\d+) of (\d+) starts stopped at n_iter=(\d+), "
-                        r"(\d+) stalled, (\d+) from the cache; (\d+) iterations, "
-                        r"(\d+) candidate rows scored")
+                        r"(\d+) stalled, (\d+) seed-free and (\d+) seeded from the cache; "
+                        r"(\d+) iterations, (\d+) candidate rows scored")
 
 
 def logged_ascent(caplog, *args, **kwargs):
@@ -271,58 +272,86 @@ def logged_ascent(caplog, *args, **kwargs):
 
 def test_max_min_awv_logs_iterations_and_candidate_rows(caplog):
     xs, thetas, _ = draw_stack(2, 6, 3, 4)
-    beams._seed_free_best.clear()
     for n_iter in (1, 300):
         counts, calls = logged_ascent(caplog, xs, thetas, LAM, n_iter=n_iter)
-        at_cap, starts, cap, stalled, cached, iters, rows = counts
+        at_cap, starts, cap, stalled, free, seeded, iters, rows = counts
         assert starts == 2 * 7 and cap == n_iter and at_cap + stalled == starts
-        assert cached == 0
+        assert free == seeded == 0
         assert iters == n_iter if at_cap else 1 <= iters <= n_iter
         assert rows == sum(math.prod(shape) for shape, _ in calls)
         assert rows >= 4 * starts
 
 
 def test_max_min_awv_logs_the_starts_taken_from_the_cache(caplog):
-    # a warm call ascends only the seeded starts; a new placement in the stack ascends all seven
-    xs, thetas, _ = draw_stack(3, 6, 3, 4)
-    beams._seed_free_best.clear()
+    # a known placement ascends only w0 under the seed it was ascended with, and its three
+    # seeded starts too under another seed; a new placement in the stack ascends all its starts
+    xs, thetas, w0s = draw_stack(3, 6, 3, 4)
     max_min_awv(xs[:2], thetas, LAM)
-    for stack, n_cached in ((xs[:2], 2 * 4), (xs, 2 * 4)):
-        counts, calls = logged_ascent(caplog, stack, thetas, LAM)
-        at_cap, starts, _, stalled, cached, _, rows = counts
-        assert starts == 7 * len(stack) and cached == n_cached
-        assert at_cap + stalled + cached == starts
+    max_min_awv(xs[:2], thetas, LAM, w0=w0s[:2])
+    for stack, w0, seed, n_free, n_seeded in (
+            (xs, None, 0, 2 * 4, 2 * 3),  # (4 seed-free, 3 seeded) of 7 starts a placement
+            (xs[:2], w0s[:2], 0, 2 * 4, 2 * 3),  # 8 starts a placement, w0 the one ascended
+            (xs[:2], None, 1, 2 * 4, 0)):  # another seed: no seeded start is known
+        counts, calls = logged_ascent(caplog, stack, thetas, LAM, seed=seed, w0=w0)
+        at_cap, starts, _, stalled, free, seeded, _, rows = counts
+        assert starts == (7 + (w0 is not None)) * len(stack)
+        assert (free, seeded) == (n_free, n_seeded)
+        assert at_cap + stalled + free + seeded == starts
         assert rows == sum(math.prod(shape) for shape, _ in calls)
-        assert calls[0][0][0] == starts - cached  # the first step scores every ascended start
-        assert rows >= 4 * (starts - cached)
+        # the first step scores every ascended start
+        assert calls[0][0][0] == starts - free - seeded
+        assert rows >= 4 * (starts - free - seeded)
+
+
+def test_an_ascent_with_every_start_cached_runs_no_iteration(caplog):
+    # a repeated (placement, seed) without w0 takes all its starts from the cache
+    xs, thetas, _ = draw_stack(2, 6, 3, 4)
+    w, v = max_min_awv(xs, thetas, LAM, seed=5)
+    counts, calls = logged_ascent(caplog, xs, thetas, LAM, seed=5)
+    at_cap, starts, _, stalled, free, seeded, iters, rows = counts
+    assert (at_cap, stalled, free, seeded) == (0, 0, 2 * 4, 2 * 3) and starts == 2 * 7
+    assert iters == rows == 0 and calls == []
+    w2, v2 = max_min_awv(xs, thetas, LAM, seed=5)
+    assert w2.tobytes() == w.tobytes() and v2.tobytes() == v.tobytes()
 
 
 def check_cached_ascent(p, n, k, analog, with_w0, seed):
     xs, thetas, w0s = draw_stack(2 * p, n, k, seed)
 
-    def ascend(idx, **kw):
-        kw = {"analog": analog, "n_iter": 300, **kw}
-        return max_min_awv(xs[idx], thetas, LAM, seed=seed, w0=w0s[idx] if with_w0 else None,
-                           **kw), kw
+    def ascend(idx, w0s=w0s, **kw):
+        kw = {"analog": analog, "n_iter": 300, "seed": seed, **kw}
+        w, v = max_min_awv(xs[idx], thetas, LAM, w0=w0s[idx] if with_w0 else None, **kw)
+        return (w, v), kw
 
-    def same_as_today(run, idx):
-        (w, v), kw = run
+    def same_as_today(idx, **kw):
+        """The stack idx's results, each today's ascent of its placement bitwise."""
+        (w, v), kw = ascend(idx, **kw)
         for wi, vi, i in zip(w, v, idx):
-            w_ref, v_ref = today_max_min_awv(xs[i], thetas, LAM, seed=seed,
+            w_ref, v_ref = today_max_min_awv(xs[i], thetas, LAM,
                                              w0=w0s[i] if with_w0 else None, **kw)
             assert wi.tobytes() == w_ref.tobytes() and float(vi).hex() == v_ref.hex()
+        return w.tobytes(), v.tobytes()
+
+    def same_as_fresh(idx, **kw):
+        """The stack idx's results, bitwise those of an ascent with an empty cache."""
+        got = [arr.tobytes() for arr in ascend(idx, **kw)[0]]
+        with mock.patch.object(beams, "_seed_free_best", OrderedDict()):
+            assert got == [arr.tobytes() for arr in ascend(idx, **kw)[0]]
 
     known = np.arange(p)
     mixed = np.random.default_rng(seed).permutation(2 * p)
     beams._seed_free_best.clear()
-    cold = ascend(known)
-    same_as_today(cold, known)
-    (w, v), _ = ascend(known)
-    assert w.tobytes() == cold[0][0].tobytes() and v.tobytes() == cold[0][1].tobytes()
-    same_as_today(ascend(mixed), mixed)  # known and new placements shuffled in one stack
+    cold = same_as_today(known)
+    (w, v), _ = ascend(known)  # a repeated (placement, seed): only w0, if given, ascends
+    assert (w.tobytes(), v.tobytes()) == cold
+    same_as_fresh(known, w0s=w0s.conj())  # so too with another w0, as in an AO chain
+    # known and new placements shuffled in one stack, under another seed (the known ones'
+    # seeded starts miss), with the new ones evicting the known ones from a cache of p
+    with mock.patch.object(beams, "_SEED_FREE_CACHE", p):
+        same_as_today(mixed, seed=seed + 1)
     # the same placements under the other weight kind and under a shorter ascent
-    same_as_today(ascend(known, analog=not analog), known)
-    same_as_today(ascend(known, n_iter=3), known)
+    same_as_today(known, analog=not analog)
+    same_as_today(known, n_iter=3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -332,20 +361,53 @@ def test_cached_seed_free_starts_give_the_cold_ascent_bitwise(p, n, k, analog, w
     check_cached_ascent(p, n, k, analog, with_w0, seed)
 
 
+def test_beam_ao_reports_are_the_same_cold_and_warm(caplog):
+    # chains whose position sweep moved no antenna take the seeded starts from the cache
+    thetas = np.deg2rad([30.0, 120.0, 160.0])
+
+    def run(seed):
+        return [multibeam_ao(thetas, 6, 6.0, D_MIN, LAM, seed=seed, max_sweeps=4),
+                widebeam_ao(1.0, 2.0, 4, 4, 4.0, D_MIN, LAM, seed=seed, max_sweeps=4)]
+
+    with caplog.at_level(logging.DEBUG, logger="makit"):
+        cold = run(1)
+    still = [re.search(r"(\d+) of \d+ chain sweeps moved no antenna", r.getMessage())
+             for r in caplog.records if r.getMessage().startswith("_ao_candidates: ")]
+    assert len(still) == 2 and all(int(m.group(1)) > 0 for m in still)
+    for seeds in ((1,), (2, 1)):  # warm, and warm after another seed replaced the seeded starts
+        for seed in seeds:
+            warm = run(seed)
+        for got, want in zip(warm, cold):
+            same_report(got, want)
+
+
 def test_seed_free_cache_stays_bounded_and_unaliased():
     cap = beams._SEED_FREE_CACHE
     xs, thetas, _ = draw_stack(cap + 9, 4, 1, 2)
     cycled, x_new = xs[:-1], xs[-1]
-    beams._seed_free_best.clear()
     for lo in range(0, len(cycled), 10):
         max_min_awv(cycled[lo:lo + 10], thetas, LAM)
         assert len(beams._seed_free_best) <= cap
     assert len(beams._seed_free_best) == cap
-    # a new placement whose seed-free start wins (one angle: an MRT start reaches the gain N);
-    # changing the returned weights in place changes no later result
-    w, v = max_min_awv(x_new, thetas, LAM)
-    assert any(wc.tobytes() == w.tobytes() for wc, _ in beams._seed_free_best.values())
-    want = w.tobytes()
-    w[:] = 0.0
-    w2, v2 = max_min_awv(x_new, thetas, LAM)
-    assert w2.tobytes() == want and v2 == v
+    # other seeds replace a known placement's seeded start and evict no seed-free one
+    known = list(beams._seed_free_best)
+    for seed in (1, 2, 3):
+        max_min_awv(cycled[-10:], thetas, LAM, seed=seed)
+    assert list(beams._seed_free_best) == known
+    assert [e[1][0] for e in beams._seed_free_best.values()] == [0] * (cap - 10) + [3] * 10
+    # a new placement whose seed-free start wins (one angle: an MRT start reaches the gain N),
+    # and one whose last noise start wins: changing the returned weights in place changes no
+    # later result
+    x_seeded, thetas_seeded, _ = draw_stack(1, 4, 5, 1)
+    for x, t, slot in ((x_new, thetas, None), (x_seeded[0], thetas_seeded, 8)):
+        w, v = max_min_awv(x, t, LAM)
+        newest = next(reversed(beams._seed_free_best.values()))
+        (w_free, v_free), (_, j, w_seeded, v_seeded) = newest
+        if slot is None:
+            assert w_free.tobytes() == w.tobytes() and v_free == v
+        else:
+            assert j == slot and w_seeded.tobytes() == w.tobytes() and v_seeded == v > v_free
+        want = w.tobytes()
+        w[:] = 0.0
+        w2, v2 = max_min_awv(x, t, LAM)
+        assert w2.tobytes() == want and v2 == v

@@ -128,6 +128,41 @@ def test_emit_json_roundtrip(tmp_path):
     assert back.metadata == table.metadata
 
 
+def strict_json(path):
+    """The JSON document at path, parsed with the bare tokens Infinity, -Infinity and NaN
+    refused."""
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return json.loads(pathlib.Path(path).read_text(), parse_constant=refuse)
+
+
+def test_emit_json_is_strict_and_reads_non_finite_values_back(tmp_path):
+    table = ResultTable(columns=["a", "b", "c"], rows=[[math.inf, -math.inf, 0.5]],
+                        metadata={"params": {"kappa": math.inf}, "gaps": [math.nan, 1.0],
+                                  "method": "joint"})
+    path = tmp_path / "t.json"
+    emit(table, path)
+    doc = strict_json(path)
+    assert doc["rows"] == [["Infinity", "-Infinity", 0.5]]
+    assert doc["metadata"]["params"]["kappa"] == "Infinity" and doc["metadata"]["gaps"][0] == "NaN"
+    back = load_table_json(path)
+    assert back.rows == table.rows and back.metadata["params"] == {"kappa": math.inf}
+    assert math.isnan(back.metadata["gaps"][0]) and back.metadata["gaps"][1] == 1.0
+    assert back.metadata["method"] == "joint"
+
+
+def test_cli_multiuser_rate_with_infinite_kappa_writes_strict_json(tmp_path):
+    cfg = write(tmp_path, "k.json", {"experiment": "multiuser-rate", "trials": 1, "seeds": [0],
+                                     "params": {"kappa": math.inf, "max_sweeps": 1}})
+    out = tmp_path / "k_out.json"
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+    doc = strict_json(out)
+    assert doc["metadata"]["params"]["kappa"] == "Infinity"
+    table = load_table_json(out)
+    assert table.column("kappa").tolist() == [math.inf]
+    assert np.all(np.isfinite(table.rows[0][2:]))
+
+
 def test_metadata_documents_catalog_notes():
     cfg = small_config()
     table = run_experiment(cfg)

@@ -238,7 +238,7 @@ def test_beam_ascent_logs_why_it_stopped_without_changing_results(caplog):
     msgs = [r.getMessage() for r in caplog.records if r.name == "makit.optimize.beams"]
     assert any(m.startswith("max_min_awv: ") and "stopped at n_iter=300" in m for m in msgs)
     assert any(m.startswith("_ao_candidates: ") and "chains stopped at max_sweeps=2" in m
-               for m in msgs)
+               and "chain sweeps moved no antenna" in m for m in msgs)
     assert loud.best_score == quiet.best_score and loud.trace == quiet.trace
     assert loud.best_placement.tobytes() == quiet.best_placement.tobytes()
     assert loud.extra["weights"].tobytes() == quiet.extra["weights"].tobytes()

@@ -265,7 +265,18 @@ def test_gradient_search_matches_its_scalar_oracle(seed, sense, max_iter):
     lambda f: grid_search_position(f, MoveRegion.box((1.0, 1.0, 0.0)), 0.5),
     lambda f: gradient_position_search(f, MoveRegion.box((1.0, 1.0, 1.0)), [0.5, 0.5, 0.5]),
     lambda f: pso(f, 2, (np.zeros(2), np.ones(2)), n_particles=5, n_iter=3),
-], ids=["grid", "gradient", "pso"])
+    # stacks of M == d rows, where p[0] has the stacked shape (M,) too
+    lambda f: grid_search_position(f, MoveRegion.box((1.0, 0.0, 0.0)), 0.5),
+    lambda f: pso(f, 2, (np.zeros(2), np.ones(2)), n_particles=2, n_iter=3),
+], ids=["grid", "gradient", "pso", "grid-3-points", "pso-2-particles"])
 def test_a_scalar_objective_is_refused(run):
     with pytest.raises(ValueError, match="must return shape"):
         run(lambda p: p[0])
+
+
+def test_square_stacks_of_a_stacked_objective_are_scored():
+    rep = grid_search_position(lambda p: -(p[:, 0] - 0.5) ** 2, MoveRegion.box((1.0, 0.0, 0.0)),
+                               0.5)
+    assert rep.best_placement.tolist() == [0.5, 0.0, 0.0] and rep.best_score == 0.0
+    rep = pso(lambda p: p.sum(axis=1), 2, (np.zeros(2), np.ones(2)), n_particles=2, n_iter=3)
+    assert rep.best_score == rep.best_placement.sum()

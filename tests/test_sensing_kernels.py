@@ -82,7 +82,6 @@ def test_music_1d_warm_call_matches_cold_call(n, snapshots, snr_db, wavelength, 
 
 
 def test_music_1d_grid_tables_are_read_only_and_bounded():
-    sensing._music_grid_table.cache_clear()
     rng = np.random.default_rng(3)
     y = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     for k in range(sensing._GRID_TABLES + 3):
