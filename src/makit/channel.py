@@ -504,7 +504,7 @@ def gen_scenario(seed, n_paths: int, wavelength: float = 1.0, kappa: float = 0.0
     `bandwidth` set, per-path delays are drawn uniformly on [0, max_delay]
     and the PRM is split into per-tap diagonal blocks.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if distance is not None:
@@ -540,7 +540,7 @@ def gen_scenario(seed, n_paths: int, wavelength: float = 1.0, kappa: float = 0.0
 
 def redraw_prm_phases(scenario: Scenario, seed) -> Scenario:
     """Same geometry and PRM magnitudes, fresh uniform phases (statistical-CSI draws)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if scenario.prm is None:
         raise ValueError("phase redraw needs a narrowband prm")
     phases = np.exp(2j * np.pi * rng.random(scenario.prm.shape))

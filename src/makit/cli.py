@@ -191,10 +191,10 @@ def _optimize_task(doc: dict, args):
 
 def _sense_trials(doc: dict, args):
     f = read_fields(doc, "sensing-1d-mse", ("u", "snr_db", *_LINE), wavelength=1.0,
-                    placement="optimal", snapshots=1, trials=100)
+                    placement="optimal", snapshots=1, trials=100, seed=0)
     lam, n, a, dmin = _line_array(f)
     kind, u, snr_db = f["placement"], f["u"], f["snr_db"]
-    base = str(args.seed if args.seed is not None else doc.get("seed", 0))
+    base = str(args.seed if args.seed is not None else f["seed"])
 
     def run(out):
         x = opt.sensing_1d_optimal(n, a, dmin) if kind == "optimal" else np.arange(n) * dmin
@@ -213,14 +213,14 @@ def _estimate_trial(doc: dict, args):
     sc = _build_scenario(doc["scenario"], args.seed)
     f = read_fields(doc, "estimate", ("region_side", "snr_db", "measurements"), wavelength=1.0,
                     eval_step=0.2, power=1.0, grid=16, paths_to_recover=len(sc.tx_paths),
-                    method="successive")
+                    method="successive", seed=0)
     lam, power, method = f["wavelength"], f["power"], f["method"]
     _at_wavelength(sc, lam)
     region = MoveRegion.box((f["region_side"] * lam, f["region_side"] * lam, 0.0))
     grid_pts = region.grid_points(f["eval_step"] * lam)
     sigma2 = power / db_to_linear(f["snr_db"])
     m, g, l = f["measurements"], f["grid"], f["paths_to_recover"]
-    base = str(args.seed if args.seed is not None else doc.get("seed", 0))
+    base = str(args.seed if args.seed is not None else f["seed"])
 
     def run(out):
         if method == "nearest":

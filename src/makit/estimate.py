@@ -111,7 +111,7 @@ def collect_measurements(scenario: Scenario, tx_region: MoveRegion, rx_region: M
     schedule 'tx-sweep' moves the Tx antenna with the Rx fixed at its
     reference point; 'rx-sweep' is symmetric; 'paired' moves both.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if schedule == "tx-sweep":
         t = tx_region.sample(rng, count)
         r = np.zeros((count, 3))
@@ -453,27 +453,26 @@ def path_nmse(scenario: Scenario, fri: FriEstimate, tx_grid, rx_grid) -> float:
 
 def export_mapping_csv(path, tx_grid, rx_grid, h: np.ndarray) -> None:
     """Write a reconstructed map as rows (tx_x, tx_y, rx_x, rx_y, re, im), tx-major order."""
-    tx = np.asarray(tx_grid, dtype=float).reshape(len(tx_grid), -1)
-    rx = np.asarray(rx_grid, dtype=float).reshape(len(rx_grid), -1)
-    h = np.asarray(h, dtype=complex)
+    tx = np.asarray(tx_grid, dtype=float).reshape(len(tx_grid), -1)[:, [0, 1]]
+    rx = np.asarray(rx_grid, dtype=float).reshape(len(rx_grid), -1)[:, [0, 1]]
+    h = np.asarray(h, dtype=complex).T  # (tx, rx)
+    if h.shape != (len(tx), len(rx)):
+        raise ValueError(f"map of shape {h.T.shape} for {len(rx)} Rx and {len(tx)} Tx points")
+    rows = np.column_stack([np.repeat(tx, len(rx), axis=0), np.tile(rx, (len(tx), 1)),
+                            h.real.ravel(), h.imag.ravel()])
     with open(path, "w") as fh:
         fh.write("tx_x,tx_y,rx_x,rx_y,re,im\n")
-        for p in range(len(tx)):
-            for q in range(len(rx)):
-                vals = (tx[p, 0], tx[p, 1], rx[q, 0], rx[q, 1], h[q, p].real, h[q, p].imag)
-                fh.write(",".join(repr(float(v)) for v in vals) + "\n")
+        fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
 
 
 def load_mapping_csv(path):
     """Inverse of export_mapping_csv; returns (tx_grid, rx_grid, H)."""
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    tx = np.unique(rows[:, :2], axis=0)
-    rx = np.unique(rows[:, 2:4], axis=0)
-    tx_index = {tuple(t): i for i, t in enumerate(tx)}
-    rx_index = {tuple(r): i for i, r in enumerate(rx)}
+    tx, at_tx = np.unique(rows[:, :2], axis=0, return_inverse=True)
+    rx, at_rx = np.unique(rows[:, 2:4], axis=0, return_inverse=True)
     h = np.zeros((len(rx), len(tx)), dtype=complex)
-    for row in rows:
-        h[rx_index[tuple(row[2:4])], tx_index[tuple(row[:2])]] = row[4] + 1j * row[5]
+    at = at_rx.reshape(-1), at_tx.reshape(-1)
+    h.real[at], h.imag[at] = rows[:, 4], rows[:, 5]  # re + 1j*im would turn an im of -0.0 to 0.0
     return tx, rx, h
 
 

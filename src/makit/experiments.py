@@ -130,7 +130,7 @@ _RANGES = {
                      "measurements", "paths_to_recover", "subregions", "orientation_grid",
                      "snapshots", "stat_draws", "max_sweeps", "trials", "subcarriers"),
                     ("an integer >= 1", lambda x: x >= 1 and x % 1 == 0)),
-    **dict.fromkeys(("diffuse_paths", "seeds"),
+    **dict.fromkeys(("diffuse_paths", "seeds", "seed"),
                     ("an integer >= 0", lambda x: x >= 0 and x % 1 == 0)),
     **dict.fromkeys(("theta0_deg", "theta_min_deg", "theta_max_deg"),
                     ("a finite angle in degrees", lambda x: -math.inf < x < math.inf)),

@@ -33,9 +33,9 @@ __all__ = [
 
 _RATIONAL_TOL = 1e-9
 _MAX_DENOMINATOR = 64
-_SEED_FREE_CACHE = 64  # placements whose best seed-free and seeded starts stay cached
-# max_min_awv's key -> ((weights, min gain), (seed, slot, weights, min gain))
-_seed_free_best: OrderedDict = OrderedDict()
+_ASCENDED_CAP = 512  # ascended starts max_min_awv keeps, least recently used out first
+# max_min_awv's key of one start -> (weights, min gain) it ascended to
+_ascended: OrderedDict = OrderedDict()
 
 _log = logging.getLogger(__name__)
 
@@ -190,22 +190,20 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
     Multi-start projected ascent on the min-gain objective; with analog=True
     the weights have constant modulus 1/sqrt(N).  x is one placement (N,),
     giving (weights, min_gain), or a stack (P, N) with w0 None or (P, N),
-    giving (P, N) weights and (P,) min gains.  All starts of all placements
-    ascend in lockstep, each on its own path: it takes its first step
-    step * 0.5^j, j < 20, that `improves` on its min gain, or drops out; each
-    placement's first best start wins.  The live starts' state is kept packed
-    and compacted only when one drops out.  Gains are never a one-row product:
-    numpy's matrix-vector path differs in the last bit, which can decide a step.
+    giving (P, N) weights and (P,) min gains.  Each placement's S starts are an
+    MRT start per picked angle, the aligned start, w0 if given and three noise
+    starts drawn from seed.  All starts ascend in lockstep, each on its own
+    path: it takes its first step step * 0.5^j, j < 20, that `improves` on its
+    min gain, or drops out; each placement's first best start wins.  The live
+    starts' state is kept packed and compacted only when one drops out.  Gains
+    are never a one-row product: numpy's matrix-vector path differs in the last
+    bit, which can decide a step.
 
-    The seed-free starts (an MRT start per picked angle and the aligned start)
-    come first, then w0 and three noise starts drawn from seed.  A
-    least-recently-used cache of _SEED_FREE_CACHE (64) placements, keyed by the
-    placement's and the angles' bytes, wavelength, analog, n_iter and whether w0
-    is given (it sets the first gain product's shape), keeps the first best
-    seed-free start and, for the last seed the placement was ascended with, the
-    first best noise start in its own slot.  A known placement ascends only w0
-    and, under another seed, the noise starts.  Every row's path is its own, and
-    the first gain product keeps its shape, so the result is bitwise the same.
+    A least-recently-used memo of _ASCENDED_CAP (512) starts maps a start's
+    placement, projected weights, angles, wavelength, analog, n_iter and S (it
+    sets the first gain product's shape) to the result it ascended to; a known
+    start takes that result and does not ascend.  Every start's path is its
+    own, so the result is bitwise the same.
     """
     x = np.asarray(x, dtype=float)
     stacked = x.ndim == 2
@@ -232,27 +230,17 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
 
     w_out = project(np.stack(starts))  # (P*S, N)
     s_per = len(w_out) // p
-    w_by = w_out.reshape(p, s_per, n)  # per-placement views of the outputs
-    g = (w_by.conj() @ a.transpose(0, 2, 1)).reshape(len(w_out), k)
+    g = (w_out.reshape(p, s_per, n).conj() @ a.transpose(0, 2, 1)).reshape(len(w_out), k)
     kmin, cur_out = _weakest(g)
-    cur_by = cur_out.reshape(p, s_per)
-    # a known placement's cached best takes its first seed-free slot, and its best noise
-    # start under this seed its own noise slot; the others drop out
-    m, q = len(pick) + 1, s_per - 3  # seed-free slots [0, m), noise slots [q, s_per)
-    tail = (thetas.tobytes(), wavelength, analog, n_iter, w0 is None)
-    keys = [(xi.tobytes(), *tail) for xi in x]
-    cached = np.zeros((p, s_per), dtype=bool)
-    for i, key in enumerate(keys):
-        if key in _seed_free_best:
-            _seed_free_best.move_to_end(key)
-            (w_by[i, 0], cur_by[i, 0]), seeded = _seed_free_best[key]
-            cur_by[i, 1:m] = -np.inf
-            cached[i, :m] = True
-            if seeded[0] == seed:
-                j = seeded[1]
-                cur_by[i, q:] = -np.inf
-                w_by[i, j], cur_by[i, j] = seeded[2:]
-                cached[i, q:] = True
+    # a start the memo knows takes the result it ascended to and drops out
+    tail = (thetas.tobytes(), wavelength, analog, n_iter, s_per)
+    keys = [(x[r // s_per].tobytes(), wr.tobytes(), *tail) for r, wr in enumerate(w_out)]
+    cached = np.zeros(len(w_out), dtype=bool)
+    for r, key in enumerate(keys):
+        if key in _ascended:
+            _ascended.move_to_end(key)
+            w_out[r], cur_out[r] = _ascended[key]
+            cached[r] = True
     # packed state of the live starts: index into the outputs, weights, min gain, step,
     # weakest angle and its gain, and placement
     live = np.flatnonzero(~cached)
@@ -294,22 +282,17 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
                 arr[keep] for arr in (live, w, cur, step, kmin, gk, owner))
             rows = np.arange(live.size)
     w_out[live], cur_out[live] = w, cur
-    # keep each placement's first best seed-free and noise starts (a known placement's
-    # seed-free best is in slot 0 again), unless its noise starts came from the cache
-    for i, key in enumerate(keys):
-        if not cached[i, q]:
-            f, j = np.argmax(cur_by[i, :m]), q + np.argmax(cur_by[i, q:])
-            _seed_free_best[key] = ((w_by[i, f].copy(), cur_by[i, f]),
-                                    (seed, j, w_by[i, j].copy(), cur_by[i, j]))
-            if len(_seed_free_best) > _SEED_FREE_CACHE:
-                _seed_free_best.popitem(last=False)
+    for r in np.flatnonzero(~cached):
+        _ascended[keys[r]] = (w_out[r].copy(), cur_out[r])
+    while len(_ascended) > _ASCENDED_CAP:
+        _ascended.popitem(last=False)
     if _log.isEnabledFor(logging.DEBUG):
-        n_free, n_seeded = int(cached[:, :m].sum()), int(cached[:, q:].sum())
+        n_cached = int(cached.sum())
         _log.debug("max_min_awv: %d of %d starts stopped at n_iter=%d, %d stalled, "
-                   "%d seed-free and %d seeded from the cache; %d iterations, "
-                   "%d candidate rows scored", live.size, len(w_out), n_iter,
-                   len(w_out) - live.size - n_free - n_seeded, n_free, n_seeded, iters, scored)
-    best = np.argmax(cur_by, axis=1) + np.arange(p) * s_per
+                   "%d from the cache; %d iterations, %d candidate rows scored", live.size,
+                   len(w_out), n_iter, len(w_out) - live.size - n_cached, n_cached, iters,
+                   scored)
+    best = np.argmax(cur_out.reshape(p, s_per), axis=1) + np.arange(p) * s_per
     return (w_out[best], cur_out[best]) if stacked else (w_out[best[0]], float(cur_out[best[0]]))
 
 

@@ -100,7 +100,7 @@ def simulate_snapshots(setup: SensingSetup, seed) -> np.ndarray:
     phases; noise entries are circular complex Gaussian with variance
     noise_power.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     s = math.sqrt(setup.power) * np.exp(2j * np.pi * rng.random(setup.snapshots))
     alpha = array_response(setup.placement, setup.u, setup.v, setup.wavelength)
     y = setup.beta * np.outer(alpha, s)

@@ -22,5 +22,5 @@ settings.load_profile("deterministic")
 def _cold_caches():
     """Clear the process-wide result caches before each test, so that no count a test
     reads depends on the tests that ran before it."""
-    beams._seed_free_best.clear()
+    beams._ascended.clear()
     sensing._music_grid_table.cache_clear()

@@ -1084,3 +1084,16 @@ def ref_omp_joint(ms, g, n_paths, wavelength, block=512, picks=None):
     for (pp, qq), c in zip(chosen, coef):
         prm[rx_idx.index(qq), tx_idx.index(pp)] = c / math.sqrt(ms.power)
     return uv[tx_idx], uv[rx_idx], prm, residual, converged
+
+
+def scalar_export_mapping_csv(path, tx_grid, rx_grid, h):
+    """export_mapping_csv as it wrote one map entry per Python iteration."""
+    tx = np.asarray(tx_grid, dtype=float).reshape(len(tx_grid), -1)
+    rx = np.asarray(rx_grid, dtype=float).reshape(len(rx_grid), -1)
+    h = np.asarray(h, dtype=complex)
+    with open(path, "w") as fh:
+        fh.write("tx_x,tx_y,rx_x,rx_y,re,im\n")
+        for p in range(len(tx)):
+            for q in range(len(rx)):
+                vals = (tx[p, 0], tx[p, 1], rx[q, 0], rx[q, 1], h[q, p].real, h[q, p].imag)
+                fh.write(",".join(repr(float(v)) for v in vals) + "\n")

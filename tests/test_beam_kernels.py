@@ -24,8 +24,8 @@ sequential chain loop they replaced, today_ao_candidates.  The
 column-updated position sweep is checked against the sweep that rebuilt
 every candidate's steering matrix, today_position_sweep.  The
 fixed-array baseline the beam AO reports must equal a standalone ascent of
-the fixed array bitwise.  Ascents that take starts from the cache of solved
-starts must equal today's ascent, or an ascent with an empty cache, bitwise.
+the fixed array bitwise.  Ascents that take starts from the memo of ascended
+starts must equal today's ascent, or an ascent with an empty memo, bitwise.
 """
 
 import logging
@@ -253,7 +253,7 @@ def test_beam_ao_baseline_is_the_standalone_fixed_array_ascent(n, k, slack, d_mi
 
 
 DEBUG_LINE = re.compile(r"max_min_awv: (\d+) of (\d+) starts stopped at n_iter=(\d+), "
-                        r"(\d+) stalled, (\d+) seed-free and (\d+) seeded from the cache; "
+                        r"(\d+) stalled, (\d+) from the cache; "
                         r"(\d+) iterations, (\d+) candidate rows scored")
 
 
@@ -274,42 +274,43 @@ def test_max_min_awv_logs_iterations_and_candidate_rows(caplog):
     xs, thetas, _ = draw_stack(2, 6, 3, 4)
     for n_iter in (1, 300):
         counts, calls = logged_ascent(caplog, xs, thetas, LAM, n_iter=n_iter)
-        at_cap, starts, cap, stalled, free, seeded, iters, rows = counts
+        at_cap, starts, cap, stalled, cached, iters, rows = counts
         assert starts == 2 * 7 and cap == n_iter and at_cap + stalled == starts
-        assert free == seeded == 0
+        assert cached == 0
         assert iters == n_iter if at_cap else 1 <= iters <= n_iter
         assert rows == sum(math.prod(shape) for shape, _ in calls)
         assert rows >= 4 * starts
 
 
 def test_max_min_awv_logs_the_starts_taken_from_the_cache(caplog):
-    # a known placement ascends only w0 under the seed it was ascended with, and its three
-    # seeded starts too under another seed; a new placement in the stack ascends all its starts
+    # a start the memo knows does not ascend: a known placement's MRT and aligned starts
+    # under every seed, its noise starts under the seed it was ascended with, and w0 only
+    # if it is the same w0; a new placement in the stack ascends all its starts
     xs, thetas, w0s = draw_stack(3, 6, 3, 4)
     max_min_awv(xs[:2], thetas, LAM)
     max_min_awv(xs[:2], thetas, LAM, w0=w0s[:2])
-    for stack, w0, seed, n_free, n_seeded in (
-            (xs, None, 0, 2 * 4, 2 * 3),  # (4 seed-free, 3 seeded) of 7 starts a placement
-            (xs[:2], w0s[:2], 0, 2 * 4, 2 * 3),  # 8 starts a placement, w0 the one ascended
-            (xs[:2], None, 1, 2 * 4, 0)):  # another seed: no seeded start is known
+    for stack, w0, seed, n_cached in (
+            (xs, None, 0, 2 * 7),  # 7 starts a placement, 4 seed-free and 3 noise
+            (xs[:2], w0s[:2].conj(), 0, 2 * 7),  # 8 starts a placement, the new w0 ascends
+            (xs[:2], None, 1, 2 * 4)):  # another seed: no noise start is known
         counts, calls = logged_ascent(caplog, stack, thetas, LAM, seed=seed, w0=w0)
-        at_cap, starts, _, stalled, free, seeded, _, rows = counts
+        at_cap, starts, _, stalled, cached, _, rows = counts
         assert starts == (7 + (w0 is not None)) * len(stack)
-        assert (free, seeded) == (n_free, n_seeded)
-        assert at_cap + stalled + free + seeded == starts
+        assert cached == n_cached
+        assert at_cap + stalled + cached == starts
         assert rows == sum(math.prod(shape) for shape, _ in calls)
-        # the first step scores every ascended start
-        assert calls[0][0][0] == starts - free - seeded
-        assert rows >= 4 * (starts - free - seeded)
+        # the first step scores exactly the starts not in the memo
+        assert calls[0][0][0] == starts - cached
+        assert rows >= 4 * (starts - cached)
 
 
 def test_an_ascent_with_every_start_cached_runs_no_iteration(caplog):
-    # a repeated (placement, seed) without w0 takes all its starts from the cache
+    # a repeated (placement, seed) without w0 takes all its starts from the memo
     xs, thetas, _ = draw_stack(2, 6, 3, 4)
     w, v = max_min_awv(xs, thetas, LAM, seed=5)
     counts, calls = logged_ascent(caplog, xs, thetas, LAM, seed=5)
-    at_cap, starts, _, stalled, free, seeded, iters, rows = counts
-    assert (at_cap, stalled, free, seeded) == (0, 0, 2 * 4, 2 * 3) and starts == 2 * 7
+    at_cap, starts, _, stalled, cached, iters, rows = counts
+    assert (at_cap, stalled, cached) == (0, 0, 2 * 7) and starts == 2 * 7
     assert iters == rows == 0 and calls == []
     w2, v2 = max_min_awv(xs, thetas, LAM, seed=5)
     assert w2.tobytes() == w.tobytes() and v2.tobytes() == v.tobytes()
@@ -319,50 +320,57 @@ def check_cached_ascent(p, n, k, analog, with_w0, seed):
     xs, thetas, w0s = draw_stack(2 * p, n, k, seed)
 
     def ascend(idx, w0s=w0s, **kw):
-        kw = {"analog": analog, "n_iter": 300, "seed": seed, **kw}
-        w, v = max_min_awv(xs[idx], thetas, LAM, w0=w0s[idx] if with_w0 else None, **kw)
+        kw = {"thetas": thetas, "wavelength": LAM, "analog": analog, "n_iter": 300,
+              "seed": seed, **kw}
+        w, v = max_min_awv(xs[idx], w0=w0s[idx] if with_w0 else None, **kw)
         return (w, v), kw
 
     def same_as_today(idx, **kw):
         """The stack idx's results, each today's ascent of its placement bitwise."""
         (w, v), kw = ascend(idx, **kw)
         for wi, vi, i in zip(w, v, idx):
-            w_ref, v_ref = today_max_min_awv(xs[i], thetas, LAM,
-                                             w0=w0s[i] if with_w0 else None, **kw)
+            w_ref, v_ref = today_max_min_awv(xs[i], w0=w0s[i] if with_w0 else None, **kw)
             assert wi.tobytes() == w_ref.tobytes() and float(vi).hex() == v_ref.hex()
         return w.tobytes(), v.tobytes()
 
     def same_as_fresh(idx, **kw):
-        """The stack idx's results, bitwise those of an ascent with an empty cache."""
+        """The stack idx's results, bitwise those of an ascent with an empty memo."""
         got = [arr.tobytes() for arr in ascend(idx, **kw)[0]]
-        with mock.patch.object(beams, "_seed_free_best", OrderedDict()):
+        with mock.patch.object(beams, "_ascended", OrderedDict()):
             assert got == [arr.tobytes() for arr in ascend(idx, **kw)[0]]
 
     known = np.arange(p)
     mixed = np.random.default_rng(seed).permutation(2 * p)
-    beams._seed_free_best.clear()
+    beams._ascended.clear()
     cold = same_as_today(known)
     (w, v), _ = ascend(known)  # a repeated (placement, seed): only w0, if given, ascends
     assert (w.tobytes(), v.tobytes()) == cold
     same_as_fresh(known, w0s=w0s.conj())  # so too with another w0, as in an AO chain
-    # known and new placements shuffled in one stack, under another seed (the known ones'
-    # seeded starts miss), with the new ones evicting the known ones from a cache of p
-    with mock.patch.object(beams, "_SEED_FREE_CACHE", p):
-        same_as_today(mixed, seed=seed + 1)
-    # the same placements under the other weight kind and under a shorter ascent
+    # the same placements and seed (so the same noise starts) under the other weight kind,
+    # a shorter ascent, other angles and another wavelength
     same_as_today(known, analog=not analog)
     same_as_today(known, n_iter=3)
+    same_as_fresh(known, thetas=np.pi - thetas)
+    same_as_fresh(known, wavelength=1.5 * LAM)
+    # known and new placements shuffled in one stack, under another seed (the known ones'
+    # noise starts miss), with the new starts evicting the known ones from a memo of p
+    with mock.patch.object(beams, "_ASCENDED_CAP", p):
+        same_as_today(mixed, seed=seed + 1)
+    # each placement twice in one stack, with an empty memo: every copy ascends as alone
+    beams._ascended.clear()
+    (w, v), _ = ascend(np.r_[known, known])
+    assert (w[:p].tobytes(), v[:p].tobytes()) == (w[p:].tobytes(), v[p:].tobytes()) == cold
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 30), st.booleans(), st.booleans(),
        st.integers(0, 2**32 - 1))
-def test_cached_seed_free_starts_give_the_cold_ascent_bitwise(p, n, k, analog, with_w0, seed):
+def test_memo_hits_give_the_cold_ascent_bitwise(p, n, k, analog, with_w0, seed):
     check_cached_ascent(p, n, k, analog, with_w0, seed)
 
 
 def test_beam_ao_reports_are_the_same_cold_and_warm(caplog):
-    # chains whose position sweep moved no antenna take the seeded starts from the cache
+    # chains whose position sweep moved no antenna take their noise starts from the memo
     thetas = np.deg2rad([30.0, 120.0, 160.0])
 
     def run(seed):
@@ -381,32 +389,34 @@ def test_beam_ao_reports_are_the_same_cold_and_warm(caplog):
             same_report(got, want)
 
 
-def test_seed_free_cache_stays_bounded_and_unaliased():
-    cap = beams._SEED_FREE_CACHE
-    xs, thetas, _ = draw_stack(cap + 9, 4, 1, 2)
+def test_ascended_memo_stays_bounded_and_unaliased(caplog):
+    cap = beams._ASCENDED_CAP
+    xs, thetas, _ = draw_stack(cap // 5 + 11, 4, 1, 2)  # 5 starts a placement
     cycled, x_new = xs[:-1], xs[-1]
     for lo in range(0, len(cycled), 10):
         max_min_awv(cycled[lo:lo + 10], thetas, LAM)
-        assert len(beams._seed_free_best) <= cap
-    assert len(beams._seed_free_best) == cap
-    # other seeds replace a known placement's seeded start and evict no seed-free one
-    known = list(beams._seed_free_best)
-    for seed in (1, 2, 3):
-        max_min_awv(cycled[-10:], thetas, LAM, seed=seed)
-    assert list(beams._seed_free_best) == known
-    assert [e[1][0] for e in beams._seed_free_best.values()] == [0] * (cap - 10) + [3] * 10
-    # a new placement whose seed-free start wins (one angle: an MRT start reaches the gain N),
-    # and one whose last noise start wins: changing the returned weights in place changes no
-    # later result
-    x_seeded, thetas_seeded, _ = draw_stack(1, 4, 5, 1)
-    for x, t, slot in ((x_new, thetas, None), (x_seeded[0], thetas_seeded, 8)):
+        assert len(beams._ascended) <= cap
+    assert len(beams._ascended) == cap
+    # ten placements under another seed: their 20 known MRT and aligned starts move to the
+    # end of the memo, the 30 new noise starts follow them, and the 30 least recently used
+    # starts go
+    before = list(beams._ascended)
+    chunk = cycled[-20:-10]
+    counts, _ = logged_ascent(caplog, chunk, thetas, LAM, seed=1)
+    after = list(beams._ascended)
+    called = {xi.tobytes() for xi in chunk}
+    ours = [key for key in before if key[0] in called]  # 5 starts a placement, in row order
+    hits = [key for i, key in enumerate(ours) if i % 5 < 2]  # the MRT and aligned starts
+    assert counts[4] == 20 and len(after) == cap
+    assert after[-50:-30] == hits and not set(after[-30:]) & set(before)
+    assert after[:-50] == [key for key in before if key not in set(hits)][30:]
+    # a new placement whose MRT start wins (one angle: it reaches the gain N), and one whose
+    # last noise start wins: changing the returned weights in place changes no later result
+    x_noise, thetas_noise, _ = draw_stack(1, 4, 5, 1)
+    for x, t, back in ((x_new, thetas, 5), (x_noise[0], thetas_noise, 1)):  # slot 0 of 5, 8 of 9
         w, v = max_min_awv(x, t, LAM)
-        newest = next(reversed(beams._seed_free_best.values()))
-        (w_free, v_free), (_, j, w_seeded, v_seeded) = newest
-        if slot is None:
-            assert w_free.tobytes() == w.tobytes() and v_free == v
-        else:
-            assert j == slot and w_seeded.tobytes() == w.tobytes() and v_seeded == v > v_free
+        stored = list(beams._ascended.values())[-back]
+        assert stored[0].tobytes() == w.tobytes() and stored[1] == v
         want = w.tobytes()
         w[:] = 0.0
         w2, v2 = max_min_awv(x, t, LAM)

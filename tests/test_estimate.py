@@ -7,6 +7,7 @@ from makit.estimate import (MeasurementSet, collect_measurements, export_mapping
                             nearest_measured_reconstruct, nmse, omp, omp_joint,
                             omp_successive, reconstruct_mapping, save_measurements, uv_grid)
 from makit.geometry import MoveRegion
+from oracles import scalar_export_mapping_csv
 
 LAM = 1.0
 
@@ -372,6 +373,40 @@ def test_measurements_json_roundtrip(tmp_path):
     assert np.allclose(back.tx_positions, ms.tx_positions)
     assert back.power == ms.power
     assert back.noise_power == ms.noise_power
+
+
+def draw_map(seed):
+    """Distinct Tx and Rx points on a coarse lattice (so coordinates tie) in random order,
+    with a height the CSV drops in half the draws, and a map with -0.0, tiny and huge
+    entries."""
+    rng = np.random.default_rng(seed)
+    tx, rx = (rng.permutation(np.unique(rng.integers(-3, 4, (m, 2)), axis=0)) * 0.25
+              for m in rng.integers(1, 7, 2))
+    if seed % 2:
+        tx, rx = (np.column_stack([g, rng.standard_normal(len(g))]) for g in (tx, rx))
+    h = rng.standard_normal((len(rx), len(tx), 2)) * 10.0 ** rng.integers(-300, 300, (1, 1, 2))
+    h[rng.random(h.shape) < 0.2] = -0.0
+    return tx, rx, h[..., 0] + 1j * h[..., 1]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_mapping_csv_matches_the_entry_loop_writer_and_round_trips_bitwise(tmp_path, seed):
+    tx, rx, h = draw_map(seed)
+    export_mapping_csv(tmp_path / "new.csv", tx, rx, h)
+    scalar_export_mapping_csv(tmp_path / "old.csv", tx, rx, h)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    tx_back, rx_back, h_back = load_mapping_csv(tmp_path / "new.csv")
+    (tx_u, at_tx), (rx_u, at_rx) = (np.unique(g[:, :2], axis=0, return_inverse=True)
+                                    for g in (tx, rx))
+    assert tx_back.tobytes() == tx_u.tobytes() and rx_back.tobytes() == rx_u.tobytes()
+    assert h_back[np.ix_(at_rx.reshape(-1), at_tx.reshape(-1))].tobytes() == h.tobytes()
+
+
+def test_mapping_csv_refuses_a_map_of_another_shape(tmp_path):
+    tx, rx, h = np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((4, 3))
+    for bad in (h.T, h[:, :2]):
+        with pytest.raises(ValueError, match="Rx and"):
+            export_mapping_csv(tmp_path / "map.csv", tx, rx, bad)
 
 
 def test_mapping_csv_roundtrip(tmp_path):

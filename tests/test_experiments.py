@@ -162,7 +162,7 @@ def test_workers_env_variable(monkeypatch):
 
 @pytest.mark.parametrize("experiment", ["beam-multibeam", "beam-widebeam"])
 def test_beam_workers_match_serial_rows_with_a_warm_parent(monkeypatch, experiment):
-    # forked workers inherit the parent's cache of seed-free beam starts, warmed by a trial
+    # forked workers inherit the parent's memo of ascended beam starts, warmed by a trial
     run_experiment(ExperimentConfig.from_dict({"experiment": experiment, "trials": 1}))
     cfg = ExperimentConfig.from_dict({"experiment": experiment, "trials": 3})
     serial = run_experiment(cfg)

@@ -343,6 +343,12 @@ REFUSED_FIELDS = [
     ("experiment", {"experiment": "isac-tradeoff", "params": {"snr_db": math.inf}}, "snr_db"),
     ("optimize", {"task": "sensing-2d", "n": 3, "side": 2.0, "d_min": 0.5, "snr_db": math.inf},
      "snr_db"),
+    ("sense", {**SENSE, "seed": "abc"}, "'seed'"),
+    ("sense", {**SENSE, "seed": -2.5}, "'seed'"),
+    ("estimate", estimate_doc(seed=-1), "'seed'"),
+    ("estimate", estimate_doc(seed=True), "'seed'"),
+    ("simulate", simulate_doc(0.5, {"generate": {"seed": 2.5, "n_paths": 2}}), "'seed'"),
+    ("optimize", {**NULL, "seed": "abc"}, "'seed'"),
 ]
 REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "miso-graph-m-0",
                "sensing-1d-mse-snapshots-0", "sensing-1d-mse-n-bool", "beam-null-aperture-negative",
@@ -371,7 +377,9 @@ REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "mis
                "sense-snr_db-overflow", "mimo-capacity-snr_db-underflow",
                "dof-gain-gain_dbi-overflow", "mimo-capacity-snr_db-inf",
                "multiuser-rate-snr_db-inf", "sensing-2d-crb-snr_db-inf", "isac-snr_db-inf",
-               "sensing-2d-unread-snr_db-inf"]
+               "sensing-2d-unread-snr_db-inf", "sense-seed-string", "sense-seed-fractional",
+               "estimate-seed-negative", "estimate-seed-bool", "simulate-generate-seed-fractional",
+               "null-unread-seed-string"]
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -525,6 +533,20 @@ def test_cli_validate_config_reads_like_the_subcommand(tmp_path, capsys, command
     assert field in capsys.readouterr().err
     assert main([command, "--config", cfg]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, doc_at", [
+    ("sense", lambda seed: {**SENSE, "trials": 20, "seed": seed}),
+    ("estimate", lambda seed: estimate_doc(seed=seed)),
+    ("simulate", lambda seed: simulate_doc(0.5, {"generate": {"seed": seed, "n_paths": 2}})),
+], ids=["sense", "estimate", "simulate-generate"])
+def test_cli_seed_takes_an_integer_as_a_float(tmp_path, capsys, command, doc_at):
+    # an integer field takes 3 or 3.0: seed 2.0 gives seed 2's result, and seed 3 another
+    printed = []
+    for seed in (2, 2.0, 3):
+        assert main([command, "--config", write(tmp_path, "cfg.json", doc_at(seed))]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] != printed[2]
 
 
 def test_cli_isac_takes_a_bare_crb_scale_as_a_one_element_list(tmp_path, capsys):
