@@ -131,24 +131,27 @@ def _task_null(doc: dict, seed):
 
 
 def _task_multibeam(doc: dict, seed):
-    f = read_fields(doc, "beam-multibeam", ("theta_deg", *_LINE), wavelength=1.0, analog=False)
+    f = read_fields(doc, "beam-multibeam", ("theta_deg", *_LINE), wavelength=1.0, analog=False,
+                    seed=0)
     lam, n, a, dmin = _line_array(f)
     thetas = np.deg2rad(f["theta_deg"])
+    seed = f["seed"] if seed is None else seed
 
     def run():
-        rep = opt.multibeam_ao(thetas, n, a, dmin, lam, analog=f["analog"], seed=seed or 0)
+        rep = opt.multibeam_ao(thetas, n, a, dmin, lam, analog=f["analog"], seed=seed)
         return {"placement": rep.best_placement.tolist(), "max_min_gain": rep.best_score}
     return run
 
 
 def _task_widebeam(doc: dict, seed):
     f = read_fields(doc, "beam-widebeam", ("theta_min_deg", "theta_max_deg", *_LINE),
-                    wavelength=1.0, subregions=24)
+                    wavelength=1.0, subregions=24, seed=0)
     lam, n, a, dmin = _line_array(f)
     angles = np.deg2rad([f["theta_min_deg"], f["theta_max_deg"]])
+    seed = f["seed"] if seed is None else seed
 
     def run():
-        rep = opt.widebeam_ao(*angles, f["subregions"], n, a, dmin, lam, seed=seed or 0)
+        rep = opt.widebeam_ao(*angles, f["subregions"], n, a, dmin, lam, seed=seed)
         return {"placement": rep.best_placement.tolist(),
                 "min_gain": rep.extra["verified_min_gain"]}
     return run

@@ -9,7 +9,7 @@ caller-supplied ensemble of channel draws.
 
 Every objective takes the moving block as a (B, N, 3) stack of candidate
 placements and returns their (B,) scores, each equal to its placement's score
-alone: an antenna's derivative probes are one call, its backtracking steps two.
+alone: an antenna's derivative probes are one call, its backtracking steps at most two.
 """
 
 from __future__ import annotations

@@ -48,8 +48,10 @@ class OptReport:
     best_placement holds positions (shape depends on the problem: scalars for
     linear arrays, (N, 3) otherwise); trace is the best-so-far score after
     each iteration/sweep.  The placement ascents count the placements they
-    scored (evaluations); the sweeping ascents say why they stopped (stop_reason:
-    'stalled' when a sweep improved nothing, 'max_sweeps' at the sweep cap).
+    scored (evaluations; not a step clipped back onto its antenna, so an antenna
+    with only such steps takes no step call); the sweeping ascents say why they
+    stopped (stop_reason: 'stalled' when a sweep improved nothing, 'max_sweeps'
+    at the sweep cap).
     """
 
     best_placement: np.ndarray

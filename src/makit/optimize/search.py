@@ -58,10 +58,12 @@ def gradient_position_search(objective, region: MoveRegion, start, max_iter: int
     """Projected finite-difference gradient ascent of a single antenna position.
 
     The placement ascent of the MIMO, multiuser and ISAC optimizers on one
-    antenna, with objective scoring an (M, 3) stack of positions as (M,): FD
-    probes 1e-4 apart, a first step of 1e-2 halved until the move gains, and
-    a stop when an iteration gains nothing or after max_iter; the trace is
-    monotone.  A start outside the region raises InfeasibleError.
+    antenna, with objective scoring an (M, 3) stack of positions as (M,), each
+    row the same whatever else is in the stack: FD probes 1e-4 apart, a first
+    step of 1e-2 halved until the move gains (a step clipped back onto the
+    antenna is not scored), and a stop when an iteration gains nothing or
+    after max_iter; the trace is monotone.  A start outside the region raises
+    InfeasibleError.
     """
     sign = 1.0 if sense == "max" else -1.0
     _, rep = _ascend([(start, region)], lambda stack: _scores(objective, stack[:, 0], sign),
@@ -93,11 +95,13 @@ def _sweep_antennas(positions: np.ndarray, region: MoveRegion, score, cur: float
                     fd_step: float, step0: float) -> tuple[np.ndarray, float, bool]:
     """One sweep of projected gradient steps, one antenna at a time, from value cur.
 
-    score maps a (B, N, 3) stack of placements to (B,) values.  Derivative
-    probes ignore the spacing constraint.  Of the steps step0·0.5^j (j < 20),
-    the first that keeps the spacing and `improves` on cur is accepted; steps
-    0-3 are scored in one call, steps 4-19 in a second only if none of those
-    is.  Returns (positions, value, improved_any).
+    score maps a (B, N, 3) stack of placements to (B,) values, each row as
+    scored alone.  Derivative probes ignore the spacing constraint.  Of the
+    steps step0·0.5^j (j < 20), the first that keeps the spacing, moves the
+    antenna (one clipped back onto its own position, bit for bit, is not
+    scored) and `improves` on cur is accepted; steps 0-3 are scored in one
+    call, steps 4-19 in a second only if none of those is, and a chunk with
+    no such step takes no call.  Returns (positions, value, improved_any).
     """
     pos = positions.copy()
     improved_any = False
@@ -113,7 +117,8 @@ def _sweep_antennas(positions: np.ndarray, region: MoveRegion, score, cur: float
         if gn == 0:
             continue
         cand = region.clip(pos[i] + steps[:, None] * grad / gn)
-        feasible = ~_too_close(cand, np.delete(pos, i, axis=0), region.d_min).any(axis=1)
+        moved = (cand.view(np.uint64) != pos[i].view(np.uint64)).any(axis=1)
+        feasible = moved & ~_too_close(cand, np.delete(pos, i, axis=0), region.d_min).any(axis=1)
         for lo, hi in _STEP_CHUNKS:
             j = lo + np.flatnonzero(feasible[lo:hi])
             if not j.size:
@@ -136,8 +141,9 @@ def _ascend(blocks, objective, max_sweeps: int, fd: float, step0: float) -> tupl
     others are (N, 3), and returns the (B,) scores.  A start outside a region
     (tol 1e-6) or closer than d_min raises InfeasibleError.  Returns the
     positions per block and a report: the best value, the trace of it at the
-    start and after each sweep, the sweeps run, the placements scored and
-    why the ascent stopped ('stalled' or 'max_sweeps').
+    start and after each sweep, the sweeps run, the placements scored (not a
+    step clipped back onto its antenna: an antenna with only such steps takes
+    no step call) and why the ascent stopped ('stalled' or 'max_sweeps').
     """
     pos = [np.array(p, dtype=float).reshape(-1, 3) for p, _ in blocks]
     regions = [region for _, region in blocks]

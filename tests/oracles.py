@@ -26,8 +26,9 @@ from makit.geometry import aom_from_euler
 from makit.optimize import OptReport, SampledLine, crb_metric_2d, sensing_2d_ao
 from makit.optimize.beams import _position_sweep, fpa_ula
 from makit.optimize.mimo import _allocate_and_rate
-from makit.optimize.report import improves
-from makit.optimize.search import _ascend
+from makit.geometry import _too_close
+from makit.optimize.report import _HALVES, _STEP_CHUNKS, improves
+from makit.optimize.search import _ascend, _fd_gradient
 from makit.optimize.sensing import _corner_init, _feasible, _perimeter_init, sensing_1d_optimal
 from makit.sensing import _golden_min
 
@@ -513,6 +514,37 @@ def ref_sweep(positions, region, objective, fd_step, step0, accepted=None):
             j = None
         if accepted is not None:
             accepted.append(j)
+    return pos, cur, improved_any
+
+
+def today_sweep_antennas(positions, region, score, cur, fd_step, step0):
+    """The stacked sweep as it was before steps clipped back onto the moving antenna
+    were dropped: every step that keeps the spacing is scored."""
+    pos = positions.copy()
+    improved_any = False
+    steps = step0 * _HALVES
+    for i in range(len(pos)):
+        def placements(p):  # pos with antenna i at each row of p
+            q = np.repeat(pos[None], len(p), axis=0)
+            q[:, i] = p
+            return q
+
+        grad = _fd_gradient(lambda p: score(placements(p)), pos[i], region, fd_step)
+        gn = np.linalg.norm(grad)
+        if gn == 0:
+            continue
+        cand = region.clip(pos[i] + steps[:, None] * grad / gn)
+        feasible = ~_too_close(cand, np.delete(pos, i, axis=0), region.d_min).any(axis=1)
+        for lo, hi in _STEP_CHUNKS:
+            j = lo + np.flatnonzero(feasible[lo:hi])
+            if not j.size:
+                continue
+            vals = score(placements(cand[j]))
+            gain = np.flatnonzero(improves(vals, cur))
+            if gain.size:
+                pos[i], cur = cand[j[gain[0]]], vals[gain[0]]
+                improved_any = True
+                break
     return pos, cur, improved_any
 
 

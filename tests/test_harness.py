@@ -245,6 +245,8 @@ NULL = {"task": "null", "n": 8, "theta0_deg": 90.0, "null_deg": [78.0], "apertur
         "d_min": 0.5}
 WIDEBEAM = {"task": "widebeam", "n": 8, "theta_min_deg": 30.0, "theta_max_deg": 120.0,
             "aperture": 10.0, "d_min": 0.5}
+MULTIBEAM = {"task": "multibeam", "n": 4, "theta_deg": [40.0, 80.0, 140.0], "aperture": 10.0,
+             "d_min": 0.5, "analog": True}
 
 # Inputs that once ended in a traceback, in "infeasible" or in a meaningless
 # result; each breaks a rule of the one field-rule table.
@@ -349,6 +351,8 @@ REFUSED_FIELDS = [
     ("estimate", estimate_doc(seed=True), "'seed'"),
     ("simulate", simulate_doc(0.5, {"generate": {"seed": 2.5, "n_paths": 2}}), "'seed'"),
     ("optimize", {**NULL, "seed": "abc"}, "'seed'"),
+    ("optimize", {**MULTIBEAM, "seed": -1}, "'seed'"),
+    ("optimize", {**WIDEBEAM, "seed": -1}, "'seed'"),
 ]
 REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "miso-graph-m-0",
                "sensing-1d-mse-snapshots-0", "sensing-1d-mse-n-bool", "beam-null-aperture-negative",
@@ -379,7 +383,7 @@ REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "mis
                "multiuser-rate-snr_db-inf", "sensing-2d-crb-snr_db-inf", "isac-snr_db-inf",
                "sensing-2d-unread-snr_db-inf", "sense-seed-string", "sense-seed-fractional",
                "estimate-seed-negative", "estimate-seed-bool", "simulate-generate-seed-fractional",
-               "null-unread-seed-string"]
+               "null-unread-seed-string", "multibeam-seed-negative", "widebeam-seed-negative"]
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -547,6 +551,21 @@ def test_cli_seed_takes_an_integer_as_a_float(tmp_path, capsys, command, doc_at)
         assert main([command, "--config", write(tmp_path, "cfg.json", doc_at(seed))]) == 0
         printed.append(capsys.readouterr().out)
     assert printed[0] == printed[1] != printed[2]
+
+
+@pytest.mark.parametrize("doc", [
+    MULTIBEAM,
+    {**WIDEBEAM, "n": 6, "aperture": 6.0, "subregions": 8},
+], ids=["multibeam", "widebeam"])
+def test_cli_optimize_beam_tasks_read_the_config_seed(tmp_path, capsys, doc):
+    # a config's seed acts as --seed does, and --seed takes precedence over it
+    printed = []
+    for seed, flag in ((3, None), (None, 3), (None, None), (0, 3)):
+        cfg = write(tmp_path, "cfg.json", doc if seed is None else {**doc, "seed": seed})
+        args = () if flag is None else ("--seed", str(flag))
+        assert main(["optimize", "--config", cfg, *args]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] == printed[3] != printed[2]
 
 
 def test_cli_isac_takes_a_bare_crb_scale_as_a_one_element_list(tmp_path, capsys):
