@@ -23,8 +23,6 @@ __all__ = [
     "water_filling",
     "mimo_capacity",
     "user_sinr_and_rates",
-    "sum_rate",
-    "min_rate",
     "multiuser_channels",
     "gma_positions",
     "gma_rate",
@@ -165,14 +163,6 @@ def user_sinr_and_rates(h: np.ndarray, w: np.ndarray, powers, sigma2: float):
     return sinr, np.log2(1.0 + sinr)
 
 
-def sum_rate(rates) -> float:
-    return float(np.sum(rates))
-
-
-def min_rate(rates) -> float:
-    return float(np.min(rates))
-
-
 def multiuser_channels(positions, user_scenarios) -> np.ndarray:
     """Stack per-user uplink channel vectors into an (N x K) matrix.
 
@@ -199,17 +189,12 @@ def gma_rate(x: float, eta: int, user_scenarios, powers, n_antennas: int,
     """Multiple-access rate sum_k log2(1 + p_k h_k^H C_k^-1 h_k) of a sliding sparse array.
 
     powers are per-user transmit powers normalized by the noise power; C_k is
-    the interference-plus-noise covariance I + sum_{i != k} p_i h_i h_i^H.
+    the interference-plus-noise covariance I + sum_{i != k} p_i h_i h_i^H: the
+    sum rate of the MMSE combiner at unit noise power, computed as such.
     """
     pos = gma_positions(x, eta, n_antennas, wavelength)
     if x < 0 or pos[-1, 0] > aperture + 1e-12:
         raise InfeasibleError("sparse array does not fit in the movement region")
     h = multiuser_channels(pos, user_scenarios)
     p = np.asarray(powers, dtype=float).reshape(-1)
-    n, k = h.shape
-    total = np.eye(n, dtype=complex) + (h * p) @ h.conj().T
-    rate = 0.0
-    for j in range(k):
-        ck = total - p[j] * np.outer(h[:, j], h[:, j].conj())
-        rate += np.log2(1.0 + np.real(p[j] * h[:, j].conj() @ np.linalg.solve(ck, h[:, j])))
-    return float(rate)
+    return float(np.sum(user_sinr_and_rates(h, mmse_combiner(h, p, 1.0), p, 1.0)[1]))

@@ -111,18 +111,11 @@ def collect_measurements(scenario: Scenario, tx_region: MoveRegion, rx_region: M
     schedule 'tx-sweep' moves the Tx antenna with the Rx fixed at its
     reference point; 'rx-sweep' is symmetric; 'paired' moves both.
     """
-    rng = np.random.default_rng(seed)
-    if schedule == "tx-sweep":
-        t = tx_region.sample(rng, count)
-        r = np.zeros((count, 3))
-    elif schedule == "rx-sweep":
-        t = np.zeros((count, 3))
-        r = rx_region.sample(rng, count)
-    elif schedule == "paired":
-        t = tx_region.sample(rng, count)
-        r = rx_region.sample(rng, count)
-    else:
+    if schedule not in ("tx-sweep", "rx-sweep", "paired"):
         raise ValueError(f"unknown schedule {schedule!r}")
+    rng = np.random.default_rng(seed)
+    t = np.zeros((count, 3)) if schedule == "rx-sweep" else tx_region.sample(rng, count)
+    r = np.zeros((count, 3)) if schedule == "tx-sweep" else rx_region.sample(rng, count)
     y = math.sqrt(power) * channel_narrowband(t, r, scenario)
     if noise_power > 0:
         y = y + math.sqrt(noise_power / 2.0) * (rng.standard_normal(count)

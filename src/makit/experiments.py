@@ -613,21 +613,14 @@ def _trial_sensing_1d(params, seed, idx):
 
 
 def _fin_sensing_1d(params, payloads):
-    arr = np.asarray(payloads, dtype=float)
-    rows = []
-    for pid in range(3):
-        mse = float(np.mean(arr[:, 1 + 2 * pid]))
-        crb = float(np.mean(arr[:, 2 + 2 * pid]))
-        rows.append([params["snr_db"], float(pid), mse, crb, float(len(payloads))])
-    return rows
+    arr = np.asarray(payloads, dtype=float)  # per placement pid: MSE, then CRB
+    return [[params["snr_db"], float(pid), float(np.mean(arr[:, 1 + 2 * pid])),
+             float(np.mean(arr[:, 2 + 2 * pid])), float(len(payloads))] for pid in range(3)]
 
 
 def _trial_sensing_2d(params, seed, idx):
-    lam = params["wavelength"]
-    n = int(params["n"])
-    side = params["side"] * lam
-    dmin = params["d_min"] * lam
-    power = 1.0
+    lam, n, power = params["wavelength"], int(params["n"]), 1.0
+    side, dmin = params["side"] * lam, params["d_min"] * lam
     sigma2 = power / db_to_linear(params["snr_db"])
     coef = sn._crb_prefactor(sigma2, lam, params["snapshots"], power, n, params["beta"])
     rep = opt.sensing_2d_ao(n, (side, side), dmin, metric="max", coef=coef, seed=seed)

@@ -186,9 +186,7 @@ class MoveRegion:
             raise ValueError("step must be > 0")
         if self.kind == "segment":
             x = np.arange(0.0, self.length + step / 2, step)
-            out = np.zeros((len(x), 3))
-            out[:, 0] = x
-            return out
+            return np.column_stack([x, np.zeros((len(x), 2))])
         axes = [np.arange(0.0, e + step / 2, step) if e > 0 else np.array([0.0]) for e in self.extents]
         g = np.meshgrid(*axes, indexing="ij")
         return np.stack([a.ravel() for a in g], axis=1)
@@ -196,9 +194,7 @@ class MoveRegion:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n uniform random positions inside the region."""
         if self.kind == "segment":
-            out = np.zeros((n, 3))
-            out[:, 0] = rng.uniform(0.0, self.length, n)
-            return out
+            return np.column_stack([rng.uniform(0.0, self.length, n), np.zeros((n, 2))])
         if self.kind == "box":
             return rng.uniform(0.0, 1.0, (n, 3)) * np.asarray(self.extents)
         idx = rng.integers(0, len(self.points), n)
@@ -218,9 +214,8 @@ class PlacementReport:
 
 
 def _positions(poses) -> np.ndarray:
-    out = []
-    for p in poses:
-        out.append(p.position if isinstance(p, Pose) else np.asarray(p, dtype=float).reshape(3))
+    out = [p.position if isinstance(p, Pose) else np.asarray(p, dtype=float).reshape(3)
+           for p in poses]
     return np.asarray(out).reshape(-1, 3)
 
 

@@ -13,14 +13,13 @@ import contextlib
 import itertools
 import logging
 import math
-from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
 
 from ..beamforming import beam_gain, mrt, steering_vector
 from ..errors import InfeasibleError
-from .report import _HALVES, _STEP_CHUNKS, OptReport, improves
+from .report import _HALVES, _STEP_CHUNKS, OptReport, improves, memo_get, memo_put, start_memo
 
 __all__ = [
     "svo_null_apv",
@@ -34,8 +33,7 @@ __all__ = [
 _RATIONAL_TOL = 1e-9
 _MAX_DENOMINATOR = 64
 _ASCENDED_CAP = 512  # ascended starts max_min_awv keeps, least recently used out first
-# max_min_awv's key of one start -> (weights, min gain) it ascended to
-_ascended: OrderedDict = OrderedDict()
+_ascended = start_memo()  # max_min_awv's key of one start -> (weights, min gain) it ascended to
 
 _log = logging.getLogger(__name__)
 
@@ -66,15 +64,14 @@ def _groupings(primes: list[int], k: int) -> list[tuple[int, ...]]:
             return
         if len(groups) > k:
             return
-        p = rem[0]
-        rest = rem[1:]
+        p, rest = rem[0], rem[1:]
         for i in range(len(groups)):
             rec(rest, groups[:i] + (groups[i] * p,) + groups[i + 1:])
         if len(groups) < k:
             rec(rest, groups + (p,))
 
     rec(tuple(primes), ())
-    return [g for g in seen]
+    return list(seen)
 
 
 def fpa_ula(n: int, wavelength: float, spacing: float | None = None) -> np.ndarray:
@@ -120,11 +117,9 @@ def svo_null_apv(theta0: float, null_angles, n: int, aperture: float, d_min: flo
 def _svo_try(deltas, factors, aperture, d_min, wavelength):
     """Build the nested-lattice array for one factor assignment; None if it does not fit."""
     order = np.argsort([wavelength / (f * abs(dl)) for f, dl in zip(factors, deltas)])
-    positions = np.array([0.0])
-    span = 0.0
+    positions, span = np.array([0.0]), 0.0
     for idx in order:
-        f = factors[idx]
-        dl = abs(deltas[idx])
+        f, dl = factors[idx], abs(deltas[idx])
         need = span + d_min
         # spacing family: d = lam * p / (f * |delta|), p a positive integer not divisible by f
         p = max(1, math.ceil(need * f * dl / wavelength - 1e-12))
@@ -237,9 +232,8 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
     keys = [(x[r // s_per].tobytes(), wr.tobytes(), *tail) for r, wr in enumerate(w_out)]
     cached = np.zeros(len(w_out), dtype=bool)
     for r, key in enumerate(keys):
-        if key in _ascended:
-            _ascended.move_to_end(key)
-            w_out[r], cur_out[r] = _ascended[key]
+        if (known := memo_get(_ascended, key)) is not None:
+            w_out[r], cur_out[r] = known
             cached[r] = True
     # packed state of the live starts: index into the outputs, weights, min gain, step,
     # weakest angle and its gain, and placement
@@ -283,9 +277,7 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
             rows = np.arange(live.size)
     w_out[live], cur_out[live] = w, cur
     for r in np.flatnonzero(~cached):
-        _ascended[keys[r]] = (w_out[r].copy(), cur_out[r])
-    while len(_ascended) > _ASCENDED_CAP:
-        _ascended.popitem(last=False)
+        memo_put(_ascended, keys[r], (w_out[r], cur_out[r]), _ASCENDED_CAP)
     if _log.isEnabledFor(logging.DEBUG):
         n_cached = int(cached.sum())
         _log.debug("max_min_awv: %d of %d starts stopped at n_iter=%d, %d stalled, "

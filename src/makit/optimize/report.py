@@ -1,7 +1,8 @@
-"""The result container, acceptance rule and backtracking schedule shared by the optimizers."""
+"""What the optimizers share: result container, acceptance rule, step schedule, memo of starts."""
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,7 @@ _RTOL = 1e-12
 # the beam benchmark 98.4 % of digital and 92.5 % of analog weight moves take a j < 4.
 _HALVES = 0.5 ** np.arange(20)
 _STEP_CHUNKS = ((0, 4), (4, 20))
+_memos: list[OrderedDict] = []  # every start_memo, so that tests can empty them all
 
 
 def improves(new, cur):
@@ -23,6 +25,28 @@ def improves(new, cur):
     Relative, so scaling an objective by a power of two moves no decision.  Any
     finite value beats -inf, nothing beats +inf and NaN never wins."""
     return new > cur * (1.0 + np.copysign(_RTOL, cur))
+
+
+def start_memo() -> OrderedDict:
+    """A new least-recently-used memo: an optimizer start's key -> a tuple of what it reached."""
+    _memos.append(OrderedDict())
+    return _memos[-1]
+
+
+def memo_get(memo: OrderedDict, key) -> tuple | None:
+    """A copy of key's tuple, now the most recently used, or None if key is unknown."""
+    if key in memo:
+        memo.move_to_end(key)
+        return tuple([v.copy() if isinstance(v, (np.ndarray, list)) else v for v in memo[key]])
+    return None
+
+
+def memo_put(memo: OrderedDict, key, value: tuple, cap: int) -> None:
+    """Store a copy of value under key, dropping the least recently used keys past cap."""
+    memo[key] = value
+    memo[key] = memo_get(memo, key)  # a copy, moved to the most recently used end
+    while len(memo) > cap:
+        memo.popitem(last=False)
 
 
 def _scores(objective, stack, sign: float = 1.0) -> np.ndarray:

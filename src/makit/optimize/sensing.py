@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import InfeasibleError
 from ..geometry import _close_pairs, _too_close
 from ..sensing import crb_2d_lower_bound, effective_variances
-from .report import OptReport, improves
+from .report import OptReport, improves, memo_get, memo_put, start_memo
 
 __all__ = ["sensing_1d_optimal", "sensing_2d_ao", "effective_variances", "crb_metric_2d"]
 
@@ -28,6 +28,8 @@ _log = logging.getLogger(__name__)
 # time, and a stalled sweep of 72 scans at n 36 takes 5 calls.
 _WINDOW0 = 4
 _STACK_FLOATS = 1 << 16
+_DESCENDED_CAP = 256  # descended starts sensing_2d_ao keeps, least recently used out first
+_descended = start_memo()  # sensing_2d_ao's key of one start -> what _descend returned for it
 
 
 def sensing_1d_optimal(n: int, aperture: float, d_min: float) -> np.ndarray:
@@ -40,10 +42,8 @@ def sensing_1d_optimal(n: int, aperture: float, d_min: float) -> np.ndarray:
         raise ValueError("need at least one antenna")
     if (n - 1) * d_min > aperture + 1e-12:
         raise InfeasibleError(f"{n} antennas at spacing {d_min} exceed aperture {aperture}")
-    half = n // 2
-    left = [(i) * d_min for i in range(half)]
-    right = [aperture - (n - 1 - i) * d_min for i in range(half, n)]
-    return np.array(left + right)
+    i = np.arange(n)
+    return np.where(i < n // 2, i * d_min, aperture - (n - 1 - i) * d_min)
 
 
 def crb_metric_2d(xy: np.ndarray, metric: str = "max", coef: float = 1.0) -> float | np.ndarray:
@@ -88,6 +88,41 @@ def _feasible(xy: np.ndarray, ax: float, ay: float, d_min: float) -> bool:
     return bool(inside) and not _close_pairs(xy, d_min).any()
 
 
+def _descend(xy, grid, d_min, metric, coef, max_sweeps):
+    """Descend from xy, moving it in place: (layout, score, trace, layouts scored past the
+    start's own, sweeps, whether it stopped at max_sweeps)."""
+    n, n_grid = len(xy), grid.shape[1]
+    scans = np.array(np.divmod(np.arange(2 * n), 2))  # scan s moves antenna s // 2 along s % 2
+    cap = max(1, _STACK_FLOATS // (n_grid * n * 2))
+    cur = crb_metric_2d(xy, metric, coef)
+    trace, evaluations = [cur], 0
+    for _ in range(max_sweeps):
+        improved, s, width = False, 0, _WINDOW0
+        while s < 2 * n:
+            i, axis = scans[:, s:s + min(width, cap)]
+            t = np.arange(len(i))
+            stack = np.broadcast_to(xy, (len(t), n_grid, n, 2)).copy()
+            stack[t, :, i, axis] = grid[axis]
+            vals = crb_metric_2d(stack, metric, coef)
+            evaluations += vals.size
+            if d_min > 0:  # a candidate too close to another antenna is never taken
+                close = _too_close(stack[t, :, i][:, :, None], xy, d_min)
+                close[t, :, 0, i] = False
+                vals[close.any(axis=(2, 3))] = np.inf
+            j = np.argmin(vals, axis=1)
+            hit = np.flatnonzero(improves(-vals[t, j], -cur))
+            if hit.size:  # the first scan that improves, as one scan at a time would take it
+                h, g = hit[0], j[hit[0]]
+                xy[i[h], axis[h]], cur, improved = grid[axis[h], g], float(vals[h, g]), True
+                s, width = s + h + 1, _WINDOW0
+            else:
+                s, width = s + len(t), 2 * width
+        trace.append(cur)
+        if not improved:
+            return xy, cur, trace, evaluations, len(trace) - 1, False
+    return xy, cur, trace, evaluations, max_sweeps, True
+
+
 def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: float = 1.0,
                   circumradius: float | None = None, max_sweeps: int = 40,
                   n_grid: int = 33, seed: int = 0) -> OptReport:
@@ -101,16 +136,18 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
     takes the first that improves, so it moves exactly as one scan at a time
     would; evaluations counts every layout scored, those past that scan too.
     extra carries the aperture lower bound 2*coef/circumradius^2 and the gap.
+    A least-recently-used memo of 256 starts, keyed by layout, extents, d_min,
+    metric, coef, max_sweeps and n_grid, gives a known start what it descended
+    to, so the report, evaluations included, is the same as a cold call's.
     """
     ax, ay = (float(e) for e in extents[:2])
     if ax <= 0 or ay <= 0:
-        aperture = max(ax, ay)
-        x = sensing_1d_optimal(n, aperture, d_min)
+        x = sensing_1d_optimal(n, max(ax, ay), d_min)
         xy = np.zeros((n, 2))
         xy[:, 0 if ax > 0 else 1] = x
-        score = coef / np.var(x)
-        return OptReport(best_placement=xy, best_score=float(score), iterations=0,
-                         trace=[float(score)], extra={"reduced_to_1d": True})
+        score = float(coef / np.var(x))
+        return OptReport(best_placement=xy, best_score=score, iterations=0, trace=[score],
+                         extra={"reduced_to_1d": True})
     if d_min > 0 and n > (math.floor(ax / d_min) + 1) * (math.floor(ay / d_min) + 1):
         raise InfeasibleError("too many antennas for the region at the required spacing")
 
@@ -126,47 +163,26 @@ def sensing_2d_ao(n: int, extents, d_min: float, metric: str = "max", coef: floa
         starts.append(cand)
 
     grid = np.stack([np.linspace(0.0, ax, n_grid), np.linspace(0.0, ay, n_grid)])
-    scans = np.array(np.divmod(np.arange(2 * n), 2))  # scan s moves antenna s // 2 along s % 2
-    cap = max(1, _STACK_FLOATS // (n_grid * n * 2))
-    best, evaluations, sweeps, stop = None, len(starts), 0, "stalled"
+    best, evaluations, sweeps, stop, known = None, len(starts), 0, "stalled", 0
     for xy0 in starts:
-        xy = xy0.copy()
-        cur = crb_metric_2d(xy, metric, coef)
-        trace = [cur]
-        for _ in range(max_sweeps):
-            sweeps += 1
-            improved, s, width = False, 0, _WINDOW0
-            while s < 2 * n:
-                i, axis = scans[:, s:s + min(width, cap)]
-                t = np.arange(len(i))
-                stack = np.broadcast_to(xy, (len(t), n_grid, n, 2)).copy()
-                stack[t, :, i, axis] = grid[axis]
-                vals = crb_metric_2d(stack, metric, coef)
-                evaluations += vals.size
-                if d_min > 0:  # a candidate too close to another antenna is never taken
-                    close = _too_close(stack[t, :, i][:, :, None], xy, d_min)
-                    close[t, :, 0, i] = False
-                    vals[close.any(axis=(2, 3))] = np.inf
-                j = np.argmin(vals, axis=1)
-                hit = np.flatnonzero(improves(-vals[t, j], -cur))
-                if hit.size:  # the first scan that improves, as one scan at a time would take it
-                    h, g = hit[0], j[hit[0]]
-                    xy[i[h], axis[h]], cur, improved = grid[axis[h], g], float(vals[h, g]), True
-                    s, width = s + h + 1, _WINDOW0
-                else:
-                    s, width = s + len(t), 2 * width
-            trace.append(cur)
-            if not improved:
-                break
-        else:
+        key = (xy0.tobytes(), xy0.shape, ax, ay, d_min, metric, coef, max_sweeps, n_grid)
+        got = memo_get(_descended, key)
+        known += got is not None
+        if got is None:
+            got = _descend(xy0.copy(), grid, d_min, metric, coef, max_sweeps)
+            memo_put(_descended, key, got, _DESCENDED_CAP)
+        xy, cur, trace, scored, start_sweeps, capped = got
+        evaluations, sweeps = evaluations + scored, sweeps + start_sweeps
+        if capped:
             stop = "max_sweeps"
             _log.debug("sensing_2d_ao: a start stopped at max_sweeps=%d at %.6g", max_sweeps, cur)
         if best is None or cur < best.best_score:
             best = OptReport(best_placement=xy, best_score=float(cur),
                              iterations=len(trace) - 1, trace=trace, extra={})
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("sensing_2d_ao: %d sweeps scored %d layouts; one scan at a time: %d",
-                   sweeps, evaluations, len(starts) + sweeps * 2 * n * n_grid)
+        _log.debug("sensing_2d_ao: %d sweeps scored %d layouts; one scan at a time: %d; "
+                   "%d of %d starts from the memo", sweeps, evaluations,
+                   len(starts) + sweeps * 2 * n * n_grid, known, len(starts))
     best.evaluations, best.stop_reason = evaluations, stop
     best.extra["lower_bound"] = lower = crb_2d_lower_bound(
         circumradius if circumradius is not None else 0.5 * math.hypot(ax, ay), coef)

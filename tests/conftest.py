@@ -10,7 +10,7 @@ if str(_src) not in sys.path:
     sys.path.insert(0, str(_src))
 
 from makit import sensing  # noqa: E402
-from makit.optimize import beams  # noqa: E402
+from makit.optimize import report  # noqa: E402
 
 # Property tests draw the same examples on every run, so a failure reproduces;
 # each test still sets its own max_examples and deadline.
@@ -22,5 +22,6 @@ settings.load_profile("deterministic")
 def _cold_caches():
     """Clear the process-wide result caches before each test, so that no count a test
     reads depends on the tests that ran before it."""
-    beams._ascended.clear()
+    for memo in report._memos:  # every optimizer's memo of starts
+        memo.clear()
     sensing._music_grid_table.cache_clear()

@@ -18,7 +18,8 @@ import math
 import numpy as np
 
 from makit import estimate
-from makit.beamforming import beam_gain, mimo_capacity, mrt, multiuser_channels, steering_vector
+from makit.beamforming import (beam_gain, gma_positions, mimo_capacity, mrt, multiuser_channels,
+                               steering_vector)
 from makit.channel import (PathSet, RadiationPattern, channel_mimo, frv_tx, radiation_gain,
                            sample_directions, tap_of_delay)
 from makit.errors import InfeasibleError
@@ -335,6 +336,18 @@ def scalar_user_sinr_and_rates(h, w, powers, sigma2):
     noise = np.linalg.norm(w, axis=0) ** 2 * sigma2
     sinr = sig / (interference + noise)
     return sinr, np.log2(1.0 + sinr)
+
+
+def ref_gma_rate(x, eta, user_scenarios, powers, n_antennas, wavelength):
+    """beamforming.gma_rate's sum over users of log2(1 + p_k h_k^H C_k^-1 h_k), one solve a user."""
+    h = multiuser_channels(gma_positions(x, eta, n_antennas, wavelength), user_scenarios)
+    p = np.asarray(powers, dtype=float).reshape(-1)
+    total = np.eye(len(h), dtype=complex) + (h * p) @ h.conj().T
+    rate = 0.0
+    for j in range(h.shape[1]):
+        ck = total - p[j] * np.outer(h[:, j], h[:, j].conj())
+        rate += np.log2(1.0 + np.real(p[j] * h[:, j].conj() @ np.linalg.solve(ck, h[:, j])))
+    return float(rate)
 
 
 def _channel_from_frm(tx, rx, sc):

@@ -1,5 +1,7 @@
 import itertools
 import logging
+from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,12 +9,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from makit.errors import InfeasibleError
+from makit.optimize import report as report_module
 from makit.optimize import sensing as sensing_module
 from makit.optimize import (crb_metric_2d, effective_variances, sensing_1d_optimal,
                             sensing_2d_ao)
 from oracles import ref_effective_variances, ref_sensing_2d_ao
 
 LAM = 1.0
+
+
+def same_report(got, want):
+    """Field-by-field equality of two sensing_2d_ao reports, the placement bitwise."""
+    assert got.best_placement.shape == want.best_placement.shape
+    assert got.best_placement.tobytes() == want.best_placement.tobytes()
+    assert got.best_score == want.best_score and got.trace == want.trace
+    assert got.iterations == want.iterations and got.evaluations == want.evaluations
+    assert got.stop_reason == want.stop_reason and got.extra == want.extra
+
+
+def counting_metric(monkeypatch):
+    """Route sensing_2d_ao's CRB scoring through a counter: the list of scored stack shapes."""
+    scored = []
+    crb_metric = sensing_module.crb_metric_2d
+
+    def counting(xy, metric, coef):  # every layout the descent scores passes through here
+        scored.append(np.shape(xy)[:-2])
+        return crb_metric(xy, metric, coef)
+
+    monkeypatch.setattr(sensing_module, "crb_metric_2d", counting)
+    return scored
 
 
 def test_1d_reference_instance():
@@ -103,19 +128,14 @@ def test_2d_reference_instance_within_3db_of_bound():
 
 @pytest.mark.parametrize("kw", [{}, {"max_sweeps": 1}], ids=["default", "max_sweeps-1"])
 def test_2d_reports_evaluations_and_stop_reason(monkeypatch, caplog, kw):
-    scored = []
-    crb_metric = sensing_module.crb_metric_2d
-
-    def counting(xy, metric, coef):  # every layout the ascent scores passes through here
-        scored.append(int(np.prod(np.shape(xy)[:-2])))
-        return crb_metric(xy, metric, coef)
-
     quiet = sensing_2d_ao(9, (3.0, 3.0), 0.5, **kw)
-    monkeypatch.setattr(sensing_module, "crb_metric_2d", counting)
+    sensing_module._descended.clear()  # the counted call descends cold
+    shapes = counting_metric(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="makit"):
         rep = sensing_2d_ao(9, (3.0, 3.0), 0.5, **kw)
     capped = [r for r in caplog.records if r.name == "makit.optimize.sensing"
               and "stopped at max_sweeps" in r.getMessage()]
+    scored = [int(np.prod(s)) for s in shapes]
     assert rep.evaluations == sum(scored) > len(scored)
     assert np.array_equal(rep.best_placement, quiet.best_placement)
     assert rep.trace == quiet.trace and rep.evaluations == quiet.evaluations
@@ -124,6 +144,10 @@ def test_2d_reports_evaluations_and_stop_reason(monkeypatch, caplog, kw):
     else:
         assert rep.stop_reason == "stalled" and not capped
         assert rep.trace[-1] == rep.trace[-2]
+    # a warm repeat takes every start from the memo: the same report, no layout scored
+    shapes.clear()
+    same_report(sensing_2d_ao(9, (3.0, 3.0), 0.5, **kw), rep)
+    assert shapes == []
 
 
 @pytest.mark.parametrize("n, side, kw", [
@@ -131,21 +155,16 @@ def test_2d_reports_evaluations_and_stop_reason(monkeypatch, caplog, kw):
     (9, 3.0, {"metric": "sum", "seed": 1}),  # starts that move in many scans
 ], ids=["stalled", "moving"])
 def test_2d_debug_line_counts_speculative_layouts(monkeypatch, caplog, n, side, kw):
-    scored = []
-    crb_metric = sensing_module.crb_metric_2d
-
-    def counting(xy, metric, coef):
-        scored.append(np.shape(xy)[:-2])
-        return crb_metric(xy, metric, coef)
-
-    monkeypatch.setattr(sensing_module, "crb_metric_2d", counting)
+    sensing_module._descended.clear()  # the counted call descends cold
+    scored = counting_metric(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="makit"):
         rep = sensing_2d_ao(n, (side, side), 0.5, **kw)
     lines = [r for r in caplog.records if r.name == "makit.optimize.sensing"
              and "sweeps scored" in r.getMessage()]
     assert len(lines) == 1
-    sweeps, layouts, one_at_a_time = lines[0].args
+    sweeps, layouts, one_at_a_time, known, n_starts = lines[0].args
     starts = scored.count(())  # each start is scored once on its own
+    assert known == 0 and n_starts == starts
     ref = ref_sensing_2d_ao(n, (side, side), 0.5, kw.get("metric", "max"), 1.0,
                             kw.get("max_sweeps", 40), 33, kw.get("seed", 0))
     assert layouts == rep.evaluations == sum(int(np.prod(s)) for s in scored)
@@ -155,6 +174,61 @@ def test_2d_debug_line_counts_speculative_layouts(monkeypatch, caplog, n, side, 
         assert layouts == one_at_a_time and len(scored) == 1 + 5
     else:
         assert layouts > one_at_a_time
+
+
+MEMO_GEOMETRIES = [(36, 5.0, {"seed": seed}) for seed in range(4)]  # the catalog: one corner start
+MEMO_GEOMETRIES.append((9, 3.0, {"metric": "sum", "seed": 1}))  # starts that move in many scans
+
+
+def memo_line(caplog, *args, **kw):
+    """sensing_2d_ao(*args, **kw) with its DEBUG line's starts from the memo and in all."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="makit"):
+        rep = sensing_2d_ao(*args, **kw)
+    (line,) = [r for r in caplog.records if "starts from the memo" in r.getMessage()]
+    return rep, line.args[-2:]
+
+
+@pytest.mark.parametrize("n, side, kw", MEMO_GEOMETRIES,
+                         ids=[f"catalog-{seed}" for seed in range(4)] + ["moving"])
+def test_2d_memo_hits_give_the_cold_report(monkeypatch, caplog, n, side, kw):
+    cold, (known, n_starts) = memo_line(caplog, n, (side, side), 0.5, **kw)
+    assert known == 0 and any(memo is sensing_module._descended for memo in report_module._memos)
+    scored = counting_metric(monkeypatch)
+    warm, counts = memo_line(caplog, n, (side, side), 0.5, **kw)
+    same_report(warm, cold)
+    assert counts == (n_starts, n_starts) and scored == []
+    # a caller changing a returned report in place changes no later hit
+    want, trace = cold.best_placement.tobytes(), list(cold.trace)
+    cold.best_placement[:] = -1.0
+    warm.best_placement[:] = -2.0
+    warm.trace.append(0.0)
+    again = sensing_2d_ao(n, (side, side), 0.5, **kw)
+    assert again.best_placement.tobytes() == want and again.trace == trace
+    # each keyed argument changed: every start misses, and the report is an empty memo's
+    metric = "sum" if kw.get("metric", "max") == "max" else "max"
+    for change in ({"coef": 2.0}, {"d_min": 0.4}, {"metric": metric}, {"max_sweeps": 2},
+                   {"n_grid": 17}):
+        args = {"n": n, "extents": (side, side), "d_min": 0.5, **kw, **change}
+        rep, (known, _) = memo_line(caplog, **args)
+        assert known == 0
+        with mock.patch.object(sensing_module, "_descended", OrderedDict()):
+            same_report(rep, sensing_2d_ao(**args))
+
+
+@settings(max_examples=15, deadline=None)
+@given(cap=st.integers(1, 4), calls=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(
+    [9, 17, 33])), min_size=1, max_size=8))
+def test_2d_memo_stays_bounded_and_gives_the_cold_report(cap, calls):
+    # a geometry whose seeded uniform starts are often feasible, so seeds share some starts
+    sensing_module._descended.clear()
+    with mock.patch.object(sensing_module, "_DESCENDED_CAP", cap):
+        for seed, n_grid in calls:
+            rep = sensing_2d_ao(4, (2.0, 2.0), 0.5, metric="sum", n_grid=n_grid, seed=seed)
+            assert len(sensing_module._descended) <= cap
+            with mock.patch.object(sensing_module, "_descended", OrderedDict()):
+                same_report(rep, sensing_2d_ao(4, (2.0, 2.0), 0.5, metric="sum",
+                                               n_grid=n_grid, seed=seed))
 
 
 def test_2d_infeasible_antenna_count():
