@@ -19,7 +19,7 @@ import numpy as np
 
 from ..beamforming import beam_gain, mrt, steering_vector
 from ..errors import InfeasibleError
-from .report import _HALVES, _STEP_CHUNKS, OptReport, improves, memo_get, memo_put, start_memo
+from .report import _HALVES, OptReport, improves, memo_get, memo_put, start_memo
 
 __all__ = [
     "svo_null_apv",
@@ -187,12 +187,14 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
     giving (weights, min_gain), or a stack (P, N) with w0 None or (P, N),
     giving (P, N) weights and (P,) min gains.  Each placement's S starts are an
     MRT start per picked angle, the aligned start, w0 if given and three noise
-    starts drawn from seed.  All starts ascend in lockstep, each on its own
-    path: it takes its first step step * 0.5^j, j < 20, that `improves` on its
-    min gain, or drops out; each placement's first best start wins.  The live
-    starts' state is kept packed and compacted only when one drops out.  Gains
-    are never a one-row product: numpy's matrix-vector path differs in the last
-    bit, which can decide a step.
+    starts drawn from seed.  A start takes its first step step * 0.5^j, j < 20, that
+    `improves` on its min gain, or drops out; each placement's first best start wins.
+    Each start runs on its own step clock: a tick scores the next four halvings (chunk
+    c: j = 4c..4c+3) of every live start in one gain product; a start that steps goes
+    back to chunk 0, one that does not to chunk c + 1, and it drops out after chunk 4
+    or its n_iter-th step.  The live starts' state, steering rows included, is packed
+    and compacted only when one drops out.  Gains are never a one-row product:
+    numpy's matrix-vector path differs in the last bit, which can decide a step.
 
     A least-recently-used memo of _ASCENDED_CAP (512) starts maps a start's
     placement, projected weights, angles, wavelength, analog, n_iter and S (it
@@ -236,53 +238,51 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
             w_out[r], cur_out[r] = known
             cached[r] = True
     # packed state of the live starts: index into the outputs, weights, min gain, step,
-    # weakest angle and its gain, and placement
+    # weakest angle and its gain, steering rows, step chunk and accepted steps
     live = np.flatnonzero(~cached)
     w, cur, kmin = w_out[live], cur_out[live], kmin[live]
-    step, gk, owner = np.full(live.size, 0.5), g[live, kmin], live // s_per
-    rows = np.arange(live.size)
-    iters = scored = 0
-    while live.size and iters < n_iter:
-        iters += 1
-        # ascent direction of each start's active gain
-        grad = a[owner, kmin] * gk.conj()[:, None]
-        pend = rows  # starts without an accepted step yet
-        for lo, hi in _STEP_CHUNKS:
-            full = pend.size == rows.size
-            sub = slice(None) if full else pend
-            s = step[sub, None] * _HALVES[lo:hi]
-            cand = project(w[sub, None, :] + s[..., None] * grad[sub, None, :])
-            gc = cand.conj() @ a[owner[sub]].transpose(0, 2, 1)  # (R, J, K)
-            km, v = _weakest(gc)
-            ok = improves(v, cur[sub, None])
-            scored += ok.size
-            hit, j = ok.any(axis=1), ok.argmax(axis=1)
-            if full and hit.all():  # every start stepped: replace the state, no scatter
-                w, cur, kmin = cand[rows, j], v[rows, j], km[rows, j]
-                gk, step = gc[rows, j, kmin], np.minimum(1.0, s[rows, j] * 2.0)
-            else:
-                t = hit.nonzero()[0]
-                r, jt = pend[t], j[t]
-                w[r], cur[r], kmin[r] = cand[t, jt], v[t, jt], km[t, jt]
-                gk[r], step[r] = gc[t, jt, kmin[r]], np.minimum(1.0, s[t, jt] * 2.0)
-            pend = pend[~hit]
-            if not pend.size:
-                break
-        if pend.size:  # retire the starts that found no step
-            w_out[live[pend]], cur_out[live[pend]] = w[pend], cur[pend]
-            keep = np.ones(live.size, dtype=bool)
-            keep[pend] = False
-            live, w, cur, step, kmin, gk, owner = (
-                arr[keep] for arr in (live, w, cur, step, kmin, gk, owner))
-            rows = np.arange(live.size)
-    w_out[live], cur_out[live] = w, cur
+    step, gk, al = np.full(live.size, 0.5), g[live, kmin], a[live // s_per]
+    chunk, took = np.zeros((2, live.size), dtype=int)
+    rows, halves = np.arange(live.size), _HALVES.reshape(5, 4)
+    ticks = scored = 0
+    capped = 0 if n_iter > 0 else live.size  # n_iter < 1: no start ascends
+    while live.size and n_iter > 0:
+        ticks += 1
+        # each start's next four halvings along the ascent direction of its active gain
+        grad = al[rows, kmin] * gk.conj()[:, None]
+        s = step[:, None] * halves[chunk]
+        cand = project(w[:, None, :] + s[..., None] * grad[:, None, :])
+        gc = cand.conj() @ al.transpose(0, 2, 1)  # (R, 4, K)
+        km, v = _weakest(gc)
+        ok = improves(v, cur[:, None])
+        scored += ok.size
+        hit, j = ok.any(axis=1), ok.argmax(axis=1)
+        if full := hit.all():  # every start stepped: replace the state, no scatter
+            w, cur, kmin = cand[rows, j], v[rows, j], km[rows, j]
+            gk, step = gc[rows, j, kmin], np.minimum(1.0, s[rows, j] * 2.0)
+        else:
+            t = hit.nonzero()[0]
+            jt = j[t]
+            w[t], cur[t], kmin[t] = cand[t, jt], v[t, jt], km[t, jt]
+            gk[t], step[t] = gc[t, jt, kmin[t]], np.minimum(1.0, s[t, jt] * 2.0)
+        chunk, took = np.where(hit, 0, chunk + 1), took + hit
+        # retire the stalled starts (no halving of the 20 improved) and those at n_iter steps
+        if not full or ticks >= n_iter:  # else none stalled or took n_iter steps
+            out = (chunk == 5) | (took == n_iter)
+            if out.any():
+                del cand, gc  # so that the compaction's copy of al is the only extra one
+                capped += int(np.count_nonzero(took[out] == n_iter))
+                w_out[live[out]], cur_out[live[out]] = w[out], cur[out]
+                live, w, cur, step, kmin, gk, al, chunk, took = (
+                    arr[~out] for arr in (live, w, cur, step, kmin, gk, al, chunk, took))
+                rows = np.arange(live.size)
     for r in np.flatnonzero(~cached):
         memo_put(_ascended, keys[r], (w_out[r], cur_out[r]), _ASCENDED_CAP)
     if _log.isEnabledFor(logging.DEBUG):
         n_cached = int(cached.sum())
         _log.debug("max_min_awv: %d of %d starts stopped at n_iter=%d, %d stalled, "
-                   "%d from the cache; %d iterations, %d candidate rows scored", live.size,
-                   len(w_out), n_iter, len(w_out) - live.size - n_cached, n_cached, iters,
+                   "%d from the cache; %d ticks, %d candidate rows scored", capped,
+                   len(w_out), n_iter, len(w_out) - capped - n_cached, n_cached, ticks,
                    scored)
     best = np.argmax(cur_out.reshape(p, s_per), axis=1) + np.arange(p) * s_per
     return (w_out[best], cur_out[best]) if stacked else (w_out[best[0]], float(cur_out[best[0]]))

@@ -16,16 +16,20 @@ the ascent with today's product (one matrix-vector product per weight), or
 else the same ascent with the product the batched code takes (a row of a
 candidates-by-angles matrix product).
 
-The packed ascent (a stack of placements, backtracking steps scored in two
-chunks, live starts' state compacted only when one drops out) is checked
-bitwise against the single-placement lockstep ascent, today_max_min_awv,
-applied to each placement, and the lockstep refinement chains against the
+The packed ascent (a stack of placements, each start on its own step clock with
+four backtracking steps of every live start scored a tick, live starts' state
+compacted only when one drops out) is checked bitwise against the
+single-placement lockstep ascent, today_max_min_awv, applied to each
+placement, and the lockstep refinement chains against the
 sequential chain loop they replaced, today_ao_candidates.  The
 column-updated position sweep is checked against the sweep that rebuilt
 every candidate's steering matrix, today_position_sweep.  The
 fixed-array baseline the beam AO reports must equal a standalone ascent of
 the fixed array bitwise.  Ascents that take starts from the memo of ascended
 starts must equal today's ascent, or an ascent with an empty memo, bitwise.
+That the tick loop matches an oracle scoring all 20 steps at once rests on a
+row of a complex gain product not depending on the product's row count; a
+property test pins that for the BLAS numpy uses.
 """
 
 import logging
@@ -43,7 +47,7 @@ from makit.beamforming import beam_gain, steering_vector
 from makit.optimize import beams
 from makit.optimize.beams import (_position_sweep, _subregion_grids, fpa_ula, max_min_awv,
                                   multibeam_ao, widebeam_ao)
-from makit.optimize.report import _STEP_CHUNKS, improves
+from makit.optimize.report import improves
 from oracles import (batched_gains, ref_max_min_awv, ref_position_sweep, today_ao_candidates,
                      today_max_min_awv, today_position_sweep)
 
@@ -182,13 +186,16 @@ def check_ascent_per_placement(p, n, k, analog, with_w0, n_iter, seed):
 
 # Two draws of one property, each with its example count: "wide" spans more
 # placements, antennas and iteration counts; "chunked" takes n_iter from
-# {1, 5, 300} and carries the examples whose starts reach the second step chunk.
+# {1, 5, 300} and carries the examples whose starts reach a later step chunk.
 ASCENT_DRAWS = {
     "wide": (25, (st.integers(1, 6), st.integers(1, 12), st.integers(1, 30), st.booleans(),
                   st.booleans(), st.integers(1, 300), st.integers(0, 2**32 - 1)), []),
     "chunked": (40, (st.integers(1, 5), st.integers(2, 10), st.integers(1, 30), st.booleans(),
                      st.booleans(), st.sampled_from([1, 5, 300]), st.integers(0, 2**32 - 1)),
-                [(3, 6, 4, False, False, 300, 11),  # starts accept and retire in the second chunk
+                [(3, 6, 4, False, False, 300, 11),  # a start steps at j >= 4 as another retires
+                 (3, 6, 4, False, False, 0, 11),  # no start ascends
+                 (3, 6, 4, False, False, 1, 11),  # a start reaches the cap on a step at j >= 4
+                 (3, 6, 4, False, False, 2, 11),  # and so at n_iter 2
                  (2, 8, 24, True, True, 300, 5)]),  # analog with w0, more angles than 12 starts
 }
 
@@ -202,16 +209,89 @@ def test_max_min_awv_matches_per_placement_ascent_bitwise(draws):
     settings(max_examples=n_examples, deadline=None)(check)()
 
 
+def ascent_ticks(*args, **kwargs):
+    """Run max_min_awv with spies on its halvings and on `improves`: its result and, per
+    tick, each live start's step chunk and whether it stepped."""
+    chunks, oks = [], []
+
+    class Halves(np.ndarray):  # _HALVES, recording the chunk index array it is read with
+        def __getitem__(self, idx):
+            chunks.append(np.array(idx))
+            return np.asarray(super().__getitem__(idx))
+
+    def spy(new, cur):
+        oks.append(improves(new, cur))
+        return oks[-1]
+
+    with mock.patch.object(beams, "_HALVES", beams._HALVES.view(Halves)), \
+            mock.patch.object(beams, "improves", spy):
+        out = max_min_awv(*args, **kwargs)
+    assert [c.shape + (4,) for c in chunks] == [ok.shape for ok in oks]
+    return out, [(c, ok.any(axis=1)) for c, ok in zip(chunks, oks)]
+
+
+def replay_ticks(ticks, n_iter):
+    """Check every tick's chunks against the schedule: a start that steps goes back to chunk 0,
+    one that does not moves to the next, and it retires after chunk 4 or its n_iter-th step.
+    Returns per tick the starts' (chunk, stepped, retired, steps taken)."""
+    chunk = took = np.zeros(len(ticks[0][0]), dtype=int)
+    events = []
+    for c, hit in ticks:
+        assert np.array_equal(c, chunk)
+        chunk, took = np.where(hit, 0, chunk + 1), took + hit
+        out = (chunk == 5) | (took == n_iter)
+        events.append((c, hit, out, took))
+        chunk, took = chunk[~out], took[~out]
+    assert not chunk.size  # every start retired
+    return events
+
+
 def test_packed_ascent_example_reaches_the_second_chunk():
-    # the first "chunked" example above: in one second-chunk call some starts accept a step and
-    # others find none and retire while the rest go on
+    # the first "chunked" example above: some ticks score starts at chunk 0 and starts at a
+    # later chunk together, and in one a start steps at j >= 4 while another retires after
+    # its last chunk
     xs, thetas, _ = draw_stack(3, 6, 4, 11)
-    calls = []
-    with mock.patch.object(beams, "improves", spy_improves(calls)):
-        max_min_awv(xs, thetas, LAM, seed=11)
-    second = [(shape, hits) for shape, hits in calls if shape[1:] == (16,)]
-    assert _STEP_CHUNKS[1] == (4, 20)
-    assert any(0 < hits < shape[0] for shape, hits in second)
+    got, ticks = ascent_ticks(xs, thetas, LAM, seed=11)
+    events = replay_ticks(ticks, 300)
+    assert any((c == 0).any() and (c > 0).any() for c, *_ in events)
+    assert any((hit & (c > 0)).any() and (~hit & (c == 4)).any() for c, hit, *_ in events)
+    for wi, vi, x in zip(*got, xs):
+        w_ref, v_ref = today_max_min_awv(x, thetas, LAM, seed=11)
+        assert wi.tobytes() == w_ref.tobytes() and float(vi).hex() == v_ref.hex()
+
+
+@pytest.mark.parametrize("n_iter", [1, 2])
+def test_packed_ascent_example_caps_a_start_on_a_late_step(n_iter):
+    # the "chunked" examples at n_iter 1 and 2: a start retires at the cap on a step it
+    # found at j >= 4
+    xs, thetas, _ = draw_stack(3, 6, 4, 11)
+    _, ticks = ascent_ticks(xs, thetas, LAM, seed=11, n_iter=n_iter)
+    events = replay_ticks(ticks, n_iter)
+    assert any(((c > 0) & hit & out & (took == n_iter)).any() for c, hit, out, took in events)
+    assert n_iter <= len(ticks) <= 5 * n_iter
+
+
+def blas_name():
+    """The BLAS numpy was built with, as np.show_config reports it."""
+    return np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 16), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_four_row_gain_products_equal_rows_of_wider_products_bitwise(r, n, k, seed):
+    # the ascent scores four halvings of each start a tick, where its oracle scores all 20
+    # in one product: a row of a complex (R, J, N) @ (R, N, K) product must not depend on
+    # J (4, 16 or 20)
+    rng = np.random.default_rng(seed)
+    cand = rng.standard_normal((r, 20, n)) + 1j * rng.standard_normal((r, 20, n))
+    a = rng.standard_normal((r, k, n)) + 1j * rng.standard_normal((r, k, n))
+    at = a.transpose(0, 2, 1)  # the steering rows' layout in the ascent
+    wide = {20: cand.conj() @ at, 16: cand[:, 4:].conj() @ at}
+    for c in range(5):
+        four = cand[:, 4 * c:4 * c + 4].conj() @ at
+        assert four.tobytes() == wide[20][:, 4 * c:4 * c + 4].tobytes(), blas_name()
+        if c:
+            assert four.tobytes() == wide[16][:, 4 * c - 4:4 * c].tobytes(), blas_name()
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,7 +334,7 @@ def test_beam_ao_baseline_is_the_standalone_fixed_array_ascent(n, k, slack, d_mi
 
 DEBUG_LINE = re.compile(r"max_min_awv: (\d+) of (\d+) starts stopped at n_iter=(\d+), "
                         r"(\d+) stalled, (\d+) from the cache; "
-                        r"(\d+) iterations, (\d+) candidate rows scored")
+                        r"(\d+) ticks, (\d+) candidate rows scored")
 
 
 def logged_ascent(caplog, *args, **kwargs):
@@ -274,10 +354,14 @@ def test_max_min_awv_logs_iterations_and_candidate_rows(caplog):
     xs, thetas, _ = draw_stack(2, 6, 3, 4)
     for n_iter in (1, 300):
         counts, calls = logged_ascent(caplog, xs, thetas, LAM, n_iter=n_iter)
-        at_cap, starts, cap, stalled, cached, iters, rows = counts
-        assert starts == 2 * 7 and cap == n_iter and at_cap + stalled == starts
+        at_cap, starts, cap, stalled, cached, ticks, rows = counts
+        assert starts == 2 * 7 and cap == n_iter and at_cap + stalled + cached == starts
         assert cached == 0
-        assert iters == n_iter if at_cap else 1 <= iters <= n_iter
+        # a tick scores four halvings of every live start, one `improves` call each
+        assert ticks == len(calls)
+        assert n_iter <= ticks <= 5 * n_iter if at_cap else 1 <= ticks <= 5 * n_iter
+        if n_iter == 1:  # each start that steps leaves at the cap at once
+            assert at_cap == sum(hits for _, hits in calls) > 0
         assert rows == sum(math.prod(shape) for shape, _ in calls)
         assert rows >= 4 * starts
 
@@ -309,9 +393,9 @@ def test_an_ascent_with_every_start_cached_runs_no_iteration(caplog):
     xs, thetas, _ = draw_stack(2, 6, 3, 4)
     w, v = max_min_awv(xs, thetas, LAM, seed=5)
     counts, calls = logged_ascent(caplog, xs, thetas, LAM, seed=5)
-    at_cap, starts, _, stalled, cached, iters, rows = counts
+    at_cap, starts, _, stalled, cached, ticks, rows = counts
     assert (at_cap, stalled, cached) == (0, 0, 2 * 7) and starts == 2 * 7
-    assert iters == rows == 0 and calls == []
+    assert ticks == rows == 0 and calls == []
     w2, v2 = max_min_awv(xs, thetas, LAM, seed=5)
     assert w2.tobytes() == w.tobytes() and v2.tobytes() == v.tobytes()
 
@@ -365,6 +449,7 @@ def check_cached_ascent(p, n, k, analog, with_w0, seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 30), st.booleans(), st.booleans(),
        st.integers(0, 2**32 - 1))
+@example(2, 6, 4, False, False, 11)  # the pinned "chunked" draw, with hits and misses mixed
 def test_memo_hits_give_the_cold_ascent_bitwise(p, n, k, analog, with_w0, seed):
     check_cached_ascent(p, n, k, analog, with_w0, seed)
 

@@ -23,6 +23,7 @@ from makit.geometry import MoveRegion, _close_pairs
 from makit.optimize import (isac_constrained_opt, mimo_position_ao, multiuser_position_opt,
                             search, sensing_2d_ao)
 from makit.optimize.mimo import _ensemble_capacity
+from makit.optimize.report import _STEP_CHUNKS
 from makit.optimize.search import _ascend, _sweep_antennas
 from oracles import ref_isac, ref_mimo, ref_multiuser, ref_sweep, today_sweep_antennas
 
@@ -143,6 +144,7 @@ def test_pinned_sweeps_reach_both_backtracking_chunks(case, covered):
     steps = []
     want = ref_sweep(tx, reg, lambda t: mimo_capacity(channel_mimo(t, rx, sc), POWER, SIGMA2),
                      5e-3 * LAM, 0.25 * LAM, steps)
+    assert _STEP_CHUNKS[1] == (4, 20)  # steps 4-19 are the sweep's second call
     assert covered(steps)
     got = _sweep_antennas(tx, reg, lambda q: _ensemble_capacity(q, rx, [sc], POWER, SIGMA2),
                           mimo_capacity(channel_mimo(tx, rx, sc), POWER, SIGMA2),
