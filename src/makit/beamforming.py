@@ -175,26 +175,31 @@ def multiuser_channels(positions, user_scenarios) -> np.ndarray:
                      for sc in user_scenarios], axis=-1)
 
 
-def gma_positions(x: float, eta: int, n_antennas: int, wavelength: float) -> np.ndarray:
-    """Uniform sparse array of sparsity eta anchored at x: x + n * eta * lambda/2."""
-    if eta < 1:
+def gma_positions(x, eta, n_antennas: int, wavelength: float) -> np.ndarray:
+    """Uniform sparse array of sparsity eta anchored at x: x + n * eta * lambda/2, (N, 3),
+    or the (S, N, 3) stack for anchors and sparsities that broadcast to shape S."""
+    x, eta = np.broadcast_arrays(np.asarray(x, dtype=float), eta)
+    if np.any(eta < 1):
         raise ValueError("sparsity must be >= 1")
-    out = np.zeros((n_antennas, 3))
-    out[:, 0] = x + np.arange(n_antennas) * eta * wavelength / 2.0
+    out = np.zeros(x.shape + (n_antennas, 3))
+    out[..., 0] = x[..., None] + np.arange(n_antennas) * eta[..., None] * wavelength / 2.0
     return out
 
 
-def gma_rate(x: float, eta: int, user_scenarios, powers, n_antennas: int,
-             wavelength: float, aperture: float) -> float:
+def gma_rate(x, eta, user_scenarios, powers, n_antennas: int,
+             wavelength: float, aperture: float):
     """Multiple-access rate sum_k log2(1 + p_k h_k^H C_k^-1 h_k) of a sliding sparse array.
 
     powers are per-user transmit powers normalized by the noise power; C_k is
     the interference-plus-noise covariance I + sum_{i != k} p_i h_i h_i^H: the
     sum rate of the MMSE combiner at unit noise power, computed as such.
+    Scalar x and eta give a float; anchors and sparsities that broadcast to
+    shape S give the S array of rates, each equal to its own call bitwise.
     """
     pos = gma_positions(x, eta, n_antennas, wavelength)
-    if x < 0 or pos[-1, 0] > aperture + 1e-12:
+    if np.any(pos[..., 0, 0] < 0) or np.any(pos[..., -1, 0] > aperture + 1e-12):
         raise InfeasibleError("sparse array does not fit in the movement region")
     h = multiuser_channels(pos, user_scenarios)
     p = np.asarray(powers, dtype=float).reshape(-1)
-    return float(np.sum(user_sinr_and_rates(h, mmse_combiner(h, p, 1.0), p, 1.0)[1]))
+    rate = np.sum(user_sinr_and_rates(h, mmse_combiner(h, p, 1.0), p, 1.0)[1], axis=-1)
+    return float(rate) if rate.ndim == 0 else rate

@@ -282,41 +282,39 @@ def apply_coupling(h: np.ndarray, coupling: CouplingPair) -> np.ndarray:
     return cr @ h @ ct
 
 
-def tap_of_delay(delay: float, bandwidth: float) -> int:
-    """Delay tap index (1-based); each tap spans 1/bandwidth, boundary ties round down."""
-    t = delay * bandwidth
-    fl = math.floor(t)
-    if fl == t and fl >= 1:
-        return fl
-    return fl + 1
+def tap_of_delay(delay, bandwidth: float):
+    """Delay tap index (1-based), an int or an int array of the delays' shape; each tap
+    spans 1/bandwidth, boundary ties round down."""
+    t = np.multiply(delay, bandwidth)
+    fl = np.floor(t)
+    tap = np.where((fl == t) & (fl >= 1), fl, fl + 1)
+    return int(tap) if tap.ndim == 0 else tap.astype(int)
 
 
-def _tap_groups(paths: PathSet, bandwidth: float) -> dict[int, np.ndarray]:
-    if paths.delays is None:
-        raise ValueError("wideband paths need delays")
-    taps = np.array([tap_of_delay(d, bandwidth) for d in paths.delays])
-    return {tau: np.flatnonzero(taps == tau) for tau in sorted(set(taps))}
+def _subcarrier_phases(taps, m: int) -> np.ndarray:
+    """(len(taps), m) factors exp(-j 2 pi k (tap - 1) / m) by which 1-based delay taps
+    enter subcarriers k = 0..m-1 of the zero-padded forward DFT."""
+    return np.exp(-2j * np.pi * np.outer(np.asarray(taps) - 1, np.arange(m)) / m)
 
 
 def cir(t, r, scenario: Scenario) -> np.ndarray:
     """Channel impulse response over delay taps: h_tau = f_tau(r)^H Sigma_tau g_tau(t)."""
     if scenario.prms is None or scenario.bandwidth is None:
         raise ValueError("scenario is not wideband (needs per-tap prms and bandwidth)")
+    if scenario.tx_paths.delays is None or scenario.rx_paths.delays is None:
+        raise ValueError("wideband paths need delays")
     g = frv_tx(t, scenario.tx_paths, scenario.wavelength)
     f = frv_rx(r, scenario.rx_paths, scenario.wavelength)
-    tx_groups = _tap_groups(scenario.tx_paths, scenario.bandwidth)
-    rx_groups = _tap_groups(scenario.rx_paths, scenario.bandwidth)
-    n_taps = len(scenario.prms)
-    out = np.zeros(n_taps, dtype=complex)
-    for tau in range(1, n_taps + 1):
-        ti = tx_groups.get(tau, np.array([], dtype=int))
-        ri = rx_groups.get(tau, np.array([], dtype=int))
-        if len(ti) == 0 or len(ri) == 0:
+    tx_taps = tap_of_delay(scenario.tx_paths.delays, scenario.bandwidth)
+    rx_taps = tap_of_delay(scenario.rx_paths.delays, scenario.bandwidth)
+    out = np.zeros(len(scenario.prms), dtype=complex)
+    for tau, sig in enumerate(scenario.prms, 1):
+        ti, ri = tx_taps == tau, rx_taps == tau
+        if not (ti.any() and ri.any()):
             continue
-        sig = scenario.prms[tau - 1]
-        if sig.shape != (len(ri), len(ti)):
+        if sig.shape != (ri.sum(), ti.sum()):
             raise ValueError(f"tap {tau}: prm shape {sig.shape} does not match "
-                             f"path grouping ({len(ri)}, {len(ti)})")
+                             f"path grouping ({ri.sum()}, {ti.sum()})")
         out[tau - 1] = f[ri].conj() @ sig @ g[ti]
     return out
 
@@ -329,9 +327,7 @@ def cfr(cir_taps, n_subcarriers: int) -> np.ndarray:
     h = np.asarray(cir_taps, dtype=complex).reshape(-1)
     if n_subcarriers < len(h):
         raise ValueError("subcarrier count must be >= number of taps")
-    padded = np.zeros(n_subcarriers, dtype=complex)
-    padded[: len(h)] = h
-    return np.fft.fft(padded)
+    return h @ _subcarrier_phases(np.arange(1, len(h) + 1), n_subcarriers)
 
 
 def channel_nearfield(t, r, scenario: Scenario) -> complex:
@@ -464,13 +460,16 @@ def sample_directions(rng: np.random.Generator, n: int, law: str = "halfspace",
         el = np.arcsin(2.0 * rng.random(n) - 1.0)
         az = rng.uniform(-az_lim, az_lim, n)
         k = np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1)
-        if min_component_sep <= 0 or n == 1:
-            return k
-        d = np.max(np.abs(k[:, None, :] - k[None, :, :]), axis=2)
-        np.fill_diagonal(d, np.inf)
-        if d.min() >= min_component_sep:
+        if min_component_sep <= 0 or _separated(k, min_component_sep):
             return k
     raise InfeasibleError("could not sample sufficiently separated paths")
+
+
+def _separated(pts: np.ndarray, min_sep: float) -> bool:
+    """Whether every pair of the (n, d) rows differs by at least min_sep in some component."""
+    d = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
+    np.fill_diagonal(d, np.inf)
+    return len(pts) < 2 or bool(d.min() >= min_sep)
 
 
 def _rician_diagonal(rng: np.random.Generator, n_paths: int, kappa: float, gain: float) -> np.ndarray:
@@ -526,14 +525,10 @@ def gen_scenario(seed, n_paths: int, wavelength: float = 1.0, kappa: float = 0.0
         delays = rng.uniform(0.0, max_delay, n_paths)
         tx_paths = PathSet(kt, delays=delays)
         rx_paths = PathSet(kr, delays=delays)  # geometric model: shared physical paths
-        groups = _tap_groups(tx_paths, bandwidth)
-        n_taps = max(groups)
-        prms = []
-        for tau in range(1, n_taps + 1):
-            idx = groups.get(tau, np.array([], dtype=int))
-            prms.append(np.diag(np.diag(sigma)[idx]))
+        taps = tap_of_delay(delays, bandwidth)
+        prms = tuple(np.diag(np.diag(sigma)[taps == tau]) for tau in range(1, taps.max() + 1))
         return Scenario(wavelength=wavelength, tx_paths=tx_paths, rx_paths=rx_paths,
-                        prms=tuple(prms), bandwidth=bandwidth)
+                        prms=prms, bandwidth=bandwidth)
 
     return Scenario(wavelength=wavelength, tx_paths=PathSet(kt), rx_paths=PathSet(kr), prm=sigma)
 

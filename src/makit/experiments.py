@@ -26,9 +26,9 @@ from . import beamforming as bf
 from . import estimate as est
 from . import optimize as opt
 from . import sensing as sn
-from .channel import (PathSet, RadiationPattern, Scenario, _rician_diagonal, channel_mimo,
-                      channel_narrowband, db_to_linear, frm, gen_scenario, prm_6dma,
-                      redraw_prm_phases, sample_directions, tap_of_delay)
+from .channel import (PathSet, RadiationPattern, Scenario, _rician_diagonal, _separated,
+                      _subcarrier_phases, channel_mimo, channel_narrowband, db_to_linear, frm,
+                      gen_scenario, prm_6dma, redraw_prm_phases, sample_directions, tap_of_delay)
 from .errors import ConfigError, InfeasibleError
 from .geometry import MoveRegion, aom_from_euler
 
@@ -106,6 +106,8 @@ class ExperimentConfig:
         extra = set(doc) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
+        if not isinstance(doc.get("out"), (str, type(None))):
+            raise ConfigError(f"'out' must be a file name (a string) or null, got {doc['out']!r}")
         return cls(experiment=exp, params=params, trials=trials, seeds=seeds,
                    sweep=sweep, out=doc.get("out"))
 
@@ -423,8 +425,7 @@ def _wideband_gain_minmax(rng, params, k, b, side, lam):
     """
     m_sub = int(params["subcarriers"])
     delays = rng.uniform(0.0, params["max_delay"], len(b))
-    taps = np.array([tap_of_delay(d, params["bandwidth"]) for d in delays])
-    coeffs = b[:, None] * np.exp(-2j * np.pi * np.outer(taps - 1, np.arange(m_sub)) / m_sub)
+    coeffs = b[:, None] * _subcarrier_phases(tap_of_delay(delays, params["bandwidth"]), m_sub)
     tables = _field_tables(k, side, params["grid_step"] * lam, lam)
     hi, lo, origin = _gain_field_minmax(tables, coeffs)
     return hi / m_sub, lo / m_sub, origin / m_sub  # x -> fl(x / M) is monotone
@@ -656,11 +657,7 @@ def _separated_uv(rng, candidates, l, min_sep, max_tries=5000):
     for _ in range(max_tries):
         idx = rng.choice(len(candidates), size=l, replace=False)
         pts = np.asarray([candidates[i] for i in idx], dtype=float)
-        if l == 1:
-            return pts
-        d = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
-        np.fill_diagonal(d, np.inf)
-        if d.min() >= min_sep - 1e-12:
+        if _separated(pts, min_sep - 1e-12):
             return pts
     raise InfeasibleError("could not draw separated spatial frequencies")
 
@@ -923,11 +920,12 @@ def _run_one(args):
 
 
 def _resolve_workers(workers: int | None) -> int:
-    env = os.environ.get(WORKERS_ENV) or "1"
-    try:
-        return max(1, int(env if workers is None else workers))
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    name, value = ((WORKERS_ENV, os.environ.get(WORKERS_ENV) or "1") if workers is None
+                   else ("--workers", workers))
+    with contextlib.suppress(ValueError):
+        if int(value) >= 1:
+            return int(value)
+    raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None,

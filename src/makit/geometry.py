@@ -139,9 +139,7 @@ class MoveRegion:
             pts = np.asarray(self.points, dtype=float).reshape(-1, 3)
             if len(pts) == 0:
                 raise ValueError("grid region needs at least one point")
-            d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-            np.fill_diagonal(d, np.inf)
-            if len(pts) > 1 and d.min() == 0.0:
+            if len(np.unique(pts, axis=0)) < len(pts):
                 raise ValueError("grid points must be pairwise distinct")
             object.__setattr__(self, "points", pts)
 
@@ -158,13 +156,16 @@ class MoveRegion:
     def grid(cls, points, d_min: float = 0.0) -> "MoveRegion":
         return cls(kind="grid", points=np.asarray(points, dtype=float), d_min=d_min)
 
-    def contains(self, position, tol: float = 1e-9) -> bool:
-        p = np.asarray(position, dtype=float).reshape(3)
-        if self.kind == "segment":
-            return (-tol <= p[0] <= self.length + tol) and abs(p[1]) <= tol and abs(p[2]) <= tol
-        if self.kind == "box":
-            return all(-tol <= p[i] <= self.extents[i] + tol for i in range(3))
-        return bool(np.min(np.linalg.norm(self.points - p, axis=1)) <= tol)
+    def contains(self, position, tol: float = 1e-9):
+        """Whether a point (3,) lies in the region within tol: a bool, or one flag
+        per point of a (..., 3) stack."""
+        p = np.asarray(position, dtype=float)
+        if self.kind == "grid":
+            inside = np.linalg.norm(self.points - p[..., None, :], axis=-1).min(axis=-1) <= tol
+        else:
+            hi = (self.length, 0.0, 0.0) if self.kind == "segment" else self.extents
+            inside = np.all((p >= -tol) & (p <= np.add(hi, tol)), axis=-1)
+        return bool(inside) if inside.ndim == 0 else inside
 
     def clip(self, position) -> np.ndarray:
         """Project a point, or each point of a (..., 3) stack, onto the region
@@ -246,7 +247,7 @@ def validate_placement(poses, region: MoveRegion) -> PlacementReport:
     The spacing check is a closed inequality: a pair at exactly d_min passes.
     """
     pos = _positions(poses)
-    bad_region = tuple(i for i, p in enumerate(pos) if not region.contains(p))
+    bad_region = tuple(int(i) for i in np.flatnonzero(~region.contains(pos)))
     bad_pairs = tuple((int(i), int(j))
                       for i, j in zip(*np.nonzero(_close_pairs(pos, region.d_min))) if i < j)
     return PlacementReport(ok=not bad_region and not bad_pairs,

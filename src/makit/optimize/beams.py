@@ -19,6 +19,7 @@ import numpy as np
 
 from ..beamforming import beam_gain, mrt, steering_vector
 from ..errors import InfeasibleError
+from ..geometry import _close_pairs
 from .report import _HALVES, OptReport, improves, memo_get, memo_put, start_memo
 
 __all__ = [
@@ -312,7 +313,7 @@ def _repair_spacing(x, aperture, d_min):
             x[i] = x[i - 1] + d_min
     if len(x) and x[-1] > aperture:
         x -= x[-1] - aperture
-    if x[0] < -1e-9 or (len(x) > 1 and np.min(np.diff(x)) < d_min - 1e-9):
+    if x[0] < -1e-9 or _close_pairs(x[:, None], d_min).any():
         return None
     return x
 

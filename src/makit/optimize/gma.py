@@ -24,34 +24,33 @@ def gma_opt(user_scenarios, aperture: float, eta_max: int, n_antennas: int, powe
     if eta_max < 1:
         raise ValueError("eta_max must be >= 1")
 
-    def span(eta):
-        return (n_antennas - 1) * eta * wavelength / 2.0
-
-    feasible_etas = [e for e in range(1, eta_max + 1) if span(e) <= aperture + 1e-12]
-    if not feasible_etas:
+    etas = np.arange(1, eta_max + 1)
+    spans = (n_antennas - 1) * etas * wavelength / 2.0
+    fits = spans <= aperture + 1e-12
+    etas, spans = etas[fits], spans[fits]
+    if not fits.any():
         raise InfeasibleError("even the dense array does not fit in the region")
 
     def rate(x, eta):
         return gma_rate(x, eta, user_scenarios, powers, n_antennas, wavelength, aperture)
 
-    eta = feasible_etas[0]
-    x = 0.0
+    eta, span, x = int(etas[0]), spans[0], 0.0
     cur = rate(x, eta)
     trace, stop = [cur], "max_sweeps"
     for _ in range(max_rounds):
         improved = False
         # sparsity search at fixed anchor (re-anchor if the array would overflow)
-        xs = [min(x, aperture - span(e)) for e in feasible_etas]
-        v = [rate(xe, e) for xe, e in zip(xs, feasible_etas)]
+        xs = np.minimum(x, aperture - spans)
+        v = rate(xs, etas)
         j = int(np.argmax(v))
         if improves(v[j], cur):
-            eta, x, cur, improved = feasible_etas[j], xs[j], v[j], True
+            eta, span, x, cur, improved = int(etas[j]), spans[j], float(xs[j]), float(v[j]), True
         # anchor line search at fixed sparsity
-        anchors = np.linspace(0.0, aperture - span(eta), n_grid)
-        v = [rate(c, eta) for c in anchors]
+        anchors = np.linspace(0.0, aperture - span, n_grid)
+        v = rate(anchors, eta)
         j = int(np.argmax(v))
         if improves(v[j], cur):
-            x, cur, improved = float(anchors[j]), v[j], True
+            x, cur, improved = float(anchors[j]), float(v[j]), True
         trace.append(cur)
         if not improved:
             stop = "stalled"

@@ -148,7 +148,7 @@ def _ascend(blocks, objective, max_sweeps: int, fd: float, step0: float) -> tupl
     pos = [np.array(p, dtype=float).reshape(-1, 3) for p, _ in blocks]
     regions = [region for _, region in blocks]
     for p, region in zip(pos, regions):
-        if not all(region.contains(q, tol=1e-6) for q in p) or _close_pairs(p, region.d_min).any():
+        if not region.contains(p, tol=1e-6).all() or _close_pairs(p, region.d_min).any():
             raise InfeasibleError("initial placement is outside the region or closer than d_min")
     evaluations = 0
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..errors import InfeasibleError
-from ..geometry import _close_pairs, _too_close
+from ..geometry import MoveRegion, _close_pairs, _too_close
 from ..sensing import crb_2d_lower_bound, effective_variances
 from .report import OptReport, improves, memo_get, memo_put, start_memo
 
@@ -84,8 +84,9 @@ def _corner_init(n: int, ax: float, ay: float, d_min: float) -> np.ndarray:
 
 
 def _feasible(xy: np.ndarray, ax: float, ay: float, d_min: float) -> bool:
-    inside = np.all((xy >= -1e-12) & (xy <= np.array([ax, ay]) + 1e-12))
-    return bool(inside) and not _close_pairs(xy, d_min).any()
+    inside = MoveRegion.box((ax, ay)).contains(np.concatenate([xy, np.zeros((len(xy), 1))], 1),
+                                               tol=1e-12)
+    return bool(inside.all()) and not _close_pairs(xy, d_min).any()
 
 
 def _descend(xy, grid, d_min, metric, coef, max_sweeps):

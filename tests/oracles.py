@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from makit import estimate
-from makit.beamforming import (beam_gain, gma_positions, mimo_capacity, mrt, multiuser_channels,
-                               steering_vector)
+from makit.beamforming import (beam_gain, gma_positions, gma_rate, mimo_capacity, mrt,
+                               multiuser_channels, steering_vector)
 from makit.channel import (PathSet, RadiationPattern, channel_mimo, frv_tx, radiation_gain,
                            sample_directions, tap_of_delay)
 from makit.errors import InfeasibleError
@@ -169,6 +169,15 @@ def today_gain_field_minmax(k_vectors, coeffs, side, step, wavelength, block=1 <
     return float(hi), float(lo), float(p[0, 0])
 
 
+def ref_tap_of_delay(delay, bandwidth):
+    """channel.tap_of_delay on one delay in exact integer arithmetic."""
+    t = delay * bandwidth
+    fl = math.floor(t)
+    if fl == t and fl >= 1:
+        return fl
+    return fl + 1
+
+
 def ref_wideband_gain_minmax(rng, params, k, b, side, lam):
     bandwidth = params["bandwidth"]
     m_sub = int(params["subcarriers"])
@@ -249,6 +258,19 @@ def _spaced(pos, d_min):
     close = ref_too_close(pos, pos, d_min)
     np.fill_diagonal(close, False)
     return not close.any()
+
+
+# ---------------------------------------------------------------------------
+# region containment, one point per call: the check of validate_placement, of
+# the placement ascent's start and (as a box test) of the 2D sensing starts
+
+def ref_region_contains(region, position, tol):
+    p = np.asarray(position, dtype=float).reshape(3)
+    if region.kind == "segment":
+        return (-tol <= p[0] <= region.length + tol) and abs(p[1]) <= tol and abs(p[2]) <= tol
+    if region.kind == "box":
+        return all(-tol <= p[i] <= region.extents[i] + tol for i in range(3))
+    return bool(np.min(np.linalg.norm(region.points - p, axis=1)) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +370,38 @@ def ref_gma_rate(x, eta, user_scenarios, powers, n_antennas, wavelength):
         ck = total - p[j] * np.outer(h[:, j], h[:, j].conj())
         rate += np.log2(1.0 + np.real(p[j] * h[:, j].conj() @ np.linalg.solve(ck, h[:, j])))
     return float(rate)
+
+
+def ref_gma_opt(user_scenarios, aperture, eta_max, n_antennas, powers, wavelength, n_grid,
+                max_rounds):
+    """optimize.gma_opt scoring every sparsity level and every anchor in its own gma_rate call."""
+    def span(eta):
+        return (n_antennas - 1) * eta * wavelength / 2.0
+
+    def rate(x, eta):
+        return gma_rate(x, eta, user_scenarios, powers, n_antennas, wavelength, aperture)
+
+    etas = [e for e in range(1, eta_max + 1) if span(e) <= aperture + 1e-12]
+    eta, x = etas[0], 0.0
+    cur = rate(x, eta)
+    trace, stop = [cur], "max_sweeps"
+    for _ in range(max_rounds):
+        improved = False
+        xs = [min(x, aperture - span(e)) for e in etas]
+        v = [rate(xe, e) for xe, e in zip(xs, etas)]
+        j = int(np.argmax(v))
+        if improves(v[j], cur):
+            eta, x, cur, improved = etas[j], xs[j], v[j], True
+        anchors = np.linspace(0.0, aperture - span(eta), n_grid)
+        v = [rate(c, eta) for c in anchors]
+        j = int(np.argmax(v))
+        if improves(v[j], cur):
+            x, cur, improved = float(anchors[j]), v[j], True
+        trace.append(cur)
+        if not improved:
+            stop = "stalled"
+            break
+    return x, eta, cur, trace, stop
 
 
 def _channel_from_frm(tx, rx, sc):

@@ -295,9 +295,20 @@ def test_gma_rate_direct_formula_oracle(k, n, eta, x, seed):
     r = gma_rate(x, eta, users, pbar, n, LAM, 30.0)
     ref = ref_gma_rate(x, eta, users, pbar, n, LAM)
     assert abs(r - ref) <= 1e-12 * max(1.0, ref)
+    # anchors and sparsities that broadcast to a stack give each pair's own call bitwise
+    xs, etas = np.array([[x], [0.0], [x / 3.0]]), np.array([eta, 1, 3, 2])
+    stacked = gma_rate(xs, etas, users, pbar, n, LAM, 30.0)
+    assert stacked.shape == (3, 4) and stacked[0, 0] == r
+    assert all(stacked[i, j] == gma_rate(float(xs[i, 0]), int(etas[j]), users, pbar, n, LAM, 30.0)
+               for i, j in np.ndindex(3, 4))
+    assert np.array_equal(gma_positions(xs, etas, n, LAM)[2, 3], gma_positions(x / 3.0, 2, n, LAM))
 
 
 def test_gma_rate_infeasible_geometry():
     users = user_set(21, 1)
     with pytest.raises(ValueError):
         gma_rate(0.0, 8, users, [1.0], 4, LAM, 1.0)
+    with pytest.raises(ValueError):  # one member of a stack that does not fit refuses the stack
+        gma_rate(np.array([0.0, 0.5, -0.1]), 1, users, [1.0], 4, LAM, 10.0)
+    with pytest.raises(ValueError):
+        gma_positions(np.zeros(2), np.array([1, 0]), 4, LAM)

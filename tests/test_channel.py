@@ -9,7 +9,9 @@ from makit.channel import (CouplingPair, PathSet, RadiationPattern, Scenario, ap
                            polarization_gain, prm_6dma, radiation_gain, redraw_prm_phases,
                            sample_directions, save_scenario, scenario_from_dict,
                            scenario_to_dict, tap_of_delay)
+from makit.channel import _separated
 from makit.geometry import accs_basis, aom_from_euler
+from oracles import ref_tap_of_delay
 
 LAM = 1.0
 
@@ -175,6 +177,17 @@ def test_tap_of_delay_tie_rounds_down():
     assert tap_of_delay(0.5e-6, 1e6) == 1
     assert tap_of_delay(1.0e-6, 1e6) == 1  # boundary tie stays in the lower tap
     assert tap_of_delay(1.1e-6, 1e6) == 2
+    # an array of delays, random and on every tap boundary, gives each delay's own tap
+    rng = np.random.default_rng(20)
+    for bandwidth in (1e6, 2e7, 3e8, 0.7):
+        ties = np.arange(40) / bandwidth
+        delays = np.concatenate([rng.uniform(0.0, 40 / bandwidth, 5000), ties,
+                                 np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)[1:]])
+        taps = tap_of_delay(delays, bandwidth)
+        assert taps.dtype.kind == "i" and taps.shape == delays.shape
+        scalar = [tap_of_delay(float(d), bandwidth) for d in delays]
+        assert all(type(t) is int for t in scalar)
+        assert taps.tolist() == scalar == [ref_tap_of_delay(float(d), bandwidth) for d in delays]
 
 
 def test_cir_single_tap_reduces_to_narrowband():
@@ -234,6 +247,7 @@ def test_cfr_matches_dft_sum():
     for k in range(8):
         direct = sum(h[m] * np.exp(-2j * np.pi * k * m / 8) for m in range(2))
         assert abs(c[k] - direct) < 1e-12
+    assert np.allclose(c, np.fft.fft(h, 8), rtol=0.0, atol=1e-12)  # the zero-padded FFT
 
 
 def test_cfr_rejects_too_few_subcarriers():
@@ -506,7 +520,11 @@ def test_gen_scenario_min_separation():
     k = sample_directions(rng, 6, "halfspace", min_component_sep=0.2)
     d = np.max(np.abs(k[:, None, :] - k[None, :, :]), axis=2)
     np.fill_diagonal(d, np.inf)
-    assert d.min() >= 0.2
+    assert d.min() >= 0.2 and _separated(k, 0.2)
+    # the separation rule is exact: a pair at min_sep passes, and one or no point always does
+    pair = np.array([[0.0, 0.5, 0.25], [0.25, 0.5, 0.0]])
+    assert _separated(pair, 0.25) and not _separated(pair, np.nextafter(0.25, 1.0))
+    assert _separated(pair[:1], 1e300) and _separated(pair[:0], 1.0)
 
 
 def test_redraw_prm_phases_keeps_magnitudes():

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from makit.geometry import (Direction, MoveRegion, Pose, _close_pairs, _too_close, accs_basis,
                             aom_from_euler, validate_placement, wave_vector)
-from oracles import ref_aom_from_euler, ref_too_close
+from oracles import ref_aom_from_euler, ref_region_contains, ref_too_close
 
 
 def test_wave_vector_axis_case():
@@ -153,6 +153,43 @@ def test_placement_symmetric_and_idempotent():
 def test_grid_region_distinct_points():
     with pytest.raises(ValueError):
         MoveRegion.grid([[0, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValueError):  # -0.0 is the point 0.0
+        MoveRegion.grid([[1.0, 0.0, 2.0], [0.5, 0.0, 0.0], [1.0, -0.0, 2.0]])
+    assert len(MoveRegion.grid([[0, 0, 0], [0, 0, 1e-300]]).points) == 2
+
+
+REGIONS = [MoveRegion.segment(2.0), MoveRegion.box((1.5, 2.0, 0.0)), MoveRegion.box((1.0, 0.5, 3.0)),
+           MoveRegion.grid([[0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [0.25, 1.0, 1e-7]])]
+
+
+@st.composite
+def region_points(draw):
+    """(region, (..., 3) stack, tol): coordinates drawn near and on the region's edges
+    (0, each extent, grid coordinates), each moved by a multiple of tol or a few ulps."""
+    region = draw(st.sampled_from(REGIONS))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+    edges = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 0.25, 1e-7]
+    shape = draw(st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple)) + (3,)
+    base = draw(arrays(np.float64, shape, elements=st.sampled_from(edges)))
+    shift = draw(arrays(np.float64, shape, elements=st.sampled_from([0.0, -1.0, 1.0, -2.0, 2.0])))
+    ulps = draw(arrays(np.float64, shape, elements=st.sampled_from([0.0, -1.0, 1.0])))
+    noise = draw(arrays(np.float64, shape, elements=st.floats(-4.0, 4.0)))
+    pts = base + shift * tol + ulps * np.spacing(np.maximum(base, tol))
+    return region, np.where(draw(st.booleans()), pts, noise), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(region_points())
+def test_stacked_contains_equals_per_point_calls(case):
+    region, pts, tol = case
+    flags = np.asarray(region.contains(pts, tol=tol))  # a bool for one point
+    assert flags.shape == pts.shape[:-1] and flags.dtype == bool
+    for idx in np.ndindex(pts.shape[:-1]):
+        one = region.contains(pts[idx], tol=tol)
+        assert type(one) is bool and one == flags[idx] == ref_region_contains(region, pts[idx], tol)
+    if tol == 1e-9:  # validate_placement's tolerance
+        bad = validate_placement(pts.reshape(-1, 3), region).region_violations
+        assert bad == tuple(np.flatnonzero(~flags.reshape(-1)).tolist())
 
 
 def test_region_grid_points_lexicographic():

@@ -353,6 +353,8 @@ REFUSED_FIELDS = [
     ("optimize", {**NULL, "seed": "abc"}, "'seed'"),
     ("optimize", {**MULTIBEAM, "seed": -1}, "'seed'"),
     ("optimize", {**WIDEBEAM, "seed": -1}, "'seed'"),
+    ("experiment", {"experiment": "beam-null", "trials": 1, "out": 5}, "'out'"),
+    ("experiment", {"experiment": "beam-null", "trials": 1, "out": ["x"]}, "'out'"),
 ]
 REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "miso-graph-m-0",
                "sensing-1d-mse-snapshots-0", "sensing-1d-mse-n-bool", "beam-null-aperture-negative",
@@ -383,7 +385,8 @@ REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "mis
                "multiuser-rate-snr_db-inf", "sensing-2d-crb-snr_db-inf", "isac-snr_db-inf",
                "sensing-2d-unread-snr_db-inf", "sense-seed-string", "sense-seed-fractional",
                "estimate-seed-negative", "estimate-seed-bool", "simulate-generate-seed-fractional",
-               "null-unread-seed-string", "multibeam-seed-negative", "widebeam-seed-negative"]
+               "null-unread-seed-string", "multibeam-seed-negative", "widebeam-seed-negative",
+               "out-number", "out-list"]
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -655,6 +658,17 @@ def test_estimation_runs_import_no_scipy(tmp_path):
     assert run_fresh(script).splitlines()[-1] == "[]"
 
 
+def test_import_loads_no_third_party_module_but_numpy():
+    """makit needs only numpy at run time (scipy is a test dependency), so importing the
+    package and its CLI loads no other module from outside the standard library."""
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import makit, makit.cli\n"
+              "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+              "print(sorted(new - set(sys.stdlib_module_names) - {'makit', 'numpy'}))\n")
+    assert run_fresh(script).splitlines()[-1] == "[]"
+
+
 def test_serial_run_does_not_load_the_process_pool(tmp_path):
     """The process pool (and multiprocessing with it) is imported only where workers > 1."""
     cfg = write(tmp_path, "exp.json", {"experiment": "miso-graph", "trials": 1,
@@ -878,11 +892,17 @@ def test_non_finite_rows_are_counted_and_logged(monkeypatch, caplog):
 
 
 def test_malformed_workers_variable_exit_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(experiments.WORKERS_ENV, "abc")
     cfg = write(tmp_path, "exp.json", {"experiment": "miso-graph", "trials": 1,
                                        "params": {"m": 24, "n": 4, "n_paths": 4, "aperture": 4.0}})
-    assert main(["experiment", "--config", cfg]) == 2
-    assert experiments.WORKERS_ENV in capsys.readouterr().err
+    for value in ("abc", "-2", "0", "1.5"):
+        monkeypatch.setenv(experiments.WORKERS_ENV, value)
+        assert main(["experiment", "--config", cfg]) == 2
+        assert experiments.WORKERS_ENV in capsys.readouterr().err
+    # a worker count below 1 is refused, not raised to 1; the option overrides the variable
+    for value in ("-3", "0"):
+        assert main(["experiment", "--config", cfg, "--workers", value]) == 2
+        assert "--workers" in capsys.readouterr().err
+    assert main(["experiment", "--config", cfg, "--workers", "1"]) == 0
 
 
 def test_one_process_pool_per_run(monkeypatch):

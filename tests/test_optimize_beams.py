@@ -7,7 +7,8 @@ from makit.beamforming import beam_gain, mrt, steering_vector
 from makit.errors import InfeasibleError
 from makit.optimize import (fpa_ula, grating_lobe_apv, max_min_awv, multibeam_ao, svo_null_apv,
                             widebeam_ao)
-from makit.optimize.beams import _uniform_spacing_starts
+from makit.geometry import MoveRegion, validate_placement
+from makit.optimize.beams import _random_starts, _uniform_spacing_starts
 
 LAM = 1.0
 
@@ -251,3 +252,16 @@ def test_beam_ao_reports_why_it_stopped(max_sweeps, stop):
                          max_sweeps=max_sweeps)
     wide = widebeam_ao(1.0, 2.0, 4, 4, 4.0, 0.5, LAM, seed=0, max_sweeps=max_sweeps)
     assert multi.stop_reason == stop and wide.stop_reason == stop
+
+
+def test_random_starts_keep_the_placement_spacing_rule():
+    # a repaired start passes the spacing check of validate_placement and the ascent
+    # (a pair at exactly d_min passes), and a draw that cannot fit is dropped
+    kept = 0
+    for seed in range(40):
+        for n, aperture, d_min in ((8, 10.0, 0.5), (6, 3.0, 0.6), (3, 1.0, 0.5)):
+            for x in _random_starts(n, aperture, d_min, seed):
+                kept += 1
+                pos = np.column_stack([x, np.zeros((n, 2))])
+                assert validate_placement(pos, MoveRegion.segment(aperture, d_min=d_min)).ok
+    assert kept > 150 and _random_starts(8, 3.0, 0.5, 0) == []

@@ -11,6 +11,7 @@ from makit.geometry import MoveRegion, validate_placement
 from makit.optimize import (SampledLine, gma_opt, graph_opt_miso, isac_constrained_opt,
                             mimo_position_ao, multiuser_position_opt, sensing_2d_ao)
 from makit.optimize import mimo as mimo_module
+from oracles import ref_gma_opt
 
 LAM = 1.0
 
@@ -345,6 +346,23 @@ def test_gma_opt_reports_why_it_stopped(max_rounds, stop):
                   powers=np.ones(5), wavelength=LAM, max_rounds=max_rounds)
     assert rep.stop_reason == stop and rep.iterations == min(max_rounds, 3)
     assert np.all(np.diff(rep.trace[:3]) > 0) and rep.trace[-1] == rep.best_score
+
+
+@pytest.mark.parametrize("seed, k, aperture, eta_max, n, kappa, max_rounds", [
+    (15, 5, 8.0, 4, 4, 10.0, 10), (16, 3, 12.0, 6, 5, 1.0, 10), (17, 2, 6.0, 3, 3, 0.0, 2),
+    (18, 4, 4.0, 8, 4, 1.0, 10), (19, 1, 9.0, 5, 6, 10.0, 10)])
+def test_gma_opt_equals_one_rate_call_per_candidate(seed, k, aperture, eta_max, n, kappa,
+                                                    max_rounds):
+    # the stacked searches take the per-candidate oracle's steps, bitwise
+    users = make_users(seed, k, kappa=kappa)
+    powers = np.linspace(0.5, 2.0, k)
+    rep = gma_opt(users, aperture=aperture, eta_max=eta_max, n_antennas=n, powers=powers,
+                  wavelength=LAM, n_grid=48, max_rounds=max_rounds)
+    x, eta, cur, trace, stop = ref_gma_opt(users, aperture, eta_max, n, powers, LAM, 48,
+                                           max_rounds)
+    assert (rep.extra["anchor"], rep.extra["eta"], rep.best_score) == (x, eta, cur)
+    assert rep.trace == trace and rep.stop_reason == stop
+    assert type(rep.extra["eta"]) is int and all(type(v) is float for v in rep.trace)
 
 
 def test_gma_opt_beats_dense_baseline():
