@@ -450,19 +450,16 @@ def sample_directions(rng: np.random.Generator, n: int, law: str = "halfspace",
     differs by at least that amount in some component, i.e. the paths fall in
     distinct angular resolution bins; InfeasibleError after max_tries draws.
     """
-    if law == "halfspace":
-        az_lim = np.pi / 2
-    elif law == "sphere":
-        az_lim = np.pi
-    else:
+    az_lim = {"halfspace": np.pi / 2, "sphere": np.pi}.get(law)
+    if az_lim is None:
         raise ValueError(f"unknown angle law {law!r}")
-    for _ in range(max_tries):
+
+    def draw():
         el = np.arcsin(2.0 * rng.random(n) - 1.0)
         az = rng.uniform(-az_lim, az_lim, n)
-        k = np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1)
-        if min_component_sep <= 0 or _separated(k, min_component_sep):
-            return k
-    raise InfeasibleError("could not sample sufficiently separated paths")
+        return np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1)
+    return _draw_separated(draw, min_component_sep, max_tries,
+                           "could not sample sufficiently separated paths")
 
 
 def _separated(pts: np.ndarray, min_sep: float) -> bool:
@@ -472,19 +469,29 @@ def _separated(pts: np.ndarray, min_sep: float) -> bool:
     return len(pts) < 2 or bool(d.min() >= min_sep)
 
 
+def _draw_separated(draw: Callable[[], np.ndarray], min_sep: float, max_tries: int,
+                    message: str) -> np.ndarray:
+    """First of max_tries draw()s _separated by min_sep (any if <= 0), else InfeasibleError."""
+    for _ in range(max_tries):
+        pts = draw()
+        if min_sep <= 0 or _separated(pts, min_sep):
+            return pts
+    raise InfeasibleError(message)
+
+
+def _complex_normal(rng: np.random.Generator, var, shape) -> np.ndarray:
+    """Circular complex Gaussians of variance var: sqrt(var / 2) (x + j y), x drawn first."""
+    return np.sqrt(var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 def _rician_diagonal(rng: np.random.Generator, n_paths: int, kappa: float, gain: float) -> np.ndarray:
     """Diagonal geometric PRM with a Rician power split across paths."""
-    var = np.empty(n_paths)
-    if not np.isfinite(kappa):
-        var[:] = 0.0
-        var[0] = gain
-    elif n_paths == 1:
-        var[0] = gain
-    else:
-        var[0] = gain * kappa / (kappa + 1.0)
+    var = np.zeros(n_paths)
+    split = n_paths > 1 and np.isfinite(kappa)  # else the first path takes all of gain
+    var[0] = gain * kappa / (kappa + 1.0) if split else gain
+    if split:
         var[1:] = gain / ((kappa + 1.0) * (n_paths - 1))
-    diag = np.sqrt(var / 2.0) * (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths))
-    return np.diag(diag)
+    return np.diag(_complex_normal(rng, var, n_paths))
 
 
 def gen_scenario(seed, n_paths: int, wavelength: float = 1.0, kappa: float = 0.0,
@@ -501,13 +508,20 @@ def gen_scenario(seed, n_paths: int, wavelength: float = 1.0, kappa: float = 0.0
     single path takes all of `gain`).  When `distance` is given the total
     gain becomes wavelength^2 * kappa / (16 pi^2 distance^path_loss_exp).  With
     `bandwidth` set, per-path delays are drawn uniformly on [0, max_delay]
-    and the PRM is split into per-tap diagonal blocks.
+    and the PRM is split into per-tap diagonal blocks.  A total gain that is
+    not a finite number > 0 raises ValueError.
     """
     rng = np.random.default_rng(seed)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if distance is not None:
-        gain = wavelength ** 2 * max(kappa, 1e-12) / (16.0 * np.pi ** 2 * distance ** path_loss_exp)
+        try:  # a power beyond the float range is NaN here, refused below
+            gain = (wavelength ** 2 * max(kappa, 1e-12)
+                    / (16.0 * np.pi ** 2 * distance ** path_loss_exp))
+        except (OverflowError, ZeroDivisionError):
+            gain = math.nan
+    if not 0 < gain < math.inf:
+        raise ValueError(f"the path gain must be a finite number > 0, got {gain!r}")
     kt = sample_directions(rng, n_paths, angle_law, min_component_sep)
     kr = sample_directions(rng, n_paths, angle_law, min_component_sep)
     sigma = _rician_diagonal(rng, n_paths, kappa, gain)
@@ -545,20 +559,19 @@ def redraw_prm_phases(scenario: Scenario, seed) -> Scenario:
 # ---------------------------------------------------------------------------
 # JSON serialization (complex numbers encoded as [re, im] pairs)
 
-def _c2l(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _carr(a: np.ndarray) -> list:
     return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
 
 
 def _from_carr(x) -> np.ndarray:
+    """Inverse of _carr; the parts are written separately, since re + 1j*im would turn an
+    imaginary -0.0 into 0.0."""
     a = np.asarray(x, dtype=float)
     if a.size == 0:
         return np.zeros((0, 0), dtype=complex)
-    return a[..., 0] + 1j * a[..., 1]
+    z = np.empty(a.shape[:-1], dtype=complex)
+    z.real, z.imag = a[..., 0], a[..., 1]
+    return z
 
 
 def _pattern_to_dict(p: RadiationPattern) -> dict:
@@ -586,10 +599,8 @@ def _pathset_to_dict(p: PathSet) -> dict:
     return d
 
 
-def _pathset_from_dict(d: dict) -> PathSet:
-    return PathSet(np.asarray(d["wave_vectors"], dtype=float),
-                   delays=np.asarray(d["delays"], dtype=float) if "delays" in d else None,
-                   scatterers=np.asarray(d["scatterers"], dtype=float) if "scatterers" in d else None)
+def _pathset_from_dict(d: dict) -> PathSet:  # PathSet converts and checks the arrays
+    return PathSet(d["wave_vectors"], delays=d.get("delays"), scatterers=d.get("scatterers"))
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -612,12 +623,11 @@ def scenario_to_dict(s: Scenario) -> dict:
     if s.reference_rotation is not None:
         d["reference_rotation"] = s.reference_rotation.tolist()
     if s.los_amplitude is not None:
-        d["los_amplitude"] = _c2l(s.los_amplitude)
+        d["los_amplitude"] = _carr(complex(s.los_amplitude))
     return d
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    los = d.get("los_amplitude")
     return Scenario(
         wavelength=d["wavelength"],
         tx_paths=_pathset_from_dict(d["tx_paths"]),
@@ -628,9 +638,9 @@ def scenario_from_dict(d: dict) -> Scenario:
         tx_pattern=_pattern_from_dict(d.get("tx_pattern", {"type": "isotropic"})),
         rx_pattern=_pattern_from_dict(d.get("rx_pattern", {"type": "isotropic"})),
         pprms=_from_carr(d["pprms"]) if "pprms" in d else None,
-        reference_offset=np.asarray(d["reference_offset"]) if "reference_offset" in d else None,
-        reference_rotation=np.asarray(d["reference_rotation"]) if "reference_rotation" in d else None,
-        los_amplitude=complex(los[0], los[1]) if los is not None else None,
+        reference_offset=d.get("reference_offset"),
+        reference_rotation=d.get("reference_rotation"),
+        los_amplitude=complex(_from_carr(d["los_amplitude"])) if "los_amplitude" in d else None,
     )
 
 

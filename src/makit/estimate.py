@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathSet, Scenario, channel_mimo, channel_narrowband, frm
+from .channel import (PathSet, Scenario, _carr, _complex_normal, _from_carr, channel_mimo,
+                      channel_narrowband, frm)
 from .geometry import MoveRegion
 
 __all__ = [
@@ -117,9 +118,7 @@ def collect_measurements(scenario: Scenario, tx_region: MoveRegion, rx_region: M
     t = np.zeros((count, 3)) if schedule == "rx-sweep" else tx_region.sample(rng, count)
     r = np.zeros((count, 3)) if schedule == "tx-sweep" else rx_region.sample(rng, count)
     y = math.sqrt(power) * channel_narrowband(t, r, scenario)
-    if noise_power > 0:
-        y = y + math.sqrt(noise_power / 2.0) * (rng.standard_normal(count)
-                                                + 1j * rng.standard_normal(count))
+    y = y + _complex_normal(rng, noise_power, count) if noise_power > 0 else y
     return MeasurementSet(t, r, y, power, noise_power)
 
 
@@ -257,11 +256,11 @@ def omp_successive(ms_tx: MeasurementSet, ms_rx: MeasurementSet, g: int,
     rx_uv, c_r, ok_r = _side_recovery(ms_rx, "rx", g, n_rx_paths, wavelength)
     power = ms_tx.power
     noise = max(ms_tx.noise_power, ms_rx.noise_power)
+    y_all = np.concatenate([ms_tx.pilots, ms_rx.pilots])
 
     if len(tx_uv) != len(rx_uv):
         t_all = np.vstack([ms_tx.tx_positions, ms_rx.tx_positions])
         r_all = np.vstack([ms_tx.rx_positions, ms_rx.rx_positions])
-        y_all = np.concatenate([ms_tx.pilots, ms_rx.pilots])
         prm, residual, rank_def, poor = ls_prm(t_all, r_all, y_all, tx_uv, rx_uv,
                                                power, noise, wavelength)
         return FriEstimate(tx_uv=tx_uv, rx_uv=rx_uv, prm=prm, residual=residual,
@@ -285,7 +284,6 @@ def omp_successive(ms_tx: MeasurementSet, ms_rx: MeasurementSet, g: int,
     g_r = _atoms(tx_uv, ms_rx.tx_positions, wavelength)
     f_r = _atoms(rx_uv, ms_rx.rx_positions, wavelength, -1)
     design = math.sqrt(power) * np.vstack([(g_t * f_t).T, (g_r * f_r).T])
-    y_all = np.concatenate([ms_tx.pilots, ms_rx.pilots])
     diag, residual, rank_def, poor = _fit(design, y_all, noise)
     return FriEstimate(tx_uv=tx_uv, rx_uv=rx_uv, prm=np.diag(diag), residual=residual,
                        converged=ok_t and ok_r, rank_deficient=rank_def, poor_fit=poor)
@@ -464,8 +462,7 @@ def load_mapping_csv(path):
     tx, at_tx = np.unique(rows[:, :2], axis=0, return_inverse=True)
     rx, at_rx = np.unique(rows[:, 2:4], axis=0, return_inverse=True)
     h = np.zeros((len(rx), len(tx)), dtype=complex)
-    at = at_rx.reshape(-1), at_tx.reshape(-1)
-    h.real[at], h.imag[at] = rows[:, 4], rows[:, 5]  # re + 1j*im would turn an im of -0.0 to 0.0
+    h[at_rx.reshape(-1), at_tx.reshape(-1)] = _from_carr(rows[:, 4:])
     return tx, rx, h
 
 
@@ -473,7 +470,7 @@ def save_measurements(ms: MeasurementSet, path) -> None:
     doc = {
         "tx_positions": ms.tx_positions.tolist(),
         "rx_positions": ms.rx_positions.tolist(),
-        "pilots": np.stack([ms.pilots.real, ms.pilots.imag], axis=-1).tolist(),
+        "pilots": _carr(ms.pilots),
         "power": ms.power,
         "noise_power": ms.noise_power,
     }
@@ -484,6 +481,5 @@ def save_measurements(ms: MeasurementSet, path) -> None:
 def load_measurements(path) -> MeasurementSet:
     with open(path) as fh:
         doc = json.load(fh)
-    pilots = np.asarray(doc["pilots"], dtype=float)
     return MeasurementSet(np.asarray(doc["tx_positions"]), np.asarray(doc["rx_positions"]),
-                          pilots[:, 0] + 1j * pilots[:, 1], doc["power"], doc["noise_power"])
+                          _from_carr(doc["pilots"]), doc["power"], doc["noise_power"])

@@ -26,9 +26,10 @@ from . import beamforming as bf
 from . import estimate as est
 from . import optimize as opt
 from . import sensing as sn
-from .channel import (PathSet, RadiationPattern, Scenario, _rician_diagonal, _separated,
-                      _subcarrier_phases, channel_mimo, channel_narrowband, db_to_linear, frm,
-                      gen_scenario, prm_6dma, redraw_prm_phases, sample_directions, tap_of_delay)
+from .channel import (PathSet, RadiationPattern, Scenario, _complex_normal, _draw_separated,
+                      _rician_diagonal, _subcarrier_phases, channel_mimo, channel_narrowband,
+                      db_to_linear, frm, gen_scenario, prm_6dma, redraw_prm_phases,
+                      sample_directions, tap_of_delay)
 from .errors import ConfigError, InfeasibleError
 from .geometry import MoveRegion, aom_from_euler
 
@@ -119,13 +120,15 @@ def _finite_db(x) -> bool:
 
 # The rules of config fields: catalog params and sweep values (an (experiment,
 # name) key overrides the shared rule), the config's trials and seeds, and every
-# CLI reader's fields.  A rule is a predicate on numbers or a tuple of the JSON
+# CLI reader's fields, every gen_scenario keyword of a scenario's generate block
+# included.  A rule is a predicate on numbers or a tuple of the JSON
 # values allowed; a field whose rule ends in _EACH takes one value or a list of
 # them.  check_field applies a rule, read_fields a config's rules.
 _EACH = " or a nonempty list of such"
 _RANGES = {
     **dict.fromkeys(("wavelength", "region_side", "region_size", "grid_step", "eval_step",
-                     "aperture", "side", "power", "sparse_spacing", "beta"),
+                     "aperture", "side", "power", "sparse_spacing", "beta", "gain", "distance",
+                     "path_loss_exp"),
                     ("a finite number > 0", lambda x: 0 < x < math.inf)),
     "crb_scale_list": ("a finite number > 0" + _EACH, lambda x: 0 < x < math.inf),
     **dict.fromkeys(("n", "m", "n_t", "n_r", "k", "n_paths", "dominant_paths", "grid",
@@ -138,9 +141,11 @@ _RANGES = {
                     ("a finite angle in degrees", lambda x: -math.inf < x < math.inf)),
     **dict.fromkeys(("theta_deg", "null_deg"),
                     ("a finite angle in degrees" + _EACH, lambda x: -math.inf < x < math.inf)),
-    **dict.fromkeys(("d_min", "bandwidth", "max_delay", "min_sep_bins", "min_sep_cells"),
+    **dict.fromkeys(("d_min", "bandwidth", "max_delay", "min_sep_bins", "min_sep_cells",
+                     "min_component_sep", "scatterer_radius"),
                     ("a finite number >= 0", lambda x: 0 <= x < math.inf)),
-    **dict.fromkeys(("analog", "joint", "on_grid"), ("true or false", (True, False))),
+    "los_amplitude": ("a finite number", lambda x: -math.inf < x < math.inf),
+    **dict.fromkeys(("analog", "joint", "on_grid", "nearfield"), ("true or false", (True, False))),
     "kappa": ("a number >= 0 (+inf is line of sight only)", lambda x: x >= 0),
     "gain_dbi": ("a number > 10*log10(2) (a cone narrower than a half-space), finite as a ratio",
                  lambda x: 10 * math.log10(2) < x and db_to_linear(x) < math.inf),
@@ -175,7 +180,8 @@ _RANGES = {
 # Rules across fields, checked on the checked values (at every sweep value):
 # the successive recovery takes paths per side, the joint one paths² atoms; an
 # angular region runs from its lower end up; zero forcing needs an antenna per
-# user.  "estimate" is the CLI subcommand's recovery setup.
+# user; a wideband path's delay tap stays within the subcarriers, where the DFT
+# would alias it onto another.  "estimate" is the CLI subcommand's recovery setup.
 _JOINT_RANGES = {
     "estimation-nmse": (
         ("measurements", "n_paths"), "measurements // 2 >= n_paths and measurements >= n_paths**2",
@@ -188,7 +194,10 @@ _JOINT_RANGES = {
         and (method != "joint" or m >= l ** 2 and g ** 4 <= est.JOINT_ATOM_CAP)),
     "beam-widebeam": (("theta_min_deg", "theta_max_deg"), "theta_min_deg <= theta_max_deg",
                       lambda lo, hi: lo <= hi),
-    "multiuser-rate": (("k", "n_r"), "k <= n_r", lambda k, n_r: k <= n_r)}
+    "multiuser-rate": (("k", "n_r"), "k <= n_r", lambda k, n_r: k <= n_r),
+    **dict.fromkeys(("siso-gain-bounds", "siso-ma-vs-fpa"), (
+        ("bandwidth", "max_delay", "subcarriers"), "bandwidth * max_delay <= subcarriers",
+        lambda b, tau, m: b * tau <= m))}
 
 
 def check_field(name: str, value, exp: str | None = None):
@@ -403,8 +412,7 @@ def _trial_siso_bounds(params, seed, idx):
     rng = np.random.default_rng(seed)
     n_paths = int(params["n_paths"])
     k = sample_directions(rng, n_paths, params["angle_law"], min_component_sep=sep)
-    var = 1.0 / n_paths
-    b = np.sqrt(var / 2.0) * (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths))
+    b = _complex_normal(rng, 1.0 / n_paths, n_paths)
     if params["bandwidth"] > 0:
         gmax, gmin, gfpa = _wideband_gain_minmax(rng, params, k, b, side, lam)
     else:
@@ -436,8 +444,7 @@ def _trial_dof(params, seed, idx):
     rng = np.random.default_rng(seed)
     n_paths = int(params["n_paths"])
     k = sample_directions(rng, n_paths, "sphere")
-    amp = np.sqrt(1.0 / (2.0 * n_paths)) * (rng.standard_normal(n_paths)
-                                            + 1j * rng.standard_normal(n_paths))
+    amp = _complex_normal(rng, 1.0 / n_paths, n_paths)
     # per-path polarization response: amplitude times a random 2x2 rotation
     ang = rng.uniform(0.0, 2.0 * np.pi, n_paths)
     c, s = np.cos(ang), np.sin(ang)
@@ -565,11 +572,9 @@ def _trial_multiuser(params, seed, idx):
     dense = _upa_positions(side, lam / 2.0, nr)
     sparse = _upa_positions(side, params["sparse_spacing"] * lam, nr)
 
-    def rate_at(pos, draw_users):
-        h = bf.multiuser_channels(pos, draw_users)
-        w = bf.zf_combiner(h)
-        p = np.full(h.shape[1], power / h.shape[1])
-        _, rates = bf.user_sinr_and_rates(h, w, p, sigma2)
+    def rate_at(pos, draw_users):  # ZF sum rate, power split equally across the users
+        _, _, rates = opt.mimo._allocate_and_rate(bf.multiuser_channels(pos, draw_users), "zf",
+                                                  "sum", "max", power / len(draw_users), sigma2)
         return float(np.sum(rates))
 
     r_dense = rate_at(dense, users)
@@ -652,16 +657,6 @@ def _fin_isac(params, payloads):
     return [r for trial_rows in payloads for r in trial_rows]
 
 
-def _separated_uv(rng, candidates, l, min_sep, max_tries=5000):
-    """Draw l spatial-frequency pairs pairwise separated by min_sep in some component."""
-    for _ in range(max_tries):
-        idx = rng.choice(len(candidates), size=l, replace=False)
-        pts = np.asarray([candidates[i] for i in idx], dtype=float)
-        if _separated(pts, min_sep - 1e-12):
-            return pts
-    raise InfeasibleError("could not draw separated spatial frequencies")
-
-
 def _grid_scenario(rng, params, lam):
     """Estimation scenario whose spatial frequencies sit on (or off) the atom grid.
 
@@ -672,13 +667,14 @@ def _grid_scenario(rng, params, lam):
     l = int(params["n_paths"])
     sep = params["min_sep_cells"] * 2.0 / g
     grid = est.uv_grid(g)
-    inside = [(u, v) for u in grid for v in grid if u * u + v * v <= 1.0]
+    inside = np.array([(u, v) for u in grid for v in grid if u * u + v * v <= 1.0])
 
     def draw_side():
         if params["on_grid"]:
-            return PathSet.from_spatial_frequencies(_separated_uv(rng, inside, l, sep))
-        k = sample_directions(rng, l, "halfspace", min_component_sep=sep)
-        return PathSet(k)
+            uv = _draw_separated(lambda: inside[rng.choice(len(inside), size=l, replace=False)],
+                                 sep - 1e-12, 5000, "could not draw separated spatial frequencies")
+            return PathSet.from_spatial_frequencies(uv)
+        return PathSet(sample_directions(rng, l, "halfspace", min_component_sep=sep))
 
     return Scenario(wavelength=lam, tx_paths=draw_side(), rx_paths=draw_side(),
                     prm=_rician_diagonal(rng, l, params["kappa"], 1.0))
@@ -729,18 +725,15 @@ def _trial_estimation_region(params, seed, idx):
     rng = np.random.default_rng(seed)
     n_paths = l_dom + l_dif
     k = sample_directions(rng, n_paths, "halfspace")
-    var = np.empty(n_paths)
-    var[:l_dom] = (1.0 - params["diffuse_power"]) / l_dom
-    var[l_dom:] = params["diffuse_power"] / max(l_dif, 1)
-    b = np.sqrt(var / 2.0) * (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths))
+    dp = params["diffuse_power"]
+    b = _complex_normal(rng, np.repeat([(1.0 - dp) / l_dom, dp / max(l_dif, 1)], [l_dom, l_dif]),
+                        n_paths)
     sc = Scenario(wavelength=lam, tx_paths=PathSet(np.array([[1.0, 0.0, 0.0]])),
                   rx_paths=PathSet(k), prm=b.reshape(n_paths, 1))
     line = MoveRegion.segment(size)
     ms = est.collect_measurements(sc, line, line, "rx-sweep", int(params["measurements"]),
                                   power, sigma2, trial_seed(str(seed), 1))
-    ax = np.arange(0.0, size + params["eval_step"] * lam / 2, params["eval_step"] * lam)
-    queries = np.zeros((len(ax), 3))
-    queries[:, 0] = ax
+    queries = line.grid_points(params["eval_step"] * lam)
     h_true = channel_narrowband(np.zeros_like(queries), queries, sc)
 
     # model-based: sparse recovery of receive-side frequencies and coefficients

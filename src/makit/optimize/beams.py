@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..beamforming import beam_gain, mrt, steering_vector
+from ..channel import _complex_normal
 from ..errors import InfeasibleError
 from ..geometry import _close_pairs
 from .report import _HALVES, OptReport, improves, memo_get, memo_put, start_memo
@@ -219,7 +220,7 @@ def max_min_awv(x, thetas, wavelength: float, analog: bool = False, seed: int = 
     k = a.shape[1]
     pick = range(k) if k <= 12 else np.linspace(0, k - 1, 12).astype(int)
     w0s = [None] * p if w0 is None else np.asarray(w0, dtype=complex).reshape(p, n)
-    noise = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
+    noise = [_complex_normal(rng, 2.0, n) for _ in range(3)]  # standard normal parts
     starts = []
     for ap, wi in zip(a, w0s):
         starts += [mrt(ap[j]) for j in pick]

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _complex_normal
+
 __all__ = [
     "SensingSetup",
     "SpatialAoa",
@@ -104,10 +106,7 @@ def simulate_snapshots(setup: SensingSetup, seed) -> np.ndarray:
     s = math.sqrt(setup.power) * np.exp(2j * np.pi * rng.random(setup.snapshots))
     alpha = array_response(setup.placement, setup.u, setup.v, setup.wavelength)
     y = setup.beta * np.outer(alpha, s)
-    if setup.noise_power > 0:
-        scale = math.sqrt(setup.noise_power / 2.0)
-        y = y + scale * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-    return y
+    return y + _complex_normal(rng, setup.noise_power, y.shape) if setup.noise_power > 0 else y
 
 
 def _crb_prefactor(noise_power: float, wavelength: float, snapshots: int, power: float,

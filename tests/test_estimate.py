@@ -366,11 +366,13 @@ def test_nmse_trivial_values():
 def test_measurements_json_roundtrip(tmp_path):
     sc = on_grid_scenario(17)
     ms = collect_measurements(sc, region(), region(), "paired", 12, 2.0, 0.05, 25)
+    ms.pilots.imag[3] = -0.0  # the codec keeps the sign of a zero
     path = tmp_path / "ms.json"
     save_measurements(ms, path)
     back = load_measurements(path)
-    assert np.allclose(back.pilots, ms.pilots)
-    assert np.allclose(back.tx_positions, ms.tx_positions)
+    assert back.pilots.tobytes() == ms.pilots.tobytes()
+    assert back.tx_positions.tobytes() == ms.tx_positions.tobytes()
+    assert back.rx_positions.tobytes() == ms.rx_positions.tobytes()
     assert back.power == ms.power
     assert back.noise_power == ms.noise_power
 

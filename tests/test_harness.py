@@ -1,6 +1,7 @@
 import ast
 import concurrent.futures
 import dataclasses
+import inspect
 import json
 import logging
 import math
@@ -75,6 +76,8 @@ def test_unknown_experiment_rejected():
 def test_unknown_param_rejected():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "miso-graph", "params": {"zzz": 1}})
+    with pytest.raises(ConfigError, match="unknown config fields"):
+        ExperimentConfig.from_dict({"experiment": "miso-graph", "seed": [1]})
 
 
 def test_unsorted_sweep_rejected():
@@ -464,6 +467,12 @@ def test_square_count_rule_holds_only_for_planar_baselines():
         experiments.check_field("n_r", 2.5, "mimo-capacity")
 
 
+def test_every_scenario_generator_keyword_has_a_rule():
+    """A scenario's generate block passes its fields to gen_scenario, so each has a rule."""
+    names = set(inspect.signature(gen_scenario).parameters) - {"seed"}
+    assert names - set(experiments._RANGES) == set()
+
+
 def test_catalog_defaults_and_rule_boundaries_are_accepted():
     for name, entry in CATALOG.items():
         ExperimentConfig.from_dict({"experiment": name, "params": dict(entry.defaults)})
@@ -529,11 +538,17 @@ def test_cli_angle_order_and_array_size_boundaries_run(tmp_path, command, doc):
     ("estimate", estimate_doc(measurements="many"), "measurements"),
     ("estimate", estimate_doc(method="lasso"), "method"),
     ("estimate", estimate_doc(region_side=0.0), "region"),
+    ("experiment", {"experiment": "siso-gain-bounds",
+                    "params": {"bandwidth": 1e20, "max_delay": 1}}, "bandwidth * max_delay"),
+    ("experiment", {"experiment": "siso-ma-vs-fpa", "params": {"max_delay": 1e-6},
+                    "sweep": {"variable": "bandwidth", "values": [0, 1e9]}},
+     "bandwidth * max_delay"),
 ] + REFUSED_FIELDS, ids=[
         "sense-n-string", "sense-trials-0", "sense-placement", "null-fields-missing",
         "null-n-string", "widebeam-subregions-0", "multibeam-aperture-missing", "miso-m-0",
         "simulate-grid-step-0", "simulate-grid-shape", "estimate-measurements-string",
-        "estimate-method", "estimate-region-side-0"] + REFUSED_IDS)
+        "estimate-method", "estimate-region-side-0", "wideband-taps-overflow",
+        "wideband-taps-past-subcarriers-in-sweep"] + REFUSED_IDS)
 def test_cli_validate_config_reads_like_the_subcommand(tmp_path, capsys, command, doc, field):
     cfg = write(tmp_path, "bad.json", doc)
     assert main(["validate-config", "--config", cfg]) == 2
@@ -624,6 +639,10 @@ MISO_GRAPH_TIGHT = {"m": 8, "d_min": 2.0}  # 8 antennas 2 samples apart need 15 
                   "scenario": {"generate": {"seed": 1, "n_paths": 7}}}, 3),
     ("simulate", simulate_doc(0.5, {"generate": {"seed": 3, "n_paths": 2,
                                                  "min_component_sep": 3}}), 3),
+    ("simulate", simulate_doc(0.5, {"generate": {"seed": 3, "n_paths": 2, "distance": 0}}), 2),
+    ("validate-config", estimate_doc(scenario={"generate": {
+        "seed": 5, "n_paths": 2, "distance": 1e-200, "path_loss_exp": 3}}), 2),
+    ("simulate", simulate_doc(0.5, {"generate": {"seed": 3, "n_paths": 2, "gain": 0}}), 2),
     ("experiment", {"experiment": "beam-widebeam",
                     "params": {"theta_min_deg": 120.0, "theta_max_deg": 30.0}}, 2),
     ("optimize", {**WIDEBEAM, "theta_min_deg": 150.0}, 2),
@@ -634,7 +653,8 @@ MISO_GRAPH_TIGHT = {"m": 8, "d_min": 2.0}  # 8 antennas 2 samples apart need 15 
     ("experiment", {"experiment": NMSE, "params": {"snr_db": -30.0}}, 0),
 ], ids=["siso-gain-bounds-min_sep_bins-40", "estimation-nmse-min_sep_cells-12",
         "miso-graph-experiment-too-tight", "miso-graph-task-too-tight",
-        "simulate-min_component_sep-3", "beam-widebeam-angles-reversed",
+        "simulate-min_component_sep-3", "simulate-distance-0", "estimate-path-gain-underflow",
+        "simulate-gain-0", "beam-widebeam-angles-reversed",
         "widebeam-angles-reversed", "multiuser-rate-k-10", "sensing-1d-mse-n-1", "sense-n-1",
         "sensing-2d-crb-n-2", "estimation-nmse-below-noise-floor"])
 def test_cli_exit_code_without_traceback(tmp_path, command, doc, code):
@@ -987,18 +1007,6 @@ def test_example_configs_run(path, tmp_path):
     out = tmp_path / ("out.json" if command == "optimize" else "out.csv")
     assert main([command, "--config", str(path), "--out", str(out)]) == 0
     assert out.stat().st_size > 0
-
-
-def test_experiment_schema_lists_the_config_fields():
-    path = pathlib.Path(__file__).parent.parent / "docs" / "experiment-config.schema.json"
-    with open(path) as fh:
-        schema = json.load(fh)
-    props = schema["properties"]
-    assert set(props) == {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert props["trials"]["minimum"] == 1
-    assert props["seeds"]["minItems"] == 1 and props["seeds"]["items"]["minimum"] == 0
-    with pytest.raises(ConfigError, match="unknown config fields"):
-        ExperimentConfig.from_dict({"experiment": "miso-graph", "seed": [1]})
 
 
 def test_oracles_live_in_the_oracle_module():
