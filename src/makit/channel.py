@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -161,19 +161,19 @@ class CouplingPair:
 class Scenario:
     """Deterministic channel environment between a Tx and an Rx moving region.
 
-    Narrowband: prm is the (L_r x L_t) path-response matrix.  Wideband:
-    bandwidth is set, paths carry delays, and prms holds one matrix per
-    delay tap (restricted to the paths of that tap).  Near-field: the Rx
-    origin offset (reference_offset, reference_rotation), los_amplitude and
-    per-path scatterers are used instead of plane-wave phases.  pprms
-    (L_r, L_t, 2, 2) enables the orientation-dependent channel.
+    prm is the (L_r x L_t) path-response matrix.  Wideband: bandwidth is set
+    and both path sets carry delays; path pair (i, j) feeds the delay tap of
+    its delays, so prm may link only paths of one tap, and the narrowband
+    functions read the frequency-flat channel, the sum of the taps.
+    Near-field: the Rx origin offset (reference_offset, reference_rotation),
+    los_amplitude and per-path scatterers are used instead of plane-wave
+    phases.  pprms (L_r, L_t, 2, 2) enables the orientation-dependent channel.
     """
 
     wavelength: float
     tx_paths: PathSet
     rx_paths: PathSet
     prm: np.ndarray | None = None
-    prms: tuple[np.ndarray, ...] | None = None
     bandwidth: float | None = None
     tx_pattern: RadiationPattern = field(default_factory=RadiationPattern.isotropic)
     rx_pattern: RadiationPattern = field(default_factory=RadiationPattern.isotropic)
@@ -193,10 +193,15 @@ class Scenario:
             if not np.all(np.isfinite(p)):
                 raise ValueError("prm entries must be finite")
             object.__setattr__(self, "prm", p)
-        if self.prms is not None:
-            if self.bandwidth is None or self.bandwidth <= 0:
-                raise ValueError("per-tap prms require a positive bandwidth")
-            object.__setattr__(self, "prms", tuple(np.asarray(m, dtype=complex) for m in self.prms))
+        if self.bandwidth is not None:
+            if not 0 < self.bandwidth < math.inf:
+                raise ValueError("bandwidth must be a finite number > 0")
+            if self.prm is None or self.tx_paths.delays is None or self.rx_paths.delays is None:
+                raise ValueError("a wideband scenario needs a prm and path delays on both sides")
+            taps_r = tap_of_delay(self.rx_paths.delays, self.bandwidth)
+            taps_t = tap_of_delay(self.tx_paths.delays, self.bandwidth)
+            if np.any((self.prm != 0) & (taps_r[:, None] != taps_t)):
+                raise ValueError("prm links paths in different delay taps")
         if self.pprms is not None:
             q = np.asarray(self.pprms, dtype=complex)
             if q.shape != (len(self.rx_paths), len(self.tx_paths), 2, 2):
@@ -248,7 +253,7 @@ def channel_narrowband(t, r, scenario: Scenario) -> complex | np.ndarray:
     h_m = f(r_m)^H Sigma g(t_m); a single pair gives a complex scalar.
     """
     if scenario.prm is None:
-        raise ValueError("scenario has no narrowband prm")
+        raise ValueError("scenario has no prm")
     single = np.ndim(t) < 2 and np.ndim(r) < 2
     if single:
         t, r = np.reshape(t, (1, -1)), np.reshape(r, (1, -1))
@@ -267,7 +272,7 @@ def channel_mimo(tx_positions, rx_positions, scenario: Scenario) -> np.ndarray:
     the (..., N_r, N_t) stack of their channels.
     """
     if scenario.prm is None:
-        raise ValueError("scenario has no narrowband prm")
+        raise ValueError("scenario has no prm")
     g = frm(tx_positions, scenario.tx_paths, scenario.wavelength)
     f = frm(rx_positions, scenario.rx_paths, scenario.wavelength)
     return np.conj(f).swapaxes(-1, -2) @ scenario.prm @ g
@@ -298,25 +303,17 @@ def _subcarrier_phases(taps, m: int) -> np.ndarray:
 
 
 def cir(t, r, scenario: Scenario) -> np.ndarray:
-    """Channel impulse response over delay taps: h_tau = f_tau(r)^H Sigma_tau g_tau(t)."""
-    if scenario.prms is None or scenario.bandwidth is None:
-        raise ValueError("scenario is not wideband (needs per-tap prms and bandwidth)")
-    if scenario.tx_paths.delays is None or scenario.rx_paths.delays is None:
-        raise ValueError("wideband paths need delays")
+    """Channel impulse response over delay taps 1 .. the last tap of a path: each path
+    pair adds conj(f_i(r)) prm_ij g_j(t) into the tap of its delays."""
+    if scenario.bandwidth is None:
+        raise ValueError("scenario is not wideband (needs a bandwidth)")
     g = frv_tx(t, scenario.tx_paths, scenario.wavelength)
     f = frv_rx(r, scenario.rx_paths, scenario.wavelength)
-    tx_taps = tap_of_delay(scenario.tx_paths.delays, scenario.bandwidth)
-    rx_taps = tap_of_delay(scenario.rx_paths.delays, scenario.bandwidth)
-    out = np.zeros(len(scenario.prms), dtype=complex)
-    for tau, sig in enumerate(scenario.prms, 1):
-        ti, ri = tx_taps == tau, rx_taps == tau
-        if not (ti.any() and ri.any()):
-            continue
-        if sig.shape != (ri.sum(), ti.sum()):
-            raise ValueError(f"tap {tau}: prm shape {sig.shape} does not match "
-                             f"path grouping ({ri.sum()}, {ti.sum()})")
-        out[tau - 1] = f[ri].conj() @ sig @ g[ti]
-    return out
+    taps_r = tap_of_delay(scenario.rx_paths.delays, scenario.bandwidth)
+    taps_t = tap_of_delay(scenario.tx_paths.delays, scenario.bandwidth)
+    h = np.zeros(max(taps_r.max(), taps_t.max()), dtype=complex)
+    np.add.at(h, taps_r - 1, f.conj() * (scenario.prm @ g))  # prm links paths of one tap
+    return h
 
 
 def cfr(cir_taps, n_subcarriers: int) -> np.ndarray:
@@ -507,8 +504,8 @@ def gen_scenario(seed, n_paths: int, wavelength: float = 1.0, kappa: float = 0.0
     kappa=0 gives no line-of-sight path and n_paths - 1 equal-power paths (a
     single path takes all of `gain`).  When `distance` is given the total
     gain becomes wavelength^2 * kappa / (16 pi^2 distance^path_loss_exp).  With
-    `bandwidth` set, per-path delays are drawn uniformly on [0, max_delay]
-    and the PRM is split into per-tap diagonal blocks.  A total gain that is
+    `bandwidth` set, per-path delays are drawn uniformly on [0, max_delay],
+    shared by the paired Tx and Rx paths.  A total gain that is
     not a finite number > 0 raises ValueError.
     """
     rng = np.random.default_rng(seed)
@@ -535,23 +532,17 @@ def gen_scenario(seed, n_paths: int, wavelength: float = 1.0, kappa: float = 0.0
                         prm=sigma, los_amplitude=los_amplitude,
                         reference_offset=np.zeros(3), reference_rotation=np.eye(3))
 
-    if bandwidth is not None:
-        delays = rng.uniform(0.0, max_delay, n_paths)
-        tx_paths = PathSet(kt, delays=delays)
-        rx_paths = PathSet(kr, delays=delays)  # geometric model: shared physical paths
-        taps = tap_of_delay(delays, bandwidth)
-        prms = tuple(np.diag(np.diag(sigma)[taps == tau]) for tau in range(1, taps.max() + 1))
-        return Scenario(wavelength=wavelength, tx_paths=tx_paths, rx_paths=rx_paths,
-                        prms=prms, bandwidth=bandwidth)
-
-    return Scenario(wavelength=wavelength, tx_paths=PathSet(kt), rx_paths=PathSet(kr), prm=sigma)
+    # geometric model: shared physical paths, so paired paths share their delay
+    delays = rng.uniform(0.0, max_delay, n_paths) if bandwidth is not None else None
+    return Scenario(wavelength=wavelength, tx_paths=PathSet(kt, delays=delays),
+                    rx_paths=PathSet(kr, delays=delays), prm=sigma, bandwidth=bandwidth)
 
 
 def redraw_prm_phases(scenario: Scenario, seed) -> Scenario:
     """Same geometry and PRM magnitudes, fresh uniform phases (statistical-CSI draws)."""
     rng = np.random.default_rng(seed)
     if scenario.prm is None:
-        raise ValueError("phase redraw needs a narrowband prm")
+        raise ValueError("phase redraw needs a prm")
     phases = np.exp(2j * np.pi * rng.random(scenario.prm.shape))
     return replace(scenario, prm=np.abs(scenario.prm) * phases)
 
@@ -591,57 +582,39 @@ def _pattern_from_dict(d: dict) -> RadiationPattern:
 
 
 def _pathset_to_dict(p: PathSet) -> dict:
-    d = {"wave_vectors": p.wave_vectors.tolist()}
-    if p.delays is not None:
-        d["delays"] = p.delays.tolist()
-    if p.scatterers is not None:
-        d["scatterers"] = p.scatterers.tolist()
-    return d
+    return {f.name: getattr(p, f.name).tolist() for f in fields(PathSet)
+            if getattr(p, f.name) is not None}
 
 
-def _pathset_from_dict(d: dict) -> PathSet:  # PathSet converts and checks the arrays
-    return PathSet(d["wave_vectors"], delays=d.get("delays"), scatterers=d.get("scatterers"))
+# The complex fields, written as [re, im] pairs; scenario_from_dict reads each
+# field back with its _READERS entry, or as it is.
+_COMPLEX = ("prm", "pprms", "los_amplitude")
+_READERS = {"tx_paths": lambda d: PathSet(**d), "rx_paths": lambda d: PathSet(**d),
+            "tx_pattern": _pattern_from_dict, "rx_pattern": _pattern_from_dict,
+            "prm": _from_carr, "pprms": _from_carr,
+            "los_amplitude": lambda x: complex(_from_carr(x))}
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    d = {
-        "wavelength": s.wavelength,
-        "tx_paths": _pathset_to_dict(s.tx_paths),
-        "rx_paths": _pathset_to_dict(s.rx_paths),
-        "tx_pattern": _pattern_to_dict(s.tx_pattern),
-        "rx_pattern": _pattern_to_dict(s.rx_pattern),
-    }
-    if s.prm is not None:
-        d["prm"] = _carr(s.prm)
-    if s.prms is not None:
-        d["prms"] = [_carr(m) for m in s.prms]
-        d["bandwidth"] = s.bandwidth
-    if s.pprms is not None:
-        d["pprms"] = _carr(s.pprms)
-    if s.reference_offset is not None:
-        d["reference_offset"] = s.reference_offset.tolist()
-    if s.reference_rotation is not None:
-        d["reference_rotation"] = s.reference_rotation.tolist()
-    if s.los_amplitude is not None:
-        d["los_amplitude"] = _carr(complex(s.los_amplitude))
+    """The JSON form of s; a field left at None is not written."""
+    d = {"wavelength": s.wavelength,
+         "tx_paths": _pathset_to_dict(s.tx_paths), "rx_paths": _pathset_to_dict(s.rx_paths),
+         "tx_pattern": _pattern_to_dict(s.tx_pattern), "rx_pattern": _pattern_to_dict(s.rx_pattern)}
+    for k in ("prm", "bandwidth", "pprms", "reference_offset", "reference_rotation",
+              "los_amplitude"):
+        v = getattr(s, k)
+        if v is not None:
+            d[k] = _carr(np.asarray(v, dtype=complex)) if k in _COMPLEX else np.asarray(v).tolist()
     return d
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    return Scenario(
-        wavelength=d["wavelength"],
-        tx_paths=_pathset_from_dict(d["tx_paths"]),
-        rx_paths=_pathset_from_dict(d["rx_paths"]),
-        prm=_from_carr(d["prm"]) if "prm" in d else None,
-        prms=tuple(_from_carr(m) for m in d["prms"]) if "prms" in d else None,
-        bandwidth=d.get("bandwidth"),
-        tx_pattern=_pattern_from_dict(d.get("tx_pattern", {"type": "isotropic"})),
-        rx_pattern=_pattern_from_dict(d.get("rx_pattern", {"type": "isotropic"})),
-        pprms=_from_carr(d["pprms"]) if "pprms" in d else None,
-        reference_offset=d.get("reference_offset"),
-        reference_rotation=d.get("reference_rotation"),
-        los_amplitude=complex(_from_carr(d["los_amplitude"])) if "los_amplitude" in d else None,
-    )
+    """Inverse of scenario_to_dict; a key that names no Scenario field raises ValueError, and
+    one that names no PathSet field TypeError."""
+    unknown = set(d) - {f.name for f in fields(Scenario)}
+    if unknown:
+        raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
+    return Scenario(**{k: _READERS.get(k, lambda v: v)(v) for k, v in d.items()})
 
 
 def save_scenario(s: Scenario, path) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import attrgetter
 
 import numpy as np
 
@@ -46,13 +47,33 @@ def _load_json(path) -> dict:
 _LINE = ("n", "aperture", "d_min")
 
 
+# The gen_scenario keywords of a generate block and the Scenario fields that the channel
+# of every subcommand, a plane-wave narrowband one, ignores; the CLI refuses them.
+_GENERATE_IGNORED = ("bandwidth", "max_delay", "nearfield", "scatterer_radius", "los_amplitude")
+_IGNORED = ("bandwidth", "pprms", "reference_offset", "reference_rotation", "los_amplitude",
+            "tx_paths.delays", "rx_paths.delays", "tx_paths.scatterers", "rx_paths.scatterers")
+
+
+def _refuse_ignored(names) -> None:
+    if names:
+        raise ConfigError("the CLI computes plane-wave narrowband channels, which ignore "
+                          + ", ".join(names))
+
+
 def _build_scenario(doc: dict, seed_override=None):
     try:
         if "generate" in doc:
+            _refuse_ignored([k for k in _GENERATE_IGNORED if k in doc["generate"]])
             kw = read_fields(doc["generate"])
             seed = kw.pop("seed", 0)
             return gen_scenario(seed if seed_override is None else seed_override, **kw)
-        return scenario_from_dict(doc)
+        sc = scenario_from_dict(doc)
+        _refuse_ignored([k for k in _IGNORED if attrgetter(k)(sc) is not None]
+                        + [k for k in ("tx_pattern", "rx_pattern")
+                           if getattr(sc, k).name != "isotropic"])
+        if sc.prm is None:
+            raise ConfigError("no 'prm', from which the CLI computes its plane-wave channels")
+        return sc
     except InfeasibleError:
         raise
     except (TypeError, ValueError) as e:

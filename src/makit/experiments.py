@@ -120,7 +120,7 @@ def _finite_db(x) -> bool:
 
 # The rules of config fields: catalog params and sweep values (an (experiment,
 # name) key overrides the shared rule), the config's trials and seeds, and every
-# CLI reader's fields, every gen_scenario keyword of a scenario's generate block
+# CLI reader's fields, every keyword that a scenario's generate block accepts
 # included.  A rule is a predicate on numbers or a tuple of the JSON
 # values allowed; a field whose rule ends in _EACH takes one value or a list of
 # them.  check_field applies a rule, read_fields a config's rules.
@@ -142,10 +142,9 @@ _RANGES = {
     **dict.fromkeys(("theta_deg", "null_deg"),
                     ("a finite angle in degrees" + _EACH, lambda x: -math.inf < x < math.inf)),
     **dict.fromkeys(("d_min", "bandwidth", "max_delay", "min_sep_bins", "min_sep_cells",
-                     "min_component_sep", "scatterer_radius"),
+                     "min_component_sep"),
                     ("a finite number >= 0", lambda x: 0 <= x < math.inf)),
-    "los_amplitude": ("a finite number", lambda x: -math.inf < x < math.inf),
-    **dict.fromkeys(("analog", "joint", "on_grid", "nearfield"), ("true or false", (True, False))),
+    **dict.fromkeys(("analog", "joint", "on_grid"), ("true or false", (True, False))),
     "kappa": ("a number >= 0 (+inf is line of sight only)", lambda x: x >= 0),
     "gain_dbi": ("a number > 10*log10(2) (a cone narrower than a half-space), finite as a ratio",
                  lambda x: 10 * math.log10(2) < x and db_to_linear(x) < math.inf),
@@ -181,7 +180,8 @@ _RANGES = {
 # the successive recovery takes paths per side, the joint one paths² atoms; an
 # angular region runs from its lower end up; zero forcing needs an antenna per
 # user; a wideband path's delay tap stays within the subcarriers, where the DFT
-# would alias it onto another.  "estimate" is the CLI subcommand's recovery setup.
+# would alias it onto another; a channel of diffuse power only needs a diffuse path,
+# or it is zero.  "estimate" is the CLI subcommand's recovery setup.
 _JOINT_RANGES = {
     "estimation-nmse": (
         ("measurements", "n_paths"), "measurements // 2 >= n_paths and measurements >= n_paths**2",
@@ -195,6 +195,8 @@ _JOINT_RANGES = {
     "beam-widebeam": (("theta_min_deg", "theta_max_deg"), "theta_min_deg <= theta_max_deg",
                       lambda lo, hi: lo <= hi),
     "multiuser-rate": (("k", "n_r"), "k <= n_r", lambda k, n_r: k <= n_r),
+    "estimation-region": (("diffuse_power", "diffuse_paths"),
+                          "diffuse_power < 1 or diffuse_paths >= 1", lambda p, l: p < 1 or l >= 1),
     **dict.fromkeys(("siso-gain-bounds", "siso-ma-vs-fpa"), (
         ("bandwidth", "max_delay", "subcarriers"), "bandwidth * max_delay <= subcarriers",
         lambda b, tau, m: b * tau <= m))}

@@ -116,7 +116,7 @@ def _draw_channels(draws):
         groups = {}  # (Rx paths, Tx paths, wavelength) -> draw indices
         for d, sc in enumerate(draw_users):
             if sc.prm is None:
-                raise ValueError("scenario has no narrowband prm")
+                raise ValueError("scenario has no prm")
             groups.setdefault((id(sc.rx_paths), id(sc.tx_paths), sc.wavelength), []).append(d)
         users.append([])
         for idx in groups.values():
@@ -129,9 +129,9 @@ def _draw_channels(draws):
         out = []
         for groups in users:
             h = np.empty(positions.shape[:-2] + (len(draws), positions.shape[-2]), dtype=complex)
-            for idx, sc, prms, g in groups:
+            for idx, sc, prm_stack, g in groups:
                 fh = np.conj(frm(positions, sc.rx_paths, sc.wavelength)).swapaxes(-1, -2)
-                h[..., idx, :] = (fh[..., None, :, :] @ prms @ g)[..., 0]
+                h[..., idx, :] = (fh[..., None, :, :] @ prm_stack @ g)[..., 0]
             out.append(h)
         return np.stack(out, axis=-1)
     return channels

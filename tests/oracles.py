@@ -178,6 +178,22 @@ def ref_tap_of_delay(delay, bandwidth):
     return fl + 1
 
 
+def ref_cir(t, r, scenario):
+    """channel.cir as one product per delay tap, h_tau = f_tau(r)^H prm_tau g_tau(t): prm_tau
+    is the block of prm between the Rx and Tx paths of tap tau, and a tap that either side
+    leaves empty is 0."""
+    g = frv_tx(t, scenario.tx_paths, scenario.wavelength)
+    f = frv_tx(r, scenario.rx_paths, scenario.wavelength)
+    tx_taps = tap_of_delay(scenario.tx_paths.delays, scenario.bandwidth)
+    rx_taps = tap_of_delay(scenario.rx_paths.delays, scenario.bandwidth)
+    out = np.zeros(max(tx_taps.max(), rx_taps.max()), dtype=complex)
+    for tau in range(1, len(out) + 1):
+        ti, ri = tx_taps == tau, rx_taps == tau
+        if ti.any() and ri.any():
+            out[tau - 1] = f[ri].conj() @ scenario.prm[np.ix_(ri, ti)] @ g[ti]
+    return out
+
+
 def ref_wideband_gain_minmax(rng, params, k, b, side, lam):
     bandwidth = params["bandwidth"]
     m_sub = int(params["subcarriers"])

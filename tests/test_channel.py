@@ -1,7 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from makit.channel import (CouplingPair, PathSet, RadiationPattern, Scenario, apply_coupling,
                            cfr, channel_6dma, channel_mimo, channel_narrowband,
@@ -11,7 +11,7 @@ from makit.channel import (CouplingPair, PathSet, RadiationPattern, Scenario, ap
                            scenario_to_dict, tap_of_delay)
 from makit.channel import _separated
 from makit.geometry import accs_basis, aom_from_euler
-from oracles import ref_tap_of_delay
+from oracles import ref_cir, ref_tap_of_delay
 
 LAM = 1.0
 
@@ -193,18 +193,13 @@ def test_tap_of_delay_tie_rounds_down():
 def test_cir_single_tap_reduces_to_narrowband():
     sc = random_scenario(15, l=3, bandwidth=1e6, max_delay=0.5e-6)
     narrow = Scenario(wavelength=LAM, tx_paths=PathSet(sc.tx_paths.wave_vectors),
-                      rx_paths=PathSet(sc.rx_paths.wave_vectors),
-                      prm=sum_taps(sc))
+                      rx_paths=PathSet(sc.rx_paths.wave_vectors), prm=sc.prm)
     t = np.array([0.3, 0.1, 0.0])
     r = np.array([0.2, -0.4, 0.1])
     taps = cir(t, r, sc)
     assert len(taps) == 1
     assert abs(taps[0] - channel_narrowband(t, r, narrow)) < 1e-12
-
-
-def sum_taps(sc):
-    # reassemble a full diagonal PRM from the per-tap blocks (single-tap case)
-    return sc.prms[0]
+    assert channel_narrowband(t, r, sc) == channel_narrowband(t, r, narrow)
 
 
 def test_cir_per_tap_oracle_and_empty_taps():
@@ -213,19 +208,84 @@ def test_cir_per_tap_oracle_and_empty_taps():
     k_r = sample_directions(rng, 4)
     delays = np.array([0.1e-6, 1.4e-6, 1.6e-6, 3.3e-6])  # taps 1, 2, 2, 4; tap 3 empty
     diag = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    prms = (np.diag(diag[:1]), np.diag(diag[1:3]), np.zeros((0, 0)), np.diag(diag[3:]))
     sc = Scenario(wavelength=LAM, tx_paths=PathSet(k_t, delays=delays),
-                  rx_paths=PathSet(k_r, delays=delays), prms=prms, bandwidth=1e6)
+                  rx_paths=PathSet(k_r, delays=delays), prm=np.diag(diag), bandwidth=1e6)
     t = np.array([0.2, 0.0, 0.1])
     r = np.array([0.0, 0.3, 0.0])
     taps = cir(t, r, sc)
-    assert taps[2] == 0.0
+    assert len(taps) == 4 and taps[2] == 0.0
     groups = {1: [0], 2: [1, 2], 4: [3]}
     for tau, idx in groups.items():
         g = np.exp(2j * np.pi / LAM * k_t[idx] @ t)
         f = np.exp(2j * np.pi / LAM * k_r[idx] @ r)
         expected = f.conj() @ np.diag(diag[idx]) @ g
         assert abs(taps[tau - 1] - expected) < 1e-12
+
+
+BANDWIDTH = 1e6
+point = st.tuples(*[st.floats(-3.0, 3.0)] * 3).map(np.array)
+delay = st.floats(0.0, 6.0 / BANDWIDTH)  # taps 1-7, so some taps go empty
+part = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def wideband_scenarios(draw):
+    """A wideband scenario with its own Tx and Rx path counts and delays, whose prm links
+    some of the path pairs that share a tap."""
+    l_t, l_r = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d_t = draw(st.lists(delay, min_size=l_t, max_size=l_t))
+    d_r = draw(st.lists(delay, min_size=l_r, max_size=l_r))
+    same_tap = tap_of_delay(d_r, BANDWIDTH)[:, None] == tap_of_delay(d_t, BANDWIDTH)
+    linked = same_tap & draw(st.lists(st.booleans(), min_size=l_r * l_t, max_size=l_r * l_t)
+                             .map(lambda b: np.reshape(b, (l_r, l_t))))
+    values = draw(st.lists(st.tuples(part, part), min_size=l_r * l_t, max_size=l_r * l_t))
+    prm = np.where(linked, np.reshape([complex(*v) for v in values], (l_r, l_t)), 0.0)
+    return Scenario(wavelength=LAM, tx_paths=PathSet(sample_directions(rng, l_t), delays=d_t),
+                    rx_paths=PathSet(sample_directions(rng, l_r), delays=d_r),
+                    prm=prm, bandwidth=BANDWIDTH)
+
+
+def _tap_scale(sc):
+    """A bound on every tap's magnitude: the field responses have unit modulus."""
+    return max(np.abs(sc.prm).sum(), np.finfo(float).tiny)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wideband_scenarios(), point, point)
+def test_cir_matches_the_per_tap_loop(sc, t, r):
+    got, want = cir(t, r, sc), ref_cir(t, r, sc)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * _tap_scale(sc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.floats(1e-9, 8e-6), point, point)
+def test_cir_taps_sum_to_the_frequency_flat_channel(seed, l, max_delay, t, r):
+    """Subcarrier 0 of a wideband scenario is the narrowband channel of its prm."""
+    sc = random_scenario(seed, l=l, bandwidth=BANDWIDTH, max_delay=max_delay)
+    flat, taps = channel_narrowband(t, r, sc), cir(t, r, sc)
+    assert abs(taps.sum() - flat) <= 1e-12 * _tap_scale(sc)
+    assert abs(cfr(taps, 16)[0] - flat) <= 1e-12 * _tap_scale(sc)
+
+
+def test_wideband_scenario_refusals():
+    rng = np.random.default_rng(18)
+    k = sample_directions(rng, 2)
+    delays = np.array([0.5e-6, 1.5e-6])  # taps 1 and 2
+    wide = dict(wavelength=LAM, tx_paths=PathSet(k, delays=delays),
+                rx_paths=PathSet(k, delays=delays), prm=np.diag([1.0, 0.5j]), bandwidth=1e6)
+    Scenario(**wide)
+    Scenario(**{**wide, "prm": np.array([[1.0, 0.0], [0.0, 0.5j]])})  # a zero across taps
+    for over, match in (({"prm": None}, "needs a prm"),
+                        ({"tx_paths": PathSet(k)}, "path delays"),
+                        ({"rx_paths": PathSet(k)}, "path delays"),
+                        ({"prm": np.array([[1.0, 1e-300], [0.0, 0.5j]])}, "different delay taps"),
+                        ({"bandwidth": 0.0}, "bandwidth"), ({"bandwidth": np.inf}, "bandwidth")):
+        with pytest.raises(ValueError, match=match):
+            Scenario(**{**wide, **over})
+    with pytest.raises(ValueError, match="not wideband"):
+        cir(np.zeros(3), np.zeros(3), random_scenario(18))
 
 
 def test_cfr_impulse_is_flat():
@@ -536,13 +596,13 @@ def test_redraw_prm_phases_keeps_magnitudes():
 
 
 def test_redraw_prm_phases_keeps_every_other_field():
-    wide = random_scenario(47, l=4, bandwidth=2e6, max_delay=1.5e-6)
-    sc = dataclasses.replace(wide, prm=np.diag([1.0, 0.5j, -0.3, 0.2 + 0.1j]))
+    sc = random_scenario(47, l=4, bandwidth=2e6, max_delay=1.5e-6)
     sc2 = redraw_prm_phases(sc, 7)
-    assert sc2.bandwidth == sc.bandwidth and len(sc2.prms) == len(sc.prms)
-    assert all(a is b for a, b in zip(sc2.prms, sc.prms))
+    assert sc2.bandwidth == sc.bandwidth
     assert sc2.tx_paths is sc.tx_paths and sc2.rx_paths is sc.rx_paths
-    assert np.allclose(np.abs(sc2.prm), np.abs(sc.prm))
+    assert np.allclose(np.abs(sc2.prm), np.abs(sc.prm)) and not np.allclose(sc2.prm, sc.prm)
+    assert np.array_equal(sc2.prm == 0, sc.prm == 0)  # a zero entry stays zero
+    assert len(cir(np.zeros(3), np.zeros(3), sc2)) == len(cir(np.zeros(3), np.zeros(3), sc))
 
 
 # --- serialization
@@ -563,8 +623,19 @@ def test_scenario_wideband_roundtrip(tmp_path):
     save_scenario(sc, path)
     back = load_scenario(path)
     assert back.bandwidth == sc.bandwidth
-    assert [a.tobytes() for a in back.prms] == [b.tobytes() for b in sc.prms]
-    assert back.tx_paths.delays.tobytes() == sc.tx_paths.delays.tobytes()
+    assert back.prm.tobytes() == sc.prm.tobytes()
+    for side in ("tx_paths", "rx_paths"):
+        assert getattr(back, side).delays.tobytes() == getattr(sc, side).delays.tobytes()
+    assert sorted(scenario_to_dict(sc)) == ["bandwidth", "prm", "rx_paths", "rx_pattern",
+                                            "tx_paths", "tx_pattern", "wavelength"]
+
+
+def test_scenario_from_dict_refuses_unknown_keys():
+    doc = scenario_to_dict(random_scenario(49))
+    with pytest.raises(ValueError, match="'prn'"):
+        scenario_from_dict({**doc, "prn": doc["prm"]})
+    with pytest.raises(TypeError, match="delay"):
+        scenario_from_dict({**doc, "tx_paths": {**doc["tx_paths"], "delay": [0.0] * 3}})
 
 
 def test_scenario_prm_shape_mismatch_rejected():

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from makit import estimate as est
 from makit import experiments
-from makit.channel import channel_mimo, db_to_linear, gen_scenario, scenario_to_dict
+from makit import cli
+from makit.channel import (channel_mimo, db_to_linear, gen_scenario, save_scenario,
+                           scenario_to_dict)
 from makit.cli import main
 from makit.errors import ConfigError
 from makit.experiments import (CATALOG, ExperimentConfig, ResultTable, config_hash, emit,
@@ -235,6 +237,16 @@ def scenario_doc(**over):
     return doc
 
 
+def generate_doc(**over):
+    return {"generate": {"seed": 3, "n_paths": 2, **over}}
+
+
+MISO_TASK = {"task": "miso-graph", "n": 4, "m": 24, "aperture": 4.0, "d_min": 0.5}
+MISTYPED_PRM = {("prn" if k == "prm" else k): v for k, v in scenario_doc().items()}
+NO_DIFFUSE_PATH = {"experiment": "estimation-region", "trials": 1,
+                   "params": {"diffuse_power": 1.0, "diffuse_paths": 0}}
+
+
 def estimate_doc(**over):
     doc = {"scenario": {"generate": {"seed": 5, "n_paths": 2, "kappa": 1.0}},
            "method": "successive", "region_side": 2.0, "measurements": 64,
@@ -358,6 +370,36 @@ REFUSED_FIELDS = [
     ("optimize", {**WIDEBEAM, "seed": -1}, "'seed'"),
     ("experiment", {"experiment": "beam-null", "trials": 1, "out": 5}, "'out'"),
     ("experiment", {"experiment": "beam-null", "trials": 1, "out": ["x"]}, "'out'"),
+    # the CLI's plane-wave narrowband channels ignore these generate keywords and fields
+    ("simulate", simulate_doc(0.5, generate_doc(bandwidth=1e6)), "bandwidth"),
+    ("estimate", estimate_doc(scenario=generate_doc(bandwidth=1e6, max_delay=1e-6)), "bandwidth"),
+    ("optimize", {**MISO_TASK, "scenario": generate_doc(bandwidth=1e6)}, "bandwidth"),
+    ("simulate", simulate_doc(0.5, generate_doc(max_delay=1e-6)), "max_delay"),
+    ("simulate", simulate_doc(0.5, generate_doc(nearfield=False)), "nearfield"),
+    ("estimate", estimate_doc(scenario=generate_doc(scatterer_radius=2.0)), "scatterer_radius"),
+    ("simulate", simulate_doc(0.5, generate_doc(los_amplitude=1.0)), "los_amplitude"),
+    ("simulate", simulate_doc(0.5, MISTYPED_PRM), "'prn'"),
+    ("simulate", simulate_doc(0.5, {k: v for k, v in scenario_doc().items() if k != "prm"}),
+     "'prm'"),
+    ("simulate", simulate_doc(0.5, scenario_to_dict(gen_scenario(3, n_paths=2, bandwidth=1e6,
+                                                                 max_delay=1e-6))), "bandwidth"),
+    ("estimate", estimate_doc(scenario=scenario_doc(pprms=np.zeros((2, 2, 2, 2, 2)).tolist())),
+     "pprms"),
+    ("simulate", simulate_doc(0.5, scenario_doc(tx_pattern={"type": "directional",
+                                                            "gain_dbi": 6.0})), "tx_pattern"),
+    ("simulate", simulate_doc(0.5, scenario_doc(reference_offset=[0.0, 0.0, 1.0])),
+     "reference_offset"),
+    ("simulate", simulate_doc(0.5, scenario_doc(reference_rotation=np.eye(3).tolist())),
+     "reference_rotation"),
+    ("optimize", {**MISO_TASK, "scenario": scenario_doc(los_amplitude=[1.0, 0.0])},
+     "los_amplitude"),
+    ("simulate", simulate_doc(0.5, scenario_doc(rx_paths={
+        **scenario_doc()["rx_paths"], "scatterers": np.zeros((2, 3)).tolist()})),
+     "rx_paths.scatterers"),
+    ("experiment", NO_DIFFUSE_PATH, "diffuse_power < 1 or diffuse_paths >= 1"),
+    ("experiment", {**NO_DIFFUSE_PATH, "params": {"diffuse_paths": 0},
+                    "sweep": {"variable": "diffuse_power", "values": [0.5, 1.0]}},
+     "diffuse_power < 1 or diffuse_paths >= 1"),
 ]
 REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "miso-graph-m-0",
                "sensing-1d-mse-snapshots-0", "sensing-1d-mse-n-bool", "beam-null-aperture-negative",
@@ -389,7 +431,14 @@ REFUSED_IDS = ["multibeam-theta_deg-empty", "widebeam-wavelength-negative", "mis
                "sensing-2d-unread-snr_db-inf", "sense-seed-string", "sense-seed-fractional",
                "estimate-seed-negative", "estimate-seed-bool", "simulate-generate-seed-fractional",
                "null-unread-seed-string", "multibeam-seed-negative", "widebeam-seed-negative",
-               "out-number", "out-list"]
+               "out-number", "out-list", "simulate-generate-bandwidth",
+               "estimate-generate-bandwidth", "miso-graph-generate-bandwidth",
+               "generate-max_delay", "generate-nearfield", "generate-scatterer_radius",
+               "generate-los_amplitude", "scenario-prm-mistyped", "scenario-prm-missing",
+               "scenario-wideband", "scenario-pprms", "scenario-directional-pattern",
+               "scenario-reference_offset", "scenario-reference_rotation",
+               "scenario-los_amplitude", "scenario-scatterers", "estimation-region-no-diffuse-path",
+               "estimation-region-sweep-no-diffuse-path"]
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -468,9 +517,11 @@ def test_square_count_rule_holds_only_for_planar_baselines():
 
 
 def test_every_scenario_generator_keyword_has_a_rule():
-    """A scenario's generate block passes its fields to gen_scenario, so each has a rule."""
+    """A scenario's generate block passes its fields to gen_scenario, so each keyword that
+    it accepts has a rule; it refuses the keywords that the CLI's channels ignore."""
     names = set(inspect.signature(gen_scenario).parameters) - {"seed"}
-    assert names - set(experiments._RANGES) == set()
+    assert set(cli._GENERATE_IGNORED) < names
+    assert names - set(cli._GENERATE_IGNORED) - set(experiments._RANGES) == set()
 
 
 def test_catalog_defaults_and_rule_boundaries_are_accepted():
@@ -516,11 +567,30 @@ def test_angle_order_user_count_and_array_size_boundaries_are_accepted():
     ("optimize", {**WIDEBEAM, "n": 4, "theta_min_deg": 60.0, "theta_max_deg": 60.0}),
     ("sense", {**SENSE, "n": 2, "trials": 2}),
     ("optimize", {"task": "sensing-2d", "n": 3, "side": 2.0, "d_min": 0.5}),
-], ids=["widebeam-equal-angles", "sense-n-2", "sensing-2d-n-3"])
+    # a channel without diffuse paths keeps some dominant power, so it is not zero
+    *(("experiment", {**NO_DIFFUSE_PATH, "params": {"diffuse_power": p, "diffuse_paths": l}})
+      for p, l in ((1.0, 1), (0.999, 0), (0.0, 0))),
+], ids=["widebeam-equal-angles", "sense-n-2", "sensing-2d-n-3", "estimation-region-diffuse-1-1",
+        "estimation-region-diffuse-0.999-0", "estimation-region-diffuse-0-0"])
 def test_cli_angle_order_and_array_size_boundaries_run(tmp_path, command, doc):
     cfg = write(tmp_path, "ok.json", doc)
     assert main(["validate-config", "--config", cfg]) == 0
     assert main([command, "--config", cfg]) == 0
+
+
+def test_saved_narrowband_scenario_runs_like_its_generate_block(tmp_path):
+    """save_scenario writes isotropic patterns, which the CLI's plane-wave channel reads."""
+    save_scenario(gen_scenario(3, n_paths=2), tmp_path / "sc.json")
+    with open(tmp_path / "sc.json") as fh:
+        saved = json.load(fh)
+    assert saved["tx_pattern"] == saved["rx_pattern"] == {"type": "isotropic"}
+    maps = []
+    for scenario in (saved, generate_doc()):
+        cfg = write(tmp_path, "sim.json", simulate_doc(0.5, scenario))
+        assert main(["validate-config", "--config", cfg]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "map.csv")]) == 0
+        maps.append((tmp_path / "map.csv").read_bytes())
+    assert maps[0] == maps[1]
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -651,12 +721,19 @@ MISO_GRAPH_TIGHT = {"m": 8, "d_min": 2.0}  # 8 antennas 2 samples apart need 15 
     ("sense", {**SENSE, "n": 1}, 2),
     ("experiment", {"experiment": "sensing-2d-crb", "params": {"n": 2}}, 2),
     ("experiment", {"experiment": NMSE, "params": {"snr_db": -30.0}}, 0),
+    ("simulate", simulate_doc(0.5, generate_doc(bandwidth=1e6, max_delay=1e-6)), 2),
+    ("estimate", estimate_doc(scenario=generate_doc(bandwidth=1e6)), 2),
+    ("optimize", {**MISO_TASK, "scenario": generate_doc(bandwidth=1e6)}, 2),
+    ("simulate", simulate_doc(0.5, MISTYPED_PRM), 2),
+    ("experiment", NO_DIFFUSE_PATH, 2),
 ], ids=["siso-gain-bounds-min_sep_bins-40", "estimation-nmse-min_sep_cells-12",
         "miso-graph-experiment-too-tight", "miso-graph-task-too-tight",
         "simulate-min_component_sep-3", "simulate-distance-0", "estimate-path-gain-underflow",
         "simulate-gain-0", "beam-widebeam-angles-reversed",
         "widebeam-angles-reversed", "multiuser-rate-k-10", "sensing-1d-mse-n-1", "sense-n-1",
-        "sensing-2d-crb-n-2", "estimation-nmse-below-noise-floor"])
+        "sensing-2d-crb-n-2", "estimation-nmse-below-noise-floor", "simulate-generate-bandwidth",
+        "estimate-generate-bandwidth", "miso-graph-generate-bandwidth", "scenario-prm-mistyped",
+        "estimation-region-no-diffuse-path"])
 def test_cli_exit_code_without_traceback(tmp_path, command, doc, code):
     """Infeasible problems exit 3 and malformed configs 2, each with a one-line message."""
     run = fresh("-m", "makit.cli", command, "--config", write(tmp_path, "cfg.json", doc))
